@@ -219,7 +219,7 @@ int main(int argc, char** argv) {
     //     to dijkstra_pair's — same checksum.
     graph::DijkstraWorkspace alt_ws;
     graph::LandmarkTable table;
-    table.EnsureFresh(snap.graph, alt_ws);
+    table.Rebuild(snap.graph, alt_ws);
     double alt_checksum = 0.0;
     suite.Run("dijkstra_alt_pair", 5, queries, [&] {
       for (int i = 0; i < queries; ++i) {
@@ -238,6 +238,18 @@ int main(int argc, char** argv) {
       }
     });
     std::printf("# dijkstra_alt checksum: %.3f ms summed\n", alt_checksum);
+
+    // 3c. What a slot pays before its first ALT query: the compact
+    //     landmark-table rebuild (component seeding, 16 landmark
+    //     Dijkstras, float32 fill) that the per-slot router
+    //     (core/slot_router.hpp) runs once per slot and mode when the
+    //     slot routes at least kAltMinQueries reachable pairs.
+    graph::DijkstraWorkspace table_ws;
+    graph::LandmarkTable rebuilt;
+    suite.Run("alt_table_build", 5, 1,
+              [&] { rebuilt.Rebuild(snap.graph, table_ws); });
+    std::printf("# alt_table_build: %zu landmarks on %d nodes\n",
+                rebuilt.landmarks().size(), snap.graph.NumNodes());
   }
 
   // 4. End-to-end latency study (Fig. 2 inner loop): BP + hybrid snapshots

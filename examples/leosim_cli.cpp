@@ -17,6 +17,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <string>
 #include <vector>
 
@@ -408,25 +409,32 @@ int main(int argc, char** argv) {
 
   int rc = 2;
   const std::string command = args.empty() ? "" : args[0];
-  if (command.empty()) {
-    rc = Usage();
-  } else if (command == "route" && args.size() >= 3) {
-    const bool bp = args.size() >= 4 && args[3] == "--bp";
-    rc = CmdRoute(args[1], args[2], bp);
-  } else if (command == "visible" && args.size() >= 2) {
-    rc = CmdVisible(args[1]);
-  } else if (command == "attenuation" && args.size() >= 2) {
-    rc = CmdAttenuation(args[1], args.size() >= 3 ? std::atof(args[2].c_str()) : 14.25);
-  } else if (command == "pairs" && args.size() >= 2) {
-    rc = CmdPairs(std::atoi(args[1].c_str()));
-  } else if (command == "cities") {
-    rc = CmdCities(args.size() >= 2 ? args[1] : "");
-  } else if (command == "study" && args.size() >= 2 && args[1] == "latency") {
-    rc = CmdStudyLatency({args.begin() + 2, args.end()});
-  } else if (command == "trace") {
-    rc = CmdTrace({args.begin() + 1, args.end()});
-  } else {
-    rc = Usage();
+  // Library input checks (e.g. SnapshotSchedule rejecting a step that
+  // never ends the schedule) throw; report them as one line, rc 2.
+  try {
+    if (command.empty()) {
+      rc = Usage();
+    } else if (command == "route" && args.size() >= 3) {
+      const bool bp = args.size() >= 4 && args[3] == "--bp";
+      rc = CmdRoute(args[1], args[2], bp);
+    } else if (command == "visible" && args.size() >= 2) {
+      rc = CmdVisible(args[1]);
+    } else if (command == "attenuation" && args.size() >= 2) {
+      rc = CmdAttenuation(args[1], args.size() >= 3 ? std::atof(args[2].c_str()) : 14.25);
+    } else if (command == "pairs" && args.size() >= 2) {
+      rc = CmdPairs(std::atoi(args[1].c_str()));
+    } else if (command == "cities") {
+      rc = CmdCities(args.size() >= 2 ? args[1] : "");
+    } else if (command == "study" && args.size() >= 2 && args[1] == "latency") {
+      rc = CmdStudyLatency({args.begin() + 2, args.end()});
+    } else if (command == "trace") {
+      rc = CmdTrace({args.begin() + 1, args.end()});
+    } else {
+      rc = Usage();
+    }
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "leosim_cli %s: %s\n", command.c_str(), e.what());
+    rc = 2;
   }
 
   if (!metrics_out.empty()) {

@@ -9,11 +9,9 @@
 
 #include "core/net_trace.hpp"
 #include "core/report.hpp"
-#include "core/routing_tiers.hpp"
+#include "core/slot_router.hpp"
 #include "core/snapshot_stepper.hpp"
 #include "core/temporal_sweep.hpp"
-#include "graph/components.hpp"
-#include "graph/dijkstra.hpp"
 #include "obs/timeseries.hpp"
 
 namespace leosim::core {
@@ -58,93 +56,6 @@ double JaccardSorted(std::span<const graph::NodeId> a,
   return union_size == 0 ? 1.0 : static_cast<double>(intersection) / union_size;
 }
 
-// One slot's routing answers for every pair: RTT (+inf when unreachable)
-// plus each pair's path nodes, sorted, as [begin, end) runs into one
-// shared buffer. This is what the parallel sweep produces and the serial
-// diff pass consumes — the diff chains slot i to i-1, so it cannot run
-// inside the sweep, but replaying it over these tables costs microseconds.
-struct SlotRoutes {
-  std::vector<double> rtt;
-  std::vector<uint32_t> begin;
-  std::vector<uint32_t> end;
-  std::vector<graph::NodeId> nodes;
-
-  std::span<const graph::NodeId> PathNodes(size_t pair) const {
-    return {nodes.data() + begin[pair], nodes.data() + end[pair]};
-  }
-};
-
-// Routes every pair against one snapshot with the shared tier policy
-// (core/routing_tiers.hpp). Cross-component pairs are answered by the
-// component precheck without any search (a plain Dijkstra that fails
-// settles the source's whole component — the most expensive query shape
-// there is); sources with >= kTreeBatchThreshold surviving destinations
-// run one multi-target Dijkstra — through the workspace's
-// TreeReuseCache, a plain Build unless the snapshot's graph records
-// patch deltas — which is bit-identical to per-pair graph::ShortestPath
-// from the same source (see sssp_tree.hpp); the remaining pairs run
-// goal-directed A* with the straight-line latency bound, which settles
-// only the corridor around the path and agrees with Dijkstra on the
-// path whenever the shortest path is unique (an exact floating-point
-// tie between distinct paths could break differently, but both report
-// the same distance; the churn property test checks node chains too).
-void RouteSlotPaths(const NetworkModel::Snapshot& snap,
-                    const std::vector<CityPair>& pairs,
-                    const std::vector<SourceGroup>& groups, SlotRoutes* out,
-                    SweepWorkspace* ws) {
-  const size_t n = pairs.size();
-  out->rtt.assign(n, kInf);
-  out->begin.assign(n, 0);
-  out->end.assign(n, 0);
-  out->nodes.clear();
-  // Appends one routed pair's answer: sorted node run + round-trip time.
-  const auto emit = [out](size_t pair, const graph::Path& path) {
-    out->rtt[pair] = 2.0 * path.distance;
-    out->begin[pair] = static_cast<uint32_t>(out->nodes.size());
-    out->nodes.insert(out->nodes.end(), path.nodes.begin(), path.nodes.end());
-    out->end[pair] = static_cast<uint32_t>(out->nodes.size());
-    std::sort(out->nodes.begin() + out->begin[pair], out->nodes.end());
-  };
-  graph::ConnectedComponentsInto(snap.graph, &ws->labels, &ws->stack);
-  for (const SourceGroup& group : groups) {
-    const graph::NodeId src = snap.CityNode(group.src_city);
-    const int src_label = ws->labels[static_cast<size_t>(src)];
-    ws->targets.clear();
-    ws->target_pairs.clear();
-    for (const int i : group.pair_indices) {
-      const graph::NodeId dst = snap.CityNode(pairs[static_cast<size_t>(i)].b);
-      if (ws->labels[static_cast<size_t>(dst)] == src_label) {
-        ws->targets.push_back(dst);
-        ws->target_pairs.push_back(i);
-      }
-    }
-    if (ws->targets.empty()) {
-      continue;
-    }
-    if (ws->targets.size() >= kTreeBatchThreshold) {
-      const graph::TreeReuseCache::RouteView view = ws->tree_cache.Route(
-          snap.graph, src, ws->targets, ws->dijkstra, ws->tree);
-      for (size_t j = 0; j < ws->targets.size(); ++j) {
-        const auto path = view.PathTo(ws->targets[j]);
-        emit(static_cast<size_t>(ws->target_pairs[j]), *path);
-      }
-    } else {
-      for (size_t j = 0; j < ws->targets.size(); ++j) {
-        const graph::NodeId dst = ws->targets[j];
-        const geo::Vec3 dst_pos = snap.node_ecef[static_cast<size_t>(dst)];
-        // Plain lambda (not graph::PotentialFn) so it inlines into the
-        // A* relax loop.
-        const auto potential = [&snap, &dst_pos](graph::NodeId n) {
-          return EuclideanLatencyPotential(snap.node_ecef, n, dst_pos);
-        };
-        const auto path = graph::ShortestPathAStar(snap.graph, src, dst,
-                                                   ws->dijkstra, potential);
-        emit(static_cast<size_t>(ws->target_pairs[j]), *path);
-      }
-    }
-  }
-}
-
 // Routes every slot of the schedule in parallel into per-slot tables.
 // `label` names the progress stream ("churn" / "churn_aggregate").
 std::vector<SlotRoutes> SweepRoutes(const NetworkModel& model,
@@ -164,8 +75,10 @@ std::vector<SlotRoutes> SweepRoutes(const NetworkModel& model,
     if (net_trace.Enabled()) {
       net_trace.CaptureSlot(item.slot, item.time_sec, snap);
     }
-    RouteSlotPaths(snap, pairs, groups, &slots[static_cast<size_t>(item.slot)],
-                   &ws);
+    // The serial diff pass below compares path node sets, so the router
+    // keeps every pair's sorted node run.
+    RouteSlotPairs(snap, pairs, groups, /*want_paths=*/true, &ws,
+                   &slots[static_cast<size_t>(item.slot)]);
   });
   return slots;
 }

@@ -1,20 +1,19 @@
 #include "core/latency_study.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <stdexcept>
 #include <string>
 
 #include "core/net_trace.hpp"
 #include "core/report.hpp"
-#include "core/routing_tiers.hpp"
+#include "core/slot_router.hpp"
 #include "core/snapshot_stepper.hpp"
 #include "core/stats.hpp"
 #include "core/temporal_sweep.hpp"
 #include "geo/coordinates.hpp"
-#include "graph/components.hpp"
 #include "graph/dijkstra.hpp"
-#include "link/radio.hpp"
 #include "obs/timeseries.hpp"
 
 namespace leosim::core {
@@ -36,58 +35,14 @@ std::vector<PairRttSeries> InitSeries(const std::vector<CityPair>& pairs,
   return series;
 }
 
-// Fills snapshot column `slot` of every pair's series from one built
-// snapshot. Three cost tiers per pair, cheapest first:
-//   1. component precheck — cross-component pairs stay +inf without any
-//      search (a failed search would otherwise settle the whole
-//      component);
-//   2. sources with >= kTreeBatchThreshold surviving destinations run
-//      ONE multi-target Dijkstra (ShortestPathTree) shared by all of
-//      them;
-//   3. remaining pairs run goal-directed A* with the straight-line
-//      latency bound.
-// Writes only this slot's column, so concurrent calls for distinct
-// slots never conflict.
-void RouteSlotRtts(const NetworkModel::Snapshot& snap, size_t slot,
-                   const std::vector<CityPair>& pairs,
-                   const std::vector<SourceGroup>& groups,
-                   std::vector<PairRttSeries>* series, SweepWorkspace* ws) {
-  graph::ConnectedComponentsInto(snap.graph, &ws->labels, &ws->stack);
-  for (const SourceGroup& group : groups) {
-    const graph::NodeId src = snap.CityNode(group.src_city);
-    const int src_label = ws->labels[static_cast<size_t>(src)];
-    ws->targets.clear();
-    ws->target_pairs.clear();
-    for (const int i : group.pair_indices) {
-      const graph::NodeId dst = snap.CityNode(pairs[static_cast<size_t>(i)].b);
-      // Different component: unreachable; the series column is already
-      // initialised to +inf.
-      if (ws->labels[static_cast<size_t>(dst)] == src_label) {
-        ws->targets.push_back(dst);
-        ws->target_pairs.push_back(i);
-      }
-    }
-    if (ws->targets.size() >= kTreeBatchThreshold) {
-      ws->tree.Build(snap.graph, src, ws->targets, ws->dijkstra);
-      for (size_t j = 0; j < ws->targets.size(); ++j) {
-        // RTT = out-and-back over the same path: 2x the one-way latency.
-        (*series)[static_cast<size_t>(ws->target_pairs[j])].rtt_ms[slot] =
-            2.0 * ws->tree.DistanceTo(ws->targets[j]);
-      }
-    } else {
-      for (size_t j = 0; j < ws->targets.size(); ++j) {
-        const graph::NodeId dst = ws->targets[j];
-        const geo::Vec3 dst_pos = snap.node_ecef[static_cast<size_t>(dst)];
-        // Plain lambda (not graph::PotentialFn) so it inlines into the
-        // A* relax loop.
-        const auto potential = [&snap, &dst_pos](graph::NodeId n) {
-          return EuclideanLatencyPotential(snap.node_ecef, n, dst_pos);
-        };
-        const auto path = graph::ShortestPathAStar(snap.graph, src, dst,
-                                                   ws->dijkstra, potential);
-        (*series)[static_cast<size_t>(ws->target_pairs[j])].rtt_ms[slot] =
-            path.has_value() ? 2.0 * path->distance : kInf;
-      }
+// Copies each slot's routed RTTs into the pair-major series. The sweep
+// writes one slot-indexed table per item, so workers never share a
+// write target; this serial pass transposes the tables.
+void FillSeries(const std::vector<SlotRoutes>& slots,
+                std::vector<PairRttSeries>* series) {
+  for (size_t slot = 0; slot < slots.size(); ++slot) {
+    for (size_t i = 0; i < series->size(); ++i) {
+      (*series)[i].rtt_ms[slot] = slots[slot].rtt[i];
     }
   }
 }
@@ -159,6 +114,14 @@ void RecordReachabilityTransitions(const std::vector<PairRttSeries>& series) {
 }  // namespace
 
 std::vector<double> SnapshotSchedule::Times() const {
+  // A non-positive or NaN step never reaches the end of the schedule,
+  // and neither does any step towards an infinite duration.
+  if (!(step_sec > 0.0) || !std::isfinite(step_sec) ||
+      !std::isfinite(duration_sec)) {
+    throw std::invalid_argument(
+        "SnapshotSchedule needs a finite step_sec > 0 and a finite "
+        "duration_sec");
+  }
   std::vector<double> times;
   for (double t = 0.0; t < duration_sec; t += step_sec) {
     times.push_back(t);
@@ -232,6 +195,8 @@ LatencyStudyResult RunLatencyStudy(const NetworkModel& bp_model,
   result.hybrid = InitSeries(pairs, result.snapshot_times.size());
   const std::vector<SourceGroup> groups = GroupPairsBySource(pairs);
   const int slots = static_cast<int>(result.snapshot_times.size());
+  std::vector<SlotRoutes> bp_slots(result.snapshot_times.size());
+  std::vector<SlotRoutes> hybrid_slots(result.snapshot_times.size());
 
   // When the two models differ only in connectivity mode, each slot is
   // built ONCE (the hybrid snapshot) and the bent-pipe answers come from
@@ -260,11 +225,16 @@ LatencyStudyResult RunLatencyStudy(const NetworkModel& bp_model,
       if (net_trace.Enabled()) {
         net_trace.CaptureSlot(item.slot, item.time_sec, snap);
       }
-      RouteSlotRtts(snap, slot, pairs, groups, &result.hybrid, &ws);
+      RouteSlotPairs(snap, pairs, groups, /*want_paths=*/false, &ws,
+                     &hybrid_slots[slot]);
+      // The router builds any landmark table on the graph it is handed,
+      // so the masked bent-pipe graph gets its own: the hybrid table's
+      // bounds stay admissible there but are far looser.
       for (const graph::EdgeId e : snap.isl_edges) {
         snap.graph.SetEnabled(e, false);
       }
-      RouteSlotRtts(snap, slot, pairs, groups, &result.bp, &ws);
+      RouteSlotPairs(snap, pairs, groups, /*want_paths=*/false, &ws,
+                     &bp_slots[slot]);
       for (const graph::EdgeId e : snap.isl_edges) {
         snap.graph.SetEnabled(e, true);
       }
@@ -274,8 +244,8 @@ LatencyStudyResult RunLatencyStudy(const NetworkModel& bp_model,
     const TemporalSweep sweep(result.snapshot_times, 2);
     sweep.Run("latency", [&](const SweepItem& item, SweepWorkspace& ws) {
       const NetworkModel& model = item.stream == 0 ? bp_model : hybrid_model;
-      std::vector<PairRttSeries>* series =
-          item.stream == 0 ? &result.bp : &result.hybrid;
+      std::vector<SlotRoutes>& slot_routes =
+          item.stream == 0 ? bp_slots : hybrid_slots;
       // No stepping here: a worker's successive items alternate between
       // the two models, so a single stepper would re-prime every item
       // and never get to step.
@@ -286,11 +256,13 @@ LatencyStudyResult RunLatencyStudy(const NetworkModel& bp_model,
       if (item.stream == 1 && net_trace.Enabled()) {
         net_trace.CaptureSlot(item.slot, item.time_sec, snap);
       }
-      RouteSlotRtts(snap, static_cast<size_t>(item.slot), pairs, groups, series,
-                    &ws);
+      RouteSlotPairs(snap, pairs, groups, /*want_paths=*/false, &ws,
+                     &slot_routes[static_cast<size_t>(item.slot)]);
     });
     snapshots_built = 2 * static_cast<uint64_t>(slots);
   }
+  FillSeries(bp_slots, &result.bp);
+  FillSeries(hybrid_slots, &result.hybrid);
 
   RecordLatencyTimeseries("latency.bp", result.snapshot_times, result.bp);
   RecordLatencyTimeseries("latency.hybrid", result.snapshot_times,

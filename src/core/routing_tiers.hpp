@@ -1,43 +1,7 @@
-// Shared routing-tier policy for the per-snapshot pair-routing studies
-// (latency, churn). Both route the same shape of workload — many city
-// pairs grouped by source against one snapshot — and tier it the same
-// way: component precheck, then batched multi-target Dijkstra for
-// sources with enough surviving destinations, then goal-directed A*
-// for the rest. The constants live here so the studies cannot drift.
+// Forwarding header: the routing-tier constants and the Euclidean A*
+// potential now live with the router that applies them,
+// core/slot_router.hpp. Kept so code that replays the pre-ALT tiers
+// (kTreeBatchThreshold, EuclideanLatencyPotential) still builds.
 #pragma once
 
-#include <cstddef>
-#include <vector>
-
-#include "geo/vec3.hpp"
-#include "graph/graph.hpp"
-#include "graph/landmarks.hpp"
-#include "link/radio.hpp"
-
-namespace leosim::core {
-
-// A* potential safety factor (see graph/landmarks.hpp for the rounding
-// argument): the straight-line propagation latency to the destination
-// is an exact lower bound in real arithmetic; one part in 1e12 of slack
-// keeps it admissible under floating-point rounding.
-inline constexpr double kPotentialSlack = graph::kPotentialSlack;
-
-// A source's destinations are batched into one multi-target Dijkstra
-// once there are at least this many of them; below the threshold,
-// per-pair goal-directed A* wins because its settled corridor is
-// roughly half the size of the Dijkstra ball the batched search grows.
-// Either route reports the same shortest-path latency.
-inline constexpr size_t kTreeBatchThreshold = 3;
-
-// The studies' A* potential: straight-line propagation latency from
-// node n to the destination position, slacked for admissibility under
-// rounding. Called through a capturing lambda so it inlines into the
-// ShortestPathAStar relax loop.
-inline double EuclideanLatencyPotential(const std::vector<geo::Vec3>& node_ecef,
-                                        graph::NodeId n,
-                                        const geo::Vec3& dst_pos) {
-  return kPotentialSlack *
-         link::PropagationLatencyMs(node_ecef[static_cast<size_t>(n)], dst_pos);
-}
-
-}  // namespace leosim::core
+#include "core/slot_router.hpp"

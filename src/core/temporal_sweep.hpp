@@ -24,8 +24,8 @@
 #include "core/snapshot_stepper.hpp"
 #include "core/traffic_matrix.hpp"
 #include "graph/dijkstra.hpp"
+#include "graph/landmarks.hpp"
 #include "graph/sssp_tree.hpp"
-#include "graph/tree_reuse.hpp"
 
 namespace leosim::core {
 
@@ -45,11 +45,10 @@ struct SweepWorkspace {
   SnapshotStepper stepper;
   graph::DijkstraWorkspace dijkstra;
   graph::ShortestPathTree tree;
-  // Cross-slot tree reuse for bodies that route through it (see
-  // graph/tree_reuse.hpp). A pure passthrough to tree.Build unless the
-  // body turns on the graph's patch-delta recording, so bodies that
-  // never do pay nothing.
-  graph::TreeReuseCache tree_cache;
+  // ALT landmark table for the per-slot router (core/slot_router.hpp),
+  // rebuilt for every slot and mode that routes enough pairs to pay for
+  // it; empty in bodies that never do.
+  graph::LandmarkTable landmarks;
   // Generic study scratch: component labels + DFS stack for the
   // reachability precheck, a NodeId buffer for batched targets, and the
   // pair indices those targets came from.

@@ -1,21 +1,18 @@
 // ALT landmark potentials (A*, Landmarks, Triangle inequality) for the
-// snapshot graphs: precompute exact shortest-path distances from a small
-// set of landmark nodes, then lower-bound the distance from any node v
-// to a query destination t by max_L |d(L, v) - d(L, t)| — the triangle
-// inequality both ways round. Unlike the Euclidean straight-line bound
-// the studies use for city pairs, the landmark bound needs no node
-// geometry, so it serves queries between arbitrary graph nodes and
-// stays tight through relay chains whose latency is far above the
-// straight line.
+// snapshot graphs: precompute shortest-path distances from a small set
+// of landmark nodes, then lower-bound the distance from any node v to a
+// query destination t by max_L |d(L, v) - d(L, t)| — the triangle
+// inequality both ways round. Unlike the Euclidean straight-line bound,
+// the landmark bound needs no node geometry and stays tight through
+// relay chains whose latency is far above the straight line.
 //
 // The table costs one full Dijkstra per landmark to build, so it only
-// pays off when many point-to-point queries hit one graph version;
-// EnsureFresh keys rebuilds on Graph::Version() to make the table safe
-// to hold across snapshot epochs.
+// pays off when many point-to-point queries hit one graph; the per-slot
+// router (core/slot_router.hpp) decides when, and rebuilds the table for
+// every slot and connectivity mode it routes.
 #pragma once
 
 #include <cmath>
-#include <cstdint>
 #include <vector>
 
 #include "graph/dijkstra.hpp"
@@ -31,80 +28,70 @@ inline constexpr double kPotentialSlack = 1.0 - 1e-12;
 
 class LandmarkTable {
  public:
-  // Sixteen landmarks is the classic ALT sweet spot: the per-node
-  // potential evaluation reads 16 doubles (two cache lines in the
-  // node-major layout below) and the bound stops improving much beyond
-  // that on mesh-like graphs.
+  // Sixteen landmarks is the classic ALT sweet spot: the bound stops
+  // improving much beyond that on mesh-like graphs, and sixteen float32
+  // entries fill exactly one 64-byte cache line per node.
   static constexpr int kDefaultNumLandmarks = 16;
 
   explicit LandmarkTable(int num_landmarks = kDefaultNumLandmarks)
       : num_landmarks_(num_landmarks) {}
 
-  // True while the table still describes `g` exactly: same graph
-  // object, no mutation since the build (Graph::Version()).
-  bool Fresh(const Graph& g) const {
-    return graph_ == &g && version_ == g.Version() &&
-           num_nodes_ == g.NumNodes();
-  }
-
-  // Rebuilds when stale, no-op when fresh — the lazy per-snapshot-epoch
-  // entry point. `workspace` is scratch for the landmark Dijkstras.
-  void EnsureFresh(const Graph& g, DijkstraWorkspace& workspace) {
-    if (!Fresh(g)) {
-      Rebuild(g, workspace);
-    }
-  }
-
-  // Selects landmarks by farthest-point traversal (seeded with the node
-  // farthest from node 0, then repeatedly the node maximising the
-  // minimum distance to the chosen set; ties break to the lowest id,
-  // keeping selection deterministic) and fills the distance table. One
-  // ShortestDistancesInto per landmark.
+  // Selects landmarks by farthest-point traversal inside the graph's
+  // largest connected component (ties to the lowest component label):
+  // the first landmark is the node farthest from that component's
+  // lowest-id node, each next one the node maximising the minimum
+  // distance to the chosen set; ties break to the lowest id, keeping
+  // selection deterministic. Then fills the distance table, one
+  // ShortestDistancesInto per landmark. Nodes outside the largest
+  // component get +inf rows, so queries there fall back to a zero
+  // potential (plain Dijkstra order). `workspace` is scratch for the
+  // landmark Dijkstras.
   void Rebuild(const Graph& g, DijkstraWorkspace& workspace);
 
   // Prepares Potential() for queries toward `dst`: copies dst's row of
-  // the table so the per-node evaluation reads two short contiguous
-  // arrays.
+  // the table so the per-node evaluation reads one table line and one
+  // short resident array.
   void SetDestination(NodeId dst);
 
-  // Admissible, consistent lower bound on the shortest-path distance
-  // from n to the destination set by SetDestination. Each landmark L
-  // contributes |d(L, n) - d(L, dst)| <= d(n, dst); the max of
-  // consistent potentials is consistent, and scaling by a factor <= 1
-  // preserves both properties. Non-finite contributions are skipped:
-  // within dst's component both distances are infinite together (the
-  // difference is NaN), and a one-sided infinity only arises for nodes
-  // no search toward dst can reach.
+  // Admissible lower bound on the shortest-path distance from n to the
+  // destination set by SetDestination. Each landmark L contributes
+  // |d(L, n) - d(L, dst)| <= d(n, dst). The table stores each distance
+  // in float32 rounded toward -inf, which can inflate one difference by
+  // less than the float spacing at the largest finite entry; subtracting
+  // that spacing (shave_) restores the bound, and kPotentialSlack covers
+  // the double-precision rounding as for the Euclidean bound. The
+  // rounding can cost exact consistency, never admissibility:
+  // ShortestPathAStar keeps no closed set and re-relaxes any node that
+  // improves, so it stays exact. A NaN contribution (both entries +inf: n and dst lie outside
+  // the largest component) is skipped; a one-sided +inf means n cannot
+  // reach dst at all, and +inf is then the exact distance.
   double Potential(NodeId n) const {
-    const double* row =
+    const float* row =
         table_.data() + static_cast<size_t>(n) * static_cast<size_t>(stride_);
     double best = 0.0;
     for (int l = 0; l < stride_; ++l) {
-      const double diff = std::fabs(row[l] - dst_row_[static_cast<size_t>(l)]);
-      if (std::isfinite(diff) && diff > best) {
-        best = diff;
-      }
+      const double diff =
+          std::fabs(static_cast<double>(row[l]) - dst_row_[static_cast<size_t>(l)]);
+      best = diff > best ? diff : best;
     }
-    return kPotentialSlack * best;
+    return best > shave_ ? kPotentialSlack * (best - shave_) : 0.0;
   }
 
   const std::vector<NodeId>& landmarks() const { return landmarks_; }
 
  private:
   int num_landmarks_{kDefaultNumLandmarks};
-  // Freshness key.
-  const Graph* graph_{nullptr};
-  uint64_t version_{0};
-  int num_nodes_{0};
-
   std::vector<NodeId> landmarks_;
   int stride_{0};               // == landmarks_.size()
-  std::vector<double> table_;   // node-major: table_[n * stride_ + l]
+  std::vector<float> table_;    // node-major: table_[n * stride_ + l]
   std::vector<double> dst_row_; // active destination's row, stride_ wide
-  // Rebuild scratch, kept warm across snapshot epochs.
+  double shave_{0.0};           // float spacing at the largest finite entry
+  // Rebuild scratch, kept warm across slots.
   std::vector<double> row_;       // one landmark's distance row
-  std::vector<double> rows_;      // landmark-major staging before transpose
   std::vector<double> min_dist_;  // farthest-point selection state
+  std::vector<int> labels_;       // component labels for seeding
+  std::vector<int> sizes_;        // component sizes
+  std::vector<NodeId> stack_;     // component DFS scratch
 };
 
 }  // namespace leosim::graph

@@ -1,6 +1,9 @@
 // Integration tests over the experiment drivers, at reduced scale.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+
 #include "core/attenuation_study.hpp"
 #include "core/fiber_study.hpp"
 #include "core/gso_study.hpp"
@@ -54,6 +57,27 @@ TEST(SnapshotScheduleTest, TimesCoverDuration) {
   EXPECT_EQ(times.size(), 96u);
   EXPECT_DOUBLE_EQ(times.front(), 0.0);
   EXPECT_DOUBLE_EQ(times.back(), 86400.0 - 900.0);
+}
+
+TEST(SnapshotScheduleTest, RejectsStepsThatNeverFinish) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const SnapshotSchedule s : {SnapshotSchedule{3600.0, 0.0},
+                                   SnapshotSchedule{3600.0, -10.0},
+                                   SnapshotSchedule{3600.0, nan},
+                                   SnapshotSchedule{3600.0, inf},
+                                   SnapshotSchedule{inf, 900.0},
+                                   SnapshotSchedule{nan, 900.0}}) {
+    EXPECT_THROW(s.Times(), std::invalid_argument)
+        << "duration " << s.duration_sec << " step " << s.step_sec;
+  }
+}
+
+TEST(LatencyStudyTest, ZeroStepThrowsInsteadOfHanging) {
+  const SnapshotSchedule schedule{3600.0, 0.0};
+  EXPECT_THROW(
+      RunLatencyStudy(BpModel(), HybridModel(), TestPairs(4), schedule),
+      std::invalid_argument);
 }
 
 TEST(LatencyStudyTest, HybridMinRttNeverWorse) {

@@ -49,13 +49,9 @@ TEST(LandmarkRouting, AltAStarMatchesDijkstraOnSnapshots) {
 
   for (const double t : {0.0, 300.0, 3600.0}) {
     const core::NetworkModel::Snapshot snap = model.BuildSnapshot(t);
-    table.EnsureFresh(snap.graph, ws_table);
-    EXPECT_TRUE(table.Fresh(snap.graph));
+    table.Rebuild(snap.graph, ws_table);
     EXPECT_EQ(static_cast<int>(table.landmarks().size()),
               graph::LandmarkTable::kDefaultNumLandmarks);
-    // A second EnsureFresh on the untouched graph must be a no-op (the
-    // whole point of keying on Graph::Version()).
-    table.EnsureFresh(snap.graph, ws_table);
 
     for (int q = 0; q < 40; ++q) {
       const graph::NodeId src = snap.CityNode(pick(rng));

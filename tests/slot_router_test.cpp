@@ -1,0 +1,230 @@
+// Property tests for the per-slot router (core/slot_router.hpp). Its
+// tiers are pure accelerations: on a hybrid snapshot and on the same
+// snapshot with its ISL edges masked (the latency study's bent-pipe
+// view), the ALT tier, the Euclidean tier and plain graph::ShortestPath
+// must agree bit for bit on every pair's RTT, and the churn study's
+// node chains must not depend on the tier. Both sides of kAltMinQueries
+// are reached by routing the same pairs either in one call or in chunks
+// smaller than the break-even.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <cstdlib>
+#include <limits>
+#include <vector>
+
+#include "core/churn_study.hpp"
+#include "core/latency_study.hpp"
+#include "core/network_builder.hpp"
+#include "core/slot_router.hpp"
+#include "core/temporal_sweep.hpp"
+#include "core/traffic_matrix.hpp"
+#include "data/cities.hpp"
+#include "graph/components.hpp"
+#include "graph/dijkstra.hpp"
+
+namespace leosim::core {
+namespace {
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+bool BitEq(double x, double y) {
+  return std::bit_cast<uint64_t>(x) == std::bit_cast<uint64_t>(y);
+}
+
+NetworkOptions Options(ConnectivityMode mode) {
+  NetworkOptions options;
+  options.mode = mode;
+  options.relay_spacing_deg = 4.0;
+  return options;
+}
+
+const NetworkModel& HybridModel() {
+  static const NetworkModel model(Scenario::Starlink(),
+                                  Options(ConnectivityMode::kHybrid),
+                                  data::AnchorCities());
+  return model;
+}
+
+const NetworkModel& BentPipeModel() {
+  static const NetworkModel model(Scenario::Starlink(),
+                                  Options(ConnectivityMode::kBentPipe),
+                                  data::AnchorCities());
+  return model;
+}
+
+// Enough pairs that the reachable count clears kAltMinQueries even under
+// bent-pipe connectivity.
+std::vector<CityPair> Pairs() {
+  TrafficMatrixOptions traffic;
+  traffic.num_pairs = static_cast<int>(3 * kAltMinQueries);
+  return SampleCityPairs(data::AnchorCities(), traffic);
+}
+
+// Reference answers: one plain Dijkstra per pair.
+std::vector<double> DijkstraRtts(const NetworkModel::Snapshot& snap,
+                                 const std::vector<CityPair>& pairs) {
+  graph::DijkstraWorkspace ws;
+  std::vector<double> rtt;
+  for (const CityPair& p : pairs) {
+    const auto path = graph::ShortestPath(snap.graph, snap.CityNode(p.a),
+                                          snap.CityNode(p.b), ws);
+    rtt.push_back(path.has_value() ? 2.0 * path->distance : kInf);
+  }
+  return rtt;
+}
+
+size_t ReachableCount(const NetworkModel::Snapshot& snap,
+                      const std::vector<CityPair>& pairs) {
+  const graph::Components components = graph::ConnectedComponents(snap.graph);
+  size_t reachable = 0;
+  for (const CityPair& p : pairs) {
+    reachable += components.label[static_cast<size_t>(snap.CityNode(p.a))] ==
+                         components.label[static_cast<size_t>(snap.CityNode(p.b))]
+                     ? 1
+                     : 0;
+  }
+  return reachable;
+}
+
+// Routes `pairs` in chunks of fewer than kAltMinQueries pairs, each its
+// own router call, so every call stays on the Euclidean tiers. Answers
+// come back in pair order.
+struct ChunkedRoutes {
+  std::vector<double> rtt;
+  std::vector<std::vector<graph::NodeId>> nodes;
+  bool built_table{false};
+};
+
+ChunkedRoutes RouteInChunks(const NetworkModel::Snapshot& snap,
+                            const std::vector<CityPair>& pairs) {
+  ChunkedRoutes chunked;
+  SweepWorkspace ws;
+  SlotRoutes routes;
+  const size_t chunk = kAltMinQueries - 1;
+  for (size_t first = 0; first < pairs.size(); first += chunk) {
+    const std::vector<CityPair> part(
+        pairs.begin() + static_cast<std::ptrdiff_t>(first),
+        pairs.begin() + static_cast<std::ptrdiff_t>(std::min(first + chunk, pairs.size())));
+    RouteSlotPairs(snap, part, GroupPairsBySource(part), /*want_paths=*/true,
+                   &ws, &routes);
+    chunked.built_table = chunked.built_table || !ws.landmarks.landmarks().empty();
+    for (size_t i = 0; i < part.size(); ++i) {
+      chunked.rtt.push_back(routes.rtt[i]);
+      const auto run = routes.PathNodes(i);
+      chunked.nodes.emplace_back(run.begin(), run.end());
+    }
+  }
+  return chunked;
+}
+
+// One snapshot, one connectivity view: the ALT tier (all pairs in one
+// call), the Euclidean tier (chunked) and plain Dijkstra agree bitwise
+// on every RTT; the two tiers agree on every node chain; distance-only
+// routing reports the same RTTs as path routing.
+void ExpectTiersAgree(const NetworkModel::Snapshot& snap,
+                      const std::vector<CityPair>& pairs, const char* view) {
+  ASSERT_GE(ReachableCount(snap, pairs), kAltMinQueries) << view;
+  const std::vector<double> reference = DijkstraRtts(snap, pairs);
+
+  SweepWorkspace ws;
+  SlotRoutes alt;
+  RouteSlotPairs(snap, pairs, GroupPairsBySource(pairs), /*want_paths=*/true,
+                 &ws, &alt);
+  EXPECT_EQ(static_cast<int>(ws.landmarks.landmarks().size()),
+            graph::LandmarkTable::kDefaultNumLandmarks)
+      << view << ": the full pair set must take the ALT tier";
+  SlotRoutes alt_rtt_only;
+  RouteSlotPairs(snap, pairs, GroupPairsBySource(pairs), /*want_paths=*/false,
+                 &ws, &alt_rtt_only);
+
+  const ChunkedRoutes euclidean = RouteInChunks(snap, pairs);
+  EXPECT_FALSE(euclidean.built_table)
+      << view << ": chunks below kAltMinQueries must not build a table";
+
+  int reachable = 0;
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    ASSERT_TRUE(BitEq(alt.rtt[i], reference[i])) << view << " pair " << i;
+    ASSERT_TRUE(BitEq(alt_rtt_only.rtt[i], reference[i])) << view << " pair " << i;
+    ASSERT_TRUE(BitEq(euclidean.rtt[i], reference[i])) << view << " pair " << i;
+    const auto run = alt.PathNodes(i);
+    EXPECT_EQ(std::vector<graph::NodeId>(run.begin(), run.end()),
+              euclidean.nodes[i])
+        << view << " pair " << i;
+    reachable += reference[i] != kInf ? 1 : 0;
+  }
+  EXPECT_GT(reachable, 0) << view;
+}
+
+TEST(SlotRouter, TiersAgreeOnHybridAndMaskedBentPipe) {
+  const std::vector<CityPair> pairs = Pairs();
+  for (const double t : {0.0, 2700.0}) {
+    NetworkModel::Snapshot snap = HybridModel().BuildSnapshot(t);
+    ExpectTiersAgree(snap, pairs, "hybrid");
+    for (const graph::EdgeId e : snap.isl_edges) {
+      snap.graph.SetEnabled(e, false);
+    }
+    ExpectTiersAgree(snap, pairs, "bent-pipe");
+  }
+}
+
+// Below the break-even the router never builds a table, whatever the
+// workspace held before.
+TEST(SlotRouter, SmallSlotsKeepEuclideanTiers) {
+  const NetworkModel::Snapshot snap = HybridModel().BuildSnapshot(0.0);
+  const std::vector<CityPair> all = Pairs();
+  const std::vector<CityPair> few(all.begin(), all.begin() + 20);
+  SweepWorkspace ws;
+  SlotRoutes routes;
+  RouteSlotPairs(snap, few, GroupPairsBySource(few), /*want_paths=*/false, &ws,
+                 &routes);
+  EXPECT_TRUE(ws.landmarks.landmarks().empty());
+  const std::vector<double> reference = DijkstraRtts(snap, few);
+  for (size_t i = 0; i < few.size(); ++i) {
+    EXPECT_TRUE(BitEq(routes.rtt[i], reference[i])) << "pair " << i;
+  }
+}
+
+// Runs `fn` with LEOSIM_THREADS set to `threads`.
+template <typename Fn>
+auto WithThreads(const char* threads, const Fn& fn) {
+  setenv("LEOSIM_THREADS", threads, 1);
+  auto result = fn();
+  unsetenv("LEOSIM_THREADS");
+  return result;
+}
+
+TEST(SlotRouter, LatencyAndChurnThreadInvariant) {
+  const std::vector<CityPair> pairs = Pairs();
+  SnapshotSchedule schedule;
+  schedule.duration_sec = 4.0 * 900.0;
+  schedule.step_sec = 900.0;
+
+  const auto latency = [&] {
+    return RunLatencyStudy(BentPipeModel(), HybridModel(), pairs, schedule);
+  };
+  const LatencyStudyResult l1 = WithThreads("1", latency);
+  const LatencyStudyResult l4 = WithThreads("4", latency);
+  ASSERT_EQ(l1.bp.size(), l4.bp.size());
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    for (size_t s = 0; s < l1.snapshot_times.size(); ++s) {
+      ASSERT_TRUE(BitEq(l1.bp[i].rtt_ms[s], l4.bp[i].rtt_ms[s]));
+      ASSERT_TRUE(BitEq(l1.hybrid[i].rtt_ms[s], l4.hybrid[i].rtt_ms[s]));
+    }
+  }
+
+  const auto churn = [&] {
+    return RunAggregateChurnStudy(HybridModel(), pairs, schedule);
+  };
+  const AggregateChurn c1 = WithThreads("1", churn);
+  const AggregateChurn c4 = WithThreads("4", churn);
+  EXPECT_TRUE(BitEq(c1.mean_change_rate, c4.mean_change_rate));
+  EXPECT_TRUE(BitEq(c1.mean_jaccard, c4.mean_jaccard));
+  EXPECT_TRUE(BitEq(c1.mean_rtt_jitter_ms, c4.mean_rtt_jitter_ms));
+  EXPECT_EQ(c1.pairs_evaluated, c4.pairs_evaluated);
+}
+
+}  // namespace
+}  // namespace leosim::core
