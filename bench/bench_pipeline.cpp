@@ -11,7 +11,10 @@
 // The committed BENCH_pipeline.json at the repo root is the baseline for
 // the CI perf-smoke job; refresh it (same flags, quiet machine) whenever
 // a PR intentionally moves these numbers.
+#include <unistd.h>
+
 #include <cstdio>
+#include <filesystem>
 #include <thread>
 
 #include "bench_common.hpp"
@@ -312,6 +315,38 @@ int main(int argc, char** argv) {
     net_trace.Enable(false);
     net_trace.Reset();
     std::printf("# nettrace checksum: %zu bytes serialized\n", trace_bytes);
+  }
+
+  // 5c'. Trace export alone, as `leosim_cli trace` runs it after the
+  //      sweep: replay validation plus streaming both files to disk, on
+  //      one pre-captured 60-slot, 10 s sweep.
+  {
+    core::SnapshotSchedule fine;
+    fine.step_sec = 10.0;
+    fine.duration_sec = 10.0 * 60.0;  // 60 slots
+    core::NetTraceRecorder& net_trace = core::NetTraceRecorder::Global();
+    net_trace.Reset();
+    net_trace.Enable(true);
+    (void)core::RunAggregateChurnStudy(stepped_model, pairs, fine);
+    const std::filesystem::path dir =
+        std::filesystem::temp_directory_path() /
+        ("leosim_nettrace_export_" + std::to_string(getpid()));
+    bool ok = true;
+    suite.Run("nettrace_export", 5, 1, [&] {
+      std::string why;
+      const bool valid = net_trace.ValidateReplay(&why);
+      const bool written = net_trace.WriteTo(dir.string());
+      ok = ok && valid && written;
+    });
+    std::error_code ec;
+    const uintmax_t bytes =
+        std::filesystem::file_size(dir / "netstate.jsonl", ec) +
+        std::filesystem::file_size(dir / "netevents.jsonl", ec);
+    std::filesystem::remove_all(dir, ec);
+    net_trace.Enable(false);
+    net_trace.Reset();
+    std::printf("# nettrace_export: %s, %ju bytes written\n",
+                ok ? "validated" : "FAILED", bytes);
   }
 
   // 5d. Cross-slot tree reuse (graph/tree_reuse.hpp) under a sparse

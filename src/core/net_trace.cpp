@@ -5,14 +5,19 @@
 #include <bit>
 #include <cstdio>
 #include <filesystem>
+#include <functional>
 #include <limits>
+#include <memory>
 #include <stdexcept>
 #include <utility>
 
 #include "core/mutex.hpp"
+#include "core/parallel.hpp"
 #include "core/thread_annotations.hpp"
 #include "obs/metrics.hpp"
+#include "obs/number_format.hpp"
 #include "obs/schemas.hpp"
+#include "obs/trace.hpp"
 
 namespace leosim::core {
 
@@ -21,6 +26,7 @@ namespace {
 using Link = NetTraceRecorder::Link;
 using SlotRecord = NetTraceRecorder::SlotRecord;
 using StudyEvent = NetTraceRecorder::StudyEvent;
+using obs::AppendInt;
 
 // Recorder state, owned file-locally so the header stays a pure
 // interface. Never destroyed: sweep workers may capture past static
@@ -75,15 +81,7 @@ void AppendJsonDouble(std::string* out, double value) {
     out->append("null");
     return;
   }
-  char tmp[40];
-  std::snprintf(tmp, sizeof(tmp), "%.17g", value);
-  out->append(tmp);
-}
-
-void AppendInt(std::string* out, int64_t value) {
-  char tmp[24];
-  std::snprintf(tmp, sizeof(tmp), "%lld", static_cast<long long>(value));
-  out->append(tmp);
+  obs::AppendG17(out, value);
 }
 
 void AppendVec3Array(std::string* out, const geo::Vec3* begin, size_t count) {
@@ -176,6 +174,14 @@ struct LinkDiff {
     return radio_down.size() + radio_up.size() + radio_weight.size() +
            isl_down.size() + isl_up.size() + isl_weight.size();
   }
+  void Clear() {
+    radio_down.clear();
+    radio_up.clear();
+    radio_weight.clear();
+    isl_down.clear();
+    isl_up.clear();
+    isl_weight.clear();
+  }
 };
 
 // Merge-walks two (a, b)-sorted link lists. A capacity change is a
@@ -215,13 +221,15 @@ void DiffLinks(const std::vector<Link>& prev, const std::vector<Link>& cur,
   }
 }
 
-LinkDiff ComputeDiff(const SlotRecord& prev, const SlotRecord& cur) {
-  LinkDiff diff;
-  DiffLinks(prev.radio_links, cur.radio_links, &diff.radio_down,
-            &diff.radio_up, &diff.radio_weight);
-  DiffLinks(prev.isl_links, cur.isl_links, &diff.isl_down, &diff.isl_up,
-            &diff.isl_weight);
-  return diff;
+// Fills `diff` (cleared first, so callers can reuse its capacity).
+void ComputeDiff(const SlotRecord& prev, const SlotRecord& cur,
+                 LinkDiff* diff) {
+  const obs::Span span("trace.diff");
+  diff->Clear();
+  DiffLinks(prev.radio_links, cur.radio_links, &diff->radio_down,
+            &diff->radio_up, &diff->radio_weight);
+  DiffLinks(prev.isl_links, cur.isl_links, &diff->isl_down, &diff->isl_up,
+            &diff->isl_weight);
 }
 
 // The netevents stream only re-sends satellite and aircraft positions;
@@ -245,33 +253,53 @@ void CheckStaticGroundNodes(const SlotRecord& prev, const SlotRecord& cur) {
   }
 }
 
-// Applies one slot's delta to a replayed state. Sorted-insert keeps the
-// lists in the same (a, b) order a fresh capture would produce.
-void ApplyDiff(std::vector<Link>* links, const std::vector<Link>& down,
-               const std::vector<Link>& up, const std::vector<Link>& weight) {
-  const auto key_less = [](const Link& x, const Link& y) {
-    return std::pair(x.a, x.b) < std::pair(y.a, y.b);
-  };
-  for (const Link& d : down) {
-    const auto it = std::lower_bound(links->begin(), links->end(), d, key_less);
-    if (it == links->end() || it->a != d.a || it->b != d.b) {
-      throw std::logic_error("replay: link_down for a link that is not up");
-    }
-    links->erase(it);
-  }
-  for (const Link& u : up) {
-    const auto it = std::lower_bound(links->begin(), links->end(), u, key_less);
-    if (it != links->end() && it->a == u.a && it->b == u.b) {
-      throw std::logic_error("replay: link_up for a link that is already up");
-    }
-    links->insert(it, u);
-  }
-  for (const Link& w : weight) {
-    const auto it = std::lower_bound(links->begin(), links->end(), w, key_less);
-    if (it == links->end() || it->a != w.a || it->b != w.b) {
+// Applies one slot's delta to `links` and writes the result to `out`, in
+// one merge walk over the four (a, b)-sorted lists. The result is in the
+// (a, b) order a fresh capture would produce. A link both downed and
+// upped (a capacity change) is replaced in place; weight events apply to
+// the links the downs and ups leave.
+void ApplyDiff(const std::vector<Link>& links, const std::vector<Link>& down,
+               const std::vector<Link>& up, const std::vector<Link>& weight,
+               std::vector<Link>* out) {
+  const auto key = [](const Link& x) { return std::pair(x.a, x.b); };
+  out->clear();
+  size_t d = 0;
+  size_t u = 0;
+  size_t w = 0;
+  const auto emit = [&](Link link) {
+    if (w < weight.size() && key(weight[w]) < key(link)) {
       throw std::logic_error("replay: weight event for a link that is not up");
     }
-    it->delay_ms = w.delay_ms;
+    if (w < weight.size() && key(weight[w]) == key(link)) {
+      link.delay_ms = weight[w].delay_ms;
+      ++w;
+    }
+    out->push_back(link);
+  };
+  for (const Link& link : links) {
+    while (u < up.size() && key(up[u]) < key(link)) {
+      emit(up[u++]);
+    }
+    if (d < down.size() && key(down[d]) < key(link)) {
+      throw std::logic_error("replay: link_down for a link that is not up");
+    }
+    if (d < down.size() && key(down[d]) == key(link)) {
+      ++d;
+      continue;  // an up with the same key, if any, is emitted next
+    }
+    if (u < up.size() && key(up[u]) == key(link)) {
+      throw std::logic_error("replay: link_up for a link that is already up");
+    }
+    emit(link);
+  }
+  if (d < down.size()) {
+    throw std::logic_error("replay: link_down for a link that is not up");
+  }
+  while (u < up.size()) {
+    emit(up[u++]);
+  }
+  if (w < weight.size()) {
+    throw std::logic_error("replay: weight event for a link that is not up");
   }
 }
 
@@ -282,6 +310,290 @@ std::string DescribeMismatch(int slot, const char* what) {
   out.append(what);
   out.append(" diverges from the stored capture");
   return out;
+}
+
+// Appends slot `slot`'s netstate line: every node and every enabled link
+// of the captured state.
+void EncodeNetState(const SlotRecord& record, int slot, std::string* out) {
+  out->append("{\"schema\":\"");
+  out->append(obs::kNetStateSchema);
+  out->append("\",\"slot\":");
+  AppendInt(out, slot);
+  out->append(",\"t\":");
+  AppendJsonDouble(out, record.time_sec);
+  out->append(",\"counts\":[");
+  AppendInt(out, record.num_sats);
+  out->push_back(',');
+  AppendInt(out, record.num_cities);
+  out->push_back(',');
+  AppendInt(out, record.num_relays);
+  out->push_back(',');
+  AppendInt(out, record.num_aircraft);
+  out->append("],\"nodes\":[");
+  for (size_t n = 0; n < record.node_ecef.size(); ++n) {
+    if (n != 0) {
+      out->push_back(',');
+    }
+    const int i = static_cast<int>(n);
+    const char* kind = i < record.num_sats ? "sat"
+                       : i < record.num_sats + record.num_cities
+                           ? "city"
+                       : i < record.num_sats + record.num_cities +
+                                 record.num_relays
+                           ? "relay"
+                           : "air";
+    out->append("[\"");
+    out->append(kind);
+    out->append("\",");
+    AppendJsonDouble(out, record.node_ecef[n].x);
+    out->push_back(',');
+    AppendJsonDouble(out, record.node_ecef[n].y);
+    out->push_back(',');
+    AppendJsonDouble(out, record.node_ecef[n].z);
+    out->push_back(']');
+  }
+  out->append("],\"links\":[");
+  bool first = true;
+  for (const Link& link : record.radio_links) {
+    if (!first) {
+      out->push_back(',');
+    }
+    first = false;
+    AppendLink(out, link, "radio");
+  }
+  for (const Link& link : record.isl_links) {
+    if (!first) {
+      out->push_back(',');
+    }
+    first = false;
+    AppendLink(out, link, "isl");
+  }
+  out->append("]}\n");
+}
+
+// Appends slot `slot`'s netevents line: the delta against the previous
+// captured slot plus the slot's study events. Returns the number of
+// events written. `diff` is caller scratch.
+uint64_t EncodeNetEvents(const std::vector<SlotRecord>& slots, int slot,
+                         LinkDiff* diff, std::string* out) {
+  const SlotRecord& record = slots[static_cast<size_t>(slot)];
+  out->append("{\"schema\":\"");
+  out->append(obs::kNetEventsSchema);
+  out->append("\",\"slot\":");
+  AppendInt(out, slot);
+  out->append(",\"t\":");
+  AppendJsonDouble(out, record.time_sec);
+  const bool has_delta = slot > 0 && record.captured &&
+                         slots[static_cast<size_t>(slot - 1)].captured;
+  diff->Clear();
+  if (has_delta) {
+    const SlotRecord& prev = slots[static_cast<size_t>(slot - 1)];
+    CheckStaticGroundNodes(prev, record);
+    ComputeDiff(prev, record, diff);
+    out->append(",\"sat_ecef\":");
+    AppendVec3Array(out, record.node_ecef.data(),
+                    static_cast<size_t>(record.num_sats));
+    out->append(",\"air_ecef\":");
+    AppendVec3Array(out,
+                    record.node_ecef.data() + record.num_sats +
+                        record.num_cities + record.num_relays,
+                    static_cast<size_t>(record.num_aircraft));
+  }
+  out->append(",\"events\":[");
+  bool first = true;
+  const auto emit_links = [&](const std::vector<Link>& links, const char* name,
+                              const char* type, bool with_attrs) {
+    for (const Link& link : links) {
+      if (!first) {
+        out->push_back(',');
+      }
+      first = false;
+      out->append("[\"");
+      out->append(name);
+      out->append("\",");
+      AppendInt(out, link.a);
+      out->push_back(',');
+      AppendInt(out, link.b);
+      if (with_attrs) {
+        out->push_back(',');
+        AppendJsonDouble(out, link.delay_ms);
+        out->push_back(',');
+        AppendJsonDouble(out, link.capacity_gbps);
+        out->append(",\"");
+        out->append(type);
+        out->push_back('"');
+      }
+      out->push_back(']');
+    }
+  };
+  // Deterministic order: downs, then ups, then weight changes — radio
+  // before ISL within each class, each list (a, b)-sorted. Study
+  // events follow in the order the serial study passes added them.
+  emit_links(diff->radio_down, "link_down", "radio", false);
+  emit_links(diff->isl_down, "link_down", "isl", false);
+  emit_links(diff->radio_up, "link_up", "radio", true);
+  emit_links(diff->isl_up, "link_up", "isl", true);
+  const auto emit_weights = [&](const std::vector<Link>& links) {
+    for (const Link& link : links) {
+      if (!first) {
+        out->push_back(',');
+      }
+      first = false;
+      out->append("[\"weight\",");
+      AppendInt(out, link.a);
+      out->push_back(',');
+      AppendInt(out, link.b);
+      out->push_back(',');
+      AppendJsonDouble(out, link.delay_ms);
+      out->push_back(']');
+    }
+  };
+  emit_weights(diff->radio_weight);
+  emit_weights(diff->isl_weight);
+  for (const StudyEvent& event : record.events) {
+    if (!first) {
+      out->push_back(',');
+    }
+    first = false;
+    AppendStudyEvent(out, event);
+  }
+  out->append("]}\n");
+  return diff->Total() + record.events.size();
+}
+
+// One slot's encoded lines. Reused from window to window, so the
+// buffers keep their capacity.
+struct EncodedSlot {
+  std::string netstate;
+  std::string netevents;
+  uint64_t events{0};
+  LinkDiff diff;  // scratch
+};
+
+// Encodes every slot's lines on ParallelFor workers, one window of
+// worker-count slots at a time, and hands them to `sink` serially in
+// slot order. Only one window of lines is alive at once, so a sink that
+// streams them out never holds a whole trace.
+void EncodeSlots(bool netstate, bool netevents,
+                 const std::function<void(const EncodedSlot&)>& sink) {
+  const RecorderState& state = State();
+  const int num_slots = state.num_slots.load(std::memory_order_acquire);
+  if (num_slots == 0) {
+    return;
+  }
+  const int window = std::min(DefaultWorkerCount(), num_slots);
+  std::vector<EncodedSlot> lines(static_cast<size_t>(window));
+  for (int begin = 0; begin < num_slots; begin += window) {
+    const int count = std::min(window, num_slots - begin);
+    ParallelFor(count, [&](int k) {
+      const obs::Span span("trace.encode");
+      const int slot = begin + k;
+      const SlotRecord& record = state.slots[static_cast<size_t>(slot)];
+      EncodedSlot& out = lines[static_cast<size_t>(k)];
+      out.netstate.clear();
+      out.netevents.clear();
+      if (netstate && record.captured) {
+        EncodeNetState(record, slot, &out.netstate);
+      }
+      if (netevents) {
+        out.events =
+            EncodeNetEvents(state.slots, slot, &out.diff, &out.netevents);
+      }
+    });
+    for (int k = 0; k < count; ++k) {
+      sink(lines[static_cast<size_t>(k)]);
+    }
+  }
+}
+
+// Per-worker scratch of ValidateReplay.
+struct ReplayScratch {
+  LinkDiff diff;
+  SlotRecord replayed;
+};
+
+// Replays slot `slot` from the stored capture of slot - 1: applies their
+// diff to a copy of that capture, exactly as a downstream replayer
+// would, and compares the result with the stored capture of `slot`, bit
+// for bit. Returns the mismatch text, or "" when they agree.
+std::string ReplaySlot(const std::vector<SlotRecord>& slots, int slot,
+                       ReplayScratch* scratch) {
+  const obs::Span span("trace.validate");
+  const SlotRecord& record = slots[static_cast<size_t>(slot)];
+  if (!record.captured) {
+    return DescribeMismatch(slot, "stream (gap in captured slots)");
+  }
+  const SlotRecord& prev = slots[static_cast<size_t>(slot - 1)];
+  if (!prev.captured) {
+    return {};  // slot - 1 fails as the gap
+  }
+  const LinkDiff& diff = scratch->diff;
+  ComputeDiff(prev, record, &scratch->diff);
+  SlotRecord& replayed = scratch->replayed;
+  replayed.num_sats = prev.num_sats;
+  replayed.num_cities = prev.num_cities;
+  replayed.num_relays = prev.num_relays;
+  replayed.num_aircraft = record.num_aircraft;
+  replayed.node_ecef = prev.node_ecef;
+  // Apply the delta: replace the moving node positions, merge the link
+  // lists.
+  try {
+    CheckStaticGroundNodes(prev, record);
+    replayed.node_ecef.resize(
+        static_cast<size_t>(record.num_sats + record.num_cities +
+                            record.num_relays + record.num_aircraft));
+    std::copy_n(record.node_ecef.begin(), record.num_sats,
+                replayed.node_ecef.begin());
+    std::copy_n(record.node_ecef.begin() + record.num_sats +
+                    record.num_cities + record.num_relays,
+                record.num_aircraft,
+                replayed.node_ecef.begin() + record.num_sats +
+                    record.num_cities + record.num_relays);
+    ApplyDiff(prev.radio_links, diff.radio_down, diff.radio_up,
+              diff.radio_weight, &replayed.radio_links);
+    ApplyDiff(prev.isl_links, diff.isl_down, diff.isl_up, diff.isl_weight,
+              &replayed.isl_links);
+  } catch (const std::logic_error& error) {
+    return DescribeMismatch(slot, error.what());
+  }
+  // Compare the replayed state against the stored full capture, bit for
+  // bit — this is the invariant trace_check.py re-proves from the files
+  // alone.
+  if (replayed.num_sats != record.num_sats ||
+      replayed.num_cities != record.num_cities ||
+      replayed.num_relays != record.num_relays ||
+      replayed.num_aircraft != record.num_aircraft) {
+    return DescribeMismatch(slot, "node counts");
+  }
+  if (replayed.node_ecef.size() != record.node_ecef.size()) {
+    return DescribeMismatch(slot, "node array size");
+  }
+  for (size_t n = 0; n < record.node_ecef.size(); ++n) {
+    if (!BitsEqual(replayed.node_ecef[n], record.node_ecef[n])) {
+      return DescribeMismatch(slot, "node positions");
+    }
+  }
+  const auto links_equal = [](const std::vector<Link>& x,
+                              const std::vector<Link>& y) {
+    if (x.size() != y.size()) {
+      return false;
+    }
+    for (size_t i = 0; i < x.size(); ++i) {
+      if (x[i].a != y[i].a || x[i].b != y[i].b ||
+          !BitsEqual(x[i].delay_ms, y[i].delay_ms) ||
+          !BitsEqual(x[i].capacity_gbps, y[i].capacity_gbps)) {
+        return false;
+      }
+    }
+    return true;
+  };
+  if (!links_equal(replayed.radio_links, record.radio_links)) {
+    return DescribeMismatch(slot, "radio links");
+  }
+  if (!links_equal(replayed.isl_links, record.isl_links)) {
+    return DescribeMismatch(slot, "isl links");
+  }
+  return {};
 }
 
 }  // namespace
@@ -326,6 +638,7 @@ void NetTraceRecorder::CaptureSlot(int slot, double time_sec,
     CapturesDroppedCounter().Increment();
     return;
   }
+  const obs::Span span("trace.capture");
   SlotRecord& record = state.slots[static_cast<size_t>(slot)];
   record.time_sec = time_sec;
   record.num_sats = snapshot.num_sats;
@@ -415,162 +728,18 @@ void NetTraceRecorder::AddHandover(int slot, std::vector<int32_t> lost,
 }
 
 std::string NetTraceRecorder::NetStateJsonl() const {
-  const RecorderState& state = State();
-  const int num_slots = state.num_slots.load(std::memory_order_acquire);
   std::string out;
-  for (int slot = 0; slot < num_slots; ++slot) {
-    const SlotRecord& record = state.slots[static_cast<size_t>(slot)];
-    if (!record.captured) {
-      continue;
-    }
-    out.append("{\"schema\":\"");
-    out.append(obs::kNetStateSchema);
-    out.append("\",\"slot\":");
-    AppendInt(&out, slot);
-    out.append(",\"t\":");
-    AppendJsonDouble(&out, record.time_sec);
-    out.append(",\"counts\":[");
-    AppendInt(&out, record.num_sats);
-    out.push_back(',');
-    AppendInt(&out, record.num_cities);
-    out.push_back(',');
-    AppendInt(&out, record.num_relays);
-    out.push_back(',');
-    AppendInt(&out, record.num_aircraft);
-    out.append("],\"nodes\":[");
-    for (size_t n = 0; n < record.node_ecef.size(); ++n) {
-      if (n != 0) {
-        out.push_back(',');
-      }
-      const int i = static_cast<int>(n);
-      const char* kind = i < record.num_sats ? "sat"
-                         : i < record.num_sats + record.num_cities
-                             ? "city"
-                         : i < record.num_sats + record.num_cities +
-                                   record.num_relays
-                             ? "relay"
-                             : "air";
-      out.append("[\"");
-      out.append(kind);
-      out.append("\",");
-      AppendJsonDouble(&out, record.node_ecef[n].x);
-      out.push_back(',');
-      AppendJsonDouble(&out, record.node_ecef[n].y);
-      out.push_back(',');
-      AppendJsonDouble(&out, record.node_ecef[n].z);
-      out.push_back(']');
-    }
-    out.append("],\"links\":[");
-    bool first = true;
-    for (const Link& link : record.radio_links) {
-      if (!first) {
-        out.push_back(',');
-      }
-      first = false;
-      AppendLink(&out, link, "radio");
-    }
-    for (const Link& link : record.isl_links) {
-      if (!first) {
-        out.push_back(',');
-      }
-      first = false;
-      AppendLink(&out, link, "isl");
-    }
-    out.append("]}\n");
-  }
+  EncodeSlots(true, false, [&out](const EncodedSlot& lines) {
+    out.append(lines.netstate);
+  });
   return out;
 }
 
 std::string NetTraceRecorder::NetEventsJsonl() const {
-  const RecorderState& state = State();
-  const int num_slots = state.num_slots.load(std::memory_order_acquire);
   std::string out;
-  for (int slot = 0; slot < num_slots; ++slot) {
-    const SlotRecord& record = state.slots[static_cast<size_t>(slot)];
-    out.append("{\"schema\":\"");
-    out.append(obs::kNetEventsSchema);
-    out.append("\",\"slot\":");
-    AppendInt(&out, slot);
-    out.append(",\"t\":");
-    AppendJsonDouble(&out, record.time_sec);
-    const bool has_delta =
-        slot > 0 && record.captured &&
-        state.slots[static_cast<size_t>(slot - 1)].captured;
-    LinkDiff diff;
-    if (has_delta) {
-      const SlotRecord& prev = state.slots[static_cast<size_t>(slot - 1)];
-      CheckStaticGroundNodes(prev, record);
-      diff = ComputeDiff(prev, record);
-      out.append(",\"sat_ecef\":");
-      AppendVec3Array(&out, record.node_ecef.data(),
-                      static_cast<size_t>(record.num_sats));
-      out.append(",\"air_ecef\":");
-      AppendVec3Array(&out,
-                      record.node_ecef.data() + record.num_sats +
-                          record.num_cities + record.num_relays,
-                      static_cast<size_t>(record.num_aircraft));
-    }
-    out.append(",\"events\":[");
-    bool first = true;
-    const auto emit_links = [&](const std::vector<Link>& links,
-                                const char* name, const char* type,
-                                bool with_attrs) {
-      for (const Link& link : links) {
-        if (!first) {
-          out.push_back(',');
-        }
-        first = false;
-        out.append("[\"");
-        out.append(name);
-        out.append("\",");
-        AppendInt(&out, link.a);
-        out.push_back(',');
-        AppendInt(&out, link.b);
-        if (with_attrs) {
-          out.push_back(',');
-          AppendJsonDouble(&out, link.delay_ms);
-          out.push_back(',');
-          AppendJsonDouble(&out, link.capacity_gbps);
-          out.append(",\"");
-          out.append(type);
-          out.push_back('"');
-        }
-        out.push_back(']');
-      }
-    };
-    // Deterministic order: downs, then ups, then weight changes — radio
-    // before ISL within each class, each list (a, b)-sorted. Study
-    // events follow in the order the serial study passes added them.
-    emit_links(diff.radio_down, "link_down", "radio", false);
-    emit_links(diff.isl_down, "link_down", "isl", false);
-    emit_links(diff.radio_up, "link_up", "radio", true);
-    emit_links(diff.isl_up, "link_up", "isl", true);
-    const auto emit_weights = [&](const std::vector<Link>& links) {
-      for (const Link& link : links) {
-        if (!first) {
-          out.push_back(',');
-        }
-        first = false;
-        out.append("[\"weight\",");
-        AppendInt(&out, link.a);
-        out.push_back(',');
-        AppendInt(&out, link.b);
-        out.push_back(',');
-        AppendJsonDouble(&out, link.delay_ms);
-        out.push_back(']');
-      }
-    };
-    emit_weights(diff.radio_weight);
-    emit_weights(diff.isl_weight);
-    for (const StudyEvent& event : record.events) {
-      if (!first) {
-        out.push_back(',');
-      }
-      first = false;
-      AppendStudyEvent(&out, event);
-    }
-    out.append("]}\n");
-  }
+  EncodeSlots(false, true, [&out](const EncodedSlot& lines) {
+    out.append(lines.netevents);
+  });
   return out;
 }
 
@@ -580,32 +749,31 @@ bool NetTraceRecorder::WriteTo(const std::string& dir) const {
   if (ec) {
     return false;
   }
-  const RecorderState& state = State();
-  const int num_slots = state.num_slots.load(std::memory_order_acquire);
-  uint64_t events = 0;
-  for (int slot = 1; slot < num_slots; ++slot) {
-    const SlotRecord& record = state.slots[static_cast<size_t>(slot)];
-    const SlotRecord& prev = state.slots[static_cast<size_t>(slot - 1)];
-    if (record.captured && prev.captured) {
-      events += ComputeDiff(prev, record).Total();
-    }
+  // The deleter only runs when encoding throws; the normal path checks
+  // fclose below.
+  const auto close = [](std::FILE* f) { std::fclose(f); };
+  using File = std::unique_ptr<std::FILE, decltype(close)>;
+  File netstate(std::fopen((dir + "/netstate.jsonl").c_str(), "w"), close);
+  File netevents(std::fopen((dir + "/netevents.jsonl").c_str(), "w"), close);
+  if (netstate == nullptr || netevents == nullptr) {
+    return false;
   }
-  for (int slot = 0; slot < num_slots; ++slot) {
-    events += state.slots[static_cast<size_t>(slot)].events.size();
-  }
-  EventsEmittedCounter().Add(events);
-  const auto write_file = [&](const char* name, const std::string& body) {
-    const std::string path = dir + "/" + name;
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-      return false;
-    }
-    const size_t written = std::fwrite(body.data(), 1, body.size(), f);
-    std::fclose(f);
-    return written == body.size();
+  const auto write = [](std::FILE* f, const std::string& body) {
+    return std::fwrite(body.data(), 1, body.size(), f) == body.size();
   };
-  return write_file("netstate.jsonl", NetStateJsonl()) &&
-         write_file("netevents.jsonl", NetEventsJsonl());
+  uint64_t events = 0;
+  bool written = true;
+  EncodeSlots(true, true, [&](const EncodedSlot& lines) {
+    const obs::Span span("trace.write");
+    events += lines.events;
+    written = written && write(netstate.get(), lines.netstate) &&
+              write(netevents.get(), lines.netevents);
+  });
+  EventsEmittedCounter().Add(events);
+  // A write error can first surface when fclose flushes the buffer.
+  const bool netstate_closed = std::fclose(netstate.release()) == 0;
+  const bool netevents_closed = std::fclose(netevents.release()) == 0;
+  return written && netstate_closed && netevents_closed;
 }
 
 bool NetTraceRecorder::ValidateReplay(std::string* why) const {
@@ -616,96 +784,27 @@ bool NetTraceRecorder::ValidateReplay(std::string* why) const {
          !state.slots[static_cast<size_t>(first)].captured) {
     ++first;
   }
-  if (first >= num_slots) {
-    return true;  // nothing captured → nothing to replay
+  // Every slot after the first capture is replayed from its
+  // predecessor's stored capture, independently and in parallel. This is
+  // the sequential replay from `first` by induction: while slots up to
+  // s - 1 reproduce their captures, the state replayed up to s - 1 is
+  // the capture of s - 1. So the lowest failing slot is the one the
+  // sequential replay stops at, with the same message.
+  const int count = num_slots - first - 1;
+  if (count <= 0) {
+    return true;  // fewer than two captures: nothing to replay
   }
-  // Replayed state, seeded from the first capture.
-  SlotRecord replayed = state.slots[static_cast<size_t>(first)];
-  for (int slot = first + 1; slot < num_slots; ++slot) {
-    const SlotRecord& record = state.slots[static_cast<size_t>(slot)];
-    if (!record.captured) {
+  std::vector<std::string> failures(static_cast<size_t>(count));
+  std::vector<ReplayScratch> scratch(
+      static_cast<size_t>(std::min(DefaultWorkerCount(), count)));
+  ParallelForWorkers(count, [&](int worker, int k) {
+    failures[static_cast<size_t>(k)] = ReplaySlot(
+        state.slots, first + 1 + k, &scratch[static_cast<size_t>(worker)]);
+  });
+  for (const std::string& failure : failures) {
+    if (!failure.empty()) {
       if (why != nullptr) {
-        *why = DescribeMismatch(slot, "stream (gap in captured slots)");
-      }
-      return false;
-    }
-    const SlotRecord& prev = state.slots[static_cast<size_t>(slot - 1)];
-    const LinkDiff diff = ComputeDiff(prev, record);
-    // Apply the delta exactly as a downstream replayer would: replace
-    // the moving node positions, splice the link lists.
-    try {
-      CheckStaticGroundNodes(prev, record);
-      replayed.num_aircraft = record.num_aircraft;
-      replayed.node_ecef.resize(
-          static_cast<size_t>(record.num_sats + record.num_cities +
-                              record.num_relays + record.num_aircraft));
-      std::copy_n(record.node_ecef.begin(), record.num_sats,
-                  replayed.node_ecef.begin());
-      std::copy_n(record.node_ecef.begin() + record.num_sats +
-                      record.num_cities + record.num_relays,
-                  record.num_aircraft,
-                  replayed.node_ecef.begin() + record.num_sats +
-                      record.num_cities + record.num_relays);
-      ApplyDiff(&replayed.radio_links, diff.radio_down, diff.radio_up,
-                diff.radio_weight);
-      ApplyDiff(&replayed.isl_links, diff.isl_down, diff.isl_up,
-                diff.isl_weight);
-    } catch (const std::logic_error& error) {
-      if (why != nullptr) {
-        *why = DescribeMismatch(slot, error.what());
-      }
-      return false;
-    }
-    replayed.time_sec = record.time_sec;
-    // Compare the replayed state against the stored full capture, bit
-    // for bit — this is the invariant trace_check.py re-proves from
-    // the files alone.
-    if (replayed.num_sats != record.num_sats ||
-        replayed.num_cities != record.num_cities ||
-        replayed.num_relays != record.num_relays ||
-        replayed.num_aircraft != record.num_aircraft) {
-      if (why != nullptr) {
-        *why = DescribeMismatch(slot, "node counts");
-      }
-      return false;
-    }
-    if (replayed.node_ecef.size() != record.node_ecef.size()) {
-      if (why != nullptr) {
-        *why = DescribeMismatch(slot, "node array size");
-      }
-      return false;
-    }
-    for (size_t n = 0; n < record.node_ecef.size(); ++n) {
-      if (!BitsEqual(replayed.node_ecef[n], record.node_ecef[n])) {
-        if (why != nullptr) {
-          *why = DescribeMismatch(slot, "node positions");
-        }
-        return false;
-      }
-    }
-    const auto links_equal = [](const std::vector<Link>& x,
-                                const std::vector<Link>& y) {
-      if (x.size() != y.size()) {
-        return false;
-      }
-      for (size_t i = 0; i < x.size(); ++i) {
-        if (x[i].a != y[i].a || x[i].b != y[i].b ||
-            !BitsEqual(x[i].delay_ms, y[i].delay_ms) ||
-            !BitsEqual(x[i].capacity_gbps, y[i].capacity_gbps)) {
-          return false;
-        }
-      }
-      return true;
-    };
-    if (!links_equal(replayed.radio_links, record.radio_links)) {
-      if (why != nullptr) {
-        *why = DescribeMismatch(slot, "radio links");
-      }
-      return false;
-    }
-    if (!links_equal(replayed.isl_links, record.isl_links)) {
-      if (why != nullptr) {
-        *why = DescribeMismatch(slot, "isl links");
+        *why = failure;
       }
       return false;
     }

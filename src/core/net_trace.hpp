@@ -12,8 +12,12 @@
 //   netevents.jsonl — `leosim.netevents/1`: one JSON object per slot
 //     with the *delta* against the previous captured slot — link_up /
 //     link_down / weight events plus the study-level route_change /
-//     reachable / unreachable / handover events — so sub-second
-//     stepping produces O(churn) output instead of O(slots × edges).
+//     reachable / unreachable / handover events. Only link_up/link_down
+//     scale with churn: almost every link's delay changes between slots,
+//     so netevents carries a weight event for nearly every link in every
+//     slot, and its size is O(slots × edges) like netstate's. ROADMAP
+//     item "Trace streams sized by churn" plans the schema /2 that drops
+//     the derivable weights.
 //
 // Replay invariant: applying each slot's event batch (plus its moving
 // sat_ecef / air_ecef arrays) to the previous slot's state reproduces
@@ -25,9 +29,13 @@
 // Concurrency contract: SetTimeline() preallocates one slot record per
 // sweep slot; CaptureSlot() writes only its own slot's record, so the
 // parallel sweep bodies may capture distinct slots concurrently with no
-// locking. The Add*Event() calls and serialization are serial-only —
-// studies emit them from their order-sensitive serial diff passes,
-// which is also what makes the event order deterministic.
+// locking. The Add*Event() calls, the serializers, WriteTo() and
+// ValidateReplay() are serial-only — studies emit events from their
+// order-sensitive serial diff passes, which is also what makes the
+// event order deterministic. The serializers, WriteTo() and
+// ValidateReplay() encode and check slots on core::ParallelFor workers
+// internally (LEOSIM_THREADS sets how many); their output does not
+// depend on the worker count.
 #pragma once
 
 #include <cstdint>
@@ -104,17 +112,23 @@ class NetTraceRecorder {
                    std::vector<int32_t> gained);
 
   // Serializers (serial-only). One JSON object per line, '\n'-separated.
+  // WriteTo() writes these same bytes.
   std::string NetStateJsonl() const;
   std::string NetEventsJsonl() const;
 
   // Writes netstate.jsonl and netevents.jsonl into `dir` (created if
-  // missing). Returns false on I/O failure.
+  // missing), streaming a few slots at a time, so neither stream is ever
+  // held whole. Adds the events written to `nettrace.events_emitted`.
+  // Returns false on I/O failure, including one that surfaces only when
+  // a file is closed.
   bool WriteTo(const std::string& dir) const;
 
-  // Replays the event stream over slot 0's captured state and compares
-  // the result against every subsequent full capture, field by field
-  // with bit-exact doubles. Returns false (and fills `why`) on the
-  // first divergence. Vacuously true with fewer than two captures.
+  // Replays the event stream over the first captured slot's state and
+  // compares the result against every subsequent full capture, field by
+  // field with bit-exact doubles. Returns false (and fills `why`) on the
+  // first divergence: a gap in the captures, ground nodes that move, an
+  // event that does not apply, or a replayed state unequal to the
+  // capture. Vacuously true with fewer than two captures.
   bool ValidateReplay(std::string* why) const;
 
   // Drops the timeline, every capture, and every event; keeps the

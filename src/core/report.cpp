@@ -1,8 +1,6 @@
 #include "core/report.hpp"
 
 #include <algorithm>
-#include <cinttypes>
-#include <cstdio>
 #include <iomanip>
 #include <ostream>
 #include <sstream>
@@ -11,6 +9,7 @@
 #include "core/parallel.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
+#include "obs/number_format.hpp"
 
 namespace leosim::core {
 
@@ -72,10 +71,12 @@ void EmitStudySummary(const StudySummary& summary) {
 
 namespace {
 
+// Unlike the obs exporters, a manifest writes a non-finite value as
+// printf spells it rather than as null.
 std::string JsonDouble(double value) {
-  char tmp[40];
-  std::snprintf(tmp, sizeof(tmp), "%.17g", value);
-  return tmp;
+  std::string out;
+  obs::AppendG17(&out, value);
+  return out;
 }
 
 }  // namespace
@@ -95,9 +96,7 @@ void RunReport::AddParam(std::string_view key, double value) {
 }
 
 void RunReport::AddParam(std::string_view key, int64_t value) {
-  char tmp[24];
-  std::snprintf(tmp, sizeof(tmp), "%" PRId64, value);
-  params_.emplace_back(std::string(key), tmp);
+  params_.emplace_back(std::string(key), std::to_string(value));
 }
 
 void RunReport::AddParam(std::string_view key, int value) {

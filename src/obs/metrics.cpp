@@ -3,8 +3,9 @@
 #include <unistd.h>  // write(): DumpForCrash runs in a signal handler
 
 #include <algorithm>
-#include <cinttypes>
 #include <cstdio>
+
+#include "obs/number_format.hpp"
 
 namespace leosim::obs {
 
@@ -94,15 +95,7 @@ void AppendJsonDouble(std::string* out, double value) {
     out->append("null");
     return;
   }
-  char tmp[40];
-  std::snprintf(tmp, sizeof(tmp), "%.17g", value);
-  out->append(tmp);
-}
-
-void AppendJsonUint(std::string* out, uint64_t value) {
-  char tmp[24];
-  std::snprintf(tmp, sizeof(tmp), "%" PRIu64, value);
-  out->append(tmp);
+  AppendG17(out, value);
 }
 
 }  // namespace
@@ -241,7 +234,7 @@ std::string MetricsRegistry::ToJson() const {
     out.append(i == 0 ? "\n    " : ",\n    ");
     AppendJsonString(&out, counters[i]->name());
     out.append(": ");
-    AppendJsonUint(&out, counters[i]->Value());
+    AppendUint(&out, counters[i]->Value());
   }
   out.append("\n  },\n  \"gauges\": {");
   for (size_t i = 0; i < gauges.size(); ++i) {
@@ -263,10 +256,10 @@ std::string MetricsRegistry::ToJson() const {
     out.append("],\n      \"counts\": [");
     for (size_t b = 0; b < merged.counts.size(); ++b) {
       if (b > 0) out.append(", ");
-      AppendJsonUint(&out, merged.counts[b]);
+      AppendUint(&out, merged.counts[b]);
     }
     out.append("],\n      \"count\": ");
-    AppendJsonUint(&out, merged.count);
+    AppendUint(&out, merged.count);
     out.append(",\n      \"sum\": ");
     AppendJsonDouble(&out, merged.sum);
     out.append(",\n      \"min\": ");

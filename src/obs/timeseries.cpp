@@ -1,7 +1,6 @@
 #include "obs/timeseries.hpp"
 
 #include <algorithm>
-#include <cinttypes>
 #include <cstdio>
 #include <limits>
 #include <memory>
@@ -10,6 +9,7 @@
 
 #include "core/mutex.hpp"
 #include "core/thread_annotations.hpp"
+#include "obs/number_format.hpp"
 #include "obs/schemas.hpp"
 
 namespace leosim::obs {
@@ -87,9 +87,7 @@ void AppendJsonDouble(std::string* out, double value) {
     out->append("null");
     return;
   }
-  char tmp[40];
-  std::snprintf(tmp, sizeof(tmp), "%.17g", value);
-  out->append(tmp);
+  AppendG17(out, value);
 }
 
 }  // namespace
@@ -149,9 +147,7 @@ std::string TimeseriesRecorder::ToJson() const {
   out.append(kTimeseriesSchema);
   out.append("\",\n");
   out.append("  \"dropped_samples\": ");
-  char tmp[24];
-  std::snprintf(tmp, sizeof(tmp), "%" PRIu64, dropped);
-  out.append(tmp);
+  AppendUint(&out, dropped);
   out.append(",\n  \"series\": {");
   bool first_key = true;
   for (size_t i = 0; i < merged.size();) {

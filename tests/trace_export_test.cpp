@@ -8,12 +8,23 @@
 //   * ValidateReplay() holds on a >= 60-slot, 10 s-spacing sweep for
 //     both the bent-pipe and the +Grid hybrid network (the acceptance
 //     scenario, proven here in-process and again from the files alone
-//     by tools/trace_check.py via the trace_replay ctest target).
+//     by tools/trace_check.py via the trace_replay ctest target);
+//   * ValidateReplay() rejects a gap, a moving city, a tampered link
+//     list and a tampered node array, naming the first bad slot, at any
+//     thread count;
+//   * WriteTo() writes the serializers' bytes and reports a failed
+//     write, even one that only surfaces when the file is closed.
 #include "core/net_trace.hpp"
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <functional>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -23,6 +34,7 @@
 #include "core/network_builder.hpp"
 #include "core/traffic_matrix.hpp"
 #include "data/cities.hpp"
+#include "obs/metrics.hpp"
 
 namespace leosim::core {
 namespace {
@@ -143,6 +155,188 @@ TEST(TraceReplayTest, LatencyStudySharedSweepReplays) {
   EXPECT_TRUE(net_trace.ValidateReplay(&why)) << why;
 
   net_trace.Enable(false);
+  net_trace.Reset();
+}
+
+// Four consecutive 10 s snapshots of a small hybrid network, captured
+// by hand so a test can corrupt one before it is recorded.
+std::vector<NetworkModel::Snapshot> FourSnapshots() {
+  const NetworkModel model(Scenario::Starlink(),
+                           FastOptions(ConnectivityMode::kHybrid, 6.0),
+                           data::AnchorCities());
+  std::vector<NetworkModel::Snapshot> snaps;
+  for (int slot = 0; slot < 4; ++slot) {
+    snaps.push_back(model.BuildSnapshot(10.0 * slot));
+  }
+  return snaps;
+}
+
+// Records `snaps` (skipping nullptr entries: never captured) and runs
+// ValidateReplay at LEOSIM_THREADS 1 and 4. Expects a failure with
+// exactly `expected_why` at both.
+void ExpectReplayFailure(
+    const std::function<void(std::vector<NetworkModel::Snapshot>*)>& tamper,
+    const std::vector<int>& captured_slots, const std::string& expected_why) {
+  std::vector<NetworkModel::Snapshot> snaps = FourSnapshots();
+  tamper(&snaps);
+  for (const char* threads : {"1", "4"}) {
+    setenv("LEOSIM_THREADS", threads, 1);
+    NetTraceRecorder& net_trace = NetTraceRecorder::Global();
+    net_trace.Reset();
+    net_trace.Enable(true);
+    net_trace.SetTimeline({0.0, 10.0, 20.0, 30.0});
+    for (const int slot : captured_slots) {
+      net_trace.CaptureSlot(slot, 10.0 * slot,
+                            snaps[static_cast<size_t>(slot)]);
+    }
+    std::string why;
+    EXPECT_FALSE(net_trace.ValidateReplay(&why)) << "threads " << threads;
+    EXPECT_EQ(why, expected_why) << "threads " << threads;
+    net_trace.Enable(false);
+    net_trace.Reset();
+  }
+  unsetenv("LEOSIM_THREADS");
+}
+
+TEST(TraceReplayNegativeTest, UntamperedSnapshotsReplay) {
+  const std::vector<NetworkModel::Snapshot> snaps = FourSnapshots();
+  NetTraceRecorder& net_trace = NetTraceRecorder::Global();
+  net_trace.Reset();
+  net_trace.Enable(true);
+  net_trace.SetTimeline({0.0, 10.0, 20.0, 30.0});
+  for (int slot = 0; slot < 4; ++slot) {
+    net_trace.CaptureSlot(slot, 10.0 * slot, snaps[static_cast<size_t>(slot)]);
+  }
+  std::string why;
+  EXPECT_TRUE(net_trace.ValidateReplay(&why)) << why;
+  net_trace.Enable(false);
+  net_trace.Reset();
+}
+
+TEST(TraceReplayNegativeTest, GapInCapturesFails) {
+  ExpectReplayFailure([](std::vector<NetworkModel::Snapshot>*) {}, {0, 2, 3},
+                      "slot 1: replayed stream (gap in captured slots) "
+                      "diverges from the stored capture");
+}
+
+TEST(TraceReplayNegativeTest, MovedCityFails) {
+  ExpectReplayFailure(
+      [](std::vector<NetworkModel::Snapshot>* snaps) {
+        NetworkModel::Snapshot& snap = (*snaps)[2];
+        snap.node_ecef[static_cast<size_t>(snap.CityNode(0))].x += 1.0;
+      },
+      {0, 1, 2, 3},
+      "slot 2: replayed netevents/1 assumes static city/relay positions "
+      "across slots diverges from the stored capture");
+}
+
+// A duplicated link: the diff turns the copy into a link_up for a link
+// that is already up, which no replayer can apply.
+void DuplicateFirstRadioLink(NetworkModel::Snapshot* snap) {
+  const graph::EdgeRecord rec = snap->graph.Edge(snap->radio_edges.front());
+  snap->radio_edges.push_back(
+      snap->graph.AddEdge(rec.a, rec.b, rec.weight + 1.0, rec.capacity));
+}
+
+TEST(TraceReplayNegativeTest, TamperedLinkListFails) {
+  ExpectReplayFailure(
+      [](std::vector<NetworkModel::Snapshot>* snaps) {
+        DuplicateFirstRadioLink(&(*snaps)[3]);
+      },
+      {0, 1, 2, 3},
+      "slot 3: replayed replay: link_up for a link that is already up "
+      "diverges from the stored capture");
+}
+
+TEST(TraceReplayNegativeTest, TamperedNodeArrayFails) {
+  // Only the final comparison sees this one: the diff and its
+  // application both succeed.
+  ExpectReplayFailure(
+      [](std::vector<NetworkModel::Snapshot>* snaps) {
+        (*snaps)[2].node_ecef.push_back({1.0, 2.0, 3.0});
+      },
+      {0, 1, 2, 3},
+      "slot 2: replayed node array size diverges from the stored capture");
+}
+
+TEST(TraceReplayNegativeTest, LowestFailingSlotIsReported) {
+  ExpectReplayFailure(
+      [](std::vector<NetworkModel::Snapshot>* snaps) {
+        (*snaps)[2].node_ecef.push_back({1.0, 2.0, 3.0});
+        DuplicateFirstRadioLink(&(*snaps)[3]);
+      },
+      {0, 1, 2, 3},
+      "slot 2: replayed node array size diverges from the stored capture");
+}
+
+// A fresh directory under the test temp dir.
+std::filesystem::path FreshDir(const std::string& name) {
+  const std::filesystem::path dir = std::filesystem::path(testing::TempDir()) /
+                                    (name + "_" + std::to_string(getpid()));
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir;
+}
+
+std::string ReadFile(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream body;
+  body << in.rdbuf();
+  return body.str();
+}
+
+TEST(TraceWriteTest, FilesMatchSerializersAtAnyThreadCount) {
+  const auto [netstate, netevents] = TraceChurnRun("1", "0");
+  for (const char* threads : {"1", "3"}) {
+    setenv("LEOSIM_THREADS", threads, 1);
+    NetTraceRecorder& net_trace = NetTraceRecorder::Global();
+    net_trace.Reset();
+    net_trace.Enable(true);
+    const NetworkModel hybrid(Scenario::Starlink(),
+                              FastOptions(ConnectivityMode::kHybrid, 6.0),
+                              data::AnchorCities());
+    SnapshotSchedule schedule;
+    schedule.step_sec = 10.0;
+    schedule.duration_sec = 120.0;
+    RunAggregateChurnStudy(hybrid, SamplePairs(6), schedule);
+    const std::filesystem::path dir = FreshDir("trace_write");
+    obs::Counter& events = obs::MetricsRegistry::Global().GetCounter(
+        "nettrace.events_emitted");
+    const uint64_t events_before = events.Value();
+    ASSERT_TRUE(net_trace.WriteTo(dir.string()));
+    EXPECT_EQ(ReadFile(dir / "netstate.jsonl"), netstate);
+    EXPECT_EQ(ReadFile(dir / "netevents.jsonl"), netevents);
+    EXPECT_GT(events.Value(), events_before);
+    std::filesystem::remove_all(dir);
+    net_trace.Enable(false);
+    net_trace.Reset();
+  }
+  unsetenv("LEOSIM_THREADS");
+}
+
+TEST(TraceWriteTest, UnwritablePathsFail) {
+  NetTraceRecorder& net_trace = NetTraceRecorder::Global();
+  net_trace.Reset();
+  net_trace.SetTimeline({0.0});  // one uncaptured slot: a short netevents line
+  const std::filesystem::path dir = FreshDir("trace_unwritable");
+
+  // The directory cannot be created under a regular file.
+  std::ofstream(dir / "file") << "x";
+  EXPECT_FALSE(net_trace.WriteTo((dir / "file" / "out").string()));
+
+  // A stream's file name is taken by a directory, so it cannot be opened.
+  std::filesystem::create_directories(dir / "taken" / "netevents.jsonl");
+  EXPECT_FALSE(net_trace.WriteTo((dir / "taken").string()));
+
+  // A device that takes the buffered bytes but fails the flush in
+  // fclose: the error surfaces only when the file is closed.
+  if (std::filesystem::exists("/dev/full")) {
+    std::filesystem::create_directories(dir / "full");
+    std::filesystem::create_symlink("/dev/full",
+                                    dir / "full" / "netevents.jsonl");
+    EXPECT_FALSE(net_trace.WriteTo((dir / "full").string()));
+  }
+  std::filesystem::remove_all(dir);
   net_trace.Reset();
 }
 
