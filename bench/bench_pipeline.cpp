@@ -29,6 +29,7 @@
 #include "geo/geodesic.hpp"
 #include "geo/soa.hpp"
 #include "graph/dijkstra.hpp"
+#include "graph/disjoint_paths.hpp"
 #include "graph/landmarks.hpp"
 #include "graph/sssp_tree.hpp"
 #include "graph/tree_reuse.hpp"
@@ -198,7 +199,7 @@ int main(int argc, char** argv) {
 
   // 3. Single-pair shortest paths on one fixed snapshot.
   {
-    const core::NetworkModel::Snapshot snap = hybrid.BuildSnapshot(0.0);
+    core::NetworkModel::Snapshot snap = hybrid.BuildSnapshot(0.0);
     const int queries = 64;
     double checksum = 0.0;
     suite.Run("dijkstra_pair", 5, queries, [&] {
@@ -253,6 +254,50 @@ int main(int argc, char** argv) {
               [&] { rebuilt.Rebuild(snap.graph, table_ws); });
     std::printf("# alt_table_build: %zu landmarks on %d nodes\n",
                 rebuilt.landmarks().size(), snap.graph.NumNodes());
+
+    // 3d. Paper §5's k = 4 greedy edge-disjoint paths for the same 64
+    //     pairs: plain Dijkstra for every search (disjoint_pair), then
+    //     every search goal-directed by the landmark table of 3b
+    //     (disjoint_alt_pair), as the throughput study runs them. The
+    //     goal-directed overload returns the plain one's paths edge for
+    //     edge, so both checksums (summed path latencies) must match.
+    constexpr int kDisjointPaths = 4;
+    const auto disjoint_checksum = [&](const auto& route) {
+      double sum = 0.0;
+      for (int i = 0; i < queries; ++i) {
+        const int a = i % snap.num_cities;
+        const int b = (i * 7 + 41) % snap.num_cities;
+        for (const graph::Path& path : route(snap.CityNode(a), snap.CityNode(b))) {
+          sum += path.distance;
+        }
+      }
+      return sum;
+    };
+    graph::DijkstraWorkspace disjoint_ws;
+    double plain_sum = 0.0;
+    suite.Run("disjoint_pair", 5, queries, [&] {
+      plain_sum = disjoint_checksum([&](graph::NodeId src, graph::NodeId dst) {
+        return graph::KEdgeDisjointShortestPaths(snap.graph, src, dst,
+                                                 kDisjointPaths, disjoint_ws);
+      });
+    });
+    double alt_sum = 0.0;
+    suite.Run("disjoint_alt_pair", 5, queries, [&] {
+      alt_sum = disjoint_checksum([&](graph::NodeId src, graph::NodeId dst) {
+        table.SetDestination(dst);
+        const auto potential = [&table](graph::NodeId n) {
+          return table.Potential(n);
+        };
+        return graph::KEdgeDisjointShortestPaths(snap.graph, src, dst,
+                                                 kDisjointPaths, alt_ws, potential);
+      });
+    });
+    std::printf("# disjoint checksum: %.3f ms summed\n", plain_sum);
+    if (alt_sum != plain_sum) {
+      std::fprintf(stderr, "bench_pipeline: disjoint_alt_pair checksum %.17g != "
+                           "disjoint_pair %.17g\n", alt_sum, plain_sum);
+      return 1;
+    }
   }
 
   // 4. End-to-end latency study (Fig. 2 inner loop): BP + hybrid snapshots

@@ -7,6 +7,7 @@
 #include "graph/disjoint_paths.hpp"
 #include "graph/suurballe.hpp"
 #include "graph/yen.hpp"
+#include "obs/trace.hpp"
 
 namespace leosim::core {
 
@@ -178,6 +179,7 @@ PolicyThroughputResult RunThroughputWithPolicy(const NetworkModel& model,
                                                const std::vector<CityPair>& pairs,
                                                int k, double time_sec,
                                                RoutingPolicy policy) {
+  CheckPathCount(k);
   NetworkModel::SnapshotWorkspace snapshot_ws;
   NetworkModel::Snapshot& snap = model.BuildSnapshot(time_sec, &snapshot_ws);
 
@@ -214,7 +216,11 @@ PolicyThroughputResult RunThroughputWithPolicy(const NetworkModel& model,
     result.mean_path_latency_ms = latency_sum / latency_count;
   }
 
-  const flow::Allocation alloc = flow::MaxMinFairAllocate(net);
+  flow::Allocation alloc;
+  {
+    const obs::Span span("flow.maxmin");
+    alloc = flow::MaxMinFairAllocate(net);
+  }
   result.throughput.total_gbps = alloc.total_gbps;
   for (const double u : flow::LinkUtilisation(net, alloc)) {
     result.max_link_utilisation = std::max(result.max_link_utilisation, u);

@@ -55,7 +55,7 @@ struct PolicyThroughputResult {
 
 // Full throughput experiment under a policy: route all pairs in sequence,
 // then max-min-fair allocate, exactly as RunThroughputStudy does for the
-// paper's default policy.
+// paper's default policy. Throws std::invalid_argument when k < 1.
 PolicyThroughputResult RunThroughputWithPolicy(const NetworkModel& model,
                                                const std::vector<CityPair>& pairs,
                                                int k, double time_sec,

@@ -15,6 +15,45 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 
 }  // namespace
 
+SlotPlan::SlotPlan(const NetworkModel::Snapshot& snap,
+                   const std::vector<CityPair>& pairs, size_t searches_per_pair,
+                   SweepWorkspace* ws)
+    : snap_(snap), ws_(ws) {
+  {
+    const obs::Span span("route.components");
+    graph::ConnectedComponentsInto(snap.graph, &ws->labels, &ws->stack);
+  }
+  size_t reachable = 0;
+  for (const CityPair& p : pairs) {
+    reachable += ws->labels[static_cast<size_t>(snap.CityNode(p.a))] ==
+                         ws->labels[static_cast<size_t>(snap.CityNode(p.b))]
+                     ? 1
+                     : 0;
+  }
+  alt_ = reachable * searches_per_pair >= kAltMinQueries;
+  if (alt_) {
+    const obs::Span span("route.alt_table");
+    ws->landmarks.Rebuild(snap.graph, ws->dijkstra);
+  }
+}
+
+graph::NodeId SlotPlan::CollectTargets(const SourceGroup& group,
+                                       const std::vector<CityPair>& pairs) {
+  const graph::NodeId src = snap_.CityNode(group.src_city);
+  const int src_label = ws_->labels[static_cast<size_t>(src)];
+  ws_->targets.clear();
+  ws_->target_pairs.clear();
+  for (const int i : group.pair_indices) {
+    const graph::NodeId dst = snap_.CityNode(pairs[static_cast<size_t>(i)].b);
+    // Different component: unreachable, no search.
+    if (ws_->labels[static_cast<size_t>(dst)] == src_label) {
+      ws_->targets.push_back(dst);
+      ws_->target_pairs.push_back(i);
+    }
+  }
+  return src;
+}
+
 void RouteSlotPairs(const NetworkModel::Snapshot& snap,
                     const std::vector<CityPair>& pairs,
                     const std::vector<SourceGroup>& groups, bool want_paths,
@@ -37,41 +76,13 @@ void RouteSlotPairs(const NetworkModel::Snapshot& snap,
     }
   };
 
-  {
-    const obs::Span span("route.components");
-    graph::ConnectedComponentsInto(snap.graph, &ws->labels, &ws->stack);
-  }
-  const auto label_of = [&snap, ws](int city) {
-    return ws->labels[static_cast<size_t>(snap.CityNode(city))];
-  };
-  size_t reachable = 0;
-  for (const CityPair& p : pairs) {
-    reachable += label_of(p.a) == label_of(p.b) ? 1 : 0;
-  }
-  const bool alt = reachable >= kAltMinQueries;
-  if (alt) {
-    const obs::Span span("route.alt_table");
-    ws->landmarks.Rebuild(snap.graph, ws->dijkstra);
-  }
-  const size_t tree_threshold = alt ? kAltTreeThreshold : kTreeBatchThreshold;
-
+  SlotPlan plan(snap, pairs, 1, ws);
   for (const SourceGroup& group : groups) {
-    const graph::NodeId src = snap.CityNode(group.src_city);
-    const int src_label = ws->labels[static_cast<size_t>(src)];
-    ws->targets.clear();
-    ws->target_pairs.clear();
-    for (const int i : group.pair_indices) {
-      const graph::NodeId dst = snap.CityNode(pairs[static_cast<size_t>(i)].b);
-      // Different component: unreachable; the answer stays +inf.
-      if (ws->labels[static_cast<size_t>(dst)] == src_label) {
-        ws->targets.push_back(dst);
-        ws->target_pairs.push_back(i);
-      }
-    }
+    const graph::NodeId src = plan.CollectTargets(group, pairs);
     if (ws->targets.empty()) {
       continue;
     }
-    if (ws->targets.size() >= tree_threshold) {
+    if (ws->targets.size() >= plan.tree_threshold()) {
       const obs::Span span("route.tree");
       ws->tree.Build(snap.graph, src, ws->targets, ws->dijkstra);
       for (size_t j = 0; j < ws->targets.size(); ++j) {
@@ -87,25 +98,11 @@ void RouteSlotPairs(const NetworkModel::Snapshot& snap,
     const obs::Span span("route.astar");
     for (size_t j = 0; j < ws->targets.size(); ++j) {
       const graph::NodeId dst = ws->targets[j];
-      // Plain lambdas (not graph::PotentialFn) so they inline into the
-      // A* relax loop.
-      std::optional<graph::Path> path;
-      if (alt) {
-        ws->landmarks.SetDestination(dst);
-        const graph::LandmarkTable& table = ws->landmarks;
-        const auto potential = [&table](graph::NodeId v) {
-          return table.Potential(v);
-        };
-        path = graph::ShortestPathAStar(snap.graph, src, dst, ws->dijkstra,
-                                        potential);
-      } else {
-        const geo::Vec3 dst_pos = snap.node_ecef[static_cast<size_t>(dst)];
-        const auto potential = [&snap, &dst_pos](graph::NodeId v) {
-          return EuclideanLatencyPotential(snap.node_ecef, v, dst_pos);
-        };
-        path = graph::ShortestPathAStar(snap.graph, src, dst, ws->dijkstra,
-                                        potential);
-      }
+      const std::optional<graph::Path> path =
+          plan.WithPotential(dst, [&](const auto& potential) {
+            return graph::ShortestPathAStar(snap.graph, src, dst, ws->dijkstra,
+                                            potential);
+          });
       if (path.has_value()) {
         emit(ws->target_pairs[j], *path);
       }

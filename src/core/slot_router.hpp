@@ -1,21 +1,30 @@
 // The per-slot router shared by the pair-routing studies (latency,
-// churn). Both route the same shape of workload — many city pairs
-// grouped by source against one snapshot — and answer it the same way:
+// churn, throughput). They route the same shape of workload — many city
+// pairs grouped by source against one snapshot — and answer it the same
+// way (SlotPlan below):
 //
-//   1. component precheck: cross-component pairs stay +inf without any
-//      search (a failed search would otherwise settle the whole
+//   1. component precheck: cross-component pairs stay unrouted without
+//      any search (a failed search would otherwise settle the whole
 //      component);
-//   2. tier choice from the slot's reachable query count:
+//   2. tier choice from the slot's reachable search count (reachable
+//      pairs times searches per pair: 1 for latency and churn, k for
+//      the k edge-disjoint paths of the throughput study):
 //      - below kAltMinQueries: one multi-target Dijkstra tree per source
 //        with at least kTreeBatchThreshold reachable destinations, and
 //        goal-directed A* with the Euclidean latency bound for the rest;
 //      - at or above it: one landmark table (graph/landmarks.hpp) built
 //        on this very graph, a tree per source with at least
 //        kAltTreeThreshold destinations, and ALT A* for the rest.
+//      The throughput study takes the potential but no trees: each of a
+//      pair's k searches runs on a different residual graph, so every
+//      one of them is A*.
 //
-// Every tier reports the plain-Dijkstra distance bit for bit (trees are
-// Dijkstra; both A* potentials are admissible and the A* keeps no closed
-// set). Node chains agree whenever the shortest path is unique.
+// Every tier returns exactly plain Dijkstra's answer: trees are
+// Dijkstra, both A* potentials are admissible, and ShortestPathAStar's
+// tie guard falls back to graph::ShortestPath whenever an exact tie on
+// the path could make its node chain differ. So RTTs, node chains and
+// disjoint-path edge lists equal graph::ShortestPath's and the plain
+// KEdgeDisjointShortestPaths' bit for bit.
 #pragma once
 
 #include <cstddef>
@@ -47,9 +56,12 @@ inline constexpr size_t kTreeBatchThreshold = 3;
 
 // Reachable queries per slot from which building a landmark table pays
 // for itself. The table costs 16 full Dijkstras; each ALT query then
-// saves the difference to the Euclidean tiers. Measured break-even, four
-// slots each on the default (3.7k-node) and paper-scale (62k-node)
-// graphs: 130-200 queries on hybrid graphs, 50-75 on bent-pipe ones.
+// saves the difference to the Euclidean tiers. A query is one A*
+// search: a pair counts once in the latency and churn studies and k
+// times in the throughput study's k disjoint paths. Measured
+// break-even, four slots each on the default (3.7k-node) and
+// paper-scale (62k-node) graphs: 130-200 queries on hybrid graphs,
+// 50-75 on bent-pipe ones.
 // The constant follows the hybrid median: a hybrid slot near it gains or
 // loses little, and bent-pipe slots of 75-160 queries forgo a gain
 // rather than risk a loss (DESIGN.md §7).
@@ -73,6 +85,57 @@ inline double EuclideanLatencyPotential(const std::vector<geo::Vec3>& node_ecef,
          link::PropagationLatencyMs(node_ecef[static_cast<size_t>(n)], dst_pos);
 }
 
+// One slot's routing plan: the component precheck, the landmark-table
+// decision and the A* potential, for every study that routes pairs over
+// one snapshot graph. Construction labels the graph's components into
+// ws->labels and, when the slot's reachable search count clears
+// kAltMinQueries, rebuilds ws->landmarks on the graph. The plan borrows
+// `snap` and `ws` and is valid until either changes; callers may
+// disable edges in between (the throughput study's residual searches),
+// which only lengthens distances and so keeps both potentials
+// admissible.
+class SlotPlan {
+ public:
+  SlotPlan(const NetworkModel::Snapshot& snap, const std::vector<CityPair>& pairs,
+           size_t searches_per_pair, SweepWorkspace* ws);
+
+  // RouteSlotPairs: a source's reachable destinations share one
+  // Dijkstra tree from this many on; fewer are answered by A* one by one.
+  size_t tree_threshold() const {
+    return alt_ ? kAltTreeThreshold : kTreeBatchThreshold;
+  }
+
+  // Fills ws->targets and ws->target_pairs with the destinations of
+  // `group` that share the source's component, and the pair indices
+  // they came from. Returns the source node.
+  graph::NodeId CollectTargets(const SourceGroup& group,
+                               const std::vector<CityPair>& pairs);
+
+  // Calls fn(potential) with the slot's A* potential toward `dst` — the
+  // landmark bound when the table is built, else the Euclidean latency
+  // bound — and returns what fn returns. The potentials are plain
+  // lambdas (not graph::PotentialFn) so they inline into the A* relax
+  // loop; `fn` should be a generic lambda.
+  template <typename Fn>
+  decltype(auto) WithPotential(graph::NodeId dst, const Fn& fn) {
+    if (alt_) {
+      ws_->landmarks.SetDestination(dst);
+      const graph::LandmarkTable& table = ws_->landmarks;
+      return fn([&table](graph::NodeId v) { return table.Potential(v); });
+    }
+    const geo::Vec3 dst_pos = snap_.node_ecef[static_cast<size_t>(dst)];
+    const std::vector<geo::Vec3>& node_ecef = snap_.node_ecef;
+    return fn([&node_ecef, &dst_pos](graph::NodeId v) {
+      return EuclideanLatencyPotential(node_ecef, v, dst_pos);
+    });
+  }
+
+ private:
+  const NetworkModel::Snapshot& snap_;
+  SweepWorkspace* ws_;
+  bool alt_{false};
+};
+
 // One slot's routing answers for every pair: RTT (+inf when unreachable)
 // and, when paths were requested, each pair's path nodes sorted, as
 // [begin, end) runs into one shared buffer.
@@ -89,10 +152,10 @@ struct SlotRoutes {
 
 // Routes every pair of `pairs` (grouped by `groups`, see
 // GroupPairsBySource) over `snap`'s graph as it stands — callers may
-// mask edges first — into `out`. Path runs are filled only when
-// `want_paths`. Uses `ws`'s routing scratch and landmark table; touches
-// nothing else, so concurrent calls with distinct workspaces and
-// outputs never conflict.
+// mask edges first — into `out`, one search per pair under a SlotPlan.
+// Path runs are filled only when `want_paths`. Uses `ws`'s routing
+// scratch and landmark table; touches nothing else, so concurrent calls
+// with distinct workspaces and outputs never conflict.
 void RouteSlotPairs(const NetworkModel::Snapshot& snap,
                     const std::vector<CityPair>& pairs,
                     const std::vector<SourceGroup>& groups, bool want_paths,

@@ -1,26 +1,31 @@
 #include "core/throughput_study.hpp"
 
 #include <algorithm>
-#include <limits>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "core/report.hpp"
+#include "core/slot_router.hpp"
 #include "core/temporal_sweep.hpp"
 #include "flow/maxmin.hpp"
 #include "graph/components.hpp"
 #include "graph/disjoint_paths.hpp"
 #include "obs/timeseries.hpp"
+#include "obs/trace.hpp"
 
 namespace leosim::core {
 
 namespace {
 
-// Aggregate max-min-fair throughput over one built snapshot. The first
-// (shortest) path of every pair comes from one multi-target Dijkstra per
-// source group — bit-identical to the per-pair search the disjoint-path
-// router would run itself — and seeds KEdgeDisjointShortestPaths for the
-// remaining k-1 paths. Flows are handed to the allocator in the original
-// pair order, so the allocation matches the historical per-pair loop.
+// Aggregate max-min-fair throughput over one built snapshot. Every
+// pair's k edge-disjoint paths come from the per-slot router's plan
+// (core/slot_router.hpp), counting k searches per reachable pair: every
+// search, first and residual, is A* goal-directed by the slot's
+// potential. Each pair's paths equal KEdgeDisjointShortestPaths' plain from-scratch
+// answer edge for edge. Flows are handed to the allocator in the
+// original pair order, so the allocation matches the historical
+// per-pair loop.
 ThroughputResult ThroughputAtSnapshot(NetworkModel::Snapshot& snap,
                                       const std::vector<CityPair>& pairs,
                                       const std::vector<SourceGroup>& groups,
@@ -37,40 +42,29 @@ ThroughputResult ThroughputAtSnapshot(NetworkModel::Snapshot& snap,
     }
   }
 
-  // First paths, batched by source. Cross-component pairs are answered
-  // by the precheck (an empty path) without settling the source's whole
-  // component the way a failed Dijkstra would.
-  std::vector<graph::Path> first(pairs.size());
-  graph::ConnectedComponentsInto(snap.graph, &ws->labels, &ws->stack);
-  for (const SourceGroup& group : groups) {
-    const graph::NodeId src = snap.CityNode(group.src_city);
-    const int src_label = ws->labels[static_cast<size_t>(src)];
-    ws->targets.clear();
-    ws->target_pairs.clear();
-    for (const int i : group.pair_indices) {
-      const graph::NodeId dst = snap.CityNode(pairs[static_cast<size_t>(i)].b);
-      if (ws->labels[static_cast<size_t>(dst)] == src_label) {
-        ws->targets.push_back(dst);
-        ws->target_pairs.push_back(i);
+  // Unreachable pairs keep an empty path set.
+  std::vector<std::vector<graph::Path>> paths_of(pairs.size());
+  {
+    SlotPlan plan(snap, pairs, static_cast<size_t>(k), ws);
+    const obs::Span span("route.disjoint");
+    for (const SourceGroup& group : groups) {
+      const graph::NodeId src = plan.CollectTargets(group, pairs);
+      for (size_t j = 0; j < ws->targets.size(); ++j) {
+        const graph::NodeId dst = ws->targets[j];
+        paths_of[static_cast<size_t>(ws->target_pairs[j])] =
+            plan.WithPotential(dst, [&](const auto& potential) {
+              return graph::KEdgeDisjointShortestPaths(snap.graph, src, dst, k,
+                                                       ws->dijkstra, potential);
+            });
       }
-    }
-    if (ws->targets.empty()) {
-      continue;
-    }
-    ws->tree.Build(snap.graph, src, ws->targets, ws->dijkstra);
-    for (size_t j = 0; j < ws->targets.size(); ++j) {
-      first[static_cast<size_t>(ws->target_pairs[j])] =
-          std::move(*ws->tree.PathTo(ws->targets[j]));
     }
   }
 
   ThroughputResult result;
-  for (size_t i = 0; i < pairs.size(); ++i) {
-    if (first[i].nodes.empty()) {
+  for (const std::vector<graph::Path>& paths : paths_of) {
+    if (paths.empty()) {
       continue;  // unreachable: no paths, pair not routed
     }
-    const std::vector<graph::Path> paths = graph::KEdgeDisjointShortestPaths(
-        snap.graph, std::move(first[i]), k, ws->dijkstra);
     ++result.pairs_routed;
     for (const graph::Path& path : paths) {
       std::vector<flow::LinkId> links;
@@ -93,6 +87,7 @@ ThroughputResult ThroughputAtSnapshot(NetworkModel::Snapshot& snap,
         static_cast<double>(result.subflows) / result.pairs_routed;
   }
 
+  const obs::Span span("flow.maxmin");
   const flow::Allocation alloc = flow::MaxMinFairAllocate(net);
   result.total_gbps = alloc.total_gbps;
   return result;
@@ -100,9 +95,17 @@ ThroughputResult ThroughputAtSnapshot(NetworkModel::Snapshot& snap,
 
 }  // namespace
 
+void CheckPathCount(int k) {
+  if (k < 1) {
+    throw std::invalid_argument("throughput study: k must be >= 1 (got " +
+                                std::to_string(k) + ")");
+  }
+}
+
 ThroughputResult RunThroughputStudy(const NetworkModel& model,
                                     const std::vector<CityPair>& pairs, int k,
                                     double time_sec, CapacityModel capacity_model) {
+  CheckPathCount(k);
   const StudyTimer timer;
   SweepWorkspace ws;
   NetworkModel::Snapshot& snap = model.BuildSnapshot(time_sec, &ws.snapshot);
@@ -131,6 +134,7 @@ ThroughputResult RunThroughputStudy(const NetworkModel& model,
 std::vector<ThroughputResult> RunThroughputSweep(
     const NetworkModel& model, const std::vector<CityPair>& pairs, int k,
     const SnapshotSchedule& schedule, CapacityModel capacity_model) {
+  CheckPathCount(k);
   const StudyTimer timer;
   const std::vector<double> times = schedule.Times();
   const std::vector<SourceGroup> groups = GroupPairsBySource(pairs);

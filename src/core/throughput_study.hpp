@@ -32,7 +32,14 @@ struct ThroughputResult {
 //                         not contend. Ablated in bench/ablation_updown.
 enum class CapacityModel { kSharedPerLink, kSeparateUpDown };
 
-// Aggregate max-min-fair throughput at one snapshot.
+// Throws std::invalid_argument unless k >= 1. Every throughput entry
+// point checks its disjoint-path count with it: k = 0 would report each
+// reachable pair as routed with no sub-flows and 0 Gbps.
+void CheckPathCount(int k);
+
+// Aggregate max-min-fair throughput at one snapshot, every pair split
+// over up to k edge-disjoint shortest paths. Throws std::invalid_argument
+// when k < 1.
 ThroughputResult RunThroughputStudy(
     const NetworkModel& model, const std::vector<CityPair>& pairs, int k,
     double time_sec, CapacityModel capacity_model = CapacityModel::kSharedPerLink);
@@ -41,7 +48,8 @@ ThroughputResult RunThroughputStudy(
 // slot. Slots run as a parallel temporal sweep (see core/temporal_sweep.hpp);
 // each slot's result is identical to RunThroughputStudy at that time, and
 // the timeseries samples/summary are emitted in a serial pass so outputs
-// do not depend on the thread count.
+// do not depend on the thread count. Throws std::invalid_argument when
+// k < 1.
 std::vector<ThroughputResult> RunThroughputSweep(
     const NetworkModel& model, const std::vector<CityPair>& pairs, int k,
     const SnapshotSchedule& schedule,

@@ -32,6 +32,14 @@ obs::Counter& PushesCounter() {
   return counter;
 }
 
+// A* queries the tie guard answered with plain ShortestPath instead
+// (see ShortestPathAStar).
+obs::Counter& TieFallbacksCounter() {
+  static obs::Counter& counter =
+      obs::MetricsRegistry::Global().GetCounter("dijkstra.astar_tie_fallbacks");
+  return counter;
+}
+
 // Min-heap ordering over the workspace's recycled vector (std::push_heap /
 // std::pop_heap are the same algorithms std::priority_queue runs, so the
 // settle order — and therefore every result — matches the historical
@@ -55,10 +63,12 @@ void DijkstraWorkspace::FlushWorkCounters() {
   PopsCounter().Add(pending_pops_);
   EdgesCounter().Add(pending_edges_);
   PushesCounter().Add(pending_pushes_);
+  TieFallbacksCounter().Add(pending_tie_fallbacks_);
   pending_queries_ = 0;
   pending_pops_ = 0;
   pending_edges_ = 0;
   pending_pushes_ = 0;
+  pending_tie_fallbacks_ = 0;
 }
 
 void DijkstraWorkspace::Begin(int num_nodes) {

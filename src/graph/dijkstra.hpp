@@ -29,9 +29,12 @@ struct Path {
 // exceed the true remaining cost over enabled edges) and consistent
 // (|potential(u) - potential(v)| <= weight(u, v) for every edge); the
 // straight-line propagation latency to the destination satisfies both
-// for latency-weighted snapshot graphs. ShortestPathAStar is templated
-// on the callable so a plain lambda inlines into the relax loop; this
-// alias is the type-erased fallback for code that must store one.
+// for latency-weighted snapshot graphs. For ShortestPathAStar to return
+// exactly ShortestPath's path, not only its distance, the bound must
+// also be strict wherever the remaining cost is positive (see there).
+// ShortestPathAStar is templated on the callable so a plain lambda
+// inlines into the relax loop; this alias is the type-erased fallback
+// for code that must store one.
 using PotentialFn = std::function<double(NodeId)>;
 
 class DijkstraWorkspace;
@@ -119,6 +122,7 @@ class DijkstraWorkspace {
   uint64_t pending_pops_{0};
   uint64_t pending_edges_{0};
   uint64_t pending_pushes_{0};
+  uint64_t pending_tie_fallbacks_{0};
 };
 
 // Single-pair shortest path; nullopt if dst is unreachable over enabled
@@ -131,11 +135,38 @@ std::optional<Path> ShortestPath(const Graph& g, NodeId src, NodeId dst,
                                  DijkstraWorkspace& workspace);
 
 // Goal-directed single-pair shortest path: Dijkstra ordered by
-// distance + potential(node). With an admissible, consistent potential
-// this returns a true shortest path while settling only the corridor
-// around it instead of a full distance ball — the big win for
-// repeated point-to-point queries on snapshot graphs, where the
-// straight-line propagation latency to dst is a tight lower bound.
+// distance + potential(node). Precondition for an exact answer: edge
+// weights are positive and the potential is strictly admissible, i.e.
+// strictly below the true remaining distance to dst wherever that
+// distance is positive (the slacked landmark and Euclidean bounds are;
+// see kPotentialSlack in graph/landmarks.hpp). Under it the result is
+// exactly ShortestPath's — the same distance and the same edges, exact
+// ties included — while A* settles only the corridor around the path
+// instead of a full distance ball: the big win for repeated
+// point-to-point queries on snapshot graphs, where the straight-line
+// propagation latency to dst is a tight lower bound. A potential that
+// is merely admissible (equal to the remaining distance somewhere, an
+// exact potential for example) still gives a shortest distance, but on
+// an exact tie it may give another branch than ShortestPath's.
+//
+// Why the tie guard makes the path exact: plain Dijkstra gives each
+// node the predecessor edge that first reached its final distance, and
+// A* expands nodes in another order, so on a tie the two can pick
+// different branches. Call an edge (u, x) tight when d(u) + w(u, x) ==
+// d(x) in floating point. Under the precondition every tight
+// predecessor u of a path node x lies on a shortest path to dst, has
+// d(u) + potential(u) < d(dst), and so is expanded at its final
+// distance before dst pops; a non-tight neighbour's label plus the
+// weight can only exceed d(x). So once dst pops, counting the incident
+// edges of x whose far end's label plus the weight equals x's label
+// counts exactly x's tight predecessor edges. If every path node but
+// src has exactly one, that edge is the only way to reach d(x) — in A*
+// and in Dijkstra alike — and both searches walk back the same edges.
+// Otherwise the query is answered by plain ShortestPath and counted in
+// `dijkstra.astar_tie_fallbacks`. The check runs after the search, over
+// the path nodes' adjacency only, so the relax loop pays nothing for
+// it.
+//
 // Defined inline so `potential` (typically a capturing lambda) inlines
 // into the relax loop; the arithmetic is identical for every callable
 // type, so the result does not depend on how the potential is passed.
@@ -168,7 +199,7 @@ std::optional<Path> ShortestPathAStar(const Graph& g, NodeId src, NodeId dst,
       continue;  // stale entry
     }
     if (top.node == dst) {
-      break;  // consistent potential => dst's g-value is final here
+      break;  // admissible potential => dst's g-value is final here
     }
     for (const HalfEdge& half : g.Neighbours(top.node)) {
       ++edges;
@@ -196,6 +227,19 @@ std::optional<Path> ShortestPathAStar(const Graph& g, NodeId src, NodeId dst,
     path.edges.push_back(e);
     path.nodes.push_back(cur);
     cur = g.OtherEnd(e, cur);
+  }
+  // Tie guard: path.nodes holds every path node but src here. A second
+  // tight edge into one of them means Dijkstra may take the other one.
+  for (const NodeId x : path.nodes) {
+    const double dx = workspace.DistanceOf(x);
+    int tight = 0;
+    for (const HalfEdge& half : g.Neighbours(x)) {
+      tight += workspace.DistanceOf(half.to) + half.weight == dx ? 1 : 0;
+    }
+    if (tight > 1) {
+      ++workspace.pending_tie_fallbacks_;
+      return ShortestPath(g, src, dst, workspace);
+    }
   }
   path.nodes.push_back(src);
   std::reverse(path.nodes.begin(), path.nodes.end());

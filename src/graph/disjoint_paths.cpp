@@ -2,33 +2,6 @@
 
 namespace leosim::graph {
 
-namespace {
-
-// Shared greedy loop: starting from `paths` (whose edges are already
-// disabled and listed in `disabled_here`), keep extracting shortest
-// paths and disabling their edges until k paths exist or src/dst
-// disconnect, then restore every edge this call disabled.
-void ExtendAndRestore(Graph& g, NodeId src, NodeId dst, int k,
-                      DijkstraWorkspace& workspace, std::vector<Path>* paths,
-                      std::vector<EdgeId>* disabled_here) {
-  while (static_cast<int>(paths->size()) < k) {
-    std::optional<Path> path = ShortestPath(g, src, dst, workspace);
-    if (!path.has_value()) {
-      break;
-    }
-    for (const EdgeId e : path->edges) {
-      g.SetEnabled(e, false);
-      disabled_here->push_back(e);
-    }
-    paths->push_back(std::move(*path));
-  }
-  for (const EdgeId e : *disabled_here) {
-    g.SetEnabled(e, true);
-  }
-}
-
-}  // namespace
-
 std::vector<Path> KEdgeDisjointShortestPaths(Graph& g, NodeId src, NodeId dst, int k) {
   DijkstraWorkspace workspace;
   return KEdgeDisjointShortestPaths(g, src, dst, k, workspace);
@@ -36,28 +9,18 @@ std::vector<Path> KEdgeDisjointShortestPaths(Graph& g, NodeId src, NodeId dst, i
 
 std::vector<Path> KEdgeDisjointShortestPaths(Graph& g, NodeId src, NodeId dst, int k,
                                              DijkstraWorkspace& workspace) {
-  std::vector<Path> paths;
-  std::vector<EdgeId> disabled_here;
-  ExtendAndRestore(g, src, dst, k, workspace, &paths, &disabled_here);
-  return paths;
+  return detail::GreedyDisjointPaths(g, nullptr, k, [&] {
+    return ShortestPath(g, src, dst, workspace);
+  });
 }
 
 std::vector<Path> KEdgeDisjointShortestPaths(Graph& g, Path first, int k,
                                              DijkstraWorkspace& workspace) {
-  std::vector<Path> paths;
-  std::vector<EdgeId> disabled_here;
-  if (k <= 0) {
-    return paths;
-  }
   const NodeId src = first.nodes.front();
   const NodeId dst = first.nodes.back();
-  for (const EdgeId e : first.edges) {
-    g.SetEnabled(e, false);
-    disabled_here.push_back(e);
-  }
-  paths.push_back(std::move(first));
-  ExtendAndRestore(g, src, dst, k, workspace, &paths, &disabled_here);
-  return paths;
+  return detail::GreedyDisjointPaths(g, &first, k, [&] {
+    return ShortestPath(g, src, dst, workspace);
+  });
 }
 
 }  // namespace leosim::graph

@@ -4,6 +4,8 @@
 // the paper routes each sub-flow on the shortest path remaining.)
 #pragma once
 
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "graph/dijkstra.hpp"
@@ -28,5 +30,60 @@ std::vector<Path> KEdgeDisjointShortestPaths(Graph& g, NodeId src, NodeId dst, i
 // the greedy scheme's first iteration is exactly that shortest path.
 std::vector<Path> KEdgeDisjointShortestPaths(Graph& g, Path first, int k,
                                              DijkstraWorkspace& workspace);
+
+namespace detail {
+
+// Shared greedy loop: takes `*first` when non-null, then keeps taking
+// the path `search()` returns, disabling each taken path's edges, until
+// k paths exist or `search()` returns nullopt; finally restores every
+// edge this call disabled.
+template <typename Search>
+std::vector<Path> GreedyDisjointPaths(Graph& g, Path* first, int k,
+                                      const Search& search) {
+  std::vector<Path> paths;
+  std::vector<EdgeId> disabled_here;
+  const auto take = [&](Path&& path) {
+    for (const EdgeId e : path.edges) {
+      g.SetEnabled(e, false);
+      disabled_here.push_back(e);
+    }
+    paths.push_back(std::move(path));
+  };
+  if (k > 0 && first != nullptr) {
+    take(std::move(*first));
+  }
+  while (static_cast<int>(paths.size()) < k) {
+    std::optional<Path> path = search();
+    if (!path.has_value()) {
+      break;
+    }
+    take(std::move(*path));
+  }
+  for (const EdgeId e : disabled_here) {
+    g.SetEnabled(e, true);
+  }
+  return paths;
+}
+
+}  // namespace detail
+
+// Goal-directed overload: every search is ShortestPathAStar with
+// `potential`, which must be strictly admissible on the graph as the
+// caller passed it — strictly below the true distance to dst wherever
+// that distance is positive, ShortestPathAStar's precondition for
+// returning exactly ShortestPath's path. Under it the output equals
+// the plain overload's edge for edge. One potential serves all k
+// searches: disabling edges (half-edge weight +inf) only lengthens
+// distances, so a bound that is strictly admissible on the full graph
+// stays so on every residual graph — true of the slot's slacked
+// landmark table and of the slacked Euclidean latency bound alike.
+template <typename Potential>
+std::vector<Path> KEdgeDisjointShortestPaths(Graph& g, NodeId src, NodeId dst, int k,
+                                             DijkstraWorkspace& workspace,
+                                             const Potential& potential) {
+  return detail::GreedyDisjointPaths(g, nullptr, k, [&] {
+    return ShortestPathAStar(g, src, dst, workspace, potential);
+  });
+}
 
 }  // namespace leosim::graph

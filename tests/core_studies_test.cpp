@@ -9,6 +9,7 @@
 #include "core/gso_study.hpp"
 #include "core/latency_study.hpp"
 #include "core/multishell_study.hpp"
+#include "core/routing.hpp"
 #include "core/stats.hpp"
 #include "core/throughput_study.hpp"
 #include "geo/geodesic.hpp"
@@ -182,6 +183,24 @@ TEST(ThroughputStudyTest, CountsRoutedPairs) {
   const auto result = RunThroughputStudy(HybridModel(), pairs, 2, 0.0);
   EXPECT_GT(result.pairs_routed, 25);
   EXPECT_GE(result.subflows, result.pairs_routed);
+}
+
+TEST(ThroughputStudyTest, RejectsPathCountBelowOne) {
+  // k = 0 used to report every reachable pair as routed with no
+  // sub-flows and 0 Gbps.
+  const auto pairs = TestPairs(5);
+  SnapshotSchedule schedule;
+  schedule.duration_sec = 900.0;
+  schedule.step_sec = 900.0;
+  for (const int k : {0, -1}) {
+    EXPECT_THROW(RunThroughputStudy(HybridModel(), pairs, k, 0.0),
+                 std::invalid_argument);
+    EXPECT_THROW(RunThroughputSweep(HybridModel(), pairs, k, schedule),
+                 std::invalid_argument);
+    EXPECT_THROW(RunThroughputWithPolicy(HybridModel(), pairs, k, 0.0,
+                                         RoutingPolicy::kDisjointGreedy),
+                 std::invalid_argument);
+  }
 }
 
 TEST(DisconnectionStudyTest, BpDisconnectsSatellites) {

@@ -7,6 +7,7 @@
 #include "graph/components.hpp"
 #include "graph/dijkstra.hpp"
 #include "graph/disjoint_paths.hpp"
+#include "obs/metrics.hpp"
 
 namespace leosim::graph {
 namespace {
@@ -157,6 +158,88 @@ TEST(DisjointPathsTest, KOneIsJustShortestPath) {
   const std::vector<Path> paths = KEdgeDisjointShortestPaths(g, 0, 3, 1);
   ASSERT_EQ(paths.size(), 1u);
   EXPECT_DOUBLE_EQ(paths[0].distance, 2.0);
+}
+
+// --- A* tie guard --------------------------------------------------------
+
+uint64_t TieFallbacks() {
+  return obs::MetricsRegistry::Global()
+      .GetCounter("dijkstra.astar_tie_fallbacks")
+      .Value();
+}
+
+// `branches` equal-length routes 0 -> m -> dst, one per middle node
+// m = 1..branches, every edge of weight 1; dst = branches + 1.
+Graph TieFan(int branches) {
+  Graph g(branches + 2);
+  for (NodeId m = 1; m <= branches; ++m) {
+    g.AddEdge(0, m, 1.0);
+    g.AddEdge(m, branches + 1, 1.0);
+  }
+  return g;
+}
+
+// A potential that is admissible and consistent on TieFan (0.9 < 1, the
+// middle nodes' distance to dst) but ranks `late` behind every other
+// middle node, so A* first reaches dst through another branch.
+auto SteerAwayFrom(NodeId late) {
+  return [late](NodeId n) { return n == late ? 0.9 : 0.0; };
+}
+
+TEST(AStarTieGuardTest, ReturnsDijkstrasBranchOfAnExactTie) {
+  const Graph g = TieFan(2);
+  const std::optional<Path> dijkstra = ShortestPath(g, 0, 3);
+  ASSERT_TRUE(dijkstra.has_value());
+  const uint64_t before = TieFallbacks();
+  {
+    DijkstraWorkspace ws;
+    const std::optional<Path> astar =
+        ShortestPathAStar(g, 0, 3, ws, SteerAwayFrom(dijkstra->nodes[1]));
+    ASSERT_TRUE(astar.has_value());
+    EXPECT_EQ(astar->edges, dijkstra->edges);
+    EXPECT_EQ(astar->nodes, dijkstra->nodes);
+    EXPECT_EQ(astar->distance, dijkstra->distance);
+  }
+  EXPECT_EQ(TieFallbacks(), before + 1) << "the tie must take the fallback";
+}
+
+TEST(AStarTieGuardTest, UniqueShortestPathNeedsNoFallback) {
+  // The classic diamond's shortest path 0-1-3 is unique; steering A*
+  // towards the longer branch first must not trigger the guard.
+  const Graph g = Diamond();
+  const std::optional<Path> dijkstra = ShortestPath(g, 0, 3);
+  const uint64_t before = TieFallbacks();
+  {
+    DijkstraWorkspace ws;
+    const std::optional<Path> astar = ShortestPathAStar(
+        g, 0, 3, ws, [](NodeId n) { return n == 1 ? 0.9 : 0.0; });
+    ASSERT_TRUE(astar.has_value());
+    EXPECT_EQ(astar->edges, dijkstra->edges);
+  }
+  EXPECT_EQ(TieFallbacks(), before);
+}
+
+TEST(DisjointPathsTest, GoalDirectedOverloadEqualsPlainThroughTies) {
+  Graph g = TieFan(3);
+  DijkstraWorkspace ws;
+  const std::vector<Path> plain = KEdgeDisjointShortestPaths(g, 0, 4, 3, ws);
+  ASSERT_EQ(plain.size(), 3u);
+  for (const NodeId late : {1, 2, 3}) {
+    const std::vector<Path> goal =
+        KEdgeDisjointShortestPaths(g, 0, 4, 3, ws, SteerAwayFrom(late));
+    ASSERT_EQ(goal.size(), plain.size());
+    for (size_t i = 0; i < plain.size(); ++i) {
+      EXPECT_EQ(goal[i].edges, plain[i].edges) << "late " << late << " path " << i;
+    }
+    for (EdgeId e = 0; e < g.NumEdges(); ++e) {
+      EXPECT_TRUE(g.IsEnabled(e));
+    }
+    for (NodeId n = 0; n < g.NumNodes(); ++n) {
+      for (const HalfEdge& half : g.Neighbours(n)) {
+        EXPECT_EQ(half.weight, 1.0);
+      }
+    }
+  }
 }
 
 TEST(ComponentsTest, SingleComponent) {

@@ -2,10 +2,10 @@
 // tiers are pure accelerations: on a hybrid snapshot and on the same
 // snapshot with its ISL edges masked (the latency study's bent-pipe
 // view), the ALT tier, the Euclidean tier and plain graph::ShortestPath
-// must agree bit for bit on every pair's RTT, and the churn study's
-// node chains must not depend on the tier. Both sides of kAltMinQueries
-// are reached by routing the same pairs either in one call or in chunks
-// smaller than the break-even.
+// must agree bit for bit on every pair's RTT and node chain, exact ties
+// included (the bench-default configuration's t = 0 bent-pipe view holds
+// one). Both sides of kAltMinQueries are reached by routing the same
+// pairs either in one call or in chunks smaller than the break-even.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,8 +22,10 @@
 #include "core/temporal_sweep.hpp"
 #include "core/traffic_matrix.hpp"
 #include "data/cities.hpp"
+#include "data/city_catalog.hpp"
 #include "graph/components.hpp"
 #include "graph/dijkstra.hpp"
+#include "obs/metrics.hpp"
 
 namespace leosim::core {
 namespace {
@@ -63,17 +65,39 @@ std::vector<CityPair> Pairs() {
   return SampleCityPairs(data::AnchorCities(), traffic);
 }
 
-// Reference answers: one plain Dijkstra per pair.
-std::vector<double> DijkstraRtts(const NetworkModel::Snapshot& snap,
+// Reference answers: one plain Dijkstra per pair, with each path's
+// nodes sorted the way the router reports them (empty if unreachable).
+struct DijkstraRoutes {
+  std::vector<double> rtt;
+  std::vector<std::vector<graph::NodeId>> nodes;
+};
+
+DijkstraRoutes DijkstraReference(const NetworkModel::Snapshot& snap,
                                  const std::vector<CityPair>& pairs) {
   graph::DijkstraWorkspace ws;
-  std::vector<double> rtt;
+  DijkstraRoutes ref;
   for (const CityPair& p : pairs) {
     const auto path = graph::ShortestPath(snap.graph, snap.CityNode(p.a),
                                           snap.CityNode(p.b), ws);
-    rtt.push_back(path.has_value() ? 2.0 * path->distance : kInf);
+    ref.rtt.push_back(path.has_value() ? 2.0 * path->distance : kInf);
+    ref.nodes.emplace_back();
+    if (path.has_value()) {
+      ref.nodes.back() = path->nodes;
+      std::sort(ref.nodes.back().begin(), ref.nodes.back().end());
+    }
   }
-  return rtt;
+  return ref;
+}
+
+std::vector<double> DijkstraRtts(const NetworkModel::Snapshot& snap,
+                                 const std::vector<CityPair>& pairs) {
+  return DijkstraReference(snap, pairs).rtt;
+}
+
+uint64_t TieFallbacks() {
+  return obs::MetricsRegistry::Global()
+      .GetCounter("dijkstra.astar_tie_fallbacks")
+      .Value();
 }
 
 size_t ReachableCount(const NetworkModel::Snapshot& snap,
@@ -122,12 +146,13 @@ ChunkedRoutes RouteInChunks(const NetworkModel::Snapshot& snap,
 
 // One snapshot, one connectivity view: the ALT tier (all pairs in one
 // call), the Euclidean tier (chunked) and plain Dijkstra agree bitwise
-// on every RTT; the two tiers agree on every node chain; distance-only
-// routing reports the same RTTs as path routing.
+// on every RTT and every node chain; distance-only routing reports the
+// same RTTs as path routing.
 void ExpectTiersAgree(const NetworkModel::Snapshot& snap,
                       const std::vector<CityPair>& pairs, const char* view) {
   ASSERT_GE(ReachableCount(snap, pairs), kAltMinQueries) << view;
-  const std::vector<double> reference = DijkstraRtts(snap, pairs);
+  const DijkstraRoutes dijkstra = DijkstraReference(snap, pairs);
+  const std::vector<double>& reference = dijkstra.rtt;
 
   SweepWorkspace ws;
   SlotRoutes alt;
@@ -151,8 +176,10 @@ void ExpectTiersAgree(const NetworkModel::Snapshot& snap,
     ASSERT_TRUE(BitEq(euclidean.rtt[i], reference[i])) << view << " pair " << i;
     const auto run = alt.PathNodes(i);
     EXPECT_EQ(std::vector<graph::NodeId>(run.begin(), run.end()),
-              euclidean.nodes[i])
-        << view << " pair " << i;
+              dijkstra.nodes[i])
+        << view << " pair " << i << ": ALT node chain";
+    EXPECT_EQ(euclidean.nodes[i], dijkstra.nodes[i])
+        << view << " pair " << i << ": Euclidean node chain";
     reachable += reference[i] != kInf ? 1 : 0;
   }
   EXPECT_GT(reachable, 0) << view;
@@ -168,6 +195,30 @@ TEST(SlotRouter, TiersAgreeOnHybridAndMaskedBentPipe) {
     }
     ExpectTiersAgree(snap, pairs, "bent-pipe");
   }
+}
+
+// The bench-default configuration (332 generated cities, 2.5 deg relay
+// grid, 500 pairs) holds an exact tie on one ISL-masked bent-pipe path
+// at t = 0: two equal-length branches that A* and Dijkstra used to
+// settle in different orders. The tie guard must catch it and the
+// router must report Dijkstra's node chain.
+TEST(SlotRouter, NodeChainsMatchDijkstraThroughExactTies) {
+  const std::vector<data::City> cities = data::GenerateWorldCities(332, 42);
+  NetworkOptions options = Options(ConnectivityMode::kHybrid);
+  options.relay_spacing_deg = 2.5;
+  const NetworkModel model(Scenario::Starlink(), options, cities);
+  TrafficMatrixOptions traffic;
+  traffic.num_pairs = 500;
+  const std::vector<CityPair> pairs = SampleCityPairs(cities, traffic);
+
+  NetworkModel::Snapshot snap = model.BuildSnapshot(0.0);
+  for (const graph::EdgeId e : snap.isl_edges) {
+    snap.graph.SetEnabled(e, false);
+  }
+  const uint64_t fallbacks_before = TieFallbacks();
+  ExpectTiersAgree(snap, pairs, "bent-pipe t=0");
+  EXPECT_GT(TieFallbacks(), fallbacks_before)
+      << "no exact tie reached the A* tie guard";
 }
 
 // Below the break-even the router never builds a table, whatever the
