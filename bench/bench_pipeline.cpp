@@ -23,7 +23,6 @@
 #include "core/net_trace.hpp"
 #include "core/parallel.hpp"
 #include "core/scenario.hpp"
-#include "core/snapshot_stepper.hpp"
 #include "flow/flow_network.hpp"
 #include "flow/maxmin.hpp"
 #include "geo/geodesic.hpp"
@@ -32,7 +31,6 @@
 #include "graph/disjoint_paths.hpp"
 #include "graph/landmarks.hpp"
 #include "graph/sssp_tree.hpp"
-#include "graph/tree_reuse.hpp"
 #include "link/visibility.hpp"
 
 namespace {
@@ -109,42 +107,41 @@ int main(int argc, char** argv) {
     });
   }
 
-  // 1b. Incremental snapshot stepping at fine (10 s) spacing: the same
-  //     pipeline as snapshot_build but advancing a warm workspace through
-  //     the margin-tracked visibility filter and CSR patching instead of
-  //     rebuilding. Uses a no-aircraft model — dynamic nodes force full
-  //     rebuilds, and the stepper refuses them (see snapshot_stepper.hpp).
-  core::NetworkOptions stepped_options =
+  // 1b. Snapshot rebuilds into a warm workspace at fine (10 s) spacing,
+  //     as every sweep worker does: the same pipeline as snapshot_build
+  //     but through the allocation-free workspace overload. Uses the
+  //     no-aircraft model the fine sweeps below run, so this is their
+  //     per-slot build cost in isolation. Any incremental snapshot path
+  //     must beat this entry at every spacing before it can ship.
+  core::NetworkOptions no_air_options =
       bench::MakeOptions(config, core::ConnectivityMode::kHybrid);
-  stepped_options.use_aircraft = false;
-  const core::NetworkModel stepped_model(scenario, stepped_options, cities);
+  no_air_options.use_aircraft = false;
+  const core::NetworkModel no_air_model(scenario, no_air_options, cities);
   {
     core::NetworkModel::SnapshotWorkspace ws;
-    core::SnapshotStepper stepper;
     double t = 0.0;
-    // Warm build + prime outside the timed region; each op is one step.
-    core::BuildOrStepSnapshot(stepped_model, t, &ws, &stepper);
-    suite.Run("snapshot_step", 5, 16, [&] {
+    // Warm build outside the timed region; each op is one rebuild.
+    no_air_model.BuildSnapshot(t, &ws);
+    suite.Run("snapshot_rebuild_ws", 5, 16, [&] {
       for (int i = 0; i < 16; ++i) {
         t += 10.0;
-        core::BuildOrStepSnapshot(stepped_model, t, &ws, &stepper);
+        no_air_model.BuildSnapshot(t, &ws);
       }
     });
   }
 
   // 1c. SoA batch propagation (DESIGN.md §7): the whole constellation
   //     through PropagateBatch + EciToEcefBatch + PackInto — the
-  //     geometry front half of snapshot_build/snapshot_step in
+  //     geometry front half of snapshot_build/snapshot_rebuild_ws in
   //     isolation, bit-identical to the scalar path by contract.
   {
     geo::Soa3 soa;
-    std::vector<double> phase;
     std::vector<geo::Vec3> ecef;
     double t = 0.0;
     suite.Run("propagate_batch", 7, 16, [&] {
       for (int i = 0; i < 16; ++i) {
         t += 10.0;
-        hybrid.constellation().PropagateBatch(t, &soa, &phase);
+        hybrid.constellation().PropagateBatch(t, &soa);
         geo::EciToEcefBatch(t, &soa);
         geo::PackInto(soa, &ecef);
       }
@@ -323,17 +320,16 @@ int main(int argc, char** argv) {
     });
   }
 
-  // 5b. The same sweep at stepping-fine spacing (10 s slots): with
-  //     workers claiming mostly-adjacent slots, almost every snapshot
-  //     comes from the incremental path, so this is the end-to-end win
-  //     the stepper buys for paper-scale fine sweeps.
+  // 5b. The same sweep at fine spacing (10 s slots) on the no-aircraft
+  //     model: 60 cheap snapshots and little routing per slot, so this
+  //     is the end-to-end cost of snapshot construction in a sweep.
   {
     core::SnapshotSchedule fine;
     fine.step_sec = 10.0;
     fine.duration_sec = 10.0 * 60.0;  // 60 slots
     suite.Run("temporal_sweep_fine", 5, 1, [&] {
       const core::AggregateChurn churn =
-          core::RunAggregateChurnStudy(stepped_model, pairs, fine);
+          core::RunAggregateChurnStudy(no_air_model, pairs, fine);
       (void)churn;
     });
   }
@@ -352,7 +348,7 @@ int main(int argc, char** argv) {
       net_trace.Reset();
       net_trace.Enable(true);
       const core::AggregateChurn churn =
-          core::RunAggregateChurnStudy(stepped_model, pairs, fine);
+          core::RunAggregateChurnStudy(no_air_model, pairs, fine);
       (void)churn;
       trace_bytes =
           net_trace.NetStateJsonl().size() + net_trace.NetEventsJsonl().size();
@@ -372,7 +368,7 @@ int main(int argc, char** argv) {
     core::NetTraceRecorder& net_trace = core::NetTraceRecorder::Global();
     net_trace.Reset();
     net_trace.Enable(true);
-    (void)core::RunAggregateChurnStudy(stepped_model, pairs, fine);
+    (void)core::RunAggregateChurnStudy(no_air_model, pairs, fine);
     const std::filesystem::path dir =
         std::filesystem::temp_directory_path() /
         ("leosim_nettrace_export_" + std::to_string(getpid()));
@@ -392,68 +388,6 @@ int main(int argc, char** argv) {
     net_trace.Reset();
     std::printf("# nettrace_export: %s, %ju bytes written\n",
                 ok ? "validated" : "FAILED", bytes);
-  }
-
-  // 5d. Cross-slot tree reuse (graph/tree_reuse.hpp) under a sparse
-  //     patch delta: a stepped (patch-mode) snapshot graph, one source's
-  //     multi-target tree cached, and each op touching a handful of
-  //     edges provably outside the tree's corridor before re-routing.
-  //     Measures the reuse fast path — delta intersection plus stored-
-  //     array answers — that replaces a full multi-target Dijkstra when
-  //     slot-to-slot changes miss the corridor.
-  {
-    core::NetworkModel::SnapshotWorkspace ws;
-    core::SnapshotStepper stepper;
-    core::BuildOrStepSnapshot(stepped_model, 0.0, &ws, &stepper);
-    core::NetworkModel::Snapshot& snap =
-        core::BuildOrStepSnapshot(stepped_model, 10.0, &ws, &stepper);
-    snap.graph.SetPatchDeltaRecording(true);
-
-    graph::DijkstraWorkspace dijkstra;
-    graph::ShortestPathTree tree;
-    graph::TreeReuseCache cache;
-    const graph::NodeId src = snap.CityNode(0);
-    std::vector<graph::NodeId> targets;
-    for (int c = 1; c <= 6 && c < snap.num_cities; ++c) {
-      targets.push_back(snap.CityNode(c));
-    }
-    auto view = cache.Route(snap.graph, src, targets, dijkstra, tree);
-
-    // Edges whose endpoints the stored search never labeled: touching
-    // them keeps every slot on the reuse path (total touches stay well
-    // under the delta cap).
-    std::vector<graph::EdgeId> far_edges;
-    for (graph::EdgeId e = 0;
-         e < snap.graph.NumEdges() && far_edges.size() < 64; ++e) {
-      if (snap.graph.IsTombstone(e)) {
-        continue;
-      }
-      const graph::EdgeRecord& rec = snap.graph.Edge(e);
-      if (view.DistanceTo(rec.a) == graph::kInfDistance &&
-          view.DistanceTo(rec.b) == graph::kInfDistance) {
-        far_edges.push_back(e);
-      }
-    }
-    double reuse_checksum = 0.0;
-    size_t touch_cursor = 0;
-    suite.Run("tree_reuse_slot", 5, 16, [&] {
-      for (int i = 0; i < 16; ++i) {
-        for (int k = 0; k < 4 && !far_edges.empty(); ++k) {
-          const graph::EdgeId e =
-              far_edges[touch_cursor++ % far_edges.size()];
-          snap.graph.PatchEdgeWeight(e, snap.graph.Edge(e).weight);
-        }
-        view = cache.Route(snap.graph, src, targets, dijkstra, tree);
-        for (const graph::NodeId t : targets) {
-          reuse_checksum += view.DistanceTo(t);
-        }
-      }
-    });
-    snap.graph.SetPatchDeltaRecording(false);
-    std::printf("# tree_reuse checksum: %.3f ms (%llu reuses, %llu rebuilds)\n",
-                reuse_checksum,
-                static_cast<unsigned long long>(cache.stats().reuses),
-                static_cast<unsigned long long>(cache.stats().rebuilds));
   }
 
   // 6. Max-min fair allocation on a synthetic slot-sized flow network

@@ -10,7 +10,6 @@
 #include "core/net_trace.hpp"
 #include "core/report.hpp"
 #include "core/slot_router.hpp"
-#include "core/snapshot_stepper.hpp"
 #include "core/temporal_sweep.hpp"
 #include "obs/timeseries.hpp"
 
@@ -71,7 +70,7 @@ std::vector<SlotRoutes> SweepRoutes(const NetworkModel& model,
   const TemporalSweep sweep(times);
   sweep.Run(label, [&](const SweepItem& item, SweepWorkspace& ws) {
     const NetworkModel::Snapshot& snap =
-        BuildOrStepSnapshot(model, item.time_sec, &ws.snapshot, &ws.stepper);
+        model.BuildSnapshot(item.time_sec, &ws.snapshot);
     if (net_trace.Enabled()) {
       net_trace.CaptureSlot(item.slot, item.time_sec, snap);
     }

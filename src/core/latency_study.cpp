@@ -9,7 +9,6 @@
 #include "core/net_trace.hpp"
 #include "core/report.hpp"
 #include "core/slot_router.hpp"
-#include "core/snapshot_stepper.hpp"
 #include "core/stats.hpp"
 #include "core/temporal_sweep.hpp"
 #include "geo/coordinates.hpp"
@@ -213,12 +212,8 @@ LatencyStudyResult RunLatencyStudy(const NetworkModel& bp_model,
   if (shared_build) {
     const TemporalSweep sweep(result.snapshot_times, 1);
     sweep.Run("latency", [&](const SweepItem& item, SweepWorkspace& ws) {
-      // Fine-spaced slots advance the previous snapshot incrementally
-      // (bit-identical to a rebuild); the ISL masking below composes with
-      // stepping because the next step rewrites every ISL weight, which
-      // re-enables the edge.
-      NetworkModel::Snapshot& snap = BuildOrStepSnapshot(
-          hybrid_model, item.time_sec, &ws.snapshot, &ws.stepper);
+      NetworkModel::Snapshot& snap =
+          hybrid_model.BuildSnapshot(item.time_sec, &ws.snapshot);
       const size_t slot = static_cast<size_t>(item.slot);
       // Capture before the ISL masking below: the traced network is the
       // hybrid topology as built, and distinct slots never race.
@@ -246,9 +241,6 @@ LatencyStudyResult RunLatencyStudy(const NetworkModel& bp_model,
       const NetworkModel& model = item.stream == 0 ? bp_model : hybrid_model;
       std::vector<SlotRoutes>& slot_routes =
           item.stream == 0 ? bp_slots : hybrid_slots;
-      // No stepping here: a worker's successive items alternate between
-      // the two models, so a single stepper would re-prime every item
-      // and never get to step.
       const NetworkModel::Snapshot& snap =
           model.BuildSnapshot(item.time_sec, &ws.snapshot);
       // Two distinct models flow through this sweep; the trace records

@@ -652,7 +652,7 @@ void NetTraceRecorder::CaptureSlot(int slot, double time_sec,
                                  std::vector<Link>* out) {
     out->reserve(ids.size());
     for (const graph::EdgeId e : ids) {
-      if (snapshot.graph.IsTombstone(e) || !snapshot.graph.IsEnabled(e)) {
+      if (!snapshot.graph.IsEnabled(e)) {
         continue;
       }
       const graph::EdgeRecord& rec = snapshot.graph.Edge(e);

@@ -97,9 +97,9 @@ class NetTraceRecorder {
 
   // Records slot `slot`'s full network state. Safe to call from
   // parallel sweep workers as long as no two workers capture the same
-  // slot. Disabled and tombstoned edges are skipped (the capture is
-  // "what the network can carry right now"). Out-of-range slots and
-  // captures before SetTimeline are counted as drops, not errors.
+  // slot. Disabled edges are skipped (the capture is "what the network
+  // can carry right now"). Out-of-range slots and captures before
+  // SetTimeline are counted as drops, not errors.
   void CaptureSlot(int slot, double time_sec,
                    const NetworkModel::Snapshot& snapshot);
 

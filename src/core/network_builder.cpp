@@ -150,8 +150,7 @@ NetworkModel::Snapshot& NetworkModel::BuildSnapshot(
     // Batch propagation into the SoA block, frame rotation applied
     // array-wise, then one pack into the Vec3 copy the downstream
     // pipeline reads. Bit-identical to PositionsEcefInto (see soa.hpp).
-    constellation_.PropagateBatch(time_sec, &workspace->sat_soa,
-                                  &workspace->sat_phase);
+    constellation_.PropagateBatch(time_sec, &workspace->sat_soa);
     geo::EciToEcefBatch(time_sec, &workspace->sat_soa);
     geo::PackInto(workspace->sat_soa, &workspace->sat_ecef);
 

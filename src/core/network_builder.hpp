@@ -28,8 +28,6 @@
 
 namespace leosim::core {
 
-class SnapshotStepper;
-
 enum class ConnectivityMode { kBentPipe, kHybrid, kIslOnly };
 
 std::string_view ToString(ConnectivityMode mode);
@@ -104,7 +102,6 @@ class NetworkModel {
 
    private:
     friend class NetworkModel;
-    friend class SnapshotStepper;
     // One ground terminal that can see `sat` (flat, counting-sorted into
     // satellite-major order to apply per-satellite beam budgets).
     struct RadioCandidate {
@@ -114,11 +111,9 @@ class NetworkModel {
     };
     Snapshot snapshot;
     // SoA satellite-state block (see geo/soa.hpp): PropagateBatch fills
-    // it with inertial positions, EciToEcefBatch rotates it in place,
-    // and sat_ecef is the packed Vec3 copy the rest of the pipeline
-    // consumes. sat_phase is each satellite's argument of latitude.
+    // it with inertial positions, EciToEcefBatch rotates it in place, and
+    // sat_ecef is the packed Vec3 copy the rest of the pipeline consumes.
     geo::Soa3 sat_soa;
-    std::vector<double> sat_phase;
     std::vector<geo::Vec3> sat_ecef;
     link::SatelliteIndex sat_index;
     std::vector<int> visible;                  // per-terminal query buffer
@@ -165,8 +160,6 @@ class NetworkModel {
                                      graph::NodeId node) const;
 
  private:
-  friend class SnapshotStepper;
-
   void Initialise();
 
   Scenario scenario_;

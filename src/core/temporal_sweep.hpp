@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "core/network_builder.hpp"
-#include "core/snapshot_stepper.hpp"
 #include "core/traffic_matrix.hpp"
 #include "graph/dijkstra.hpp"
 #include "graph/landmarks.hpp"
@@ -37,12 +36,6 @@ namespace leosim::core {
 // multishell study's single- and dual-shell builds).
 struct SweepWorkspace {
   NetworkModel::SnapshotWorkspace snapshot;
-  // Incremental stepping state for bodies that build snapshots through
-  // BuildOrStepSnapshot: with dynamic slot claiming a worker's successive
-  // items are usually adjacent slots, so fine-spaced sweeps step far more
-  // often than they rebuild. Bodies that call BuildSnapshot directly
-  // simply leave it cold.
-  SnapshotStepper stepper;
   graph::DijkstraWorkspace dijkstra;
   graph::ShortestPathTree tree;
   // ALT landmark table for the per-slot router (core/slot_router.hpp),

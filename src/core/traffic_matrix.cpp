@@ -1,6 +1,7 @@
 #include "core/traffic_matrix.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
 #include <stdexcept>
 
@@ -19,6 +20,16 @@ std::vector<CityPair> SamplePairs(const std::vector<data::City>& cities,
   const int n = static_cast<int>(cities.size());
   if (n < 2) {
     throw std::invalid_argument("need at least two cities");
+  }
+  if (options.num_pairs < 0) {
+    throw std::invalid_argument("number of city pairs must be non-negative");
+  }
+  // Checked up front: the attempt budget below scales with the request,
+  // so an unsatisfiable one would otherwise spin for a long time first.
+  if (static_cast<int64_t>(options.num_pairs) >
+      static_cast<int64_t>(n) * (n - 1) / 2) {
+    throw std::invalid_argument(
+        "requested more city pairs than the city list has distinct pairs");
   }
   std::set<std::pair<int, int>> seen;
   std::vector<CityPair> pairs;

@@ -1,6 +1,5 @@
 #include "graph/graph.hpp"
 
-#include <algorithm>
 #include <limits>
 #include <stdexcept>
 
@@ -44,31 +43,17 @@ void Graph::Reset(int num_nodes) {
   num_nodes_ = num_nodes;
   edges_.clear();
   adjacency_current_ = false;
-  patch_mode_ = false;
-  num_tombstones_ = 0;
-  patch_recompactions_ = 0;
-  edge_key_.clear();
-  free_ids_.clear();
-  deferred_weights_.clear();
-  NoteUntrackedMutation();
 }
 
 EdgeId Graph::AddEdge(NodeId a, NodeId b, double weight, double capacity) {
-  if (patch_mode_) {
-    throw std::logic_error("AddEdge is not available in patch mode; use PatchAddEdge");
-  }
   CheckEdgeArgs(a, b, weight, NumNodes());
   const EdgeId id = static_cast<EdgeId>(edges_.size());
   edges_.push_back({a, b, weight, capacity, true});
   adjacency_current_ = false;
-  NoteUntrackedMutation();
   return id;
 }
 
 void Graph::SetEnabled(EdgeId e, bool enabled) {
-  if (IsTombstone(e)) {
-    throw std::logic_error("SetEnabled on a tombstoned (patch-removed) edge");
-  }
   EdgeRecord& rec = edges_[static_cast<size_t>(e)];
   rec.enabled = enabled;
   if (adjacency_current_) {
@@ -76,14 +61,10 @@ void Graph::SetEnabled(EdgeId e, bool enabled) {
     half_edges_[static_cast<size_t>(half_pos_a_[static_cast<size_t>(e)])].weight = w;
     half_edges_[static_cast<size_t>(half_pos_b_[static_cast<size_t>(e)])].weight = w;
   }
-  NoteTouch(e, rec.a, rec.b);
 }
 
 void Graph::EnableAllEdges() {
   for (size_t i = 0; i < edges_.size(); ++i) {
-    if (patch_mode_ && half_pos_a_[i] < 0) {
-      continue;  // tombstone: stays detached
-    }
     EdgeRecord& rec = edges_[i];
     rec.enabled = true;
     if (adjacency_current_) {
@@ -91,7 +72,6 @@ void Graph::EnableAllEdges() {
       half_edges_[static_cast<size_t>(half_pos_b_[i])].weight = rec.weight;
     }
   }
-  NoteUntrackedMutation();
 }
 
 void Graph::EnsureAdjacency() const {
@@ -125,234 +105,7 @@ void Graph::EnsureAdjacency() const {
     half_edges_[static_cast<size_t>(pb)] = {e.a, id, w};
     half_pos_b_[i] = pb;
   }
-  // Rows are dense outside patch mode: each ends where the next begins.
-  row_ends_.assign(offsets_.begin() + 1, offsets_.end());
   adjacency_current_ = true;
-}
-
-void Graph::BeginPatchMode(std::span<const uint64_t> edge_order_keys,
-                           int row_slack) {
-  if (edge_order_keys.size() != edges_.size()) {
-    throw std::invalid_argument("BeginPatchMode needs one order key per edge");
-  }
-  if (row_slack < 1) {
-    throw std::invalid_argument("row slack must be at least 1");
-  }
-  if (patch_mode_) {
-    throw std::logic_error("already in patch mode");
-  }
-  // Keys are the row-order contract; a duplicate would make the patched
-  // layout ambiguous relative to a fresh build. One sorted scan at entry
-  // (scratch_order_ is free here — RebuildPatchedRows reclears it).
-  scratch_order_.assign(edge_order_keys.size(), 0);
-  for (size_t i = 0; i < edge_order_keys.size(); ++i) {
-    scratch_order_[i] = static_cast<EdgeId>(i);
-  }
-  std::sort(scratch_order_.begin(), scratch_order_.end(),
-            [&edge_order_keys](EdgeId x, EdgeId y) {
-              return edge_order_keys[static_cast<size_t>(x)] <
-                     edge_order_keys[static_cast<size_t>(y)];
-            });
-  for (size_t i = 1; i < scratch_order_.size(); ++i) {
-    if (edge_order_keys[static_cast<size_t>(scratch_order_[i - 1])] ==
-        edge_order_keys[static_cast<size_t>(scratch_order_[i])]) {
-      throw std::invalid_argument("duplicate edge order key");
-    }
-  }
-  patch_mode_ = true;
-  row_slack_ = row_slack;
-  num_tombstones_ = 0;
-  patch_recompactions_ = 0;
-  free_ids_.clear();
-  deferred_weights_.clear();
-  edge_key_.assign(edge_order_keys.begin(), edge_order_keys.end());
-  RebuildPatchedRows();
-  NoteUntrackedMutation();
-}
-
-void Graph::FlushPatchWeights() {
-  if (deferred_weights_.empty()) {
-    return;
-  }
-  // Counting sort by b: bucket offsets over the node range, then a
-  // stable scatter. Positions are resolved only now — a recompaction
-  // between queueing and flushing moves slots, half_pos_b_ tracks it.
-  deferred_counts_.assign(static_cast<size_t>(num_nodes_) + 1, 0);
-  for (const DeferredWeight& d : deferred_weights_) {
-    ++deferred_counts_[static_cast<size_t>(d.b) + 1];
-  }
-  for (size_t n = 1; n < deferred_counts_.size(); ++n) {
-    deferred_counts_[n] += deferred_counts_[n - 1];
-  }
-  deferred_sorted_.resize(deferred_weights_.size());
-  for (const DeferredWeight& d : deferred_weights_) {
-    deferred_sorted_[static_cast<size_t>(
-        deferred_counts_[static_cast<size_t>(d.b)]++)] = d;
-  }
-  for (const DeferredWeight& d : deferred_sorted_) {
-    const size_t i = static_cast<size_t>(d.edge);
-    if (half_pos_a_[i] < 0) {
-      throw std::logic_error("FlushPatchWeights on a tombstoned edge");
-    }
-    half_edges_[static_cast<size_t>(half_pos_b_[i])].weight = d.weight;
-  }
-  deferred_weights_.clear();
-}
-
-void Graph::RebuildPatchedRows() {
-  // Live edges sorted by order key decide each row's fill order. A fresh
-  // build adds edges in key order already (keys ascend with EdgeId), so
-  // the common patch-mode-entry case skips the sort.
-  scratch_order_.clear();
-  scratch_order_.reserve(edges_.size());
-  for (size_t i = 0; i < edges_.size(); ++i) {
-    // Tombstones are detached (half_pos < 0) AND disabled. The second
-    // test matters: an edge PatchAddEdge just recycled also has stale
-    // negative positions until this rebuild lays it out, but it is
-    // enabled — skipping it would orphan the new edge.
-    if (num_tombstones_ > 0 && half_pos_a_[i] < 0 && !edges_[i].enabled) {
-      continue;
-    }
-    scratch_order_.push_back(static_cast<EdgeId>(i));
-  }
-  const auto key_less = [this](EdgeId x, EdgeId y) {
-    return edge_key_[static_cast<size_t>(x)] < edge_key_[static_cast<size_t>(y)];
-  };
-  if (!std::is_sorted(scratch_order_.begin(), scratch_order_.end(), key_less)) {
-    std::sort(scratch_order_.begin(), scratch_order_.end(), key_less);
-  }
-
-  // Pass 1: live degrees + slack into padded row offsets.
-  scratch_offsets_.assign(static_cast<size_t>(num_nodes_) + 1, 0);
-  for (const EdgeId e : scratch_order_) {
-    const EdgeRecord& rec = edges_[static_cast<size_t>(e)];
-    ++scratch_offsets_[static_cast<size_t>(rec.a) + 1];
-    ++scratch_offsets_[static_cast<size_t>(rec.b) + 1];
-  }
-  for (size_t n = 1; n < scratch_offsets_.size(); ++n) {
-    scratch_offsets_[n] += scratch_offsets_[n - 1] + row_slack_;
-  }
-  // Pass 2: fill in key order, advancing per-node cursors (reusing
-  // row_ends_ as the cursor array — its final value IS the row end).
-  scratch_halves_.resize(static_cast<size_t>(
-      scratch_offsets_[static_cast<size_t>(num_nodes_)]));
-  half_pos_a_.resize(edges_.size());
-  half_pos_b_.resize(edges_.size());
-  row_ends_.assign(scratch_offsets_.begin(), scratch_offsets_.end() - 1);
-  for (const EdgeId e : scratch_order_) {
-    const size_t i = static_cast<size_t>(e);
-    const EdgeRecord& rec = edges_[i];
-    const double w = HalfWeight(rec);
-    const int32_t pa = row_ends_[static_cast<size_t>(rec.a)]++;
-    scratch_halves_[static_cast<size_t>(pa)] = {rec.b, e, w};
-    half_pos_a_[i] = pa;
-    const int32_t pb = row_ends_[static_cast<size_t>(rec.b)]++;
-    scratch_halves_[static_cast<size_t>(pb)] = {rec.a, e, w};
-    half_pos_b_[i] = pb;
-  }
-  offsets_.swap(scratch_offsets_);
-  half_edges_.swap(scratch_halves_);
-  adjacency_current_ = true;
-}
-
-void Graph::RowInsert(NodeId n, EdgeId e, bool is_a_half) {
-  const size_t i = static_cast<size_t>(e);
-  const EdgeRecord& rec = edges_[i];
-  const uint64_t key = edge_key_[i];
-  int32_t pos = row_ends_[static_cast<size_t>(n)];
-  // Shift greater-keyed halves one slot right, keeping their edges'
-  // position bookkeeping in sync, until the key-ordered slot opens up.
-  while (pos > offsets_[static_cast<size_t>(n)]) {
-    const HalfEdge& prev = half_edges_[static_cast<size_t>(pos - 1)];
-    if (edge_key_[static_cast<size_t>(prev.edge)] < key) {
-      break;
-    }
-    half_edges_[static_cast<size_t>(pos)] = prev;
-    const size_t pe = static_cast<size_t>(prev.edge);
-    if (half_pos_a_[pe] == pos - 1) {
-      half_pos_a_[pe] = pos;
-    } else {
-      half_pos_b_[pe] = pos;
-    }
-    --pos;
-  }
-  half_edges_[static_cast<size_t>(pos)] = {is_a_half ? rec.b : rec.a, e,
-                                           HalfWeight(rec)};
-  (is_a_half ? half_pos_a_ : half_pos_b_)[i] = pos;
-  ++row_ends_[static_cast<size_t>(n)];
-}
-
-void Graph::RowErase(NodeId n, int32_t pos) {
-  const int32_t end = row_ends_[static_cast<size_t>(n)];
-  for (int32_t p = pos + 1; p < end; ++p) {
-    const HalfEdge moved = half_edges_[static_cast<size_t>(p)];
-    half_edges_[static_cast<size_t>(p - 1)] = moved;
-    const size_t me = static_cast<size_t>(moved.edge);
-    if (half_pos_a_[me] == p) {
-      half_pos_a_[me] = p - 1;
-    } else {
-      half_pos_b_[me] = p - 1;
-    }
-  }
-  --row_ends_[static_cast<size_t>(n)];
-}
-
-EdgeId Graph::PatchAddEdge(NodeId a, NodeId b, double weight, double capacity,
-                           uint64_t order_key) {
-  if (!patch_mode_) {
-    throw std::logic_error("PatchAddEdge requires patch mode");
-  }
-  CheckEdgeArgs(a, b, weight, NumNodes());
-  EdgeId id;
-  if (!free_ids_.empty()) {
-    id = free_ids_.back();
-    free_ids_.pop_back();
-    --num_tombstones_;
-  } else {
-    id = static_cast<EdgeId>(edges_.size());
-    edges_.push_back({});
-    edge_key_.push_back(0);
-    half_pos_a_.push_back(-1);
-    half_pos_b_.push_back(-1);
-  }
-  const size_t i = static_cast<size_t>(id);
-  edges_[i] = {a, b, weight, capacity, true};
-  edge_key_[i] = order_key;
-  const bool row_a_full = row_ends_[static_cast<size_t>(a)] ==
-                          offsets_[static_cast<size_t>(a) + 1];
-  const bool row_b_full = row_ends_[static_cast<size_t>(b)] ==
-                          offsets_[static_cast<size_t>(b) + 1];
-  if (row_a_full || row_b_full) {
-    // Out of slack: re-pad every row. The rebuild lays out the new edge
-    // too (its record is already live), so nothing more to do.
-    ++patch_recompactions_;
-    RebuildPatchedRows();
-    NoteTouch(id, a, b);
-    return id;
-  }
-  RowInsert(a, id, /*is_a_half=*/true);
-  RowInsert(b, id, /*is_a_half=*/false);
-  NoteTouch(id, a, b);
-  return id;
-}
-
-void Graph::PatchRemoveEdge(EdgeId e) {
-  if (!patch_mode_) {
-    throw std::logic_error("PatchRemoveEdge requires patch mode");
-  }
-  const size_t i = static_cast<size_t>(e);
-  if (half_pos_a_[i] < 0) {
-    throw std::logic_error("edge is already tombstoned");
-  }
-  const EdgeRecord& rec = edges_[i];
-  RowErase(rec.a, half_pos_a_[i]);
-  RowErase(rec.b, half_pos_b_[i]);
-  half_pos_a_[i] = -1;
-  half_pos_b_[i] = -1;
-  edges_[i].enabled = false;
-  free_ids_.push_back(e);
-  ++num_tombstones_;
-  NoteTouch(e, rec.a, rec.b);
 }
 
 }  // namespace leosim::graph

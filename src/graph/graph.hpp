@@ -17,19 +17,6 @@
 // need no enabled branch at all. SetEnabled keeps the copies in sync;
 // the authoritative weight/enabled flag always lives in the EdgeRecord.
 //
-// Patch mode (incremental snapshot stepping): BeginPatchMode converts
-// the CSR rows to a slack-padded layout ordered by caller-supplied
-// per-edge keys, after which PatchAddEdge / PatchRemoveEdge /
-// PatchEdgeWeight mutate the adjacency in place — no lazy rebuild, no
-// two-pass scan. The key order is the contract that makes stepped
-// graphs route bit-identically to freshly built ones: as long as the
-// caller assigns every edge the key position a from-scratch build would
-// have inserted it at, each row's (to, weight) sequence — and therefore
-// every Dijkstra relaxation and heap tie-break — matches the fresh
-// build exactly, even though EdgeIds differ (removed ids are recycled
-// through a free list). Rows that run out of slack trigger a full
-// re-padding compaction (counted, see PatchRecompactions).
-//
 // Thread-safety: const queries are safe to share across threads only
 // once the adjacency is built — call FinalizeAdjacency() (BuildSnapshot
 // does) before handing a graph to concurrent readers. A stale graph's
@@ -37,25 +24,13 @@
 #pragma once
 
 #include <cstdint>
-#include <limits>
 #include <span>
-#include <stdexcept>
 #include <vector>
 
 namespace leosim::graph {
 
 using NodeId = int32_t;
 using EdgeId = int32_t;
-
-// One patch-delta entry: an edge whose weight/enabled state or row
-// membership changed since the delta was last cleared. Endpoints are
-// captured at touch time because PatchAddEdge recycles tombstoned
-// EdgeIds — a later lookup through the id could name a different edge.
-struct TouchedEdge {
-  EdgeId edge{0};
-  NodeId a{0};
-  NodeId b{0};
-};
 
 // One directed half of an undirected edge, stored in the CSR adjacency
 // array. `weight` mirrors the owning EdgeRecord (+infinity when the edge
@@ -84,32 +59,20 @@ class Graph {
 
   int NumNodes() const { return num_nodes_; }
 
-  // Size of the edge-record array. Outside patch mode every record is a
-  // live edge; in patch mode removed records linger as tombstones
-  // (enabled = false, detached from the adjacency) until their slot is
-  // recycled, so iteration bounds stay valid but NumLiveEdges() is the
-  // true edge count.
   int NumEdges() const { return static_cast<int>(edges_.size()); }
-
-  // Live (non-tombstoned) edges; equals NumEdges() outside patch mode.
-  int NumLiveEdges() const {
-    return static_cast<int>(edges_.size()) - num_tombstones_;
-  }
 
   // Drops every edge and resizes to `num_nodes`, keeping allocated
   // capacity so a workspace can recycle one Graph across snapshots.
-  // Leaves patch mode.
   void Reset(int num_nodes);
 
   // Adds an undirected edge; returns its EdgeId. Self-loops are rejected.
-  // O(1) amortised (adjacency is rebuilt lazily). Not available in patch
-  // mode — use PatchAddEdge there.
+  // O(1) amortised (adjacency is rebuilt lazily).
   EdgeId AddEdge(NodeId a, NodeId b, double weight, double capacity = 0.0);
 
   std::span<const HalfEdge> Neighbours(NodeId n) const {
     EnsureAdjacency();
     const size_t begin = static_cast<size_t>(offsets_[static_cast<size_t>(n)]);
-    const size_t end = static_cast<size_t>(row_ends_[static_cast<size_t>(n)]);
+    const size_t end = static_cast<size_t>(offsets_[static_cast<size_t>(n) + 1]);
     return {half_edges_.data() + begin, end - begin};
   }
 
@@ -118,7 +81,7 @@ class Graph {
   bool IsEnabled(EdgeId e) const { return edges_[static_cast<size_t>(e)].enabled; }
   void SetEnabled(EdgeId e, bool enabled);
 
-  // Re-enables every edge (tombstones stay detached).
+  // Re-enables every edge.
   void EnableAllEdges();
 
   // Builds the CSR adjacency now (idempotent). Required before sharing a
@@ -131,218 +94,21 @@ class Graph {
     return rec.a == from ? rec.b : rec.a;
   }
 
-  // --- Incremental patch mode -------------------------------------------
-
-  // Enters patch mode: rebuilds the CSR rows with `row_slack` spare slots
-  // per node and orders each row by `edge_order_keys` (one key per edge,
-  // ascending = the position a from-scratch build would insert at).
-  // Requires every current edge to be live (call right after a full
-  // build). Keys must be unique per edge.
-  void BeginPatchMode(std::span<const uint64_t> edge_order_keys, int row_slack);
-
-  bool InPatchMode() const { return patch_mode_; }
-
-  // Adds an edge in patch mode, splicing both halves into their rows at
-  // the position `order_key` dictates. Recycles a tombstoned EdgeId when
-  // one is free. O(row length); triggers a re-padding compaction when a
-  // row is out of slack.
-  EdgeId PatchAddEdge(NodeId a, NodeId b, double weight, double capacity,
-                      uint64_t order_key);
-
-  // Removes an edge in patch mode: both halves are spliced out of their
-  // rows and the record becomes a tombstone whose id is recycled by a
-  // later PatchAddEdge. O(row length).
-  void PatchRemoveEdge(EdgeId e);
-
-  // Rewrites an edge's weight (and re-enables it, mirroring the state a
-  // fresh AddEdge would leave) in patch mode, updating both inline half
-  // copies. O(1); defined inline because the snapshot stepper calls it
-  // once per live radio edge per step — the hottest patch operation.
-  void PatchEdgeWeight(EdgeId e, double weight) {
-    if (!patch_mode_) {
-      throw std::logic_error("PatchEdgeWeight requires patch mode");
-    }
-    const size_t i = static_cast<size_t>(e);
-    const int32_t pa = half_pos_a_[i];
-    if (pa < 0) {
-      throw std::logic_error("PatchEdgeWeight on a tombstoned edge");
-    }
-    if (!(weight >= 0.0) ||
-        weight == std::numeric_limits<double>::infinity()) {
-      throw std::invalid_argument("edge weight must be non-negative and finite");
-    }
-    EdgeRecord& rec = edges_[i];
-    rec.weight = weight;
-    rec.enabled = true;
-    half_edges_[static_cast<size_t>(pa)].weight = weight;
-    half_edges_[static_cast<size_t>(half_pos_b_[i])].weight = weight;
-    NoteTouch(e, rec.a, rec.b);
-  }
-
-  // Deferred variant of PatchEdgeWeight for bulk refresh loops that walk
-  // edges in a-side (row-major) order: the record and the a-half copy
-  // are rewritten immediately — both accesses the caller's iteration
-  // order already keeps local — while the b-half rewrite, whose slot
-  // lives in the *other* endpoint's row and would be a scattered cache
-  // miss per call, is queued. FlushPatchWeights() applies the queue
-  // bucketed by b so those writes land row-clustered instead. Between a
-  // deferred rewrite and the flush the edge must stay live (the flush
-  // throws on a tombstone, and a recycled id would silently misdirect
-  // the write) and b-half weights read stale.
-  void PatchEdgeWeightDeferred(EdgeId e, double weight) {
-    if (!patch_mode_) {
-      throw std::logic_error("PatchEdgeWeightDeferred requires patch mode");
-    }
-    const size_t i = static_cast<size_t>(e);
-    const int32_t pa = half_pos_a_[i];
-    if (pa < 0) {
-      throw std::logic_error("PatchEdgeWeightDeferred on a tombstoned edge");
-    }
-    if (!(weight >= 0.0) ||
-        weight == std::numeric_limits<double>::infinity()) {
-      throw std::invalid_argument("edge weight must be non-negative and finite");
-    }
-    EdgeRecord& rec = edges_[i];
-    rec.weight = weight;
-    rec.enabled = true;
-    half_edges_[static_cast<size_t>(pa)].weight = weight;
-    deferred_weights_.push_back({rec.b, e, weight});
-    NoteTouch(e, rec.a, rec.b);
-  }
-
-  // Applies every queued PatchEdgeWeightDeferred b-half rewrite, in
-  // ascending b-node order (counting sort — b-halves of one node share a
-  // contiguous row, so the writes stream instead of scatter). Stable, so
-  // repeated rewrites of one edge resolve to the last value queued.
-  void FlushPatchWeights();
-
-  // True when `e` is a tombstoned (patch-removed) record.
-  bool IsTombstone(EdgeId e) const {
-    return patch_mode_ && half_pos_a_[static_cast<size_t>(e)] < 0;
-  }
-
-  // Number of full row re-padding compactions performed since patch mode
-  // was last entered (rows running out of slack force one).
-  uint64_t PatchRecompactions() const { return patch_recompactions_; }
-
-  // --- Mutation versioning & patch delta --------------------------------
-
-  // Monotonic counter bumped by every topology/weight/enabled mutation
-  // (AddEdge, Reset, SetEnabled, EnableAllEdges, BeginPatchMode, the
-  // Patch* family). Two reads returning the same value guarantee no
-  // mutation happened in between, so derived structures (landmark
-  // tables, cached shortest-path trees) can key their freshness on it.
-  uint64_t Version() const { return version_; }
-
-  // Enables/disables recording of touched edges into the patch delta.
-  // Off by default: the stepper's bulk weight refresh touches every
-  // live radio edge anyway, so recording there is pure overhead. With
-  // recording ON, mutations that carry endpoint information (SetEnabled,
-  // PatchAddEdge, PatchRemoveEdge, PatchEdgeWeight[Deferred]) append a
-  // TouchedEdge; mutations that can invalidate everything (AddEdge,
-  // Reset, EnableAllEdges, BeginPatchMode) set the overflow flag
-  // instead. The delta also overflows past a fixed cap, after which
-  // consumers must treat every edge as touched.
-  void SetPatchDeltaRecording(bool enabled) {
-    delta_recording_ = enabled;
-    if (enabled) {
-      ClearPatchDelta();
-    }
-  }
-  bool PatchDeltaRecording() const { return delta_recording_; }
-
-  // Touched edges since the last ClearPatchDelta. Meaningless when
-  // PatchDeltaOverflowed(); entries may repeat an edge.
-  std::span<const TouchedEdge> PatchDelta() const { return delta_; }
-  bool PatchDeltaOverflowed() const { return delta_overflowed_; }
-
-  // Epoch counter bumped by ClearPatchDelta, so a consumer that cached
-  // "my prefix of the delta is N entries" can tell a cleared-and-refilled
-  // delta from a grown one.
-  uint64_t PatchDeltaEpoch() const { return delta_epoch_; }
-
-  void ClearPatchDelta() {
-    delta_.clear();
-    delta_overflowed_ = false;
-    ++delta_epoch_;
-  }
-
  private:
-  // Past this many entries the delta stops being cheaper to intersect
-  // than a rebuild; flip to overflow and stop appending.
-  static constexpr size_t kMaxDeltaEntries = 4096;
-
-  void NoteTouch(EdgeId e, NodeId a, NodeId b) {
-    ++version_;
-    if (delta_recording_ && !delta_overflowed_) {
-      if (delta_.size() >= kMaxDeltaEntries) {
-        delta_overflowed_ = true;
-      } else {
-        delta_.push_back({e, a, b});
-      }
-    }
-  }
-  void NoteUntrackedMutation() {
-    ++version_;
-    if (delta_recording_) {
-      delta_overflowed_ = true;
-    }
-  }
-
   void EnsureAdjacency() const;
-  // Lays out the slack-padded CSR over the live edges, rows ordered by
-  // edge_key_. Used on patch-mode entry and when a row overflows.
-  void RebuildPatchedRows();
-  // Splices edge `e`'s half on node `n` into the row at key order;
-  // `is_a_half` selects which half_pos_ entry to maintain.
-  void RowInsert(NodeId n, EdgeId e, bool is_a_half);
-  // Splices position `pos` out of node `n`'s row.
-  void RowErase(NodeId n, int32_t pos);
 
   int num_nodes_{0};
   std::vector<EdgeRecord> edges_;
 
   // CSR adjacency caches, rebuilt lazily after mutations (hence mutable).
-  // Node n's live row is half_edges_[offsets_[n] .. row_ends_[n]); in
-  // patch mode offsets_[n + 1] - offsets_[n] is the row's capacity and
-  // the tail beyond row_ends_[n] is slack.
-  mutable std::vector<int32_t> offsets_;      // num_nodes_ + 1 prefix sums
-  mutable std::vector<int32_t> row_ends_;     // num_nodes_ live-row ends
+  // Node n's row is half_edges_[offsets_[n] .. offsets_[n + 1]).
+  mutable std::vector<int32_t> offsets_;  // num_nodes_ + 1 prefix sums
   mutable std::vector<HalfEdge> half_edges_;
   // Positions of each edge's two halves inside half_edges_, so SetEnabled
-  // can patch the inline weight copies without a rebuild. -1 marks a
-  // tombstoned record in patch mode.
+  // can patch the inline weight copies without a rebuild.
   mutable std::vector<int32_t> half_pos_a_;
   mutable std::vector<int32_t> half_pos_b_;
   mutable bool adjacency_current_{false};
-
-  // Patch-mode state.
-  bool patch_mode_{false};
-  int row_slack_{0};
-  int num_tombstones_{0};
-  uint64_t patch_recompactions_{0};
-  std::vector<uint64_t> edge_key_;   // aligned with edges_
-  std::vector<EdgeId> free_ids_;     // tombstoned slots awaiting reuse
-  // PatchEdgeWeightDeferred queue and its counting-sort scratch.
-  struct DeferredWeight {
-    NodeId b;
-    EdgeId edge;
-    double weight;
-  };
-  std::vector<DeferredWeight> deferred_weights_;
-  std::vector<DeferredWeight> deferred_sorted_;
-  std::vector<int32_t> deferred_counts_;
-  // Scratch for RebuildPatchedRows, kept warm across compactions.
-  std::vector<int32_t> scratch_offsets_;
-  std::vector<HalfEdge> scratch_halves_;
-  std::vector<EdgeId> scratch_order_;
-
-  // Mutation versioning & patch delta (see the accessors above).
-  uint64_t version_{0};
-  bool delta_recording_{false};
-  bool delta_overflowed_{false};
-  uint64_t delta_epoch_{0};
-  std::vector<TouchedEdge> delta_;
 };
 
 }  // namespace leosim::graph

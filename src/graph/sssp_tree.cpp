@@ -89,18 +89,6 @@ double ShortestPathTree::DistanceTo(NodeId n) const {
   return workspace_->DistanceOf(n);
 }
 
-void ShortestPathTree::ExportState(std::vector<double>* dist,
-                                   std::vector<EdgeId>* via) const {
-  const size_t n = static_cast<size_t>(graph_->NumNodes());
-  dist->resize(n);
-  via->resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    const NodeId node = static_cast<NodeId>(i);
-    (*dist)[i] = workspace_->DistanceOf(node);
-    (*via)[i] = workspace_->ViaEdge(node);
-  }
-}
-
 std::optional<Path> ShortestPathTree::PathTo(NodeId n) const {
   if (workspace_->DistanceOf(n) == kInfDistance) {
     return std::nullopt;

@@ -52,15 +52,6 @@ class ShortestPathTree {
   // Full path to a target of the last Build; nullopt when unreachable.
   std::optional<Path> PathTo(NodeId n) const;
 
-  // Snapshots the borrowed workspace state into caller-owned arrays:
-  // dist[n] is DistanceTo(n) (kInfDistance where the search never
-  // labeled n) and via[n] the predecessor edge (meaningful only where
-  // dist[n] is finite). Both are resized to the built graph's node
-  // count. The copy outlives the workspace's next Begin(), which is the
-  // point: a cache can keep answering from it (graph/tree_reuse.hpp)
-  // while the workspace moves on to other searches.
-  void ExportState(std::vector<double>* dist, std::vector<EdgeId>* via) const;
-
  private:
   const Graph* graph_{nullptr};
   DijkstraWorkspace* workspace_{nullptr};

@@ -295,67 +295,4 @@ void SatelliteIndex::VisibleWithRangeInto(const geo::Vec3& ground_ecef,
   ranges->resize(visible);
 }
 
-void SatelliteIndex::WithinRadiusInto(const geo::Vec3& centre_ecef,
-                                      std::vector<int>* out) const {
-  out->clear();
-  if (sat_ecef_.empty()) {
-    return;
-  }
-  const double centre_norm = centre_ecef.Norm();
-  if (centre_norm == 0.0) {
-    return;
-  }
-  const LatLonDeg g = SphericalLatLonDeg(centre_ecef);
-  // angle <= r iff cos(angle) >= cos(r): one dot and two norms per
-  // candidate, no inverse trig. The epsilon widens the acceptance cone by
-  // ~1e-9 rad so boundary points cannot be lost to rounding — the
-  // stepper's safety invariant needs "not returned => strictly outside".
-  const double cos_radius = std::cos(geo::DegToRad(radius_deg_) + 1e-9);
-  const int centre_li =
-      std::clamp(static_cast<int>((g.lat + 90.0) / cell_deg_), 0, lat_cells_ - 1);
-  // Same cap bounding box as VisibleInto: every point within radius_deg_
-  // of the centre lies inside it, so the cell scan cannot miss one.
-  const double cos_lat = std::cos(geo::DegToRad(g.lat));
-  int lon_span;
-  if (sin_radius_ >= cos_lat) {
-    lon_span = lon_cells_;
-  } else {
-    const double lon_radius_deg = geo::RadToDeg(std::asin(sin_radius_ / cos_lat));
-    lon_span = static_cast<int>(std::ceil(lon_radius_deg / cell_deg_));
-  }
-  const int centre_wi = static_cast<int>((g.lon + 180.0) / cell_deg_);
-  const int lo = centre_wi - lon_span;
-  const int hi = centre_wi + lon_span;
-  for (int dli = -lat_span_; dli <= lat_span_; ++dli) {
-    const int li = centre_li + dli;
-    if (li < 0 || li >= lat_cells_) {
-      continue;
-    }
-    const int row_base = li * lon_cells_;
-    const auto scan_cell = [&](int cell) {
-      const size_t begin = static_cast<size_t>(cell_offsets_[static_cast<size_t>(cell)]);
-      const size_t end =
-          static_cast<size_t>(cell_offsets_[static_cast<size_t>(cell) + 1]);
-      for (size_t k = begin; k < end; ++k) {
-        const int sat = cell_sats_[k];
-        const geo::Vec3& p = sat_ecef_[static_cast<size_t>(sat)];
-        if (centre_ecef.Dot(p) >= cos_radius * centre_norm * p.Norm()) {
-          out->push_back(sat);
-        }
-      }
-    };
-    if (hi - lo + 1 >= lon_cells_) {
-      for (int wi = 0; wi < lon_cells_; ++wi) {
-        scan_cell(row_base + wi);
-      }
-    } else {
-      for (int raw = lo; raw <= hi; ++raw) {
-        const int wi = ((raw % lon_cells_) + lon_cells_) % lon_cells_;
-        scan_cell(row_base + wi);
-      }
-    }
-  }
-  std::sort(out->begin(), out->end());
-}
-
 }  // namespace leosim::link

@@ -93,16 +93,6 @@ class SatelliteIndex {
                             double min_elevation_deg, std::vector<int>* out,
                             std::vector<double>* ranges) const;
 
-  // Indexed points whose great-circle separation from `centre_ecef`
-  // (central angle between the position vectors) is at most the radius
-  // the index was built with, ascending by id. Slightly conservative: a
-  // tiny angular epsilon guards the boundary, so a point that is NOT
-  // returned is guaranteed to lie strictly outside the built radius.
-  // Lets an index built once over static ground terminals answer "which
-  // terminals could a satellite's footprint possibly reach" for the
-  // incremental snapshot stepper.
-  void WithinRadiusInto(const geo::Vec3& centre_ecef, std::vector<int>* out) const;
-
  private:
   // Shared tail of both Rebuild overloads: bins the already-copied
   // sat_ecef_ snapshot into the CSR cell buckets.

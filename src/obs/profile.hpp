@@ -7,7 +7,7 @@
 //   destruction. A background sampler thread started by StartProfiling
 //   wakes at a configurable interval, walks every registered thread's
 //   live stack, and increments a count for the collapsed stack it saw
-//   ("parallel.worker;snapshot.step"). CollapsedStacks() exports the
+//   ("parallel.worker;snapshot.build"). CollapsedStacks() exports the
 //   counts as standard collapsed-stack text — one "frame;frame;... N"
 //   line per distinct stack — which flamegraph.pl and speedscope ingest
 //   directly.

@@ -137,35 +137,12 @@ void Constellation::PositionsEcefInto(double seconds_since_epoch,
   }
 }
 
-void Constellation::VelocitiesEcefInto(double seconds_since_epoch,
-                                       std::vector<geo::Vec3>* out) const {
-  out->clear();
-  out->reserve(orbits_.size());
-  const double w = geo::kEarthRotationRadPerSec;
-  const double theta = w * seconds_since_epoch;
-  const double c = std::cos(theta);
-  const double s = std::sin(theta);
-  for (const CircularOrbit& orbit : orbits_) {
-    const geo::Vec3 p = orbit.PositionEci(seconds_since_epoch);
-    const geo::Vec3 v = orbit.VelocityEci(seconds_since_epoch);
-    // d/dt [R(theta) p] = R(theta) v + R'(theta) p, and R'(theta) p is
-    // w * (y_ecef, -x_ecef, 0) for this (earth-fixed) rotation sense.
-    const double xe = c * p.x + s * p.y;
-    const double ye = -s * p.x + c * p.y;
-    out->push_back(
-        {c * v.x + s * v.y + w * ye, -s * v.x + c * v.y - w * xe, v.z});
-  }
-}
-
-void Constellation::PropagateBatch(double seconds_since_epoch, geo::Soa3* eci,
-                                   std::vector<double>* phase) const {
-  const size_t n = orbits_.size();
-  eci->Resize(n);
-  phase->resize(n);
+void Constellation::PropagateBatch(double seconds_since_epoch,
+                                   geo::Soa3* eci) const {
+  eci->Resize(orbits_.size());
   double* px = eci->x.data();
   double* py = eci->y.data();
   double* pz = eci->z.data();
-  double* pu = phase->data();
   const double* u0 = sat_u0_rad_.data();
   const double* cr = sat_cos_raan0_.data();
   const double* sr = sat_sin_raan0_.data();
@@ -186,60 +163,10 @@ void Constellation::PropagateBatch(double seconds_since_epoch, geo::Soa3* eci,
         px[i] = r * (cr[i] * cu - sr[i] * su * ci);
         py[i] = r * (sr[i] * cu + cr[i] * su * ci);
         pz[i] = r * su * si;
-        pu[i] = u;
       }
     } else {
       for (int i = b.begin; i < b.end; ++i) {
-        const CircularOrbit& o = orbits_[i];
-        eci->Set(i, o.PositionEci(seconds_since_epoch));
-        pu[i] = o.u0_rad() + o.mean_motion_rad_s() * seconds_since_epoch;
-      }
-    }
-  }
-}
-
-void Constellation::VelocitiesEcefBatchInto(double seconds_since_epoch,
-                                            const geo::Soa3& eci,
-                                            std::vector<geo::Vec3>* out) const {
-  const size_t n = orbits_.size();
-  out->resize(n);
-  geo::Vec3* po = out->data();
-  const double w = geo::kEarthRotationRadPerSec;
-  const double theta = w * seconds_since_epoch;
-  const double c = std::cos(theta);
-  const double s = std::sin(theta);
-  const double* u0 = sat_u0_rad_.data();
-  const double* cr = sat_cos_raan0_.data();
-  const double* sr = sat_sin_raan0_.data();
-  for (const ShellBasis& b : shell_basis_) {
-    if (b.uniform) {
-      const double v = b.mean_motion_rad_s * b.radius_km;
-      const double rate = b.mean_motion_rad_s;
-      const double ci = b.cos_inc;
-      const double si = b.sin_inc;
-      for (int i = b.begin; i < b.end; ++i) {
-        // VelocityEci evaluated at u + pi/2 (verbatim chain), then the
-        // same frame map as VelocitiesEcefInto with the inertial
-        // position taken from the SoA block instead of recomputed.
-        const double u =
-            u0[i] + rate * seconds_since_epoch + geo::kPi / 2.0;
-        const double cu = std::cos(u);
-        const double su = std::sin(u);
-        const double vx = v * (cr[i] * cu - sr[i] * su * ci);
-        const double vy = v * (sr[i] * cu + cr[i] * su * ci);
-        const double vz = v * su * si;
-        const double xe = c * eci.x[i] + s * eci.y[i];
-        const double ye = -s * eci.x[i] + c * eci.y[i];
-        po[i] = {c * vx + s * vy + w * ye, -s * vx + c * vy - w * xe, vz};
-      }
-    } else {
-      for (int i = b.begin; i < b.end; ++i) {
-        const geo::Vec3 p = eci.At(i);
-        const geo::Vec3 v = orbits_[i].VelocityEci(seconds_since_epoch);
-        const double xe = c * p.x + s * p.y;
-        const double ye = -s * p.x + c * p.y;
-        po[i] = {c * v.x + s * v.y + w * ye, -s * v.x + c * v.y - w * xe,
-                 v.z};
+        eci->Set(i, orbits_[i].PositionEci(seconds_since_epoch));
       }
     }
   }

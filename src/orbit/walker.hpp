@@ -84,35 +84,17 @@ class Constellation {
   void PositionsEcefInto(double seconds_since_epoch,
                          std::vector<geo::Vec3>* out) const;
 
-  // ECEF velocities (km/s) of all satellites: the time derivative of
-  // PositionsEcefInto — the rotated inertial velocity plus the frame
-  // term omega x r. Consumers (the snapshot stepper's visibility
-  // windows) use these as rate bounds, so exactness to the last bit is
-  // not required, only consistency with the positions.
-  void VelocitiesEcefInto(double seconds_since_epoch,
-                          std::vector<geo::Vec3>* out) const;
-
   // --- SoA batch propagation (see geo/soa.hpp and DESIGN.md §7) ---
   //
-  // Writes every satellite's inertial position into the SoA block and its
-  // argument of latitude u into *phase. The per-shell basis (radius, mean
-  // motion, inclination trig) is hoisted out of the satellite loop, which
-  // runs over contiguous per-satellite u0/RAAN arrays in index order.
-  // Each satellite's arithmetic chain is verbatim from
-  // CircularOrbit::PositionEci, so results are bit-identical to it; a
-  // shell whose orbits are heterogeneous (FromElements) or carry RAAN
-  // drift falls back to the scalar propagator satellite-by-satellite.
-  void PropagateBatch(double seconds_since_epoch, geo::Soa3* eci,
-                      std::vector<double>* phase) const;
-
-  // As VelocitiesEcefInto, but consuming the inertial positions already
-  // produced by PropagateBatch at the same timestamp instead of
-  // recomputing them (saves one sincos per satellite per step).
-  // Bit-identical to VelocitiesEcefInto provided `eci` holds the
-  // PositionEci values for this `seconds_since_epoch`.
-  void VelocitiesEcefBatchInto(double seconds_since_epoch,
-                               const geo::Soa3& eci,
-                               std::vector<geo::Vec3>* out) const;
+  // Writes every satellite's inertial position into the SoA block. The
+  // per-shell basis (radius, mean motion, inclination trig) is hoisted
+  // out of the satellite loop, which runs over contiguous per-satellite
+  // u0/RAAN arrays in index order. Each satellite's arithmetic chain is
+  // verbatim from CircularOrbit::PositionEci, so results are
+  // bit-identical to it; a shell whose orbits are heterogeneous
+  // (FromElements) or carry RAAN drift falls back to the scalar
+  // propagator satellite-by-satellite.
+  void PropagateBatch(double seconds_since_epoch, geo::Soa3* eci) const;
 
  private:
   // Hoisted per-shell constants for the batch kernels. `uniform` is true

@@ -50,37 +50,28 @@ std::vector<double> Epochs(uint32_t seed) {
   return times;
 }
 
-// Batched positions (PropagateBatch -> EciToEcefBatch -> PackInto) and
-// velocities vs the scalar reference paths, bit-for-bit per component.
+// Batched positions (PropagateBatch -> EciToEcefBatch -> PackInto) vs
+// the scalar reference path, bit-for-bit per component.
 void CheckConstellation(const orbit::Constellation& cons, uint32_t seed) {
   geo::Soa3 soa;
-  std::vector<double> phase;
   std::vector<geo::Vec3> batch_ecef;
-  std::vector<geo::Vec3> batch_vel;
   std::vector<geo::Vec3> scalar_ecef;
-  std::vector<geo::Vec3> scalar_vel;
   for (const double t : Epochs(seed)) {
-    cons.PropagateBatch(t, &soa, &phase);
+    cons.PropagateBatch(t, &soa);
     ASSERT_EQ(static_cast<int>(soa.size()), cons.NumSatellites());
-    ASSERT_EQ(static_cast<int>(phase.size()), cons.NumSatellites());
     // The SoA block holds PositionEci verbatim before the frame
-    // rotation...
+    // rotation.
     for (int i = 0; i < cons.NumSatellites(); i += 97) {
       ASSERT_TRUE(VecBitEq(soa.At(i), cons.orbit(i).PositionEci(t)))
           << "sat " << i << " t=" << t;
     }
-    // ...and the batched velocity consumes it pre-rotation.
-    cons.VelocitiesEcefBatchInto(t, soa, &batch_vel);
     geo::EciToEcefBatch(t, &soa);
     geo::PackInto(soa, &batch_ecef);
     cons.PositionsEcefInto(t, &scalar_ecef);
-    cons.VelocitiesEcefInto(t, &scalar_vel);
     ASSERT_EQ(batch_ecef.size(), scalar_ecef.size());
     for (size_t i = 0; i < scalar_ecef.size(); ++i) {
       ASSERT_TRUE(VecBitEq(batch_ecef[i], scalar_ecef[i]))
           << "position, sat " << i << " t=" << t;
-      ASSERT_TRUE(VecBitEq(batch_vel[i], scalar_vel[i]))
-          << "velocity, sat " << i << " t=" << t;
     }
   }
 }
@@ -144,7 +135,6 @@ TEST(BatchKernelProperty, VisibleWithRangeMatchesScalarAtPolesAndAntimeridian) {
   };
 
   geo::Soa3 soa;
-  std::vector<double> phase;
   std::vector<geo::Vec3> sat_ecef;
   link::SatelliteIndex index;
   std::vector<int> sorted_ids;
@@ -154,7 +144,7 @@ TEST(BatchKernelProperty, VisibleWithRangeMatchesScalarAtPolesAndAntimeridian) {
   std::uniform_real_distribution<double> dist(0.0, 2.0 * 3600.0);
   for (int epoch = 0; epoch < 50; ++epoch) {
     const double t = dist(rng);
-    cons.PropagateBatch(t, &soa, &phase);
+    cons.PropagateBatch(t, &soa);
     geo::EciToEcefBatch(t, &soa);
     geo::PackInto(soa, &sat_ecef);
     // The SoA rebuild must index the identical snapshot the packed

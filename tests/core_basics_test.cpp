@@ -182,6 +182,13 @@ TEST(TrafficMatrixTest, ImpossibleRequestThrows) {
   EXPECT_THROW(SampleCityPairs(two, options), std::invalid_argument);
   EXPECT_THROW(SampleCityPairs({data::FindCity("Paris")}, options),
                std::invalid_argument);
+  // A negative count, and more pairs than the n(n-1)/2 distinct ones.
+  const auto& anchors = data::AnchorCities();
+  const int n = static_cast<int>(anchors.size());
+  options.num_pairs = -5;
+  EXPECT_THROW(SampleCityPairs(anchors, options), std::invalid_argument);
+  options.num_pairs = n * (n - 1) / 2 + 1;
+  EXPECT_THROW(SampleCityPairs(anchors, options), std::invalid_argument);
 }
 
 }  // namespace

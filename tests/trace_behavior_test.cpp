@@ -45,13 +45,12 @@ NetworkOptions FastOptions(ConnectivityMode mode) {
 }
 
 // Mirrors CaptureSlot's link extraction from an independently built
-// snapshot: enabled, non-tombstoned edges, endpoints normalized a < b,
-// sorted by (a, b).
+// snapshot: enabled edges, endpoints normalized a < b, sorted by (a, b).
 std::vector<NetTraceRecorder::Link> ExtractLinks(
     const NetworkModel::Snapshot& snap, const std::vector<graph::EdgeId>& ids) {
   std::vector<NetTraceRecorder::Link> out;
   for (const graph::EdgeId e : ids) {
-    if (snap.graph.IsTombstone(e) || !snap.graph.IsEnabled(e)) {
+    if (!snap.graph.IsEnabled(e)) {
       continue;
     }
     const graph::EdgeRecord& rec = snap.graph.Edge(e);

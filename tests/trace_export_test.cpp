@@ -2,9 +2,9 @@
 //
 // The headline claims under test:
 //   * the serialized netstate/netevents streams are byte-identical at
-//     any thread count (LEOSIM_THREADS=1/4/13) and whether snapshots
-//     are stepped or rebuilt (LEOSIM_STEP=1 vs 0) — traces are stable
-//     artifacts, diffable across machines and configurations;
+//     any thread count (LEOSIM_THREADS=1/4/13), with and without
+//     aircraft — traces are stable artifacts, diffable across machines
+//     and configurations;
 //   * ValidateReplay() holds on a >= 60-slot, 10 s-spacing sweep for
 //     both the bent-pipe and the +Grid hybrid network (the acceptance
 //     scenario, proven here in-process and again from the files alone
@@ -54,17 +54,17 @@ std::vector<CityPair> SamplePairs(int num_pairs) {
 }
 
 // Runs the aggregate churn study with tracing on and returns the two
-// serialized streams. Env knobs are set for the duration of the run.
+// serialized streams. LEOSIM_THREADS is set for the duration of the run.
 std::pair<std::string, std::string> TraceChurnRun(const char* threads,
-                                                  const char* step) {
+                                                  bool use_aircraft) {
   setenv("LEOSIM_THREADS", threads, 1);
-  setenv("LEOSIM_STEP", step, 1);
   NetTraceRecorder& net_trace = NetTraceRecorder::Global();
   net_trace.Reset();
   net_trace.Enable(true);
 
-  const NetworkModel hybrid(Scenario::Starlink(),
-                            FastOptions(ConnectivityMode::kHybrid, 6.0),
+  NetworkOptions options = FastOptions(ConnectivityMode::kHybrid, 6.0);
+  options.use_aircraft = use_aircraft;
+  const NetworkModel hybrid(Scenario::Starlink(), options,
                             data::AnchorCities());
   SnapshotSchedule schedule;
   schedule.step_sec = 10.0;
@@ -76,28 +76,21 @@ std::pair<std::string, std::string> TraceChurnRun(const char* threads,
   net_trace.Enable(false);
   net_trace.Reset();
   unsetenv("LEOSIM_THREADS");
-  unsetenv("LEOSIM_STEP");
   return out;
 }
 
 TEST(TraceDeterminismTest, StreamsIdenticalAtAnyThreadCount) {
-  const auto at1 = TraceChurnRun("1", "1");
-  const auto at4 = TraceChurnRun("4", "1");
-  const auto at13 = TraceChurnRun("13", "1");
-  EXPECT_FALSE(at1.first.empty());
-  EXPECT_FALSE(at1.second.empty());
-  EXPECT_EQ(at1.first, at4.first);
-  EXPECT_EQ(at1.second, at4.second);
-  EXPECT_EQ(at1.first, at13.first);
-  EXPECT_EQ(at1.second, at13.second);
-}
-
-TEST(TraceDeterminismTest, SteppedAndRebuiltSnapshotsTraceIdentically) {
-  const auto stepped = TraceChurnRun("4", "1");
-  const auto rebuilt = TraceChurnRun("4", "0");
-  EXPECT_FALSE(stepped.first.empty());
-  EXPECT_EQ(stepped.first, rebuilt.first);
-  EXPECT_EQ(stepped.second, rebuilt.second);
+  for (const bool use_aircraft : {true, false}) {
+    const auto at1 = TraceChurnRun("1", use_aircraft);
+    const auto at4 = TraceChurnRun("4", use_aircraft);
+    const auto at13 = TraceChurnRun("13", use_aircraft);
+    EXPECT_FALSE(at1.first.empty()) << "aircraft " << use_aircraft;
+    EXPECT_FALSE(at1.second.empty()) << "aircraft " << use_aircraft;
+    EXPECT_EQ(at1.first, at4.first) << "aircraft " << use_aircraft;
+    EXPECT_EQ(at1.second, at4.second) << "aircraft " << use_aircraft;
+    EXPECT_EQ(at1.first, at13.first) << "aircraft " << use_aircraft;
+    EXPECT_EQ(at1.second, at13.second) << "aircraft " << use_aircraft;
+  }
 }
 
 // The acceptance sweep: 60 slots at 10 s spacing (the schedule's

@@ -62,13 +62,10 @@ Rules (each maps to a repo invariant documented in DESIGN.md):
                    schema bump is one diff line and the Python tooling
                    (obs_report.py, trace_check.py) has a single place
                    to stay in sync with.
-  hot-alloc       Functions taking a *Workspace parameter, every
-                   method of a *Stepper class (steppers advance a
-                   workspace held as a member, so their whole surface
-                   is the steady-state hot path), and every *Batch
-                   kernel entry point (PropagateBatch and friends are
-                   the innermost per-snapshot loops) are the
-                   zero-steady-state-alloc paths; inside them `new`
+  hot-alloc       Functions taking a *Workspace parameter and every
+                   *Batch kernel entry point (PropagateBatch and
+                   friends are the innermost per-snapshot loops) are
+                   the zero-steady-state-alloc paths; inside them `new`
                    expressions are forbidden and push_back/emplace_back
                    on a container requires a reserve/resize/clear of
                    that container in the same function (capacity reuse),
@@ -547,12 +544,10 @@ def check_schema_header(ctx: LintContext) -> list[Finding]:
 
 
 # ---------------------------------------------------------------------------
-# hot-alloc: workspace-taking functions — every method of a *Stepper
-# class, which advances a workspace held as a member rather than a
-# parameter, and every *Batch kernel entry point (batch kernels are the
-# innermost per-snapshot loops; DESIGN.md §7) — are the
-# zero-steady-state-alloc hot paths; allocation inside them defeats the
-# contract.
+# hot-alloc: workspace-taking functions and every *Batch kernel entry
+# point (batch kernels are the innermost per-snapshot loops; DESIGN.md
+# §7) are the zero-steady-state-alloc hot paths; allocation inside them
+# defeats the contract.
 
 FUNC_BODY_OPEN_RE = re.compile(r"\)\s*(?:const\s*)?(?:noexcept\s*)?(?:->\s*[\w:<>,\s*&]+?\s*)?\{")
 CONTROL_KEYWORDS = {"if", "for", "while", "switch", "catch", "return", "sizeof",
@@ -613,21 +608,17 @@ def _function_bodies(code: str):
 
 
 def _is_batch_entry_point(name: str) -> bool:
-    # PropagateBatch, EciToEcefBatch, ElevationTestBatch, and the *Into
-    # spellings (VelocitiesEcefBatchInto) are all batch kernels.
+    # PropagateBatch, EciToEcefBatch and ElevationTestBatch are batch
+    # kernels, and so is any *BatchInto spelling of one.
     return "Batch" in name.split("::")[-1]
 
 
 def _workspace_function_bodies(code: str):
     """Yields (body_start_index, body_text) for every hot-path function:
-    parameter list mentions a *Workspace type, qualified name belongs to
-    a *Stepper class (SnapshotStepper::Step and friends), or the name is
-    a *Batch kernel entry point."""
+    parameter list mentions a *Workspace type, or the name is a *Batch
+    kernel entry point."""
     for name, params, body_start, body in _function_bodies(code):
-        stepper_method = any(
-            part.endswith("Stepper") for part in name.split("::")[:-1])
-        if ("Workspace" not in params and not stepper_method
-                and not _is_batch_entry_point(name)):
+        if "Workspace" not in params and not _is_batch_entry_point(name):
             continue
         yield body_start, body
 
@@ -856,8 +847,7 @@ RULES: list[Rule] = [
          "versioned schema strings live only in src/obs/schemas.hpp",
          check_schema_header),
     Rule("hot-alloc",
-         "no allocation in workspace-taking, *Stepper, or *Batch hot-path "
-         "functions",
+         "no allocation in workspace-taking or *Batch hot-path functions",
          check_hot_alloc),
     Rule("batch-hoist",
          "no loop-invariant sin/cos/sqrt inside *Batch kernel loops",
