@@ -15,7 +15,7 @@
 using namespace leosim;
 using namespace leosim::core;
 
-int main(int argc, char** argv) {
+int Run(int argc, char** argv) {
   bench::BenchConfig config = bench::ParseFlags(argc, argv);
   bench::ApplyObsConfig(config);
   if (config.num_pairs > 300) {
@@ -52,6 +52,9 @@ int main(int argc, char** argv) {
   std::printf("\ntighter beam budgets prune the relay grid's connectivity "
               "first — BP's transit hops die before hybrid's endpoint "
               "links do.\n");
-  bench::WriteObsOutputs(config);
-  return 0;
+  return bench::WriteObsOutputs(config);
+}
+
+int main(int argc, char** argv) {
+  return leosim::core::RunMain(argc, argv, Run);
 }

@@ -14,7 +14,7 @@
 using namespace leosim;
 using namespace leosim::core;
 
-int main(int argc, char** argv) {
+int Run(int argc, char** argv) {
   bench::BenchConfig config = bench::ParseFlags(argc, argv);
   bench::ApplyObsConfig(config);
   if (config.num_pairs > 250) {
@@ -59,6 +59,9 @@ int main(int argc, char** argv) {
   table.Print(std::cout);
   std::printf("\npaper §6: the Ku-band median gap is >1 dB; Ka-band widens it "
               "because rain attenuation grows super-linearly with frequency.\n");
-  bench::WriteObsOutputs(config);
-  return 0;
+  return bench::WriteObsOutputs(config);
+}
+
+int main(int argc, char** argv) {
+  return leosim::core::RunMain(argc, argv, Run);
 }

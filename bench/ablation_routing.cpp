@@ -14,7 +14,7 @@
 using namespace leosim;
 using namespace leosim::core;
 
-int main(int argc, char** argv) {
+int Run(int argc, char** argv) {
   bench::BenchConfig config = bench::ParseFlags(argc, argv);
   bench::ApplyObsConfig(config);
   // Yen-based policies are costlier per pair; trim the default matrix.
@@ -48,6 +48,9 @@ int main(int argc, char** argv) {
               "contention and pay for it with longer paths; the greedy\n"
               "disjoint scheme the paper uses stays near the optimal pair on "
               "LEO snapshot graphs, justifying its simplicity.\n");
-  bench::WriteObsOutputs(config);
-  return 0;
+  return bench::WriteObsOutputs(config);
+}
+
+int main(int argc, char** argv) {
+  return leosim::core::RunMain(argc, argv, Run);
 }

@@ -14,7 +14,7 @@
 using namespace leosim;
 using namespace leosim::core;
 
-int main(int argc, char** argv) {
+int Run(int argc, char** argv) {
   bench::BenchConfig config = bench::ParseFlags(argc, argv);
   bench::ApplyObsConfig(config);
   if (config.num_pairs > 400) {
@@ -47,6 +47,9 @@ int main(int argc, char** argv) {
   table.Print(std::cout);
   std::printf("\nper-direction capacities lift both modes (opposing flows stop "
               "contending) without changing the hybrid advantage.\n");
-  bench::WriteObsOutputs(config);
-  return 0;
+  return bench::WriteObsOutputs(config);
+}
+
+int main(int argc, char** argv) {
+  return leosim::core::RunMain(argc, argv, Run);
 }

@@ -9,19 +9,13 @@
 //   --step=SEC        snapshot spacing                   (default 900 = 15 min)
 //   --full            paper-scale run: 1000 cities, 5000 pairs, 0.5-deg
 //                     grid, 96 snapshots (hours of compute)
-//   --log-level=L     obs logging (off|error|warn|info|debug; default off)
-//   --metrics-out=F   write the metrics registry as JSON on exit
-//   --trace-out=F     enable span tracing, write Chrome trace JSON on exit
-//   --timeseries-out=F
-//                     enable per-snapshot timeseries recording, write the
-//                     sorted JSON export on exit
-//   --profile-out=F   run the sampling profiler, write collapsed-stack
-//                     text (flamegraph.pl/speedscope input) on exit
-//   --hw-counters=F   per-phase hardware counters (cycles, instructions,
-//                     cache/branch misses), written as JSON on exit;
-//                     degrades gracefully where perf_event_open is denied
-//   --progress[=SEC]  heartbeat progress lines every SEC seconds
-//                     (default 2; also via LEOSIM_PROGRESS)
+//
+// plus the shared observability flags of core::ObsFlags (--log-level,
+// --metrics-out, --trace-out, --timeseries-out, --profile-out,
+// --progress[=SEC]) and any extras the binary itself declares.
+// Parsing is strict (core/cli_flags.hpp): an unknown flag or a malformed
+// or out-of-range value throws, and main's core::RunMain turns that
+// into one stderr line and exit 2; a failed output write exits 1.
 //
 // Scaled-down defaults preserve the paper's qualitative shape; see
 // EXPERIMENTS.md for the mapping.
@@ -33,21 +27,18 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <functional>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
+#include "core/cli_flags.hpp"
 #include "core/latency_study.hpp"
 #include "core/network_builder.hpp"
 #include "core/traffic_matrix.hpp"
 #include "data/city_catalog.hpp"
-#include "obs/log.hpp"
-#include "obs/metrics.hpp"
-#include "obs/profile.hpp"
-#include "obs/progress.hpp"
-#include "obs/timeseries.hpp"
-#include "obs/trace.hpp"
 
 namespace leosim::bench {
 
@@ -59,51 +50,35 @@ struct BenchConfig {
   int num_snapshots{12};
   double step_sec{900.0};
   uint64_t seed{20201104};
-  std::string log_level;    // empty = leave LEOSIM_LOG in charge
-  std::string metrics_out;  // empty = no metrics export
-  std::string trace_out;    // empty = tracing stays off
-  std::string timeseries_out;  // empty = timeseries recording stays off
-  std::string profile_out;     // empty = sampling profiler stays off
-  std::string hw_counters_out;  // empty = hardware counters stay off
-  double progress_interval_sec{0.0};  // <= 0 = leave LEOSIM_PROGRESS in charge
+  core::ObsFlags obs;
 };
 
-inline BenchConfig ParseFlags(int argc, char** argv) {
+inline constexpr int kMaxCount = 1000000;
+
+// Parses argv. `take_extra` may consume flags only this binary knows
+// (documented in `extra_usage` for --help); anything left unclaimed is
+// rejected.
+inline BenchConfig ParseFlags(
+    int argc, char** argv, const char* extra_usage = "",
+    const std::function<bool(std::string_view)>& take_extra = nullptr) {
   BenchConfig config;
   for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto value_of = [&arg](const char* prefix) -> const char* {
-      const size_t len = std::strlen(prefix);
-      return arg.compare(0, len, prefix) == 0 ? arg.c_str() + len : nullptr;
-    };
-    if (const char* v = value_of("--pairs=")) {
-      config.num_pairs = std::atoi(v);
-    } else if (const char* v = value_of("--cities=")) {
-      config.num_cities = std::atoi(v);
-    } else if (const char* v = value_of("--spacing=")) {
-      config.relay_spacing_deg = std::atof(v);
-    } else if (const char* v = value_of("--aircraft=")) {
-      config.aircraft_scale = std::atof(v);
-    } else if (const char* v = value_of("--snapshots=")) {
-      config.num_snapshots = std::atoi(v);
-    } else if (const char* v = value_of("--step=")) {
-      config.step_sec = std::atof(v);
-    } else if (const char* v = value_of("--log-level=")) {
-      config.log_level = v;
-    } else if (const char* v = value_of("--metrics-out=")) {
-      config.metrics_out = v;
-    } else if (const char* v = value_of("--trace-out=")) {
-      config.trace_out = v;
-    } else if (const char* v = value_of("--timeseries-out=")) {
-      config.timeseries_out = v;
-    } else if (const char* v = value_of("--profile-out=")) {
-      config.profile_out = v;
-    } else if (const char* v = value_of("--hw-counters=")) {
-      config.hw_counters_out = v;
-    } else if (const char* v = value_of("--progress=")) {
-      config.progress_interval_sec = std::atof(v);
-    } else if (arg == "--progress") {
-      config.progress_interval_sec = obs::kDefaultProgressIntervalSec;
+    const std::string_view arg = argv[i];
+    if (config.obs.Take(arg) || (take_extra && take_extra(arg))) {
+      continue;
+    }
+    if (const auto v = core::FlagValue(arg, "--pairs")) {
+      config.num_pairs = core::ParseInt("--pairs", *v, 1, kMaxCount);
+    } else if (const auto v = core::FlagValue(arg, "--cities")) {
+      config.num_cities = core::ParseInt("--cities", *v, 2, kMaxCount);
+    } else if (const auto v = core::FlagValue(arg, "--spacing")) {
+      config.relay_spacing_deg = core::ParseDouble("--spacing", *v, 0.1, 90.0);
+    } else if (const auto v = core::FlagValue(arg, "--aircraft")) {
+      config.aircraft_scale = core::ParseDouble("--aircraft", *v, 0.0, 100.0);
+    } else if (const auto v = core::FlagValue(arg, "--snapshots")) {
+      config.num_snapshots = core::ParseInt("--snapshots", *v, 1, kMaxCount);
+    } else if (const auto v = core::FlagValue(arg, "--step")) {
+      config.step_sec = core::ParseDouble("--step", *v, 0.001, 1e7);
     } else if (arg == "--full") {
       config.num_cities = 1000;
       config.num_pairs = 5000;
@@ -113,10 +88,13 @@ inline BenchConfig ParseFlags(int argc, char** argv) {
     } else if (arg == "--help" || arg == "-h") {
       std::printf(
           "flags: --pairs=N --cities=N --spacing=DEG --aircraft=SCALE "
-          "--snapshots=N --step=SEC --full --log-level=L --metrics-out=F "
-          "--trace-out=F --timeseries-out=F --profile-out=F "
-          "--hw-counters=F --progress[=SEC]\n");
+          "--snapshots=N --step=SEC --full %s%s%s\n",
+          core::ObsFlags::kUsage, *extra_usage != '\0' ? " " : "",
+          extra_usage);
       std::exit(0);
+    } else {
+      throw std::invalid_argument("unknown flag " + std::string(arg) +
+                                  " (see --help)");
     }
   }
   return config;
@@ -124,68 +102,12 @@ inline BenchConfig ParseFlags(int argc, char** argv) {
 
 // Applies the observability flags: call once after ParseFlags, before any
 // timed work (tracing must be on before the spans of interest run).
-inline void ApplyObsConfig(const BenchConfig& config) {
-  if (!config.log_level.empty()) {
-    obs::SetLogLevel(obs::ParseLogLevel(config.log_level));
-  }
-  if (!config.trace_out.empty()) {
-    obs::EnableTracing(true);
-  }
-  if (!config.timeseries_out.empty()) {
-    obs::TimeseriesRecorder::Global().Enable(true);
-  }
-  if (!config.profile_out.empty()) {
-    obs::StartProfiling();
-  }
-  if (!config.hw_counters_out.empty()) {
-    obs::EnableHwCounters(true);
-  }
-  if (config.progress_interval_sec > 0.0) {
-    obs::SetProgressInterval(config.progress_interval_sec);
-  }
-}
+inline void ApplyObsConfig(const BenchConfig& config) { config.obs.Apply(); }
 
-// Writes the requested metrics/trace files; call once on exit.
-inline void WriteObsOutputs(const BenchConfig& config) {
-  if (!config.metrics_out.empty()) {
-    if (obs::MetricsRegistry::Global().WriteJson(config.metrics_out)) {
-      std::printf("# wrote %s\n", config.metrics_out.c_str());
-    } else {
-      std::fprintf(stderr, "bench: cannot write %s\n", config.metrics_out.c_str());
-    }
-  }
-  if (!config.trace_out.empty()) {
-    if (obs::WriteTraceJson(config.trace_out)) {
-      std::printf("# wrote %s\n", config.trace_out.c_str());
-    } else {
-      std::fprintf(stderr, "bench: cannot write %s\n", config.trace_out.c_str());
-    }
-  }
-  if (!config.timeseries_out.empty()) {
-    if (obs::TimeseriesRecorder::Global().WriteJson(config.timeseries_out)) {
-      std::printf("# wrote %s\n", config.timeseries_out.c_str());
-    } else {
-      std::fprintf(stderr, "bench: cannot write %s\n",
-                   config.timeseries_out.c_str());
-    }
-  }
-  if (!config.profile_out.empty()) {
-    obs::StopProfiling();
-    if (obs::WriteCollapsedStacks(config.profile_out)) {
-      std::printf("# wrote %s\n", config.profile_out.c_str());
-    } else {
-      std::fprintf(stderr, "bench: cannot write %s\n",
-                   config.profile_out.c_str());
-    }
-  }
-  if (!config.hw_counters_out.empty()) {
-    if (obs::WriteHwCountersJson(config.hw_counters_out)) {
-      std::printf("# wrote %s\n", config.hw_counters_out.c_str());
-    } else {
-      std::fprintf(stderr, "bench: cannot write %s\n",
-                   config.hw_counters_out.c_str());
-    }
-  }
+// Writes the requested obs files; call once on exit and return its
+// result from main (1 if a write failed, else 0).
+inline int WriteObsOutputs(const BenchConfig& config) {
+  return config.obs.WriteOutputs("# ");
 }
 
 inline std::vector<data::City> MakeCities(const BenchConfig& config) {

@@ -68,7 +68,7 @@ flow::FlowNetwork MakeFillNetwork(int num_links, int num_flows) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int Run(int argc, char** argv) {
   const bench::BenchConfig config = bench::ParseFlags(argc, argv);
   bench::ApplyObsConfig(config);
   bench::PrintConfig(config, "snapshot-pipeline benchmark");
@@ -401,7 +401,11 @@ int main(int argc, char** argv) {
     std::printf("# maxmin checksum: %.3f Gbps total\n", fill_checksum);
   }
 
-  suite.WriteJson("BENCH_pipeline.json");
-  bench::WriteObsOutputs(config);
-  return 0;
+  const bool wrote = suite.WriteJson("BENCH_pipeline.json");
+  const int rc = bench::WriteObsOutputs(config);
+  return wrote ? rc : 1;
+}
+
+int main(int argc, char** argv) {
+  return leosim::core::RunMain(argc, argv, Run);
 }

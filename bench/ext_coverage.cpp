@@ -50,7 +50,7 @@ void MultiShellRows(const std::vector<orbit::OrbitalShell>& shells,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int Run(int argc, char** argv) {
   const bench::BenchConfig config = bench::ParseFlags(argc, argv);
   bench::ApplyObsConfig(config);
   std::printf("# Extension: coverage and availability by latitude\n");
@@ -93,6 +93,9 @@ int main(int argc, char** argv) {
   gen1.Print(std::cout);
   std::printf("the paper's single-shell restriction is fair for mid-latitudes "
               "but misses the polar shells' high-latitude coverage.\n");
-  bench::WriteObsOutputs(config);
-  return 0;
+  return bench::WriteObsOutputs(config);
+}
+
+int main(int argc, char** argv) {
+  return leosim::core::RunMain(argc, argv, Run);
 }

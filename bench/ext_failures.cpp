@@ -11,7 +11,7 @@
 using namespace leosim;
 using namespace leosim::core;
 
-int main(int argc, char** argv) {
+int Run(int argc, char** argv) {
   bench::BenchConfig config = bench::ParseFlags(argc, argv);
   bench::ApplyObsConfig(config);
   if (config.num_pairs > 200) {
@@ -47,6 +47,9 @@ int main(int argc, char** argv) {
   std::printf("\nboth modes re-route around failures thanks to the dense shell, "
               "but BP pays more added RTT per failed satellite — ISL path "
               "diversity absorbs the loss more cheaply.\n");
-  bench::WriteObsOutputs(config);
-  return 0;
+  return bench::WriteObsOutputs(config);
+}
+
+int main(int argc, char** argv) {
+  return leosim::core::RunMain(argc, argv, Run);
 }

@@ -60,7 +60,7 @@ std::vector<double> RunWorkload(const NetworkModel& model,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int Run(int argc, char** argv) {
   bench::BenchConfig config = bench::ParseFlags(argc, argv);
   bench::ApplyObsConfig(config);
   if (config.num_pairs > 300) {
@@ -100,6 +100,9 @@ int main(int argc, char** argv) {
               bp_fct.size(), hy_fct.size(), bp_starved, hy_starved);
   std::printf("hybrid's extra capacity turns directly into faster transfers, "
               "hardest at the tail where BP's contended bounces queue up.\n");
-  bench::WriteObsOutputs(config);
-  return 0;
+  return bench::WriteObsOutputs(config);
+}
+
+int main(int argc, char** argv) {
+  return leosim::core::RunMain(argc, argv, Run);
 }

@@ -13,7 +13,7 @@
 using namespace leosim;
 using namespace leosim::core;
 
-int main(int argc, char** argv) {
+int Run(int argc, char** argv) {
   bench::BenchConfig config = bench::ParseFlags(argc, argv);
   bench::ApplyObsConfig(config);
   if (config.num_pairs > 400) {
@@ -50,6 +50,9 @@ int main(int argc, char** argv) {
   std::printf("\ndemand concentration hits the access links around mega-metros; "
               "the ISL advantage persists (and typically widens) under the "
               "realistic matrix.\n");
-  bench::WriteObsOutputs(config);
-  return 0;
+  return bench::WriteObsOutputs(config);
+}
+
+int main(int argc, char** argv) {
+  return leosim::core::RunMain(argc, argv, Run);
 }

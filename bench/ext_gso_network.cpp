@@ -12,7 +12,7 @@
 using namespace leosim;
 using namespace leosim::core;
 
-int main(int argc, char** argv) {
+int Run(int argc, char** argv) {
   bench::BenchConfig config = bench::ParseFlags(argc, argv);
   bench::ApplyObsConfig(config);
   if (config.num_pairs > 300) {
@@ -52,6 +52,9 @@ int main(int argc, char** argv) {
   std::printf("\npaper §7: BP cross-hemisphere paths depend on equatorial GTs "
               "whose sky the exclusion shreds; hybrid paths only lose "
               "source/destination links near the Equator.\n");
-  bench::WriteObsOutputs(config);
-  return 0;
+  return bench::WriteObsOutputs(config);
+}
+
+int main(int argc, char** argv) {
+  return leosim::core::RunMain(argc, argv, Run);
 }

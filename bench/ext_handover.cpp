@@ -12,7 +12,7 @@
 using namespace leosim;
 using namespace leosim::core;
 
-int main(int argc, char** argv) {
+int Run(int argc, char** argv) {
   const bench::BenchConfig config = bench::ParseFlags(argc, argv);
   bench::ApplyObsConfig(config);
   std::printf("# Extension: GT-satellite pass durations and handover rates\n");
@@ -41,6 +41,9 @@ int main(int argc, char** argv) {
   std::printf("\npaper §2: passes last a few minutes, so every GT re-homes "
               "constantly — with BP, every re-homing can reshape the end-end "
               "path (the churn of Fig. 2b).\n");
-  bench::WriteObsOutputs(config);
-  return 0;
+  return bench::WriteObsOutputs(config);
+}
+
+int main(int argc, char** argv) {
+  return leosim::core::RunMain(argc, argv, Run);
 }

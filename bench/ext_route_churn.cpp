@@ -12,7 +12,7 @@
 using namespace leosim;
 using namespace leosim::core;
 
-int main(int argc, char** argv) {
+int Run(int argc, char** argv) {
   bench::BenchConfig config = bench::ParseFlags(argc, argv);
   bench::ApplyObsConfig(config);
   if (config.num_pairs > 150) {
@@ -56,6 +56,9 @@ int main(int argc, char** argv) {
               "modes (satellites move ~4 orbital arcs between samples), but "
               "BP re-routes through different GROUND infrastructure — hence "
               "the much larger RTT jitter.\n");
-  bench::WriteObsOutputs(config);
-  return 0;
+  return bench::WriteObsOutputs(config);
+}
+
+int main(int argc, char** argv) {
+  return leosim::core::RunMain(argc, argv, Run);
 }

@@ -13,7 +13,7 @@
 using namespace leosim;
 using namespace leosim::core;
 
-int main(int argc, char** argv) {
+int Run(int argc, char** argv) {
   bench::BenchConfig config = bench::ParseFlags(argc, argv);
   bench::ApplyObsConfig(config);
   if (config.num_pairs > 300) {
@@ -71,6 +71,9 @@ int main(int argc, char** argv) {
               spread(bp_series), spread(hy_series));
   std::printf("the hybrid advantage holds at every snapshot; BP capacity "
               "tracks the wandering relay/aircraft geometry.\n");
-  bench::WriteObsOutputs(config);
-  return 0;
+  return bench::WriteObsOutputs(config);
+}
+
+int main(int argc, char** argv) {
+  return leosim::core::RunMain(argc, argv, Run);
 }

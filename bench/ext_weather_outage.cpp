@@ -13,7 +13,7 @@
 using namespace leosim;
 using namespace leosim::core;
 
-int main(int argc, char** argv) {
+int Run(int argc, char** argv) {
   bench::BenchConfig config = bench::ParseFlags(argc, argv);
   bench::ApplyObsConfig(config);
   if (config.num_pairs > 250) {
@@ -51,6 +51,9 @@ int main(int argc, char** argv) {
   std::printf("\nthe hybrid network holds its pairs to much slimmer margins — "
               "the MODCOD headroom §6 says operators must budget shrinks when "
               "paths stay in space.\n");
-  bench::WriteObsOutputs(config);
-  return 0;
+  return bench::WriteObsOutputs(config);
+}
+
+int main(int argc, char** argv) {
+  return leosim::core::RunMain(argc, argv, Run);
 }

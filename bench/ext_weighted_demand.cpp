@@ -17,7 +17,7 @@
 using namespace leosim;
 using namespace leosim::core;
 
-int main(int argc, char** argv) {
+int Run(int argc, char** argv) {
   bench::BenchConfig config = bench::ParseFlags(argc, argv);
   bench::ApplyObsConfig(config);
   if (config.num_pairs > 400) {
@@ -91,6 +91,9 @@ int main(int argc, char** argv) {
   }
   std::printf("weighted fairness shifts capacity toward high-demand metro "
               "pairs at roughly constant aggregate.\n");
-  bench::WriteObsOutputs(config);
-  return 0;
+  return bench::WriteObsOutputs(config);
+}
+
+int main(int argc, char** argv) {
+  return leosim::core::RunMain(argc, argv, Run);
 }

@@ -11,7 +11,7 @@
 using namespace leosim;
 using namespace leosim::core;
 
-int main(int argc, char** argv) {
+int Run(int argc, char** argv) {
   const bench::BenchConfig config = bench::ParseFlags(argc, argv);
   bench::ApplyObsConfig(config);
   bench::PrintConfig(config, "Fig. 10: Brisbane<->Tokyo cross-shell BP transition");
@@ -41,6 +41,9 @@ int main(int argc, char** argv) {
               result.mean_improvement_ms);
   std::printf("paper: cross-shell BP transitions achieve lower latency where the "
               "53-deg shell detours\n");
-  bench::WriteObsOutputs(config);
-  return 0;
+  return bench::WriteObsOutputs(config);
+}
+
+int main(int argc, char** argv) {
+  return leosim::core::RunMain(argc, argv, Run);
 }

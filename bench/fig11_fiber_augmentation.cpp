@@ -11,7 +11,7 @@
 using namespace leosim;
 using namespace leosim::core;
 
-int main(int argc, char** argv) {
+int Run(int argc, char** argv) {
   const bench::BenchConfig config = bench::ParseFlags(argc, argv);
   bench::ApplyObsConfig(config);
   bench::PrintConfig(config, "Fig. 11: Paris fiber-augmented satellite connectivity");
@@ -45,6 +45,9 @@ int main(int argc, char** argv) {
   std::printf("\npaper: each nearby city contributes its own cone of satellite "
               "visibility, multiplying the contended ground-satellite spectrum "
               "available to the metro\n");
-  bench::WriteObsOutputs(config);
-  return 0;
+  return bench::WriteObsOutputs(config);
+}
+
+int main(int argc, char** argv) {
+  return leosim::core::RunMain(argc, argv, Run);
 }

@@ -6,6 +6,7 @@
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <string_view>
 
 #include "bench_common.hpp"
 #include "core/export.hpp"
@@ -15,18 +16,19 @@
 using namespace leosim;
 using namespace leosim::core;
 
-int main(int argc, char** argv) {
-  const bench::BenchConfig config = bench::ParseFlags(argc, argv);
-  bench::ApplyObsConfig(config);
-  bench::PrintConfig(config, "Fig. 2: min RTT and RTT variation CDFs (Starlink)");
+int Run(int argc, char** argv) {
   // Optional plot export: --csv=PREFIX writes PREFIX_{min,range}_{bp,hybrid}.csv
   std::string csv_prefix;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--csv=", 0) == 0) {
-      csv_prefix = arg.substr(6);
-    }
-  }
+  const bench::BenchConfig config = bench::ParseFlags(
+      argc, argv, "--csv=PREFIX", [&csv_prefix](std::string_view arg) {
+        const auto v = FlagValue(arg, "--csv");
+        if (v) {
+          csv_prefix = *v;
+        }
+        return v.has_value();
+      });
+  bench::ApplyObsConfig(config);
+  bench::PrintConfig(config, "Fig. 2: min RTT and RTT variation CDFs (Starlink)");
 
   const std::vector<data::City> cities = bench::MakeCities(config);
   const Scenario scenario = Scenario::Starlink();
@@ -88,6 +90,9 @@ int main(int argc, char** argv) {
   std::printf("max hybrid range: %.1f ms (paper: <20 ms); max BP range: %.1f ms "
               "(paper: up to 100 ms)\n",
               Percentile(hy_range, 100.0), Percentile(bp_range, 100.0));
-  bench::WriteObsOutputs(config);
-  return 0;
+  return bench::WriteObsOutputs(config);
+}
+
+int main(int argc, char** argv) {
+  return leosim::core::RunMain(argc, argv, Run);
 }

@@ -11,7 +11,7 @@
 using namespace leosim;
 using namespace leosim::core;
 
-int main(int argc, char** argv) {
+int Run(int argc, char** argv) {
   const bench::BenchConfig config = bench::ParseFlags(argc, argv);
   bench::ApplyObsConfig(config);
   bench::PrintConfig(config, "Fig. 3: Maceio<->Durban BP path churn (Starlink)");
@@ -62,6 +62,9 @@ int main(int argc, char** argv) {
     std::printf("\nBP path never reachable at this scale; rerun with "
                 "--aircraft=2 or --spacing=1.5\n");
   }
-  bench::WriteObsOutputs(config);
-  return 0;
+  return bench::WriteObsOutputs(config);
+}
+
+int main(int argc, char** argv) {
+  return leosim::core::RunMain(argc, argv, Run);
 }

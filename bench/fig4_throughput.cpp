@@ -12,7 +12,7 @@
 using namespace leosim;
 using namespace leosim::core;
 
-int main(int argc, char** argv) {
+int Run(int argc, char** argv) {
   const bench::BenchConfig config = bench::ParseFlags(argc, argv);
   bench::ApplyObsConfig(config);
   bench::PrintConfig(config, "Fig. 4: aggregate throughput (Starlink & Kuiper)");
@@ -70,6 +70,9 @@ int main(int argc, char** argv) {
   std::printf("disconnected satellite fraction: %.1f%% - %.1f%% "
               "(paper: 25.1%% - 31.5%% with a 0.5-deg grid)\n",
               stats.min_fraction * 100.0, stats.max_fraction * 100.0);
-  bench::WriteObsOutputs(config);
-  return 0;
+  return bench::WriteObsOutputs(config);
+}
+
+int main(int argc, char** argv) {
+  return leosim::core::RunMain(argc, argv, Run);
 }

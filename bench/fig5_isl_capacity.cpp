@@ -12,7 +12,7 @@
 using namespace leosim;
 using namespace leosim::core;
 
-int main(int argc, char** argv) {
+int Run(int argc, char** argv) {
   const bench::BenchConfig config = bench::ParseFlags(argc, argv);
   bench::ApplyObsConfig(config);
   bench::PrintConfig(config, "Fig. 5: Starlink throughput vs ISL capacity (k=4)");
@@ -42,6 +42,9 @@ int main(int argc, char** argv) {
   std::printf("\nBP baseline (k=4): %.1f Gbps\n", bp_gbps);
   std::printf("paper: 0.5x ISL capacity already gives 2.2x BP; gains flatten "
               "beyond ~3x (routing artefact)\n");
-  bench::WriteObsOutputs(config);
-  return 0;
+  return bench::WriteObsOutputs(config);
+}
+
+int main(int argc, char** argv) {
+  return leosim::core::RunMain(argc, argv, Run);
 }

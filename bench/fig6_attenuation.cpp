@@ -14,7 +14,7 @@
 using namespace leosim;
 using namespace leosim::core;
 
-int main(int argc, char** argv) {
+int Run(int argc, char** argv) {
   const bench::BenchConfig config = bench::ParseFlags(argc, argv);
   bench::ApplyObsConfig(config);
   bench::PrintConfig(config, "Fig. 6: 99.5th-pct attenuation across pairs (Starlink)");
@@ -51,6 +51,9 @@ int main(int argc, char** argv) {
               itur::ReceivedPowerFraction(Median(result.isl_db)) * 100.0);
   std::printf("unreachable pairs: BP %d, ISL %d (of %zu)\n", result.bp_unreachable,
               result.isl_unreachable, pairs.size());
-  bench::WriteObsOutputs(config);
-  return 0;
+  return bench::WriteObsOutputs(config);
+}
+
+int main(int argc, char** argv) {
+  return leosim::core::RunMain(argc, argv, Run);
 }

@@ -15,7 +15,7 @@
 using namespace leosim;
 using namespace leosim::core;
 
-int main(int argc, char** argv) {
+int Run(int argc, char** argv) {
   const bench::BenchConfig config = bench::ParseFlags(argc, argv);
   bench::ApplyObsConfig(config);
   bench::PrintConfig(config, "Fig. 7-8: Delhi<->Sydney path attenuation (Starlink)");
@@ -102,6 +102,9 @@ int main(int argc, char** argv) {
     std::printf("ISL received-power advantage: %.0f%% (paper: 39%%: 56%% BP vs 78%% ISL)\n",
                 (isl_power / bp_power - 1.0) * 100.0);
   }
-  bench::WriteObsOutputs(config);
-  return 0;
+  return bench::WriteObsOutputs(config);
+}
+
+int main(int argc, char** argv) {
+  return leosim::core::RunMain(argc, argv, Run);
 }

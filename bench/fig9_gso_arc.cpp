@@ -11,7 +11,7 @@
 using namespace leosim;
 using namespace leosim::core;
 
-int main(int argc, char** argv) {
+int Run(int argc, char** argv) {
   const bench::BenchConfig config = bench::ParseFlags(argc, argv);
   bench::ApplyObsConfig(config);
   std::printf("# Fig. 9: GSO arc-avoidance field-of-view reduction\n");
@@ -45,6 +45,9 @@ int main(int argc, char** argv) {
     sweep.AddRow({FormatDouble(sep, 0), FormatDouble(r[0].excluded_sky_fraction, 3)});
   }
   sweep.Print(std::cout);
-  bench::WriteObsOutputs(config);
-  return 0;
+  return bench::WriteObsOutputs(config);
+}
+
+int main(int argc, char** argv) {
+  return leosim::core::RunMain(argc, argv, Run);
 }

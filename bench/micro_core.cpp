@@ -8,8 +8,8 @@
 //
 // Writes BENCH_micro.json into the working directory.
 #include <cstdio>
-#include <cstring>
 #include <string>
+#include <string_view>
 
 #include "bench_common.hpp"
 #include "core/network_builder.hpp"
@@ -45,26 +45,18 @@ core::NetworkModel& SharedHybridModel() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int Run(int argc, char** argv) {
   int reps = 5;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--reps=", 7) == 0) {
-      reps = std::atoi(argv[i] + 7);
-    } else if (std::strcmp(argv[i], "--help") == 0 ||
-               std::strcmp(argv[i], "-h") == 0) {
-      std::printf(
-          "flags: --reps=N   (repetitions per benchmark; default 5)\n"
-          "       --log-level=L --metrics-out=F --trace-out=F "
-          "--timeseries-out=F --progress[=SEC]\n");
-      return 0;
-    }
-  }
-  if (reps < 1) {
-    reps = 1;
-  }
-  // Reuse the shared parser for the observability flags only; --reps is
-  // handled above and ignored by ParseFlags.
-  const bench::BenchConfig obs_config = bench::ParseFlags(argc, argv);
+  // Only the observability flags matter here; the sizing flags parse but
+  // go unused.
+  const bench::BenchConfig obs_config = bench::ParseFlags(
+      argc, argv, "--reps=N", [&reps](std::string_view arg) {
+        const auto v = core::FlagValue(arg, "--reps");
+        if (v) {
+          reps = core::ParseInt("--reps", *v, 1, bench::kMaxCount);
+        }
+        return v.has_value();
+      });
   bench::ApplyObsConfig(obs_config);
 
   bench::BenchSuite suite("micro_core");
@@ -244,7 +236,11 @@ int main(int argc, char** argv) {
   }
 
   std::printf("# checksum: %.3f\n", g_sink);
-  suite.WriteJson("BENCH_micro.json");
-  bench::WriteObsOutputs(obs_config);
-  return 0;
+  const bool wrote = suite.WriteJson("BENCH_micro.json");
+  const int rc = bench::WriteObsOutputs(obs_config);
+  return wrote ? rc : 1;
+}
+
+int main(int argc, char** argv) {
+  return leosim::core::RunMain(argc, argv, Run);
 }

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <iostream>
 
+#include "core/cli_flags.hpp"
 #include "core/latency_study.hpp"
 #include "core/report.hpp"
 #include "data/cities.hpp"
@@ -13,10 +14,11 @@
 using namespace leosim;
 using namespace leosim::core;
 
-int main(int argc, char** argv) {
+int Run(int argc, char** argv) {
   const std::string city_a = argc > 1 ? argv[1] : "Maceio";
   const std::string city_b = argc > 2 ? argv[2] : "Durban";
-  const double hours = argc > 3 ? std::atof(argv[3]) : 2.0;
+  const double hours =
+      argc > 3 ? core::ParseDouble("hours", argv[3], 0.01, 8760.0) : 2.0;
 
   if (!data::HasCity(city_a) || !data::HasCity(city_b)) {
     std::printf("unknown city; names match data::AnchorCities() entries\n");
@@ -58,4 +60,8 @@ int main(int argc, char** argv) {
   std::printf("\nBP paths bounce through ground relays and aircraft; hybrid "
               "paths ride laser ISLs and stay short and stable.\n");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return leosim::core::RunMain(argc, argv, Run);
 }

@@ -5,8 +5,10 @@
 //   ./constellation_atlas [starlink|kuiper]
 #include <cstdio>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 
+#include "core/cli_flags.hpp"
 #include "core/report.hpp"
 #include "core/scenario.hpp"
 #include "geo/geodesic.hpp"
@@ -17,8 +19,11 @@
 using namespace leosim;
 using namespace leosim::core;
 
-int main(int argc, char** argv) {
+int Run(int argc, char** argv) {
   const std::string which = argc > 1 ? argv[1] : "starlink";
+  if (which != "starlink" && which != "kuiper") {
+    throw std::invalid_argument("expected starlink|kuiper, got '" + which + "'");
+  }
   const Scenario scenario =
       which == "kuiper" ? Scenario::Kuiper() : Scenario::Starlink();
   const orbit::OrbitalShell& shell = scenario.shell;
@@ -69,4 +74,8 @@ int main(int argc, char** argv) {
               "zero beyond it — the reason mid-latitude cities are served "
               "best.\n");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return leosim::core::RunMain(argc, argv, Run);
 }

@@ -7,22 +7,21 @@
 //   leosim_cli pairs <count>                       sample a traffic matrix
 //   leosim_cli cities [substring]                  list known cities
 //   leosim_cli study latency [flags]               small latency study run
+//   leosim_cli trace [flags]                       netstate/netevents export
 //
-// Global observability flags (any command, any position):
-//   --log-level=L       structured logging to stderr (error|warn|info|debug)
-//   --metrics-out=F     write the metrics registry as JSON on exit
-//   --trace-out=F       record spans, write Chrome trace JSON on exit
-//   --timeseries-out=F  record per-snapshot timeseries, write JSON on exit
-//   --progress[=SEC]    heartbeat progress lines (default every 2 s)
+// Global flags (any command, any position): the shared observability
+// flags of core::ObsFlags plus --trace-net-out=DIR and
+// --flight-recorder[=F]. Bad input exits 2 with one stderr line; a
+// failed output write exits 1.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <exception>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/attenuation_study.hpp"
 #include "core/churn_study.hpp"
+#include "core/cli_flags.hpp"
 #include "core/latency_study.hpp"
 #include "core/net_trace.hpp"
 #include "core/network_builder.hpp"
@@ -34,12 +33,6 @@
 #include "itur/slant_path.hpp"
 #include "link/visibility.hpp"
 #include "obs/flight.hpp"
-#include "obs/log.hpp"
-#include "obs/metrics.hpp"
-#include "obs/profile.hpp"
-#include "obs/progress.hpp"
-#include "obs/timeseries.hpp"
-#include "obs/trace.hpp"
 
 using namespace leosim;
 
@@ -60,13 +53,50 @@ int Usage() {
       "        [--spacing=DEG] [--out=DIR]\n"
       "                                 export + validate a netstate/netevents\n"
       "                                 trace (route-churn sweep)\n"
-      "global flags: --log-level=L --metrics-out=F --trace-out=F\n"
-      "              --timeseries-out=F --profile-out=F --hw-counters=F\n"
-      "              --flight-recorder[=F] --progress[=SEC]\n"
+      "global flags: %s\n"
+      "              --flight-recorder[=F]\n"
       "              --trace-net-out=DIR (netstate/netevents export from any\n"
-      "              study command)\n");
+      "              study command)\n",
+      core::ObsFlags::kUsage);
   return 2;
 }
+
+// --pairs/--snapshots/--step/--spacing, shared by `study latency` and
+// `trace`; the defaults are each command's own.
+struct SweepFlags {
+  int num_pairs;
+  int num_snapshots;
+  double step_sec;
+  double spacing_deg = 3.0;
+
+  bool Take(std::string_view arg) {
+    if (const auto v = core::FlagValue(arg, "--pairs")) {
+      num_pairs = core::ParseInt("--pairs", *v, 1, 1000000);
+    } else if (const auto v = core::FlagValue(arg, "--snapshots")) {
+      num_snapshots = core::ParseInt("--snapshots", *v, 1, 1000000);
+    } else if (const auto v = core::FlagValue(arg, "--step")) {
+      step_sec = core::ParseDouble("--step", *v, 0.001, 1e7);
+    } else if (const auto v = core::FlagValue(arg, "--spacing")) {
+      spacing_deg = core::ParseDouble("--spacing", *v, 0.1, 90.0);
+    } else {
+      return false;
+    }
+    return true;
+  }
+
+  std::vector<core::CityPair> Pairs(const std::vector<data::City>& cities) const {
+    core::TrafficMatrixOptions traffic;
+    traffic.num_pairs = num_pairs;
+    return core::SampleCityPairs(cities, traffic);
+  }
+
+  core::SnapshotSchedule Schedule() const {
+    core::SnapshotSchedule schedule;
+    schedule.step_sec = step_sec;
+    schedule.duration_sec = step_sec * num_snapshots;
+    return schedule;
+  }
+};
 
 int FindCityIndex(const std::vector<data::City>& cities, const std::string& name) {
   for (int i = 0; i < static_cast<int>(cities.size()); ++i) {
@@ -178,57 +208,38 @@ int CmdPairs(int count) {
 // min-RTT over a short schedule. Small defaults keep it interactive;
 // with --metrics-out/--trace-out it doubles as the observability demo.
 int CmdStudyLatency(const std::vector<std::string>& args) {
-  int num_pairs = 10;
-  int num_snapshots = 2;
-  double step_sec = 60.0;
-  double spacing_deg = 3.0;
+  SweepFlags sweep{10, 2, 60.0};
   std::string manifest_out;
   for (const std::string& arg : args) {
-    const auto value_of = [&arg](const char* prefix) -> const char* {
-      const size_t len = std::strlen(prefix);
-      return arg.compare(0, len, prefix) == 0 ? arg.c_str() + len : nullptr;
-    };
-    if (const char* v = value_of("--pairs=")) {
-      num_pairs = std::atoi(v);
-    } else if (const char* v = value_of("--snapshots=")) {
-      num_snapshots = std::atoi(v);
-    } else if (const char* v = value_of("--step=")) {
-      step_sec = std::atof(v);
-    } else if (const char* v = value_of("--spacing=")) {
-      spacing_deg = std::atof(v);
-    } else if (const char* v = value_of("--manifest-out=")) {
-      manifest_out = v;
+    if (sweep.Take(arg)) {
+      continue;
+    }
+    if (const auto v = core::FlagValue(arg, "--manifest-out")) {
+      manifest_out = *v;
     } else {
-      std::printf("study latency: unknown flag %s\n", arg.c_str());
-      return 2;
+      throw std::invalid_argument("study latency: unknown flag " + arg);
     }
   }
 
   core::RunReport report("latency_study");
-  report.AddParam("pairs", num_pairs);
-  report.AddParam("snapshots", num_snapshots);
-  report.AddParam("step_sec", step_sec);
-  report.AddParam("relay_spacing_deg", spacing_deg);
+  report.AddParam("pairs", sweep.num_pairs);
+  report.AddParam("snapshots", sweep.num_snapshots);
+  report.AddParam("step_sec", sweep.step_sec);
+  report.AddParam("relay_spacing_deg", sweep.spacing_deg);
 
   const core::StudyTimer timer;
   const core::Scenario scenario = core::Scenario::Starlink();
   const std::vector<data::City>& cities = data::AnchorCities();
   core::NetworkOptions options;
-  options.relay_spacing_deg = spacing_deg;
+  options.relay_spacing_deg = sweep.spacing_deg;
   options.mode = core::ConnectivityMode::kBentPipe;
   const core::NetworkModel bent_pipe(scenario, options, cities);
   options.mode = core::ConnectivityMode::kHybrid;
   const core::NetworkModel hybrid(scenario, options, cities);
 
-  core::TrafficMatrixOptions traffic;
-  traffic.num_pairs = num_pairs;
-  const std::vector<core::CityPair> pairs = core::SampleCityPairs(cities, traffic);
-
-  core::SnapshotSchedule schedule;
-  schedule.step_sec = step_sec;
-  schedule.duration_sec = step_sec * num_snapshots;
+  const std::vector<core::CityPair> pairs = sweep.Pairs(cities);
   const core::LatencyStudyResult result =
-      core::RunLatencyStudy(bent_pipe, hybrid, pairs, schedule);
+      core::RunLatencyStudy(bent_pipe, hybrid, pairs, sweep.Schedule());
 
   core::StudySummary summary;
   summary.study = "latency";
@@ -277,53 +288,31 @@ int CmdStudyLatency(const std::vector<std::string>& args) {
 // ready for tools/trace_check.py or a downstream emulator.
 int CmdTrace(const std::vector<std::string>& args) {
   bool bent_pipe = false;
-  int num_pairs = 5;
-  int num_snapshots = 10;
-  double step_sec = 10.0;
-  double spacing_deg = 3.0;
+  SweepFlags sweep{5, 10, 10.0};
   std::string out_dir = "nettrace";
   for (const std::string& arg : args) {
-    const auto value_of = [&arg](const char* prefix) -> const char* {
-      const size_t len = std::strlen(prefix);
-      return arg.compare(0, len, prefix) == 0 ? arg.c_str() + len : nullptr;
-    };
+    if (sweep.Take(arg)) {
+      continue;
+    }
     if (arg == "--bp") {
       bent_pipe = true;
-    } else if (const char* v = value_of("--pairs=")) {
-      num_pairs = std::atoi(v);
-    } else if (const char* v = value_of("--snapshots=")) {
-      num_snapshots = std::atoi(v);
-    } else if (const char* v = value_of("--step=")) {
-      step_sec = std::atof(v);
-    } else if (const char* v = value_of("--spacing=")) {
-      spacing_deg = std::atof(v);
-    } else if (const char* v = value_of("--out=")) {
-      out_dir = v;
+    } else if (const auto v = core::FlagValue(arg, "--out")) {
+      out_dir = *v;
     } else {
-      std::printf("trace: unknown flag %s\n", arg.c_str());
-      return 2;
+      throw std::invalid_argument("trace: unknown flag " + arg);
     }
   }
 
-  const core::Scenario scenario = core::Scenario::Starlink();
   const std::vector<data::City>& cities = data::AnchorCities();
   core::NetworkOptions options;
-  options.relay_spacing_deg = spacing_deg;
+  options.relay_spacing_deg = sweep.spacing_deg;
   options.mode = bent_pipe ? core::ConnectivityMode::kBentPipe
                            : core::ConnectivityMode::kHybrid;
-  const core::NetworkModel model(scenario, options, cities);
-
-  core::TrafficMatrixOptions traffic;
-  traffic.num_pairs = num_pairs;
-  const std::vector<core::CityPair> pairs = core::SampleCityPairs(cities, traffic);
-
-  core::SnapshotSchedule schedule;
-  schedule.step_sec = step_sec;
-  schedule.duration_sec = step_sec * num_snapshots;
+  const core::NetworkModel model(core::Scenario::Starlink(), options, cities);
 
   core::NetTraceRecorder& recorder = core::NetTraceRecorder::Global();
   recorder.Enable(true);
-  core::RunAggregateChurnStudy(model, pairs, schedule);
+  core::RunAggregateChurnStudy(model, sweep.Pairs(cities), sweep.Schedule());
 
   std::string why;
   if (!recorder.ValidateReplay(&why)) {
@@ -355,121 +344,75 @@ int CmdCities(const std::string& filter) {
   return 0;
 }
 
-}  // namespace
+// Dispatches one command; an argument a command does not take is an
+// error, not silently ignored.
+int Dispatch(const std::vector<std::string>& args) {
+  const std::string command = args.empty() ? "" : args[0];
+  const size_t n = args.size();
+  const auto arity = [&](size_t lo, size_t hi) {
+    if (n > hi) {
+      throw std::invalid_argument(command + ": unexpected argument " + args[hi]);
+    }
+    return n >= lo;
+  };
+  if (command == "route" && arity(3, 4)) {
+    if (n == 4 && args[3] != "--bp") {
+      throw std::invalid_argument("route: unknown flag " + args[3]);
+    }
+    return CmdRoute(args[1], args[2], n == 4);
+  }
+  if (command == "visible" && arity(2, 2)) {
+    return CmdVisible(args[1]);
+  }
+  if (command == "attenuation" && arity(2, 3)) {
+    return CmdAttenuation(
+        args[1], n == 3 ? core::ParseDouble("freq_ghz", args[2], 1.0, 100.0)
+                        : 14.25);
+  }
+  if (command == "pairs" && arity(2, 2)) {
+    return CmdPairs(core::ParseInt("count", args[1], 0, 1000000));
+  }
+  if (command == "cities" && arity(1, 2)) {
+    return CmdCities(n == 2 ? args[1] : "");
+  }
+  if (command == "study" && n >= 2 && args[1] == "latency") {
+    return CmdStudyLatency({args.begin() + 2, args.end()});
+  }
+  if (command == "trace") {
+    return CmdTrace({args.begin() + 1, args.end()});
+  }
+  return Usage();
+}
 
-int main(int argc, char** argv) {
-  // Peel off the global observability flags; everything else dispatches
-  // positionally as before.
-  std::string metrics_out;
-  std::string trace_out;
-  std::string timeseries_out;
-  std::string profile_out;
-  std::string hw_counters_out;
+int Run(int argc, char** argv) {
+  // Peel off the global flags (any position); everything else
+  // dispatches positionally.
+  core::ObsFlags obs_flags;
   std::string trace_net_out;
   std::vector<std::string> args;
   for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto value_of = [&arg](const char* prefix) -> const char* {
-      const size_t len = std::strlen(prefix);
-      return arg.compare(0, len, prefix) == 0 ? arg.c_str() + len : nullptr;
-    };
-    if (const char* v = value_of("--log-level=")) {
-      obs::SetLogLevel(obs::ParseLogLevel(v));
-    } else if (const char* v = value_of("--metrics-out=")) {
-      metrics_out = v;
-    } else if (const char* v = value_of("--trace-out=")) {
-      trace_out = v;
-      obs::EnableTracing(true);
-    } else if (const char* v = value_of("--timeseries-out=")) {
-      timeseries_out = v;
-      obs::TimeseriesRecorder::Global().Enable(true);
-    } else if (const char* v = value_of("--profile-out=")) {
-      profile_out = v;
-      obs::StartProfiling();
-    } else if (const char* v = value_of("--hw-counters=")) {
-      hw_counters_out = v;
-      obs::EnableHwCounters(true);
-    } else if (const char* v = value_of("--trace-net-out=")) {
-      trace_net_out = v;
+    const std::string_view arg = argv[i];
+    if (obs_flags.Take(arg)) {
+      continue;
+    }
+    if (const auto v = core::FlagValue(arg, "--trace-net-out")) {
+      trace_net_out = *v;
       core::NetTraceRecorder::Global().Enable(true);
-    } else if (const char* v = value_of("--flight-recorder=")) {
+    } else if (const auto v = core::FlagValue(arg, "--flight-recorder")) {
       obs::FlightRecorderOptions flight;
-      flight.dump_path = v;
+      flight.dump_path = *v;
       obs::EnableFlightRecorder(flight);
     } else if (arg == "--flight-recorder") {
       obs::EnableFlightRecorder();
-    } else if (const char* v = value_of("--progress=")) {
-      obs::SetProgressInterval(std::atof(v));
-    } else if (arg == "--progress") {
-      obs::SetProgressInterval(obs::kDefaultProgressIntervalSec);
     } else {
-      args.push_back(arg);
+      args.emplace_back(arg);
     }
   }
+  obs_flags.Apply();
 
-  int rc = 2;
-  const std::string command = args.empty() ? "" : args[0];
-  // Library input checks (e.g. SnapshotSchedule rejecting a step that
-  // never ends the schedule) throw; report them as one line, rc 2.
-  try {
-    if (command.empty()) {
-      rc = Usage();
-    } else if (command == "route" && args.size() >= 3) {
-      const bool bp = args.size() >= 4 && args[3] == "--bp";
-      rc = CmdRoute(args[1], args[2], bp);
-    } else if (command == "visible" && args.size() >= 2) {
-      rc = CmdVisible(args[1]);
-    } else if (command == "attenuation" && args.size() >= 2) {
-      rc = CmdAttenuation(args[1], args.size() >= 3 ? std::atof(args[2].c_str()) : 14.25);
-    } else if (command == "pairs" && args.size() >= 2) {
-      rc = CmdPairs(std::atoi(args[1].c_str()));
-    } else if (command == "cities") {
-      rc = CmdCities(args.size() >= 2 ? args[1] : "");
-    } else if (command == "study" && args.size() >= 2 && args[1] == "latency") {
-      rc = CmdStudyLatency({args.begin() + 2, args.end()});
-    } else if (command == "trace") {
-      rc = CmdTrace({args.begin() + 1, args.end()});
-    } else {
-      rc = Usage();
-    }
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "leosim_cli %s: %s\n", command.c_str(), e.what());
-    rc = 2;
-  }
-
-  if (!metrics_out.empty()) {
-    if (obs::MetricsRegistry::Global().WriteJson(metrics_out)) {
-      std::printf("wrote %s\n", metrics_out.c_str());
-    } else {
-      std::fprintf(stderr, "cannot write %s\n", metrics_out.c_str());
-      rc = rc == 0 ? 1 : rc;
-    }
-  }
-  if (!trace_out.empty()) {
-    if (obs::WriteTraceJson(trace_out)) {
-      std::printf("wrote %s\n", trace_out.c_str());
-    } else {
-      std::fprintf(stderr, "cannot write %s\n", trace_out.c_str());
-      rc = rc == 0 ? 1 : rc;
-    }
-  }
-  if (!timeseries_out.empty()) {
-    if (obs::TimeseriesRecorder::Global().WriteJson(timeseries_out)) {
-      std::printf("wrote %s\n", timeseries_out.c_str());
-    } else {
-      std::fprintf(stderr, "cannot write %s\n", timeseries_out.c_str());
-      rc = rc == 0 ? 1 : rc;
-    }
-  }
-  if (!profile_out.empty()) {
-    obs::StopProfiling();
-    if (obs::WriteCollapsedStacks(profile_out)) {
-      std::printf("wrote %s\n", profile_out.c_str());
-    } else {
-      std::fprintf(stderr, "cannot write %s\n", profile_out.c_str());
-      rc = rc == 0 ? 1 : rc;
-    }
-  }
+  int rc = Dispatch(args);
+  const int write_rc = obs_flags.WriteOutputs("");
+  rc = rc == 0 ? write_rc : rc;
   if (!trace_net_out.empty()) {
     if (core::NetTraceRecorder::Global().WriteTo(trace_net_out)) {
       std::printf("wrote %s/netstate.jsonl and %s/netevents.jsonl\n",
@@ -480,13 +423,11 @@ int main(int argc, char** argv) {
       rc = rc == 0 ? 1 : rc;
     }
   }
-  if (!hw_counters_out.empty()) {
-    if (obs::WriteHwCountersJson(hw_counters_out)) {
-      std::printf("wrote %s\n", hw_counters_out.c_str());
-    } else {
-      std::fprintf(stderr, "cannot write %s\n", hw_counters_out.c_str());
-      rc = rc == 0 ? 1 : rc;
-    }
-  }
   return rc;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return leosim::core::RunMain(argc, argv, Run);
 }

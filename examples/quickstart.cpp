@@ -4,6 +4,7 @@
 //   ./quickstart [cityA] [cityB]      (defaults: London, New York)
 #include <cstdio>
 
+#include "core/cli_flags.hpp"
 #include "core/network_builder.hpp"
 #include "data/cities.hpp"
 #include "geo/coordinates.hpp"
@@ -11,7 +12,7 @@
 
 using namespace leosim;
 
-int main(int argc, char** argv) {
+int Run(int argc, char** argv) {
   const std::string city_a = argc > 1 ? argv[1] : "London";
   const std::string city_b = argc > 2 ? argv[2] : "New York";
 
@@ -68,4 +69,8 @@ int main(int argc, char** argv) {
                 g.latitude_deg, g.longitude_deg, g.altitude_km);
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return leosim::core::RunMain(argc, argv, Run);
 }

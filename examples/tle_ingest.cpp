@@ -10,6 +10,7 @@
 #include <sstream>
 #include <string>
 
+#include "core/cli_flags.hpp"
 #include "geo/geodesic.hpp"
 #include "orbit/ground_track.hpp"
 #include "orbit/tle.hpp"
@@ -41,7 +42,7 @@ std::string SyntheticCatalogue() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int Run(int argc, char** argv) {
   std::string text;
   if (argc > 1) {
     std::ifstream file(argv[1]);
@@ -88,4 +89,8 @@ int main(int argc, char** argv) {
     std::printf("sat 0 never rises over Zurich in the next 24 h\n");
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return leosim::core::RunMain(argc, argv, Run);
 }

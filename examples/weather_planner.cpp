@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <iostream>
 
+#include "core/cli_flags.hpp"
 #include "core/report.hpp"
 #include "data/cities.hpp"
 #include "itur/slant_path.hpp"
@@ -13,9 +14,10 @@
 using namespace leosim;
 using namespace leosim::core;
 
-int main(int argc, char** argv) {
+int Run(int argc, char** argv) {
   const std::string city = argc > 1 ? argv[1] : "Singapore";
-  const double freq = argc > 2 ? std::atof(argv[2]) : 14.25;
+  const double freq =
+      argc > 2 ? core::ParseDouble("freq_ghz", argv[2], 1.0, 100.0) : 14.25;
   if (!data::HasCity(city)) {
     std::printf("unknown city\n");
     return 1;
@@ -52,4 +54,8 @@ int main(int argc, char** argv) {
   std::printf("\nhigher availability targets require surviving deeper fades — "
               "the MODCOD margin the paper's §6 discusses.\n");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return leosim::core::RunMain(argc, argv, Run);
 }

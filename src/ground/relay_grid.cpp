@@ -1,6 +1,7 @@
 #include "ground/relay_grid.hpp"
 
 #include <cmath>
+#include <stdexcept>
 #include <unordered_set>
 
 #include "data/landmask.hpp"
@@ -21,6 +22,9 @@ int64_t CellKey(int lat_idx, int lon_idx, int lon_cells) {
 std::vector<geo::GeodeticCoord> BuildRelayGrid(const std::vector<data::City>& cities,
                                                const RelayGridConfig& config) {
   const double spacing = config.spacing_deg;
+  if (!(spacing > 0.0) || !std::isfinite(spacing)) {
+    throw std::invalid_argument("relay grid spacing_deg must be finite and > 0");
+  }
   const int lat_cells = static_cast<int>(std::lround(180.0 / spacing));
   const int lon_cells = static_cast<int>(std::lround(360.0 / spacing));
   const double radius_deg = geo::RadToDeg(config.radius_km / geo::kEarthRadiusKm);

@@ -9,14 +9,11 @@
 #include <cstdlib>
 #include <cstring>
 #include <map>
-#include <memory>
 #include <thread>
 #include <vector>
 
 #include "core/mutex.hpp"
 #include "core/thread_annotations.hpp"
-#include "obs/schemas.hpp"
-#include "platform/perf_counters.hpp"
 
 namespace leosim::obs {
 
@@ -171,87 +168,6 @@ const std::string* InternName(std::string_view name) {
   return interned;
 }
 
-// --- Per-phase hardware counters ---------------------------------------
-
-struct HwPhaseTotals {
-  uint64_t spans = 0;
-  uint64_t cycles = 0;
-  uint64_t instructions = 0;
-  uint64_t cache_misses = 0;
-  uint64_t branch_misses = 0;
-};
-
-struct HwTable {
-  Mutex mutex;
-  std::map<std::string, HwPhaseTotals> phases LEOSIM_GUARDED_BY(mutex);
-  // Availability is recorded from the first group probe (one answer per
-  // process: either the syscall works here or it doesn't).
-  bool probed LEOSIM_GUARDED_BY(mutex) = false;
-  bool available LEOSIM_GUARDED_BY(mutex) = false;
-  std::string reason LEOSIM_GUARDED_BY(mutex);
-};
-
-HwTable& HwCountersTable() {
-  static HwTable* table = new HwTable();  // never destroyed
-  return *table;
-}
-
-void RecordHwProbe(const platform::HwCounterGroup& group) {
-  HwTable& table = HwCountersTable();
-  const MutexLock lock(table.mutex);
-  if (!table.probed) {
-    table.probed = true;
-    table.available = group.available();
-    table.reason = group.error();
-  }
-}
-
-// The counter group measures the constructing thread, so it lives in a
-// plain thread_local (destroyed at thread exit, closing the perf fds) —
-// NOT in the pooled ProfileStack, which outlives threads and migrates.
-struct HwThreadState {
-  std::unique_ptr<platform::HwCounterGroup> group;
-  platform::HwCounterSample begin;
-  const std::string* phase = nullptr;
-};
-
-HwThreadState& HwState() {
-  thread_local HwThreadState state;
-  return state;
-}
-
-void HwPhaseBegin(std::string_view name) {
-  HwThreadState& state = HwState();
-  if (state.phase != nullptr) {
-    return;  // already inside a phase (enable raced a nested span)
-  }
-  if (state.group == nullptr) {
-    state.group = std::make_unique<platform::HwCounterGroup>();
-    RecordHwProbe(*state.group);
-  }
-  state.phase = InternName(name);
-  state.begin = state.group->Read();
-}
-
-void HwPhaseEnd() {
-  HwThreadState& state = HwState();
-  if (state.phase == nullptr) {
-    return;  // counters were enabled mid-span: no begin sample to pair
-  }
-  const platform::HwCounterSample end = state.group->Read();
-  HwTable& table = HwCountersTable();
-  const MutexLock lock(table.mutex);
-  HwPhaseTotals& totals = table.phases[*state.phase];
-  ++totals.spans;
-  if (state.begin.valid && end.valid) {
-    totals.cycles += end.cycles - state.begin.cycles;
-    totals.instructions += end.instructions - state.begin.instructions;
-    totals.cache_misses += end.cache_misses - state.begin.cache_misses;
-    totals.branch_misses += end.branch_misses - state.begin.branch_misses;
-  }
-  state.phase = nullptr;
-}
-
 // --- The sampler --------------------------------------------------------
 
 struct Sampler {
@@ -366,10 +282,6 @@ void PushSpanFrame(std::string_view name) {
     }
     stack->depth.store(depth + 1, std::memory_order_release);
   }
-  if (depth == 0 &&
-      (g_span_hooks.load(std::memory_order_relaxed) & kHwHook) != 0) {
-    HwPhaseBegin(name);
-  }
 }
 
 void PopSpanFrame() {
@@ -377,9 +289,6 @@ void PopSpanFrame() {
   ProfileStack* stack = ThreadStack();
   if (stack != nullptr) {
     stack->depth.store(depth, std::memory_order_release);
-  }
-  if (depth == 0) {
-    HwPhaseEnd();
   }
 }
 
@@ -567,79 +476,6 @@ bool ValidateCollapsedStacks(std::string_view text, std::string* why) {
     prev_stack = stack;
   }
   return true;
-}
-
-void EnableHwCounters(bool enabled) {
-  detail::EnableSpanHook(detail::kHwHook, enabled);
-}
-
-bool HwCountersEnabled() {
-  return (detail::g_span_hooks.load(std::memory_order_relaxed) &
-          detail::kHwHook) != 0;
-}
-
-std::string HwCountersToJson() {
-  detail::HwTable& table = detail::HwCountersTable();
-  const MutexLock lock(table.mutex);
-  if (!table.probed) {
-    // Counters were never exercised by a span; probe here so the export
-    // still answers "would they work on this host".
-    const platform::HwCounterGroup probe;
-    table.probed = true;
-    table.available = probe.available();
-    table.reason = probe.error();
-  }
-  std::string out = "{\n  \"schema\": \"";
-  out.append(kHwCountersSchema);
-  out.append("\",\n");
-  out.append("  \"available\": ");
-  out.append(table.available ? "true" : "false");
-  out.append(",\n  \"reason\": \"");
-  for (const char c : table.reason) {  // strerror text: escape minimally
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-    }
-    const unsigned char u = static_cast<unsigned char>(c);
-    out.push_back((u < 0x20 || u > 0x7e) ? '?' : c);
-  }
-  out.append("\",\n  \"phases\": {");
-  bool first = true;
-  for (const auto& [phase, totals] : table.phases) {
-    out.append(first ? "\n" : ",\n");
-    first = false;
-    out.append("    \"");
-    out.append(phase);  // interned names are sanitized printable ASCII
-    char tmp[256];
-    std::snprintf(tmp, sizeof(tmp),
-                  "\": {\"spans\": %llu, \"cycles\": %llu, "
-                  "\"instructions\": %llu, \"cache_misses\": %llu, "
-                  "\"branch_misses\": %llu}",
-                  static_cast<unsigned long long>(totals.spans),
-                  static_cast<unsigned long long>(totals.cycles),
-                  static_cast<unsigned long long>(totals.instructions),
-                  static_cast<unsigned long long>(totals.cache_misses),
-                  static_cast<unsigned long long>(totals.branch_misses));
-    out.append(tmp);
-  }
-  out.append(first ? "}\n}\n" : "\n  }\n}\n");
-  return out;
-}
-
-bool WriteHwCountersJson(const std::string& path) {
-  const std::string json = HwCountersToJson();
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return false;
-  }
-  const size_t written = std::fwrite(json.data(), 1, json.size(), f);
-  std::fclose(f);
-  return written == json.size();
-}
-
-void ResetHwCounters() {
-  detail::HwTable& table = detail::HwCountersTable();
-  const MutexLock lock(table.mutex);
-  table.phases.clear();
 }
 
 void AppendLiveSpanStacks(std::string* out) {

@@ -1,5 +1,5 @@
 // In-process profiling for the span pipeline: a background sampling
-// profiler over the live Span stacks, and per-phase hardware counters.
+// profiler over the live Span stacks.
 //
 // Span-stack sampling
 //   Every armed hook makes Span construction push its name onto a
@@ -22,17 +22,6 @@
 // and are NOT deterministic across runs. The export is still stable for
 // a given set of counts (sorted by stack), and ValidateCollapsedStacks
 // is the strict in-tree format checker used by tests and CI.
-//
-// Hardware counters
-//   EnableHwCounters(true) arms a per-top-level-span accounting built on
-//   platform::HwCounterGroup (the narrow perf_event_open shim): when a
-//   thread's span stack goes empty -> non-empty the thread's counter
-//   group is read, and on the matching pop the delta (cycles,
-//   instructions, cache misses, branch misses) is charged to that
-//   top-level span's name. Where the syscall is unavailable (containers,
-//   CI, non-Linux) the accounting still tracks span counts and the JSON
-//   export says available=false plus why — callers never need to probe
-//   first.
 //
 // Thread lifecycle: stacks are pooled. A thread's stack returns to a
 // free pool at thread exit and is handed to the next new thread, so
@@ -60,11 +49,10 @@ inline constexpr int64_t kDefaultProfileIntervalUs = 1000;  // 1 kHz
 
 namespace detail {
 // Bitmask of consumers that need Span push/pop notifications: the
-// sampler, the hardware-counter accounting, and the flight recorder's
-// live-stack capture. Span reads this once (relaxed) per construction.
+// sampler and the flight recorder's live-stack capture. Span reads this
+// once (relaxed) per construction.
 inline constexpr int kSampleHook = 1;
-inline constexpr int kHwHook = 2;
-inline constexpr int kFlightHook = 4;
+inline constexpr int kFlightHook = 2;
 extern std::atomic<int> g_span_hooks;
 
 void PushSpanFrame(std::string_view name);
@@ -112,20 +100,6 @@ void ResetProfile();
 // returns false and, when `why` is non-null, describes the first
 // offence.
 bool ValidateCollapsedStacks(std::string_view text, std::string* why);
-
-// --- Per-phase hardware counters ---------------------------------------
-
-void EnableHwCounters(bool enabled);
-bool HwCountersEnabled();
-
-// {"schema": "leosim.hwcounters/1", "available": bool, "reason": "...",
-//  "phases": {"<top-level span>": {"spans": N, "cycles": C, ...}, ...}}
-// with phases sorted by name. Phases are recorded (span counts) even
-// when the counters themselves are unavailable, so the fallback path
-// produces the same shape.
-std::string HwCountersToJson();
-bool WriteHwCountersJson(const std::string& path);
-void ResetHwCounters();
 
 // --- Live stack snapshot ------------------------------------------------
 

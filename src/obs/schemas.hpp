@@ -17,9 +17,6 @@ namespace leosim::obs {
 // Per-snapshot study timeseries (obs/timeseries.hpp).
 inline constexpr const char kTimeseriesSchema[] = "leosim.timeseries/1";
 
-// Per-phase hardware counter export (obs/profile.hpp).
-inline constexpr const char kHwCountersSchema[] = "leosim.hwcounters/1";
-
 // Per-slot full network state trace, one JSON object per line
 // (core/net_trace.hpp).
 inline constexpr const char kNetStateSchema[] = "leosim.netstate/1";

@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <limits>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
+#include "core/cli_flags.hpp"
 #include "core/report.hpp"
 #include "core/scenario.hpp"
 #include "core/stats.hpp"
@@ -189,6 +194,114 @@ TEST(TrafficMatrixTest, ImpossibleRequestThrows) {
   EXPECT_THROW(SampleCityPairs(anchors, options), std::invalid_argument);
   options.num_pairs = n * (n - 1) / 2 + 1;
   EXPECT_THROW(SampleCityPairs(anchors, options), std::invalid_argument);
+}
+
+TEST(CliFlagsTest, ParseIntEdgeTokens) {
+  struct Row {
+    const char* text;
+    bool ok;
+    int value;
+  };
+  const Row rows[] = {
+      {"5", true, 5},      {"1", true, 1},     {"100", true, 100},
+      {"0", false, 0},     {"101", false, 0},  {"-5", false, 0},
+      {"", false, 0},      {" 5", false, 0},   {"5 ", false, 0},
+      {"5x", false, 0},    {"+5", false, 0},   {"5.0", false, 0},
+      {"1e3", false, 0},   {"abc", false, 0},  {"99999999999", false, 0},
+  };
+  for (const Row& row : rows) {
+    if (row.ok) {
+      EXPECT_EQ(ParseInt("--n", row.text, 1, 100), row.value) << row.text;
+    } else {
+      EXPECT_THROW(ParseInt("--n", row.text, 1, 100), std::invalid_argument)
+          << "'" << row.text << "'";
+    }
+  }
+  // The error names the flag, the range and the token.
+  try {
+    ParseInt("--pairs", "5x", 1, 100);
+    FAIL() << "no throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "--pairs: expected an integer in [1, 100], got '5x'");
+  }
+}
+
+TEST(CliFlagsTest, ParseDoubleEdgeTokens) {
+  struct Row {
+    const char* text;
+    bool ok;
+    double value;
+  };
+  const Row rows[] = {
+      {"0.5", true, 0.5},   {"0.1", true, 0.1},     {"90", true, 90.0},
+      {"1e1", true, 10.0},  {"-0", false, 0.0},     {"0.0999", false, 0.0},
+      {"90.001", false, 0}, {"", false, 0},         {" 5", false, 0},
+      {"5x", false, 0},     {"1e400", false, 0},    {"-1e400", false, 0},
+      {"nan", false, 0},    {"inf", false, 0},      {"-inf", false, 0},
+      {"abc", false, 0},    {".", false, 0},
+  };
+  for (const Row& row : rows) {
+    if (row.ok) {
+      EXPECT_EQ(ParseDouble("--spacing", row.text, 0.1, 90.0), row.value)
+          << row.text;
+    } else {
+      EXPECT_THROW(ParseDouble("--spacing", row.text, 0.1, 90.0),
+                   std::invalid_argument)
+          << "'" << row.text << "'";
+    }
+  }
+  // Non-finite values are rejected even when the range is unbounded.
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(ParseDouble("--x", "inf", -inf, inf), std::invalid_argument);
+  EXPECT_THROW(ParseDouble("--x", "nan", -inf, inf), std::invalid_argument);
+  EXPECT_EQ(ParseDouble("--x", "-2.5", -inf, inf), -2.5);
+}
+
+TEST(CliFlagsTest, FlagValueMatchesWholeName) {
+  EXPECT_EQ(FlagValue("--pairs=5", "--pairs"), "5");
+  EXPECT_EQ(FlagValue("--pairs=", "--pairs"), "");
+  EXPECT_FALSE(FlagValue("--pairs", "--pairs").has_value());
+  EXPECT_FALSE(FlagValue("--pair=5", "--pairs").has_value());
+  EXPECT_FALSE(FlagValue("--pairsx=5", "--pairs").has_value());
+}
+
+TEST(CliFlagsTest, ObsFlagsTakesOnlyItsOwnFlags) {
+  ObsFlags flags;
+  EXPECT_TRUE(flags.Take("--log-level=debug"));
+  EXPECT_TRUE(flags.Take("--log-level=off"));
+  EXPECT_TRUE(flags.Take("--progress"));
+  EXPECT_TRUE(flags.Take("--progress=0.5"));
+  EXPECT_TRUE(flags.Take("--metrics-out=m.json"));
+  EXPECT_FALSE(flags.Take("--pairs=5"));
+  EXPECT_FALSE(flags.Take("--log-level"));
+  EXPECT_THROW(flags.Take("--log-level=bogus"), std::invalid_argument);
+  EXPECT_THROW(flags.Take("--log-level="), std::invalid_argument);
+  EXPECT_THROW(flags.Take("--progress=abc"), std::invalid_argument);
+  EXPECT_THROW(flags.Take("--progress=-1"), std::invalid_argument);
+}
+
+TEST(CliFlagsTest, WriteOutputsReportsFailedWrites) {
+  EXPECT_EQ(ObsFlags().WriteOutputs(""), 0);  // nothing requested
+  ObsFlags flags;
+  ASSERT_TRUE(flags.Take("--metrics-out=/nonexistent-dir/metrics.json"));
+  EXPECT_EQ(flags.WriteOutputs(""), 1);
+}
+
+int ThrowsBadInput(int /*argc*/, char** /*argv*/) {
+  throw std::invalid_argument("--n: expected an integer\nin [1, 2]");
+}
+
+int ReturnsArgc(int argc, char** /*argv*/) { return argc; }
+
+TEST(CliFlagsTest, RunMainMapsExceptionsToExitTwo) {
+  char prog[] = "/some/dir/tool";
+  char* argv[] = {prog, nullptr};
+  EXPECT_EQ(RunMain(1, argv, ReturnsArgc), 1);
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(RunMain(1, argv, ThrowsBadInput), 2);
+  // One line, prefixed with the program's base name.
+  EXPECT_EQ(testing::internal::GetCapturedStderr(),
+            "tool: --n: expected an integer in [1, 2]\n");
 }
 
 }  // namespace

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
+#include <stdexcept>
 
 #include "data/landmask.hpp"
 #include "geo/geodesic.hpp"
@@ -91,6 +93,23 @@ TEST(RelayGridTest, PaperScaleGridIsLarge) {
   const auto grid = BuildRelayGrid(data::AnchorCities(), config);
   EXPECT_GT(grid.size(), 8000u);
   EXPECT_LT(grid.size(), 40000u);
+}
+
+TEST(RelayGridTest, RejectsNonPositiveOrNonFiniteSpacing) {
+  // 180 / spacing feeds lround: a zero, negative or non-finite spacing
+  // must fail loudly instead of yielding an empty (or UB-sized) grid.
+  for (const double spacing :
+       {0.0, -0.0, -1.0, std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN()}) {
+    RelayGridConfig config;
+    config.spacing_deg = spacing;
+    EXPECT_THROW(BuildRelayGrid(TestCities(), config), std::invalid_argument)
+        << spacing;
+  }
+  RelayGridConfig coarse;
+  coarse.spacing_deg = 90.0;
+  EXPECT_NO_THROW(BuildRelayGrid(TestCities(), coarse));
 }
 
 TEST(FiberTest, LatencySlowerThanFreeSpace) {

@@ -784,35 +784,6 @@ TEST(ObsProfileTest, CollapsedValidatorAcceptsAndRejects) {
   EXPECT_NE(why.find("line 2"), std::string::npos) << why;
 }
 
-TEST(ObsHwCountersTest, FallbackProducesStructuredJson) {
-  ResetHwCounters();
-  EnableHwCounters(true);
-  EXPECT_TRUE(HwCountersEnabled());
-  for (int i = 0; i < 3; ++i) {
-    const Span phase("hwtest.phase");
-    const Span nested("hwtest.nested");  // nested: charged to the phase
-    volatile double sink = 0.0;
-    for (int j = 0; j < 1000; ++j) {
-      sink = sink + j;
-    }
-  }
-  EnableHwCounters(false);
-  EXPECT_FALSE(HwCountersEnabled());
-  const std::string json = HwCountersToJson();
-  EXPECT_TRUE(JsonScanner(json).Valid()) << json;
-  // Same shape whether or not perf_event_open worked here: availability
-  // is reported, and span counts are tracked regardless.
-  EXPECT_NE(json.find("\"schema\": \"leosim.hwcounters/1\""),
-            std::string::npos)
-      << json;
-  EXPECT_NE(json.find("\"available\":"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"hwtest.phase\""), std::string::npos) << json;
-  EXPECT_NE(json.find("\"spans\": 3"), std::string::npos) << json;
-  // Only top-level spans open a phase; the nested span must not.
-  EXPECT_EQ(json.find("\"hwtest.nested\""), std::string::npos) << json;
-  ResetHwCounters();
-}
-
 TEST(ObsFlightTest, RingOverflowKeepsMostRecentLines) {
   FlightRecorderOptions options;
   options.ring_lines = 4;

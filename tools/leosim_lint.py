@@ -392,10 +392,7 @@ def check_snapshot_workspace(ctx: LintContext) -> list[Finding]:
 # flags unknown modules on both sides of an edge.
 LAYER_DEPS: dict[str, set[str]] = {
     "geo": set(),
-    "platform": set(),  # OS shims (perf_event_open); no leosim deps at all
-    # std-only plus the platform shims: keeps observability embeddable
-    # anywhere without letting OS-specific code leak above obs.
-    "obs": {"platform"},
+    "obs": set(),  # std-only: keeps observability embeddable anywhere
     "flow": set(),
     "data": {"geo"},
     "orbit": {"geo"},

@@ -1,0 +1,175 @@
+#!/usr/bin/env python3
+"""Command-line failure contract of the bench and example binaries; ctest
+`cli_contract`.
+
+Every binary parses its flags through src/core/cli_flags.hpp and runs
+under core::RunMain, so they share one contract:
+
+  rc 2  bad input (unknown flag, malformed or out-of-range number, a
+        library precondition): exactly one stderr line "prog: what"
+  rc 1  a requested output file could not be written
+  rc 0  success, with the requested numbers on stdout
+
+Each row below is argv -> expected rc plus a stderr substring; rows that
+succeed also check the numbers they print, not only the exit code.
+
+Usage: test_cli_contract.py BINARY...   (leosim_cli, fig5_isl_capacity,
+       micro_core, tle_ingest and weather_planner, matched by file name)
+"""
+
+from __future__ import annotations
+
+import json
+import re
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Callable, Optional
+
+REQUIRED = ("leosim_cli", "fig5_isl_capacity", "micro_core", "tle_ingest",
+            "weather_planner")
+
+# A tiny workload so the rows that run end to end stay fast.
+SMALL = ["--pairs=3", "--snapshots=1", "--spacing=6"]
+
+
+@dataclass
+class Row:
+    binary: str
+    argv: list[str]
+    rc: int
+    stderr: str = ""  # required substring ("" = stderr must be empty)
+    # Returns an error message, or None when stdout is as expected.
+    stdout: Optional[Callable[[str], Optional[str]]] = None
+
+
+def contains(text: str) -> Callable[[str], Optional[str]]:
+    return lambda out: None if text in out else f"missing {text!r}"
+
+
+def line_count(pattern: str, want: int) -> Callable[[str], Optional[str]]:
+    regex = re.compile(pattern)
+
+    def check(out: str) -> Optional[str]:
+        got = sum(1 for line in out.splitlines() if regex.fullmatch(line))
+        return None if got == want else f"{got} lines match {pattern!r}, want {want}"
+
+    return check
+
+
+def json_file(path: Path) -> Callable[[str], Optional[str]]:
+    def check(out: str) -> Optional[str]:
+        if f"# wrote {path}" not in out:
+            return f"no '# wrote {path}' note"
+        try:
+            json.loads(path.read_text())
+        except (OSError, ValueError) as err:
+            return f"{path}: {err}"
+        return None
+
+    return check
+
+
+def rows(tmp: Path) -> list[Row]:
+    short_tle = tmp / "short.tle"
+    short_tle.write_text("SAT\n1 25544U\n2 25544\n")
+    metrics = tmp / "metrics.json"
+    return [
+        # Malformed and out-of-range numbers.
+        Row("fig5_isl_capacity", ["--spacing=abc"], 2, "--spacing: expected a number"),
+        Row("fig5_isl_capacity", ["--spacing=0"], 2, "--spacing: expected a number"),
+        Row("fig5_isl_capacity", ["--pairs=5x"], 2, "--pairs: expected an integer"),
+        Row("fig5_isl_capacity", ["--pairs=-5"], 2, "got '-5'"),
+        Row("fig5_isl_capacity", ["--pairs="], 2, "got ''"),
+        Row("fig5_isl_capacity", ["--step=nan"], 2, "--step: expected a number"),
+        Row("fig5_isl_capacity", ["--snapshots=1e400"], 2, "--snapshots"),
+        # A typo is an unknown flag, not a silent default run.
+        Row("fig5_isl_capacity", ["--pair=5"], 2, "unknown flag --pair=5"),
+        Row("fig5_isl_capacity", ["--log-level=bogus"], 2, "--log-level"),
+        Row("fig5_isl_capacity", ["--progress=soon"], 2, "--progress"),
+        # --csv= belongs to fig2_latency only.
+        Row("fig5_isl_capacity", ["--csv=out"], 2, "unknown flag --csv=out"),
+        Row("micro_core", ["--reps=abc"], 2, "--reps: expected an integer"),
+        Row("micro_core", ["--reps=0"], 2, "got '0'"),
+        Row("weather_planner", ["Singapore", "abc"], 2, "freq_ghz"),
+        Row("weather_planner", ["Singapore", "500"], 2, "freq_ghz"),
+        Row("tle_ingest", [str(short_tle)], 2, "TLE line shorter than 69"),
+        Row("leosim_cli", ["--log-level=bogus", "cities"], 2, "--log-level"),
+        Row("leosim_cli", ["pairs", "5x"], 2, "count: expected an integer"),
+        Row("leosim_cli", ["pairs", "-1"], 2, "count: expected an integer"),
+        Row("leosim_cli", ["attenuation", "Paris", "abc"], 2, "freq_ghz"),
+        Row("leosim_cli", ["study", "latency", "--spacing=abc"], 2,
+            "--spacing: expected a number"),
+        Row("leosim_cli", ["study", "latency", "--pairs=0"], 2, "--pairs"),
+        Row("leosim_cli", ["study", "latency", "--bogus"], 2,
+            "study latency: unknown flag --bogus"),
+        Row("leosim_cli", ["trace", "--snapshots=x"], 2, "--snapshots"),
+        Row("leosim_cli", ["route", "Paris", "London", "--bogus"], 2,
+            "route: unknown flag --bogus"),
+        Row("leosim_cli", ["visible", "Paris", "extra"], 2,
+            "unexpected argument extra"),
+        # Unwritable outputs exit 1.
+        Row("fig5_isl_capacity", [*SMALL, "--metrics-out=/nonexistent/x.json"],
+            1, "cannot write /nonexistent/x.json"),
+        Row("leosim_cli", ["pairs", "2", "--metrics-out=/nonexistent/x.json"],
+            1, "cannot write /nonexistent/x.json"),
+        # Good input: the numbers asked for come out.
+        Row("leosim_cli", ["study", "latency", "--pairs=3", "--snapshots=2"], 0,
+            stdout=contains("latency study: 3 pairs x 2 snapshots")),
+        Row("leosim_cli", ["pairs", "5"], 0,
+            stdout=line_count(r"\S.* +\d+ km", 5)),
+        Row("leosim_cli", ["route", "Paris", "London", "--bp"], 0,
+            stdout=contains("Paris -> London (bent-pipe): RTT")),
+        Row("fig5_isl_capacity", [*SMALL, "--log-level=off",
+                                  f"--metrics-out={metrics}"], 0,
+            stdout=json_file(metrics)),
+        Row("weather_planner", ["Singapore", "20"], 0,
+            stdout=contains("20.00 GHz")),
+        Row("tle_ingest", [], 0, stdout=contains("parsed 12 element sets")),
+    ]
+
+
+def run_row(row: Row, binaries: dict[str, str], cwd: Path) -> Optional[str]:
+    proc = subprocess.run([binaries[row.binary], *row.argv], cwd=cwd,
+                          capture_output=True, text=True, timeout=300)
+    if proc.returncode != row.rc:
+        return f"rc {proc.returncode}, want {row.rc}; stderr: {proc.stderr!r}"
+    if row.rc == 2:
+        want = f"{row.binary}: "
+        if not (proc.stderr.startswith(want) and proc.stderr.count("\n") == 1):
+            return f"want one stderr line starting {want!r}, got {proc.stderr!r}"
+    if row.stderr and row.stderr not in proc.stderr:
+        return f"stderr {proc.stderr!r} lacks {row.stderr!r}"
+    if not row.stderr and proc.stderr:
+        return f"unexpected stderr {proc.stderr!r}"
+    if row.stdout is not None:
+        return row.stdout(proc.stdout)
+    return None
+
+
+def main(argv: list[str]) -> int:
+    binaries = {Path(p).name: str(Path(p).resolve()) for p in argv[1:]}
+    missing = [name for name in REQUIRED if name not in binaries]
+    if missing:
+        print(f"usage: {argv[0]} BINARY...; missing {', '.join(missing)}")
+        return 2
+    failures = 0
+    with tempfile.TemporaryDirectory() as tmp_name:
+        tmp = Path(tmp_name)
+        table = rows(tmp)
+        for row in table:
+            error = run_row(row, binaries, tmp)
+            label = " ".join([row.binary, *row.argv])
+            if error is not None:
+                failures += 1
+                print(f"FAIL: {label}: {error}")
+            else:
+                print(f"ok:   {label}")
+    print(f"{len(table) - failures}/{len(table)} rows pass")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
