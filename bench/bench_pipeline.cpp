@@ -3,8 +3,10 @@
 // Times the three layers that dominate every figure reproduction —
 // snapshot construction, satellite-visibility queries, and single-pair
 // shortest paths — plus the end-to-end latency study (the paper's Fig. 2
-// inner loop) whose wall-clock is the repo's headline perf number. Run
-// with fixed flags so successive JSON records are comparable:
+// inner loop) whose wall-clock is the repo's headline perf number, once
+// at the flags' scale and once (fig2_full_slot, relay_contract) at the
+// paper's. Run with fixed flags so successive JSON records are
+// comparable:
 //
 //   bench_pipeline --pairs=100 --snapshots=4 --spacing=3
 //
@@ -30,6 +32,7 @@
 #include "graph/dijkstra.hpp"
 #include "graph/disjoint_paths.hpp"
 #include "graph/landmarks.hpp"
+#include "graph/relay_contraction.hpp"
 #include "graph/sssp_tree.hpp"
 #include "link/visibility.hpp"
 
@@ -306,6 +309,45 @@ int Run(int argc, char** argv) {
           core::RunLatencyStudy(bent_pipe, hybrid, pairs, schedule);
       (void)result;
     });
+  }
+
+  // 4b. One paper-scale Fig. 2 slot at a fixed scale whatever the flags:
+  //     1,000 cities, the 0.5 deg relay grid (61.5k nodes), 5,000 pairs,
+  //     BP + hybrid. The router's relay contraction, tier choice and
+  //     searches at the size the paper's --full run routes 96 times.
+  //     Then (relay_contract) the contraction build alone, on that
+  //     slot's hybrid snapshot: what every routed slot and mode pays
+  //     before its first search.
+  {
+    bench::BenchConfig full = config;
+    full.num_cities = 1000;
+    full.relay_spacing_deg = 0.5;
+    full.aircraft_scale = 1.0;
+    full.num_pairs = 5000;
+    full.num_snapshots = 1;
+    const std::vector<data::City> full_cities = bench::MakeCities(full);
+    const core::NetworkModel full_hybrid(
+        scenario, bench::MakeOptions(full, core::ConnectivityMode::kHybrid),
+        full_cities);
+    const core::NetworkModel full_bent_pipe(
+        scenario, bench::MakeOptions(full, core::ConnectivityMode::kBentPipe),
+        full_cities);
+    const std::vector<core::CityPair> full_pairs = bench::MakePairs(full, full_cities);
+    const core::SnapshotSchedule schedule = bench::MakeSchedule(full);
+    suite.Run("fig2_full_slot", 5, 1, [&] {
+      const core::LatencyStudyResult result = core::RunLatencyStudy(
+          full_bent_pipe, full_hybrid, full_pairs, schedule);
+      (void)result;
+    });
+
+    const core::NetworkModel::Snapshot snap = full_hybrid.BuildSnapshot(0.0);
+    graph::RelayContraction contraction;
+    suite.Run("relay_contract", 5, 1, [&] {
+      contraction.Build(snap.graph, snap.num_sats + snap.num_cities);
+    });
+    std::printf("# relay_contract: %d nodes, %d arcs from %d nodes\n",
+                contraction.NumNodes(), contraction.NumArcs(),
+                snap.graph.NumNodes());
   }
 
   // 5. Snapshot-parallel temporal sweep: aggregate churn over the full

@@ -1,6 +1,7 @@
 #include "core/network_builder.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -58,6 +59,27 @@ std::string_view ToString(ConnectivityMode mode) {
   return "unknown";
 }
 
+void NetworkOptions::Validate() const {
+  const auto require = [](bool ok, const char* what) {
+    if (!ok) {
+      throw std::invalid_argument(std::string("network options: ") + what);
+    }
+  };
+  // Written so that NaN fails every check.
+  require(std::isfinite(relay_spacing_deg) && relay_spacing_deg > 0.0,
+          "relay_spacing_deg must be finite and > 0");
+  require(std::isfinite(relay_radius_km) && relay_radius_km >= 0.0,
+          "relay_radius_km must be finite and >= 0");
+  require(std::isfinite(aircraft_scale) && aircraft_scale >= 0.0,
+          "aircraft_scale must be finite and >= 0");
+  require(!std::isnan(gt_capacity_gbps) && !std::isnan(isl_capacity_gbps),
+          "capacity overrides must not be NaN");
+  require(gso_separation_deg >= 0.0 && gso_separation_deg <= 180.0,
+          "gso_separation_deg must be in [0, 180]");
+  require(max_gt_links_per_satellite >= 0,
+          "max_gt_links_per_satellite must be >= 0");
+}
+
 NetworkModel::NetworkModel(const Scenario& scenario, const NetworkOptions& options,
                            std::vector<data::City> cities)
     : NetworkModel(scenario, options, std::move(cities), {}) {}
@@ -66,6 +88,7 @@ NetworkModel::NetworkModel(const Scenario& scenario, const NetworkOptions& optio
                            std::vector<data::City> cities,
                            const std::vector<orbit::OrbitalShell>& extra_shells)
     : scenario_(scenario), options_(options), cities_(std::move(cities)) {
+  options_.Validate();
   if (cities_.empty()) {
     throw std::invalid_argument("network model needs at least one city");
   }

@@ -55,6 +55,13 @@ struct NetworkOptions {
   // 0 = unlimited (the paper's evaluation model).
   int max_gt_links_per_satellite{0};
   uint64_t seed{4242};
+
+  // Throws std::invalid_argument naming the first bad field: a relay
+  // spacing that is not finite and > 0, a relay radius, aircraft scale
+  // or beam budget below 0 (or NaN), a NaN capacity override, or a GSO
+  // separation outside [0, 180] degrees. NetworkModel's constructors
+  // call it.
+  void Validate() const;
 };
 
 class NetworkModel {

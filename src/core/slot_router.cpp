@@ -5,6 +5,7 @@
 
 #include "graph/components.hpp"
 #include "graph/dijkstra.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace leosim::core {
@@ -13,15 +14,30 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+// Arcs of every relay contraction the router builds.
+obs::Counter& ContractArcsCounter() {
+  static obs::Counter& counter =
+      obs::MetricsRegistry::Global().GetCounter("route.contract.arcs");
+  return counter;
+}
+
+// Paths the contraction's tie guard handed to a full-graph Dijkstra.
+obs::Counter& ContractTieFallbacksCounter() {
+  static obs::Counter& counter =
+      obs::MetricsRegistry::Global().GetCounter("route.contract.tie_fallbacks");
+  return counter;
+}
+
 }  // namespace
 
-SlotPlan::SlotPlan(const NetworkModel::Snapshot& snap,
+template <typename Adjacency>
+SlotPlan::SlotPlan(const Adjacency& g, const NetworkModel::Snapshot& snap,
                    const std::vector<CityPair>& pairs, size_t searches_per_pair,
                    SweepWorkspace* ws)
     : snap_(snap), ws_(ws) {
   {
     const obs::Span span("route.components");
-    graph::ConnectedComponentsInto(snap.graph, &ws->labels, &ws->stack);
+    graph::ConnectedComponentsInto(g, &ws->labels, &ws->stack);
   }
   size_t reachable = 0;
   for (const CityPair& p : pairs) {
@@ -33,9 +49,15 @@ SlotPlan::SlotPlan(const NetworkModel::Snapshot& snap,
   alt_ = reachable * searches_per_pair >= kAltMinQueries;
   if (alt_) {
     const obs::Span span("route.alt_table");
-    ws->landmarks.Rebuild(snap.graph, ws->dijkstra);
+    ws->landmarks.Rebuild(g, ws->dijkstra);
   }
 }
+
+template SlotPlan::SlotPlan(const graph::Graph&, const NetworkModel::Snapshot&,
+                            const std::vector<CityPair>&, size_t, SweepWorkspace*);
+template SlotPlan::SlotPlan(const graph::RelayContraction&,
+                            const NetworkModel::Snapshot&,
+                            const std::vector<CityPair>&, size_t, SweepWorkspace*);
 
 graph::NodeId SlotPlan::CollectTargets(const SourceGroup& group,
                                        const std::vector<CityPair>& pairs) {
@@ -63,20 +85,37 @@ void RouteSlotPairs(const NetworkModel::Snapshot& snap,
   out->begin.assign(want_paths ? n : 0, 0);
   out->end.assign(want_paths ? n : 0, 0);
   out->nodes.clear();
-  // Records one routed pair's answer: round-trip time (out and back over
-  // the same path) and, when wanted, the sorted node run.
-  const auto emit = [out, want_paths](int pair, const graph::Path& path) {
+
+  graph::RelayContraction& contraction = ws->contraction;
+  {
+    const obs::Span span("route.contract");
+    contraction.Build(snap.graph, snap.num_sats + snap.num_cities);
+  }
+  ContractArcsCounter().Add(static_cast<uint64_t>(contraction.NumArcs()));
+
+  // Records one routed pair's answer from the search that just settled
+  // dst in ws->dijkstra: round-trip time (out and back over the same
+  // path) and, when wanted, the sorted node run of the full-graph path.
+  graph::Path path;
+  uint64_t tie_fallbacks = 0;
+  const auto emit = [&](int pair, graph::NodeId src, graph::NodeId dst) {
     const size_t i = static_cast<size_t>(pair);
-    out->rtt[i] = 2.0 * path.distance;
-    if (want_paths) {
-      out->begin[i] = static_cast<uint32_t>(out->nodes.size());
-      out->nodes.insert(out->nodes.end(), path.nodes.begin(), path.nodes.end());
-      out->end[i] = static_cast<uint32_t>(out->nodes.size());
-      std::sort(out->nodes.begin() + out->begin[i], out->nodes.end());
+    out->rtt[i] = 2.0 * ws->dijkstra.DistanceOf(dst);
+    if (!want_paths) {
+      return;
     }
+    if (!contraction.ExpandPath(src, dst, ws->dijkstra, &path)) {
+      // Own workspace: a tree's labels must survive for its other targets.
+      ++tie_fallbacks;
+      path = *graph::ShortestPath(snap.graph, src, dst);
+    }
+    out->begin[i] = static_cast<uint32_t>(out->nodes.size());
+    out->nodes.insert(out->nodes.end(), path.nodes.begin(), path.nodes.end());
+    out->end[i] = static_cast<uint32_t>(out->nodes.size());
+    std::sort(out->nodes.begin() + out->begin[i], out->nodes.end());
   };
 
-  SlotPlan plan(snap, pairs, 1, ws);
+  SlotPlan plan(contraction, snap, pairs, 1, ws);
   for (const SourceGroup& group : groups) {
     const graph::NodeId src = plan.CollectTargets(group, pairs);
     if (ws->targets.empty()) {
@@ -84,30 +123,26 @@ void RouteSlotPairs(const NetworkModel::Snapshot& snap,
     }
     if (ws->targets.size() >= plan.tree_threshold()) {
       const obs::Span span("route.tree");
-      ws->tree.Build(snap.graph, src, ws->targets, ws->dijkstra);
+      ws->tree.Build(contraction, src, ws->targets, ws->dijkstra);
       for (size_t j = 0; j < ws->targets.size(); ++j) {
-        if (want_paths) {
-          emit(ws->target_pairs[j], *ws->tree.PathTo(ws->targets[j]));
-        } else {
-          out->rtt[static_cast<size_t>(ws->target_pairs[j])] =
-              2.0 * ws->tree.DistanceTo(ws->targets[j]);
-        }
+        emit(ws->target_pairs[j], src, ws->targets[j]);
       }
       continue;
     }
     const obs::Span span("route.astar");
     for (size_t j = 0; j < ws->targets.size(); ++j) {
       const graph::NodeId dst = ws->targets[j];
-      const std::optional<graph::Path> path =
-          plan.WithPotential(dst, [&](const auto& potential) {
-            return graph::ShortestPathAStar(snap.graph, src, dst, ws->dijkstra,
-                                            potential);
-          });
-      if (path.has_value()) {
-        emit(ws->target_pairs[j], *path);
+      const bool reached = plan.WithPotential(dst, [&](const auto& potential) {
+        return graph::ShortestPathAStar(contraction, src, dst, ws->dijkstra,
+                                        potential)
+            .has_value();
+      });
+      if (reached) {
+        emit(ws->target_pairs[j], src, dst);
       }
     }
   }
+  ContractTieFallbacksCounter().Add(tie_fallbacks);
 }
 
 }  // namespace leosim::core

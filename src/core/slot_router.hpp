@@ -3,6 +3,13 @@
 // pairs grouped by source against one snapshot — and answer it the same
 // way (SlotPlan below):
 //
+//   0. the graph: RouteSlotPairs (latency and churn) routes on a relay
+//      contraction of the snapshot graph (graph/relay_contraction.hpp):
+//      relays and aircraft, 96% of a paper-scale graph's nodes, become
+//      two-hop arcs between satellites, and the 61.5k-node graph shrinks
+//      to its 2.6k satellites and cities. The throughput study stays on
+//      the full graph, because its paths must be edge-disjoint on the
+//      GT-satellite edges a detour arc hides;
 //   1. component precheck: cross-component pairs stay unrouted without
 //      any search (a failed search would otherwise settle the whole
 //      component);
@@ -13,17 +20,19 @@
 //        with at least kTreeBatchThreshold reachable destinations, and
 //        goal-directed A* with the Euclidean latency bound for the rest;
 //      - at or above it: one landmark table (graph/landmarks.hpp) built
-//        on this very graph, a tree per source with at least
+//        on the routed graph, a tree per source with at least
 //        kAltTreeThreshold destinations, and ALT A* for the rest.
 //      The throughput study takes the potential but no trees: each of a
 //      pair's k searches runs on a different residual graph, so every
 //      one of them is A*.
 //
-// Every tier returns exactly plain Dijkstra's answer: trees are
-// Dijkstra, both A* potentials are admissible, and ShortestPathAStar's
-// tie guard falls back to graph::ShortestPath whenever an exact tie on
-// the path could make its node chain differ. So RTTs, node chains and
-// disjoint-path edge lists equal graph::ShortestPath's and the plain
+// Every tier returns exactly plain Dijkstra's answer on the full graph:
+// contracted distances are the full graph's bit for bit, trees are
+// Dijkstra, both A* potentials are admissible, ShortestPathAStar's tie
+// guard falls back to graph::ShortestPath whenever an exact tie on the
+// path could make its node chain differ, and the contraction's path
+// expansion runs the same guard on the full graph. So RTTs, node chains
+// and disjoint-path edge lists equal graph::ShortestPath's and the plain
 // KEdgeDisjointShortestPaths' bit for bit.
 #pragma once
 
@@ -48,10 +57,18 @@ namespace leosim::core {
 // keeps it admissible under floating-point rounding.
 inline constexpr double kPotentialSlack = graph::kPotentialSlack;
 
+// The tier constants below were measured per slot-mode (four slots,
+// hybrid and ISL-masked bent-pipe) on relay contractions of the default
+// graph (332 cities, 2.5 deg grid, 500 pairs) and the paper-scale one
+// (1,000 cities, 0.5 deg grid, 1,000 and 5,000 pairs), and for
+// kAltMinQueries also on the full graphs the throughput study routes.
+
 // Without a landmark table, a source's destinations are batched into one
 // multi-target Dijkstra once there are at least this many of them; below
 // the threshold, per-pair Euclidean A* wins because its settled corridor
-// is roughly half the size of the Dijkstra ball the batched search grows.
+// is smaller than the Dijkstra ball the batched search grows. Measured
+// crossover on both contracted graphs: 2 targets under bent-pipe, 3
+// under hybrid connectivity.
 inline constexpr size_t kTreeBatchThreshold = 3;
 
 // Reachable queries per slot from which building a landmark table pays
@@ -59,20 +76,21 @@ inline constexpr size_t kTreeBatchThreshold = 3;
 // saves the difference to the Euclidean tiers. A query is one A*
 // search: a pair counts once in the latency and churn studies and k
 // times in the throughput study's k disjoint paths. Measured
-// break-even, four slots each on the default (3.7k-node) and
-// paper-scale (62k-node) graphs: 130-200 queries on hybrid graphs,
-// 50-75 on bent-pipe ones.
+// break-even: 130-200 queries on hybrid graphs and 50-75 on bent-pipe
+// ones on the full (3.7k- and 62k-node) graphs; 160-250 on hybrid and
+// 70-130 on bent-pipe contractions, where the table and the queries are
+// both about ten times cheaper.
 // The constant follows the hybrid median: a hybrid slot near it gains or
-// loses little, and bent-pipe slots of 75-160 queries forgo a gain
-// rather than risk a loss (DESIGN.md §7).
+// loses little, and bent-pipe slots below it forgo a gain rather than
+// risk a loss (DESIGN.md §7).
 inline constexpr size_t kAltMinQueries = 160;
 
 // With a landmark table, a source's destinations share one tree only
 // from this many on: an ALT query settles a far narrower corridor than
 // the Euclidean one, so the tree's Dijkstra ball must amortise over
-// many more targets. Measured crossover: 10-12 targets on the default
-// graph, 12-16 on the paper-scale one.
-inline constexpr size_t kAltTreeThreshold = 16;
+// more targets. Measured crossover on the contractions: 6-8 targets on
+// both graphs, hybrid and bent-pipe alike.
+inline constexpr size_t kAltTreeThreshold = 6;
 
 // The Euclidean A* potential: straight-line propagation latency from
 // node n to the destination position, slacked for admissibility under
@@ -87,17 +105,21 @@ inline double EuclideanLatencyPotential(const std::vector<geo::Vec3>& node_ecef,
 
 // One slot's routing plan: the component precheck, the landmark-table
 // decision and the A* potential, for every study that routes pairs over
-// one snapshot graph. Construction labels the graph's components into
-// ws->labels and, when the slot's reachable search count clears
-// kAltMinQueries, rebuilds ws->landmarks on the graph. The plan borrows
-// `snap` and `ws` and is valid until either changes; callers may
-// disable edges in between (the throughput study's residual searches),
-// which only lengthens distances and so keeps both potentials
-// admissible.
+// one snapshot. The plan routes over `g`: snap.graph itself, or a
+// RelayContraction of it (which keeps every satellite and city under its
+// snapshot id). Construction labels g's components into ws->labels and,
+// when the slot's reachable search count clears kAltMinQueries, rebuilds
+// ws->landmarks on g. The plan borrows `snap` and `ws` and is valid
+// until either changes; callers may disable edges in between (the
+// throughput study's residual searches), which only lengthens distances
+// and so keeps both potentials admissible.
 class SlotPlan {
  public:
-  SlotPlan(const NetworkModel::Snapshot& snap, const std::vector<CityPair>& pairs,
-           size_t searches_per_pair, SweepWorkspace* ws);
+  // Instantiated for graph::Graph and graph::RelayContraction.
+  template <typename Adjacency>
+  SlotPlan(const Adjacency& g, const NetworkModel::Snapshot& snap,
+           const std::vector<CityPair>& pairs, size_t searches_per_pair,
+           SweepWorkspace* ws);
 
   // RouteSlotPairs: a source's reachable destinations share one
   // Dijkstra tree from this many on; fewer are answered by A* one by one.
@@ -152,10 +174,12 @@ struct SlotRoutes {
 
 // Routes every pair of `pairs` (grouped by `groups`, see
 // GroupPairsBySource) over `snap`'s graph as it stands — callers may
-// mask edges first — into `out`, one search per pair under a SlotPlan.
-// Path runs are filled only when `want_paths`. Uses `ws`'s routing
-// scratch and landmark table; touches nothing else, so concurrent calls
-// with distinct workspaces and outputs never conflict.
+// mask edges first — into `out`, one search per pair under a SlotPlan on
+// the relay contraction of that graph. Path runs are filled only when
+// `want_paths`: they are full-graph node chains, relays and aircraft
+// included. Uses `ws`'s routing scratch, contraction and landmark table;
+// touches nothing else, so concurrent calls with distinct workspaces and
+// outputs never conflict.
 void RouteSlotPairs(const NetworkModel::Snapshot& snap,
                     const std::vector<CityPair>& pairs,
                     const std::vector<SourceGroup>& groups, bool want_paths,

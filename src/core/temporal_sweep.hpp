@@ -24,6 +24,7 @@
 #include "core/traffic_matrix.hpp"
 #include "graph/dijkstra.hpp"
 #include "graph/landmarks.hpp"
+#include "graph/relay_contraction.hpp"
 #include "graph/sssp_tree.hpp"
 
 namespace leosim::core {
@@ -42,6 +43,9 @@ struct SweepWorkspace {
   // rebuilt for every slot and mode that routes enough pairs to pay for
   // it; empty in bodies that never do.
   graph::LandmarkTable landmarks;
+  // The per-slot router's relay contraction of the snapshot graph,
+  // rebuilt for every slot and mode it routes.
+  graph::RelayContraction contraction;
   // Generic study scratch: component labels + DFS stack for the
   // reachability precheck, a NodeId buffer for batched targets, and the
   // pair indices those targets came from.

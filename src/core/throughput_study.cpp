@@ -45,7 +45,7 @@ ThroughputResult ThroughputAtSnapshot(NetworkModel::Snapshot& snap,
   // Unreachable pairs keep an empty path set.
   std::vector<std::vector<graph::Path>> paths_of(pairs.size());
   {
-    SlotPlan plan(snap, pairs, static_cast<size_t>(k), ws);
+    SlotPlan plan(snap.graph, snap, pairs, static_cast<size_t>(k), ws);
     const obs::Span span("route.disjoint");
     for (const SourceGroup& group : groups) {
       const graph::NodeId src = plan.CollectTargets(group, pairs);

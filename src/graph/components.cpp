@@ -2,6 +2,8 @@
 
 #include <vector>
 
+#include "graph/relay_contraction.hpp"
+
 namespace leosim::graph {
 
 Components ConnectedComponents(const Graph& g) {
@@ -11,7 +13,8 @@ Components ConnectedComponents(const Graph& g) {
   return result;
 }
 
-int ConnectedComponentsInto(const Graph& g, std::vector<int>* label,
+template <typename Adjacency>
+int ConnectedComponentsInto(const Adjacency& g, std::vector<int>* label,
                             std::vector<NodeId>* stack) {
   g.FinalizeAdjacency();
   const int n = g.NumNodes();
@@ -28,9 +31,9 @@ int ConnectedComponentsInto(const Graph& g, std::vector<int>* label,
     while (!stack->empty()) {
       const NodeId u = stack->back();
       stack->pop_back();
-      for (const HalfEdge& half : g.Neighbours(u)) {
-        if (!g.IsEnabled(half.edge)) {
-          continue;
+      for (const auto& half : g.Neighbours(u)) {
+        if (!(half.weight < kInfDistance)) {
+          continue;  // disabled edge
         }
         if ((*label)[static_cast<size_t>(half.to)] == -1) {
           (*label)[static_cast<size_t>(half.to)] = comp;
@@ -41,6 +44,11 @@ int ConnectedComponentsInto(const Graph& g, std::vector<int>* label,
   }
   return count;
 }
+
+template int ConnectedComponentsInto(const Graph&, std::vector<int>*,
+                                     std::vector<NodeId>*);
+template int ConnectedComponentsInto(const RelayContraction&, std::vector<int>*,
+                                     std::vector<NodeId>*);
 
 int CountDisconnected(const Graph& g, const std::vector<NodeId>& candidates,
                       const std::vector<NodeId>& targets) {

@@ -26,7 +26,11 @@ Components ConnectedComponents(const Graph& g);
 // reporting failure — by far the most expensive query shape, and common
 // under bent-pipe connectivity where a large satellite fraction is
 // isolated (paper §5).
-int ConnectedComponentsInto(const Graph& g, std::vector<int>* label,
+//
+// Runs on Graph and RelayContraction alike (see RunDijkstra in
+// graph/dijkstra.hpp); an arc of +inf weight is a disabled edge.
+template <typename Adjacency>
+int ConnectedComponentsInto(const Adjacency& g, std::vector<int>* label,
                             std::vector<NodeId>* stack);
 
 // Number of nodes in `candidates` that cannot reach any node in `targets`

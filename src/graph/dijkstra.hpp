@@ -38,10 +38,33 @@ struct Path {
 using PotentialFn = std::function<double(NodeId)>;
 
 class DijkstraWorkspace;
-class ShortestPathTree;
 
-template <typename Potential>
-std::optional<Path> ShortestPathAStar(const Graph& g, NodeId src, NodeId dst,
+// The search kernels below run over any adjacency type that offers
+// NumNodes(), FinalizeAdjacency(), Neighbours(n) (a span of arcs with
+// `to` and `edge` members), OtherEnd(edge, head) and the two relax
+// overloads RelaxedDistance / ReverseRelaxedDistance for its arc type:
+// Graph here, RelayContraction (graph/relay_contraction.hpp) there.
+// Each arc type defines its own addition order, so one relax loop
+// serves both without a copy.
+
+// Distance reached by relaxing `half` from a node at distance d.
+inline double RelaxedDistance(double d, const HalfEdge& half) {
+  return d + half.weight;
+}
+
+// Distance reached at the node owning `half` from its far end at
+// distance d_far — the relax of the reverse arc. Edges are undirected,
+// so it is the same sum.
+inline double ReverseRelaxedDistance(double d_far, const HalfEdge& half) {
+  return d_far + half.weight;
+}
+
+template <typename Adjacency, typename Stop>
+void RunDijkstra(const Adjacency& g, NodeId src, DijkstraWorkspace& workspace,
+                 const Stop& stop);
+
+template <typename Adjacency, typename Potential>
+std::optional<Path> ShortestPathAStar(const Adjacency& g, NodeId src, NodeId dst,
                                       DijkstraWorkspace& workspace,
                                       const Potential& potential);
 
@@ -72,20 +95,26 @@ class DijkstraWorkspace {
     NodeId node;
   };
 
+  // Label of node n in the last search begun with this workspace
+  // (kInfDistance when the search never reached it). Final for settled
+  // nodes; an upper bound for the rest.
+  double DistanceOf(NodeId n) const {
+    const NodeState& s = state_[static_cast<size_t>(n)];
+    return s.stamp == epoch_ ? s.dist : kInfDistance;
+  }
+  // Arc id through which n got its label (-1 for the source). Valid only
+  // for nodes with a finite DistanceOf.
+  EdgeId ViaEdge(NodeId n) const { return state_[static_cast<size_t>(n)].via; }
+
  private:
-  friend std::optional<Path> ShortestPath(const Graph& g, NodeId src, NodeId dst,
-                                          DijkstraWorkspace& workspace);
-  template <typename Potential>
-  friend std::optional<Path> ShortestPathAStar(const Graph& g, NodeId src,
+  template <typename Adjacency, typename Stop>
+  friend void RunDijkstra(const Adjacency& g, NodeId src,
+                          DijkstraWorkspace& workspace, const Stop& stop);
+  template <typename Adjacency, typename Potential>
+  friend std::optional<Path> ShortestPathAStar(const Adjacency& g, NodeId src,
                                                NodeId dst,
                                                DijkstraWorkspace& workspace,
                                                const Potential& potential);
-  friend void ShortestDistancesInto(const Graph& g, NodeId src,
-                                    DijkstraWorkspace& workspace,
-                                    std::vector<double>* out);
-  // One-to-many batched search (sssp_tree.hpp) runs the same relax loop
-  // over the same state.
-  friend class ShortestPathTree;
 
   // Distance/predecessor valid only while stamp matches the workspace
   // epoch. 16 bytes so one relaxation touches a single cache line.
@@ -105,14 +134,9 @@ class DijkstraWorkspace {
   // and the destructor flush them to sharded global counters.
   void FlushWorkCounters();
 
-  double DistanceOf(NodeId n) const {
-    const NodeState& s = state_[static_cast<size_t>(n)];
-    return s.stamp == epoch_ ? s.dist : kInfDistance;
-  }
   void Relax(NodeId n, double dist, EdgeId via) {
     state_[static_cast<size_t>(n)] = {dist, via, epoch_};
   }
-  EdgeId ViaEdge(NodeId n) const { return state_[static_cast<size_t>(n)].via; }
 
   std::vector<NodeState> state_;
   std::vector<QueueEntry> heap_;
@@ -125,14 +149,95 @@ class DijkstraWorkspace {
   uint64_t pending_tie_fallbacks_{0};
 };
 
+// The relax loop every Dijkstra entry point runs (ShortestPath,
+// ShortestDistancesInto, ShortestPathTree::Build): settles nodes from
+// src in distance order until stop(u) is true for a settled node u —
+// asked before u's arcs are relaxed — or the heap drains. Leaves labels
+// and predecessor arcs in `workspace`. std::push_heap / std::pop_heap
+// are the algorithms std::priority_queue runs, so the settle order —
+// and with it every result — matches the historical priority_queue
+// implementation exactly.
+template <typename Adjacency, typename Stop>
+void RunDijkstra(const Adjacency& g, NodeId src, DijkstraWorkspace& workspace,
+                 const Stop& stop) {
+  const auto greater = [](const DijkstraWorkspace::QueueEntry& a,
+                          const DijkstraWorkspace::QueueEntry& b) {
+    return a.distance > b.distance;
+  };
+  g.FinalizeAdjacency();
+  workspace.Begin(g.NumNodes());
+  auto& heap = workspace.heap_;
+  workspace.Relax(src, 0.0, -1);
+  heap.push_back({0.0, src});
+
+  // Work tallies live in locals for the duration of the loop (the
+  // compiler keeps them in registers; member updates every iteration
+  // measurably slow the relax loop) and post to the workspace once.
+  uint64_t pops = 0;
+  uint64_t edges = 0;
+  uint64_t pushes = 0;
+  while (!heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end(), greater);
+    const auto [d, u] = heap.back();
+    heap.pop_back();
+    ++pops;
+    if (d > workspace.DistanceOf(u)) {
+      continue;  // stale entry
+    }
+    if (stop(u)) {
+      break;
+    }
+    for (const auto& half : g.Neighbours(u)) {
+      ++edges;
+      // Disabled edges carry weight = +inf, so they never relax.
+      const double nd = RelaxedDistance(d, half);
+      if (nd < workspace.DistanceOf(half.to)) {
+        workspace.Relax(half.to, nd, half.edge);
+        ++pushes;
+        heap.push_back({nd, half.to});
+        std::push_heap(heap.begin(), heap.end(), greater);
+      }
+    }
+  }
+  workspace.pending_pops_ += pops;
+  workspace.pending_edges_ += edges;
+  workspace.pending_pushes_ += pushes;
+}
+
+// Walks dst's predecessor arcs in `workspace` back to src into a Path
+// over g's arc ids. dst must have a finite label.
+template <typename Adjacency>
+Path WalkBack(const Adjacency& g, const DijkstraWorkspace& workspace, NodeId src,
+              NodeId dst) {
+  Path path;
+  path.distance = workspace.DistanceOf(dst);
+  for (NodeId cur = dst; cur != src;) {
+    const EdgeId e = workspace.ViaEdge(cur);
+    path.edges.push_back(e);
+    path.nodes.push_back(cur);
+    cur = g.OtherEnd(e, cur);
+  }
+  path.nodes.push_back(src);
+  std::reverse(path.nodes.begin(), path.nodes.end());
+  std::reverse(path.edges.begin(), path.edges.end());
+  return path;
+}
+
 // Single-pair shortest path; nullopt if dst is unreachable over enabled
 // edges. Early-exits once dst is settled.
 std::optional<Path> ShortestPath(const Graph& g, NodeId src, NodeId dst);
 
-// As above, reusing `workspace` scratch arrays across queries. Results are
-// identical to the workspace-free overload.
-std::optional<Path> ShortestPath(const Graph& g, NodeId src, NodeId dst,
-                                 DijkstraWorkspace& workspace);
+// As above on any adjacency, reusing `workspace` scratch across queries.
+// On a Graph the results are identical to the workspace-free overload.
+template <typename Adjacency>
+std::optional<Path> ShortestPath(const Adjacency& g, NodeId src, NodeId dst,
+                                 DijkstraWorkspace& workspace) {
+  RunDijkstra(g, src, workspace, [dst](NodeId u) { return u == dst; });
+  if (workspace.DistanceOf(dst) == kInfDistance) {
+    return std::nullopt;
+  }
+  return WalkBack(g, workspace, src, dst);
+}
 
 // Goal-directed single-pair shortest path: Dijkstra ordered by
 // distance + potential(node). Precondition for an exact answer: edge
@@ -170,8 +275,10 @@ std::optional<Path> ShortestPath(const Graph& g, NodeId src, NodeId dst,
 // Defined inline so `potential` (typically a capturing lambda) inlines
 // into the relax loop; the arithmetic is identical for every callable
 // type, so the result does not depend on how the potential is passed.
-template <typename Potential>
-std::optional<Path> ShortestPathAStar(const Graph& g, NodeId src, NodeId dst,
+// Like ShortestPath it runs over any adjacency type; the answer is then
+// ShortestPath's on that adjacency.
+template <typename Adjacency, typename Potential>
+std::optional<Path> ShortestPathAStar(const Adjacency& g, NodeId src, NodeId dst,
                                       DijkstraWorkspace& workspace,
                                       const Potential& potential) {
   const auto greater = [](const DijkstraWorkspace::AStarEntry& a,
@@ -184,9 +291,7 @@ std::optional<Path> ShortestPathAStar(const Graph& g, NodeId src, NodeId dst,
   workspace.Relax(src, 0.0, -1);
   heap.push_back({potential(src), 0.0, src});
 
-  // Work tallies live in locals for the duration of the loop (the
-  // compiler keeps them in registers; member updates every iteration
-  // measurably slow the relax loop) and post to the workspace once.
+  // Work tallies in locals; see RunDijkstra.
   uint64_t pops = 0;
   uint64_t edges = 0;
   uint64_t pushes = 0;
@@ -201,10 +306,10 @@ std::optional<Path> ShortestPathAStar(const Graph& g, NodeId src, NodeId dst,
     if (top.node == dst) {
       break;  // admissible potential => dst's g-value is final here
     }
-    for (const HalfEdge& half : g.Neighbours(top.node)) {
+    for (const auto& half : g.Neighbours(top.node)) {
       ++edges;
       // Disabled edges carry weight = +inf, so they never relax.
-      const double nd = top.distance + half.weight;
+      const double nd = RelaxedDistance(top.distance, half);
       if (nd < workspace.DistanceOf(half.to)) {
         workspace.Relax(half.to, nd, half.edge);
         ++pushes;
@@ -220,31 +325,23 @@ std::optional<Path> ShortestPathAStar(const Graph& g, NodeId src, NodeId dst,
   if (workspace.DistanceOf(dst) == kInfDistance) {
     return std::nullopt;
   }
-  Path path;
-  path.distance = workspace.DistanceOf(dst);
+  // Tie guard: a second tight arc into a path node (src aside) means
+  // Dijkstra may take the other one.
   for (NodeId cur = dst; cur != src;) {
-    const EdgeId e = workspace.ViaEdge(cur);
-    path.edges.push_back(e);
-    path.nodes.push_back(cur);
-    cur = g.OtherEnd(e, cur);
-  }
-  // Tie guard: path.nodes holds every path node but src here. A second
-  // tight edge into one of them means Dijkstra may take the other one.
-  for (const NodeId x : path.nodes) {
-    const double dx = workspace.DistanceOf(x);
+    const double dx = workspace.DistanceOf(cur);
     int tight = 0;
-    for (const HalfEdge& half : g.Neighbours(x)) {
-      tight += workspace.DistanceOf(half.to) + half.weight == dx ? 1 : 0;
+    for (const auto& half : g.Neighbours(cur)) {
+      tight += ReverseRelaxedDistance(workspace.DistanceOf(half.to), half) == dx
+                   ? 1
+                   : 0;
     }
     if (tight > 1) {
       ++workspace.pending_tie_fallbacks_;
       return ShortestPath(g, src, dst, workspace);
     }
+    cur = g.OtherEnd(workspace.ViaEdge(cur), cur);
   }
-  path.nodes.push_back(src);
-  std::reverse(path.nodes.begin(), path.nodes.end());
-  std::reverse(path.edges.begin(), path.edges.end());
-  return path;
+  return WalkBack(g, workspace, src, dst);
 }
 
 // Single-source distances to every node (kInfDistance if unreachable).
@@ -252,7 +349,15 @@ std::vector<double> ShortestDistances(const Graph& g, NodeId src);
 
 // As above into a caller-owned vector (resized to NumNodes()), reusing
 // `workspace` scratch across queries.
-void ShortestDistancesInto(const Graph& g, NodeId src, DijkstraWorkspace& workspace,
-                           std::vector<double>* out);
+template <typename Adjacency>
+void ShortestDistancesInto(const Adjacency& g, NodeId src,
+                           DijkstraWorkspace& workspace, std::vector<double>* out) {
+  RunDijkstra(g, src, workspace, [](NodeId) { return false; });
+  const int n = g.NumNodes();
+  out->resize(static_cast<size_t>(n));
+  for (NodeId v = 0; v < n; ++v) {
+    (*out)[static_cast<size_t>(v)] = workspace.DistanceOf(v);
+  }
+}
 
 }  // namespace leosim::graph

@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "graph/components.hpp"
+#include "graph/relay_contraction.hpp"
 
 namespace leosim::graph {
 
@@ -22,7 +23,8 @@ float RoundDown(double d) {
 
 }  // namespace
 
-void LandmarkTable::Rebuild(const Graph& g, DijkstraWorkspace& workspace) {
+template <typename Adjacency>
+void LandmarkTable::Rebuild(const Adjacency& g, DijkstraWorkspace& workspace) {
   landmarks_.clear();
   stride_ = 0;
   shave_ = 0.0;
@@ -123,6 +125,9 @@ void LandmarkTable::Rebuild(const Graph& g, DijkstraWorkspace& workspace) {
            static_cast<double>(top);
   dst_row_.assign(stride, 0.0);
 }
+
+template void LandmarkTable::Rebuild(const Graph&, DijkstraWorkspace&);
+template void LandmarkTable::Rebuild(const RelayContraction&, DijkstraWorkspace&);
 
 void LandmarkTable::SetDestination(NodeId dst) {
   const float* row =

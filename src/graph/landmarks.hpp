@@ -45,8 +45,9 @@ class LandmarkTable {
   // ShortestDistancesInto per landmark. Nodes outside the largest
   // component get +inf rows, so queries there fall back to a zero
   // potential (plain Dijkstra order). `workspace` is scratch for the
-  // landmark Dijkstras.
-  void Rebuild(const Graph& g, DijkstraWorkspace& workspace);
+  // landmark Dijkstras. Instantiated for Graph and RelayContraction.
+  template <typename Adjacency>
+  void Rebuild(const Adjacency& g, DijkstraWorkspace& workspace);
 
   // Prepares Potential() for queries toward `dst`: copies dst's row of
   // the table so the per-node evaluation reads one table line and one

@@ -1,0 +1,151 @@
+// Relay contraction of a snapshot graph. In the paper's networks (§3)
+// ground relays and aircraft are pure transit hops: each one links only
+// to satellites, so every route through it is a two-edge detour from
+// one satellite to another. A contraction keeps the other nodes under
+// their ids and replaces each contracted node r by virtual arcs a -> b,
+// one per pair of its neighbours, that carry both halves (r, w(a, r),
+// w(r, b)). On the paper-scale snapshot (0.5 deg grid) that turns a
+// 61.5k-node graph into 2.6k nodes, and the searches run on that.
+//
+// Exactness. A detour arc relaxes as (d + w(a, r)) + w(r, b): the same
+// two additions, in the same order, that a search on the source graph
+// makes through r. Rounding is monotone, so min over a of
+// fl(fl(d(a) + w(a, r)) + w(r, b)) equals fl(d(r) + w(r, b)) with d(r)
+// the source graph's label of r: every kept node's distance is the
+// source graph's bit for bit. A pre-summed arc weight would round
+// differently. Per ordered pair (a, b) only the relays whose sum
+// w(a, r) + w(r, b) lies within a relative kNearTieRelative of the
+// pair's minimum are kept. A dropped relay's sum is larger than the
+// minimum by more than 1e-12 of it, while the two additions round by at
+// most about 1.1e-16 of d + w each; so as long as path lengths stay
+// below about 2,000 times the shortest detour (seconds against the
+// milliseconds of one relay hop) a dropped relay cannot round to the
+// minimum, and the kept set gives the same distances.
+//
+// Paths. A search on the contraction finds a shortest path, but on an
+// exact tie it can take another branch than Dijkstra on the source
+// graph would. ExpandPath maps the path back to source-graph nodes and
+// edges and checks it: see there.
+#pragma once
+
+#include <span>
+#include <vector>
+
+#include "graph/dijkstra.hpp"
+#include "graph/graph.hpp"
+
+namespace leosim::graph {
+
+// Relative width of the near-tie band: a detour arc is kept when its
+// relay's two-hop sum is within this fraction of the pair's minimum.
+inline constexpr double kNearTieRelative = 1e-12;
+
+// One arc of a RelayContraction. A direct edge of the source graph has
+// weight = its weight and weight2 = +0.0 (d + w + 0.0 == d + w exactly);
+// a detour through a contracted node has weight = w(tail, relay) and
+// weight2 = w(relay, to).
+struct ContractedArc {
+  NodeId to{0};
+  EdgeId edge{0};  // the arc's id: its index into the contraction's records
+  double weight{0.0};
+  double weight2{0.0};
+};
+
+// The arc's relax, in the addition order of the source graph.
+inline double RelaxedDistance(double d, const ContractedArc& arc) {
+  return (d + arc.weight) + arc.weight2;
+}
+
+// The relax of the reverse arc, from the far end at distance d_far: its
+// halves in the other order (the contraction is symmetric because the
+// source graph is undirected).
+inline double ReverseRelaxedDistance(double d_far, const ContractedArc& arc) {
+  return (d_far + arc.weight2) + arc.weight;
+}
+
+class RelayContraction {
+ public:
+  RelayContraction() = default;
+  RelayContraction(const RelayContraction&) = delete;
+  RelayContraction& operator=(const RelayContraction&) = delete;
+
+  // Contracts every node of `g` from `num_kept` on, over the edges
+  // enabled now (a disabled edge takes part in no arc). Precondition:
+  // every neighbour of a contracted node is a kept node; throws
+  // std::invalid_argument when a contracted node reachable from a kept
+  // one has a contracted neighbour. Borrows `g`: the contraction is
+  // valid until g changes. Reuses its storage across builds.
+  void Build(const Graph& g, int num_kept);
+
+  int NumNodes() const { return num_kept_; }
+  int NumArcs() const { return static_cast<int>(arcs_.size()); }
+
+  // Arcs are stored as CSR rows, built in Build.
+  void FinalizeAdjacency() const {}
+  std::span<const ContractedArc> Neighbours(NodeId n) const {
+    const size_t begin = static_cast<size_t>(offsets_[static_cast<size_t>(n)]);
+    const size_t end = static_cast<size_t>(offsets_[static_cast<size_t>(n) + 1]);
+    return {arcs_.data() + begin, end - begin};
+  }
+
+  // Tail of arc `arc` (whose head is `head`), for walking a search's
+  // predecessor arcs back.
+  NodeId OtherEnd(EdgeId arc, NodeId /*head*/) const {
+    return records_[static_cast<size_t>(arc)].tail;
+  }
+
+  // Maps the path to dst that the last search with `workspace` on this
+  // contraction left behind (dst settled) to the source graph: relay
+  // nodes and source-graph edge ids filled back in. Returns false, and
+  // leaves `out` unspecified, when Dijkstra on the source graph may walk
+  // back another chain; the caller then reruns graph::ShortestPath on
+  // the source graph.
+  //
+  // The check is ShortestPathAStar's tie guard on the source graph.
+  // Every node x of the expanded chain but src must have exactly one
+  // tight edge (u, x) — label(u) + w(u, x) == label(x) — and it must be
+  // the chain's. Kept nodes' labels come from the workspace; a contracted
+  // node's label is the minimum of its neighbours' labels plus the edge
+  // weight, the value a source-graph search gives it. Every true tight
+  // predecessor has a smaller distance than dst's, so the search settled
+  // it (and, for a relay, the neighbour it is reached from) at its final
+  // distance; labels the search did not finalise only overestimate and
+  // so never fake a tight edge. A node with one tight edge gets it in
+  // Dijkstra, so the chain is Dijkstra's.
+  bool ExpandPath(NodeId src, NodeId dst, const DijkstraWorkspace& workspace,
+                  Path* out) const;
+
+ private:
+  // How an arc maps back to the source graph: a detour's relay and its
+  // two edges, or (relay -1) the direct edge in `up`.
+  struct ArcRecord {
+    NodeId tail;
+    NodeId relay;
+    EdgeId up;    // edge (tail, relay), or the direct edge
+    EdgeId down;  // edge (relay, head); -1 for a direct edge
+  };
+  void AddArc(NodeId tail, NodeId to, NodeId relay, EdgeId up, EdgeId down,
+              double weight, double weight2);
+
+  const Graph* source_{nullptr};
+  int num_kept_{0};
+  std::vector<int32_t> offsets_;  // num_kept_ + 1 prefix sums into arcs_
+  std::vector<ContractedArc> arcs_;
+  std::vector<ArcRecord> records_;  // index-aligned with arc ids
+  // One two-hop detour from the current tail, staged until its pair's
+  // minimum is known.
+  struct Detour {
+    NodeId to;
+    NodeId relay;
+    EdgeId up;
+    EdgeId down;
+    double weight;
+    double weight2;
+  };
+
+  // Build scratch, kept warm across slots.
+  std::vector<Detour> detours_;
+  std::vector<double> best_;  // per kept node: min detour sum from the tail
+};
+
+}  // namespace leosim::graph

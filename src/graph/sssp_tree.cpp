@@ -1,24 +1,22 @@
 #include "graph/sssp_tree.hpp"
 
 #include <algorithm>
+#include <stdexcept>
+#include <type_traits>
+
+#include "graph/relay_contraction.hpp"
 
 namespace leosim::graph {
 
-namespace {
-
-struct HeapGreater {
-  bool operator()(const DijkstraWorkspace::QueueEntry& a,
-                  const DijkstraWorkspace::QueueEntry& b) const {
-    return a.distance > b.distance;
-  }
-};
-
-}  // namespace
-
-void ShortestPathTree::Build(const Graph& g, NodeId src,
+template <typename Adjacency>
+void ShortestPathTree::Build(const Adjacency& g, NodeId src,
                              std::span<const NodeId> targets,
                              DijkstraWorkspace& workspace) {
-  graph_ = &g;
+  if constexpr (std::is_same_v<Adjacency, Graph>) {
+    graph_ = &g;
+  } else {
+    graph_ = nullptr;
+  }
   workspace_ = &workspace;
   src_ = src;
 
@@ -41,70 +39,34 @@ void ShortestPathTree::Build(const Graph& g, NodeId src,
     }
   }
 
-  // The loop below is ShortestPath()'s relax loop verbatim, with the
-  // single-target break generalised to "every marked target settled".
-  // Identical heap evolution => identical settled distances and via
-  // edges for every target (see the header's determinism contract).
-  g.FinalizeAdjacency();
-  workspace.Begin(g.NumNodes());
-  auto& heap = workspace.heap_;
-  workspace.Relax(src, 0.0, -1);
-  heap.push_back({0.0, src});
-
-  uint64_t pops = 0;
-  uint64_t edges = 0;
-  uint64_t pushes = 0;
-  while (!heap.empty()) {
-    std::pop_heap(heap.begin(), heap.end(), HeapGreater{});
-    const auto [d, u] = heap.back();
-    heap.pop_back();
-    ++pops;
-    if (d > workspace.DistanceOf(u)) {
-      continue;  // stale entry
-    }
-    // u settles exactly once (strict `<` in the relax below), so one
-    // decrement per marked target.
-    if (target_stamp_[static_cast<size_t>(u)] == target_epoch_ &&
-        --pending == 0) {
-      break;
-    }
-    for (const HalfEdge& half : g.Neighbours(u)) {
-      ++edges;
-      // Disabled edges carry weight = +inf, so they never relax.
-      const double nd = d + half.weight;
-      if (nd < workspace.DistanceOf(half.to)) {
-        workspace.Relax(half.to, nd, half.edge);
-        ++pushes;
-        heap.push_back({nd, half.to});
-        std::push_heap(heap.begin(), heap.end(), HeapGreater{});
-      }
-    }
-  }
-  workspace.pending_pops_ += pops;
-  workspace.pending_edges_ += edges;
-  workspace.pending_pushes_ += pushes;
+  // ShortestPath()'s relax loop with the single-target stop generalised
+  // to "every marked target settled". Identical heap evolution =>
+  // identical settled distances and via edges for every target (see the
+  // header's determinism contract). u settles exactly once (strict `<`
+  // in the relax), so one decrement per marked target.
+  RunDijkstra(g, src, workspace, [this, &pending](NodeId u) {
+    return target_stamp_[static_cast<size_t>(u)] == target_epoch_ &&
+           --pending == 0;
+  });
 }
+
+template void ShortestPathTree::Build(const Graph&, NodeId, std::span<const NodeId>,
+                                      DijkstraWorkspace&);
+template void ShortestPathTree::Build(const RelayContraction&, NodeId,
+                                      std::span<const NodeId>, DijkstraWorkspace&);
 
 double ShortestPathTree::DistanceTo(NodeId n) const {
   return workspace_->DistanceOf(n);
 }
 
 std::optional<Path> ShortestPathTree::PathTo(NodeId n) const {
+  if (graph_ == nullptr) {
+    throw std::logic_error("ShortestPathTree::PathTo needs a tree built on a Graph");
+  }
   if (workspace_->DistanceOf(n) == kInfDistance) {
     return std::nullopt;
   }
-  Path path;
-  path.distance = workspace_->DistanceOf(n);
-  for (NodeId cur = n; cur != src_;) {
-    const EdgeId e = workspace_->ViaEdge(cur);
-    path.edges.push_back(e);
-    path.nodes.push_back(cur);
-    cur = graph_->OtherEnd(e, cur);
-  }
-  path.nodes.push_back(src_);
-  std::reverse(path.nodes.begin(), path.nodes.end());
-  std::reverse(path.edges.begin(), path.edges.end());
-  return path;
+  return WalkBack(*graph_, *workspace_, src_, n);
 }
 
 }  // namespace leosim::graph

@@ -39,7 +39,9 @@ class ShortestPathTree {
 
   // Runs Dijkstra from src until every node in `targets` is settled or
   // the reachable component is exhausted. Duplicate targets are fine.
-  void Build(const Graph& g, NodeId src, std::span<const NodeId> targets,
+  // Instantiated for Graph and RelayContraction (see RunDijkstra).
+  template <typename Adjacency>
+  void Build(const Adjacency& g, NodeId src, std::span<const NodeId> targets,
              DijkstraWorkspace& workspace);
 
   NodeId source() const { return src_; }
@@ -50,10 +52,12 @@ class ShortestPathTree {
   double DistanceTo(NodeId n) const;
 
   // Full path to a target of the last Build; nullopt when unreachable.
+  // Only for trees built on a Graph; on another adjacency, walk the
+  // workspace's predecessor arcs with that adjacency (WalkBack).
   std::optional<Path> PathTo(NodeId n) const;
 
  private:
-  const Graph* graph_{nullptr};
+  const Graph* graph_{nullptr};  // null when the last Build was not on a Graph
   DijkstraWorkspace* workspace_{nullptr};
   NodeId src_{-1};
   // Target marks, epoch-stamped: node n was requested by the current

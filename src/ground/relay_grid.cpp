@@ -25,6 +25,10 @@ std::vector<geo::GeodeticCoord> BuildRelayGrid(const std::vector<data::City>& ci
   if (!(spacing > 0.0) || !std::isfinite(spacing)) {
     throw std::invalid_argument("relay grid spacing_deg must be finite and > 0");
   }
+  // A NaN or infinite radius would reach floor() and an int cast below.
+  if (!(config.radius_km >= 0.0) || !std::isfinite(config.radius_km)) {
+    throw std::invalid_argument("relay grid radius_km must be finite and >= 0");
+  }
   const int lat_cells = static_cast<int>(std::lround(180.0 / spacing));
   const int lon_cells = static_cast<int>(std::lround(360.0 / spacing));
   const double radius_deg = geo::RadToDeg(config.radius_km / geo::kEarthRadiusKm);

@@ -19,7 +19,8 @@ struct RelayGridConfig {
 // Returns the relay GT positions. Implemented by rasterizing each city's
 // coverage disc into the grid (not by scanning all grid cells against all
 // cities), so cost is proportional to covered area. Throws
-// std::invalid_argument unless spacing_deg is finite and > 0.
+// std::invalid_argument unless spacing_deg is finite and > 0 and
+// radius_km is finite and >= 0.
 std::vector<geo::GeodeticCoord> BuildRelayGrid(const std::vector<data::City>& cities,
                                                const RelayGridConfig& config = {});
 

@@ -5,12 +5,15 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "core/cli_flags.hpp"
+#include "core/network_builder.hpp"
 #include "core/report.hpp"
 #include "core/scenario.hpp"
 #include "core/stats.hpp"
 #include "core/traffic_matrix.hpp"
+#include "data/cities.hpp"
 #include "geo/geodesic.hpp"
 
 namespace leosim::core {
@@ -302,6 +305,61 @@ TEST(CliFlagsTest, RunMainMapsExceptionsToExitTwo) {
   // One line, prefixed with the program's base name.
   EXPECT_EQ(testing::internal::GetCapturedStderr(),
             "tool: --n: expected an integer in [1, 2]\n");
+}
+
+// NetworkOptions::Validate rejects each bad field, and the NetworkModel
+// constructor calls it before building anything (a NaN radius used to
+// reach std::floor in BuildRelayGrid and a cast of its result to int).
+TEST(NetworkOptionsTest, ValidateRejectsBadFields) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  struct Row {
+    const char* name;
+    double NetworkOptions::*field;
+    double value;
+  };
+  const Row rows[] = {
+      {"relay_spacing_deg", &NetworkOptions::relay_spacing_deg, nan},
+      {"relay_spacing_deg", &NetworkOptions::relay_spacing_deg, inf},
+      {"relay_spacing_deg", &NetworkOptions::relay_spacing_deg, 0.0},
+      {"relay_spacing_deg", &NetworkOptions::relay_spacing_deg, -1.0},
+      {"relay_radius_km", &NetworkOptions::relay_radius_km, nan},
+      {"relay_radius_km", &NetworkOptions::relay_radius_km, inf},
+      {"relay_radius_km", &NetworkOptions::relay_radius_km, -1.0},
+      {"aircraft_scale", &NetworkOptions::aircraft_scale, nan},
+      {"aircraft_scale", &NetworkOptions::aircraft_scale, inf},
+      {"aircraft_scale", &NetworkOptions::aircraft_scale, -0.5},
+      {"gso_separation_deg", &NetworkOptions::gso_separation_deg, nan},
+      {"gso_separation_deg", &NetworkOptions::gso_separation_deg, inf},
+      {"gso_separation_deg", &NetworkOptions::gso_separation_deg, -1.0},
+      {"gso_separation_deg", &NetworkOptions::gso_separation_deg, 181.0},
+      {"gt_capacity_gbps", &NetworkOptions::gt_capacity_gbps, nan},
+      {"isl_capacity_gbps", &NetworkOptions::isl_capacity_gbps, nan},
+  };
+  const std::vector<data::City> cities = data::AnchorCities();
+  for (const Row& row : rows) {
+    NetworkOptions options;
+    options.*row.field = row.value;
+    EXPECT_THROW(options.Validate(), std::invalid_argument)
+        << row.name << " = " << row.value;
+    EXPECT_THROW(NetworkModel(Scenario::Starlink(), options, cities),
+                 std::invalid_argument)
+        << row.name << " = " << row.value;
+  }
+  NetworkOptions beams;
+  beams.max_gt_links_per_satellite = -1;
+  EXPECT_THROW(beams.Validate(), std::invalid_argument);
+  EXPECT_THROW(NetworkModel(Scenario::Starlink(), beams, cities),
+               std::invalid_argument);
+
+  // Defaults and the edges of each range pass.
+  NetworkOptions edges;
+  EXPECT_NO_THROW(edges.Validate());
+  edges.relay_radius_km = 0.0;
+  edges.aircraft_scale = 0.0;
+  edges.gso_separation_deg = 180.0;
+  edges.gt_capacity_gbps = -1.0;
+  EXPECT_NO_THROW(edges.Validate());
 }
 
 }  // namespace

@@ -214,6 +214,45 @@ TEST(NetworkModelTest, GsoExclusionOnlyRemovesRadioLinks) {
   EXPECT_GT(excl_snap.radio_edges.size(), plain_snap.radio_edges.size() / 4);
 }
 
+// The router's relay contraction (graph/relay_contraction.hpp) needs
+// every relay and aircraft node to be a pure transit hop between
+// satellites: no edge to a city, a relay or an aircraft. The builder's
+// only edges are GT-satellite links and ISLs, in every variant.
+TEST(NetworkModelTest, RelaysAndAircraftNeighbourOnlySatellites) {
+  struct Variant {
+    const char* name;
+    ConnectivityMode mode;
+    bool gso;
+    int beams;
+  };
+  const Variant variants[] = {
+      {"bent-pipe", ConnectivityMode::kBentPipe, false, 0},
+      {"hybrid", ConnectivityMode::kHybrid, false, 0},
+      {"hybrid, GSO-excluded", ConnectivityMode::kHybrid, true, 0},
+      {"bent-pipe, 4 beams", ConnectivityMode::kBentPipe, false, 4},
+  };
+  for (const Variant& v : variants) {
+    NetworkOptions options = FastOptions(v.mode);
+    options.apply_gso_exclusion = v.gso;
+    options.max_gt_links_per_satellite = v.beams;
+    const NetworkModel model(Scenario::Starlink(), options, data::AnchorCities());
+    for (const double t : {0.0, 2700.0}) {
+      const auto snap = model.BuildSnapshot(t);
+      ASSERT_GT(snap.num_relays, 0) << v.name;
+      ASSERT_GT(snap.num_aircraft, 0) << v.name;
+      int transit_edges = 0;
+      for (graph::NodeId n = snap.RelayNode(0); n < snap.NumNodes(); ++n) {
+        for (const graph::HalfEdge& half : snap.graph.Neighbours(n)) {
+          ASSERT_TRUE(snap.IsSat(half.to))
+              << v.name << " t=" << t << ": node " << n << " links to " << half.to;
+          ++transit_edges;
+        }
+      }
+      EXPECT_GT(transit_edges, 0) << v.name;
+    }
+  }
+}
+
 TEST(NetworkModelTest, ModeNames) {
   EXPECT_EQ(ToString(ConnectivityMode::kBentPipe), "bent-pipe");
   EXPECT_EQ(ToString(ConnectivityMode::kHybrid), "hybrid");

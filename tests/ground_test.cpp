@@ -112,6 +112,22 @@ TEST(RelayGridTest, RejectsNonPositiveOrNonFiniteSpacing) {
   EXPECT_NO_THROW(BuildRelayGrid(TestCities(), coarse));
 }
 
+TEST(RelayGridTest, RejectsNegativeOrNonFiniteRadius) {
+  for (const double radius :
+       {-1.0, std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN()}) {
+    RelayGridConfig config;
+    config.spacing_deg = 10.0;
+    config.radius_km = radius;
+    EXPECT_THROW(BuildRelayGrid(TestCities(), config), std::invalid_argument)
+        << radius;
+  }
+  RelayGridConfig zero;
+  zero.spacing_deg = 10.0;
+  zero.radius_km = 0.0;
+  EXPECT_NO_THROW(BuildRelayGrid(TestCities(), zero));
+}
+
 TEST(FiberTest, LatencySlowerThanFreeSpace) {
   const double ms = FiberLatencyMs(1000.0);
   const double free_space_ms = 1000.0 / geo::kSpeedOfLightKmPerSec * 1000.0;

@@ -1,11 +1,13 @@
-// Property tests for the per-slot router (core/slot_router.hpp). Its
-// tiers are pure accelerations: on a hybrid snapshot and on the same
-// snapshot with its ISL edges masked (the latency study's bent-pipe
-// view), the ALT tier, the Euclidean tier and plain graph::ShortestPath
-// must agree bit for bit on every pair's RTT and node chain, exact ties
-// included (the bench-default configuration's t = 0 bent-pipe view holds
-// one). Both sides of kAltMinQueries are reached by routing the same
-// pairs either in one call or in chunks smaller than the break-even.
+// Property tests for the per-slot router (core/slot_router.hpp). It
+// routes on a relay contraction of the snapshot graph, and its tiers are
+// pure accelerations: on a hybrid snapshot and on the same snapshot with
+// its ISL edges masked (the latency study's bent-pipe view), the ALT
+// tier, the Euclidean tier and plain graph::ShortestPath on the full
+// graph must agree bit for bit on every pair's RTT and node chain, exact
+// ties included (the bench-default configuration's t = 0 bent-pipe view
+// holds one, and a hand-built graph holds both kinds of relay tie). Both
+// sides of kAltMinQueries are reached by routing the same pairs either
+// in one call or in chunks smaller than the break-even.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -25,6 +27,7 @@
 #include "data/city_catalog.hpp"
 #include "graph/components.hpp"
 #include "graph/dijkstra.hpp"
+#include "graph/relay_contraction.hpp"
 #include "obs/metrics.hpp"
 
 namespace leosim::core {
@@ -97,6 +100,12 @@ std::vector<double> DijkstraRtts(const NetworkModel::Snapshot& snap,
 uint64_t TieFallbacks() {
   return obs::MetricsRegistry::Global()
       .GetCounter("dijkstra.astar_tie_fallbacks")
+      .Value();
+}
+
+uint64_t ContractTieFallbacks() {
+  return obs::MetricsRegistry::Global()
+      .GetCounter("route.contract.tie_fallbacks")
       .Value();
 }
 
@@ -200,8 +209,9 @@ TEST(SlotRouter, TiersAgreeOnHybridAndMaskedBentPipe) {
 // The bench-default configuration (332 generated cities, 2.5 deg relay
 // grid, 500 pairs) holds an exact tie on one ISL-masked bent-pipe path
 // at t = 0: two equal-length branches that A* and Dijkstra used to
-// settle in different orders. The tie guard must catch it and the
-// router must report Dijkstra's node chain.
+// settle in different orders. Both tie guards — the contracted A*'s and
+// the path expansion's on the full graph — must catch it, and the router
+// must report Dijkstra's node chain.
 TEST(SlotRouter, NodeChainsMatchDijkstraThroughExactTies) {
   const std::vector<data::City> cities = data::GenerateWorldCities(332, 42);
   NetworkOptions options = Options(ConnectivityMode::kHybrid);
@@ -216,9 +226,12 @@ TEST(SlotRouter, NodeChainsMatchDijkstraThroughExactTies) {
     snap.graph.SetEnabled(e, false);
   }
   const uint64_t fallbacks_before = TieFallbacks();
+  const uint64_t contract_before = ContractTieFallbacks();
   ExpectTiersAgree(snap, pairs, "bent-pipe t=0");
   EXPECT_GT(TieFallbacks(), fallbacks_before)
       << "no exact tie reached the A* tie guard";
+  EXPECT_GT(ContractTieFallbacks(), contract_before)
+      << "no exact tie reached the contraction's tie guard";
 }
 
 // Below the break-even the router never builds a table, whatever the
@@ -235,6 +248,117 @@ TEST(SlotRouter, SmallSlotsKeepEuclideanTiers) {
   const std::vector<double> reference = DijkstraRtts(snap, few);
   for (size_t i = 0; i < few.size(); ++i) {
     EXPECT_TRUE(BitEq(routes.rtt[i], reference[i])) << "pair " << i;
+  }
+}
+
+// The contraction keeps every satellite and city under its id, and the
+// distances from any source to them are the full graph's bit for bit;
+// the router's RTTs and node chains are plain Dijkstra's on the full
+// graph. Both views, on a 4 deg and a 1 deg relay grid.
+TEST(SlotRouter, ContractionMatchesFullGraphDijkstra) {
+  const std::vector<CityPair> pairs = Pairs();
+  for (const double spacing : {4.0, 1.0}) {
+    NetworkOptions options = Options(ConnectivityMode::kHybrid);
+    options.relay_spacing_deg = spacing;
+    const NetworkModel model(Scenario::Starlink(), options, data::AnchorCities());
+    NetworkModel::Snapshot snap = model.BuildSnapshot(900.0);
+    for (const char* view : {"hybrid", "bent-pipe"}) {
+      if (view[0] == 'b') {
+        for (const graph::EdgeId e : snap.isl_edges) {
+          snap.graph.SetEnabled(e, false);
+        }
+      }
+      graph::RelayContraction contraction;
+      contraction.Build(snap.graph, snap.num_sats + snap.num_cities);
+      ASSERT_EQ(contraction.NumNodes(), snap.num_sats + snap.num_cities);
+      graph::DijkstraWorkspace ws;
+      std::vector<double> full;
+      std::vector<double> contracted;
+      for (int city = 0; city < snap.num_cities; city += 7) {
+        graph::ShortestDistancesInto(snap.graph, snap.CityNode(city), ws, &full);
+        graph::ShortestDistancesInto(contraction, snap.CityNode(city), ws,
+                                     &contracted);
+        for (graph::NodeId v = 0; v < contraction.NumNodes(); ++v) {
+          ASSERT_TRUE(BitEq(contracted[static_cast<size_t>(v)],
+                            full[static_cast<size_t>(v)]))
+              << spacing << " deg " << view << ": city " << city << " to node " << v;
+        }
+      }
+
+      const DijkstraRoutes reference = DijkstraReference(snap, pairs);
+      SweepWorkspace sweep_ws;
+      SlotRoutes routes;
+      RouteSlotPairs(snap, pairs, GroupPairsBySource(pairs), /*want_paths=*/true,
+                     &sweep_ws, &routes);
+      for (size_t i = 0; i < pairs.size(); ++i) {
+        ASSERT_TRUE(BitEq(routes.rtt[i], reference.rtt[i]))
+            << spacing << " deg " << view << " pair " << i;
+        const auto run = routes.PathNodes(i);
+        EXPECT_EQ(std::vector<graph::NodeId>(run.begin(), run.end()),
+                  reference.nodes[i])
+            << spacing << " deg " << view << " pair " << i;
+      }
+    }
+  }
+}
+
+// A hand-built snapshot with both kinds of tie the contraction must
+// hand back to a full-graph Dijkstra:
+//   - cities C0 -> C1 through S0 -> {R0 | R1} -> S1: two relays with
+//     equal sums, so the contraction keeps two S0 -> S1 arcs and S1 has
+//     two tight predecessors;
+//   - cities C2 -> C1 through {S2 | S3} -> R2 -> S1: one relay with two
+//     tight satellite predecessors.
+// Layout [S0..S3 | C0..C2 | R0..R2]; weights are small integers, so
+// every sum is exact and each tie is exact. All nodes share one
+// position, so the Euclidean potential is 0 (plain Dijkstra order).
+TEST(SlotRouter, RelayTiesFallBackToFullGraphDijkstra) {
+  NetworkModel::Snapshot snap;
+  snap.num_sats = 4;
+  snap.num_cities = 3;
+  snap.num_relays = 3;
+  snap.num_aircraft = 0;
+  snap.node_ecef.assign(10, geo::Vec3{});
+  snap.graph.Reset(10);
+  const auto sat = [](int i) { return i; };
+  const auto city = [](int i) { return 4 + i; };
+  const auto relay = [](int i) { return 7 + i; };
+  snap.graph.AddEdge(city(0), sat(0), 1.0);
+  snap.graph.AddEdge(sat(0), relay(0), 2.0);
+  snap.graph.AddEdge(relay(0), sat(1), 2.0);
+  snap.graph.AddEdge(sat(0), relay(1), 2.0);
+  snap.graph.AddEdge(relay(1), sat(1), 2.0);
+  snap.graph.AddEdge(sat(1), city(1), 1.0);
+  snap.graph.AddEdge(city(2), sat(2), 1.0);
+  snap.graph.AddEdge(city(2), sat(3), 1.0);
+  snap.graph.AddEdge(sat(2), relay(2), 2.0);
+  snap.graph.AddEdge(sat(3), relay(2), 2.0);
+  snap.graph.AddEdge(relay(2), sat(1), 2.0);
+  snap.graph.FinalizeAdjacency();
+
+  graph::RelayContraction contraction;
+  contraction.Build(snap.graph, snap.num_sats + snap.num_cities);
+  int s0_to_s1 = 0;
+  for (const graph::ContractedArc& arc : contraction.Neighbours(sat(0))) {
+    s0_to_s1 += arc.to == sat(1) ? 1 : 0;
+  }
+  EXPECT_EQ(s0_to_s1, 2) << "both equal-sum relays must be kept";
+
+  const std::vector<CityPair> pairs = {{0, 1}, {2, 1}};
+  const DijkstraRoutes reference = DijkstraReference(snap, pairs);
+  const uint64_t before = ContractTieFallbacks();
+  SweepWorkspace ws;
+  SlotRoutes routes;
+  RouteSlotPairs(snap, pairs, GroupPairsBySource(pairs), /*want_paths=*/true, &ws,
+                 &routes);
+  EXPECT_EQ(ContractTieFallbacks() - before, 2u);
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    EXPECT_TRUE(BitEq(routes.rtt[i], reference.rtt[i])) << "pair " << i;
+    EXPECT_EQ(routes.rtt[i], 12.0) << "pair " << i;
+    const auto run = routes.PathNodes(i);
+    EXPECT_EQ(std::vector<graph::NodeId>(run.begin(), run.end()),
+              reference.nodes[i])
+        << "pair " << i;
   }
 }
 
