@@ -5,7 +5,8 @@
 // shortest paths — plus the end-to-end latency study (the paper's Fig. 2
 // inner loop) whose wall-clock is the repo's headline perf number, once
 // at the flags' scale and once (fig2_full_slot, relay_contract) at the
-// paper's. Run with fixed flags so successive JSON records are
+// paper's, and one Fig. 4 throughput slot (throughput_slot) at a fixed
+// scale. Run with fixed flags so successive JSON records are
 // comparable:
 //
 //   bench_pipeline --pairs=100 --snapshots=4 --spacing=3
@@ -25,6 +26,7 @@
 #include "core/net_trace.hpp"
 #include "core/parallel.hpp"
 #include "core/scenario.hpp"
+#include "core/throughput_study.hpp"
 #include "flow/flow_network.hpp"
 #include "flow/maxmin.hpp"
 #include "geo/geodesic.hpp"
@@ -348,6 +350,29 @@ int Run(int argc, char** argv) {
     std::printf("# relay_contract: %d nodes, %d arcs from %d nodes\n",
                 contraction.NumNodes(), contraction.NumArcs(),
                 snap.graph.NumNodes());
+  }
+
+  // 4c. One Fig. 4 throughput slot at a fixed scale whatever the flags:
+  //     1,000 cities, the 1 deg relay grid, 250 pairs, k = 4, hybrid,
+  //     through RunThroughputStudy (snapshot build, the router's k
+  //     disjoint paths per pair on the residual contraction, max-min
+  //     allocation).
+  {
+    bench::BenchConfig slot = config;
+    slot.num_cities = 1000;
+    slot.relay_spacing_deg = 1.0;
+    slot.aircraft_scale = 1.0;
+    slot.num_pairs = 250;
+    const std::vector<data::City> slot_cities = bench::MakeCities(slot);
+    const core::NetworkModel slot_hybrid(
+        scenario, bench::MakeOptions(slot, core::ConnectivityMode::kHybrid),
+        slot_cities);
+    const std::vector<core::CityPair> slot_pairs = bench::MakePairs(slot, slot_cities);
+    suite.Run("throughput_slot", 5, 1, [&] {
+      const core::ThroughputResult result =
+          core::RunThroughputStudy(slot_hybrid, slot_pairs, 4, 0.0);
+      (void)result;
+    });
   }
 
   // 5. Snapshot-parallel temporal sweep: aggregate churn over the full

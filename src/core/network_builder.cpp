@@ -88,6 +88,7 @@ NetworkModel::NetworkModel(const Scenario& scenario, const NetworkOptions& optio
                            std::vector<data::City> cities,
                            const std::vector<orbit::OrbitalShell>& extra_shells)
     : scenario_(scenario), options_(options), cities_(std::move(cities)) {
+  scenario_.Validate();
   options_.Validate();
   if (cities_.empty()) {
     throw std::invalid_argument("network model needs at least one city");

@@ -131,7 +131,9 @@ class NetworkModel {
   };
 
   // The model owns its city list (callers typically pass the output of
-  // data::GenerateWorldCities).
+  // data::GenerateWorldCities). Both constructors throw
+  // std::invalid_argument for a bad scenario or options (Scenario::Validate,
+  // NetworkOptions::Validate) or an empty city list.
   NetworkModel(const Scenario& scenario, const NetworkOptions& options,
                std::vector<data::City> cities);
 

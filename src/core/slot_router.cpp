@@ -5,6 +5,7 @@
 
 #include "graph/components.hpp"
 #include "graph/dijkstra.hpp"
+#include "graph/disjoint_paths.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -28,10 +29,29 @@ obs::Counter& ContractTieFallbacksCounter() {
   return counter;
 }
 
+// Satellite pairs whose detours the residual view recomputed after a ban.
+obs::Counter& ContractRepairsCounter() {
+  static obs::Counter& counter =
+      obs::MetricsRegistry::Global().GetCounter("route.contract.repairs");
+  return counter;
+}
+
+// Builds ws->contraction on snap's graph as it stands.
+const graph::RelayContraction& BuildContraction(
+    const NetworkModel::Snapshot& snap, SweepWorkspace* ws) {
+  graph::RelayContraction& contraction = ws->contraction;
+  {
+    const obs::Span span("route.contract");
+    contraction.Build(snap.graph, snap.num_sats + snap.num_cities);
+  }
+  ContractArcsCounter().Add(static_cast<uint64_t>(contraction.NumArcs()));
+  return contraction;
+}
+
 }  // namespace
 
-template <typename Adjacency>
-SlotPlan::SlotPlan(const Adjacency& g, const NetworkModel::Snapshot& snap,
+SlotPlan::SlotPlan(const graph::RelayContraction& g,
+                   const NetworkModel::Snapshot& snap,
                    const std::vector<CityPair>& pairs, size_t searches_per_pair,
                    SweepWorkspace* ws)
     : snap_(snap), ws_(ws) {
@@ -52,12 +72,6 @@ SlotPlan::SlotPlan(const Adjacency& g, const NetworkModel::Snapshot& snap,
     ws->landmarks.Rebuild(g, ws->dijkstra);
   }
 }
-
-template SlotPlan::SlotPlan(const graph::Graph&, const NetworkModel::Snapshot&,
-                            const std::vector<CityPair>&, size_t, SweepWorkspace*);
-template SlotPlan::SlotPlan(const graph::RelayContraction&,
-                            const NetworkModel::Snapshot&,
-                            const std::vector<CityPair>&, size_t, SweepWorkspace*);
 
 graph::NodeId SlotPlan::CollectTargets(const SourceGroup& group,
                                        const std::vector<CityPair>& pairs) {
@@ -86,12 +100,7 @@ void RouteSlotPairs(const NetworkModel::Snapshot& snap,
   out->end.assign(want_paths ? n : 0, 0);
   out->nodes.clear();
 
-  graph::RelayContraction& contraction = ws->contraction;
-  {
-    const obs::Span span("route.contract");
-    contraction.Build(snap.graph, snap.num_sats + snap.num_cities);
-  }
-  ContractArcsCounter().Add(static_cast<uint64_t>(contraction.NumArcs()));
+  const graph::RelayContraction& contraction = BuildContraction(snap, ws);
 
   // Records one routed pair's answer from the search that just settled
   // dst in ws->dijkstra: round-trip time (out and back over the same
@@ -143,6 +152,35 @@ void RouteSlotPairs(const NetworkModel::Snapshot& snap,
     }
   }
   ContractTieFallbacksCounter().Add(tie_fallbacks);
+}
+
+void RouteSlotDisjointPaths(NetworkModel::Snapshot& snap,
+                            const std::vector<CityPair>& pairs,
+                            const std::vector<SourceGroup>& groups, int k,
+                            SweepWorkspace* ws,
+                            std::vector<std::vector<graph::Path>>* paths) {
+  paths->assign(pairs.size(), {});
+  const graph::RelayContraction& contraction = BuildContraction(snap, ws);
+  SlotPlan plan(contraction, snap, pairs, static_cast<size_t>(k), ws);
+  ws->residual.Reset(contraction);
+  uint64_t tie_reruns = 0;
+  {
+    const obs::Span span("route.disjoint");
+    for (const SourceGroup& group : groups) {
+      const graph::NodeId src = plan.CollectTargets(group, pairs);
+      for (size_t j = 0; j < ws->targets.size(); ++j) {
+        const graph::NodeId dst = ws->targets[j];
+        (*paths)[static_cast<size_t>(ws->target_pairs[j])] =
+            plan.WithPotential(dst, [&](const auto& potential) {
+              return graph::KEdgeDisjointShortestPaths(snap.graph, ws->residual,
+                                                       src, dst, k, ws->dijkstra,
+                                                       potential, &tie_reruns);
+            });
+      }
+    }
+  }
+  ContractTieFallbacksCounter().Add(tie_reruns);
+  ContractRepairsCounter().Add(ws->residual.repairs());
 }
 
 }  // namespace leosim::core

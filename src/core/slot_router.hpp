@@ -3,13 +3,14 @@
 // pairs grouped by source against one snapshot — and answer it the same
 // way (SlotPlan below):
 //
-//   0. the graph: RouteSlotPairs (latency and churn) routes on a relay
-//      contraction of the snapshot graph (graph/relay_contraction.hpp):
-//      relays and aircraft, 96% of a paper-scale graph's nodes, become
-//      two-hop arcs between satellites, and the 61.5k-node graph shrinks
-//      to its 2.6k satellites and cities. The throughput study stays on
-//      the full graph, because its paths must be edge-disjoint on the
-//      GT-satellite edges a detour arc hides;
+//   0. the graph: the router routes on a relay contraction of the
+//      snapshot graph (graph/relay_contraction.hpp): relays and aircraft,
+//      96% of a paper-scale graph's nodes, become two-hop arcs between
+//      satellites, and the 61.5k-node graph shrinks to its 2.6k
+//      satellites and cities. RouteSlotPairs (latency and churn) searches
+//      it as built; RouteSlotDisjointPaths (throughput) searches a
+//      residual view of it between a pair's k searches, which repairs
+//      only the detours each taken path bans;
 //   1. component precheck: cross-component pairs stay unrouted without
 //      any search (a failed search would otherwise settle the whole
 //      component);
@@ -45,8 +46,10 @@
 #include "core/temporal_sweep.hpp"
 #include "core/traffic_matrix.hpp"
 #include "geo/vec3.hpp"
+#include "graph/dijkstra.hpp"
 #include "graph/graph.hpp"
 #include "graph/landmarks.hpp"
+#include "graph/relay_contraction.hpp"
 #include "link/radio.hpp"
 
 namespace leosim::core {
@@ -105,19 +108,17 @@ inline double EuclideanLatencyPotential(const std::vector<geo::Vec3>& node_ecef,
 
 // One slot's routing plan: the component precheck, the landmark-table
 // decision and the A* potential, for every study that routes pairs over
-// one snapshot. The plan routes over `g`: snap.graph itself, or a
-// RelayContraction of it (which keeps every satellite and city under its
-// snapshot id). Construction labels g's components into ws->labels and,
-// when the slot's reachable search count clears kAltMinQueries, rebuilds
+// one snapshot. The plan routes over `g`, a RelayContraction of
+// snap.graph (which keeps every satellite and city under its snapshot
+// id). Construction labels g's components into ws->labels and, when the
+// slot's reachable search count clears kAltMinQueries, rebuilds
 // ws->landmarks on g. The plan borrows `snap` and `ws` and is valid
-// until either changes; callers may disable edges in between (the
+// until either changes; callers may ban edges in between (the
 // throughput study's residual searches), which only lengthens distances
 // and so keeps both potentials admissible.
 class SlotPlan {
  public:
-  // Instantiated for graph::Graph and graph::RelayContraction.
-  template <typename Adjacency>
-  SlotPlan(const Adjacency& g, const NetworkModel::Snapshot& snap,
+  SlotPlan(const graph::RelayContraction& g, const NetworkModel::Snapshot& snap,
            const std::vector<CityPair>& pairs, size_t searches_per_pair,
            SweepWorkspace* ws);
 
@@ -184,5 +185,20 @@ void RouteSlotPairs(const NetworkModel::Snapshot& snap,
                     const std::vector<CityPair>& pairs,
                     const std::vector<SourceGroup>& groups, bool want_paths,
                     SweepWorkspace* ws, SlotRoutes* out);
+
+// Routes every pair of `pairs` over `snap`'s graph as it stands into
+// (*paths)[pair]: its up to k edge-disjoint shortest paths, equal edge
+// for edge to graph::KEdgeDisjointShortestPaths(snap.graph, src, dst, k),
+// empty when the pair is unreachable. One SlotPlan on the relay
+// contraction, counting k searches per pair; every search, first and
+// residual, is A* on ws->residual (see the contracted
+// KEdgeDisjointShortestPaths in graph/disjoint_paths.hpp). Edges are
+// disabled on snap.graph while a pair is routed and restored after it.
+// Uses only `ws` and `snap`, like RouteSlotPairs.
+void RouteSlotDisjointPaths(NetworkModel::Snapshot& snap,
+                            const std::vector<CityPair>& pairs,
+                            const std::vector<SourceGroup>& groups, int k,
+                            SweepWorkspace* ws,
+                            std::vector<std::vector<graph::Path>>* paths);
 
 }  // namespace leosim::core

@@ -44,8 +44,10 @@ struct SweepWorkspace {
   // it; empty in bodies that never do.
   graph::LandmarkTable landmarks;
   // The per-slot router's relay contraction of the snapshot graph,
-  // rebuilt for every slot and mode it routes.
+  // rebuilt for every slot and mode it routes, and the throughput
+  // study's residual view of it.
   graph::RelayContraction contraction;
+  graph::ResidualContraction residual;
   // Generic study scratch: component labels + DFS stack for the
   // reachability precheck, a NodeId buffer for batched targets, and the
   // pair indices those targets came from.

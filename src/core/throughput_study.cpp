@@ -10,7 +10,6 @@
 #include "core/temporal_sweep.hpp"
 #include "flow/maxmin.hpp"
 #include "graph/components.hpp"
-#include "graph/disjoint_paths.hpp"
 #include "obs/timeseries.hpp"
 #include "obs/trace.hpp"
 
@@ -19,10 +18,9 @@ namespace leosim::core {
 namespace {
 
 // Aggregate max-min-fair throughput over one built snapshot. Every
-// pair's k edge-disjoint paths come from the per-slot router's plan
-// (core/slot_router.hpp), counting k searches per reachable pair: every
-// search, first and residual, is A* goal-directed by the slot's
-// potential. Each pair's paths equal KEdgeDisjointShortestPaths' plain from-scratch
+// pair's k edge-disjoint paths come from the per-slot router
+// (RouteSlotDisjointPaths in core/slot_router.hpp), on the slot's relay
+// contraction, and equal KEdgeDisjointShortestPaths' plain from-scratch
 // answer edge for edge. Flows are handed to the allocator in the
 // original pair order, so the allocation matches the historical
 // per-pair loop.
@@ -43,22 +41,8 @@ ThroughputResult ThroughputAtSnapshot(NetworkModel::Snapshot& snap,
   }
 
   // Unreachable pairs keep an empty path set.
-  std::vector<std::vector<graph::Path>> paths_of(pairs.size());
-  {
-    SlotPlan plan(snap.graph, snap, pairs, static_cast<size_t>(k), ws);
-    const obs::Span span("route.disjoint");
-    for (const SourceGroup& group : groups) {
-      const graph::NodeId src = plan.CollectTargets(group, pairs);
-      for (size_t j = 0; j < ws->targets.size(); ++j) {
-        const graph::NodeId dst = ws->targets[j];
-        paths_of[static_cast<size_t>(ws->target_pairs[j])] =
-            plan.WithPotential(dst, [&](const auto& potential) {
-              return graph::KEdgeDisjointShortestPaths(snap.graph, src, dst, k,
-                                                       ws->dijkstra, potential);
-            });
-      }
-    }
-  }
+  std::vector<std::vector<graph::Path>> paths_of;
+  RouteSlotDisjointPaths(snap, pairs, groups, k, ws, &paths_of);
 
   ThroughputResult result;
   for (const std::vector<graph::Path>& paths : paths_of) {

@@ -9,7 +9,7 @@ std::vector<Path> KEdgeDisjointShortestPaths(Graph& g, NodeId src, NodeId dst, i
 
 std::vector<Path> KEdgeDisjointShortestPaths(Graph& g, NodeId src, NodeId dst, int k,
                                              DijkstraWorkspace& workspace) {
-  return detail::GreedyDisjointPaths(g, nullptr, k, [&] {
+  return detail::GreedyDisjointPaths(g, nullptr, k, [&](const std::vector<Path>&) {
     return ShortestPath(g, src, dst, workspace);
   });
 }
@@ -18,7 +18,7 @@ std::vector<Path> KEdgeDisjointShortestPaths(Graph& g, Path first, int k,
                                              DijkstraWorkspace& workspace) {
   const NodeId src = first.nodes.front();
   const NodeId dst = first.nodes.back();
-  return detail::GreedyDisjointPaths(g, &first, k, [&] {
+  return detail::GreedyDisjointPaths(g, &first, k, [&](const std::vector<Path>&) {
     return ShortestPath(g, src, dst, workspace);
   });
 }

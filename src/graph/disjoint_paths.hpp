@@ -4,11 +4,13 @@
 // the paper routes each sub-flow on the shortest path remaining.)
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <utility>
 #include <vector>
 
 #include "graph/dijkstra.hpp"
+#include "graph/relay_contraction.hpp"
 
 namespace leosim::graph {
 
@@ -34,9 +36,10 @@ std::vector<Path> KEdgeDisjointShortestPaths(Graph& g, Path first, int k,
 namespace detail {
 
 // Shared greedy loop: takes `*first` when non-null, then keeps taking
-// the path `search()` returns, disabling each taken path's edges, until
-// k paths exist or `search()` returns nullopt; finally restores every
-// edge this call disabled.
+// the path `search(taken)` returns, disabling each taken path's edges,
+// until k paths exist or the search returns nullopt; finally restores
+// every edge this call disabled. `taken` is the paths taken so far, so
+// a search can patch what it routes on for the last one's edges.
 template <typename Search>
 std::vector<Path> GreedyDisjointPaths(Graph& g, Path* first, int k,
                                       const Search& search) {
@@ -53,7 +56,7 @@ std::vector<Path> GreedyDisjointPaths(Graph& g, Path* first, int k,
     take(std::move(*first));
   }
   while (static_cast<int>(paths.size()) < k) {
-    std::optional<Path> path = search();
+    std::optional<Path> path = search(std::as_const(paths));
     if (!path.has_value()) {
       break;
     }
@@ -81,9 +84,47 @@ template <typename Potential>
 std::vector<Path> KEdgeDisjointShortestPaths(Graph& g, NodeId src, NodeId dst, int k,
                                              DijkstraWorkspace& workspace,
                                              const Potential& potential) {
-  return detail::GreedyDisjointPaths(g, nullptr, k, [&] {
+  return detail::GreedyDisjointPaths(g, nullptr, k, [&](const std::vector<Path>&) {
     return ShortestPathAStar(g, src, dst, workspace, potential);
   });
+}
+
+// Contracted overload: every search is ShortestPathAStar with
+// `potential` on `residual`, a residual view of a RelayContraction built
+// on g as the caller passed it (ResidualContraction::Reset), whose two
+// end nodes are kept nodes. The view's bans are cleared first; after
+// each taken path it bans that path's edges, which the loop has just
+// disabled on g. Each found path is expanded to g and checked by
+// RelayContraction::ExpandPath's tie guard against g as masked then;
+// when the guard fails the search reruns as graph::ShortestPath on g,
+// counted in *tie_reruns. The potential must be strictly admissible on
+// the contraction (the slot's landmark table on it, or the Euclidean
+// bound); bans keep it so, as for the overload above. Under these
+// preconditions the output equals the plain overload's edge for edge:
+// the view's distances are the masked g's, and a path that passes the
+// guard is Dijkstra's on g.
+template <typename Potential>
+std::vector<Path> KEdgeDisjointShortestPaths(Graph& g, ResidualContraction& residual,
+                                             NodeId src, NodeId dst, int k,
+                                             DijkstraWorkspace& workspace,
+                                             const Potential& potential,
+                                             uint64_t* tie_reruns) {
+  residual.ClearBans();
+  return detail::GreedyDisjointPaths(
+      g, nullptr, k, [&](const std::vector<Path>& taken) -> std::optional<Path> {
+        if (!taken.empty()) {
+          residual.Ban(taken.back().edges);
+        }
+        if (!ShortestPathAStar(residual, src, dst, workspace, potential)) {
+          return std::nullopt;
+        }
+        Path path;
+        if (!residual.ExpandPath(src, dst, workspace, &path)) {
+          ++*tie_reruns;
+          return ShortestPath(g, src, dst, workspace);
+        }
+        return path;
+      });
 }
 
 }  // namespace leosim::graph

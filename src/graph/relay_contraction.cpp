@@ -5,6 +5,16 @@
 
 namespace leosim::graph {
 
+namespace {
+
+// The near-tie rule: a detour with two-hop sum `sum` is kept when it
+// lies within kNearTieRelative of its pair's minimum `best`.
+bool NearTie(double sum, double best) {
+  return sum <= best * (1.0 + kNearTieRelative);
+}
+
+}  // namespace
+
 void RelayContraction::AddArc(NodeId tail, NodeId to, NodeId relay, EdgeId up,
                               EdgeId down, double weight, double weight2) {
   const EdgeId id = static_cast<EdgeId>(records_.size());
@@ -55,8 +65,7 @@ void RelayContraction::Build(const Graph& g, int num_kept) {
       }
     }
     for (const Detour& d : detours_) {
-      if (d.weight + d.weight2 <=
-          best_[static_cast<size_t>(d.to)] * (1.0 + kNearTieRelative)) {
+      if (NearTie(d.weight + d.weight2, best_[static_cast<size_t>(d.to)])) {
         AddArc(a, d.to, d.relay, d.up, d.down, d.weight, d.weight2);
       }
     }
@@ -67,12 +76,16 @@ void RelayContraction::Build(const Graph& g, int num_kept) {
   offsets_[kept] = static_cast<int32_t>(arcs_.size());
 }
 
-bool RelayContraction::ExpandPath(NodeId src, NodeId dst,
-                                  const DijkstraWorkspace& workspace,
-                                  Path* out) const {
-  const Graph& g = *source_;
+namespace {
+
+// ExpandPath for a contraction or a residual view of one: `c` maps arcs
+// to records, `g` is the source graph as masked now.
+template <typename Contracted>
+bool ExpandOnSource(const Contracted& c, const Graph& g, NodeId src, NodeId dst,
+                    const DijkstraWorkspace& workspace, Path* out) {
+  const NodeId num_kept = c.NumNodes();
   const auto label = [&](NodeId v) {
-    if (v < num_kept_) {
+    if (v < num_kept) {
       return workspace.DistanceOf(v);
     }
     double best = kInfDistance;
@@ -99,7 +112,7 @@ bool RelayContraction::ExpandPath(NodeId src, NodeId dst,
   out->edges.clear();
   out->distance = workspace.DistanceOf(dst);
   for (NodeId cur = dst; cur != src;) {
-    const ArcRecord& rec = records_[static_cast<size_t>(workspace.ViaEdge(cur))];
+    const ContractedArcRecord& rec = c.Record(workspace.ViaEdge(cur));
     if (rec.relay < 0) {
       if (!only_tight(cur, rec.up)) {
         return false;
@@ -121,6 +134,151 @@ bool RelayContraction::ExpandPath(NodeId src, NodeId dst,
   std::reverse(out->nodes.begin(), out->nodes.end());
   std::reverse(out->edges.begin(), out->edges.end());
   return true;
+}
+
+}  // namespace
+
+bool RelayContraction::ExpandPath(NodeId src, NodeId dst,
+                                  const DijkstraWorkspace& workspace,
+                                  Path* out) const {
+  return ExpandOnSource(*this, *source_, src, dst, workspace, out);
+}
+
+void ResidualContraction::Reset(const RelayContraction& base) {
+  base_ = &base;
+  const size_t kept = static_cast<size_t>(base.NumNodes());
+  if (rows_.size() < kept) {
+    rows_.resize(kept, Row{0, 0, 0});
+  }
+  const size_t nodes = static_cast<size_t>(base.Source().NumNodes());
+  if (near_.size() < nodes) {
+    near_.resize(nodes, Near{0, -1, 0.0});
+  }
+  repairs_ = 0;
+  ClearBans();
+}
+
+void ResidualContraction::ClearBans() {
+  arcs_.clear();
+  records_.clear();
+  if (++epoch_ == 0) {  // wrapped: clear every stamp
+    for (Row& row : rows_) {
+      row.stamp = 0;
+    }
+    epoch_ = 1;
+  }
+}
+
+EdgeId ResidualContraction::AddRecord(const ContractedArcRecord& record) {
+  records_.push_back(record);
+  return static_cast<EdgeId>(static_cast<size_t>(base_->NumArcs()) +
+                             records_.size() - 1);
+}
+
+template <typename Drop>
+void ResidualContraction::RewriteRow(NodeId n, const Drop& drop,
+                                     std::span<const ContractedArc> extra) {
+  // Grow first, geometrically, so the old row (which may live in arcs_)
+  // stays valid while it is copied.
+  const size_t needed = arcs_.size() + Neighbours(n).size() + extra.size();
+  if (arcs_.capacity() < needed) {
+    arcs_.reserve(std::max(needed, 2 * arcs_.capacity()));
+  }
+  const std::span<const ContractedArc> old = Neighbours(n);
+  const auto begin = static_cast<uint32_t>(arcs_.size());
+  for (const ContractedArc& arc : old) {
+    if (!drop(arc)) {
+      arcs_.push_back(arc);
+    }
+  }
+  arcs_.insert(arcs_.end(), extra.begin(), extra.end());
+  rows_[static_cast<size_t>(n)] = {epoch_, begin, static_cast<uint32_t>(arcs_.size())};
+}
+
+void ResidualContraction::RepairPair(NodeId s, NodeId x) {
+  const Graph& g = base_->Source();
+  const NodeId num_kept = base_->NumNodes();
+  if (++near_epoch_ == 0) {  // wrapped: clear every stamp
+    for (Near& near : near_) {
+      near.stamp = 0;
+    }
+    near_epoch_ = 1;
+  }
+  for (const HalfEdge& half : g.Neighbours(s)) {
+    if (half.to >= num_kept && half.weight < kInfDistance) {
+      near_[static_cast<size_t>(half.to)] = {near_epoch_, half.edge, half.weight};
+    }
+  }
+  // Build's rule over the contracted nodes still linked to both ends:
+  // the sums are Build's, w(s, r) + w(r, x), so the kept set is too.
+  double best = kInfDistance;
+  detours_.clear();
+  for (const HalfEdge& half : g.Neighbours(x)) {
+    if (half.to < num_kept || !(half.weight < kInfDistance)) {
+      continue;
+    }
+    const Near& near = near_[static_cast<size_t>(half.to)];
+    if (near.stamp == near_epoch_) {
+      best = std::min(best, near.weight + half.weight);
+      detours_.push_back({half.to, near.edge, half.edge, near.weight, half.weight});
+    }
+  }
+  forward_.clear();
+  backward_.clear();
+  for (const Detour& d : detours_) {
+    if (NearTie(d.weight + d.weight2, best)) {
+      forward_.push_back(
+          {x, AddRecord({s, d.relay, d.up, d.down}), d.weight, d.weight2});
+      backward_.push_back(
+          {s, AddRecord({x, d.relay, d.down, d.up}), d.weight2, d.weight});
+    }
+  }
+  const auto detour_to = [this](NodeId to) {
+    return [this, to](const ContractedArc& arc) {
+      return arc.to == to && Record(arc.edge).relay >= 0;
+    };
+  };
+  RewriteRow(s, detour_to(x), forward_);
+  RewriteRow(x, detour_to(s), backward_);
+  ++repairs_;
+}
+
+void ResidualContraction::Ban(std::span<const EdgeId> edges) {
+  const Graph& g = base_->Source();
+  const NodeId num_kept = base_->NumNodes();
+  broken_.clear();
+  for (const EdgeId e : edges) {
+    const EdgeRecord& edge = g.Edge(e);
+    if (edge.a < num_kept && edge.b < num_kept) {
+      // A direct edge: its two arcs go.
+      const auto direct = [this, e](const ContractedArc& arc) {
+        const ContractedArcRecord& rec = Record(arc.edge);
+        return rec.relay < 0 && rec.up == e;
+      };
+      RewriteRow(edge.a, direct, {});
+      RewriteRow(edge.b, direct, {});
+      continue;
+    }
+    // An edge (s, r) to a contracted node: the pairs whose kept detours
+    // start with it break. The view is symmetric, so s's row lists them all.
+    const NodeId s = edge.a < num_kept ? edge.a : edge.b;
+    for (const ContractedArc& arc : Neighbours(s)) {
+      if (Record(arc.edge).up == e) {
+        broken_.push_back(std::minmax(s, arc.to));
+      }
+    }
+  }
+  std::sort(broken_.begin(), broken_.end());
+  broken_.erase(std::unique(broken_.begin(), broken_.end()), broken_.end());
+  for (const auto& [s, x] : broken_) {
+    RepairPair(s, x);
+  }
+}
+
+bool ResidualContraction::ExpandPath(NodeId src, NodeId dst,
+                                     const DijkstraWorkspace& workspace,
+                                     Path* out) const {
+  return ExpandOnSource(*this, base_->Source(), src, dst, workspace, out);
 }
 
 }  // namespace leosim::graph

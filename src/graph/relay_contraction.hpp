@@ -28,7 +28,9 @@
 // edges and checks it: see there.
 #pragma once
 
+#include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "graph/dijkstra.hpp"
@@ -63,6 +65,15 @@ inline double ReverseRelaxedDistance(double d_far, const ContractedArc& arc) {
   return (d_far + arc.weight2) + arc.weight;
 }
 
+// How an arc of a RelayContraction maps back to its source graph: a
+// detour's relay and its two edges, or (relay -1) the direct edge in `up`.
+struct ContractedArcRecord {
+  NodeId tail;
+  NodeId relay;
+  EdgeId up;    // edge (tail, relay), or the direct edge
+  EdgeId down;  // edge (relay, head); -1 for a direct edge
+};
+
 class RelayContraction {
  public:
   RelayContraction() = default;
@@ -79,6 +90,7 @@ class RelayContraction {
 
   int NumNodes() const { return num_kept_; }
   int NumArcs() const { return static_cast<int>(arcs_.size()); }
+  const Graph& Source() const { return *source_; }
 
   // Arcs are stored as CSR rows, built in Build.
   void FinalizeAdjacency() const {}
@@ -88,11 +100,13 @@ class RelayContraction {
     return {arcs_.data() + begin, end - begin};
   }
 
+  const ContractedArcRecord& Record(EdgeId arc) const {
+    return records_[static_cast<size_t>(arc)];
+  }
+
   // Tail of arc `arc` (whose head is `head`), for walking a search's
   // predecessor arcs back.
-  NodeId OtherEnd(EdgeId arc, NodeId /*head*/) const {
-    return records_[static_cast<size_t>(arc)].tail;
-  }
+  NodeId OtherEnd(EdgeId arc, NodeId /*head*/) const { return Record(arc).tail; }
 
   // Maps the path to dst that the last search with `workspace` on this
   // contraction left behind (dst settled) to the source graph: relay
@@ -116,14 +130,6 @@ class RelayContraction {
                   Path* out) const;
 
  private:
-  // How an arc maps back to the source graph: a detour's relay and its
-  // two edges, or (relay -1) the direct edge in `up`.
-  struct ArcRecord {
-    NodeId tail;
-    NodeId relay;
-    EdgeId up;    // edge (tail, relay), or the direct edge
-    EdgeId down;  // edge (relay, head); -1 for a direct edge
-  };
   void AddArc(NodeId tail, NodeId to, NodeId relay, EdgeId up, EdgeId down,
               double weight, double weight2);
 
@@ -131,7 +137,7 @@ class RelayContraction {
   int num_kept_{0};
   std::vector<int32_t> offsets_;  // num_kept_ + 1 prefix sums into arcs_
   std::vector<ContractedArc> arcs_;
-  std::vector<ArcRecord> records_;  // index-aligned with arc ids
+  std::vector<ContractedArcRecord> records_;  // index-aligned with arc ids
   // One two-hop detour from the current tail, staged until its pair's
   // minimum is known.
   struct Detour {
@@ -146,6 +152,118 @@ class RelayContraction {
   // Build scratch, kept warm across slots.
   std::vector<Detour> detours_;
   std::vector<double> best_;  // per kept node: min detour sum from the tail
+};
+
+// A residual view of a RelayContraction: the contraction its source
+// graph would give after Ban disabled more of its edges, obtained by
+// patching rows instead of rebuilding. The throughput study's k
+// edge-disjoint paths (graph/disjoint_paths.hpp) search it between the
+// bans of a pair's taken paths.
+//
+// What a ban changes. A banned direct edge (an ISL or a city link) only
+// loses its two arcs. A banned edge (s, r) to a contracted node r
+// breaks the ordered pairs (s, x) and (x, s) whose kept detours pass
+// through r; every other pair keeps its near-tie set, because a relay
+// outside the set does not move the pair's minimum. A broken pair is
+// repaired by recomputing its near-tie set with Build's rule, over the
+// contracted nodes that still have enabled edges to both satellites
+// (stamp N(s), then scan N(x)), so the view equals a rebuild on the
+// masked graph pair for pair and the exactness argument above carries
+// over unchanged. Patched rows live in the view as per-node overrides;
+// repaired arcs get ids from NumArcs() of the base on, with records of
+// their own, so OtherEnd and ExpandPath map them back.
+//
+// Reset and ClearBans open a new epoch, so dropping every override costs
+// O(1). One view serves one thread.
+class ResidualContraction {
+ public:
+  ResidualContraction() = default;
+  ResidualContraction(const ResidualContraction&) = delete;
+  ResidualContraction& operator=(const ResidualContraction&) = delete;
+
+  // Views `base`, which must stay alive and unchanged, with no bans, and
+  // zeroes repairs().
+  void Reset(const RelayContraction& base);
+
+  // Drops every ban: the view equals the base again.
+  void ClearBans();
+
+  // Patches the view for `edges`, which the caller has just disabled on
+  // the base's source graph (Graph::SetEnabled), so that the view is the
+  // contraction of the graph as masked now. Every edge may be banned once
+  // between two ClearBans.
+  void Ban(std::span<const EdgeId> edges);
+
+  // Broken pairs recomputed since Reset, each counted once per Ban.
+  uint64_t repairs() const { return repairs_; }
+
+  int NumNodes() const { return base_->NumNodes(); }
+  void FinalizeAdjacency() const {}
+  std::span<const ContractedArc> Neighbours(NodeId n) const {
+    const Row& row = rows_[static_cast<size_t>(n)];
+    if (row.stamp != epoch_) {
+      return base_->Neighbours(n);
+    }
+    return {arcs_.data() + row.begin, row.end - row.begin};
+  }
+
+  const ContractedArcRecord& Record(EdgeId arc) const {
+    const size_t base_arcs = static_cast<size_t>(base_->NumArcs());
+    const size_t id = static_cast<size_t>(arc);
+    return id < base_arcs ? base_->Record(arc) : records_[id - base_arcs];
+  }
+  NodeId OtherEnd(EdgeId arc, NodeId /*head*/) const { return Record(arc).tail; }
+
+  // RelayContraction::ExpandPath on the view, checked against the source
+  // graph as masked now.
+  bool ExpandPath(NodeId src, NodeId dst, const DijkstraWorkspace& workspace,
+                  Path* out) const;
+
+ private:
+  // A node's override row: arcs_[begin, end), live while stamp == epoch_.
+  struct Row {
+    uint32_t stamp;
+    uint32_t begin;
+    uint32_t end;
+  };
+  // A contracted neighbour of the pair's first satellite, stamped while
+  // one pair is repaired.
+  struct Near {
+    uint32_t stamp;
+    EdgeId edge;
+    double weight;
+  };
+
+  // A detour s -> r -> x of the pair being repaired.
+  struct Detour {
+    NodeId relay;
+    EdgeId up;
+    EdgeId down;
+    double weight;
+    double weight2;
+  };
+
+  // Replaces n's row by its arcs that `drop` rejects, followed by `extra`.
+  template <typename Drop>
+  void RewriteRow(NodeId n, const Drop& drop, std::span<const ContractedArc> extra);
+  // Recomputes the near-tie detours of the pairs (s, x) and (x, s).
+  void RepairPair(NodeId s, NodeId x);
+  EdgeId AddRecord(const ContractedArcRecord& record);
+
+  const RelayContraction* base_{nullptr};
+  std::vector<Row> rows_;
+  std::vector<ContractedArc> arcs_;
+  std::vector<ContractedArcRecord> records_;  // arc id NumArcs() + i
+  uint32_t epoch_{0};
+  uint64_t repairs_{0};
+
+  // Ban and repair scratch.
+  std::vector<std::pair<NodeId, NodeId>> broken_;
+  std::vector<Near> near_;  // per source-graph node
+  uint32_t near_epoch_{0};
+  std::vector<Detour> detours_;
+  std::vector<ContractedArc> forward_;   // new arcs s -> x
+  std::vector<ContractedArc> backward_;  // new arcs x -> s
 };
 
 }  // namespace leosim::graph

@@ -362,5 +362,70 @@ TEST(NetworkOptionsTest, ValidateRejectsBadFields) {
   EXPECT_NO_THROW(edges.Validate());
 }
 
+// Scenario::Validate rejects each bad field, and both NetworkModel
+// constructors refuse the scenario.
+TEST(ScenarioTest, ValidateRejectsBadFields) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  struct Row {
+    const char* name;
+    void (*apply)(Scenario*, double);
+    double value;
+  };
+  const auto planes = [](Scenario* s, double v) { s->shell.num_planes = static_cast<int>(v); };
+  const auto per_plane = [](Scenario* s, double v) {
+    s->shell.sats_per_plane = static_cast<int>(v);
+  };
+  const auto altitude = [](Scenario* s, double v) { s->shell.altitude_km = v; };
+  const auto inclination = [](Scenario* s, double v) { s->shell.inclination_deg = v; };
+  const auto elevation = [](Scenario* s, double v) { s->radio.min_elevation_deg = v; };
+  const auto radio = [](Scenario* s, double v) { s->radio.capacity_gbps = v; };
+  const auto isl = [](Scenario* s, double v) { s->isl.capacity_gbps = v; };
+  const Row rows[] = {
+      {"num_planes", planes, 0.0},
+      {"num_planes", planes, -3.0},
+      {"sats_per_plane", per_plane, 0.0},
+      {"sats_per_plane", per_plane, -1.0},
+      {"altitude_km", altitude, nan},
+      {"altitude_km", altitude, inf},
+      {"altitude_km", altitude, 0.0},
+      {"altitude_km", altitude, -550.0},
+      {"inclination_deg", inclination, nan},
+      {"min_elevation_deg", elevation, nan},
+      {"min_elevation_deg", elevation, -1.0},
+      {"min_elevation_deg", elevation, 90.5},
+      {"radio capacity_gbps", radio, nan},
+      {"radio capacity_gbps", radio, 0.0},
+      {"radio capacity_gbps", radio, -20.0},
+      {"isl capacity_gbps", isl, nan},
+      {"isl capacity_gbps", isl, 0.0},
+      {"isl capacity_gbps", isl, -100.0},
+  };
+  const std::vector<data::City> cities = data::AnchorCities();
+  for (const Row& row : rows) {
+    Scenario scenario = Scenario::Starlink();
+    row.apply(&scenario, row.value);
+    EXPECT_THROW(scenario.Validate(), std::invalid_argument)
+        << row.name << " = " << row.value;
+    EXPECT_THROW(NetworkModel(scenario, NetworkOptions{}, cities), std::invalid_argument)
+        << row.name << " = " << row.value;
+    EXPECT_THROW(NetworkModel(scenario, NetworkOptions{}, cities, {}),
+                 std::invalid_argument)
+        << row.name << " = " << row.value;
+  }
+
+  // Both shipped scenarios and the edges of each range pass.
+  EXPECT_NO_THROW(Scenario::Starlink().Validate());
+  EXPECT_NO_THROW(Scenario::Kuiper().Validate());
+  Scenario edges = Scenario::Starlink();
+  edges.shell.num_planes = 1;
+  edges.shell.sats_per_plane = 1;
+  edges.shell.inclination_deg = -53.0;
+  edges.radio.min_elevation_deg = 0.0;
+  EXPECT_NO_THROW(edges.Validate());
+  edges.radio.min_elevation_deg = 90.0;
+  EXPECT_NO_THROW(edges.Validate());
+}
+
 }  // namespace
 }  // namespace leosim::core

@@ -9,11 +9,23 @@
 // plain-Dijkstra oracle RunThroughputWithPolicy(kDisjointGreedy) bit for
 // bit. The t = 0 snapshots hold exact ties, so the A* tie guard must
 // fire along the way.
+//
+// The router searches a residual view of the slot's relay contraction
+// (graph::ResidualContraction). After every ban the view must equal a
+// contraction rebuilt on the masked graph, row for row; the router's
+// paths must equal the plain overload's for k = 1..4 on 4 and 1 deg
+// grids under hybrid, bent-pipe, GSO-excluded and beam-budgeted
+// connectivity; hand-built graphs cover a banned relay with a near-tied
+// twin, a broken pair with no relay left, and consecutive pairs that
+// share a satellite; and the sweep must not depend on the thread count.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <cstdlib>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/network_builder.hpp"
@@ -24,6 +36,7 @@
 #include "data/cities.hpp"
 #include "graph/disjoint_paths.hpp"
 #include "graph/landmarks.hpp"
+#include "graph/relay_contraction.hpp"
 #include "obs/metrics.hpp"
 
 namespace leosim::core {
@@ -38,11 +51,11 @@ bool BitEq(double x, double y) {
   return std::bit_cast<uint64_t>(x) == std::bit_cast<uint64_t>(y);
 }
 
-uint64_t TieFallbacks() {
-  return obs::MetricsRegistry::Global()
-      .GetCounter("dijkstra.astar_tie_fallbacks")
-      .Value();
+uint64_t Counter(const char* name) {
+  return obs::MetricsRegistry::Global().GetCounter(name).Value();
 }
+
+uint64_t TieFallbacks() { return Counter("dijkstra.astar_tie_fallbacks"); }
 
 const NetworkModel& Model(ConnectivityMode mode) {
   const auto make = [](ConnectivityMode m) {
@@ -165,6 +178,315 @@ TEST(GoalDirectedDisjointPaths, ThroughputSweepBitEqualToPerPairOracle) {
   }
   EXPECT_GT(TieFallbacks(), fallbacks_before)
       << "no exact tie reached the A* tie guard";
+}
+
+// The four connectivity variants the router must serve.
+struct Variant {
+  const char* name;
+  NetworkOptions options;
+};
+
+std::vector<Variant> Variants(double spacing) {
+  NetworkOptions base;
+  base.relay_spacing_deg = spacing;
+  NetworkOptions hybrid = base;
+  hybrid.mode = ConnectivityMode::kHybrid;
+  NetworkOptions bent_pipe = base;
+  bent_pipe.mode = ConnectivityMode::kBentPipe;
+  NetworkOptions gso = hybrid;
+  gso.apply_gso_exclusion = true;
+  NetworkOptions beams = hybrid;
+  beams.max_gt_links_per_satellite = 4;
+  return {{"hybrid", hybrid},
+          {"bent-pipe", bent_pipe},
+          {"gso-excluded", gso},
+          {"4-beam", beams}};
+}
+
+// A contraction's rows as sorted (tail, head, relay, up, down, weights)
+// tuples: arc ids and row order aside, what a search can relax.
+using ArcKey = std::tuple<graph::NodeId, graph::NodeId, graph::NodeId, graph::EdgeId,
+                          graph::EdgeId, uint64_t, uint64_t>;
+
+template <typename Contracted>
+std::vector<ArcKey> ArcKeys(const Contracted& c) {
+  std::vector<ArcKey> keys;
+  for (graph::NodeId n = 0; n < c.NumNodes(); ++n) {
+    for (const graph::ContractedArc& arc : c.Neighbours(n)) {
+      const graph::ContractedArcRecord& rec = c.Record(arc.edge);
+      EXPECT_EQ(rec.tail, n);
+      keys.emplace_back(n, arc.to, rec.relay, rec.up, rec.down,
+                        std::bit_cast<uint64_t>(arc.weight),
+                        std::bit_cast<uint64_t>(arc.weight2));
+    }
+  }
+  std::sort(keys.begin(), keys.end());
+  return keys;
+}
+
+// After each of a pair's taken paths (the plain overload's) is disabled
+// and banned, the residual view holds exactly the arcs a contraction
+// rebuilt on the masked graph holds; ClearBans brings back the base.
+TEST(ContractedDisjointPaths, ResidualViewEqualsRebuild) {
+  const std::vector<CityPair> pairs = Pairs();
+  uint64_t repairs = 0;
+  for (const ConnectivityMode mode : kModes) {
+    NetworkModel::Snapshot snap = Model(mode).BuildSnapshot(0.0);
+    graph::Graph& g = snap.graph;
+    const int kept = snap.num_sats + snap.num_cities;
+    graph::RelayContraction base;
+    base.Build(g, kept);
+    const std::vector<ArcKey> base_keys = ArcKeys(base);
+    graph::ResidualContraction residual;
+    residual.Reset(base);
+    graph::RelayContraction rebuilt;
+    for (size_t i = 0; i < pairs.size(); i += 5) {
+      const std::vector<graph::Path> paths = graph::KEdgeDisjointShortestPaths(
+          g, snap.CityNode(pairs[i].a), snap.CityNode(pairs[i].b), 4);
+      residual.ClearBans();
+      for (const graph::Path& path : paths) {
+        for (const graph::EdgeId e : path.edges) {
+          g.SetEnabled(e, false);
+        }
+        residual.Ban(path.edges);
+        rebuilt.Build(g, kept);
+        ASSERT_EQ(ArcKeys(residual), ArcKeys(rebuilt))
+            << ToString(mode) << " pair " << i;
+      }
+      for (const graph::Path& path : paths) {
+        for (const graph::EdgeId e : path.edges) {
+          g.SetEnabled(e, true);
+        }
+      }
+      residual.ClearBans();
+      ASSERT_EQ(ArcKeys(residual), base_keys) << ToString(mode) << " pair " << i;
+    }
+    repairs += residual.repairs();
+  }
+  EXPECT_GT(repairs, 0u);
+}
+
+// The router's paths equal the plain overload's edge for edge for
+// k = 1..4 (the greedy scheme's k paths are the first k of its four),
+// on 4 and 1 deg grids and every connectivity variant, and the graph is
+// restored after every slot.
+TEST(ContractedDisjointPaths, RouterPathsEqualPlainOverload) {
+  const std::vector<CityPair> pairs = Pairs();
+  const std::vector<SourceGroup> groups = GroupPairsBySource(pairs);
+  const uint64_t repairs_before = Counter("route.contract.repairs");
+  for (const double spacing : {4.0, 1.0}) {
+    for (const Variant& variant : Variants(spacing)) {
+      const NetworkModel model(Scenario::Starlink(), variant.options,
+                               data::AnchorCities());
+      NetworkModel::Snapshot snap = model.BuildSnapshot(900.0);
+      const EdgeState initial = Capture(snap.graph);
+      std::vector<std::vector<graph::Path>> plain;
+      graph::DijkstraWorkspace dijkstra;
+      for (const CityPair& p : pairs) {
+        plain.push_back(graph::KEdgeDisjointShortestPaths(
+            snap.graph, snap.CityNode(p.a), snap.CityNode(p.b), 4, dijkstra));
+      }
+      SweepWorkspace ws;
+      std::vector<std::vector<graph::Path>> routed;
+      for (int k = 1; k <= 4; ++k) {
+        RouteSlotDisjointPaths(snap, pairs, groups, k, &ws, &routed);
+        ASSERT_EQ(routed.size(), pairs.size());
+        for (size_t i = 0; i < pairs.size(); ++i) {
+          const std::vector<graph::Path> expected(
+              plain[i].begin(),
+              plain[i].begin() + std::min<size_t>(plain[i].size(), k));
+          ExpectSamePaths(expected, routed[i],
+                          std::to_string(spacing) + " deg " + variant.name +
+                              " k=" + std::to_string(k) + " pair " +
+                              std::to_string(i));
+        }
+        EXPECT_TRUE(Capture(snap.graph) == initial) << variant.name << " k=" << k;
+      }
+    }
+  }
+  EXPECT_GT(Counter("route.contract.repairs"), repairs_before);
+}
+
+// Hand-built snapshots: [satellites | cities | relays], all nodes at one
+// position (Euclidean potential 0), routed for pairs of city indices.
+struct HandBuilt {
+  NetworkModel::Snapshot snap;
+
+  HandBuilt(int sats, int cities, int relays) {
+    snap.num_sats = sats;
+    snap.num_cities = cities;
+    snap.num_relays = relays;
+    snap.num_aircraft = 0;
+    const int nodes = sats + cities + relays;
+    snap.node_ecef.assign(static_cast<size_t>(nodes), geo::Vec3{});
+    snap.graph.Reset(nodes);
+  }
+  graph::NodeId Sat(int i) const { return i; }
+  graph::NodeId City(int i) const { return snap.num_sats + i; }
+  graph::NodeId Relay(int i) const { return snap.num_sats + snap.num_cities + i; }
+
+  // The router's paths for `pairs`, after checking each pair against the
+  // plain overload.
+  std::vector<std::vector<graph::Path>> Route(const std::vector<CityPair>& pairs,
+                                              int k) {
+    snap.graph.FinalizeAdjacency();
+    SweepWorkspace ws;
+    std::vector<std::vector<graph::Path>> routed;
+    RouteSlotDisjointPaths(snap, pairs, GroupPairsBySource(pairs), k, &ws, &routed);
+    for (size_t i = 0; i < pairs.size(); ++i) {
+      ExpectSamePaths(graph::KEdgeDisjointShortestPaths(snap.graph,
+                                                        City(pairs[i].a),
+                                                        City(pairs[i].b), k),
+                      routed[i], "pair " + std::to_string(i));
+    }
+    return routed;
+  }
+};
+
+bool UsesNode(const graph::Path& path, graph::NodeId n) {
+  return std::find(path.nodes.begin(), path.nodes.end(), n) != path.nodes.end();
+}
+
+// S0 -> S1 runs through R0 (sum 4), its near-tied twin R1 (4 + 1e-12,
+// inside the band) and R2 (5, outside it: no base arc). C0 reaches S0
+// over three disjoint routes and C1 leaves S1 over three, so the paths
+// take R0, then R1, then R2, whose arc only the repair adds. No exact
+// tie anywhere: the tie guard must never rerun.
+TEST(ContractedDisjointPaths, BannedRelayLeavesNearTiedTwin) {
+  HandBuilt h(6, 2, 3);
+  graph::Graph& g = h.snap.graph;
+  g.AddEdge(h.City(0), h.Sat(0), 1.0);
+  g.AddEdge(h.City(0), h.Sat(2), 1.0);
+  g.AddEdge(h.Sat(2), h.Sat(0), 1.0);
+  g.AddEdge(h.City(0), h.Sat(4), 1.0);
+  g.AddEdge(h.Sat(4), h.Sat(0), 1.5);
+  g.AddEdge(h.City(1), h.Sat(1), 1.0);
+  g.AddEdge(h.City(1), h.Sat(3), 1.0);
+  g.AddEdge(h.Sat(3), h.Sat(1), 1.0);
+  g.AddEdge(h.City(1), h.Sat(5), 1.0);
+  g.AddEdge(h.Sat(5), h.Sat(1), 1.5);
+  g.AddEdge(h.Sat(0), h.Relay(0), 2.0);
+  g.AddEdge(h.Relay(0), h.Sat(1), 2.0);
+  g.AddEdge(h.Sat(0), h.Relay(1), 2.0);
+  g.AddEdge(h.Relay(1), h.Sat(1), 2.0 + 1e-12);
+  g.AddEdge(h.Sat(0), h.Relay(2), 2.5);
+  g.AddEdge(h.Relay(2), h.Sat(1), 2.5);
+  g.FinalizeAdjacency();
+
+  graph::RelayContraction base;
+  base.Build(g, h.snap.num_sats + h.snap.num_cities);
+  std::vector<graph::NodeId> relays;
+  for (const graph::ContractedArc& arc : base.Neighbours(h.Sat(0))) {
+    if (arc.to == h.Sat(1)) {
+      relays.push_back(base.Record(arc.edge).relay);
+    }
+  }
+  EXPECT_EQ(relays, (std::vector<graph::NodeId>{h.Relay(0), h.Relay(1)}))
+      << "the twin is kept and R2 is not";
+
+  const uint64_t reruns_before = Counter("route.contract.tie_fallbacks");
+  const uint64_t repairs_before = Counter("route.contract.repairs");
+  const auto routed = h.Route({{0, 1}}, 4);
+  ASSERT_EQ(routed[0].size(), 3u);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_TRUE(UsesNode(routed[0][static_cast<size_t>(i)], h.Relay(i))) << i;
+  }
+  EXPECT_EQ(Counter("route.contract.tie_fallbacks"), reruns_before);
+  EXPECT_GT(Counter("route.contract.repairs"), repairs_before);
+}
+
+// S0 -> S1 has one relay, R0, and a long ISL. The first path takes R0;
+// the repaired pair has no relay left, so the second path must take the
+// ISL; C0 has no third link.
+TEST(ContractedDisjointPaths, BrokenPairWithNoRelayLeft) {
+  HandBuilt h(4, 2, 1);
+  graph::Graph& g = h.snap.graph;
+  g.AddEdge(h.City(0), h.Sat(0), 1.0);
+  g.AddEdge(h.City(0), h.Sat(2), 1.0);
+  g.AddEdge(h.Sat(2), h.Sat(0), 1.0);
+  g.AddEdge(h.City(1), h.Sat(1), 1.0);
+  g.AddEdge(h.City(1), h.Sat(3), 1.0);
+  g.AddEdge(h.Sat(3), h.Sat(1), 1.0);
+  g.AddEdge(h.Sat(0), h.Relay(0), 2.0);
+  g.AddEdge(h.Relay(0), h.Sat(1), 2.0);
+  const graph::EdgeId isl = g.AddEdge(h.Sat(0), h.Sat(1), 10.0);
+
+  const uint64_t reruns_before = Counter("route.contract.tie_fallbacks");
+  const auto routed = h.Route({{0, 1}}, 3);
+  ASSERT_EQ(routed[0].size(), 2u);
+  EXPECT_TRUE(UsesNode(routed[0][0], h.Relay(0)));
+  EXPECT_EQ(routed[0][0].distance, 6.0);
+  EXPECT_NE(std::find(routed[0][1].edges.begin(), routed[0][1].edges.end(), isl),
+            routed[0][1].edges.end());
+  EXPECT_EQ(routed[0][1].distance, 14.0);
+  EXPECT_EQ(Counter("route.contract.tie_fallbacks"), reruns_before);
+}
+
+// C0 and C2 both reach C1 through S0 -> R0 -> S1. C0's two paths ban
+// S0's detour and S1's link to C1; C2, routed next on the same view,
+// must see them again: its paths equal those it gets alone, in either
+// order.
+TEST(ContractedDisjointPaths, ConsecutivePairsSharingASatelliteStartClean) {
+  HandBuilt h(4, 3, 1);
+  graph::Graph& g = h.snap.graph;
+  g.AddEdge(h.City(0), h.Sat(0), 1.0);
+  g.AddEdge(h.City(0), h.Sat(2), 1.0);
+  g.AddEdge(h.Sat(2), h.Sat(1), 20.0);
+  g.AddEdge(h.City(2), h.Sat(0), 1.0);
+  g.AddEdge(h.Sat(0), h.Relay(0), 2.0);
+  g.AddEdge(h.Relay(0), h.Sat(1), 2.0);
+  g.AddEdge(h.Sat(0), h.Sat(1), 10.0);
+  g.AddEdge(h.City(1), h.Sat(1), 1.0);
+  g.AddEdge(h.City(1), h.Sat(3), 1.0);
+  g.AddEdge(h.Sat(3), h.Sat(1), 1.0);
+
+  const CityPair first{0, 1};
+  const CityPair second{2, 1};
+  const auto alone_first = h.Route({first}, 2);
+  const auto alone_second = h.Route({second}, 2);
+  ASSERT_EQ(alone_first[0].size(), 2u);
+  ASSERT_EQ(alone_second[0].size(), 1u);
+  EXPECT_EQ(alone_second[0][0].distance, 6.0);
+  for (const auto& order : {std::vector<CityPair>{first, second},
+                            std::vector<CityPair>{second, first}}) {
+    const auto both = h.Route(order, 2);
+    const bool first_is_0 = order[0].a == first.a;
+    ExpectSamePaths(alone_first[0], both[first_is_0 ? 0 : 1], "C0 -> C1");
+    ExpectSamePaths(alone_second[0], both[first_is_0 ? 1 : 0], "C2 -> C1");
+  }
+}
+
+// Runs `fn` with LEOSIM_THREADS set to `threads`.
+template <typename Fn>
+auto WithThreads(const char* threads, const Fn& fn) {
+  setenv("LEOSIM_THREADS", threads, 1);
+  auto result = fn();
+  unsetenv("LEOSIM_THREADS");
+  return result;
+}
+
+// Sixteen slots, so that 13 workers all take some.
+TEST(ContractedDisjointPaths, ThroughputSweepThreadInvariant) {
+  const std::vector<CityPair> pairs = Pairs();
+  SnapshotSchedule schedule;
+  schedule.step_sec = 300.0;
+  schedule.duration_sec = 16.0 * schedule.step_sec;
+  ASSERT_EQ(schedule.Times().size(), 16u);
+  for (const ConnectivityMode mode : kModes) {
+    const auto sweep = [&] { return RunThroughputSweep(Model(mode), pairs, 4, schedule); };
+    const std::vector<ThroughputResult> one = WithThreads("1", sweep);
+    for (const char* threads : {"4", "13"}) {
+      const std::vector<ThroughputResult> many = WithThreads(threads, sweep);
+      ASSERT_EQ(many.size(), one.size());
+      for (size_t s = 0; s < one.size(); ++s) {
+        EXPECT_TRUE(BitEq(many[s].total_gbps, one[s].total_gbps))
+            << ToString(mode) << " threads " << threads << " slot " << s;
+        EXPECT_EQ(many[s].subflows, one[s].subflows);
+        EXPECT_EQ(many[s].pairs_routed, one[s].pairs_routed);
+        EXPECT_TRUE(BitEq(many[s].mean_paths_per_pair, one[s].mean_paths_per_pair));
+      }
+    }
+  }
 }
 
 }  // namespace
