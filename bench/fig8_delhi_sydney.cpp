@@ -31,12 +31,8 @@ int Run(int argc, char** argv) {
 
   // Fig. 7: dump the BP path's intermediate hops at one instant.
   const NetworkModel::Snapshot snap = bp.BuildSnapshot(0.0);
-  int delhi = -1;
-  int sydney = -1;
-  for (int i = 0; i < static_cast<int>(cities.size()); ++i) {
-    if (cities[static_cast<size_t>(i)].name == "Delhi") delhi = i;
-    if (cities[static_cast<size_t>(i)].name == "Sydney") sydney = i;
-  }
+  const int delhi = bp.CityIndex("Delhi");
+  const int sydney = bp.CityIndex("Sydney");
   const auto path =
       graph::ShortestPath(snap.graph, snap.CityNode(delhi), snap.CityNode(sydney));
   PrintBanner(std::cout, "Fig. 7: BP path hops at t=0 (paper shows 2 aircraft + 4 GTs)");

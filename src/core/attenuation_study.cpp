@@ -1,36 +1,45 @@
 #include "core/attenuation_study.hpp"
 
 #include <algorithm>
-#include <stdexcept>
+#include <limits>
 
 #include "core/report.hpp"
+#include "core/slot_router.hpp"
+#include "core/temporal_sweep.hpp"
 #include "geo/geodesic.hpp"
 #include "itur/slant_path.hpp"
+#include "obs/trace.hpp"
 
 namespace leosim::core {
 
 namespace {
 
-int CityIndexByName(const std::vector<data::City>& cities, const std::string& name) {
-  for (int i = 0; i < static_cast<int>(cities.size()); ++i) {
-    if (cities[static_cast<size_t>(i)].name == name) {
-      return i;
-    }
-  }
-  throw std::invalid_argument("city not present in the model's city list: " + name);
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+// Builds `model`'s snapshot at `time_sec` into ws and routes every pair
+// of `pairs` on it into `routes`, with full-graph node chains. The
+// snapshot is valid until the next build with `ws`.
+const NetworkModel::Snapshot& RouteChains(const NetworkModel& model,
+                                          const std::vector<CityPair>& pairs,
+                                          double time_sec, SweepWorkspace* ws,
+                                          SlotRoutes* routes) {
+  const NetworkModel::Snapshot& snap = model.BuildSnapshot(time_sec, &ws->snapshot);
+  RouteSlotPairs(snap, pairs, GroupPairsBySource(pairs), /*want_paths=*/true, ws,
+                 routes);
+  return snap;
 }
 
 }  // namespace
 
 double WorstLinkAttenuationDb(const NetworkModel& model,
                               const NetworkModel::Snapshot& snap,
-                              const graph::Path& path,
+                              std::span<const graph::NodeId> path,
                               const AttenuationOptions& options) {
   const link::RadioConfig& radio = model.scenario().radio;
   double worst = 0.0;
-  for (size_t i = 0; i + 1 < path.nodes.size(); ++i) {
-    const graph::NodeId u = path.nodes[i];
-    const graph::NodeId v = path.nodes[i + 1];
+  for (size_t i = 0; i + 1 < path.size(); ++i) {
+    const graph::NodeId u = path[i];
+    const graph::NodeId v = path[i + 1];
     const bool up = !snap.IsSat(u) && snap.IsSat(v);
     const bool down = snap.IsSat(u) && !snap.IsSat(v);
     if (!up && !down) {
@@ -58,34 +67,28 @@ AttenuationDistributions RunAttenuationStudy(const NetworkModel& bp_model,
                                              double time_sec,
                                              const AttenuationOptions& options) {
   const StudyTimer timer;
-  // Two workspaces: both snapshots stay alive for the whole pair loop.
-  NetworkModel::SnapshotWorkspace bp_ws;
-  NetworkModel::SnapshotWorkspace isl_ws;
-  const NetworkModel::Snapshot& bp_snap = bp_model.BuildSnapshot(time_sec, &bp_ws);
-  const NetworkModel::Snapshot& isl_snap = isl_model.BuildSnapshot(time_sec, &isl_ws);
-
   AttenuationDistributions result;
-  graph::DijkstraWorkspace dijkstra_ws;
-  for (const CityPair& pair : pairs) {
-    const auto bp_path =
-        graph::ShortestPath(bp_snap.graph, bp_snap.CityNode(pair.a),
-                            bp_snap.CityNode(pair.b), dijkstra_ws);
-    if (bp_path.has_value()) {
-      result.bp_db.push_back(
-          WorstLinkAttenuationDb(bp_model, bp_snap, *bp_path, options));
-    } else {
-      ++result.bp_unreachable;
+  // One mode at a time on one workspace: route every pair, then score
+  // each reachable pair's chain in pair order.
+  SweepWorkspace ws;
+  SlotRoutes routes;
+  const auto score_mode = [&](const NetworkModel& model, std::vector<double>* db,
+                              int* unreachable) {
+    const NetworkModel::Snapshot& snap =
+        RouteChains(model, pairs, time_sec, &ws, &routes);
+    const obs::Span span("itur.attenuation");
+    for (size_t i = 0; i < pairs.size(); ++i) {
+      if (routes.rtt[i] == kInf) {
+        ++*unreachable;
+      } else {
+        db->push_back(
+            WorstLinkAttenuationDb(model, snap, routes.PathNodes(i), options));
+      }
     }
-    const auto isl_path =
-        graph::ShortestPath(isl_snap.graph, isl_snap.CityNode(pair.a),
-                            isl_snap.CityNode(pair.b), dijkstra_ws);
-    if (isl_path.has_value()) {
-      result.isl_db.push_back(
-          WorstLinkAttenuationDb(isl_model, isl_snap, *isl_path, options));
-    } else {
-      ++result.isl_unreachable;
-    }
-  }
+  };
+  score_mode(bp_model, &result.bp_db, &result.bp_unreachable);
+  score_mode(isl_model, &result.isl_db, &result.isl_unreachable);
+
   StudySummary summary;
   summary.study = "attenuation";
   summary.snapshots_built = 2;
@@ -103,33 +106,34 @@ PathAttenuationCcdf TracePairAttenuation(const NetworkModel& bp_model,
                                          const std::string& city_b, double time_sec,
                                          const std::vector<double>& exceedances,
                                          const AttenuationOptions& options) {
+  const std::vector<CityPair> bp_pair = {
+      {bp_model.CityIndex(city_a), bp_model.CityIndex(city_b)}};
+  const std::vector<CityPair> isl_pair = {
+      {isl_model.CityIndex(city_a), isl_model.CityIndex(city_b)}};
   PathAttenuationCcdf out;
   out.exceedance_pct = exceedances;
-
-  NetworkModel::SnapshotWorkspace bp_ws;
-  NetworkModel::SnapshotWorkspace isl_ws;
-  const NetworkModel::Snapshot& bp_snap = bp_model.BuildSnapshot(time_sec, &bp_ws);
-  const NetworkModel::Snapshot& isl_snap = isl_model.BuildSnapshot(time_sec, &isl_ws);
-  const int a_bp = CityIndexByName(bp_model.cities(), city_a);
-  const int b_bp = CityIndexByName(bp_model.cities(), city_b);
-  const int a_isl = CityIndexByName(isl_model.cities(), city_a);
-  const int b_isl = CityIndexByName(isl_model.cities(), city_b);
-
-  const auto bp_path = graph::ShortestPath(bp_snap.graph, bp_snap.CityNode(a_bp),
-                                           bp_snap.CityNode(b_bp));
-  const auto isl_path = graph::ShortestPath(isl_snap.graph, isl_snap.CityNode(a_isl),
-                                            isl_snap.CityNode(b_isl));
-  out.bp_reachable = bp_path.has_value();
-  out.isl_reachable = isl_path.has_value();
-
-  for (const double p : exceedances) {
-    AttenuationOptions at_p = options;
-    at_p.exceedance_pct = p;
-    out.bp_db.push_back(
-        bp_path ? WorstLinkAttenuationDb(bp_model, bp_snap, *bp_path, at_p) : 0.0);
-    out.isl_db.push_back(
-        isl_path ? WorstLinkAttenuationDb(isl_model, isl_snap, *isl_path, at_p) : 0.0);
-  }
+  SweepWorkspace ws;
+  SlotRoutes routes;
+  // Routes the pair on `model`'s snapshot and fills `db` with its chain's
+  // worst link at every exceedance (0 when unreachable).
+  const auto trace_mode = [&](const NetworkModel& model,
+                              const std::vector<CityPair>& pair,
+                              std::vector<double>* db) {
+    const NetworkModel::Snapshot& snap =
+        RouteChains(model, pair, time_sec, &ws, &routes);
+    const bool reachable = routes.rtt[0] != kInf;
+    const obs::Span span("itur.attenuation");
+    for (const double p : exceedances) {
+      AttenuationOptions at_p = options;
+      at_p.exceedance_pct = p;
+      db->push_back(reachable ? WorstLinkAttenuationDb(model, snap,
+                                                       routes.PathNodes(0), at_p)
+                              : 0.0);
+    }
+    return reachable;
+  };
+  out.bp_reachable = trace_mode(bp_model, bp_pair, &out.bp_db);
+  out.isl_reachable = trace_mode(isl_model, isl_pair, &out.isl_db);
   return out;
 }
 

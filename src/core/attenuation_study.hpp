@@ -8,12 +8,13 @@
 // down-link frequency (§6: 14.25 / 11.7 GHz).
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
 #include "core/network_builder.hpp"
 #include "core/traffic_matrix.hpp"
-#include "graph/dijkstra.hpp"
+#include "graph/graph.hpp"
 
 namespace leosim::core {
 
@@ -23,11 +24,12 @@ struct AttenuationOptions {
   double antenna_efficiency{0.5};
 };
 
-// Worst radio-link attenuation (dB) along `path` in `snap`, at the given
-// exceedance probability. Returns 0 for a path with no radio links.
+// Worst radio-link attenuation (dB) along the node chain `path` (src ...
+// dst) in `snap`, at the given exceedance probability. Returns 0 for a
+// path with no radio links.
 double WorstLinkAttenuationDb(const NetworkModel& model,
                               const NetworkModel::Snapshot& snap,
-                              const graph::Path& path,
+                              std::span<const graph::NodeId> path,
                               const AttenuationOptions& options);
 
 struct AttenuationDistributions {

@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <limits>
 #include <span>
-#include <stdexcept>
 
 #include "core/net_trace.hpp"
 #include "core/report.hpp"
@@ -18,15 +17,6 @@ namespace leosim::core {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-int CityIndexByName(const std::vector<data::City>& cities, const std::string& name) {
-  for (int i = 0; i < static_cast<int>(cities.size()); ++i) {
-    if (cities[static_cast<size_t>(i)].name == name) {
-      return i;
-    }
-  }
-  throw std::invalid_argument("city not in list: " + name);
-}
 
 // Jaccard similarity over two sorted node-id runs. Shortest paths never
 // repeat a node, so a sorted run is exactly the node set the historical
@@ -55,8 +45,9 @@ double JaccardSorted(std::span<const graph::NodeId> a,
   return union_size == 0 ? 1.0 : static_cast<double>(intersection) / union_size;
 }
 
-// Routes every slot of the schedule in parallel into per-slot tables.
-// `label` names the progress stream ("churn" / "churn_aggregate").
+// Routes every slot of the schedule in parallel into per-slot tables
+// whose path runs hold each path's node set, sorted. `label` names the
+// progress stream ("churn" / "churn_aggregate").
 std::vector<SlotRoutes> SweepRoutes(const NetworkModel& model,
                                     const std::vector<CityPair>& pairs,
                                     const std::vector<double>& times,
@@ -74,10 +65,14 @@ std::vector<SlotRoutes> SweepRoutes(const NetworkModel& model,
     if (net_trace.Enabled()) {
       net_trace.CaptureSlot(item.slot, item.time_sec, snap);
     }
-    // The serial diff pass below compares path node sets, so the router
-    // keeps every pair's sorted node run.
-    RouteSlotPairs(snap, pairs, groups, /*want_paths=*/true, &ws,
-                   &slots[static_cast<size_t>(item.slot)]);
+    SlotRoutes& routes = slots[static_cast<size_t>(item.slot)];
+    RouteSlotPairs(snap, pairs, groups, /*want_paths=*/true, &ws, &routes);
+    // The serial diff pass below compares path node sets, so each node
+    // chain becomes its sorted node run here, on the worker.
+    for (size_t i = 0; i < pairs.size(); ++i) {
+      std::sort(routes.nodes.begin() + routes.begin[i],
+                routes.nodes.begin() + routes.end[i]);
+    }
   });
   return slots;
 }
@@ -92,8 +87,7 @@ ChurnStats RunChurnStudy(const NetworkModel& model, const std::string& city_a,
   summary.study = "churn";
   const std::vector<double> times = schedule.Times();
   const std::vector<CityPair> pairs = {
-      {CityIndexByName(model.cities(), city_a),
-       CityIndexByName(model.cities(), city_b)}};
+      {model.CityIndex(city_a), model.CityIndex(city_b)}};
   const std::vector<SlotRoutes> slots = SweepRoutes(model, pairs, times, "churn");
   summary.snapshots_built = static_cast<uint64_t>(times.size());
 

@@ -1,34 +1,62 @@
 #include "core/failure_study.hpp"
 
-#include <algorithm>
+#include <limits>
 #include <numeric>
+#include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "core/report.hpp"
+#include "core/slot_router.hpp"
+#include "core/temporal_sweep.hpp"
 #include "data/rng.hpp"
-#include "graph/dijkstra.hpp"
 
 namespace leosim::core {
+
+namespace {
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+}  // namespace
+
+void FailureStudyOptions::Validate() const {
+  for (const double fraction : failure_fractions) {
+    if (!(fraction >= 0.0 && fraction <= 1.0)) {
+      throw std::invalid_argument("failure fraction must be in [0, 1], got " +
+                                  std::to_string(fraction));
+    }
+  }
+  if (trials < 1) {
+    throw std::invalid_argument("failure trials must be >= 1, got " +
+                                std::to_string(trials));
+  }
+}
 
 std::vector<FailureRow> RunFailureStudy(const NetworkModel& model,
                                         const std::vector<CityPair>& pairs,
                                         const FailureStudyOptions& options) {
+  options.Validate();
+  if (pairs.empty()) {
+    throw std::invalid_argument("failure study needs at least one city pair");
+  }
   const StudyTimer timer;
   StudySummary summary;
   summary.study = "failure";
-  NetworkModel::SnapshotWorkspace snapshot_ws;
-  NetworkModel::Snapshot& snap = model.BuildSnapshot(options.time_sec, &snapshot_ws);
+  SweepWorkspace ws;
+  NetworkModel::Snapshot& snap = model.BuildSnapshot(options.time_sec, &ws.snapshot);
   summary.snapshots_built = 1;
   data::SplitMix64 rng(options.seed);
+  const std::vector<SourceGroup> groups = GroupPairsBySource(pairs);
+  SlotRoutes routes;
 
   std::vector<FailureRow> rows;
-  graph::DijkstraWorkspace dijkstra_ws;
   for (const double fraction : options.failure_fractions) {
     const int failures =
         static_cast<int>(fraction * static_cast<double>(snap.num_sats));
     double reachable_sum = 0.0;
     double rtt_sum = 0.0;
     int rtt_count = 0;
-    const int trials = failures == 0 ? 1 : std::max(options.trials, 1);
+    const int trials = failures == 0 ? 1 : options.trials;
     for (int trial = 0; trial < trials; ++trial) {
       // Kill a random satellite subset: disable all their incident edges.
       std::vector<int> order(static_cast<size_t>(snap.num_sats));
@@ -48,14 +76,13 @@ std::vector<FailureRow> RunFailureStudy(const NetworkModel& model,
         }
       }
 
+      RouteSlotPairs(snap, pairs, groups, /*want_paths=*/false, &ws, &routes);
       int reachable = 0;
-      for (const CityPair& pair : pairs) {
-        const auto path = graph::ShortestPath(snap.graph, snap.CityNode(pair.a),
-                                              snap.CityNode(pair.b), dijkstra_ws);
-        if (path.has_value()) {
+      for (const double rtt : routes.rtt) {
+        if (rtt != kInf) {
           ++reachable;
           ++summary.pairs_routed;
-          rtt_sum += 2.0 * path->distance;
+          rtt_sum += rtt;
           ++rtt_count;
         } else {
           ++summary.pairs_unreachable;

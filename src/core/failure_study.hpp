@@ -21,6 +21,11 @@ struct FailureStudyOptions {
   double time_sec{0.0};
   uint64_t seed{7};
   int trials{3};  // random failure sets averaged per fraction
+
+  // Throws std::invalid_argument naming the first bad field: a failure
+  // fraction that is NaN or outside [0, 1], or trials below 1.
+  // RunFailureStudy calls it.
+  void Validate() const;
 };
 
 struct FailureRow {
@@ -30,7 +35,8 @@ struct FailureRow {
 };
 
 // Disables floor(fraction * num_sats) uniformly-random satellites (their
-// edges) and routes every pair. One row per requested fraction.
+// edges) and routes every pair. One row per requested fraction. Throws
+// std::invalid_argument for bad options or an empty pair list.
 std::vector<FailureRow> RunFailureStudy(const NetworkModel& model,
                                         const std::vector<CityPair>& pairs,
                                         const FailureStudyOptions& options);

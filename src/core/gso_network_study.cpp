@@ -1,11 +1,16 @@
 #include "core/gso_network_study.hpp"
 
+#include <limits>
+
 #include "core/report.hpp"
-#include "graph/dijkstra.hpp"
+#include "core/slot_router.hpp"
+#include "core/temporal_sweep.hpp"
 
 namespace leosim::core {
 
 namespace {
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
 GsoModeImpact CompareMode(const Scenario& scenario,
                           const std::vector<data::City>& cities,
@@ -18,11 +23,16 @@ GsoModeImpact CompareMode(const Scenario& scenario,
   options.gso_separation_deg = gso.separation_deg;
   const NetworkModel excluded(scenario, options, cities);
 
-  // Two workspaces: both snapshots stay alive for the whole pair loop.
-  NetworkModel::SnapshotWorkspace plain_ws;
-  NetworkModel::SnapshotWorkspace excl_ws;
-  const auto& plain_snap = plain.BuildSnapshot(gso.time_sec, &plain_ws);
-  const auto& excl_snap = excluded.BuildSnapshot(gso.time_sec, &excl_ws);
+  // One workspace: the plain snapshot is routed before the excluded one
+  // is built over it.
+  SweepWorkspace ws;
+  const std::vector<SourceGroup> groups = GroupPairsBySource(pairs);
+  SlotRoutes without;
+  SlotRoutes with;
+  RouteSlotPairs(plain.BuildSnapshot(gso.time_sec, &ws.snapshot), pairs, groups,
+                 /*want_paths=*/false, &ws, &without);
+  RouteSlotPairs(excluded.BuildSnapshot(gso.time_sec, &ws.snapshot), pairs,
+                 groups, /*want_paths=*/false, &ws, &with);
   summary->snapshots_built += 2;
 
   GsoModeImpact impact;
@@ -30,29 +40,24 @@ GsoModeImpact CompareMode(const Scenario& scenario,
   double rtt_without_sum = 0.0;
   double rtt_with_sum = 0.0;
   int both = 0;
-  graph::DijkstraWorkspace dijkstra_ws;
-  for (const CityPair& pair : pairs) {
-    const auto p0 =
-        graph::ShortestPath(plain_snap.graph, plain_snap.CityNode(pair.a),
-                            plain_snap.CityNode(pair.b), dijkstra_ws);
-    const auto p1 =
-        graph::ShortestPath(excl_snap.graph, excl_snap.CityNode(pair.a),
-                            excl_snap.CityNode(pair.b), dijkstra_ws);
-    if (p0.has_value()) {
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    const bool reached_without = without.rtt[i] != kInf;
+    const bool reached_with = with.rtt[i] != kInf;
+    if (reached_without) {
       ++impact.reachable_without_exclusion;
       ++summary->pairs_routed;
     } else {
       ++summary->pairs_unreachable;
     }
-    if (p1.has_value()) {
+    if (reached_with) {
       ++impact.reachable_with_exclusion;
       ++summary->pairs_routed;
     } else {
       ++summary->pairs_unreachable;
     }
-    if (p0.has_value() && p1.has_value()) {
-      rtt_without_sum += 2.0 * p0->distance;
-      rtt_with_sum += 2.0 * p1->distance;
+    if (reached_without && reached_with) {
+      rtt_without_sum += without.rtt[i];
+      rtt_with_sum += with.rtt[i];
       ++both;
     }
   }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <span>
 #include <stdexcept>
 #include <string>
 
@@ -12,7 +13,6 @@
 #include "core/stats.hpp"
 #include "core/temporal_sweep.hpp"
 #include "geo/coordinates.hpp"
-#include "graph/dijkstra.hpp"
 #include "obs/timeseries.hpp"
 
 namespace leosim::core {
@@ -279,56 +279,54 @@ std::vector<PathObservation> TracePairPath(const NetworkModel& model,
                                            const std::string& city_a,
                                            const std::string& city_b,
                                            const SnapshotSchedule& schedule) {
-  const std::vector<data::City>& cities = model.cities();
-  int idx_a = -1;
-  int idx_b = -1;
-  for (int i = 0; i < static_cast<int>(cities.size()); ++i) {
-    if (cities[static_cast<size_t>(i)].name == city_a) idx_a = i;
-    if (cities[static_cast<size_t>(i)].name == city_b) idx_b = i;
-  }
-  if (idx_a < 0 || idx_b < 0) {
-    throw std::invalid_argument("city not present in the model's city list");
-  }
+  const std::vector<CityPair> pair = {
+      {model.CityIndex(city_a), model.CityIndex(city_b)}};
+  const std::vector<SourceGroup> groups = GroupPairsBySource(pair);
 
   const StudyTimer timer;
+  const std::vector<double> times = schedule.Times();
+  std::vector<PathObservation> trace(times.size());
+  // One slot per sweep item, each observation written to its own slot;
+  // the summary counters are summed serially afterwards.
+  const TemporalSweep sweep(times);
+  sweep.Run("latency_trace", [&](const SweepItem& item, SweepWorkspace& ws) {
+    const NetworkModel::Snapshot& snap =
+        model.BuildSnapshot(item.time_sec, &ws.snapshot);
+    SlotRoutes routes;
+    RouteSlotPairs(snap, pair, groups, /*want_paths=*/true, &ws, &routes);
+    PathObservation& obs = trace[static_cast<size_t>(item.slot)];
+    obs.time_sec = item.time_sec;
+    if (routes.rtt[0] == kInf) {
+      return;
+    }
+    obs.reachable = true;
+    obs.rtt_ms = routes.rtt[0];
+    const std::span<const graph::NodeId> path = routes.PathNodes(0);
+    for (size_t i = 0; i < path.size(); ++i) {
+      const graph::NodeId n = path[i];
+      const bool endpoint = i == 0 || i + 1 == path.size();
+      if (snap.IsSat(n)) {
+        ++obs.satellite_hops;
+      } else if (snap.IsAircraft(n)) {
+        ++obs.aircraft_hops;
+      } else if (snap.IsRelay(n)) {
+        ++obs.relay_hops;
+      } else if (!endpoint) {
+        ++obs.city_hops;
+      }
+      const geo::GeodeticCoord g =
+          geo::EcefToGeodetic(snap.node_ecef[static_cast<size_t>(n)]);
+      obs.max_node_latitude_deg = std::max(obs.max_node_latitude_deg, g.latitude_deg);
+      obs.min_node_latitude_deg = std::min(obs.min_node_latitude_deg, g.latitude_deg);
+    }
+  });
+
   StudySummary summary;
   summary.study = "latency_trace";
-  std::vector<PathObservation> trace;
-  NetworkModel::SnapshotWorkspace snapshot_ws;
-  graph::DijkstraWorkspace dijkstra_ws;
-  for (const double t : schedule.Times()) {
-    const NetworkModel::Snapshot& snap = model.BuildSnapshot(t, &snapshot_ws);
-    ++summary.snapshots_built;
-    PathObservation obs;
-    obs.time_sec = t;
-    const auto path = graph::ShortestPath(snap.graph, snap.CityNode(idx_a),
-                                          snap.CityNode(idx_b), dijkstra_ws);
-    summary.pairs_routed += path.has_value() ? 1 : 0;
-    summary.pairs_unreachable += path.has_value() ? 0 : 1;
-    if (path.has_value()) {
-      obs.reachable = true;
-      obs.rtt_ms = 2.0 * path->distance;
-      for (size_t i = 0; i < path->nodes.size(); ++i) {
-        const graph::NodeId n = path->nodes[i];
-        const bool endpoint = i == 0 || i + 1 == path->nodes.size();
-        if (snap.IsSat(n)) {
-          ++obs.satellite_hops;
-        } else if (snap.IsAircraft(n)) {
-          ++obs.aircraft_hops;
-        } else if (snap.IsRelay(n)) {
-          ++obs.relay_hops;
-        } else if (!endpoint) {
-          ++obs.city_hops;
-        }
-        const geo::GeodeticCoord g = geo::EcefToGeodetic(
-            snap.node_ecef[static_cast<size_t>(n)]);
-        obs.max_node_latitude_deg =
-            std::max(obs.max_node_latitude_deg, g.latitude_deg);
-        obs.min_node_latitude_deg =
-            std::min(obs.min_node_latitude_deg, g.latitude_deg);
-      }
-    }
-    trace.push_back(obs);
+  summary.snapshots_built = static_cast<uint64_t>(times.size());
+  for (const PathObservation& obs : trace) {
+    summary.pairs_routed += obs.reachable ? 1 : 0;
+    summary.pairs_unreachable += obs.reachable ? 0 : 1;
   }
   summary.wall_seconds = timer.Seconds();
   EmitStudySummary(summary);

@@ -1,26 +1,16 @@
 #include "core/multishell_study.hpp"
 
 #include <limits>
-#include <stdexcept>
 
 #include "core/report.hpp"
+#include "core/slot_router.hpp"
 #include "core/temporal_sweep.hpp"
-#include "graph/dijkstra.hpp"
 
 namespace leosim::core {
 
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-int CityIndexByName(const std::vector<data::City>& cities, const std::string& name) {
-  for (int i = 0; i < static_cast<int>(cities.size()); ++i) {
-    if (cities[static_cast<size_t>(i)].name == name) {
-      return i;
-    }
-  }
-  throw std::invalid_argument("city not in list: " + name);
-}
 
 }  // namespace
 
@@ -36,8 +26,9 @@ MultishellResult RunMultishellStudy(const Scenario& scenario,
   const NetworkModel single(scenario, options, cities);
   const NetworkModel dual(scenario, options, cities, {second_shell});
 
-  const int idx_a = CityIndexByName(single.cities(), city_a);
-  const int idx_b = CityIndexByName(single.cities(), city_b);
+  const std::vector<CityPair> pair = {
+      {single.CityIndex(city_a), single.CityIndex(city_b)}};
+  const std::vector<SourceGroup> groups = GroupPairsBySource(pair);
 
   const StudyTimer timer;
   StudySummary summary;
@@ -55,11 +46,12 @@ MultishellResult RunMultishellStudy(const Scenario& scenario,
     const NetworkModel& model = item.stream == 0 ? single : dual;
     std::vector<double>& rtts = item.stream == 0 ? result.single_shell_rtt_ms
                                                  : result.dual_shell_rtt_ms;
-    const auto& snap = model.BuildSnapshot(item.time_sec, &ws.snapshot);
-    const auto path = graph::ShortestPath(snap.graph, snap.CityNode(idx_a),
-                                          snap.CityNode(idx_b), ws.dijkstra);
-    rtts[static_cast<size_t>(item.slot)] =
-        path ? 2.0 * path->distance : kInf;
+    // kIslOnly has no relays or aircraft: the router's contraction keeps
+    // every node.
+    SlotRoutes routes;
+    RouteSlotPairs(model.BuildSnapshot(item.time_sec, &ws.snapshot), pair,
+                   groups, /*want_paths=*/false, &ws, &routes);
+    rtts[static_cast<size_t>(item.slot)] = routes.rtt[0];
   });
   summary.snapshots_built = 2 * static_cast<uint64_t>(slots);
 

@@ -336,6 +336,15 @@ NetworkModel::Snapshot& NetworkModel::BuildSnapshot(
   return snap;
 }
 
+int NetworkModel::CityIndex(const std::string& name) const {
+  for (size_t i = 0; i < cities_.size(); ++i) {
+    if (cities_[i].name == name) {
+      return static_cast<int>(i);
+    }
+  }
+  throw std::invalid_argument("city not present in the model's city list: " + name);
+}
+
 geo::GeodeticCoord NetworkModel::GroundNodeCoord(const Snapshot& snapshot,
                                                  graph::NodeId node) const {
   if (snapshot.IsCity(node)) {

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "air/traffic_model.hpp"
@@ -158,6 +159,9 @@ class NetworkModel {
   const Scenario& scenario() const { return scenario_; }
   const NetworkOptions& options() const { return options_; }
   const std::vector<data::City>& cities() const { return cities_; }
+  // Index into cities() of the first city named `name`; throws
+  // std::invalid_argument when no city has that name.
+  int CityIndex(const std::string& name) const;
   const orbit::Constellation& constellation() const { return constellation_; }
   const std::vector<geo::GeodeticCoord>& relays() const { return relays_; }
   double GtCapacityGbps() const;

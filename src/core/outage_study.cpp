@@ -1,24 +1,52 @@
 #include "core/outage_study.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
+#include <stdexcept>
+#include <string>
 
 #include "core/report.hpp"
+#include "core/slot_router.hpp"
+#include "core/temporal_sweep.hpp"
 #include "geo/geodesic.hpp"
-#include "graph/dijkstra.hpp"
 #include "itur/slant_path.hpp"
 #include "obs/progress.hpp"
 #include "obs/timeseries.hpp"
+#include "obs/trace.hpp"
 
 namespace leosim::core {
+
+namespace {
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+}  // namespace
+
+void OutageStudyOptions::Validate() const {
+  for (const double margin : margins_db) {
+    if (!std::isfinite(margin)) {
+      throw std::invalid_argument("outage margin must be finite, got " +
+                                  std::to_string(margin));
+    }
+  }
+  if (std::isnan(exceedance_pct)) {
+    throw std::invalid_argument("outage exceedance_pct must not be NaN");
+  }
+}
 
 std::vector<OutageRow> RunOutageStudy(const NetworkModel& model,
                                       const std::vector<CityPair>& pairs,
                                       const OutageStudyOptions& options) {
+  options.Validate();
+  if (pairs.empty()) {
+    throw std::invalid_argument("outage study needs at least one city pair");
+  }
   const StudyTimer timer;
   StudySummary summary;
   summary.study = "outage";
-  NetworkModel::SnapshotWorkspace snapshot_ws;
-  NetworkModel::Snapshot& snap = model.BuildSnapshot(options.time_sec, &snapshot_ws);
+  SweepWorkspace ws;
+  NetworkModel::Snapshot& snap = model.BuildSnapshot(options.time_sec, &ws.snapshot);
   summary.snapshots_built = 1;
   const link::RadioConfig& radio = model.scenario().radio;
 
@@ -26,28 +54,32 @@ std::vector<OutageRow> RunOutageStudy(const NetworkModel& model,
   // higher one and rain attenuation grows with frequency, so it wins; we
   // still evaluate both for correctness).
   std::vector<double> link_attenuation(snap.radio_edges.size(), 0.0);
-  for (size_t i = 0; i < snap.radio_edges.size(); ++i) {
-    const graph::EdgeRecord& rec = snap.graph.Edge(snap.radio_edges[i]);
-    const graph::NodeId ground = snap.IsSat(rec.a) ? rec.b : rec.a;
-    const graph::NodeId sat = snap.IsSat(rec.a) ? rec.a : rec.b;
-    const geo::GeodeticCoord gt = model.GroundNodeCoord(snap, ground);
-    const double elevation =
-        geo::ElevationAngleDeg(snap.node_ecef[static_cast<size_t>(ground)],
-                               snap.node_ecef[static_cast<size_t>(sat)]);
-    itur::SlantPathConfig config;
-    config.antenna_diameter_m = options.attenuation.antenna_diameter_m;
-    config.antenna_efficiency = options.attenuation.antenna_efficiency;
-    config.frequency_ghz = radio.uplink_freq_ghz;
-    const double up =
-        itur::SlantPathAttenuationDb(gt, elevation, config, options.exceedance_pct);
-    config.frequency_ghz = radio.downlink_freq_ghz;
-    const double down =
-        itur::SlantPathAttenuationDb(gt, elevation, config, options.exceedance_pct);
-    link_attenuation[i] = std::max(up, down);
+  {
+    const obs::Span span("itur.attenuation");
+    for (size_t i = 0; i < snap.radio_edges.size(); ++i) {
+      const graph::EdgeRecord& rec = snap.graph.Edge(snap.radio_edges[i]);
+      const graph::NodeId ground = snap.IsSat(rec.a) ? rec.b : rec.a;
+      const graph::NodeId sat = snap.IsSat(rec.a) ? rec.a : rec.b;
+      const geo::GeodeticCoord gt = model.GroundNodeCoord(snap, ground);
+      const double elevation =
+          geo::ElevationAngleDeg(snap.node_ecef[static_cast<size_t>(ground)],
+                                 snap.node_ecef[static_cast<size_t>(sat)]);
+      itur::SlantPathConfig config;
+      config.antenna_diameter_m = options.attenuation.antenna_diameter_m;
+      config.antenna_efficiency = options.attenuation.antenna_efficiency;
+      config.frequency_ghz = radio.uplink_freq_ghz;
+      const double up =
+          itur::SlantPathAttenuationDb(gt, elevation, config, options.exceedance_pct);
+      config.frequency_ghz = radio.downlink_freq_ghz;
+      const double down =
+          itur::SlantPathAttenuationDb(gt, elevation, config, options.exceedance_pct);
+      link_attenuation[i] = std::max(up, down);
+    }
   }
 
   std::vector<OutageRow> rows;
-  graph::DijkstraWorkspace dijkstra_ws;
+  const std::vector<SourceGroup> groups = GroupPairsBySource(pairs);
+  SlotRoutes routes;
   obs::TimeseriesRecorder& recorder = obs::TimeseriesRecorder::Global();
   obs::ProgressReporter progress(
       "outage", static_cast<uint64_t>(options.margins_db.size()));
@@ -66,15 +98,14 @@ std::vector<OutageRow> RunOutageStudy(const NetworkModel& model,
         snap.radio_edges.empty()
             ? 0.0
             : static_cast<double>(disabled) / snap.radio_edges.size();
+    RouteSlotPairs(snap, pairs, groups, /*want_paths=*/false, &ws, &routes);
     int reachable = 0;
     double rtt_sum = 0.0;
-    for (const CityPair& pair : pairs) {
-      const auto path = graph::ShortestPath(snap.graph, snap.CityNode(pair.a),
-                                            snap.CityNode(pair.b), dijkstra_ws);
-      if (path.has_value()) {
+    for (const double rtt : routes.rtt) {
+      if (rtt != kInf) {
         ++reachable;
         ++summary.pairs_routed;
-        rtt_sum += 2.0 * path->distance;
+        rtt_sum += rtt;
       } else {
         ++summary.pairs_unreachable;
       }

@@ -19,6 +19,10 @@ struct OutageStudyOptions {
   double exceedance_pct{0.1};  // weather percentile the margin must survive
   double time_sec{0.0};
   AttenuationOptions attenuation;
+
+  // Throws std::invalid_argument naming the first bad field: a margin
+  // that is not finite or a NaN exceedance. RunOutageStudy calls it.
+  void Validate() const;
 };
 
 struct OutageRow {
@@ -28,6 +32,8 @@ struct OutageRow {
   double mean_rtt_ms{0.0};         // over reachable pairs
 };
 
+// One row per margin. Throws std::invalid_argument for bad options or an
+// empty pair list.
 std::vector<OutageRow> RunOutageStudy(const NetworkModel& model,
                                       const std::vector<CityPair>& pairs,
                                       const OutageStudyOptions& options);

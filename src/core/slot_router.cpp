@@ -1,6 +1,5 @@
 #include "core/slot_router.hpp"
 
-#include <algorithm>
 #include <limits>
 
 #include "graph/components.hpp"
@@ -104,7 +103,7 @@ void RouteSlotPairs(const NetworkModel::Snapshot& snap,
 
   // Records one routed pair's answer from the search that just settled
   // dst in ws->dijkstra: round-trip time (out and back over the same
-  // path) and, when wanted, the sorted node run of the full-graph path.
+  // path) and, when wanted, the full-graph path's node chain.
   graph::Path path;
   uint64_t tie_fallbacks = 0;
   const auto emit = [&](int pair, graph::NodeId src, graph::NodeId dst) {
@@ -121,7 +120,6 @@ void RouteSlotPairs(const NetworkModel::Snapshot& snap,
     out->begin[i] = static_cast<uint32_t>(out->nodes.size());
     out->nodes.insert(out->nodes.end(), path.nodes.begin(), path.nodes.end());
     out->end[i] = static_cast<uint32_t>(out->nodes.size());
-    std::sort(out->nodes.begin() + out->begin[i], out->nodes.end());
   };
 
   SlotPlan plan(contraction, snap, pairs, 1, ws);

@@ -1,22 +1,24 @@
-// The per-slot router shared by the pair-routing studies (latency,
-// churn, throughput). They route the same shape of workload — many city
-// pairs grouped by source against one snapshot — and answer it the same
-// way (SlotPlan below):
+// The per-slot router, the one way a study routes city pairs: latency,
+// churn, path trace, attenuation, GSO network, failure, outage and
+// multishell through RouteSlotPairs, throughput through
+// RouteSlotDisjointPaths. They route the same shape of workload — city
+// pairs grouped by source against one snapshot, masked or not — and
+// answer it the same way (SlotPlan below):
 //
 //   0. the graph: the router routes on a relay contraction of the
 //      snapshot graph (graph/relay_contraction.hpp): relays and aircraft,
 //      96% of a paper-scale graph's nodes, become two-hop arcs between
 //      satellites, and the 61.5k-node graph shrinks to its 2.6k
-//      satellites and cities. RouteSlotPairs (latency and churn) searches
-//      it as built; RouteSlotDisjointPaths (throughput) searches a
+//      satellites and cities. RouteSlotPairs searches it as built;
+//      RouteSlotDisjointPaths (throughput) searches a
 //      residual view of it between a pair's k searches, which repairs
 //      only the detours each taken path bans;
 //   1. component precheck: cross-component pairs stay unrouted without
 //      any search (a failed search would otherwise settle the whole
 //      component);
 //   2. tier choice from the slot's reachable search count (reachable
-//      pairs times searches per pair: 1 for latency and churn, k for
-//      the k edge-disjoint paths of the throughput study):
+//      pairs times searches per pair: 1 for RouteSlotPairs, k for the
+//      k edge-disjoint paths of the throughput study):
 //      - below kAltMinQueries: one multi-target Dijkstra tree per source
 //        with at least kTreeBatchThreshold reachable destinations, and
 //        goal-directed A* with the Euclidean latency bound for the rest;
@@ -77,8 +79,8 @@ inline constexpr size_t kTreeBatchThreshold = 3;
 // Reachable queries per slot from which building a landmark table pays
 // for itself. The table costs 16 full Dijkstras; each ALT query then
 // saves the difference to the Euclidean tiers. A query is one A*
-// search: a pair counts once in the latency and churn studies and k
-// times in the throughput study's k disjoint paths. Measured
+// search: a pair counts once under RouteSlotPairs and k times in the
+// throughput study's k disjoint paths. Measured
 // break-even: 130-200 queries on hybrid graphs and 50-75 on bent-pipe
 // ones on the full (3.7k- and 62k-node) graphs; 160-250 on hybrid and
 // 70-130 on bent-pipe contractions, where the table and the queries are
@@ -160,8 +162,9 @@ class SlotPlan {
 };
 
 // One slot's routing answers for every pair: RTT (+inf when unreachable)
-// and, when paths were requested, each pair's path nodes sorted, as
-// [begin, end) runs into one shared buffer.
+// and, when paths were requested, each pair's full-graph node chain in
+// path order (src ... dst; empty when unreachable), as [begin, end) runs
+// into one shared buffer.
 struct SlotRoutes {
   std::vector<double> rtt;
   std::vector<uint32_t> begin;
@@ -177,8 +180,8 @@ struct SlotRoutes {
 // GroupPairsBySource) over `snap`'s graph as it stands — callers may
 // mask edges first — into `out`, one search per pair under a SlotPlan on
 // the relay contraction of that graph. Path runs are filled only when
-// `want_paths`: they are full-graph node chains, relays and aircraft
-// included. Uses `ws`'s routing scratch, contraction and landmark table;
+// `want_paths`: they are graph::ShortestPath's node chains, relays and
+// aircraft included. Uses `ws`'s routing scratch, contraction and landmark table;
 // touches nothing else, so concurrent calls with distinct workspaces and
 // outputs never conflict.
 void RouteSlotPairs(const NetworkModel::Snapshot& snap,

@@ -8,7 +8,9 @@
 #include <vector>
 
 #include "core/cli_flags.hpp"
+#include "core/failure_study.hpp"
 #include "core/network_builder.hpp"
+#include "core/outage_study.hpp"
 #include "core/report.hpp"
 #include "core/scenario.hpp"
 #include "core/stats.hpp"
@@ -425,6 +427,83 @@ TEST(ScenarioTest, ValidateRejectsBadFields) {
   EXPECT_NO_THROW(edges.Validate());
   edges.radio.min_elevation_deg = 90.0;
   EXPECT_NO_THROW(edges.Validate());
+}
+
+// FailureStudyOptions::Validate and OutageStudyOptions::Validate reject
+// each bad field, and both studies call them at entry: a failure
+// fraction above 1 would divide by zero in the random draw, a NaN or
+// negative fraction, a NaN margin or a NaN exceedance would fail
+// nothing, and an empty pair list would give a NaN reachable fraction.
+TEST(StudyOptionsTest, FailureAndOutageRejectBadFields) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  NetworkOptions isl_only;
+  isl_only.mode = ConnectivityMode::kIslOnly;
+  const NetworkModel model(Scenario::Starlink(), isl_only, data::AnchorCities());
+  const std::vector<CityPair> pairs = {{0, 1}};
+
+  struct FailureCase {
+    const char* name;
+    double fraction;
+    int trials;
+  };
+  const FailureCase failure_cases[] = {
+      {"fraction", nan, 3},  {"fraction", -0.5, 3}, {"fraction", 1.5, 3},
+      {"fraction", inf, 3},  {"fraction", -inf, 3}, {"trials", 0.1, 0},
+      {"trials", 0.1, -2},
+  };
+  for (const FailureCase& row : failure_cases) {
+    FailureStudyOptions options;
+    options.failure_fractions = {0.0, row.fraction};
+    options.trials = row.trials;
+    EXPECT_THROW(options.Validate(), std::invalid_argument)
+        << row.name << ": fraction " << row.fraction << " trials " << row.trials;
+    EXPECT_THROW(RunFailureStudy(model, pairs, options), std::invalid_argument)
+        << row.name << ": fraction " << row.fraction << " trials " << row.trials;
+  }
+
+  struct OutageCase {
+    const char* name;
+    double margin_db;
+    double exceedance_pct;
+  };
+  const OutageCase outage_cases[] = {
+      {"margin_db", nan, 0.1},
+      {"margin_db", inf, 0.1},
+      {"margin_db", -inf, 0.1},
+      {"exceedance_pct", 6.0, nan},
+  };
+  for (const OutageCase& row : outage_cases) {
+    OutageStudyOptions options;
+    options.margins_db = {10.0, row.margin_db};
+    options.exceedance_pct = row.exceedance_pct;
+    EXPECT_THROW(options.Validate(), std::invalid_argument)
+        << row.name << ": margin " << row.margin_db << " exceedance "
+        << row.exceedance_pct;
+    EXPECT_THROW(RunOutageStudy(model, pairs, options), std::invalid_argument)
+        << row.name << ": margin " << row.margin_db << " exceedance "
+        << row.exceedance_pct;
+  }
+
+  EXPECT_THROW(RunFailureStudy(model, {}, FailureStudyOptions{}),
+               std::invalid_argument);
+  EXPECT_THROW(RunOutageStudy(model, {}, OutageStudyOptions{}),
+               std::invalid_argument);
+
+  // The defaults and the edges of each range pass; failing every
+  // satellite leaves nothing reachable.
+  EXPECT_NO_THROW(FailureStudyOptions{}.Validate());
+  EXPECT_NO_THROW(OutageStudyOptions{}.Validate());
+  FailureStudyOptions all_fail;
+  all_fail.failure_fractions = {0.0, 1.0};
+  all_fail.trials = 1;
+  const auto rows = RunFailureStudy(model, pairs, all_fail);
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows[0].reachable_fraction, 1.0);
+  EXPECT_EQ(rows[1].reachable_fraction, 0.0);
+  OutageStudyOptions outage_edges;
+  outage_edges.margins_db = {-5.0, 0.0, 100.0};
+  EXPECT_NO_THROW(outage_edges.Validate());
 }
 
 }  // namespace

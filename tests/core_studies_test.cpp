@@ -13,6 +13,7 @@
 #include "core/stats.hpp"
 #include "core/throughput_study.hpp"
 #include "geo/geodesic.hpp"
+#include "graph/dijkstra.hpp"
 
 namespace leosim::core {
 namespace {
@@ -241,6 +242,42 @@ TEST(AttenuationStudyTest, BpWorseThanIsl) {
     EXPECT_GT(db, 0.0);
     EXPECT_LT(db, 30.0);
   }
+}
+
+// The study routes through the per-slot router: its distributions equal,
+// element for element, one plain Dijkstra per pair on the same snapshots
+// scored by WorstLinkAttenuationDb, which reads the chain in path order.
+TEST(AttenuationStudyTest, MatchesPlainDijkstraReference) {
+  const NetworkModel isl_model(Scenario::Starlink(),
+                               FastOptions(ConnectivityMode::kIslOnly),
+                               data::AnchorCities());
+  const auto pairs = TestPairs(60);
+  AttenuationOptions options;
+  const double time_sec = 900.0;
+  const auto result =
+      RunAttenuationStudy(BpModel(), isl_model, pairs, time_sec, options);
+
+  const auto reference = [&](const NetworkModel& model, int* unreachable) {
+    const NetworkModel::Snapshot snap = model.BuildSnapshot(time_sec);
+    std::vector<double> db;
+    for (const CityPair& pair : pairs) {
+      const auto path = graph::ShortestPath(snap.graph, snap.CityNode(pair.a),
+                                            snap.CityNode(pair.b));
+      if (path.has_value()) {
+        db.push_back(WorstLinkAttenuationDb(model, snap, path->nodes, options));
+      } else {
+        ++*unreachable;
+      }
+    }
+    return db;
+  };
+  int bp_unreachable = 0;
+  int isl_unreachable = 0;
+  EXPECT_EQ(result.bp_db, reference(BpModel(), &bp_unreachable));
+  EXPECT_EQ(result.isl_db, reference(isl_model, &isl_unreachable));
+  EXPECT_EQ(result.bp_unreachable, bp_unreachable);
+  EXPECT_EQ(result.isl_unreachable, isl_unreachable);
+  EXPECT_GT(result.bp_db.size(), 10u);
 }
 
 TEST(AttenuationStudyTest, DelhiSydneyCcdfShape) {

@@ -1,11 +1,13 @@
 // Property tests for the per-slot router (core/slot_router.hpp). It
 // routes on a relay contraction of the snapshot graph, and its tiers are
-// pure accelerations: on a hybrid snapshot and on the same snapshot with
-// its ISL edges masked (the latency study's bent-pipe view), the ALT
-// tier, the Euclidean tier and plain graph::ShortestPath on the full
-// graph must agree bit for bit on every pair's RTT and node chain, exact
-// ties included (the bench-default configuration's t = 0 bent-pipe view
-// holds one, and a hand-built graph holds both kinds of relay tie). Both
+// pure accelerations: on a hybrid snapshot, on the same snapshot with
+// its ISL edges masked (the latency study's bent-pipe view) and on the
+// failure-masked, outage-masked and ISL-only graphs of the other
+// studies, the ALT tier, the Euclidean tier and plain
+// graph::ShortestPath on the full graph must agree bit for bit on every
+// pair's RTT and node chain in path order, exact ties included (the
+// bench-default configuration's t = 0 bent-pipe view holds one, and a
+// hand-built graph holds both kinds of relay tie). Both
 // sides of kAltMinQueries are reached by routing the same pairs either
 // in one call or in chunks smaller than the break-even.
 #include <gtest/gtest.h>
@@ -15,6 +17,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "core/churn_study.hpp"
@@ -25,15 +28,22 @@
 #include "core/traffic_matrix.hpp"
 #include "data/cities.hpp"
 #include "data/city_catalog.hpp"
+#include "geo/geodesic.hpp"
 #include "graph/components.hpp"
 #include "graph/dijkstra.hpp"
 #include "graph/relay_contraction.hpp"
+#include "itur/slant_path.hpp"
 #include "obs/metrics.hpp"
+#include "orbit/walker.hpp"
 
 namespace leosim::core {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+// Fade margin (dB) of the outage-masked snapshot: radio links whose
+// 0.1%-exceedance up-link attenuation exceeds it are disabled.
+constexpr double kOutageMarginDb = 4.0;
 
 bool BitEq(double x, double y) {
   return std::bit_cast<uint64_t>(x) == std::bit_cast<uint64_t>(y);
@@ -68,8 +78,8 @@ std::vector<CityPair> Pairs() {
   return SampleCityPairs(data::AnchorCities(), traffic);
 }
 
-// Reference answers: one plain Dijkstra per pair, with each path's
-// nodes sorted the way the router reports them (empty if unreachable).
+// Reference answers: one plain Dijkstra per pair, with each path's node
+// chain in path order (empty if unreachable).
 struct DijkstraRoutes {
   std::vector<double> rtt;
   std::vector<std::vector<graph::NodeId>> nodes;
@@ -86,7 +96,6 @@ DijkstraRoutes DijkstraReference(const NetworkModel::Snapshot& snap,
     ref.nodes.emplace_back();
     if (path.has_value()) {
       ref.nodes.back() = path->nodes;
-      std::sort(ref.nodes.back().begin(), ref.nodes.back().end());
     }
   }
   return ref;
@@ -254,7 +263,41 @@ TEST(SlotRouter, SmallSlotsKeepEuclideanTiers) {
 // The contraction keeps every satellite and city under its id, and the
 // distances from any source to them are the full graph's bit for bit;
 // the router's RTTs and node chains are plain Dijkstra's on the full
-// graph. Both views, on a 4 deg and a 1 deg relay grid.
+// graph.
+void ExpectContractionMatches(const NetworkModel::Snapshot& snap,
+                              const std::vector<CityPair>& pairs,
+                              const std::string& view) {
+  graph::RelayContraction contraction;
+  contraction.Build(snap.graph, snap.num_sats + snap.num_cities);
+  ASSERT_EQ(contraction.NumNodes(), snap.num_sats + snap.num_cities) << view;
+  graph::DijkstraWorkspace ws;
+  std::vector<double> full;
+  std::vector<double> contracted;
+  for (int city = 0; city < snap.num_cities; city += 7) {
+    graph::ShortestDistancesInto(snap.graph, snap.CityNode(city), ws, &full);
+    graph::ShortestDistancesInto(contraction, snap.CityNode(city), ws, &contracted);
+    for (graph::NodeId v = 0; v < contraction.NumNodes(); ++v) {
+      ASSERT_TRUE(BitEq(contracted[static_cast<size_t>(v)],
+                        full[static_cast<size_t>(v)]))
+          << view << ": city " << city << " to node " << v;
+    }
+  }
+
+  const DijkstraRoutes reference = DijkstraReference(snap, pairs);
+  SweepWorkspace sweep_ws;
+  SlotRoutes routes;
+  RouteSlotPairs(snap, pairs, GroupPairsBySource(pairs), /*want_paths=*/true,
+                 &sweep_ws, &routes);
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    ASSERT_TRUE(BitEq(routes.rtt[i], reference.rtt[i])) << view << " pair " << i;
+    const auto run = routes.PathNodes(i);
+    EXPECT_EQ(std::vector<graph::NodeId>(run.begin(), run.end()),
+              reference.nodes[i])
+        << view << " pair " << i;
+  }
+}
+
+// Both views, on a 4 deg and a 1 deg relay grid.
 TEST(SlotRouter, ContractionMatchesFullGraphDijkstra) {
   const std::vector<CityPair> pairs = Pairs();
   for (const double spacing : {4.0, 1.0}) {
@@ -262,44 +305,70 @@ TEST(SlotRouter, ContractionMatchesFullGraphDijkstra) {
     options.relay_spacing_deg = spacing;
     const NetworkModel model(Scenario::Starlink(), options, data::AnchorCities());
     NetworkModel::Snapshot snap = model.BuildSnapshot(900.0);
-    for (const char* view : {"hybrid", "bent-pipe"}) {
-      if (view[0] == 'b') {
-        for (const graph::EdgeId e : snap.isl_edges) {
-          snap.graph.SetEnabled(e, false);
-        }
-      }
-      graph::RelayContraction contraction;
-      contraction.Build(snap.graph, snap.num_sats + snap.num_cities);
-      ASSERT_EQ(contraction.NumNodes(), snap.num_sats + snap.num_cities);
-      graph::DijkstraWorkspace ws;
-      std::vector<double> full;
-      std::vector<double> contracted;
-      for (int city = 0; city < snap.num_cities; city += 7) {
-        graph::ShortestDistancesInto(snap.graph, snap.CityNode(city), ws, &full);
-        graph::ShortestDistancesInto(contraction, snap.CityNode(city), ws,
-                                     &contracted);
-        for (graph::NodeId v = 0; v < contraction.NumNodes(); ++v) {
-          ASSERT_TRUE(BitEq(contracted[static_cast<size_t>(v)],
-                            full[static_cast<size_t>(v)]))
-              << spacing << " deg " << view << ": city " << city << " to node " << v;
-        }
-      }
+    const std::string grid = std::to_string(spacing) + " deg ";
+    ExpectContractionMatches(snap, pairs, grid + "hybrid");
+    for (const graph::EdgeId e : snap.isl_edges) {
+      snap.graph.SetEnabled(e, false);
+    }
+    ExpectContractionMatches(snap, pairs, grid + "bent-pipe");
+  }
+}
 
-      const DijkstraRoutes reference = DijkstraReference(snap, pairs);
-      SweepWorkspace sweep_ws;
-      SlotRoutes routes;
-      RouteSlotPairs(snap, pairs, GroupPairsBySource(pairs), /*want_paths=*/true,
-                     &sweep_ws, &routes);
-      for (size_t i = 0; i < pairs.size(); ++i) {
-        ASSERT_TRUE(BitEq(routes.rtt[i], reference.rtt[i]))
-            << spacing << " deg " << view << " pair " << i;
-        const auto run = routes.PathNodes(i);
-        EXPECT_EQ(std::vector<graph::NodeId>(run.begin(), run.end()),
-                  reference.nodes[i])
-            << spacing << " deg " << view << " pair " << i;
-      }
+// The graphs the other studies route besides the plain hybrid and
+// bent-pipe views: the failure study's hybrid snapshot with every edge
+// of a tenth of the satellites disabled, the outage study's bent-pipe
+// snapshot with every radio edge above a fade margin disabled, and the
+// city-GT + ISL graphs of the attenuation (one shell) and multishell
+// (two shells) studies, where the contraction keeps every node. On each
+// the contraction and every router tier agree with plain Dijkstra.
+TEST(SlotRouter, MaskedAndIslOnlySnapshotsMatchDijkstra) {
+  const std::vector<CityPair> pairs = Pairs();
+  const auto check = [&](const NetworkModel::Snapshot& snap, const char* view) {
+    ExpectContractionMatches(snap, pairs, view);
+    ExpectTiersAgree(snap, pairs, view);
+  };
+
+  NetworkModel::Snapshot failed = HybridModel().BuildSnapshot(900.0);
+  int failed_edges = 0;
+  for (int sat = 0; sat < failed.num_sats; sat += 10) {
+    for (const graph::HalfEdge& half : failed.graph.Neighbours(failed.SatNode(sat))) {
+      failed_edges += failed.graph.IsEnabled(half.edge) ? 1 : 0;
+      failed.graph.SetEnabled(half.edge, false);
     }
   }
+  ASSERT_GT(failed_edges, 0);
+  check(failed, "failure-masked hybrid");
+
+  const NetworkModel& bp = BentPipeModel();
+  NetworkModel::Snapshot outage = bp.BuildSnapshot(900.0);
+  itur::SlantPathConfig config;
+  config.frequency_ghz = bp.scenario().radio.uplink_freq_ghz;
+  size_t dead = 0;
+  for (const graph::EdgeId e : outage.radio_edges) {
+    const graph::EdgeRecord& rec = outage.graph.Edge(e);
+    const graph::NodeId ground = outage.IsSat(rec.a) ? rec.b : rec.a;
+    const graph::NodeId sat = outage.IsSat(rec.a) ? rec.a : rec.b;
+    const double elevation =
+        geo::ElevationAngleDeg(outage.node_ecef[static_cast<size_t>(ground)],
+                               outage.node_ecef[static_cast<size_t>(sat)]);
+    const double db = itur::SlantPathAttenuationDb(bp.GroundNodeCoord(outage, ground),
+                                                   elevation, config, 0.1);
+    if (db > kOutageMarginDb) {
+      outage.graph.SetEnabled(e, false);
+      ++dead;
+    }
+  }
+  ASSERT_GT(dead, 0u);
+  ASSERT_LT(dead, outage.radio_edges.size());
+  check(outage, "outage-masked bent-pipe");
+
+  NetworkOptions isl_only;
+  isl_only.mode = ConnectivityMode::kIslOnly;
+  const NetworkModel single(Scenario::Starlink(), isl_only, data::AnchorCities());
+  check(single.BuildSnapshot(900.0), "ISL-only");
+  const NetworkModel dual(Scenario::Starlink(), isl_only, data::AnchorCities(),
+                          {orbit::PolarShell()});
+  check(dual.BuildSnapshot(900.0), "dual-shell ISL-only");
 }
 
 // A hand-built snapshot with both kinds of tie the contraction must

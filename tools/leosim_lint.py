@@ -35,6 +35,12 @@ Rules (each maps to a repo invariant documented in DESIGN.md):
   study-summary   Every src/core/*_study.cpp calls EmitStudySummary:
                    manifests, tests, and obs_report run comparisons all
                    key on the shared summary line.
+  study-router    No call to graph::ShortestPath, ShortestPathAStar or
+                   KEdgeDisjointShortestPaths in src/core/*_study.cpp:
+                   studies route city pairs through core/slot_router
+                   (RouteSlotPairs, RouteSlotDisjointPaths), the one
+                   routing policy every study shares. routing.cpp's
+                   order-dependent EXT-RT policies are not a study file.
   snapshot-workspace
                    No allocating BuildSnapshot(t) in study drivers
                    (src/core/*_study.cpp, routing.cpp). Inner loops must
@@ -346,6 +352,27 @@ def check_study_summary(ctx: LintContext) -> list[Finding]:
                 rel, 1, "study-summary",
                 "study driver never calls EmitStudySummary; every "
                 "src/core/*_study.cpp must report a StudySummary"))
+    return findings
+
+
+STUDY_ROUTER_RE = re.compile(
+    r"\b(ShortestPath|ShortestPathAStar|KEdgeDisjointShortestPaths)\s*\(")
+
+
+def check_study_router(ctx: LintContext) -> list[Finding]:
+    # Studies route through core/slot_router, so every study gets the
+    # router's contraction, landmark tiers, tie guards and route.* spans;
+    # a hand-rolled search loop in a study is a second routing policy.
+    findings = []
+    for rel in ctx.files("src/core/", pattern=r"src/core/\w+_study\.cpp"):
+        code = ctx.stripped(rel)
+        for match in STUDY_ROUTER_RE.finditer(code):
+            lineno = code.count("\n", 0, match.start()) + 1
+            findings.append(Finding(
+                rel, lineno, "study-router",
+                f"study calls {match.group(1)} directly; route city pairs "
+                "through core/slot_router (RouteSlotPairs or "
+                "RouteSlotDisjointPaths)"))
     return findings
 
 
@@ -828,6 +855,8 @@ RULES: list[Rule] = [
          check_iostream),
     Rule("study-summary",
          "every study driver calls EmitStudySummary", check_study_summary),
+    Rule("study-router",
+         "study drivers route through core/slot_router", check_study_router),
     Rule("snapshot-workspace",
          "study drivers use the workspace BuildSnapshot overload",
          check_snapshot_workspace),

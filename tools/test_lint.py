@@ -95,6 +95,19 @@ def test_layering_acceptance_fixture() -> None:
     print("ok: layering acceptance fixture (graph -> core rejected)")
 
 
+def test_study_router_scope() -> None:
+    # Each of the three search entry points is flagged in a study file,
+    # and routing.cpp (EXT-RT, not a *_study.cpp) is left alone.
+    hits = run_rule("study-router", FIXTURES / "study-router" / "trigger")
+    flagged = {(f.path, f.message.split()[2]) for f in hits}
+    check(flagged == {
+        ("src/core/failure_study.cpp", "ShortestPath"),
+        ("src/core/churn_study.cpp", "ShortestPathAStar"),
+        ("src/core/throughput_study.cpp", "KEdgeDisjointShortestPaths"),
+    }, f"study-router: expected one finding per study file, got {flagged}")
+    print("ok: study-router flags the three searches, not routing.cpp")
+
+
 def test_fingerprint_line_independence() -> None:
     a = leosim_lint.Finding("src/x.cpp", 10, "raw-mutex", "same message")
     b = leosim_lint.Finding("src/x.cpp", 99, "raw-mutex", "same message")
@@ -192,6 +205,7 @@ def main() -> int:
     check(FIXTURES.is_dir(), f"fixture root {FIXTURES} missing")
     test_fixture_pairs()
     test_layering_acceptance_fixture()
+    test_study_router_scope()
     test_fingerprint_line_independence()
     test_baseline_roundtrip()
     test_lint_sarif_valid()
