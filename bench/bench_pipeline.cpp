@@ -4,10 +4,10 @@
 // snapshot construction, satellite-visibility queries, and single-pair
 // shortest paths — plus the end-to-end latency study (the paper's Fig. 2
 // inner loop) whose wall-clock is the repo's headline perf number, once
-// at the flags' scale and once (fig2_full_slot, relay_contract) at the
-// paper's, and one Fig. 4 throughput slot (throughput_slot) at a fixed
-// scale. Run with fixed flags so successive JSON records are
-// comparable:
+// at the flags' scale and once (relay_grid_build, fig2_full_slot,
+// relay_contract) at the paper's, and one Fig. 4 throughput slot
+// (throughput_slot) at a fixed scale. Run with fixed flags so successive
+// JSON records are comparable:
 //
 //   bench_pipeline --pairs=100 --snapshots=4 --spacing=3
 //
@@ -36,6 +36,7 @@
 #include "graph/landmarks.hpp"
 #include "graph/relay_contraction.hpp"
 #include "graph/sssp_tree.hpp"
+#include "ground/relay_grid.hpp"
 #include "link/visibility.hpp"
 
 namespace {
@@ -315,11 +316,12 @@ int Run(int argc, char** argv) {
 
   // 4b. One paper-scale Fig. 2 slot at a fixed scale whatever the flags:
   //     1,000 cities, the 0.5 deg relay grid (61.5k nodes), 5,000 pairs,
-  //     BP + hybrid. The router's relay contraction, tier choice and
-  //     searches at the size the paper's --full run routes 96 times.
-  //     Then (relay_contract) the contraction build alone, on that
-  //     slot's hybrid snapshot: what every routed slot and mode pays
-  //     before its first search.
+  //     BP + hybrid. First (relay_grid_build) that relay grid alone,
+  //     which every NetworkModel constructor builds. Then the router's
+  //     relay contraction, tier choice and searches at the size the
+  //     paper's --full run routes 96 times. Then (relay_contract) the
+  //     contraction build alone, on that slot's hybrid snapshot: what
+  //     every routed slot and mode pays before its first search.
   {
     bench::BenchConfig full = config;
     full.num_cities = 1000;
@@ -328,6 +330,13 @@ int Run(int argc, char** argv) {
     full.num_pairs = 5000;
     full.num_snapshots = 1;
     const std::vector<data::City> full_cities = bench::MakeCities(full);
+    ground::RelayGridConfig grid;
+    grid.spacing_deg = full.relay_spacing_deg;
+    suite.Run("relay_grid_build", 5, 1, [&] {
+      const std::vector<geo::GeodeticCoord> relays =
+          ground::BuildRelayGrid(full_cities, grid);
+      (void)relays;
+    });
     const core::NetworkModel full_hybrid(
         scenario, bench::MakeOptions(full, core::ConnectivityMode::kHybrid),
         full_cities);

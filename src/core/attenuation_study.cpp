@@ -1,7 +1,10 @@
 #include "core/attenuation_study.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
+#include <stdexcept>
+#include <string>
 
 #include "core/report.hpp"
 #include "core/slot_router.hpp"
@@ -61,11 +64,27 @@ double WorstLinkAttenuationDb(const NetworkModel& model,
   return worst;
 }
 
+void AttenuationOptions::Validate() const {
+  const auto require = [](bool ok, const char* what) {
+    if (!ok) {
+      throw std::invalid_argument(std::string("attenuation options: ") + what);
+    }
+  };
+  // Written so that NaN fails every check.
+  require(exceedance_pct > 0.0 && exceedance_pct < 100.0,
+          "exceedance_pct must be in (0, 100)");
+  require(std::isfinite(antenna_diameter_m) && antenna_diameter_m > 0.0,
+          "antenna_diameter_m must be finite and > 0");
+  require(antenna_efficiency > 0.0 && antenna_efficiency <= 1.0,
+          "antenna_efficiency must be in (0, 1]");
+}
+
 AttenuationDistributions RunAttenuationStudy(const NetworkModel& bp_model,
                                              const NetworkModel& isl_model,
                                              const std::vector<CityPair>& pairs,
                                              double time_sec,
                                              const AttenuationOptions& options) {
+  options.Validate();
   const StudyTimer timer;
   AttenuationDistributions result;
   // One mode at a time on one workspace: route every pair, then score
@@ -106,6 +125,12 @@ PathAttenuationCcdf TracePairAttenuation(const NetworkModel& bp_model,
                                          const std::string& city_b, double time_sec,
                                          const std::vector<double>& exceedances,
                                          const AttenuationOptions& options) {
+  options.Validate();
+  for (const double p : exceedances) {
+    AttenuationOptions at_p = options;
+    at_p.exceedance_pct = p;
+    at_p.Validate();
+  }
   const std::vector<CityPair> bp_pair = {
       {bp_model.CityIndex(city_a), bp_model.CityIndex(city_b)}};
   const std::vector<CityPair> isl_pair = {

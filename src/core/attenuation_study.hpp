@@ -22,6 +22,12 @@ struct AttenuationOptions {
   double exceedance_pct{0.5};  // "99.5th percentile" headline statistic
   double antenna_diameter_m{0.7};
   double antenna_efficiency{0.5};
+
+  // Throws std::invalid_argument naming the first bad field: an
+  // exceedance outside (0, 100), a diameter that is not finite and > 0,
+  // or an efficiency outside (0, 1]. RunAttenuationStudy and
+  // TracePairAttenuation (once per exceedance) call it.
+  void Validate() const;
 };
 
 // Worst radio-link attenuation (dB) along the node chain `path` (src ...
@@ -40,7 +46,8 @@ struct AttenuationDistributions {
 };
 
 // Fig. 6: distribution across city pairs of worst-link attenuation for the
-// BP network vs the ISL-only network at one snapshot.
+// BP network vs the ISL-only network at one snapshot. Throws
+// std::invalid_argument for bad options.
 AttenuationDistributions RunAttenuationStudy(const NetworkModel& bp_model,
                                              const NetworkModel& isl_model,
                                              const std::vector<CityPair>& pairs,
@@ -48,7 +55,8 @@ AttenuationDistributions RunAttenuationStudy(const NetworkModel& bp_model,
                                              const AttenuationOptions& options);
 
 // Fig. 8: worst-link attenuation of one pair's paths as a function of the
-// exceedance probability (a CCDF in disguise).
+// exceedance probability (a CCDF in disguise). Throws
+// std::invalid_argument for bad options or an exceedance outside (0, 100).
 struct PathAttenuationCcdf {
   std::vector<double> exceedance_pct;
   std::vector<double> bp_db;

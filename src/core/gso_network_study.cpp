@@ -1,6 +1,9 @@
 #include "core/gso_network_study.hpp"
 
+#include <cmath>
 #include <limits>
+#include <stdexcept>
+#include <string>
 
 #include "core/report.hpp"
 #include "core/slot_router.hpp"
@@ -83,11 +86,24 @@ std::vector<CityPair> CrossHemispherePairs(const std::vector<data::City>& cities
   return crossing;
 }
 
+void GsoNetworkOptions::Validate() const {
+  const auto require = [](bool ok, const char* what) {
+    if (!ok) {
+      throw std::invalid_argument(std::string("gso network options: ") + what);
+    }
+  };
+  // Written so that NaN fails every check.
+  require(separation_deg >= 0.0 && separation_deg <= 180.0,
+          "separation_deg must be in [0, 180]");
+  require(std::isfinite(time_sec), "time_sec must be finite");
+}
+
 GsoNetworkResult RunGsoNetworkStudy(const Scenario& scenario,
                                     const std::vector<data::City>& cities,
                                     const std::vector<CityPair>& pairs,
                                     const NetworkOptions& base_options,
                                     const GsoNetworkOptions& gso) {
+  gso.Validate();
   const StudyTimer timer;
   StudySummary summary;
   summary.study = "gso_network";

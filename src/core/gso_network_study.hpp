@@ -18,6 +18,11 @@ namespace leosim::core {
 struct GsoNetworkOptions {
   double separation_deg{22.0};
   double time_sec{0.0};
+
+  // Throws std::invalid_argument naming the first bad field: a separation
+  // that is not finite or outside [0, 180], or a time that is not finite.
+  // RunGsoNetworkStudy calls it.
+  void Validate() const;
 };
 
 struct GsoModeImpact {
@@ -43,6 +48,7 @@ std::vector<CityPair> CrossHemispherePairs(const std::vector<data::City>& cities
 
 // `base_options` configures the shared ground segment (relay spacing,
 // aircraft); the study derives the four mode/exclusion variants from it.
+// Throws std::invalid_argument for bad options.
 GsoNetworkResult RunGsoNetworkStudy(const Scenario& scenario,
                                     const std::vector<data::City>& cities,
                                     const std::vector<CityPair>& pairs,

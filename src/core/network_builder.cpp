@@ -111,6 +111,7 @@ void NetworkModel::Initialise() {
     ground::RelayGridConfig grid;
     grid.spacing_deg = options_.relay_spacing_deg;
     grid.radius_km = options_.relay_radius_km;
+    const obs::Span span("ground.relay_grid");
     relays_ = ground::BuildRelayGrid(cities_, grid);
   }
 

@@ -1,10 +1,12 @@
 #include "data/city_catalog.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 
 #include "data/landmask.hpp"
 #include "data/rng.hpp"
+#include "geo/angles.hpp"
 #include "geo/geodesic.hpp"
 
 namespace leosim::data {
@@ -14,9 +16,17 @@ namespace {
 // Minimum separation between synthesized cities and any existing city, km.
 constexpr double kMinSeparationKm = 40.0;
 
+// A great-circle distance is at least R * |latitude difference|, so a city
+// further than this in latitude alone is far enough; the 1% margin dwarfs
+// the haversine's rounding. Only the remaining cities get the haversine.
+constexpr double kLatitudePrefilterKm = 1.01 * kMinSeparationKm;
+
 bool TooCloseToExisting(const std::vector<City>& cities, const geo::GeodeticCoord& c) {
+  const double lat_rad = geo::DegToRad(c.latitude_deg);
   return std::any_of(cities.begin(), cities.end(), [&](const City& existing) {
-    return geo::GreatCircleDistanceKm(existing.Coord(), c) < kMinSeparationKm;
+    const double dlat = std::fabs(geo::DegToRad(existing.latitude_deg) - lat_rad);
+    return geo::kEarthRadiusKm * dlat <= kLatitudePrefilterKm &&
+           geo::GreatCircleDistanceKm(existing.Coord(), c) < kMinSeparationKm;
   });
 }
 

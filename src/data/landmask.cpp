@@ -2,12 +2,27 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 
 #include "geo/angles.hpp"
 
 namespace leosim::data {
 
 namespace {
+
+// The latitudes below 70S count as land (Antarctica), those above 85N as
+// water (Arctic ice pack).
+constexpr double kAllLandBelowLat = -70.0;
+constexpr double kAllWaterAboveLat = 85.0;
+
+// Whether the edge (xi, yi)-(xj, yj) crosses the parallel `lat`, and the
+// longitude where it does. Both the point and the row queries use these,
+// so their answers agree bit for bit.
+bool EdgeCrosses(double yi, double yj, double lat) { return (yi > lat) != (yj > lat); }
+
+double CrossingLon(double xi, double yi, double xj, double yj, double lat) {
+  return (xj - xi) * (lat - yi) / (yj - yi) + xi;
+}
 
 // Standard even-odd ray-casting test in the (lon, lat) plane.
 bool PointInPolygon(const LandPolygon& poly, double lon, double lat) {
@@ -16,8 +31,7 @@ bool PointInPolygon(const LandPolygon& poly, double lon, double lat) {
   for (size_t i = 0, j = n - 1; i < n; j = i++) {
     const auto [xi, yi] = poly.lon_lat[i];
     const auto [xj, yj] = poly.lon_lat[j];
-    const bool crosses = (yi > lat) != (yj > lat);
-    if (crosses && lon < (xj - xi) * (lat - yi) / (yj - yi) + xi) {
+    if (EdgeCrosses(yi, yj, lat) && lon < CrossingLon(xi, yi, xj, yj, lat)) {
       inside = !inside;
     }
   }
@@ -45,11 +59,11 @@ const LandMask& LandMask::Instance() {
 }
 
 bool LandMask::IsLand(double latitude_deg, double longitude_deg) const {
-  if (latitude_deg <= -70.0) {
-    return true;  // Antarctica
+  if (latitude_deg <= kAllLandBelowLat) {
+    return true;
   }
-  if (latitude_deg >= 85.0) {
-    return false;  // Arctic ice pack
+  if (latitude_deg >= kAllWaterAboveLat) {
+    return false;
   }
   const double lon = geo::WrapLongitudeDeg(longitude_deg);
   for (const IndexedPolygon& idx : index_) {
@@ -58,6 +72,55 @@ bool LandMask::IsLand(double latitude_deg, double longitude_deg) const {
       continue;
     }
     if (PointInPolygon(*idx.polygon, lon, latitude_deg)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+LandMask::Row LandMask::AtLatitude(double latitude_deg) const {
+  Row row;
+  if (latitude_deg <= kAllLandBelowLat) {
+    row.all_land_ = true;
+    return row;
+  }
+  if (latitude_deg >= kAllWaterAboveLat) {
+    return row;  // no polygons: all water
+  }
+  for (const IndexedPolygon& idx : index_) {
+    if (latitude_deg < idx.min_lat || latitude_deg > idx.max_lat) {
+      continue;
+    }
+    const size_t begin = row.crossings_.size();
+    const auto& vertices = idx.polygon->lon_lat;
+    const size_t n = vertices.size();
+    for (size_t i = 0, j = n - 1; i < n; j = i++) {
+      const auto [xi, yi] = vertices[i];
+      const auto [xj, yj] = vertices[j];
+      if (EdgeCrosses(yi, yj, latitude_deg)) {
+        row.crossings_.push_back(CrossingLon(xi, yi, xj, yj, latitude_deg));
+      }
+    }
+    std::sort(row.crossings_.begin() + static_cast<std::ptrdiff_t>(begin),
+              row.crossings_.end());
+    row.polygons_.push_back({idx.min_lon, idx.max_lon, begin, row.crossings_.size()});
+  }
+  return row;
+}
+
+bool LandMask::Row::IsLand(double longitude_deg) const {
+  if (all_land_) {
+    return true;
+  }
+  const double lon = geo::WrapLongitudeDeg(longitude_deg);
+  for (const Polygon& poly : polygons_) {
+    if (lon < poly.min_lon || lon > poly.max_lon) {
+      continue;
+    }
+    // PointInPolygon toggles once per crossing east of lon (lon < x).
+    const auto first = crossings_.begin() + static_cast<std::ptrdiff_t>(poly.begin);
+    const auto last = crossings_.begin() + static_cast<std::ptrdiff_t>(poly.end);
+    if ((last - std::upper_bound(first, last, lon)) % 2 == 1) {
       return true;
     }
   }

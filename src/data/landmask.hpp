@@ -8,6 +8,7 @@
 // restricting relay ground stations to land.
 #pragma once
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -38,6 +39,28 @@ class LandMask {
   bool IsWater(double latitude_deg, double longitude_deg) const {
     return !IsLand(latitude_deg, longitude_deg);
   }
+
+  // The land test along one latitude. Each polygon that spans the row has
+  // its edge crossings computed once and sorted, so a query is a binary
+  // search per polygon instead of a ray cast over its edges. Answers are
+  // bit-identical to IsLand(latitude_deg, longitude_deg): same pole and
+  // bounding-box rules, same crossing expression, same comparison.
+  class Row {
+   public:
+    bool IsLand(double longitude_deg) const;
+
+   private:
+    friend class LandMask;
+    struct Polygon {
+      double min_lon, max_lon;
+      std::size_t begin, end;  // its crossings in crossings_
+    };
+    bool all_land_{false};
+    std::vector<Polygon> polygons_;
+    std::vector<double> crossings_;
+  };
+
+  Row AtLatitude(double latitude_deg) const;
 
   // Fraction of `samples` uniformly-spread points (Fibonacci sphere) that
   // are land; used by tests to sanity-check the dataset (~29% of the Earth

@@ -16,10 +16,21 @@ struct RelayGridConfig {
   double radius_km{2000.0};
 };
 
-// Returns the relay GT positions. Implemented by rasterizing each city's
-// coverage disc into the grid (not by scanning all grid cells against all
-// cities), so cost is proportional to covered area. Throws
-// std::invalid_argument unless spacing_deg is finite and > 0 and
+// Returns the relay GT positions. Each city's coverage disc is rasterized
+// row by row into per-row cell bitmaps: a cell already marked by an
+// earlier city is skipped, cells well inside or outside the disc are
+// decided without trigonometry, and only a band at each edge of the disc
+// runs the haversine (geo::GreatCircleDistanceKm's exact expression, so
+// the cell set is the same as testing every cell). Land is then tested one
+// row at a time (data::LandMask::AtLatitude), only on rows a disc reached.
+//
+// The order of the result is part of the contract: it is the iteration
+// order of a std::unordered_set<int64_t> given the cell keys
+// (lat index * lon cells + lon index) in the order cities first cover
+// them. Relay ids, and through them Dijkstra tie-breaks and trace bytes,
+// follow this order (DESIGN.md §7 "Relay grid").
+//
+// Throws std::invalid_argument unless spacing_deg is finite and > 0 and
 // radius_km is finite and >= 0.
 std::vector<geo::GeodeticCoord> BuildRelayGrid(const std::vector<data::City>& cities,
                                                const RelayGridConfig& config = {});

@@ -7,8 +7,10 @@
 #include <string>
 #include <vector>
 
+#include "core/attenuation_study.hpp"
 #include "core/cli_flags.hpp"
 #include "core/failure_study.hpp"
+#include "core/gso_network_study.hpp"
 #include "core/network_builder.hpp"
 #include "core/outage_study.hpp"
 #include "core/report.hpp"
@@ -504,6 +506,101 @@ TEST(StudyOptionsTest, FailureAndOutageRejectBadFields) {
   OutageStudyOptions outage_edges;
   outage_edges.margins_db = {-5.0, 0.0, 100.0};
   EXPECT_NO_THROW(outage_edges.Validate());
+}
+
+// AttenuationOptions::Validate and GsoNetworkOptions::Validate reject each
+// bad field, and the studies call them at entry, before building or
+// routing anything: a zero exceedance or diameter, or an efficiency above
+// 1, would reach the ITU-R model as a silent NaN or a gain beyond physics.
+TEST(StudyOptionsTest, AttenuationAndGsoNetworkRejectBadFields) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  NetworkOptions isl_only;
+  isl_only.mode = ConnectivityMode::kIslOnly;
+  const NetworkModel model(Scenario::Starlink(), isl_only, data::AnchorCities());
+  const std::vector<CityPair> pairs = {{0, 1}};
+
+  struct AttenuationRow {
+    const char* name;
+    double AttenuationOptions::*field;
+    double value;
+  };
+  const AttenuationRow attenuation_rows[] = {
+      {"exceedance_pct", &AttenuationOptions::exceedance_pct, nan},
+      {"exceedance_pct", &AttenuationOptions::exceedance_pct, 0.0},
+      {"exceedance_pct", &AttenuationOptions::exceedance_pct, -0.5},
+      {"exceedance_pct", &AttenuationOptions::exceedance_pct, 100.0},
+      {"exceedance_pct", &AttenuationOptions::exceedance_pct, inf},
+      {"antenna_diameter_m", &AttenuationOptions::antenna_diameter_m, nan},
+      {"antenna_diameter_m", &AttenuationOptions::antenna_diameter_m, inf},
+      {"antenna_diameter_m", &AttenuationOptions::antenna_diameter_m, 0.0},
+      {"antenna_diameter_m", &AttenuationOptions::antenna_diameter_m, -0.7},
+      {"antenna_efficiency", &AttenuationOptions::antenna_efficiency, nan},
+      {"antenna_efficiency", &AttenuationOptions::antenna_efficiency, 0.0},
+      {"antenna_efficiency", &AttenuationOptions::antenna_efficiency, -0.5},
+      {"antenna_efficiency", &AttenuationOptions::antenna_efficiency, 1.5},
+      {"antenna_efficiency", &AttenuationOptions::antenna_efficiency, inf},
+  };
+  for (const AttenuationRow& row : attenuation_rows) {
+    AttenuationOptions options;
+    options.*row.field = row.value;
+    EXPECT_THROW(options.Validate(), std::invalid_argument)
+        << row.name << " = " << row.value;
+    EXPECT_THROW(RunAttenuationStudy(model, model, pairs, 0.0, options),
+                 std::invalid_argument)
+        << row.name << " = " << row.value;
+    EXPECT_THROW(TracePairAttenuation(model, model, "Paris", "London", 0.0, {1.0}, options),
+                 std::invalid_argument)
+        << row.name << " = " << row.value;
+  }
+  // Each exceedance of a Fig. 8 sweep is checked, not only the options'.
+  for (const double p : {nan, 0.0, 100.0, -1.0}) {
+    EXPECT_THROW(TracePairAttenuation(model, model, "Paris", "London", 0.0, {0.5, p},
+                                      AttenuationOptions{}),
+                 std::invalid_argument)
+        << "exceedance " << p;
+  }
+
+  struct GsoRow {
+    const char* name;
+    double GsoNetworkOptions::*field;
+    double value;
+  };
+  const GsoRow gso_rows[] = {
+      {"separation_deg", &GsoNetworkOptions::separation_deg, nan},
+      {"separation_deg", &GsoNetworkOptions::separation_deg, inf},
+      {"separation_deg", &GsoNetworkOptions::separation_deg, -1.0},
+      {"separation_deg", &GsoNetworkOptions::separation_deg, 180.5},
+      {"time_sec", &GsoNetworkOptions::time_sec, nan},
+      {"time_sec", &GsoNetworkOptions::time_sec, inf},
+      {"time_sec", &GsoNetworkOptions::time_sec, -inf},
+  };
+  for (const GsoRow& row : gso_rows) {
+    GsoNetworkOptions gso;
+    gso.*row.field = row.value;
+    EXPECT_THROW(gso.Validate(), std::invalid_argument) << row.name << " = " << row.value;
+    EXPECT_THROW(RunGsoNetworkStudy(Scenario::Starlink(), data::AnchorCities(), pairs,
+                                    isl_only, gso),
+                 std::invalid_argument)
+        << row.name << " = " << row.value;
+  }
+
+  // The defaults and the edges of each range pass.
+  EXPECT_NO_THROW(AttenuationOptions{}.Validate());
+  AttenuationOptions attenuation_edges;
+  attenuation_edges.exceedance_pct = 1e-3;
+  attenuation_edges.antenna_efficiency = 1.0;
+  attenuation_edges.antenna_diameter_m = 1e-3;
+  EXPECT_NO_THROW(attenuation_edges.Validate());
+  attenuation_edges.exceedance_pct = 99.9;
+  EXPECT_NO_THROW(attenuation_edges.Validate());
+  EXPECT_NO_THROW(GsoNetworkOptions{}.Validate());
+  for (const double separation : {0.0, 180.0}) {
+    GsoNetworkOptions gso_edges;
+    gso_edges.separation_deg = separation;
+    gso_edges.time_sec = -3600.0;
+    EXPECT_NO_THROW(gso_edges.Validate()) << separation;
+  }
 }
 
 }  // namespace

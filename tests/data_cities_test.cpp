@@ -2,15 +2,75 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
+#include <string>
 
 #include "data/city_catalog.hpp"
 #include "data/landmask.hpp"
+#include "data/rng.hpp"
 #include "geo/geodesic.hpp"
 
 namespace leosim::data {
 namespace {
+
+// The city synthesizer as it was before the latitude prefilter, kept
+// verbatim as the reference the fast one must match field for field.
+constexpr double kReferenceMinSeparationKm = 40.0;
+
+bool ReferenceTooCloseToExisting(const std::vector<City>& cities,
+                                 const geo::GeodeticCoord& c) {
+  return std::any_of(cities.begin(), cities.end(), [&](const City& existing) {
+    return geo::GreatCircleDistanceKm(existing.Coord(), c) < kReferenceMinSeparationKm;
+  });
+}
+
+std::vector<City> ReferenceGenerateWorldCities(int count, uint64_t seed) {
+  const std::vector<City>& anchors = AnchorCities();
+  std::vector<City> cities = anchors;
+  std::sort(cities.begin(), cities.end(),
+            [](const City& a, const City& b) { return a.population_k > b.population_k; });
+  if (count <= static_cast<int>(cities.size())) {
+    cities.resize(count);
+    return cities;
+  }
+
+  // Cumulative population weights over the anchors for weighted sampling.
+  std::vector<double> cumulative;
+  cumulative.reserve(anchors.size());
+  double total = 0.0;
+  for (const City& a : anchors) {
+    total += a.population_k;
+    cumulative.push_back(total);
+  }
+
+  const LandMask& mask = LandMask::Instance();
+  SplitMix64 rng(seed);
+  int synth_index = 0;
+  while (static_cast<int>(cities.size()) < count) {
+    const double pick = rng.Uniform(0.0, total);
+    const size_t anchor_idx =
+        std::lower_bound(cumulative.begin(), cumulative.end(), pick) - cumulative.begin();
+    const City& anchor = anchors[anchor_idx];
+
+    const double bearing = rng.Uniform(0.0, 360.0);
+    const double distance = rng.Uniform(60.0, 600.0);
+    const geo::GeodeticCoord spot =
+        geo::DestinationPoint(anchor.Coord(), bearing, distance);
+    if (!mask.IsLand(spot.latitude_deg, spot.longitude_deg) ||
+        ReferenceTooCloseToExisting(cities, spot)) {
+      continue;  // rejected; resample
+    }
+    City c;
+    c.name = anchor.name + "-satellite-" + std::to_string(++synth_index);
+    c.latitude_deg = spot.latitude_deg;
+    c.longitude_deg = spot.longitude_deg;
+    c.population_k = anchor.population_k * rng.Uniform(0.04, 0.25);
+    cities.push_back(c);
+  }
+  return cities;
+}
 
 TEST(CitiesTest, AnchorListIsLarge) {
   EXPECT_GE(AnchorCities().size(), 250u);
@@ -81,6 +141,20 @@ TEST(CityCatalogTest, TruncatesToMostPopulous) {
     EXPECT_GE(top10[i - 1].population_k, top10[i].population_k);
   }
   EXPECT_EQ(top10[0].name, "Tokyo");
+}
+
+TEST(CityCatalogTest, MatchesReferenceFieldForField) {
+  for (const uint64_t seed : {1, 2, 3}) {
+    const std::vector<City> want = ReferenceGenerateWorldCities(1000, seed);
+    const std::vector<City> got = GenerateWorldCities(1000, seed);
+    ASSERT_EQ(got.size(), want.size()) << seed;
+    for (size_t i = 0; i < want.size(); ++i) {
+      ASSERT_EQ(got[i].name, want[i].name) << seed << " at " << i;
+      ASSERT_EQ(got[i].latitude_deg, want[i].latitude_deg) << seed << " at " << i;
+      ASSERT_EQ(got[i].longitude_deg, want[i].longitude_deg) << seed << " at " << i;
+      ASSERT_EQ(got[i].population_k, want[i].population_k) << seed << " at " << i;
+    }
+  }
 }
 
 TEST(CityCatalogTest, GeneratesRequestedCount) {

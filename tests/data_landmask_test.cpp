@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "data/cities.hpp"
 
 namespace leosim::data {
@@ -81,6 +83,42 @@ TEST(LandMaskTest, LongitudeWrappingHandled) {
   const LandMask& mask = LandMask::Instance();
   EXPECT_EQ(mask.IsLand(-25.0, 135.0), mask.IsLand(-25.0, 135.0 - 360.0));
   EXPECT_EQ(mask.IsLand(45.0, -35.0), mask.IsLand(45.0, -35.0 + 360.0));
+}
+
+TEST(LandMaskTest, RowQueryMatchesIsLand) {
+  // Every cell of the grids the relay builder walks, plus each cell's
+  // longitude shifted by a turn either way.
+  const LandMask& mask = LandMask::Instance();
+  for (const double spacing : {0.5, 0.7, 3.0}) {
+    const int lat_cells = static_cast<int>(std::lround(180.0 / spacing));
+    const int lon_cells = static_cast<int>(std::lround(360.0 / spacing));
+    int land = 0;
+    for (int li = 0; li < lat_cells; ++li) {
+      const double lat = -90.0 + li * spacing;
+      const LandMask::Row row = mask.AtLatitude(lat);
+      for (int wi = 0; wi < lon_cells; ++wi) {
+        const double lon = -180.0 + wi * spacing;
+        const bool want = mask.IsLand(lat, lon);
+        ASSERT_EQ(row.IsLand(lon), want) << spacing << ": " << lat << ", " << lon;
+        ASSERT_EQ(row.IsLand(lon + 360.0), mask.IsLand(lat, lon + 360.0)) << lat << ", " << lon;
+        ASSERT_EQ(row.IsLand(lon - 360.0), mask.IsLand(lat, lon - 360.0)) << lat << ", " << lon;
+        land += want ? 1 : 0;
+      }
+    }
+    // Both answers, not one: the rows really cross coastlines.
+    EXPECT_GT(land, lat_cells * lon_cells / 5) << spacing;
+    EXPECT_LT(land, lat_cells * lon_cells / 2) << spacing;
+  }
+  // Rows on polygon vertex latitudes and bounding-box edges.
+  for (const LandPolygon& poly : LandPolygons()) {
+    for (const auto& [vertex_lon, vertex_lat] : poly.lon_lat) {
+      const LandMask::Row row = mask.AtLatitude(vertex_lat);
+      for (const double dlon : {-1.0, -1e-9, 0.0, 1e-9, 1.0}) {
+        ASSERT_EQ(row.IsLand(vertex_lon + dlon), mask.IsLand(vertex_lat, vertex_lon + dlon))
+            << poly.name << ": " << vertex_lat << ", " << vertex_lon + dlon;
+      }
+    }
+  }
 }
 
 TEST(LandMaskTest, PolygonsDoNotCrossAntimeridian) {

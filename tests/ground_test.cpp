@@ -2,11 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <limits>
 #include <set>
 #include <stdexcept>
+#include <string>
+#include <unordered_set>
 
+#include "data/city_catalog.hpp"
 #include "data/landmask.hpp"
+#include "geo/angles.hpp"
 #include "geo/geodesic.hpp"
 #include "ground/fiber.hpp"
 #include "ground/station.hpp"
@@ -16,6 +23,73 @@ namespace {
 
 std::vector<data::City> TestCities() {
   return {data::FindCity("Paris"), data::FindCity("Delhi"), data::FindCity("Sydney")};
+}
+
+// The relay grid builder as it was before the bitmap and row raster: a
+// haversine and a hash-set insert per cell of each city's bounding box,
+// then a point-in-polygon land test per marked cell. Kept verbatim as the
+// reference the fast builder must match element for element, in order.
+int64_t ReferenceCellKey(int lat_idx, int lon_idx, int lon_cells) {
+  return static_cast<int64_t>(lat_idx) * lon_cells + lon_idx;
+}
+
+std::vector<geo::GeodeticCoord> ReferenceBuildRelayGrid(
+    const std::vector<data::City>& cities, const RelayGridConfig& config) {
+  const double spacing = config.spacing_deg;
+  const int lat_cells = static_cast<int>(std::lround(180.0 / spacing));
+  const int lon_cells = static_cast<int>(std::lround(360.0 / spacing));
+  const double radius_deg = geo::RadToDeg(config.radius_km / geo::kEarthRadiusKm);
+
+  // Mark grid cells within the coverage disc of any city.
+  std::unordered_set<int64_t> marked;
+  for (const data::City& city : cities) {
+    const int lat_lo = static_cast<int>(
+        std::floor((city.latitude_deg - radius_deg + 90.0) / spacing));
+    const int lat_hi = static_cast<int>(
+        std::ceil((city.latitude_deg + radius_deg + 90.0) / spacing));
+    for (int li = std::max(lat_lo, 0); li <= std::min(lat_hi, lat_cells - 1); ++li) {
+      const double lat = -90.0 + li * spacing;
+      // Longitude window widens with latitude; near the poles scan it all.
+      const double cos_lat = std::cos(geo::DegToRad(lat));
+      const double lon_window =
+          cos_lat > 0.05 ? radius_deg / cos_lat : 180.0;
+      const int lon_lo = static_cast<int>(
+          std::floor((city.longitude_deg - lon_window + 180.0) / spacing));
+      const int lon_hi = static_cast<int>(
+          std::ceil((city.longitude_deg + lon_window + 180.0) / spacing));
+      for (int raw = lon_lo; raw <= lon_hi; ++raw) {
+        const int wrapped = ((raw % lon_cells) + lon_cells) % lon_cells;
+        const double lon = -180.0 + wrapped * spacing;
+        if (geo::GreatCircleDistanceKm(city.Coord(), {lat, lon, 0.0}) <=
+            config.radius_km) {
+          marked.insert(ReferenceCellKey(li, wrapped, lon_cells));
+        }
+      }
+    }
+  }
+
+  // Keep the marked cells that fall on land.
+  const data::LandMask& mask = data::LandMask::Instance();
+  std::vector<geo::GeodeticCoord> grid;
+  grid.reserve(marked.size() / 3);
+  for (const int64_t key : marked) {
+    const int li = static_cast<int>(key / lon_cells);
+    const int wi = static_cast<int>(key % lon_cells);
+    const double lat = -90.0 + li * spacing;
+    const double lon = -180.0 + wi * spacing;
+    if (mask.IsLand(lat, lon)) {
+      grid.push_back({lat, lon, 0.0});
+    }
+  }
+  return grid;
+}
+
+data::City MakeCity(const char* name, double lat, double lon) {
+  data::City city;
+  city.name = name;
+  city.latitude_deg = lat;
+  city.longitude_deg = lon;
+  return city;
 }
 
 TEST(StationTest, KindNames) {
@@ -126,6 +200,69 @@ TEST(RelayGridTest, RejectsNegativeOrNonFiniteRadius) {
   zero.spacing_deg = 10.0;
   zero.radius_km = 0.0;
   EXPECT_NO_THROW(BuildRelayGrid(TestCities(), zero));
+}
+
+TEST(RelayGridTest, MatchesReferenceInOrder) {
+  struct Case {
+    std::string what;
+    std::vector<data::City> cities;
+    double spacing_deg;
+    double radius_km;
+  };
+  const std::vector<data::City>& anchors = data::AnchorCities();
+  std::vector<Case> cases;
+  for (const double spacing : {0.5, 0.7, 1.0, 2.0, 3.0}) {
+    cases.push_back({"anchors", anchors, spacing, 2000.0});
+  }
+  for (const uint64_t seed : {1, 2}) {
+    cases.push_back({"generated seed " + std::to_string(seed),
+                     data::GenerateWorldCities(1000, seed), 0.5, 2000.0});
+  }
+  // Anchorage's disc crosses the antimeridian.
+  cases.push_back({"anchorage", {data::FindCity("Anchorage")}, 2.0, 2000.0});
+  // Near the poles the longitude window is the whole row (and wraps).
+  const std::vector<data::City> polar = {
+      MakeCity("north", 89.0, 10.0), MakeCity("south", -89.0, -170.0),
+      MakeCity("north-edge", 89.0, 179.75), MakeCity("south-grid", -89.0, -180.0)};
+  cases.push_back({"poles", polar, 0.5, 2000.0});
+  cases.push_back({"poles", polar, 1.0, 2000.0});
+  // Cities on grid points, on the antimeridian and past it.
+  const std::vector<data::City> on_grid = {
+      MakeCity("grid", -25.0, 135.0), MakeCity("dateline", 65.0, 180.0),
+      MakeCity("west", 64.0, -180.0), MakeCity("past", 60.0, 190.0)};
+  cases.push_back({"on grid, radius 0", on_grid, 1.0, 0.0});
+  cases.push_back({"anchors, radius 0", anchors, 0.5, 0.0});
+  cases.push_back({"on grid", on_grid, 1.0, 2000.0});
+  cases.push_back({"on grid, 1 km", on_grid, 0.5, 1.0});
+  cases.push_back({"radius 20000", TestCities(), 3.0, 20000.0});
+  cases.push_back({"radius 20000", on_grid, 2.0, 20000.0});
+  // A radius equal to a land cell's exact distance from the city puts
+  // that cell on the disc's edge, where one ulp of the haversine decides.
+  const data::City paris = data::FindCity("Paris");
+  RelayGridConfig wide;
+  wide.spacing_deg = 1.0;
+  const auto disc = ReferenceBuildRelayGrid({paris}, wide);
+  for (size_t i = 0; i < disc.size(); i += disc.size() / 64 + 1) {
+    cases.push_back({"edge cell " + std::to_string(i), {paris}, 1.0,
+                     geo::GreatCircleDistanceKm(paris.Coord(), disc[i])});
+  }
+
+  for (const Case& c : cases) {
+    RelayGridConfig config;
+    config.spacing_deg = c.spacing_deg;
+    config.radius_km = c.radius_km;
+    const auto want = ReferenceBuildRelayGrid(c.cities, config);
+    const auto got = BuildRelayGrid(c.cities, config);
+    const std::string label =
+        c.what + " @ " + std::to_string(c.spacing_deg) + " deg, " +
+        std::to_string(c.radius_km) + " km";
+    ASSERT_EQ(got.size(), want.size()) << label;
+    for (size_t i = 0; i < want.size(); ++i) {
+      ASSERT_EQ(got[i].latitude_deg, want[i].latitude_deg) << label << " at " << i;
+      ASSERT_EQ(got[i].longitude_deg, want[i].longitude_deg) << label << " at " << i;
+      ASSERT_EQ(got[i].altitude_km, want[i].altitude_km) << label << " at " << i;
+    }
+  }
 }
 
 TEST(FiberTest, LatencySlowerThanFreeSpace) {
