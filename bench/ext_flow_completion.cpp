@@ -9,9 +9,10 @@
 #include "bench_common.hpp"
 #include "core/report.hpp"
 #include "core/stats.hpp"
+#include "core/throughput_study.hpp"
 #include "data/rng.hpp"
 #include "flow/temporal.hpp"
-#include "graph/disjoint_paths.hpp"
+#include "obs/trace.hpp"
 
 using namespace leosim;
 using namespace leosim::core;
@@ -23,33 +24,21 @@ namespace {
 std::vector<double> RunWorkload(const NetworkModel& model,
                                 const std::vector<CityPair>& pairs,
                                 int* starved_out) {
-  auto snap = model.BuildSnapshot(0.0);
-  flow::TemporalSimulator sim;
-  for (graph::EdgeId e = 0; e < snap.graph.NumEdges(); ++e) {
-    sim.AddLink(snap.graph.Edge(e).capacity);
-  }
+  SweepWorkspace ws;
+  NetworkModel::Snapshot& snap = model.BuildSnapshot(0.0, &ws.snapshot);
+  const RoutedFlows routed = RouteFlows(snap, pairs, GroupPairsBySource(pairs), 1,
+                                        CapacityModel::kSharedPerLink, &ws);
   data::SplitMix64 rng(99);
-  std::vector<flow::TemporalFlow> flows;
-  for (const CityPair& pair : pairs) {
-    const auto paths = graph::KEdgeDisjointShortestPaths(
-        snap.graph, snap.CityNode(pair.a), snap.CityNode(pair.b), 1);
-    if (paths.empty()) {
-      continue;
-    }
-    flow::TemporalFlow f;
-    f.start_time_sec = rng.Uniform(0.0, 30.0);       // staggered arrivals
-    f.volume_gbit = rng.Uniform(40.0, 400.0);        // 5-50 GB transfers
-    f.path.assign(paths[0].edges.begin(), paths[0].edges.end());
-    flows.push_back(std::move(f));
+  std::vector<flow::TemporalFlow> flows(static_cast<size_t>(routed.net.NumFlows()));
+  for (flow::TemporalFlow& f : flows) {
+    f.start_time_sec = rng.Uniform(0.0, 30.0);  // staggered arrivals
+    f.volume_gbit = rng.Uniform(40.0, 400.0);   // 5-50 GB transfers
   }
-  std::vector<int> ids;
-  for (auto& f : flows) {
-    ids.push_back(sim.AddFlow(f));
-  }
-  const flow::TemporalResult result = sim.Run();
+  const obs::Span span("flow.temporal");
+  const auto result = flow::SimulateTemporal(routed.net, flows);
   std::vector<double> durations;
   for (size_t i = 0; i < flows.size(); ++i) {
-    const flow::FlowOutcome& out = result.outcomes[static_cast<size_t>(ids[i])];
+    const flow::FlowOutcome& out = result.outcomes[i];
     if (out.completed) {
       durations.push_back(out.DurationSec(flows[i]));
     }

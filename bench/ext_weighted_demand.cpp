@@ -11,8 +11,8 @@
 #include "bench_common.hpp"
 #include "core/report.hpp"
 #include "core/stats.hpp"
+#include "core/throughput_study.hpp"
 #include "flow/maxmin.hpp"
-#include "graph/disjoint_paths.hpp"
 
 using namespace leosim;
 using namespace leosim::core;
@@ -30,22 +30,15 @@ int Run(int argc, char** argv) {
   const NetworkModel hybrid(Scenario::Starlink(),
                             bench::MakeOptions(config, ConnectivityMode::kHybrid),
                             cities);
-  auto snap = hybrid.BuildSnapshot(0.0);
+  SweepWorkspace ws;
+  NetworkModel::Snapshot& snap = hybrid.BuildSnapshot(0.0, &ws.snapshot);
+  const RoutedFlows routed = RouteFlows(snap, pairs, GroupPairsBySource(pairs), 1,
+                                        CapacityModel::kSharedPerLink, &ws);
 
-  flow::FlowNetwork net;
-  for (graph::EdgeId e = 0; e < snap.graph.NumEdges(); ++e) {
-    net.AddLink(snap.graph.Edge(e).capacity);
-  }
   std::vector<double> weights;
   double weight_sum = 0.0;
-  for (const CityPair& pair : pairs) {
-    const auto paths = graph::KEdgeDisjointShortestPaths(
-        snap.graph, snap.CityNode(pair.a), snap.CityNode(pair.b), 1);
-    if (paths.empty()) {
-      continue;
-    }
-    std::vector<flow::LinkId> links(paths[0].edges.begin(), paths[0].edges.end());
-    net.AddFlow(std::move(links));
+  for (const int i : routed.pair_of_flow) {
+    const CityPair& pair = pairs[static_cast<size_t>(i)];
     const double w = std::sqrt(cities[static_cast<size_t>(pair.a)].population_k *
                                cities[static_cast<size_t>(pair.b)].population_k);
     weights.push_back(w);
@@ -56,8 +49,8 @@ int Run(int argc, char** argv) {
     w *= weights.size() / weight_sum;
   }
 
-  const flow::Allocation uniform = flow::MaxMinFairAllocate(net);
-  const flow::Allocation weighted = flow::MaxMinFairAllocateWeighted(net, weights);
+  const flow::Allocation uniform = flow::MaxMinFairAllocate(routed.net);
+  const flow::Allocation weighted = flow::MaxMinFairAllocateWeighted(routed.net, weights);
 
   PrintBanner(std::cout, "rate distribution across flows (Gbps)");
   Table table({"allocator", "total", "p10", "median", "p90", "max"});

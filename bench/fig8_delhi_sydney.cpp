@@ -4,12 +4,13 @@
 // series and the paper's headline "at 1%: 5 dB BP vs 2.2 dB ISL -> ISLs cut
 // weather attenuation 39%" comparison, plus the Fig. 7-style hop dump.
 #include <cstdio>
+#include <span>
 #include <iostream>
 
 #include "bench_common.hpp"
 #include "core/attenuation_study.hpp"
 #include "core/report.hpp"
-#include "graph/dijkstra.hpp"
+#include "core/slot_router.hpp"
 #include "itur/slant_path.hpp"
 
 using namespace leosim;
@@ -30,19 +31,21 @@ int Run(int argc, char** argv) {
                          cities);
 
   // Fig. 7: dump the BP path's intermediate hops at one instant.
-  const NetworkModel::Snapshot snap = bp.BuildSnapshot(0.0);
-  const int delhi = bp.CityIndex("Delhi");
-  const int sydney = bp.CityIndex("Sydney");
-  const auto path =
-      graph::ShortestPath(snap.graph, snap.CityNode(delhi), snap.CityNode(sydney));
+  SweepWorkspace ws;
+  const NetworkModel::Snapshot& snap = bp.BuildSnapshot(0.0, &ws.snapshot);
+  const std::vector<CityPair> pair = {{bp.CityIndex("Delhi"), bp.CityIndex("Sydney")}};
+  SlotRoutes routes;
+  RouteSlotPairs(snap, pair, GroupPairsBySource(pair), /*want_paths=*/true, &ws,
+                 &routes);
+  const std::span<const graph::NodeId> path = routes.PathNodes(0);
   PrintBanner(std::cout, "Fig. 7: BP path hops at t=0 (paper shows 2 aircraft + 4 GTs)");
-  if (path.has_value()) {
+  if (!path.empty()) {
     int aircraft = 0;
     int relays = 0;
     int transit_cities = 0;
     Table hops({"hop", "kind", "lat (deg)", "lon (deg)"});
-    for (size_t i = 0; i < path->nodes.size(); ++i) {
-      const graph::NodeId n = path->nodes[i];
+    for (size_t i = 0; i < path.size(); ++i) {
+      const graph::NodeId n = path[i];
       const geo::GeodeticCoord g =
           geo::EcefToGeodetic(snap.node_ecef[static_cast<size_t>(n)]);
       const char* kind = "city GT";
@@ -54,7 +57,7 @@ int Run(int argc, char** argv) {
       } else if (snap.IsRelay(n)) {
         kind = "relay GT";
         ++relays;
-      } else if (i != 0 && i + 1 != path->nodes.size()) {
+      } else if (i != 0 && i + 1 != path.size()) {
         ++transit_cities;
       }
       hops.AddRow({std::to_string(i), kind, FormatDouble(g.latitude_deg, 1),

@@ -68,8 +68,8 @@ void NetworkOptions::Validate() const {
   // Written so that NaN fails every check.
   require(std::isfinite(relay_spacing_deg) && relay_spacing_deg > 0.0,
           "relay_spacing_deg must be finite and > 0");
-  require(std::isfinite(relay_radius_km) && relay_radius_km >= 0.0,
-          "relay_radius_km must be finite and >= 0");
+  require(relay_radius_km >= 0.0 && relay_radius_km <= ground::kMaxRelayRadiusKm,
+          "relay_radius_km must be in [0, pi * R_earth]");
   require(std::isfinite(aircraft_scale) && aircraft_scale >= 0.0,
           "aircraft_scale must be finite and >= 0");
   require(!std::isnan(gt_capacity_gbps) && !std::isnan(isl_capacity_gbps),

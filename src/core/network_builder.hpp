@@ -58,10 +58,10 @@ struct NetworkOptions {
   uint64_t seed{4242};
 
   // Throws std::invalid_argument naming the first bad field: a relay
-  // spacing that is not finite and > 0, a relay radius, aircraft scale
-  // or beam budget below 0 (or NaN), a NaN capacity override, or a GSO
-  // separation outside [0, 180] degrees. NetworkModel's constructors
-  // call it.
+  // spacing that is not finite and > 0, a relay radius outside [0, half
+  // the Earth's circumference], an aircraft scale or beam budget below 0
+  // (or NaN), a NaN capacity override, or a GSO separation outside
+  // [0, 180] degrees. NetworkModel's constructors call it.
   void Validate() const;
 };
 

@@ -17,54 +17,19 @@ namespace leosim::core {
 
 namespace {
 
-// Aggregate max-min-fair throughput over one built snapshot. Every
-// pair's k edge-disjoint paths come from the per-slot router
-// (RouteSlotDisjointPaths in core/slot_router.hpp), on the slot's relay
-// contraction, and equal KEdgeDisjointShortestPaths' plain from-scratch
-// answer edge for edge. Flows are handed to the allocator in the
-// original pair order, so the allocation matches the historical
-// per-pair loop.
+// Aggregate max-min-fair throughput over one built snapshot's routed
+// flows (RouteFlows), where one pair's flows are consecutive.
 ThroughputResult ThroughputAtSnapshot(NetworkModel::Snapshot& snap,
                                       const std::vector<CityPair>& pairs,
                                       const std::vector<SourceGroup>& groups,
-                                      int k, bool directional,
+                                      int k, CapacityModel capacity_model,
                                       SweepWorkspace* ws) {
-  // Shared model: one flow-network link per graph edge, same ids.
-  // Separate up/down: two links per edge — 2e for the a->b direction,
-  // 2e+1 for b->a — each with the full link capacity.
-  flow::FlowNetwork net;
-  for (graph::EdgeId e = 0; e < snap.graph.NumEdges(); ++e) {
-    net.AddLink(snap.graph.Edge(e).capacity);
-    if (directional) {
-      net.AddLink(snap.graph.Edge(e).capacity);
-    }
-  }
-
-  // Unreachable pairs keep an empty path set.
-  std::vector<std::vector<graph::Path>> paths_of;
-  RouteSlotDisjointPaths(snap, pairs, groups, k, ws, &paths_of);
-
+  const RoutedFlows routed = RouteFlows(snap, pairs, groups, k, capacity_model, ws);
+  const std::vector<int>& pair_of = routed.pair_of_flow;
   ThroughputResult result;
-  for (const std::vector<graph::Path>& paths : paths_of) {
-    if (paths.empty()) {
-      continue;  // unreachable: no paths, pair not routed
-    }
-    ++result.pairs_routed;
-    for (const graph::Path& path : paths) {
-      std::vector<flow::LinkId> links;
-      links.reserve(path.edges.size());
-      for (size_t h = 0; h < path.edges.size(); ++h) {
-        const graph::EdgeId e = path.edges[h];
-        if (!directional) {
-          links.push_back(e);
-        } else {
-          const bool forward = snap.graph.Edge(e).a == path.nodes[h];
-          links.push_back(2 * e + (forward ? 0 : 1));
-        }
-      }
-      net.AddFlow(std::move(links));
-      ++result.subflows;
-    }
+  result.subflows = routed.net.NumFlows();
+  for (size_t f = 0; f < pair_of.size(); ++f) {
+    result.pairs_routed += f == 0 || pair_of[f] != pair_of[f - 1] ? 1 : 0;
   }
   if (result.pairs_routed > 0) {
     result.mean_paths_per_pair =
@@ -72,12 +37,62 @@ ThroughputResult ThroughputAtSnapshot(NetworkModel::Snapshot& snap,
   }
 
   const obs::Span span("flow.maxmin");
-  const flow::Allocation alloc = flow::MaxMinFairAllocate(net);
+  const flow::Allocation alloc = flow::MaxMinFairAllocate(routed.net);
   result.total_gbps = alloc.total_gbps;
   return result;
 }
 
 }  // namespace
+
+RoutedFlows RouteFlows(NetworkModel::Snapshot& snap,
+                       const std::vector<CityPair>& pairs,
+                       const std::vector<SourceGroup>& groups, int k,
+                       CapacityModel capacity_model, SweepWorkspace* ws) {
+  CheckPathCount(k);
+  std::vector<std::vector<graph::Path>> paths_of;
+  RouteSlotDisjointPaths(snap, pairs, groups, k, ws, &paths_of);
+
+  // A hop's link in a network with a link per edge and direction: e
+  // under the shared model; 2e (a->b) or 2e+1 (b->a) under up/down.
+  const int per_edge = capacity_model == CapacityModel::kSeparateUpDown ? 2 : 1;
+  const auto full_link = [&](const graph::Path& path, size_t h) {
+    const graph::EdgeId e = path.edges[h];
+    const bool reverse = per_edge == 2 && snap.graph.Edge(e).a != path.nodes[h];
+    return static_cast<size_t>(per_edge * e + (reverse ? 1 : 0));
+  };
+
+  // Mark the crossed links with 0, then number them in id order.
+  std::vector<flow::LinkId> link_of(
+      static_cast<size_t>(snap.graph.NumEdges() * per_edge), -1);
+  size_t num_flows = 0;
+  for (const std::vector<graph::Path>& paths : paths_of) {
+    num_flows += paths.size();
+    for (const graph::Path& path : paths) {
+      for (size_t h = 0; h < path.edges.size(); ++h) {
+        link_of[full_link(path, h)] = 0;
+      }
+    }
+  }
+  RoutedFlows routed;
+  for (size_t l = 0; l < link_of.size(); ++l) {
+    if (link_of[l] == 0) {
+      const graph::EdgeId e = static_cast<graph::EdgeId>(l) / per_edge;
+      link_of[l] = routed.net.AddLink(snap.graph.Edge(e).capacity);
+    }
+  }
+  routed.pair_of_flow.reserve(num_flows);
+  for (size_t i = 0; i < paths_of.size(); ++i) {
+    for (const graph::Path& path : paths_of[i]) {
+      std::vector<flow::LinkId> links(path.edges.size());
+      for (size_t h = 0; h < path.edges.size(); ++h) {
+        links[h] = link_of[full_link(path, h)];
+      }
+      routed.net.AddFlow(std::move(links));
+      routed.pair_of_flow.push_back(static_cast<int>(i));
+    }
+  }
+  return routed;
+}
 
 void CheckPathCount(int k) {
   if (k < 1) {
@@ -94,9 +109,8 @@ ThroughputResult RunThroughputStudy(const NetworkModel& model,
   SweepWorkspace ws;
   NetworkModel::Snapshot& snap = model.BuildSnapshot(time_sec, &ws.snapshot);
   const std::vector<SourceGroup> groups = GroupPairsBySource(pairs);
-  const ThroughputResult result = ThroughputAtSnapshot(
-      snap, pairs, groups, k,
-      capacity_model == CapacityModel::kSeparateUpDown, &ws);
+  const ThroughputResult result =
+      ThroughputAtSnapshot(snap, pairs, groups, k, capacity_model, &ws);
 
   obs::TimeseriesRecorder& recorder = obs::TimeseriesRecorder::Global();
   recorder.Record(time_sec, "throughput.total_gbps", result.total_gbps);
@@ -122,14 +136,13 @@ std::vector<ThroughputResult> RunThroughputSweep(
   const StudyTimer timer;
   const std::vector<double> times = schedule.Times();
   const std::vector<SourceGroup> groups = GroupPairsBySource(pairs);
-  const bool directional = capacity_model == CapacityModel::kSeparateUpDown;
   std::vector<ThroughputResult> results(times.size());
   const TemporalSweep sweep(times);
   sweep.Run("throughput_sweep", [&](const SweepItem& item, SweepWorkspace& ws) {
     NetworkModel::Snapshot& snap =
         model.BuildSnapshot(item.time_sec, &ws.snapshot);
     results[static_cast<size_t>(item.slot)] =
-        ThroughputAtSnapshot(snap, pairs, groups, k, directional, &ws);
+        ThroughputAtSnapshot(snap, pairs, groups, k, capacity_model, &ws);
   });
 
   // Serial emission pass: the same samples N RunThroughputStudy calls

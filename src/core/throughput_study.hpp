@@ -11,7 +11,9 @@
 
 #include "core/latency_study.hpp"
 #include "core/network_builder.hpp"
+#include "core/temporal_sweep.hpp"
 #include "core/traffic_matrix.hpp"
+#include "flow/flow_network.hpp"
 
 namespace leosim::core {
 
@@ -31,6 +33,27 @@ struct ThroughputResult {
 //                         capacities of 20 Gbps"), so opposing flows do
 //                         not contend. Ablated in bench/ablation_updown.
 enum class CapacityModel { kSharedPerLink, kSeparateUpDown };
+
+// A snapshot's city pairs as flows, one per path, for flow/maxmin.hpp
+// or flow/temporal.hpp.
+struct RoutedFlows {
+  flow::FlowNetwork net;
+  std::vector<int> pair_of_flow;  // index into the routed pairs
+};
+
+// Routes `pairs` (grouped by `groups`) to their up to k edge-disjoint
+// paths with RouteSlotDisjointPaths, which uses `snap` and `ws`; flows
+// follow pair order, unreachable pairs get none. The network holds only
+// the links some path crosses, each with its edge's capacity: one per
+// edge, or one per direction under kSeparateUpDown, numbered in
+// increasing (edge, direction) order as a link-per-edge network would
+// number them. Allocations and temporal outcomes therefore equal that
+// network's bit for bit (DESIGN.md §3). Throws std::invalid_argument
+// when k < 1.
+RoutedFlows RouteFlows(NetworkModel::Snapshot& snap,
+                       const std::vector<CityPair>& pairs,
+                       const std::vector<SourceGroup>& groups, int k,
+                       CapacityModel capacity_model, SweepWorkspace* ws);
 
 // Throws std::invalid_argument unless k >= 1. Every throughput entry
 // point checks its disjoint-path count with it: k = 0 would report each

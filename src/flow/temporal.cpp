@@ -16,54 +16,42 @@ constexpr double kTimeTol = 1e-9;
 
 }  // namespace
 
-LinkId TemporalSimulator::AddLink(double capacity_gbps) {
-  if (capacity_gbps < 0.0) {
-    throw std::invalid_argument("link capacity must be non-negative");
+TemporalResult SimulateTemporal(const FlowNetwork& net,
+                                const std::vector<TemporalFlow>& flows) {
+  if (static_cast<int>(flows.size()) != net.NumFlows()) {
+    throw std::invalid_argument("one temporal flow per network flow required");
   }
-  capacity_.push_back(capacity_gbps);
-  return static_cast<LinkId>(capacity_.size() - 1);
-}
-
-int TemporalSimulator::AddFlow(TemporalFlow flow) {
-  if (flow.volume_gbit <= 0.0) {
-    throw std::invalid_argument("flow volume must be positive");
-  }
-  for (const LinkId l : flow.path) {
-    if (l < 0 || l >= NumLinks()) {
-      throw std::out_of_range("flow references unknown link");
+  for (const TemporalFlow& flow : flows) {
+    if (!(flow.volume_gbit > 0.0)) {
+      throw std::invalid_argument("flow volume must be positive");
     }
   }
-  flows_.push_back(std::move(flow));
-  return static_cast<int>(flows_.size() - 1);
-}
-
-TemporalResult TemporalSimulator::Run() const {
   TemporalResult result;
-  result.outcomes.assign(flows_.size(), {});
+  result.outcomes.assign(flows.size(), {});
 
   // Arrival order.
-  std::vector<int> arrival(flows_.size());
+  std::vector<int> arrival(flows.size());
   std::iota(arrival.begin(), arrival.end(), 0);
   std::sort(arrival.begin(), arrival.end(), [&](int a, int b) {
-    return flows_[static_cast<size_t>(a)].start_time_sec <
-           flows_[static_cast<size_t>(b)].start_time_sec;
+    return flows[static_cast<size_t>(a)].start_time_sec <
+           flows[static_cast<size_t>(b)].start_time_sec;
   });
 
-  std::vector<double> remaining(flows_.size());
-  for (size_t f = 0; f < flows_.size(); ++f) {
-    remaining[f] = flows_[f].volume_gbit;
+  std::vector<double> remaining(flows.size());
+  for (size_t f = 0; f < flows.size(); ++f) {
+    remaining[f] = flows[f].volume_gbit;
   }
 
   std::vector<int> active;
   size_t next_arrival = 0;
-  double now = flows_.empty()
+  double now = flows.empty()
                    ? 0.0
-                   : flows_[static_cast<size_t>(arrival[0])].start_time_sec;
+                   : flows[static_cast<size_t>(arrival[0])].start_time_sec;
 
   while (!active.empty() || next_arrival < arrival.size()) {
     // Admit everything that has arrived by `now`.
     while (next_arrival < arrival.size() &&
-           flows_[static_cast<size_t>(arrival[next_arrival])].start_time_sec <=
+           flows[static_cast<size_t>(arrival[next_arrival])].start_time_sec <=
                now + kTimeTol) {
       active.push_back(arrival[next_arrival]);
       ++next_arrival;
@@ -71,19 +59,19 @@ TemporalResult TemporalSimulator::Run() const {
 
     if (active.empty()) {
       // Idle gap: jump to the next arrival.
-      now = flows_[static_cast<size_t>(arrival[next_arrival])].start_time_sec;
+      now = flows[static_cast<size_t>(arrival[next_arrival])].start_time_sec;
       continue;
     }
 
     // Max-min allocation over the active flows.
-    FlowNetwork net;
-    for (const double cap : capacity_) {
-      net.AddLink(cap);
+    FlowNetwork active_net;
+    for (LinkId l = 0; l < net.NumLinks(); ++l) {
+      active_net.AddLink(net.LinkCapacity(l));
     }
     for (const int f : active) {
-      net.AddFlow(flows_[static_cast<size_t>(f)].path);
+      active_net.AddFlow(net.FlowLinks(f));
     }
-    const Allocation alloc = MaxMinFairAllocate(net);
+    const Allocation alloc = MaxMinFairAllocate(active_net);
 
     // Time until the first active flow drains at these rates.
     double dt = kInf;
@@ -98,7 +86,7 @@ TemporalResult TemporalSimulator::Run() const {
     if (next_arrival < arrival.size()) {
       next_event = std::min(
           next_event,
-          flows_[static_cast<size_t>(arrival[next_arrival])].start_time_sec);
+          flows[static_cast<size_t>(arrival[next_arrival])].start_time_sec);
     }
 
     if (next_event == kInf) {

@@ -19,7 +19,6 @@ namespace leosim::flow {
 struct TemporalFlow {
   double start_time_sec{0.0};
   double volume_gbit{1.0};
-  std::vector<LinkId> path;
 };
 
 struct FlowOutcome {
@@ -37,24 +36,11 @@ struct TemporalResult {
   double makespan_sec{0.0};  // last completion time
 };
 
-class TemporalSimulator {
- public:
-  // Adds a link; returns its id (ids are shared with flow paths).
-  LinkId AddLink(double capacity_gbps);
-
-  // Adds a flow to be injected at its start time; returns its index.
-  int AddFlow(TemporalFlow flow);
-
-  int NumLinks() const { return static_cast<int>(capacity_.size()); }
-  int NumFlows() const { return static_cast<int>(flows_.size()); }
-
-  // Runs to completion. Flows whose allocation is permanently zero are
-  // reported as starved, not simulated forever.
-  TemporalResult Run() const;
-
- private:
-  std::vector<double> capacity_;
-  std::vector<TemporalFlow> flows_;
-};
+// Runs net's flows to completion, flow f arriving at flows[f].start_time_sec
+// with flows[f].volume_gbit; a flow whose rate stays zero is reported as
+// starved, not simulated forever. Throws std::invalid_argument unless
+// there is one TemporalFlow per network flow and every volume is positive.
+TemporalResult SimulateTemporal(const FlowNetwork& net,
+                                const std::vector<TemporalFlow>& flows);
 
 }  // namespace leosim::flow

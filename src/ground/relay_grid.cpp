@@ -91,9 +91,9 @@ std::vector<geo::GeodeticCoord> BuildRelayGrid(const std::vector<data::City>& ci
   if (!(spacing > 0.0) || !std::isfinite(spacing)) {
     throw std::invalid_argument("relay grid spacing_deg must be finite and > 0");
   }
-  // A NaN or infinite radius would reach floor() and an int cast below.
-  if (!(config.radius_km >= 0.0) || !std::isfinite(config.radius_km)) {
-    throw std::invalid_argument("relay grid radius_km must be finite and >= 0");
+  // A NaN or larger radius would reach floor() and overflow an int cast.
+  if (!(config.radius_km >= 0.0 && config.radius_km <= kMaxRelayRadiusKm)) {
+    throw std::invalid_argument("relay grid radius_km must be in [0, pi * R_earth]");
   }
   const int lat_cells = static_cast<int>(std::lround(180.0 / spacing));
   const int lon_cells = static_cast<int>(std::lround(360.0 / spacing));

@@ -7,9 +7,13 @@
 #include <vector>
 
 #include "data/cities.hpp"
+#include "geo/angles.hpp"
 #include "geo/coordinates.hpp"
 
 namespace leosim::ground {
+
+// Half the Earth's circumference, the distance to the antipode.
+inline constexpr double kMaxRelayRadiusKm = geo::kPi * geo::kEarthRadiusKm;
 
 struct RelayGridConfig {
   double spacing_deg{0.5};
@@ -31,7 +35,7 @@ struct RelayGridConfig {
 // follow this order (DESIGN.md §7 "Relay grid").
 //
 // Throws std::invalid_argument unless spacing_deg is finite and > 0 and
-// radius_km is finite and >= 0.
+// radius_km is in [0, kMaxRelayRadiusKm].
 std::vector<geo::GeodeticCoord> BuildRelayGrid(const std::vector<data::City>& cities,
                                                const RelayGridConfig& config = {});
 

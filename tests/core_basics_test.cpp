@@ -330,6 +330,9 @@ TEST(NetworkOptionsTest, ValidateRejectsBadFields) {
       {"relay_radius_km", &NetworkOptions::relay_radius_km, nan},
       {"relay_radius_km", &NetworkOptions::relay_radius_km, inf},
       {"relay_radius_km", &NetworkOptions::relay_radius_km, -1.0},
+      {"relay_radius_km", &NetworkOptions::relay_radius_km, 20100.0},
+      {"relay_radius_km", &NetworkOptions::relay_radius_km, 1e11},
+      {"relay_radius_km", &NetworkOptions::relay_radius_km, 1e12},
       {"aircraft_scale", &NetworkOptions::aircraft_scale, nan},
       {"aircraft_scale", &NetworkOptions::aircraft_scale, inf},
       {"aircraft_scale", &NetworkOptions::aircraft_scale, -0.5},
@@ -363,6 +366,8 @@ TEST(NetworkOptionsTest, ValidateRejectsBadFields) {
   edges.aircraft_scale = 0.0;
   edges.gso_separation_deg = 180.0;
   edges.gt_capacity_gbps = -1.0;
+  EXPECT_NO_THROW(edges.Validate());
+  edges.relay_radius_km = 20000.0;
   EXPECT_NO_THROW(edges.Validate());
 }
 

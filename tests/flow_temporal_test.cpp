@@ -5,11 +5,32 @@
 namespace leosim::flow {
 namespace {
 
+// One flow of a test workload: its arrival, volume and path.
+struct Spec {
+  double start_time_sec;
+  double volume_gbit;
+  std::vector<LinkId> path;
+};
+
+// Builds a network with links of the given capacities and one flow per
+// spec, and simulates it.
+TemporalResult Simulate(const std::vector<double>& capacities,
+                        const std::vector<Spec>& specs) {
+  FlowNetwork net;
+  for (const double cap : capacities) {
+    net.AddLink(cap);
+  }
+  std::vector<TemporalFlow> flows;
+  for (const Spec& spec : specs) {
+    net.AddFlow(spec.path);
+    flows.push_back({spec.start_time_sec, spec.volume_gbit});
+  }
+  return SimulateTemporal(net, flows);
+}
+
 TEST(TemporalTest, SingleFlowDrainsAtLinkRate) {
-  TemporalSimulator sim;
-  const LinkId l = sim.AddLink(10.0);  // 10 Gbps
-  sim.AddFlow({0.0, 50.0, {l}});       // 50 Gbit -> 5 s
-  const TemporalResult result = sim.Run();
+  // One 10 Gbps link; 50 Gbit -> 5 s.
+  const TemporalResult result = Simulate({10.0}, {{0.0, 50.0, {0}}});
   ASSERT_EQ(result.completed, 1);
   EXPECT_TRUE(result.outcomes[0].completed);
   EXPECT_NEAR(result.outcomes[0].completion_time_sec, 5.0, 1e-6);
@@ -17,22 +38,18 @@ TEST(TemporalTest, SingleFlowDrainsAtLinkRate) {
 }
 
 TEST(TemporalTest, TwoEqualFlowsShareThenNothing) {
-  TemporalSimulator sim;
-  const LinkId l = sim.AddLink(10.0);
-  sim.AddFlow({0.0, 50.0, {l}});
-  sim.AddFlow({0.0, 50.0, {l}});
-  const TemporalResult result = sim.Run();
+  const TemporalResult result =
+      Simulate({10.0}, {{0.0, 50.0, {0}}, {0.0, 50.0, {0}}});
   // Both at 5 Gbps -> both complete at t=10.
   EXPECT_NEAR(result.outcomes[0].completion_time_sec, 10.0, 1e-6);
   EXPECT_NEAR(result.outcomes[1].completion_time_sec, 10.0, 1e-6);
 }
 
 TEST(TemporalTest, ShortFlowFinishesThenLongSpeedsUp) {
-  TemporalSimulator sim;
-  const LinkId l = sim.AddLink(10.0);
-  sim.AddFlow({0.0, 10.0, {l}});   // short
-  sim.AddFlow({0.0, 100.0, {l}});  // long
-  const TemporalResult result = sim.Run();
+  const TemporalResult result = Simulate({10.0}, {
+      {0.0, 10.0, {0}},   // short
+      {0.0, 100.0, {0}},  // long
+  });
   // Phase 1: both at 5 Gbps; short (10 Gbit) completes at t=2 with long
   // having sent 10. Phase 2: long at 10 Gbps drains 90 Gbit in 9 s -> t=11.
   EXPECT_NEAR(result.outcomes[0].completion_time_sec, 2.0, 1e-6);
@@ -40,11 +57,10 @@ TEST(TemporalTest, ShortFlowFinishesThenLongSpeedsUp) {
 }
 
 TEST(TemporalTest, LateArrivalSlowsExistingFlow) {
-  TemporalSimulator sim;
-  const LinkId l = sim.AddLink(10.0);
-  sim.AddFlow({0.0, 60.0, {l}});   // alone until t=2
-  sim.AddFlow({2.0, 20.0, {l}});
-  const TemporalResult result = sim.Run();
+  const TemporalResult result = Simulate({10.0}, {
+      {0.0, 60.0, {0}},  // alone until t=2
+      {2.0, 20.0, {0}},
+  });
   // Flow 0: 20 Gbit sent by t=2 (rate 10); then both at 5. Flow 1 drains
   // 20 Gbit at 5 Gbps -> completes t=6; flow 0 sent 20+20=40 by t=6, then
   // 20 Gbit left at 10 Gbps -> t=8.
@@ -53,26 +69,24 @@ TEST(TemporalTest, LateArrivalSlowsExistingFlow) {
 }
 
 TEST(TemporalTest, IdleGapBetweenFlows) {
-  TemporalSimulator sim;
-  const LinkId l = sim.AddLink(10.0);
-  sim.AddFlow({0.0, 10.0, {l}});    // done at t=1
-  sim.AddFlow({100.0, 10.0, {l}});  // arrives much later
-  const TemporalResult result = sim.Run();
+  const TemporalResult result = Simulate({10.0}, {
+      {0.0, 10.0, {0}},    // done at t=1
+      {100.0, 10.0, {0}},  // arrives much later
+  });
   EXPECT_NEAR(result.outcomes[0].completion_time_sec, 1.0, 1e-6);
   EXPECT_NEAR(result.outcomes[1].completion_time_sec, 101.0, 1e-6);
   EXPECT_EQ(result.completed, 2);
 }
 
 TEST(TemporalTest, BottleneckCascade) {
-  // The classic two-link example, now with volumes: link A cap 10 shared
-  // by f1 (A only) and f2 (A+B), link B cap 4 shared by f2 and f3 (B only).
-  TemporalSimulator sim;
-  const LinkId a = sim.AddLink(10.0);
-  const LinkId b = sim.AddLink(4.0);
-  sim.AddFlow({0.0, 80.0, {a}});     // rate 8 initially
-  sim.AddFlow({0.0, 20.0, {a, b}});  // rate 2
-  sim.AddFlow({0.0, 20.0, {b}});     // rate 2
-  const TemporalResult result = sim.Run();
+  // The classic two-link example, now with volumes: link A (0) cap 10
+  // shared by f1 (A only) and f2 (A+B), link B (1) cap 4 shared by f2
+  // and f3 (B only).
+  const TemporalResult result = Simulate({10.0, 4.0}, {
+      {0.0, 80.0, {0}},     // rate 8 initially
+      {0.0, 20.0, {0, 1}},  // rate 2
+      {0.0, 20.0, {1}},     // rate 2
+  });
   // Phase 1 rates (8,2,2) hold until f1 drains at t=10 (f2,f3 have 0 left
   // too at t=10: 20-2*10=0). All three complete at t=10.
   EXPECT_NEAR(result.outcomes[0].completion_time_sec, 10.0, 1e-6);
@@ -81,33 +95,30 @@ TEST(TemporalTest, BottleneckCascade) {
 }
 
 TEST(TemporalTest, StarvedFlowReported) {
-  TemporalSimulator sim;
-  const LinkId dead = sim.AddLink(0.0);
-  sim.AddFlow({0.0, 10.0, {dead}});
-  const TemporalResult result = sim.Run();
+  const TemporalResult result = Simulate({0.0}, {{0.0, 10.0, {0}}});  // dead link
   EXPECT_EQ(result.completed, 0);
   EXPECT_EQ(result.starved, 1);
   EXPECT_FALSE(result.outcomes[0].completed);
 }
 
 TEST(TemporalTest, EmptyPathFlowStarves) {
-  TemporalSimulator sim;
-  sim.AddLink(10.0);
-  sim.AddFlow({0.0, 10.0, {}});
-  const TemporalResult result = sim.Run();
+  const TemporalResult result = Simulate({10.0}, {{0.0, 10.0, {}}});
   EXPECT_EQ(result.starved, 1);
 }
 
 TEST(TemporalTest, RejectsInvalidInput) {
-  TemporalSimulator sim;
-  EXPECT_THROW(sim.AddLink(-1.0), std::invalid_argument);
-  EXPECT_THROW(sim.AddFlow({0.0, 0.0, {}}), std::invalid_argument);
-  EXPECT_THROW(sim.AddFlow({0.0, 1.0, {5}}), std::out_of_range);
+  FlowNetwork net;
+  EXPECT_THROW(net.AddLink(-1.0), std::invalid_argument);
+  EXPECT_THROW(net.AddFlow({5}), std::out_of_range);
+  net.AddFlow({});
+  EXPECT_THROW(SimulateTemporal(net, {{0.0, 0.0}}), std::invalid_argument);
+  EXPECT_THROW(SimulateTemporal(net, {}), std::invalid_argument);
+  EXPECT_THROW(SimulateTemporal(net, {{0.0, 1.0}, {0.0, 1.0}}),
+               std::invalid_argument);
 }
 
 TEST(TemporalTest, EmptySimulation) {
-  TemporalSimulator sim;
-  const TemporalResult result = sim.Run();
+  const TemporalResult result = SimulateTemporal(FlowNetwork{}, {});
   EXPECT_EQ(result.completed, 0);
   EXPECT_EQ(result.starved, 0);
 }
@@ -118,12 +129,8 @@ class TemporalFairnessTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(TemporalFairnessTest, EqualFlowsCompleteTogethers) {
   const int n = GetParam();
-  TemporalSimulator sim;
-  const LinkId l = sim.AddLink(8.0);
-  for (int i = 0; i < n; ++i) {
-    sim.AddFlow({0.0, 16.0, {l}});
-  }
-  const TemporalResult result = sim.Run();
+  const std::vector<Spec> specs(static_cast<size_t>(n), {0.0, 16.0, {0}});
+  const TemporalResult result = Simulate({8.0}, specs);
   const double expected = n * 16.0 / 8.0;
   for (int i = 0; i < n; ++i) {
     EXPECT_NEAR(result.outcomes[static_cast<size_t>(i)].completion_time_sec,
@@ -137,15 +144,14 @@ INSTANTIATE_TEST_SUITE_P(FlowCounts, TemporalFairnessTest,
 // Property: total volume conservation — sum of volumes equals capacity
 // integral actually used; proxy: last completion >= total_volume/capacity.
 TEST(TemporalTest, MakespanBoundedByWorkConservation) {
-  TemporalSimulator sim;
-  const LinkId l = sim.AddLink(5.0);
+  std::vector<Spec> specs;
   double total = 0.0;
   for (int i = 0; i < 10; ++i) {
     const double volume = 5.0 + i;
-    sim.AddFlow({static_cast<double>(i), volume, {l}});
+    specs.push_back({static_cast<double>(i), volume, {0}});
     total += volume;
   }
-  const TemporalResult result = sim.Run();
+  const TemporalResult result = Simulate({5.0}, specs);
   EXPECT_EQ(result.completed, 10);
   // The link is busy from t=0, so makespan >= total work / capacity.
   EXPECT_GE(result.makespan_sec, total / 5.0 - 1e-6);

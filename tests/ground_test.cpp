@@ -202,6 +202,23 @@ TEST(RelayGridTest, RejectsNegativeOrNonFiniteRadius) {
   EXPECT_NO_THROW(BuildRelayGrid(TestCities(), zero));
 }
 
+// The radius is capped at half the Earth's circumference (~20,015 km):
+// every land cell is within it, and a larger radius would overflow the
+// int window bounds (1e12 km did, silently) or take minutes (1e11 km).
+TEST(RelayGridTest, RejectsRadiusBeyondHalfCircumference) {
+  const std::vector<data::City> paris = {data::FindCity("Paris")};
+  RelayGridConfig config;
+  config.spacing_deg = 10.0;
+  config.radius_km = 20000.0;
+  EXPECT_EQ(BuildRelayGrid(paris, config).size(), 268u);
+  config.radius_km = kMaxRelayRadiusKm;
+  EXPECT_EQ(BuildRelayGrid(paris, config).size(), 268u);
+  for (const double radius : {20100.0, 1e11, 1e12}) {
+    config.radius_km = radius;
+    EXPECT_THROW(BuildRelayGrid(paris, config), std::invalid_argument) << radius;
+  }
+}
+
 TEST(RelayGridTest, MatchesReferenceInOrder) {
   struct Case {
     std::string what;

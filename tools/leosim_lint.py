@@ -36,11 +36,15 @@ Rules (each maps to a repo invariant documented in DESIGN.md):
                    manifests, tests, and obs_report run comparisons all
                    key on the shared summary line.
   study-router    No call to graph::ShortestPath, ShortestPathAStar or
-                   KEdgeDisjointShortestPaths in src/core/*_study.cpp:
-                   studies route city pairs through core/slot_router
-                   (RouteSlotPairs, RouteSlotDisjointPaths), the one
-                   routing policy every study shares. routing.cpp's
-                   order-dependent EXT-RT policies are not a study file.
+                   KEdgeDisjointShortestPaths in src/core/*_study.cpp
+                   or bench/*.cpp: studies and figure binaries route
+                   city pairs through core/slot_router (RouteSlotPairs,
+                   RouteSlotDisjointPaths, or core::RouteFlows on top of
+                   it), the one routing policy every study shares.
+                   routing.cpp's order-dependent EXT-RT policies are not
+                   a study file, and bench_pipeline.cpp and
+                   micro_core.cpp bench the plain searches the router
+                   falls back to on purpose.
   snapshot-workspace
                    No allocating BuildSnapshot(t) in study drivers
                    (src/core/*_study.cpp, routing.cpp). Inner loops must
@@ -357,20 +361,27 @@ def check_study_summary(ctx: LintContext) -> list[Finding]:
 
 STUDY_ROUTER_RE = re.compile(
     r"\b(ShortestPath|ShortestPathAStar|KEdgeDisjointShortestPaths)\s*\(")
+# Bench binaries that time the plain searches against the router.
+STUDY_ROUTER_BENCH_EXEMPT = {"bench/bench_pipeline.cpp", "bench/micro_core.cpp"}
 
 
 def check_study_router(ctx: LintContext) -> list[Finding]:
     # Studies route through core/slot_router, so every study gets the
     # router's contraction, landmark tiers, tie guards and route.* spans;
-    # a hand-rolled search loop in a study is a second routing policy.
+    # a hand-rolled search loop in a study or a figure binary is a second
+    # routing policy.
     findings = []
-    for rel in ctx.files("src/core/", pattern=r"src/core/\w+_study\.cpp"):
+    targets = ctx.files("src/core/", pattern=r"src/core/\w+_study\.cpp")
+    targets += [rel for rel in ctx.files("bench/", pattern=r"bench/\w+\.cpp")
+                if rel not in STUDY_ROUTER_BENCH_EXEMPT]
+    for rel in targets:
         code = ctx.stripped(rel)
+        kind = "bench" if rel.startswith("bench/") else "study"
         for match in STUDY_ROUTER_RE.finditer(code):
             lineno = code.count("\n", 0, match.start()) + 1
             findings.append(Finding(
                 rel, lineno, "study-router",
-                f"study calls {match.group(1)} directly; route city pairs "
+                f"{kind} calls {match.group(1)} directly; route city pairs "
                 "through core/slot_router (RouteSlotPairs or "
                 "RouteSlotDisjointPaths)"))
     return findings

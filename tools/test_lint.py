@@ -96,16 +96,21 @@ def test_layering_acceptance_fixture() -> None:
 
 
 def test_study_router_scope() -> None:
-    # Each of the three search entry points is flagged in a study file,
-    # and routing.cpp (EXT-RT, not a *_study.cpp) is left alone.
+    # Each of the three search entry points is flagged in a study file and
+    # a search in a bench binary is flagged too; routing.cpp (EXT-RT, not
+    # a *_study.cpp) is left alone, and the ok tree shows the two bench
+    # files that time the fallbacks are exempt.
     hits = run_rule("study-router", FIXTURES / "study-router" / "trigger")
     flagged = {(f.path, f.message.split()[2]) for f in hits}
     check(flagged == {
         ("src/core/failure_study.cpp", "ShortestPath"),
         ("src/core/churn_study.cpp", "ShortestPathAStar"),
         ("src/core/throughput_study.cpp", "KEdgeDisjointShortestPaths"),
-    }, f"study-router: expected one finding per study file, got {flagged}")
-    print("ok: study-router flags the three searches, not routing.cpp")
+        ("bench/fig7_hops.cpp", "ShortestPath"),
+        ("bench/bench_pipeline_extra.cpp", "ShortestPathAStar"),
+    }, f"study-router: expected one finding per study and bench file, got {flagged}")
+    print("ok: study-router flags the three searches in studies and benches, "
+          "not routing.cpp")
 
 
 def test_fingerprint_line_independence() -> None:
