@@ -30,11 +30,12 @@ int Run(int argc, char** argv) {
   Table table({"ISL capacity (x GT-sat)", "ISL Gbps/link", "hybrid (Gbps)",
                "hybrid/BP"});
   for (const double ratio : {0.5, 1.0, 2.0, 3.0, 4.0, 5.0}) {
-    NetworkOptions options = bench::MakeOptions(config, ConnectivityMode::kHybrid);
-    options.isl_capacity_gbps = ratio * scenario.radio.capacity_gbps;
-    const NetworkModel hybrid(scenario, options, cities);
+    Scenario swept = scenario;
+    swept.isl.capacity_gbps = ratio * scenario.radio.capacity_gbps;
+    const NetworkModel hybrid(
+        swept, bench::MakeOptions(config, ConnectivityMode::kHybrid), cities);
     const double gbps = RunThroughputStudy(hybrid, pairs, 4, 0.0).total_gbps;
-    table.AddRow({FormatDouble(ratio, 1), FormatDouble(options.isl_capacity_gbps, 0),
+    table.AddRow({FormatDouble(ratio, 1), FormatDouble(swept.isl.capacity_gbps, 0),
                   FormatDouble(gbps, 1),
                   FormatDouble(gbps / std::max(bp_gbps, 1e-9), 2)});
   }

@@ -1,5 +1,8 @@
 #include "core/coverage_study.hpp"
 
+#include <cmath>
+#include <stdexcept>
+
 #include "core/report.hpp"
 #include "geo/geodesic.hpp"
 #include "link/visibility.hpp"
@@ -7,8 +10,19 @@
 
 namespace leosim::core {
 
+void CoverageStudyOptions::Validate() const {
+  // NaN fails too; the sampler adds step_sec until t passes duration_sec.
+  if (!(duration_sec >= 0.0 && std::isfinite(step_sec) && step_sec > 0.0 &&
+        duration_sec + step_sec > duration_sec)) {
+    throw std::invalid_argument(
+        "coverage options: need a finite duration_sec >= 0 and a finite "
+        "step_sec > 0 that advances past it");
+  }
+}
+
 std::vector<CoverageRow> RunCoverageStudy(const Scenario& scenario,
                                           const CoverageStudyOptions& options) {
+  options.Validate();
   const StudyTimer timer;
   orbit::Constellation constellation;
   constellation.AddShell(scenario.shell);

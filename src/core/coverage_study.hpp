@@ -17,6 +17,11 @@ struct CoverageStudyOptions {
   double duration_sec{5700.0};  // ~one orbital period
   double step_sec{60.0};
   int min_satellites{1};
+
+  // Throws std::invalid_argument unless duration_sec is finite and >= 0
+  // and step_sec is finite, > 0 and advances t at duration_sec.
+  // RunCoverageStudy calls it.
+  void Validate() const;
 };
 
 struct CoverageRow {

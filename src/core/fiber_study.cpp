@@ -1,6 +1,8 @@
 #include "core/fiber_study.hpp"
 
+#include <cmath>
 #include <set>
+#include <stdexcept>
 
 #include "core/report.hpp"
 #include "geo/geodesic.hpp"
@@ -8,10 +10,19 @@
 
 namespace leosim::core {
 
+void FiberStudyOptions::Validate() const {
+  if (!(fiber_radius_km >= 0.0 && std::isfinite(fiber_radius_km)) ||
+      max_members < 0) {
+    throw std::invalid_argument(
+        "fiber options: need a finite fiber_radius_km >= 0 and max_members >= 0");
+  }
+}
+
 FiberStudyResult RunFiberStudy(const Scenario& scenario,
                                const std::vector<data::City>& cities,
                                const FiberStudyOptions& options,
                                const SnapshotSchedule& schedule) {
+  options.Validate();
   const StudyTimer timer;
   const ground::FiberGroup group = ground::BuildFiberGroup(
       cities, options.metro, options.fiber_radius_km, options.max_members);

@@ -16,6 +16,10 @@ struct FiberStudyOptions {
   std::string metro{"Paris"};
   double fiber_radius_km{250.0};
   int max_members{5};
+
+  // Throws std::invalid_argument unless fiber_radius_km is finite and
+  // >= 0 and max_members >= 0. RunFiberStudy calls it.
+  void Validate() const;
 };
 
 struct FiberMemberStats {

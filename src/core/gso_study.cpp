@@ -1,6 +1,7 @@
 #include "core/gso_study.hpp"
 
 #include <cmath>
+#include <stdexcept>
 
 #include "core/report.hpp"
 #include "geo/angles.hpp"
@@ -31,8 +32,21 @@ geo::Vec3 DirectionTarget(const geo::Vec3& gt, double gt_lat_deg, double gt_lon_
 
 }  // namespace
 
+void GsoStudyOptions::Validate() const {
+  // NaN fails too; the samplers add each step until the elevation passes
+  // 90 degrees or the azimuth 360.
+  for (const double step : {azimuth_step_deg, elevation_step_deg}) {
+    if (!(std::isfinite(step) && step > 0.0 && 360.0 + step > 360.0)) {
+      throw std::invalid_argument(
+          "gso options: sampling steps must be finite, > 0 and advance past "
+          "360 degrees");
+    }
+  }
+}
+
 std::vector<GsoStudyRow> RunGsoArcStudy(const std::vector<double>& latitudes_deg,
                                         const GsoStudyOptions& options) {
+  options.Validate();
   const StudyTimer timer;
   std::vector<GsoStudyRow> rows;
   rows.reserve(latitudes_deg.size());

@@ -15,6 +15,10 @@ struct GsoStudyOptions {
   // Sky-dome sampling resolution.
   double azimuth_step_deg{3.0};
   double elevation_step_deg{1.5};
+
+  // Throws std::invalid_argument unless both steps are finite, > 0 and
+  // advance an angle of 360 degrees. RunGsoArcStudy calls it.
+  void Validate() const;
 };
 
 struct GsoStudyRow {

@@ -1,8 +1,10 @@
 #include "core/handover_study.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <map>
+#include <stdexcept>
 #include <vector>
 
 #include "core/net_trace.hpp"
@@ -13,9 +15,20 @@
 
 namespace leosim::core {
 
+void HandoverStudyOptions::Validate() const {
+  // NaN fails too; the sampler adds step_sec until t passes duration_sec.
+  if (!(duration_sec > 0.0 && std::isfinite(step_sec) && step_sec > 0.0 &&
+        duration_sec + step_sec > duration_sec)) {
+    throw std::invalid_argument(
+        "handover options: need a finite duration_sec > 0 and a finite "
+        "step_sec > 0 that advances past it");
+  }
+}
+
 HandoverStats RunHandoverStudy(const Scenario& scenario,
                                const geo::GeodeticCoord& terminal,
                                const HandoverStudyOptions& options) {
+  options.Validate();
   const StudyTimer timer;
   const orbit::Constellation constellation =
       orbit::Constellation::WalkerDelta(scenario.shell);
@@ -33,13 +46,13 @@ HandoverStats RunHandoverStudy(const Scenario& scenario,
 
   // This study samples visibility directly (no snapshots), so any trace
   // it leaves is event-only: handover events per slot, no netstate
-  // keyframes. The timeline matches the sampling loop below exactly.
+  // keyframes, on the sampling loop's timeline.
+  std::vector<double> times;
+  for (double t = 0.0; t <= options.duration_sec; t += options.step_sec) {
+    times.push_back(t);
+  }
   NetTraceRecorder& net_trace = NetTraceRecorder::Global();
   if (net_trace.Enabled()) {
-    std::vector<double> times;
-    for (double t = 0.0; t <= options.duration_sec; t += options.step_sec) {
-      times.push_back(t);
-    }
     net_trace.SetTimeline(times);
   }
 
@@ -50,7 +63,7 @@ HandoverStats RunHandoverStudy(const Scenario& scenario,
   std::vector<int32_t> gained;
   std::vector<int32_t> lost;
   int slot = 0;
-  for (double t = 0.0; t <= options.duration_sec; t += options.step_sec) {
+  for (const double t : times) {
     constellation.PositionsEcefInto(t, &sats);
     index.Rebuild(sats, coverage + 100.0);
     index.VisibleInto(gt, scenario.radio.min_elevation_deg, &visible);

@@ -14,6 +14,11 @@ namespace leosim::core {
 struct HandoverStudyOptions {
   double duration_sec{7200.0};
   double step_sec{10.0};
+
+  // Throws std::invalid_argument unless duration_sec is finite and > 0
+  // (the rates divide by it) and step_sec is finite, > 0 and advances t
+  // at duration_sec. RunHandoverStudy calls it.
+  void Validate() const;
 };
 
 struct HandoverStats {

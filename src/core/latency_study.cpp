@@ -112,15 +112,18 @@ void RecordReachabilityTransitions(const std::vector<PairRttSeries>& series) {
 
 }  // namespace
 
-std::vector<double> SnapshotSchedule::Times() const {
-  // A non-positive or NaN step never reaches the end of the schedule,
-  // and neither does any step towards an infinite duration.
+void SnapshotSchedule::Validate() const {
+  // Any other step never reaches the end of the schedule.
   if (!(step_sec > 0.0) || !std::isfinite(step_sec) ||
-      !std::isfinite(duration_sec)) {
+      !std::isfinite(duration_sec) || !(duration_sec + step_sec > duration_sec)) {
     throw std::invalid_argument(
-        "SnapshotSchedule needs a finite step_sec > 0 and a finite "
-        "duration_sec");
+        "SnapshotSchedule needs a finite step_sec > 0 that advances past a "
+        "finite duration_sec");
   }
+}
+
+std::vector<double> SnapshotSchedule::Times() const {
+  Validate();
   std::vector<double> times;
   for (double t = 0.0; t < duration_sec; t += step_sec) {
     times.push_back(t);
@@ -187,72 +190,53 @@ LatencyStudyResult RunLatencyStudy(const NetworkModel& bp_model,
                                    const NetworkModel& hybrid_model,
                                    const std::vector<CityPair>& pairs,
                                    const SnapshotSchedule& schedule) {
+  std::string mismatch;
+  if (!CanDeriveBentPipeByMasking(bp_model, hybrid_model, &mismatch)) {
+    throw std::invalid_argument(
+        "latency study needs a bent-pipe model that is the hybrid model "
+        "without ISLs: " + mismatch);
+  }
   const StudyTimer timer;
   LatencyStudyResult result;
   result.snapshot_times = schedule.Times();
   result.bp = InitSeries(pairs, result.snapshot_times.size());
   result.hybrid = InitSeries(pairs, result.snapshot_times.size());
   const std::vector<SourceGroup> groups = GroupPairsBySource(pairs);
-  const int slots = static_cast<int>(result.snapshot_times.size());
   std::vector<SlotRoutes> bp_slots(result.snapshot_times.size());
   std::vector<SlotRoutes> hybrid_slots(result.snapshot_times.size());
 
-  // When the two models differ only in connectivity mode, each slot is
-  // built ONCE (the hybrid snapshot) and the bent-pipe answers come from
-  // the same snapshot with its ISL edges masked off — bit-identical to a
-  // dedicated bent-pipe build (see CanDeriveBentPipeByMasking) at half
-  // the construction cost. Otherwise the two models are independent
-  // streams of the sweep.
-  const bool shared_build = CanDeriveBentPipeByMasking(bp_model, hybrid_model);
+  // Each slot is built ONCE (the hybrid snapshot) and the bent-pipe
+  // answers come from the same snapshot with its ISL edges masked off —
+  // bit-identical to a dedicated bent-pipe build (see
+  // CanDeriveBentPipeByMasking) at half the construction cost.
   NetTraceRecorder& net_trace = NetTraceRecorder::Global();
   if (net_trace.Enabled()) {
     net_trace.SetTimeline(result.snapshot_times);
   }
-  uint64_t snapshots_built = 0;
-  if (shared_build) {
-    const TemporalSweep sweep(result.snapshot_times, 1);
-    sweep.Run("latency", [&](const SweepItem& item, SweepWorkspace& ws) {
-      NetworkModel::Snapshot& snap =
-          hybrid_model.BuildSnapshot(item.time_sec, &ws.snapshot);
-      const size_t slot = static_cast<size_t>(item.slot);
-      // Capture before the ISL masking below: the traced network is the
-      // hybrid topology as built, and distinct slots never race.
-      if (net_trace.Enabled()) {
-        net_trace.CaptureSlot(item.slot, item.time_sec, snap);
-      }
-      RouteSlotPairs(snap, pairs, groups, /*want_paths=*/false, &ws,
-                     &hybrid_slots[slot]);
-      // The router builds any landmark table on the graph it is handed,
-      // so the masked bent-pipe graph gets its own: the hybrid table's
-      // bounds stay admissible there but are far looser.
-      for (const graph::EdgeId e : snap.isl_edges) {
-        snap.graph.SetEnabled(e, false);
-      }
-      RouteSlotPairs(snap, pairs, groups, /*want_paths=*/false, &ws,
-                     &bp_slots[slot]);
-      for (const graph::EdgeId e : snap.isl_edges) {
-        snap.graph.SetEnabled(e, true);
-      }
-    });
-    snapshots_built = static_cast<uint64_t>(slots);
-  } else {
-    const TemporalSweep sweep(result.snapshot_times, 2);
-    sweep.Run("latency", [&](const SweepItem& item, SweepWorkspace& ws) {
-      const NetworkModel& model = item.stream == 0 ? bp_model : hybrid_model;
-      std::vector<SlotRoutes>& slot_routes =
-          item.stream == 0 ? bp_slots : hybrid_slots;
-      const NetworkModel::Snapshot& snap =
-          model.BuildSnapshot(item.time_sec, &ws.snapshot);
-      // Two distinct models flow through this sweep; the trace records
-      // one network, so only the hybrid stream is captured.
-      if (item.stream == 1 && net_trace.Enabled()) {
-        net_trace.CaptureSlot(item.slot, item.time_sec, snap);
-      }
-      RouteSlotPairs(snap, pairs, groups, /*want_paths=*/false, &ws,
-                     &slot_routes[static_cast<size_t>(item.slot)]);
-    });
-    snapshots_built = 2 * static_cast<uint64_t>(slots);
-  }
+  const TemporalSweep sweep(result.snapshot_times);
+  sweep.Run("latency", [&](const SweepItem& item, SweepWorkspace& ws) {
+    NetworkModel::Snapshot& snap =
+        hybrid_model.BuildSnapshot(item.time_sec, &ws.snapshot);
+    const size_t slot = static_cast<size_t>(item.slot);
+    // Capture before the ISL masking below: the traced network is the
+    // hybrid topology as built, and distinct slots never race.
+    if (net_trace.Enabled()) {
+      net_trace.CaptureSlot(item.slot, item.time_sec, snap);
+    }
+    RouteSlotPairs(snap, pairs, groups, /*want_paths=*/false, &ws,
+                   &hybrid_slots[slot]);
+    // The router builds any landmark table on the graph it is handed,
+    // so the masked bent-pipe graph gets its own: the hybrid table's
+    // bounds stay admissible there but are far looser.
+    for (const graph::EdgeId e : snap.isl_edges) {
+      snap.graph.SetEnabled(e, false);
+    }
+    RouteSlotPairs(snap, pairs, groups, /*want_paths=*/false, &ws,
+                   &bp_slots[slot]);
+    for (const graph::EdgeId e : snap.isl_edges) {
+      snap.graph.SetEnabled(e, true);
+    }
+  });
   FillSeries(bp_slots, &result.bp);
   FillSeries(hybrid_slots, &result.hybrid);
 
@@ -262,7 +246,7 @@ LatencyStudyResult RunLatencyStudy(const NetworkModel& bp_model,
   RecordReachabilityTransitions(result.hybrid);
   StudySummary summary;
   summary.study = "latency";
-  summary.snapshots_built = snapshots_built;
+  summary.snapshots_built = result.snapshot_times.size();
   for (const std::vector<PairRttSeries>* series : {&result.bp, &result.hybrid}) {
     for (const PairRttSeries& s : *series) {
       const uint64_t unreachable = static_cast<uint64_t>(s.UnreachableCount());

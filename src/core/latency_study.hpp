@@ -17,6 +17,10 @@ struct SnapshotSchedule {
   double duration_sec{86400.0};
   double step_sec{900.0};  // paper: 15-minute snapshots
 
+  // Throws std::invalid_argument unless duration_sec is finite and
+  // step_sec is finite, > 0 and advances t at duration_sec.
+  void Validate() const;
+  // Slot times 0, step, 2 step, ... below duration_sec; calls Validate.
   std::vector<double> Times() const;
 };
 
@@ -40,8 +44,11 @@ struct LatencyStudyResult {
   std::vector<double> Ranges(const std::vector<PairRttSeries>& series) const;
 };
 
-// Runs the study. `bp_model` and `hybrid_model` must share the same city
-// list that `pairs` indexes into.
+// Runs the study. Each slot is built once from `hybrid_model` and routed
+// twice, the second time with its ISLs masked off, so `bp_model` must
+// differ from it only in mode: throws std::invalid_argument naming the
+// difference otherwise (CanDeriveBentPipeByMasking). `pairs` indexes
+// into the models' shared city list.
 LatencyStudyResult RunLatencyStudy(const NetworkModel& bp_model,
                                    const NetworkModel& hybrid_model,
                                    const std::vector<CityPair>& pairs,

@@ -38,20 +38,20 @@ MultishellResult RunMultishellStudy(const Scenario& scenario,
   const size_t slots = result.times_sec.size();
   result.single_shell_rtt_ms.assign(slots, kInf);
   result.dual_shell_rtt_ms.assign(slots, kInf);
-  // Two streams per slot — the single- and dual-shell builds are
-  // independent, so they load-balance as separate sweep items; the
+  // One item per slot builds and routes both models in turn; the
   // comparison below runs serially over the slot-indexed arrays.
-  const TemporalSweep sweep(result.times_sec, 2);
+  const TemporalSweep sweep(result.times_sec);
   sweep.Run("multishell", [&](const SweepItem& item, SweepWorkspace& ws) {
-    const NetworkModel& model = item.stream == 0 ? single : dual;
-    std::vector<double>& rtts = item.stream == 0 ? result.single_shell_rtt_ms
-                                                 : result.dual_shell_rtt_ms;
+    const size_t slot = static_cast<size_t>(item.slot);
     // kIslOnly has no relays or aircraft: the router's contraction keeps
     // every node.
     SlotRoutes routes;
-    RouteSlotPairs(model.BuildSnapshot(item.time_sec, &ws.snapshot), pair,
+    RouteSlotPairs(single.BuildSnapshot(item.time_sec, &ws.snapshot), pair,
                    groups, /*want_paths=*/false, &ws, &routes);
-    rtts[static_cast<size_t>(item.slot)] = routes.rtt[0];
+    result.single_shell_rtt_ms[slot] = routes.rtt[0];
+    RouteSlotPairs(dual.BuildSnapshot(item.time_sec, &ws.snapshot), pair,
+                   groups, /*want_paths=*/false, &ws, &routes);
+    result.dual_shell_rtt_ms[slot] = routes.rtt[0];
   });
   summary.snapshots_built = 2 * static_cast<uint64_t>(slots);
 

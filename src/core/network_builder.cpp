@@ -68,12 +68,8 @@ void NetworkOptions::Validate() const {
   // Written so that NaN fails every check.
   require(std::isfinite(relay_spacing_deg) && relay_spacing_deg > 0.0,
           "relay_spacing_deg must be finite and > 0");
-  require(relay_radius_km >= 0.0 && relay_radius_km <= ground::kMaxRelayRadiusKm,
-          "relay_radius_km must be in [0, pi * R_earth]");
   require(std::isfinite(aircraft_scale) && aircraft_scale >= 0.0,
           "aircraft_scale must be finite and >= 0");
-  require(!std::isnan(gt_capacity_gbps) && !std::isnan(isl_capacity_gbps),
-          "capacity overrides must not be NaN");
   require(gso_separation_deg >= 0.0 && gso_separation_deg <= 180.0,
           "gso_separation_deg must be in [0, 180]");
   require(max_gt_links_per_satellite >= 0,
@@ -105,14 +101,9 @@ void NetworkModel::Initialise() {
     isl_pairs_ = orbit::PlusGridIslsAllShells(constellation_);
   }
 
-  const bool ground_relays_used =
-      options_.mode != ConnectivityMode::kIslOnly && options_.use_relays;
-  if (ground_relays_used) {
-    ground::RelayGridConfig grid;
-    grid.spacing_deg = options_.relay_spacing_deg;
-    grid.radius_km = options_.relay_radius_km;
+  if (options_.mode != ConnectivityMode::kIslOnly) {
     const obs::Span span("ground.relay_grid");
-    relays_ = ground::BuildRelayGrid(cities_, grid);
+    relays_ = ground::BuildRelayGrid(cities_, {.spacing_deg = options_.relay_spacing_deg});
   }
 
   if (options_.mode != ConnectivityMode::kIslOnly && options_.use_aircraft) {
@@ -127,16 +118,6 @@ void NetworkModel::Initialise() {
   for (const geo::GeodeticCoord& r : relays_) {
     relay_ecef_.push_back(geo::GeodeticToEcef(r));
   }
-}
-
-double NetworkModel::GtCapacityGbps() const {
-  return options_.gt_capacity_gbps >= 0.0 ? options_.gt_capacity_gbps
-                                          : scenario_.radio.capacity_gbps;
-}
-
-double NetworkModel::IslCapacityGbps() const {
-  return options_.isl_capacity_gbps >= 0.0 ? options_.isl_capacity_gbps
-                                           : scenario_.isl.capacity_gbps;
 }
 
 NetworkModel::Snapshot NetworkModel::BuildSnapshot(double time_sec) const {
@@ -212,7 +193,7 @@ NetworkModel::Snapshot& NetworkModel::BuildSnapshot(
     workspace->sat_index.Rebuild(workspace->sat_soa, coverage + 100.0);
   }
 
-  const double gt_capacity = GtCapacityGbps();
+  const double gt_capacity = scenario_.radio.capacity_gbps;
   const link::GsoConfig gso_config{options_.gso_separation_deg, 180};
   const int first_ground = snap.num_sats;
 
@@ -294,7 +275,7 @@ NetworkModel::Snapshot& NetworkModel::BuildSnapshot(
 
     // Laser ISLs (+Grid, per shell).
     if (options_.mode != ConnectivityMode::kBentPipe) {
-      const double isl_capacity = IslCapacityGbps();
+      const double isl_capacity = scenario_.isl.capacity_gbps;
       for (const orbit::IslEdge& e : isl_pairs_) {
         const double latency_ms =
             link::PropagationLatencyMs(sat_ecef[static_cast<size_t>(e.first)],

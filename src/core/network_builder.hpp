@@ -9,8 +9,9 @@
 //
 // Nodes are laid out [satellites | cities | relays | aircraft]; edge
 // weights are one-way propagation latencies in milliseconds and edge
-// capacities are link rates in Gbps, so the same snapshot serves both the
-// latency and the throughput experiments.
+// capacities are the scenario's link rates in Gbps (radio.capacity_gbps
+// for GT-satellite links, isl.capacity_gbps for ISLs), so the same
+// snapshot serves both the latency and the throughput experiments.
 #pragma once
 
 #include <cstdint>
@@ -35,18 +36,12 @@ std::string_view ToString(ConnectivityMode mode);
 
 struct NetworkOptions {
   ConnectivityMode mode{ConnectivityMode::kHybrid};
-  // Relay grid (ignored in kIslOnly mode). Paper defaults: 0.5 deg within
-  // 2,000 km; bench binaries scale spacing up for speed.
-  bool use_relays{true};
+  // Relay grid spacing (no relays in kIslOnly mode; the radius is always
+  // ground::RelayGridConfig's 2,000 km). Paper: 0.5 deg; benches scale it up.
   double relay_spacing_deg{0.5};
-  double relay_radius_km{2000.0};
   // Aircraft relays (ignored in kIslOnly mode).
   bool use_aircraft{true};
   double aircraft_scale{1.0};
-  // Capacity overrides; negative values take the scenario defaults
-  // (20 Gbps GT-sat, 100 Gbps ISL).
-  double gt_capacity_gbps{-1.0};
-  double isl_capacity_gbps{-1.0};
   // Optional GSO-arc exclusion applied to every radio link (paper §7).
   bool apply_gso_exclusion{false};
   double gso_separation_deg{22.0};
@@ -58,11 +53,11 @@ struct NetworkOptions {
   uint64_t seed{4242};
 
   // Throws std::invalid_argument naming the first bad field: a relay
-  // spacing that is not finite and > 0, a relay radius outside [0, half
-  // the Earth's circumference], an aircraft scale or beam budget below 0
-  // (or NaN), a NaN capacity override, or a GSO separation outside
-  // [0, 180] degrees. NetworkModel's constructors call it.
+  // spacing that is not finite and > 0, an aircraft scale or beam budget
+  // below 0 (or NaN), or a GSO separation outside [0, 180] degrees.
+  // NetworkModel's constructors call it.
   void Validate() const;
+  bool operator==(const NetworkOptions&) const = default;
 };
 
 class NetworkModel {
@@ -164,8 +159,6 @@ class NetworkModel {
   int CityIndex(const std::string& name) const;
   const orbit::Constellation& constellation() const { return constellation_; }
   const std::vector<geo::GeodeticCoord>& relays() const { return relays_; }
-  double GtCapacityGbps() const;
-  double IslCapacityGbps() const;
 
   // Geodetic position of a ground node in a snapshot (cities, relays, or
   // aircraft; satellites are rejected).

@@ -1,25 +1,16 @@
 #include "core/temporal_sweep.hpp"
 
-#include <algorithm>
-#include <stdexcept>
+#include <string>
 
 #include "core/parallel.hpp"
 #include "obs/progress.hpp"
 
 namespace leosim::core {
 
-TemporalSweep::TemporalSweep(std::vector<double> times, int streams)
-    : times_(std::move(times)), streams_(streams) {
-  if (streams_ < 1) {
-    throw std::invalid_argument("TemporalSweep needs at least one stream");
-  }
-}
-
 void TemporalSweep::Run(
     const std::string& progress_label,
-    const std::function<void(const SweepItem&, SweepWorkspace&)>& body,
-    int num_threads) const {
-  const int items = slots() * streams_;
+    const std::function<void(const SweepItem&, SweepWorkspace&)>& body) const {
+  const int items = static_cast<int>(times_.size());
   if (items <= 0) {
     return;
   }
@@ -30,21 +21,11 @@ void TemporalSweep::Run(
   std::vector<SweepWorkspace> workspaces(static_cast<size_t>(items));
   obs::ProgressReporter progress(progress_label,
                                  static_cast<uint64_t>(items));
-  ParallelForWorkers(
-      items,
-      [&](int worker, int index) {
-        // Index -> (slot, stream): slot-major, so consecutive indices
-        // walk the streams of one slot before moving on. Claim order
-        // never affects results (see the header contract); this layout
-        // just keeps one slot's halves temporally close.
-        SweepItem item;
-        item.slot = index / streams_;
-        item.stream = index % streams_;
-        item.time_sec = times_[static_cast<size_t>(item.slot)];
-        body(item, workspaces[static_cast<size_t>(worker)]);
-        progress.Step();
-      },
-      num_threads);
+  ParallelForWorkers(items, [&](int worker, int slot) {
+    body({slot, times_[static_cast<size_t>(slot)]},
+         workspaces[static_cast<size_t>(worker)]);
+    progress.Step();
+  });
 }
 
 std::vector<SourceGroup> GroupPairsBySource(const std::vector<CityPair>& pairs) {
@@ -67,74 +48,33 @@ std::vector<SourceGroup> GroupPairsBySource(const std::vector<CityPair>& pairs) 
   return groups;
 }
 
-namespace {
-
-bool SameShell(const orbit::OrbitalShell& a, const orbit::OrbitalShell& b) {
-  return a.name == b.name && a.num_planes == b.num_planes &&
-         a.sats_per_plane == b.sats_per_plane && a.altitude_km == b.altitude_km &&
-         a.inclination_deg == b.inclination_deg &&
-         a.phase_factor == b.phase_factor &&
-         a.raan_spread_deg == b.raan_spread_deg &&
-         a.raan_offset_deg == b.raan_offset_deg;
-}
-
-}  // namespace
-
 bool CanDeriveBentPipeByMasking(const NetworkModel& bp_model,
-                                const NetworkModel& hybrid_model) {
-  const NetworkOptions& a = bp_model.options();
-  const NetworkOptions& b = hybrid_model.options();
-  if (a.mode != ConnectivityMode::kBentPipe ||
-      b.mode != ConnectivityMode::kHybrid) {
-    return false;
-  }
-  // Every option apart from the mode must match: each one below feeds
-  // node layout, radio-edge construction, or edge weights.
-  if (a.use_relays != b.use_relays ||
-      a.relay_spacing_deg != b.relay_spacing_deg ||
-      a.relay_radius_km != b.relay_radius_km ||
-      a.use_aircraft != b.use_aircraft ||
-      a.aircraft_scale != b.aircraft_scale ||
-      a.gt_capacity_gbps != b.gt_capacity_gbps ||
-      a.apply_gso_exclusion != b.apply_gso_exclusion ||
-      a.gso_separation_deg != b.gso_separation_deg ||
-      a.max_gt_links_per_satellite != b.max_gt_links_per_satellite ||
-      a.seed != b.seed) {
-    return false;
-  }
+                                const NetworkModel& hybrid_model,
+                                std::string* mismatch) {
+  NetworkOptions bp_as_hybrid = bp_model.options();
+  bp_as_hybrid.mode = ConnectivityMode::kHybrid;
   const Scenario& sa = bp_model.scenario();
   const Scenario& sb = hybrid_model.scenario();
-  if (sa.name != sb.name || !SameShell(sa.shell, sb.shell) ||
-      sa.radio.min_elevation_deg != sb.radio.min_elevation_deg ||
-      sa.radio.capacity_gbps != sb.radio.capacity_gbps ||
-      sa.radio.uplink_freq_ghz != sb.radio.uplink_freq_ghz ||
-      sa.radio.downlink_freq_ghz != sb.radio.downlink_freq_ghz) {
-    return false;
+  // Everything apart from the mode must match: each of these feeds node
+  // layout, radio-edge construction, or edge weights. The ISL config
+  // does not, since the bent-pipe graph has no ISLs.
+  const char* what = nullptr;
+  if (bp_model.options().mode != ConnectivityMode::kBentPipe ||
+      hybrid_model.options().mode != ConnectivityMode::kHybrid) {
+    what = "modes are not (bent-pipe, hybrid)";
+  } else if (bp_as_hybrid != hybrid_model.options()) {
+    what = "network options other than the mode differ";
+  } else if (sa.name != sb.name || sa.radio != sb.radio) {
+    what = "scenarios differ";
+  } else if (bp_model.constellation().shells() != hybrid_model.constellation().shells()) {
+    what = "constellation shells differ";
+  } else if (bp_model.cities() != hybrid_model.cities()) {
+    what = "city lists differ";
   }
-  const orbit::Constellation& ca = bp_model.constellation();
-  const orbit::Constellation& cb = hybrid_model.constellation();
-  if (ca.NumShells() != cb.NumShells() ||
-      ca.NumSatellites() != cb.NumSatellites()) {
-    return false;
+  if (what != nullptr && mismatch != nullptr) {
+    *mismatch = what;
   }
-  for (int s = 0; s < ca.NumShells(); ++s) {
-    if (!SameShell(ca.shell(s), cb.shell(s))) {
-      return false;
-    }
-  }
-  const std::vector<data::City>& cities_a = bp_model.cities();
-  const std::vector<data::City>& cities_b = hybrid_model.cities();
-  if (cities_a.size() != cities_b.size()) {
-    return false;
-  }
-  for (size_t i = 0; i < cities_a.size(); ++i) {
-    if (cities_a[i].name != cities_b[i].name ||
-        cities_a[i].latitude_deg != cities_b[i].latitude_deg ||
-        cities_a[i].longitude_deg != cities_b[i].longitude_deg) {
-      return false;
-    }
-  }
-  return true;
+  return what == nullptr;
 }
 
 }  // namespace leosim::core

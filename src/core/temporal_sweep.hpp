@@ -6,7 +6,7 @@
 // Determinism contract (regression-tested in temporal_sweep_test): a
 // sweep-driven study produces byte-identical outputs at any thread
 // count. The driver's side of the bargain is per-worker workspaces and
-// a stable item <-> (slot, stream) mapping; the study's side is writing
+// one item per slot; the study's side is writing
 // only to preallocated slot-indexed arrays from the body and doing every
 // order-sensitive reduction — timeseries emission, StudySummary
 // counters, churn's consecutive-slot diffs — in a serial pass over
@@ -18,6 +18,7 @@
 
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/network_builder.hpp"
@@ -57,36 +58,26 @@ struct SweepWorkspace {
   std::vector<int> target_pairs;
 };
 
-// One scheduled unit of work: time slot `slot` (index into times()),
-// stream `stream` in [0, streams). Streams let a study split a slot's
-// independent halves (e.g. the latency study's bent-pipe and hybrid
-// models) into separate items for better load balance.
+// One scheduled unit of work: time slot `slot` (index into the times).
 struct SweepItem {
   int slot{0};
-  int stream{0};
   double time_sec{0.0};
 };
 
 class TemporalSweep {
  public:
-  explicit TemporalSweep(std::vector<double> times, int streams = 1);
+  explicit TemporalSweep(std::vector<double> times) : times_(std::move(times)) {}
 
-  const std::vector<double>& times() const { return times_; }
-  int slots() const { return static_cast<int>(times_.size()); }
-  int streams() const { return streams_; }
-
-  // Invokes body(item, workspace) once per (slot, stream) across the
-  // resolved worker count (see parallel.hpp for resolution and
-  // exception semantics), reporting one progress step per item under
+  // Invokes body(item, workspace) once per slot across the worker count
+  // LEOSIM_THREADS resolves to (see parallel.hpp for resolution and
+  // exception semantics), reporting one progress step per slot under
   // `progress_label`. The body must confine its writes to slot-indexed
-  // state; it runs concurrently for distinct items.
+  // state; it runs concurrently for distinct slots.
   void Run(const std::string& progress_label,
-           const std::function<void(const SweepItem&, SweepWorkspace&)>& body,
-           int num_threads = 0) const;
+           const std::function<void(const SweepItem&, SweepWorkspace&)>& body) const;
 
  private:
   std::vector<double> times_;
-  int streams_{1};
 };
 
 // Pairs grouped by source city (pair.a — SampleCityPairs canonicalises
@@ -108,7 +99,9 @@ std::vector<SourceGroup> GroupPairsBySource(const std::vector<CityPair>& pairs);
 // becomes +inf; relax loops skip them arithmetically) yields a graph
 // whose searches are bit-identical to a dedicated bent-pipe build —
 // letting the latency study build each time slot once instead of twice.
+// On false, `mismatch` (when given) names the first difference found.
 bool CanDeriveBentPipeByMasking(const NetworkModel& bp_model,
-                                const NetworkModel& hybrid_model);
+                                const NetworkModel& hybrid_model,
+                                std::string* mismatch = nullptr);
 
 }  // namespace leosim::core

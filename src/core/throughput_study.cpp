@@ -42,6 +42,29 @@ ThroughputResult ThroughputAtSnapshot(NetworkModel::Snapshot& snap,
   return result;
 }
 
+// Both entry points' recording pass: per-slot timeseries samples in slot
+// order, then the study summary.
+void RecordThroughput(const char* study, const std::vector<double>& times,
+                      const std::vector<ThroughputResult>& results,
+                      size_t num_pairs, const StudyTimer& timer) {
+  StudySummary summary;
+  summary.study = study;
+  summary.snapshots_built = static_cast<uint64_t>(times.size());
+  obs::TimeseriesRecorder& recorder = obs::TimeseriesRecorder::Global();
+  for (size_t s = 0; s < times.size(); ++s) {
+    const ThroughputResult& r = results[s];
+    recorder.Record(times[s], "throughput.total_gbps", r.total_gbps);
+    recorder.Record(times[s], "throughput.pairs_routed",
+                    static_cast<double>(r.pairs_routed));
+    recorder.Record(times[s], "throughput.subflows",
+                    static_cast<double>(r.subflows));
+    summary.pairs_routed += static_cast<uint64_t>(r.pairs_routed);
+    summary.pairs_unreachable += num_pairs - static_cast<uint64_t>(r.pairs_routed);
+  }
+  summary.wall_seconds = timer.Seconds();
+  EmitStudySummary(summary);
+}
+
 }  // namespace
 
 RoutedFlows RouteFlows(NetworkModel::Snapshot& snap,
@@ -111,21 +134,7 @@ ThroughputResult RunThroughputStudy(const NetworkModel& model,
   const std::vector<SourceGroup> groups = GroupPairsBySource(pairs);
   const ThroughputResult result =
       ThroughputAtSnapshot(snap, pairs, groups, k, capacity_model, &ws);
-
-  obs::TimeseriesRecorder& recorder = obs::TimeseriesRecorder::Global();
-  recorder.Record(time_sec, "throughput.total_gbps", result.total_gbps);
-  recorder.Record(time_sec, "throughput.pairs_routed",
-                  static_cast<double>(result.pairs_routed));
-  recorder.Record(time_sec, "throughput.subflows",
-                  static_cast<double>(result.subflows));
-  StudySummary summary;
-  summary.study = "throughput";
-  summary.snapshots_built = 1;
-  summary.pairs_routed = static_cast<uint64_t>(result.pairs_routed);
-  summary.pairs_unreachable =
-      pairs.size() - static_cast<uint64_t>(result.pairs_routed);
-  summary.wall_seconds = timer.Seconds();
-  EmitStudySummary(summary);
+  RecordThroughput("throughput", {time_sec}, {result}, pairs.size(), timer);
   return result;
 }
 
@@ -145,25 +154,8 @@ std::vector<ThroughputResult> RunThroughputSweep(
         ThroughputAtSnapshot(snap, pairs, groups, k, capacity_model, &ws);
   });
 
-  // Serial emission pass: the same samples N RunThroughputStudy calls
-  // would have recorded, independent of worker scheduling.
-  StudySummary summary;
-  summary.study = "throughput_sweep";
-  summary.snapshots_built = static_cast<uint64_t>(times.size());
-  obs::TimeseriesRecorder& recorder = obs::TimeseriesRecorder::Global();
-  for (size_t s = 0; s < times.size(); ++s) {
-    const ThroughputResult& r = results[s];
-    recorder.Record(times[s], "throughput.total_gbps", r.total_gbps);
-    recorder.Record(times[s], "throughput.pairs_routed",
-                    static_cast<double>(r.pairs_routed));
-    recorder.Record(times[s], "throughput.subflows",
-                    static_cast<double>(r.subflows));
-    summary.pairs_routed += static_cast<uint64_t>(r.pairs_routed);
-    summary.pairs_unreachable +=
-        pairs.size() - static_cast<uint64_t>(r.pairs_routed);
-  }
-  summary.wall_seconds = timer.Seconds();
-  EmitStudySummary(summary);
+  // Serial, so the samples do not depend on worker scheduling.
+  RecordThroughput("throughput_sweep", times, results, pairs.size(), timer);
   return results;
 }
 

@@ -1,6 +1,7 @@
 #include "core/traffic_matrix.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <set>
 #include <stdexcept>
@@ -9,6 +10,13 @@
 #include "geo/geodesic.hpp"
 
 namespace leosim::core {
+
+void TrafficMatrixOptions::Validate() const {
+  if (num_pairs < 0 || !(min_distance_km >= 0.0 && std::isfinite(min_distance_km))) {
+    throw std::invalid_argument(
+        "traffic matrix: need num_pairs >= 0 and a finite min_distance_km >= 0");
+  }
+}
 
 namespace {
 
@@ -20,9 +28,6 @@ std::vector<CityPair> SamplePairs(const std::vector<data::City>& cities,
   const int n = static_cast<int>(cities.size());
   if (n < 2) {
     throw std::invalid_argument("need at least two cities");
-  }
-  if (options.num_pairs < 0) {
-    throw std::invalid_argument("number of city pairs must be non-negative");
   }
   // Checked up front: the attempt budget below scales with the request,
   // so an unsatisfiable one would otherwise spin for a long time first.
@@ -71,6 +76,7 @@ std::vector<CityPair> SamplePairs(const std::vector<data::City>& cities,
 
 std::vector<CityPair> SampleCityPairs(const std::vector<data::City>& cities,
                                       const TrafficMatrixOptions& options) {
+  options.Validate();
   data::SplitMix64 rng(options.seed);
   const int n = static_cast<int>(cities.size());
   return SamplePairs(cities, options, [&rng, n] { return rng.NextInt(n); });
@@ -78,6 +84,7 @@ std::vector<CityPair> SampleCityPairs(const std::vector<data::City>& cities,
 
 std::vector<CityPair> SampleCityPairsGravity(const std::vector<data::City>& cities,
                                              const TrafficMatrixOptions& options) {
+  options.Validate();
   data::SplitMix64 rng(options.seed);
   std::vector<double> cumulative;
   cumulative.reserve(cities.size());

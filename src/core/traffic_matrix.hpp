@@ -20,6 +20,10 @@ struct TrafficMatrixOptions {
   int num_pairs{5000};
   double min_distance_km{2000.0};
   uint64_t seed{20201104};  // HotNets'20 presentation date
+
+  // Throws std::invalid_argument for a negative num_pairs or a
+  // min_distance_km that is not finite and >= 0. Both samplers call it.
+  void Validate() const;
 };
 
 // Samples distinct pairs (a < b, no duplicates). Throws

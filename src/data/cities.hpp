@@ -24,6 +24,7 @@ struct City {
   double population_k{0.0};
 
   geo::GeodeticCoord Coord() const { return {latitude_deg, longitude_deg, 0.0}; }
+  bool operator==(const City&) const = default;
 };
 
 // The embedded real-city anchor list, ordered by descending population.

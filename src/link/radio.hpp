@@ -12,6 +12,8 @@ struct RadioConfig {
   double capacity_gbps{20.0};
   double uplink_freq_ghz{14.25};
   double downlink_freq_ghz{11.7};
+
+  bool operator==(const RadioConfig&) const = default;
 };
 
 // One-way propagation latency over a straight segment, milliseconds.

@@ -30,12 +30,13 @@ std::string Field(const std::string& line, int first, int last) {
   return s.substr(begin, end - begin + 1);
 }
 
+// Parses a finite number: std::stod also reads "nan" and "inf".
 double ParseDouble(const std::string& line, int first, int last, const char* what) {
   const std::string s = Field(line, first, last);
   try {
     size_t consumed = 0;
     const double v = std::stod(s, &consumed);
-    if (consumed != s.size()) {
+    if (consumed != s.size() || !std::isfinite(v)) {
       throw std::invalid_argument(what);
     }
     return v;
@@ -44,8 +45,14 @@ double ParseDouble(const std::string& line, int first, int last, const char* wha
   }
 }
 
+// A whole number that fits the field's digits, so the cast is defined
+// ("1e100" fits a 5-column field as text).
 int ParseInt(const std::string& line, int first, int last, const char* what) {
-  return static_cast<int>(ParseDouble(line, first, last, what));
+  const double v = ParseDouble(line, first, last, what);
+  if (v != std::floor(v) || v < 0.0 || v >= std::pow(10.0, last - first + 1)) {
+    throw std::invalid_argument(std::string("out-of-range TLE field: ") + what);
+  }
+  return static_cast<int>(v);
 }
 
 void CheckLine(const std::string& line, char expected_tag) {
@@ -115,8 +122,16 @@ Tle ParseTle(const std::string& line1, const std::string& line2,
   tle.mean_anomaly_deg = ParseDouble(line2, 44, 51, "mean anomaly");
   tle.mean_motion_rev_per_day = ParseDouble(line2, 53, 63, "mean motion");
 
-  if (tle.mean_motion_rev_per_day <= 0.0) {
-    throw std::invalid_argument("TLE mean motion must be positive");
+  const auto in_range = [](double deg, double max) { return deg >= 0.0 && deg <= max; };
+  if (!in_range(tle.inclination_deg, 180.0) || !in_range(tle.raan_deg, 360.0) ||
+      !in_range(tle.arg_perigee_deg, 360.0) || !in_range(tle.mean_anomaly_deg, 360.0)) {
+    throw std::invalid_argument("TLE angle outside [0, 180] or [0, 360] degrees");
+  }
+  // The field has 8 decimals: a smaller mean motion is no TLE value, and
+  // its altitude would overflow.
+  if (!(tle.mean_motion_rev_per_day >= 1e-8) || !(tle.AltitudeKm() > 0.0)) {
+    throw std::invalid_argument(
+        "TLE mean motion must be >= 1e-8 and keep the orbit above the Earth");
   }
   if (tle.eccentricity > kMaxCircularEccentricity) {
     throw std::invalid_argument(

@@ -40,7 +40,12 @@ int TleChecksum(const std::string& line);
 
 // Parses one element set from `line1`/`line2` (and an optional preceding
 // name line). Throws std::invalid_argument on malformed lines or failed
-// checksums, and for eccentricities beyond the circular-model regime.
+// checksums; for a field that reads NaN or infinite, a catalog number or
+// epoch year that is not a whole number within its digits, or an angle
+// outside [0, 180] (inclination) or [0, 360] degrees; for a mean motion
+// below 1e-8 rev/day (the field's last decimal) or one that puts the
+// orbit below the Earth's surface; and
+// for eccentricities beyond the circular-model regime.
 Tle ParseTle(const std::string& line1, const std::string& line2,
              const std::string& name = "");
 

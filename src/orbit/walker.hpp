@@ -31,6 +31,7 @@ struct OrbitalShell {
   double raan_offset_deg{0.0};
 
   int TotalSatellites() const { return num_planes * sats_per_plane; }
+  bool operator==(const OrbitalShell&) const = default;
 };
 
 // Identifies one satellite within a multi-shell constellation.
@@ -62,6 +63,7 @@ class Constellation {
   int AddShell(const OrbitalShell& shell);
 
   int NumShells() const { return static_cast<int>(shells_.size()); }
+  const std::vector<OrbitalShell>& shells() const { return shells_; }
   const OrbitalShell& shell(int shell_index) const { return shells_.at(shell_index); }
 
   int NumSatellites() const { return static_cast<int>(orbits_.size()); }

@@ -9,8 +9,13 @@
 
 #include "core/attenuation_study.hpp"
 #include "core/cli_flags.hpp"
+#include "core/coverage_study.hpp"
 #include "core/failure_study.hpp"
+#include "core/fiber_study.hpp"
 #include "core/gso_network_study.hpp"
+#include "core/gso_study.hpp"
+#include "core/handover_study.hpp"
+#include "core/latency_study.hpp"
 #include "core/network_builder.hpp"
 #include "core/outage_study.hpp"
 #include "core/report.hpp"
@@ -312,8 +317,7 @@ TEST(CliFlagsTest, RunMainMapsExceptionsToExitTwo) {
 }
 
 // NetworkOptions::Validate rejects each bad field, and the NetworkModel
-// constructor calls it before building anything (a NaN radius used to
-// reach std::floor in BuildRelayGrid and a cast of its result to int).
+// constructor calls it before building anything.
 TEST(NetworkOptionsTest, ValidateRejectsBadFields) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
@@ -327,12 +331,6 @@ TEST(NetworkOptionsTest, ValidateRejectsBadFields) {
       {"relay_spacing_deg", &NetworkOptions::relay_spacing_deg, inf},
       {"relay_spacing_deg", &NetworkOptions::relay_spacing_deg, 0.0},
       {"relay_spacing_deg", &NetworkOptions::relay_spacing_deg, -1.0},
-      {"relay_radius_km", &NetworkOptions::relay_radius_km, nan},
-      {"relay_radius_km", &NetworkOptions::relay_radius_km, inf},
-      {"relay_radius_km", &NetworkOptions::relay_radius_km, -1.0},
-      {"relay_radius_km", &NetworkOptions::relay_radius_km, 20100.0},
-      {"relay_radius_km", &NetworkOptions::relay_radius_km, 1e11},
-      {"relay_radius_km", &NetworkOptions::relay_radius_km, 1e12},
       {"aircraft_scale", &NetworkOptions::aircraft_scale, nan},
       {"aircraft_scale", &NetworkOptions::aircraft_scale, inf},
       {"aircraft_scale", &NetworkOptions::aircraft_scale, -0.5},
@@ -340,8 +338,6 @@ TEST(NetworkOptionsTest, ValidateRejectsBadFields) {
       {"gso_separation_deg", &NetworkOptions::gso_separation_deg, inf},
       {"gso_separation_deg", &NetworkOptions::gso_separation_deg, -1.0},
       {"gso_separation_deg", &NetworkOptions::gso_separation_deg, 181.0},
-      {"gt_capacity_gbps", &NetworkOptions::gt_capacity_gbps, nan},
-      {"isl_capacity_gbps", &NetworkOptions::isl_capacity_gbps, nan},
   };
   const std::vector<data::City> cities = data::AnchorCities();
   for (const Row& row : rows) {
@@ -362,12 +358,8 @@ TEST(NetworkOptionsTest, ValidateRejectsBadFields) {
   // Defaults and the edges of each range pass.
   NetworkOptions edges;
   EXPECT_NO_THROW(edges.Validate());
-  edges.relay_radius_km = 0.0;
   edges.aircraft_scale = 0.0;
   edges.gso_separation_deg = 180.0;
-  edges.gt_capacity_gbps = -1.0;
-  EXPECT_NO_THROW(edges.Validate());
-  edges.relay_radius_km = 20000.0;
   EXPECT_NO_THROW(edges.Validate());
 }
 
@@ -606,6 +598,163 @@ TEST(StudyOptionsTest, AttenuationAndGsoNetworkRejectBadFields) {
     gso_edges.time_sec = -3600.0;
     EXPECT_NO_THROW(gso_edges.Validate()) << separation;
   }
+}
+
+// The sweep-step and sampler options reject each bad field, and each
+// study or sampler calls Validate at entry, before any loop: a zero,
+// negative, NaN or vanishing step, or an infinite duration, never ends
+// `for (t = 0; t <= duration; t += step)` (or the GSO study's el/az
+// loops), and a NaN minimum distance lets every pair qualify.
+TEST(StudyOptionsTest, SweepStepsAndSamplersRejectBadFields) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double tiny = 1e-20;  // rounds away when added to the duration
+  const geo::GeodeticCoord paris{48.86, 2.35, 0.0};
+
+  struct StepRow {
+    const char* name;
+    double duration_sec;
+    double step_sec;
+  };
+  const StepRow step_rows[] = {
+      {"step 0", 3600.0, 0.0},      {"step < 0", 3600.0, -10.0},
+      {"step nan", 3600.0, nan},    {"step inf", 3600.0, inf},
+      {"step tiny", 3600.0, tiny},  {"duration inf", inf, 60.0},
+      {"duration nan", nan, 60.0},
+  };
+  for (const StepRow& row : step_rows) {
+    HandoverStudyOptions handover;
+    handover.duration_sec = row.duration_sec;
+    handover.step_sec = row.step_sec;
+    EXPECT_THROW(handover.Validate(), std::invalid_argument) << row.name;
+    EXPECT_THROW(RunHandoverStudy(Scenario::Starlink(), paris, handover),
+                 std::invalid_argument)
+        << row.name;
+
+    CoverageStudyOptions coverage;
+    coverage.duration_sec = row.duration_sec;
+    coverage.step_sec = row.step_sec;
+    EXPECT_THROW(coverage.Validate(), std::invalid_argument) << row.name;
+    EXPECT_THROW(RunCoverageStudy(Scenario::Starlink(), coverage),
+                 std::invalid_argument)
+        << row.name;
+
+    const SnapshotSchedule schedule{row.duration_sec, row.step_sec};
+    EXPECT_THROW(schedule.Validate(), std::invalid_argument) << row.name;
+    EXPECT_THROW(schedule.Times(), std::invalid_argument) << row.name;
+    EXPECT_THROW(RunFiberStudy(Scenario::Starlink(), data::AnchorCities(),
+                               FiberStudyOptions{}, schedule),
+                 std::invalid_argument)
+        << row.name;
+  }
+  // The samplers stop at t > duration, so a negative duration leaves
+  // the handover and coverage studies without a sample to average.
+  HandoverStudyOptions negative_handover;
+  negative_handover.duration_sec = -1.0;
+  EXPECT_THROW(negative_handover.Validate(), std::invalid_argument);
+  CoverageStudyOptions negative_coverage;
+  negative_coverage.duration_sec = -1.0;
+  EXPECT_THROW(negative_coverage.Validate(), std::invalid_argument);
+
+  struct GsoRow {
+    const char* name;
+    double GsoStudyOptions::*field;
+    double value;
+  };
+  const GsoRow gso_rows[] = {
+      {"azimuth_step_deg", &GsoStudyOptions::azimuth_step_deg, 0.0},
+      {"azimuth_step_deg", &GsoStudyOptions::azimuth_step_deg, -3.0},
+      {"azimuth_step_deg", &GsoStudyOptions::azimuth_step_deg, nan},
+      {"azimuth_step_deg", &GsoStudyOptions::azimuth_step_deg, inf},
+      {"azimuth_step_deg", &GsoStudyOptions::azimuth_step_deg, tiny},
+      {"elevation_step_deg", &GsoStudyOptions::elevation_step_deg, 0.0},
+      {"elevation_step_deg", &GsoStudyOptions::elevation_step_deg, -1.5},
+      {"elevation_step_deg", &GsoStudyOptions::elevation_step_deg, nan},
+      {"elevation_step_deg", &GsoStudyOptions::elevation_step_deg, tiny},
+  };
+  for (const GsoRow& row : gso_rows) {
+    GsoStudyOptions options;
+    options.*row.field = row.value;
+    EXPECT_THROW(options.Validate(), std::invalid_argument)
+        << row.name << " = " << row.value;
+    EXPECT_THROW(RunGsoArcStudy({0.0}, options), std::invalid_argument)
+        << row.name << " = " << row.value;
+  }
+
+  struct FiberRow {
+    const char* name;
+    double radius_km;
+    int max_members;
+  };
+  const FiberRow fiber_rows[] = {
+      {"fiber_radius_km nan", nan, 5},
+      {"fiber_radius_km inf", inf, 5},
+      {"fiber_radius_km < 0", -1.0, 5},
+      {"max_members < 0", 250.0, -1},
+  };
+  for (const FiberRow& row : fiber_rows) {
+    FiberStudyOptions options;
+    options.fiber_radius_km = row.radius_km;
+    options.max_members = row.max_members;
+    EXPECT_THROW(options.Validate(), std::invalid_argument) << row.name;
+    EXPECT_THROW(RunFiberStudy(Scenario::Starlink(), data::AnchorCities(), options,
+                               SnapshotSchedule{}),
+                 std::invalid_argument)
+        << row.name;
+  }
+
+  struct TrafficRow {
+    const char* name;
+    int num_pairs;
+    double min_distance_km;
+  };
+  const TrafficRow traffic_rows[] = {
+      {"num_pairs < 0", -1, 2000.0},
+      {"min_distance_km nan", 10, nan},
+      {"min_distance_km inf", 10, inf},
+      {"min_distance_km < 0", 10, -1.0},
+  };
+  for (const TrafficRow& row : traffic_rows) {
+    TrafficMatrixOptions options;
+    options.num_pairs = row.num_pairs;
+    options.min_distance_km = row.min_distance_km;
+    EXPECT_THROW(options.Validate(), std::invalid_argument) << row.name;
+    EXPECT_THROW(SampleCityPairs(data::AnchorCities(), options), std::invalid_argument)
+        << row.name;
+    EXPECT_THROW(SampleCityPairsGravity(data::AnchorCities(), options),
+                 std::invalid_argument)
+        << row.name;
+  }
+
+  // The defaults and the edges of each range pass.
+  EXPECT_NO_THROW(HandoverStudyOptions{}.Validate());
+  EXPECT_NO_THROW(CoverageStudyOptions{}.Validate());
+  EXPECT_NO_THROW(GsoStudyOptions{}.Validate());
+  EXPECT_NO_THROW(FiberStudyOptions{}.Validate());
+  EXPECT_NO_THROW(TrafficMatrixOptions{}.Validate());
+  EXPECT_NO_THROW(SnapshotSchedule{}.Validate());
+  HandoverStudyOptions zero_duration;
+  zero_duration.duration_sec = 0.0;  // the pass rates divide by it
+  EXPECT_THROW(zero_duration.Validate(), std::invalid_argument);
+  HandoverStudyOptions one_sample;
+  one_sample.duration_sec = 1.0;
+  one_sample.step_sec = 10.0;
+  EXPECT_NO_THROW(one_sample.Validate());
+  CoverageStudyOptions one_coverage_sample;
+  one_coverage_sample.duration_sec = 0.0;
+  EXPECT_NO_THROW(one_coverage_sample.Validate());
+  GsoStudyOptions whole_sky_steps;
+  whole_sky_steps.azimuth_step_deg = 360.0;
+  whole_sky_steps.elevation_step_deg = 90.0;
+  EXPECT_NO_THROW(whole_sky_steps.Validate());
+  FiberStudyOptions fiber_edges;
+  fiber_edges.fiber_radius_km = 0.0;
+  fiber_edges.max_members = 0;
+  EXPECT_NO_THROW(fiber_edges.Validate());
+  TrafficMatrixOptions traffic_edges;
+  traffic_edges.num_pairs = 0;
+  traffic_edges.min_distance_km = 0.0;
+  EXPECT_NO_THROW(traffic_edges.Validate());
 }
 
 }  // namespace

@@ -96,12 +96,13 @@ TEST(NetworkModelTest, IslOnlyModeSkipsRelaysAndAircraft) {
 }
 
 TEST(NetworkModelTest, CapacityOverrides) {
-  NetworkOptions options = FastOptions(ConnectivityMode::kHybrid);
-  options.gt_capacity_gbps = 7.0;
-  options.isl_capacity_gbps = 55.0;
-  const NetworkModel model(Scenario::Starlink(), options, data::AnchorCities());
-  EXPECT_DOUBLE_EQ(model.GtCapacityGbps(), 7.0);
-  EXPECT_DOUBLE_EQ(model.IslCapacityGbps(), 55.0);
+  Scenario scenario = Scenario::Starlink();
+  scenario.radio.capacity_gbps = 7.0;
+  scenario.isl.capacity_gbps = 55.0;
+  const NetworkModel model(scenario, FastOptions(ConnectivityMode::kHybrid),
+                           data::AnchorCities());
+  EXPECT_DOUBLE_EQ(model.scenario().radio.capacity_gbps, 7.0);
+  EXPECT_DOUBLE_EQ(model.scenario().isl.capacity_gbps, 55.0);
   const auto snap = model.BuildSnapshot(0.0);
   EXPECT_DOUBLE_EQ(snap.graph.Edge(snap.radio_edges[0]).capacity, 7.0);
   EXPECT_DOUBLE_EQ(snap.graph.Edge(snap.isl_edges[0]).capacity, 55.0);

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <iterator>
+#include <stdexcept>
+#include <string>
 
 #include "geo/coordinates.hpp"
 #include "orbit/elements.hpp"
@@ -173,6 +178,137 @@ TEST_P(TleFuzzTest, CorruptedLinesThrowOrParseSanely) {
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomCorruptions, TleFuzzTest, ::testing::Range(0, 60));
+
+// Overwrites the 1-indexed columns [first, first + text.size()) of
+// `line` and recomputes its checksum digit, so the edit reaches the
+// field parsers instead of failing the checksum.
+std::string WithField(std::string line, int first, const std::string& text) {
+  line.replace(static_cast<size_t>(first - 1), text.size(), text);
+  line[68] = static_cast<char>('0' + TleChecksum(line));
+  return line;
+}
+
+// std::stod reads "nan" and "inf": a NaN inclination or mean motion
+// fails no `<=` test, an infinite mean motion gives a negative altitude,
+// and casting the catalog field's "1e100" to int is undefined
+// behaviour. Each row keeps a valid checksum.
+TEST(TleTest, RejectsNonFiniteAndOutOfRangeFields) {
+  struct Row {
+    const char* name;
+    int line;  // 1 or 2
+    int first_col;
+    const char* text;
+  };
+  const Row rows[] = {
+      {"inclination nan", 2, 9, "     nan"},
+      {"inclination inf", 2, 9, "     inf"},
+      {"inclination > 180", 2, 9, "190.0000"},
+      {"inclination < 0", 2, 9, "-51.6416"},
+      {"raan nan", 2, 18, "     nan"},
+      {"raan > 360", 2, 18, "400.0000"},
+      {"arg perigee -inf", 2, 35, "    -inf"},
+      {"mean anomaly > 360", 2, 44, "725.0288"},
+      {"mean motion nan", 2, 53, "        nan"},
+      {"mean motion inf", 2, 53, "        inf"},
+      {"mean motion below the surface", 2, 53, "99999999999"},
+      {"mean motion below the field's decimals", 2, 53, "     1e-320"},
+      {"mean motion zero", 2, 53, "0.000000000"},
+      {"catalog 1e100", 2, 3, "1e100"},
+      {"catalog inf", 2, 3, "  inf"},
+      {"catalog fraction", 2, 3, "255.5"},
+      {"catalog negative", 2, 3, "-2554"},
+      {"epoch year nan", 1, 19, "na"},
+      {"epoch year negative", 1, 19, "-1"},
+      {"epoch day nan", 1, 21, "         nan"},
+      {"epoch day inf", 1, 21, "    infinity"},
+  };
+  for (const Row& row : rows) {
+    const std::string l1 =
+        row.line == 1 ? WithField(kIssLine1, row.first_col, row.text) : kIssLine1;
+    const std::string l2 =
+        row.line == 2 ? WithField(kIssLine2, row.first_col, row.text) : kIssLine2;
+    EXPECT_THROW(ParseTle(l1, l2), std::invalid_argument) << row.name;
+  }
+  // The edges of each range still parse.
+  EXPECT_NO_THROW(ParseTle(kIssLine1, WithField(kIssLine2, 9, "180.0000")));
+  EXPECT_NO_THROW(ParseTle(kIssLine1, WithField(kIssLine2, 18, "360.0000")));
+  EXPECT_NO_THROW(ParseTle(kIssLine1, WithField(kIssLine2, 3, "99999")));
+  EXPECT_NO_THROW(ParseTle(kIssLine1, WithField(kIssLine2, 3, "00000")));
+  EXPECT_NO_THROW(ParseTle(kIssLine1, WithField(kIssLine2, 53, " 0.00000001")));
+}
+
+// Seeded mutation fuzz of the field parsers: flip one byte, overwrite
+// bytes with a number-like token, or insert a byte (shifting the rest of
+// the field right by one), always inside a parsed field, then recompute
+// the checksum. Every case must parse to finite, in-range fields or
+// throw std::invalid_argument; the sanitizer builds run it too.
+TEST(TleTest, FieldMutationsParseFiniteOrThrow) {
+  struct Span {
+    int line;
+    int first;
+    int last;
+  };
+  const Span fields[] = {{1, 19, 20}, {1, 21, 32}, {2, 3, 7},   {2, 9, 16},
+                         {2, 18, 25}, {2, 27, 33}, {2, 35, 42}, {2, 44, 51},
+                         {2, 53, 63}};
+  const char* const tokens[] = {"nan", "NAN", "inf", "-inf", "infinity", "1e100",
+                                "1e308", "-1e308", "0x1p9", "1e-320", "-0", "."};
+  const std::string alphabet = "0123456789 +-.eEnNaAiIfFxXp";
+  uint64_t x = 0x9E3779B97F4A7C15ULL;
+  const auto next = [&x] {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    return x;
+  };
+  int parsed = 0;
+  for (int i = 0; i < 4000; ++i) {
+    std::string l1 = kIssLine1;
+    std::string l2 = kIssLine2;
+    const Span& f = fields[next() % std::size(fields)];
+    std::string& line = f.line == 1 ? l1 : l2;
+    const size_t width = static_cast<size_t>(f.last - f.first + 1);
+    const size_t begin = static_cast<size_t>(f.first - 1);
+    const size_t pos = begin + next() % width;
+    switch (next() % 3) {
+      case 0:
+        line[pos] = alphabet[next() % alphabet.size()];
+        break;
+      case 1: {
+        const std::string token = tokens[next() % std::size(tokens)];
+        const size_t start = begin + next() % width;
+        line.replace(start, std::min(token.size(), begin + width - start),
+                     token.substr(0, begin + width - start));
+        break;
+      }
+      default:
+        line.insert(pos, 1, alphabet[next() % alphabet.size()]);
+        line.erase(begin + width, 1);
+        break;
+    }
+    ASSERT_EQ(line.size(), 69u);
+    line[68] = static_cast<char>('0' + TleChecksum(line));
+    try {
+      const Tle tle = ParseTle(l1, l2);
+      ++parsed;
+      for (const double v :
+           {tle.epoch_day, tle.inclination_deg, tle.raan_deg, tle.eccentricity,
+            tle.arg_perigee_deg, tle.mean_anomaly_deg, tle.mean_motion_rev_per_day,
+            tle.AltitudeKm()}) {
+        EXPECT_TRUE(std::isfinite(v)) << l1 << "\n" << l2;
+      }
+      EXPECT_GE(tle.inclination_deg, 0.0) << l2;
+      EXPECT_LE(tle.inclination_deg, 180.0) << l2;
+      EXPECT_GT(tle.AltitudeKm(), 0.0) << l2;
+      EXPECT_GE(tle.catalog_number, 0) << l2;
+    } catch (const std::invalid_argument&) {
+      // Expected for most mutations.
+    }
+  }
+  // Benign mutations (a digit for a digit) must keep parsing, or the fuzz
+  // only exercises the rejection paths.
+  EXPECT_GT(parsed, 100);
+}
 
 TEST(TleTest, FromElementsValidatesCounts) {
   OrbitalShell metadata;
