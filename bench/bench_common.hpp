@@ -39,6 +39,7 @@
 #include "core/network_builder.hpp"
 #include "core/traffic_matrix.hpp"
 #include "data/city_catalog.hpp"
+#include "obs/json.hpp"
 
 namespace leosim::bench {
 
@@ -248,36 +249,53 @@ class BenchSuite {
 
   // Writes the JSON record; returns false (with a stderr note) on I/O error.
   bool WriteJson(const std::string& path) const {
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
+    const auto append_fixed = [](std::string* out, double value) {
+      char buf[64];
+      std::snprintf(buf, sizeof(buf), "%.1f", value);
+      out->append(buf);
+    };
+    std::string out = "{\n  \"suite\": ";
+    obs::AppendJsonString(&out, name_);
+    out += ",\n  \"config\": {";
+    for (size_t i = 0; i < config_.size(); ++i) {
+      out += i == 0 ? "\n    " : ",\n    ";
+      obs::AppendJsonString(&out, config_[i].first);
+      out += ": ";
+      obs::AppendJsonString(&out, config_[i].second);
+    }
+    out += "\n  },\n  \"results\": [";
+    for (size_t i = 0; i < results_.size(); ++i) {
+      const BenchResult& r = results_[i];
+      out += i == 0 ? "\n    { \"name\": " : ",\n    { \"name\": ";
+      obs::AppendJsonString(&out, r.name);
+      out += ", \"reps\": ";
+      obs::AppendInt(&out, r.reps);
+      out += ", \"iters_per_rep\": ";
+      obs::AppendInt(&out, r.iters_per_rep);
+      const std::pair<const char*, double> stats[] = {
+          {"median_ns_per_op", r.median_ns_per_op},
+          {"min_ns_per_op", r.min_ns_per_op},
+          {"max_ns_per_op", r.max_ns_per_op},
+          {"mad_ns_per_op", r.mad_ns_per_op},
+          {"ops_per_sec", r.ops_per_sec}};
+      for (const auto& [key, value] : stats) {
+        out += ", \"";
+        out += key;
+        out += "\": ";
+        append_fixed(&out, value);
+      }
+      out += ", \"samples_ns\": [";
+      for (size_t s = 0; s < r.samples_ns.size(); ++s) {
+        out += s == 0 ? "" : ", ";
+        append_fixed(&out, r.samples_ns[s]);
+      }
+      out += "] }";
+    }
+    out += "\n  ]\n}\n";
+    if (!obs::WriteFile(path, out)) {
       std::fprintf(stderr, "bench: cannot write %s\n", path.c_str());
       return false;
     }
-    std::fprintf(f, "{\n  \"suite\": \"%s\",\n  \"config\": {", name_.c_str());
-    for (size_t i = 0; i < config_.size(); ++i) {
-      std::fprintf(f, "%s\n    \"%s\": \"%s\"", i == 0 ? "" : ",",
-                   config_[i].first.c_str(), config_[i].second.c_str());
-    }
-    std::fprintf(f, "\n  },\n  \"results\": [");
-    for (size_t i = 0; i < results_.size(); ++i) {
-      const BenchResult& r = results_[i];
-      std::fprintf(f,
-                   "%s\n    { \"name\": \"%s\", \"reps\": %d, "
-                   "\"iters_per_rep\": %lld, \"median_ns_per_op\": %.1f, "
-                   "\"min_ns_per_op\": %.1f, \"max_ns_per_op\": %.1f, "
-                   "\"mad_ns_per_op\": %.1f, \"ops_per_sec\": %.1f, "
-                   "\"samples_ns\": [",
-                   i == 0 ? "" : ",", r.name.c_str(), r.reps,
-                   static_cast<long long>(r.iters_per_rep), r.median_ns_per_op,
-                   r.min_ns_per_op, r.max_ns_per_op, r.mad_ns_per_op,
-                   r.ops_per_sec);
-      for (size_t s = 0; s < r.samples_ns.size(); ++s) {
-        std::fprintf(f, "%s%.1f", s == 0 ? "" : ", ", r.samples_ns[s]);
-      }
-      std::fprintf(f, "] }");
-    }
-    std::fprintf(f, "\n  ]\n}\n");
-    std::fclose(f);
     std::printf("# wrote %s\n", path.c_str());
     return true;
   }

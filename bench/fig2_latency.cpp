@@ -3,8 +3,8 @@
 // hybrid Starlink connectivity — plus the headline "+80% median / +422%
 // 95th-percentile variation" statistics.
 #include <cstdio>
-#include <fstream>
 #include <iostream>
+#include <sstream>
 #include <string>
 #include <string_view>
 
@@ -12,6 +12,7 @@
 #include "core/export.hpp"
 #include "core/report.hpp"
 #include "core/stats.hpp"
+#include "obs/json.hpp"
 
 using namespace leosim;
 using namespace leosim::core;
@@ -72,16 +73,24 @@ int Run(int argc, char** argv) {
   const double p95_increase =
       (Percentile(bp_range, 95.0) / std::max(Percentile(hy_range, 95.0), 1e-9) - 1.0) *
       100.0;
+  int csv_rc = 0;
   if (!csv_prefix.empty()) {
     const auto dump = [&](const std::string& name, std::vector<double> values) {
-      std::ofstream file(csv_prefix + "_" + name + ".csv");
-      WriteCdfCsv(file, "rtt_ms", EmpiricalCdf(std::move(values), 200));
+      const std::string path = csv_prefix + "_" + name + ".csv";
+      std::ostringstream csv;
+      WriteCdfCsv(csv, "rtt_ms", EmpiricalCdf(std::move(values), 200));
+      if (!obs::WriteFile(path, csv.str())) {
+        std::fprintf(stderr, "cannot write %s\n", path.c_str());
+        csv_rc = 1;
+      }
     };
     dump("min_bp", bp_min);
     dump("min_hybrid", hy_min);
     dump("range_bp", bp_range);
     dump("range_hybrid", hy_range);
-    std::printf("\nwrote %s_{min,range}_{bp,hybrid}.csv\n", csv_prefix.c_str());
+    if (csv_rc == 0) {
+      std::printf("\nwrote %s_{min,range}_{bp,hybrid}.csv\n", csv_prefix.c_str());
+    }
   }
 
   std::printf("\nRTT-variation increase without ISLs: median %+.0f%% (paper: +80%%), "
@@ -90,7 +99,8 @@ int Run(int argc, char** argv) {
   std::printf("max hybrid range: %.1f ms (paper: <20 ms); max BP range: %.1f ms "
               "(paper: up to 100 ms)\n",
               Percentile(hy_range, 100.0), Percentile(bp_range, 100.0));
-  return bench::WriteObsOutputs(config);
+  const int rc = bench::WriteObsOutputs(config);
+  return csv_rc != 0 ? csv_rc : rc;
 }
 
 int main(int argc, char** argv) {

@@ -20,11 +20,6 @@ int Run(int argc, char** argv) {
   const double hours =
       argc > 3 ? core::ParseDouble("hours", argv[3], 0.01, 8760.0) : 2.0;
 
-  if (!data::HasCity(city_a) || !data::HasCity(city_b)) {
-    std::printf("unknown city; names match data::AnchorCities() entries\n");
-    return 1;
-  }
-
   NetworkOptions bp_options;
   bp_options.mode = ConnectivityMode::kBentPipe;
   bp_options.relay_spacing_deg = 3.0;

@@ -33,6 +33,7 @@
 #include "itur/slant_path.hpp"
 #include "link/visibility.hpp"
 #include "obs/flight.hpp"
+#include "obs/json.hpp"
 
 using namespace leosim;
 
@@ -98,15 +99,6 @@ struct SweepFlags {
   }
 };
 
-int FindCityIndex(const std::vector<data::City>& cities, const std::string& name) {
-  for (int i = 0; i < static_cast<int>(cities.size()); ++i) {
-    if (cities[static_cast<size_t>(i)].name == name) {
-      return i;
-    }
-  }
-  return -1;
-}
-
 int CmdRoute(const std::string& a, const std::string& b, bool bent_pipe) {
   core::NetworkOptions options;
   options.mode =
@@ -114,12 +106,8 @@ int CmdRoute(const std::string& a, const std::string& b, bool bent_pipe) {
   options.relay_spacing_deg = 3.0;
   const core::NetworkModel model(core::Scenario::Starlink(), options,
                                  data::AnchorCities());
-  const int ia = FindCityIndex(model.cities(), a);
-  const int ib = FindCityIndex(model.cities(), b);
-  if (ia < 0 || ib < 0) {
-    std::printf("unknown city (try `leosim_cli cities`)\n");
-    return 1;
-  }
+  const int ia = model.CityIndex(a);
+  const int ib = model.CityIndex(b);
   const auto snap = model.BuildSnapshot(0.0);
   const auto path =
       graph::ShortestPath(snap.graph, snap.CityNode(ia), snap.CityNode(ib));
@@ -145,10 +133,6 @@ int CmdRoute(const std::string& a, const std::string& b, bool bent_pipe) {
 }
 
 int CmdVisible(const std::string& name) {
-  if (!data::HasCity(name)) {
-    std::printf("unknown city\n");
-    return 1;
-  }
   const data::City& city = data::FindCity(name);
   const core::Scenario scenario = core::Scenario::Starlink();
   const auto constellation = orbit::Constellation::WalkerDelta(scenario.shell);
@@ -172,10 +156,6 @@ int CmdVisible(const std::string& name) {
 }
 
 int CmdAttenuation(const std::string& name, double freq) {
-  if (!data::HasCity(name)) {
-    std::printf("unknown city\n");
-    return 1;
-  }
   const data::City& city = data::FindCity(name);
   itur::SlantPathConfig config;
   config.frequency_ghz = freq;
@@ -272,8 +252,8 @@ int CmdStudyLatency(const std::vector<std::string>& args) {
               static_cast<unsigned long long>(summary.pairs_unreachable),
               summary.wall_seconds);
   if (!manifest_out.empty()) {
-    if (!report.WriteManifest(manifest_out)) {
-      std::printf("cannot write %s\n", manifest_out.c_str());
+    if (!obs::WriteFile(manifest_out, report.ToJson())) {
+      std::fprintf(stderr, "cannot write %s\n", manifest_out.c_str());
       return 1;
     }
     std::printf("wrote %s\n", manifest_out.c_str());

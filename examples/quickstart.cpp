@@ -36,17 +36,8 @@ int Run(int argc, char** argv) {
               snap.graph.NumEdges());
 
   // 5. Route between two cities.
-  int idx_a = -1;
-  int idx_b = -1;
-  const auto& cities = model.cities();
-  for (int i = 0; i < static_cast<int>(cities.size()); ++i) {
-    if (cities[static_cast<size_t>(i)].name == city_a) idx_a = i;
-    if (cities[static_cast<size_t>(i)].name == city_b) idx_b = i;
-  }
-  if (idx_a < 0 || idx_b < 0) {
-    std::printf("unknown city; try e.g. Tokyo, Paris, Sydney, Durban\n");
-    return 1;
-  }
+  const int idx_a = model.CityIndex(city_a);
+  const int idx_b = model.CityIndex(city_b);
   const auto path = graph::ShortestPath(snap.graph, snap.CityNode(idx_a),
                                         snap.CityNode(idx_b));
   if (!path.has_value()) {

@@ -18,10 +18,6 @@ int Run(int argc, char** argv) {
   const std::string city = argc > 1 ? argv[1] : "Singapore";
   const double freq =
       argc > 2 ? core::ParseDouble("freq_ghz", argv[2], 1.0, 100.0) : 14.25;
-  if (!data::HasCity(city)) {
-    std::printf("unknown city\n");
-    return 1;
-  }
   const data::City& site = data::FindCity(city);
   itur::SlantPathConfig config;
   config.frequency_ghz = freq;

@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <system_error>
 
+#include "obs/json.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
@@ -104,11 +105,11 @@ void ObsFlags::Apply() const {
 
 int ObsFlags::WriteOutputs(std::string_view note_prefix) const {
   int rc = 0;
-  const auto write = [&](const std::string& path, auto&& writer) {
+  const auto write = [&](const std::string& path, auto&& bytes) {
     if (path.empty()) {
       return;
     }
-    if (writer(path)) {
+    if (obs::WriteFile(path, bytes())) {
       std::printf("%.*swrote %s\n", static_cast<int>(note_prefix.size()),
                   note_prefix.data(), path.c_str());
     } else {
@@ -116,17 +117,13 @@ int ObsFlags::WriteOutputs(std::string_view note_prefix) const {
       rc = 1;
     }
   };
-  write(metrics_out_, [](const std::string& path) {
-    return obs::MetricsRegistry::Global().WriteJson(path);
-  });
-  write(trace_out_,
-        [](const std::string& path) { return obs::WriteTraceJson(path); });
-  write(timeseries_out_, [](const std::string& path) {
-    return obs::TimeseriesRecorder::Global().WriteJson(path);
-  });
-  write(profile_out_, [](const std::string& path) {
+  write(metrics_out_, [] { return obs::MetricsRegistry::Global().ToJson(); });
+  write(trace_out_, [] { return obs::TraceToJson(); });
+  write(timeseries_out_,
+        [] { return obs::TimeseriesRecorder::Global().ToJson(); });
+  write(profile_out_, [] {
     obs::StopProfiling();
-    return obs::WriteCollapsedStacks(path);
+    return obs::CollapsedStacks();
   });
   return rc;
 }

@@ -1,6 +1,5 @@
 #include "core/export.hpp"
 
-#include <cstdio>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -59,39 +58,6 @@ std::string CsvEscape(const std::string& cell) {
       out += "\"\"";
     } else {
       out += c;
-    }
-  }
-  out += '"';
-  return out;
-}
-
-std::string JsonEscape(const std::string& text) {
-  std::string out = "\"";
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char tmp[8];
-          std::snprintf(tmp, sizeof(tmp), "\\u%04x", c);
-          out += tmp;
-        } else {
-          out += c;
-        }
     }
   }
   out += '"';

@@ -31,11 +31,6 @@ class CsvWriter {
 // Escapes one CSV cell per RFC 4180.
 std::string CsvEscape(const std::string& cell);
 
-// Encodes `text` as a JSON string literal, surrounding quotes included.
-// Used by the run-manifest writer (core cannot reuse obs' internal
-// encoder without exposing it; the manifest lives in core).
-std::string JsonEscape(const std::string& text);
-
 // Writes an empirical CDF as (value, cumulative_fraction) rows.
 void WriteCdfCsv(std::ostream& os, const std::string& value_column,
                  const std::vector<std::pair<double, double>>& cdf);

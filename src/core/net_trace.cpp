@@ -6,7 +6,6 @@
 #include <cstdio>
 #include <filesystem>
 #include <functional>
-#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <utility>
@@ -14,8 +13,8 @@
 #include "core/mutex.hpp"
 #include "core/parallel.hpp"
 #include "core/thread_annotations.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
-#include "obs/number_format.hpp"
 #include "obs/schemas.hpp"
 #include "obs/trace.hpp"
 
@@ -27,6 +26,7 @@ using Link = NetTraceRecorder::Link;
 using SlotRecord = NetTraceRecorder::SlotRecord;
 using StudyEvent = NetTraceRecorder::StudyEvent;
 using obs::AppendInt;
+using obs::AppendJsonNumber;
 
 // Recorder state, owned file-locally so the header stays a pure
 // interface. Never destroyed: sweep workers may capture past static
@@ -73,17 +73,6 @@ bool BitsEqual(const geo::Vec3& a, const geo::Vec3& b) {
   return BitsEqual(a.x, b.x) && BitsEqual(a.y, b.y) && BitsEqual(a.z, b.z);
 }
 
-void AppendJsonDouble(std::string* out, double value) {
-  // NaN/Inf are not JSON; mirror the timeseries exporter's null
-  // clamping so one bad value cannot invalidate the whole trace.
-  if (!(value >= -std::numeric_limits<double>::max() &&
-        value <= std::numeric_limits<double>::max())) {
-    out->append("null");
-    return;
-  }
-  obs::AppendG17(out, value);
-}
-
 void AppendVec3Array(std::string* out, const geo::Vec3* begin, size_t count) {
   out->push_back('[');
   for (size_t i = 0; i < count; ++i) {
@@ -91,11 +80,11 @@ void AppendVec3Array(std::string* out, const geo::Vec3* begin, size_t count) {
       out->push_back(',');
     }
     out->push_back('[');
-    AppendJsonDouble(out, begin[i].x);
+    AppendJsonNumber(out, begin[i].x);
     out->push_back(',');
-    AppendJsonDouble(out, begin[i].y);
+    AppendJsonNumber(out, begin[i].y);
     out->push_back(',');
-    AppendJsonDouble(out, begin[i].z);
+    AppendJsonNumber(out, begin[i].z);
     out->push_back(']');
   }
   out->push_back(']');
@@ -118,9 +107,9 @@ void AppendLink(std::string* out, const Link& link, const char* type) {
   out->push_back(',');
   AppendInt(out, link.b);
   out->push_back(',');
-  AppendJsonDouble(out, link.delay_ms);
+  AppendJsonNumber(out, link.delay_ms);
   out->push_back(',');
-  AppendJsonDouble(out, link.capacity_gbps);
+  AppendJsonNumber(out, link.capacity_gbps);
   out->append(",\"");
   out->append(type);
   out->append("\"]");
@@ -132,7 +121,7 @@ void AppendStudyEvent(std::string* out, const StudyEvent& event) {
       out->append("[\"route_change\",");
       AppendInt(out, event.pair);
       out->push_back(',');
-      AppendJsonDouble(out, event.rtt_ms);
+      AppendJsonNumber(out, event.rtt_ms);
       out->push_back(',');
       AppendIntArray(out, event.nodes);
       out->push_back(']');
@@ -141,7 +130,7 @@ void AppendStudyEvent(std::string* out, const StudyEvent& event) {
       out->append("[\"reachable\",");
       AppendInt(out, event.pair);
       out->push_back(',');
-      AppendJsonDouble(out, event.rtt_ms);
+      AppendJsonNumber(out, event.rtt_ms);
       out->push_back(']');
       break;
     case StudyEvent::Kind::kUnreachable:
@@ -320,7 +309,7 @@ void EncodeNetState(const SlotRecord& record, int slot, std::string* out) {
   out->append("\",\"slot\":");
   AppendInt(out, slot);
   out->append(",\"t\":");
-  AppendJsonDouble(out, record.time_sec);
+  AppendJsonNumber(out, record.time_sec);
   out->append(",\"counts\":[");
   AppendInt(out, record.num_sats);
   out->push_back(',');
@@ -345,11 +334,11 @@ void EncodeNetState(const SlotRecord& record, int slot, std::string* out) {
     out->append("[\"");
     out->append(kind);
     out->append("\",");
-    AppendJsonDouble(out, record.node_ecef[n].x);
+    AppendJsonNumber(out, record.node_ecef[n].x);
     out->push_back(',');
-    AppendJsonDouble(out, record.node_ecef[n].y);
+    AppendJsonNumber(out, record.node_ecef[n].y);
     out->push_back(',');
-    AppendJsonDouble(out, record.node_ecef[n].z);
+    AppendJsonNumber(out, record.node_ecef[n].z);
     out->push_back(']');
   }
   out->append("],\"links\":[");
@@ -382,7 +371,7 @@ uint64_t EncodeNetEvents(const std::vector<SlotRecord>& slots, int slot,
   out->append("\",\"slot\":");
   AppendInt(out, slot);
   out->append(",\"t\":");
-  AppendJsonDouble(out, record.time_sec);
+  AppendJsonNumber(out, record.time_sec);
   const bool has_delta = slot > 0 && record.captured &&
                          slots[static_cast<size_t>(slot - 1)].captured;
   diff->Clear();
@@ -416,9 +405,9 @@ uint64_t EncodeNetEvents(const std::vector<SlotRecord>& slots, int slot,
       AppendInt(out, link.b);
       if (with_attrs) {
         out->push_back(',');
-        AppendJsonDouble(out, link.delay_ms);
+        AppendJsonNumber(out, link.delay_ms);
         out->push_back(',');
-        AppendJsonDouble(out, link.capacity_gbps);
+        AppendJsonNumber(out, link.capacity_gbps);
         out->append(",\"");
         out->append(type);
         out->push_back('"');
@@ -444,7 +433,7 @@ uint64_t EncodeNetEvents(const std::vector<SlotRecord>& slots, int slot,
       out->push_back(',');
       AppendInt(out, link.b);
       out->push_back(',');
-      AppendJsonDouble(out, link.delay_ms);
+      AppendJsonNumber(out, link.delay_ms);
       out->push_back(']');
     }
   };

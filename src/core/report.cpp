@@ -5,11 +5,10 @@
 #include <ostream>
 #include <sstream>
 
-#include "core/export.hpp"
 #include "core/parallel.hpp"
+#include "obs/json.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
-#include "obs/number_format.hpp"
 
 namespace leosim::core {
 
@@ -69,42 +68,10 @@ void EmitStudySummary(const StudySummary& summary) {
       .Field("wall_s", summary.wall_seconds);
 }
 
-namespace {
-
-// Unlike the obs exporters, a manifest writes a non-finite value as
-// printf spells it rather than as null.
-std::string JsonDouble(double value) {
-  std::string out;
-  obs::AppendG17(&out, value);
-  return out;
-}
-
-}  // namespace
-
 RunReport::RunReport(std::string run_name) : name_(std::move(run_name)) {}
 
-void RunReport::AddParam(std::string_view key, std::string_view value) {
-  params_.emplace_back(std::string(key), JsonEscape(std::string(value)));
-}
-
-void RunReport::AddParam(std::string_view key, const char* value) {
-  AddParam(key, std::string_view(value));
-}
-
 void RunReport::AddParam(std::string_view key, double value) {
-  params_.emplace_back(std::string(key), JsonDouble(value));
-}
-
-void RunReport::AddParam(std::string_view key, int64_t value) {
-  params_.emplace_back(std::string(key), std::to_string(value));
-}
-
-void RunReport::AddParam(std::string_view key, int value) {
-  AddParam(key, static_cast<int64_t>(value));
-}
-
-void RunReport::AddParam(std::string_view key, bool value) {
-  params_.emplace_back(std::string(key), value ? "true" : "false");
+  params_.emplace_back(std::string(key), value);
 }
 
 void RunReport::AddSummary(const StudySummary& summary) {
@@ -113,23 +80,33 @@ void RunReport::AddSummary(const StudySummary& summary) {
 
 std::string RunReport::ToJson() const {
   std::string out = "{\n  \"run\": ";
-  out += JsonEscape(name_);
-  out += ",\n  \"threads\": " + std::to_string(DefaultWorkerCount());
-  out += ",\n  \"wall_seconds\": " + JsonDouble(timer_.Seconds());
+  obs::AppendJsonString(&out, name_);
+  out += ",\n  \"threads\": ";
+  obs::AppendInt(&out, DefaultWorkerCount());
+  out += ",\n  \"wall_seconds\": ";
+  obs::AppendJsonNumber(&out, timer_.Seconds());
   out += ",\n  \"params\": {";
   for (size_t i = 0; i < params_.size(); ++i) {
     out += (i == 0 ? "\n    " : ",\n    ");
-    out += JsonEscape(params_[i].first) + ": " + params_[i].second;
+    obs::AppendJsonString(&out, params_[i].first);
+    out += ": ";
+    obs::AppendJsonNumber(&out, params_[i].second);
   }
   out += "\n  },\n  \"studies\": [";
   for (size_t i = 0; i < summaries_.size(); ++i) {
     const StudySummary& s = summaries_[i];
     out += (i == 0 ? "\n    " : ",\n    ");
-    out += "{\"study\": " + JsonEscape(s.study);
-    out += ", \"snapshots_built\": " + std::to_string(s.snapshots_built);
-    out += ", \"pairs_routed\": " + std::to_string(s.pairs_routed);
-    out += ", \"pairs_unreachable\": " + std::to_string(s.pairs_unreachable);
-    out += ", \"wall_seconds\": " + JsonDouble(s.wall_seconds) + "}";
+    out += "{\"study\": ";
+    obs::AppendJsonString(&out, s.study);
+    out += ", \"snapshots_built\": ";
+    obs::AppendUint(&out, s.snapshots_built);
+    out += ", \"pairs_routed\": ";
+    obs::AppendUint(&out, s.pairs_routed);
+    out += ", \"pairs_unreachable\": ";
+    obs::AppendUint(&out, s.pairs_unreachable);
+    out += ", \"wall_seconds\": ";
+    obs::AppendJsonNumber(&out, s.wall_seconds);
+    out += "}";
   }
   out += "\n  ],\n  \"metrics\": ";
   // The registry emits a complete JSON object; inline it (trailing
@@ -141,17 +118,6 @@ std::string RunReport::ToJson() const {
   out += metrics;
   out += "\n}\n";
   return out;
-}
-
-bool RunReport::WriteManifest(const std::string& path) const {
-  const std::string json = ToJson();
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return false;
-  }
-  const size_t written = std::fwrite(json.data(), 1, json.size(), f);
-  std::fclose(f);
-  return written == json.size();
 }
 
 }  // namespace leosim::core

@@ -65,31 +65,26 @@ void EmitStudySummary(const StudySummary& summary);
 
 // Run manifest: scenario parameters, effective thread count, wall time,
 // per-study summaries, and a snapshot of the global metrics registry,
-// written as one JSON object. Tools pass the same RunReport through every
-// study they run and write it once at exit.
+// composed as one JSON object. Tools pass the same RunReport through every
+// study they run and write its ToJson() once at exit (obs::WriteFile).
 class RunReport {
  public:
   explicit RunReport(std::string run_name);
 
-  void AddParam(std::string_view key, std::string_view value);
-  void AddParam(std::string_view key, const char* value);
+  // A numeric parameter; an int converts exactly and prints without a
+  // fraction, as %.17g writes it.
   void AddParam(std::string_view key, double value);
-  void AddParam(std::string_view key, int64_t value);
-  void AddParam(std::string_view key, int value);
-  void AddParam(std::string_view key, bool value);
 
   void AddSummary(const StudySummary& summary);
 
   // The manifest JSON, composed at call time (wall_seconds measures from
   // construction to this call; metrics are read live from the registry).
   std::string ToJson() const;
-  bool WriteManifest(const std::string& path) const;
 
  private:
   std::string name_;
   StudyTimer timer_;
-  // Parameter values are stored pre-encoded as JSON literals.
-  std::vector<std::pair<std::string, std::string>> params_;
+  std::vector<std::pair<std::string, double>> params_;
   std::vector<StudySummary> summaries_;
 };
 

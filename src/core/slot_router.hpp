@@ -139,8 +139,8 @@ class SlotPlan {
   // Calls fn(potential) with the slot's A* potential toward `dst` — the
   // landmark bound when the table is built, else the Euclidean latency
   // bound — and returns what fn returns. The potentials are plain
-  // lambdas (not graph::PotentialFn) so they inline into the A* relax
-  // loop; `fn` should be a generic lambda.
+  // lambdas so they inline into the A* relax loop; `fn` should be a
+  // generic lambda.
   template <typename Fn>
   decltype(auto) WithPotential(graph::NodeId dst, const Fn& fn) {
     if (alt_) {

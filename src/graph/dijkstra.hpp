@@ -5,7 +5,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <optional>
 #include <vector>
@@ -24,18 +23,17 @@ struct Path {
   int HopCount() const { return static_cast<int>(edges.size()); }
 };
 
-// Lower bound on the remaining cost from a node to the (implicit) query
-// destination, used by ShortestPathAStar. Must be admissible (never
-// exceed the true remaining cost over enabled edges) and consistent
+// ShortestPathAStar's potential is a callable double(NodeId): a lower
+// bound on the remaining cost from a node to the (implicit) query
+// destination. It must be admissible (never exceed the true remaining
+// cost over enabled edges) and consistent
 // (|potential(u) - potential(v)| <= weight(u, v) for every edge); the
 // straight-line propagation latency to the destination satisfies both
 // for latency-weighted snapshot graphs. For ShortestPathAStar to return
 // exactly ShortestPath's path, not only its distance, the bound must
 // also be strict wherever the remaining cost is positive (see there).
 // ShortestPathAStar is templated on the callable so a plain lambda
-// inlines into the relax loop; this alias is the type-erased fallback
-// for code that must store one.
-using PotentialFn = std::function<double(NodeId)>;
+// inlines into the relax loop.
 
 class DijkstraWorkspace;
 

@@ -1,14 +1,13 @@
 // Laser inter-satellite link parameters (paper §2: 100 Gbps-class laser
-// links forming a +Grid; must stay above the lower atmosphere).
+// links forming a +Grid). No atmosphere-grazing check is made: the lowest
+// ISL chord of the Starlink and Kuiper shells stays 479.55 km and 599.0 km
+// up (orbit::MinIslAltitudeKm; see DESIGN.md §1, row S3).
 #pragma once
 
 namespace leosim::link {
 
 struct IslConfig {
   double capacity_gbps{100.0};
-  // Links whose straight segment dips below this altitude are considered
-  // atmosphere-grazing and rejected.
-  double min_link_altitude_km{80.0};
 };
 
 }  // namespace leosim::link

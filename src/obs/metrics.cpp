@@ -3,9 +3,8 @@
 #include <unistd.h>  // write(): DumpForCrash runs in a signal handler
 
 #include <algorithm>
-#include <cstdio>
 
-#include "obs/number_format.hpp"
+#include "obs/json.hpp"
 
 namespace leosim::obs {
 
@@ -56,46 +55,6 @@ void AtomicMax(std::atomic<double>& target, double value) {
          !target.compare_exchange_weak(current, value,
                                        std::memory_order_relaxed)) {
   }
-}
-
-void AppendJsonString(std::string* out, std::string_view text) {
-  out->push_back('"');
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out->append("\\\"");
-        break;
-      case '\\':
-        out->append("\\\\");
-        break;
-      case '\n':
-        out->append("\\n");
-        break;
-      case '\t':
-        out->append("\\t");
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char tmp[8];
-          std::snprintf(tmp, sizeof(tmp), "\\u%04x", c);
-          out->append(tmp);
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
-
-void AppendJsonDouble(std::string* out, double value) {
-  // Infinities are not JSON; they only appear as min/max of an empty
-  // histogram, exported as null.
-  if (value == std::numeric_limits<double>::infinity() ||
-      value == -std::numeric_limits<double>::infinity()) {
-    out->append("null");
-    return;
-  }
-  AppendG17(out, value);
 }
 
 }  // namespace
@@ -241,7 +200,7 @@ std::string MetricsRegistry::ToJson() const {
     out.append(i == 0 ? "\n    " : ",\n    ");
     AppendJsonString(&out, gauges[i]->name());
     out.append(": ");
-    AppendJsonDouble(&out, gauges[i]->Value());
+    AppendJsonNumber(&out, gauges[i]->Value());
   }
   out.append("\n  },\n  \"histograms\": {");
   for (size_t i = 0; i < histograms.size(); ++i) {
@@ -251,7 +210,7 @@ std::string MetricsRegistry::ToJson() const {
     out.append(": {\n      \"upper_bounds\": [");
     for (size_t b = 0; b < merged.upper_bounds.size(); ++b) {
       if (b > 0) out.append(", ");
-      AppendJsonDouble(&out, merged.upper_bounds[b]);
+      AppendJsonNumber(&out, merged.upper_bounds[b]);
     }
     out.append("],\n      \"counts\": [");
     for (size_t b = 0; b < merged.counts.size(); ++b) {
@@ -261,30 +220,19 @@ std::string MetricsRegistry::ToJson() const {
     out.append("],\n      \"count\": ");
     AppendUint(&out, merged.count);
     out.append(",\n      \"sum\": ");
-    AppendJsonDouble(&out, merged.sum);
+    AppendJsonNumber(&out, merged.sum);
     out.append(",\n      \"min\": ");
-    AppendJsonDouble(&out, merged.count > 0
+    AppendJsonNumber(&out, merged.count > 0
                                ? merged.min
                                : std::numeric_limits<double>::infinity());
     out.append(",\n      \"max\": ");
-    AppendJsonDouble(&out, merged.count > 0
+    AppendJsonNumber(&out, merged.count > 0
                                ? merged.max
                                : -std::numeric_limits<double>::infinity());
     out.append("\n    }");
   }
   out.append("\n  }\n}\n");
   return out;
-}
-
-bool MetricsRegistry::WriteJson(const std::string& path) const {
-  const std::string json = ToJson();
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return false;
-  }
-  const size_t written = std::fwrite(json.data(), 1, json.size(), f);
-  std::fclose(f);
-  return written == json.size();
 }
 
 void MetricsRegistry::DumpForCrash(int fd) const {

@@ -151,7 +151,6 @@ class MetricsRegistry {
   // JSON object {"counters": {...}, "gauges": {...}, "histograms": {...}},
   // metrics sorted by name for diff-stable output.
   std::string ToJson() const;
-  bool WriteJson(const std::string& path) const;
 
   // Zeroes every metric (handles stay valid). Intended for tests and for
   // delimiting phases in long-running tools.

@@ -393,17 +393,6 @@ std::string CollapsedStacks() {
   return out;
 }
 
-bool WriteCollapsedStacks(const std::string& path) {
-  const std::string text = CollapsedStacks();
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return false;
-  }
-  const size_t written = std::fwrite(text.data(), 1, text.size(), f);
-  std::fclose(f);
-  return written == text.size();
-}
-
 void ResetProfile() {
   detail::Sampler& sampler = detail::TheSampler();
   const MutexLock lock(sampler.mutex);

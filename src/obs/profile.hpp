@@ -87,7 +87,6 @@ uint64_t ProfileSamplesTaken();
 // sampled stack, sorted by stack so output is diff-stable. Empty string
 // when nothing was sampled.
 std::string CollapsedStacks();
-bool WriteCollapsedStacks(const std::string& path);
 
 // Discards sampled counts and the samples-taken total.
 void ResetProfile();

@@ -1,15 +1,13 @@
 #include "obs/timeseries.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <limits>
 #include <memory>
 #include <tuple>
 #include <vector>
 
 #include "core/mutex.hpp"
 #include "core/thread_annotations.hpp"
-#include "obs/number_format.hpp"
+#include "obs/json.hpp"
 #include "obs/schemas.hpp"
 
 namespace leosim::obs {
@@ -51,43 +49,6 @@ SampleBuffer& ThreadBuffer() {
     return created;
   }();
   return *buffer;
-}
-
-void AppendJsonString(std::string* out, std::string_view text) {
-  out->push_back('"');
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out->append("\\\"");
-        break;
-      case '\\':
-        out->append("\\\\");
-        break;
-      case '\n':
-        out->append("\\n");
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char tmp[8];
-          std::snprintf(tmp, sizeof(tmp), "\\u%04x", c);
-          out->append(tmp);
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
-
-void AppendJsonDouble(std::string* out, double value) {
-  // NaN/Inf are not JSON; clamp to null so one bad sample cannot
-  // invalidate the whole export.
-  if (!(value >= -std::numeric_limits<double>::max() &&
-        value <= std::numeric_limits<double>::max())) {
-    out->append("null");
-    return;
-  }
-  AppendG17(out, value);
 }
 
 }  // namespace
@@ -161,9 +122,9 @@ std::string TimeseriesRecorder::ToJson() const {
     out.append(": [");
     for (size_t s = i; s < end; ++s) {
       out.append(s == i ? "\n      [" : ",\n      [");
-      AppendJsonDouble(&out, merged[s].t);
+      AppendJsonNumber(&out, merged[s].t);
       out.append(", ");
-      AppendJsonDouble(&out, merged[s].value);
+      AppendJsonNumber(&out, merged[s].value);
       out.push_back(']');
     }
     out.append("\n    ]");
@@ -171,17 +132,6 @@ std::string TimeseriesRecorder::ToJson() const {
   }
   out.append("\n  }\n}\n");
   return out;
-}
-
-bool TimeseriesRecorder::WriteJson(const std::string& path) const {
-  const std::string json = ToJson();
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return false;
-  }
-  const size_t written = std::fwrite(json.data(), 1, json.size(), f);
-  std::fclose(f);
-  return written == json.size();
 }
 
 void TimeseriesRecorder::Reset() {

@@ -73,7 +73,6 @@ class TimeseriesRecorder {
   // "series": {"key": [[t, value], ...], ...}} with keys sorted and each
   // series sorted by (t, value) — deterministic for deterministic inputs.
   std::string ToJson() const;
-  bool WriteJson(const std::string& path) const;
 
   // Discards all recorded samples (buffers stay registered).
   void Reset();

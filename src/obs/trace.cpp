@@ -8,6 +8,7 @@
 
 #include "core/mutex.hpp"
 #include "core/thread_annotations.hpp"
+#include "obs/json.hpp"
 
 namespace leosim::obs {
 
@@ -57,32 +58,6 @@ TraceBuffer& ThreadBuffer() {
     return created;
   }();
   return *buffer;
-}
-
-void AppendJsonString(std::string* out, std::string_view text) {
-  out->push_back('"');
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out->append("\\\"");
-        break;
-      case '\\':
-        out->append("\\\\");
-        break;
-      case '\n':
-        out->append("\\n");
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char tmp[8];
-          std::snprintf(tmp, sizeof(tmp), "\\u%04x", c);
-          out->append(tmp);
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
 }
 
 }  // namespace
@@ -158,7 +133,7 @@ std::string TraceToJson() {
   for (size_t i = 0; i < flat.size(); ++i) {
     out.append(i == 0 ? "\n    " : ",\n    ");
     out.append("{\"name\": ");
-    detail::AppendJsonString(&out, flat[i].event.name);
+    AppendJsonString(&out, flat[i].event.name);
     char tmp[96];
     std::snprintf(tmp, sizeof(tmp),
                   ", \"ph\": \"X\", \"pid\": 1, \"tid\": %d, \"ts\": %.3f, "
@@ -170,17 +145,6 @@ std::string TraceToJson() {
   }
   out.append("\n  ]\n}\n");
   return out;
-}
-
-bool WriteTraceJson(const std::string& path) {
-  const std::string json = TraceToJson();
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return false;
-  }
-  const size_t written = std::fwrite(json.data(), 1, json.size(), f);
-  std::fclose(f);
-  return written == json.size();
 }
 
 void ResetTrace() {

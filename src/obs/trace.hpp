@@ -52,7 +52,6 @@ void EnableTracing(bool enabled);
 // "traceEvents": [...]} with events sorted by (tid, ts) so nesting reads
 // top-down. Timestamps are microseconds since the trace epoch.
 std::string TraceToJson();
-bool WriteTraceJson(const std::string& path);
 
 // Discards all recorded events (buffers stay registered).
 void ResetTrace();

@@ -91,7 +91,6 @@ TEST(RadioTest, DefaultConfigMatchesPaper) {
 TEST(IslTest, DefaultConfigMatchesPaper) {
   const IslConfig config;
   EXPECT_DOUBLE_EQ(config.capacity_gbps, 100.0);
-  EXPECT_DOUBLE_EQ(config.min_link_altitude_km, 80.0);
 }
 
 TEST(GsoTest, ArcPointGeometry) {

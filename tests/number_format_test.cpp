@@ -1,6 +1,7 @@
-// obs/number_format.hpp must write exactly the bytes printf writes, so
-// switching an exporter to it cannot change a single output file.
-#include "obs/number_format.hpp"
+// The number encoders of obs/json.hpp must write exactly the bytes printf
+// writes, so switching an exporter to them cannot change a single output
+// file.
+#include "obs/json.hpp"
 
 #include <gtest/gtest.h>
 

@@ -3,19 +3,26 @@
 // the JSON exports (validated with a strict little scanner so a stray
 // comma or unescaped quote fails here rather than in chrome://tracing).
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <cctype>
 #include <chrono>
 #include <cstddef>
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <limits>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "core/parallel.hpp"
+#include "core/report.hpp"
 #include "obs/flight.hpp"
+#include "obs/json.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
@@ -851,6 +858,130 @@ TEST(ObsFlightTest, CrashDumpWritesSectionsToFd) {
         << dump;
   }
   DisableFlightRecorder();
+}
+
+
+// --- Shared JSON encoder and file writer --------------------------------
+
+std::string JsonNumber(double value) {
+  std::string out;
+  AppendJsonNumber(&out, value);
+  return out;
+}
+
+std::string JsonString(std::string_view text) {
+  std::string out;
+  AppendJsonString(&out, text);
+  return out;
+}
+
+std::string ReadBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+TEST(ObsJsonTest, NumberWritesNullForNonFinite) {
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(JsonNumber(std::numeric_limits<double>::quiet_NaN()), "null");
+  EXPECT_EQ(JsonNumber(-std::numeric_limits<double>::quiet_NaN()), "null");
+  EXPECT_EQ(JsonNumber(inf), "null");
+  EXPECT_EQ(JsonNumber(-inf), "null");
+  EXPECT_EQ(JsonNumber(0.1), "0.10000000000000001");
+  EXPECT_EQ(JsonNumber(-2.0), "-2");
+  EXPECT_EQ(JsonNumber(std::numeric_limits<double>::max()),
+            "1.7976931348623157e+308");
+}
+
+TEST(ObsJsonTest, StringWithControlCharactersStaysValid) {
+  std::string name = "a\"b\\c/";
+  for (char c = 1; c < 0x20; ++c) {
+    name.push_back(c);
+  }
+  name.push_back('\x7f');
+  name += "\xc3\xa9";  // UTF-8 passes through
+  const std::string encoded = JsonString(name);
+  EXPECT_TRUE(JsonScanner(encoded).Valid()) << encoded;
+  EXPECT_TRUE(JsonScanner("{" + encoded + ": 1}").Valid()) << encoded;
+  EXPECT_EQ(JsonString("t\tr\rn\n\x01\x1f"), "\"t\\tr\\rn\\n\\u0001\\u001f\"");
+  EXPECT_EQ(JsonString("q\"s\\"), "\"q\\\"s\\\\\"");
+  EXPECT_EQ(JsonString(std::string_view("\0", 1)), "\"\\u0000\"");
+
+  // The exporters take the same encoder for their names.
+  const MetricsRegistry::ScopedReset reset;
+  MetricsRegistry::Global().GetCounter(name).Increment();
+  const std::string json = MetricsRegistry::Global().ToJson();
+  EXPECT_TRUE(JsonScanner(json).Valid()) << json;
+}
+
+TEST(ObsJsonTest, ExportsWithNonFiniteValuesScanValid) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  {
+    const MetricsRegistry::ScopedReset reset;
+    MetricsRegistry& registry = MetricsRegistry::Global();
+    registry.GetGauge("test.json_nan_gauge").Set(nan);
+    registry.GetGauge("test.json_inf_gauge").Set(-inf);
+    registry.GetHistogram("test.json_inf_hist", {1.0, 2.0}).Observe(inf);
+    const std::string json = registry.ToJson();
+    EXPECT_TRUE(JsonScanner(json).Valid()) << json;
+    EXPECT_NE(json.find("\"test.json_nan_gauge\": null"), std::string::npos);
+    EXPECT_NE(json.find("\"test.json_inf_gauge\": null"), std::string::npos);
+  }
+  {
+    const ScopedTimeseries scoped;
+    TimeseriesRecorder& recorder = TimeseriesRecorder::Global();
+    recorder.Record(nan, "ts.json_nan", nan);
+    recorder.Record(1.0, "ts.json_inf", -inf);
+    const std::string json = recorder.ToJson();
+    EXPECT_TRUE(JsonScanner(json).Valid()) << json;
+    EXPECT_NE(json.find("[null, null]"), std::string::npos) << json;
+    EXPECT_NE(json.find("[1, null]"), std::string::npos) << json;
+  }
+  {
+    core::RunReport report("json\tnon-finite");
+    report.AddParam("nan", nan);
+    report.AddParam("inf", inf);
+    report.AddParam("count", 3);
+    core::StudySummary summary;
+    summary.study = "non-finite";
+    summary.wall_seconds = -inf;
+    report.AddSummary(summary);
+    const std::string json = report.ToJson();
+    EXPECT_TRUE(JsonScanner(json).Valid()) << json;
+    EXPECT_NE(json.find("\"nan\": null"), std::string::npos) << json;
+    EXPECT_NE(json.find("\"inf\": null"), std::string::npos) << json;
+    EXPECT_NE(json.find("\"count\": 3\n"), std::string::npos) << json;
+  }
+}
+
+TEST(ObsJsonTest, WriteFileWritesExactBytes) {
+  const std::string path =
+      testing::TempDir() + "obs_write_file_" + std::to_string(getpid());
+  const char raw[] = "{\"a\": 1}\n\0\xff tail";  // NUL and a non-UTF-8 byte
+  const std::string bytes(raw, sizeof(raw) - 1);
+  ASSERT_TRUE(WriteFile(path, bytes));
+  EXPECT_EQ(ReadBytes(path), bytes);
+  // A second write replaces the file rather than appending.
+  ASSERT_TRUE(WriteFile(path, "x"));
+  EXPECT_EQ(ReadBytes(path), "x");
+  ASSERT_TRUE(WriteFile(path, ""));
+  EXPECT_EQ(ReadBytes(path), "");
+  std::remove(path.c_str());
+}
+
+TEST(ObsJsonTest, WriteFileReportsFailures) {
+  // A directory cannot be opened for writing, nor can a file whose
+  // parent does not exist.
+  EXPECT_FALSE(WriteFile(testing::TempDir(), "x"));
+  EXPECT_FALSE(WriteFile(testing::TempDir() + "obs_no_such_dir_" +
+                             std::to_string(getpid()) + "/x.json",
+                         "x"));
+  // A device that takes the buffered bytes but fails the flush in
+  // fclose: the error surfaces only when the file is closed.
+  if (std::filesystem::exists("/dev/full")) {
+    EXPECT_FALSE(WriteFile("/dev/full", "{}\n"));
+  }
 }
 
 }  // namespace

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
 
+#include "geo/angles.hpp"
 #include "geo/coordinates.hpp"
 #include "orbit/elements.hpp"
 #include "orbit/isl_grid.hpp"
@@ -128,6 +130,12 @@ TEST(IslGridTest, IslsStayAboveAtmosphere) {
   const std::vector<IslEdge> edges = PlusGridIsls(c, 0);
   const double min_alt = MinIslAltitudeKm(c, edges, {0.0, 900.0, 2700.0});
   EXPECT_GT(min_alt, 80.0);
+  // The lowest chord is an intra-plane one, at its midpoint: the figure
+  // DESIGN.md quotes for Starlink.
+  const double intra_plane_chord_km =
+      (geo::kEarthRadiusKm + 550.0) * std::cos(geo::kPi / 22.0) - geo::kEarthRadiusKm;
+  EXPECT_NEAR(min_alt, intra_plane_chord_km, 1e-6);
+  EXPECT_NEAR(min_alt, 479.55, 0.01);
 }
 
 TEST(IslGridTest, IslLengthsReasonable) {

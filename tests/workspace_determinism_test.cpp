@@ -105,7 +105,7 @@ TEST(WorkspaceDeterminismTest, AStarMatchesDijkstraDistance) {
       continue;
     }
     const geo::Vec3 dst_pos = snap.node_ecef[static_cast<size_t>(dst)];
-    const graph::PotentialFn potential = [&snap, &dst_pos](graph::NodeId n) {
+    const auto potential = [&snap, &dst_pos](graph::NodeId n) {
       return (1.0 - 1e-12) *
              link::PropagationLatencyMs(snap.node_ecef[static_cast<size_t>(n)],
                                         dst_pos);

@@ -14,7 +14,8 @@ Each row below is argv -> expected rc plus a stderr substring; rows that
 succeed also check the numbers they print, not only the exit code.
 
 Usage: test_cli_contract.py BINARY...   (leosim_cli, fig5_isl_capacity,
-       micro_core, tle_ingest and weather_planner, matched by file name)
+       micro_core, tle_ingest, weather_planner and fig2_latency, matched
+       by file name)
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from pathlib import Path
 from typing import Callable, Optional
 
 REQUIRED = ("leosim_cli", "fig5_isl_capacity", "micro_core", "tle_ingest",
-            "weather_planner")
+            "weather_planner", "fig2_latency")
 
 # A tiny workload so the rows that run end to end stay fast.
 SMALL = ["--pairs=3", "--snapshots=1", "--spacing=6"]
@@ -72,6 +73,26 @@ def json_file(path: Path) -> Callable[[str], Optional[str]]:
     return check
 
 
+def full_device_rows() -> list[Row]:
+    """A device that accepts the buffered bytes and fails the flush: each
+    output must report the error that fclose returns, not only fopen's
+    and fwrite's."""
+    if not Path("/dev/full").exists():
+        return []
+    full = "cannot write /dev/full"
+    # The profile row runs a study so the profiler has stacks to write;
+    # an empty profile writes no bytes and so cannot fail.
+    study = ["study", "latency", "--pairs=3", "--snapshots=2"]
+    return [
+        Row("leosim_cli", ["cities", "Paris", "--metrics-out=/dev/full"], 1, full),
+        Row("leosim_cli", ["cities", "Paris", "--trace-out=/dev/full"], 1, full),
+        Row("leosim_cli", ["cities", "Paris", "--timeseries-out=/dev/full"], 1,
+            full),
+        Row("leosim_cli", [*study, "--profile-out=/dev/full"], 1, full),
+        Row("leosim_cli", [*study, "--manifest-out=/dev/full"], 1, full),
+    ]
+
+
 def rows(tmp: Path) -> list[Row]:
     short_tle = tmp / "short.tle"
     short_tle.write_text("SAT\n1 25544U\n2 25544\n")
@@ -110,11 +131,21 @@ def rows(tmp: Path) -> list[Row]:
             "route: unknown flag --bogus"),
         Row("leosim_cli", ["visible", "Paris", "extra"], 2,
             "unexpected argument extra"),
+        # An unknown city name is bad input, not a failed write.
+        Row("leosim_cli", ["route", "Atlantis", "London"], 2, "Atlantis"),
+        Row("leosim_cli", ["route", "Paris", "Atlantis", "--bp"], 2, "Atlantis"),
+        Row("leosim_cli", ["visible", "Atlantis"], 2, "unknown city: Atlantis"),
+        Row("leosim_cli", ["attenuation", "Atlantis"], 2,
+            "unknown city: Atlantis"),
+        Row("weather_planner", ["Atlantis"], 2, "unknown city: Atlantis"),
         # Unwritable outputs exit 1.
         Row("fig5_isl_capacity", [*SMALL, "--metrics-out=/nonexistent/x.json"],
             1, "cannot write /nonexistent/x.json"),
         Row("leosim_cli", ["pairs", "2", "--metrics-out=/nonexistent/x.json"],
             1, "cannot write /nonexistent/x.json"),
+        Row("fig2_latency", [*SMALL, "--csv=/nonexistent/x"], 1,
+            "cannot write /nonexistent/x_min_bp.csv"),
+        *full_device_rows(),
         # Good input: the numbers asked for come out.
         Row("leosim_cli", ["study", "latency", "--pairs=3", "--snapshots=2"], 0,
             stdout=contains("latency study: 3 pairs x 2 snapshots")),
