@@ -30,7 +30,6 @@
 #include "flow/flow_network.hpp"
 #include "flow/maxmin.hpp"
 #include "geo/geodesic.hpp"
-#include "geo/soa.hpp"
 #include "graph/dijkstra.hpp"
 #include "graph/disjoint_paths.hpp"
 #include "graph/landmarks.hpp"
@@ -136,20 +135,16 @@ int Run(int argc, char** argv) {
     });
   }
 
-  // 1c. SoA batch propagation (DESIGN.md §7): the whole constellation
-  //     through PropagateBatch + EciToEcefBatch + PackInto — the
-  //     geometry front half of snapshot_build/snapshot_rebuild_ws in
-  //     isolation, bit-identical to the scalar path by contract.
+  // 1c. Propagation alone: the whole constellation through
+  //     PositionsEcefInto into a reused buffer — the geometry front half
+  //     of snapshot_build/snapshot_rebuild_ws in isolation.
   {
-    geo::Soa3 soa;
     std::vector<geo::Vec3> ecef;
     double t = 0.0;
-    suite.Run("propagate_batch", 7, 16, [&] {
+    suite.Run("propagate", 7, 16, [&] {
       for (int i = 0; i < 16; ++i) {
         t += 10.0;
-        hybrid.constellation().PropagateBatch(t, &soa);
-        geo::EciToEcefBatch(t, &soa);
-        geo::PackInto(soa, &ecef);
+        hybrid.constellation().PositionsEcefInto(t, &ecef);
       }
     });
     std::printf("# propagate checksum: %.3f km (|sat 0|)\n", ecef[0].Norm());

@@ -221,17 +221,8 @@ int CmdStudyLatency(const std::vector<std::string>& args) {
   const core::LatencyStudyResult result =
       core::RunLatencyStudy(bent_pipe, hybrid, pairs, sweep.Schedule());
 
-  core::StudySummary summary;
-  summary.study = "latency";
-  summary.snapshots_built = 2 * static_cast<uint64_t>(result.snapshot_times.size());
-  for (const std::vector<core::PairRttSeries>* series :
-       {&result.bp, &result.hybrid}) {
-    for (const core::PairRttSeries& s : *series) {
-      const uint64_t unreachable = static_cast<uint64_t>(s.UnreachableCount());
-      summary.pairs_unreachable += unreachable;
-      summary.pairs_routed += s.rtt_ms.size() - unreachable;
-    }
-  }
+  // The study's own counts; the wall time also covers the model builds.
+  core::StudySummary summary = result.summary;
   summary.wall_seconds = timer.Seconds();
   report.AddSummary(summary);
 

@@ -18,6 +18,18 @@ void CoverageStudyOptions::Validate() const {
         "coverage options: need a finite duration_sec >= 0 and a finite "
         "step_sec > 0 that advances past it");
   }
+  for (const double lat : latitudes_deg) {
+    if (!(lat >= -90.0 && lat <= 90.0)) {
+      throw std::invalid_argument(
+          "coverage options: every latitude must lie in [-90, 90]");
+    }
+  }
+  if (!std::isfinite(longitude_deg)) {
+    throw std::invalid_argument("coverage options: longitude_deg must be finite");
+  }
+  if (min_satellites < 0) {
+    throw std::invalid_argument("coverage options: min_satellites must be >= 0");
+  }
 }
 
 std::vector<CoverageRow> RunCoverageStudy(const Scenario& scenario,

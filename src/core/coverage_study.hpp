@@ -18,9 +18,10 @@ struct CoverageStudyOptions {
   double step_sec{60.0};
   int min_satellites{1};
 
-  // Throws std::invalid_argument unless duration_sec is finite and >= 0
-  // and step_sec is finite, > 0 and advances t at duration_sec.
-  // RunCoverageStudy calls it.
+  // Throws std::invalid_argument unless duration_sec is finite and >= 0,
+  // step_sec is finite, > 0 and advances t at duration_sec, every
+  // latitude lies in [-90, 90], longitude_deg is finite and
+  // min_satellites >= 0. RunCoverageStudy calls it.
   void Validate() const;
 };
 

@@ -29,6 +29,13 @@ HandoverStats RunHandoverStudy(const Scenario& scenario,
                                const geo::GeodeticCoord& terminal,
                                const HandoverStudyOptions& options) {
   options.Validate();
+  if (!(terminal.latitude_deg >= -90.0 && terminal.latitude_deg <= 90.0 &&
+        std::isfinite(terminal.longitude_deg) &&
+        std::isfinite(terminal.altitude_km))) {
+    throw std::invalid_argument(
+        "handover study: the terminal needs a latitude in [-90, 90] and a "
+        "finite longitude and altitude");
+  }
   const StudyTimer timer;
   const orbit::Constellation constellation =
       orbit::Constellation::WalkerDelta(scenario.shell);

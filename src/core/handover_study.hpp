@@ -36,6 +36,9 @@ struct HandoverStats {
   double outage_fraction{0.0};
 };
 
+// Throws std::invalid_argument when `options` fails Validate or the
+// terminal's latitude is outside [-90, 90] or any of its fields is not
+// finite.
 HandoverStats RunHandoverStudy(const Scenario& scenario,
                                const geo::GeodeticCoord& terminal,
                                const HandoverStudyOptions& options);

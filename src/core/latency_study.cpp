@@ -244,7 +244,7 @@ LatencyStudyResult RunLatencyStudy(const NetworkModel& bp_model,
   RecordLatencyTimeseries("latency.hybrid", result.snapshot_times,
                           result.hybrid);
   RecordReachabilityTransitions(result.hybrid);
-  StudySummary summary;
+  StudySummary& summary = result.summary;
   summary.study = "latency";
   summary.snapshots_built = result.snapshot_times.size();
   for (const std::vector<PairRttSeries>* series : {&result.bp, &result.hybrid}) {

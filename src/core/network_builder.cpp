@@ -153,12 +153,7 @@ NetworkModel::Snapshot& NetworkModel::BuildSnapshot(
   {
     const obs::Span span("snapshot.propagate", &metrics.propagate_us,
                          &propagate_us);
-    // Batch propagation into the SoA block, frame rotation applied
-    // array-wise, then one pack into the Vec3 copy the downstream
-    // pipeline reads. Bit-identical to PositionsEcefInto (see soa.hpp).
-    constellation_.PropagateBatch(time_sec, &workspace->sat_soa);
-    geo::EciToEcefBatch(time_sec, &workspace->sat_soa);
-    geo::PackInto(workspace->sat_soa, &workspace->sat_ecef);
+    constellation_.PositionsEcefInto(time_sec, &workspace->sat_ecef);
 
     snap.aircraft_coords.clear();
     if (air_.has_value()) {
@@ -190,7 +185,7 @@ NetworkModel::Snapshot& NetworkModel::BuildSnapshot(
     }
     const double coverage =
         geo::CoverageRadiusKm(max_altitude, scenario_.radio.min_elevation_deg);
-    workspace->sat_index.Rebuild(workspace->sat_soa, coverage + 100.0);
+    workspace->sat_index.Rebuild(workspace->sat_ecef, coverage + 100.0);
   }
 
   const double gt_capacity = scenario_.radio.capacity_gbps;

@@ -22,7 +22,6 @@
 #include "air/traffic_model.hpp"
 #include "core/scenario.hpp"
 #include "data/cities.hpp"
-#include "geo/soa.hpp"
 #include "geo/vec3.hpp"
 #include "graph/graph.hpp"
 #include "link/visibility.hpp"
@@ -113,11 +112,7 @@ class NetworkModel {
       double latency_ms;
     };
     Snapshot snapshot;
-    // SoA satellite-state block (see geo/soa.hpp): PropagateBatch fills
-    // it with inertial positions, EciToEcefBatch rotates it in place, and
-    // sat_ecef is the packed Vec3 copy the rest of the pipeline consumes.
-    geo::Soa3 sat_soa;
-    std::vector<geo::Vec3> sat_ecef;
+    std::vector<geo::Vec3> sat_ecef;  // PositionsEcefInto, reused per slot
     link::SatelliteIndex sat_index;
     std::vector<int> visible;                  // per-terminal query buffer
     std::vector<double> visible_range_km;      // slant ranges, parallel

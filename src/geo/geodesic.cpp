@@ -64,8 +64,6 @@ GeodeticCoord DestinationPoint(const GeodeticCoord& start, double bearing_deg,
   return {RadToDeg(lat2), WrapLongitudeDeg(RadToDeg(lon2)), start.altitude_km};
 }
 
-double SlantRangeKm(const Vec3& a, const Vec3& b) { return a.DistanceTo(b); }
-
 double ElevationAngleDeg(const Vec3& observer, const Vec3& target) {
   const Vec3 up = observer.Normalized();
   const Vec3 to_target = target - observer;

@@ -25,9 +25,6 @@ GeodeticCoord IntermediatePoint(const GeodeticCoord& a, const GeodeticCoord& b,
 GeodeticCoord DestinationPoint(const GeodeticCoord& start, double bearing_deg,
                                double distance_km);
 
-// Straight-line (through-space) distance between two ECEF positions, km.
-double SlantRangeKm(const Vec3& a, const Vec3& b);
-
 // Elevation angle of `target` as seen from `observer` (both ECEF, km),
 // degrees above the local horizontal; negative when below the horizon.
 double ElevationAngleDeg(const Vec3& observer, const Vec3& target);

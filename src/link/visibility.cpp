@@ -48,19 +48,11 @@ bool AboveSinThreshold(const geo::Vec3& ground_ecef, const geo::Vec3& sat_ecef,
   return ground_ecef.Dot(to_sat) >= threshold * to_sat.Norm();
 }
 
-}  // namespace
-
-bool IsVisible(const geo::Vec3& ground_ecef, const geo::Vec3& sat_ecef,
-               double min_elevation_deg) {
-  return AboveSinThreshold(ground_ecef, sat_ecef,
-                           SinThreshold(ground_ecef, min_elevation_deg));
-}
-
-double ElevationSinThreshold(const geo::Vec3& ground_ecef,
-                             double min_elevation_deg) {
-  return SinThreshold(ground_ecef, min_elevation_deg);
-}
-
+// The elevation test over a candidate list: applies exactly the
+// AboveSinThreshold chain to each candidate id in order, compacting
+// passing ids into `out_sats` (which may alias `candidates`) and, when
+// `out_ranges` is not null, each passing candidate's slant range
+// |sat - ground| (km) into it. Returns the passing count.
 size_t ElevationTestBatch(const geo::Vec3& ground_ecef, double threshold,
                           const geo::Vec3* sat_ecef, const int* candidates,
                           size_t num_candidates, int* out_sats,
@@ -85,10 +77,20 @@ size_t ElevationTestBatch(const geo::Vec3& ground_ecef, double threshold,
     const double dot = gx * dx + gy * dy + gz * dz;
     const double dn = std::sqrt(dx * dx + dy * dy + dz * dz);
     out_sats[n_out] = sat;
-    out_ranges[n_out] = dn;
+    if (out_ranges != nullptr) {
+      out_ranges[n_out] = dn;
+    }
     n_out += (dot >= threshold * dn) ? 1 : 0;
   }
   return n_out;
+}
+
+}  // namespace
+
+bool IsVisible(const geo::Vec3& ground_ecef, const geo::Vec3& sat_ecef,
+               double min_elevation_deg) {
+  return AboveSinThreshold(ground_ecef, sat_ecef,
+                           SinThreshold(ground_ecef, min_elevation_deg));
 }
 
 std::vector<int> VisibleSatellitesBruteForce(const geo::Vec3& ground_ecef,
@@ -112,16 +114,6 @@ SatelliteIndex::SatelliteIndex(const std::vector<geo::Vec3>& sat_ecef,
 void SatelliteIndex::Rebuild(const std::vector<geo::Vec3>& sat_ecef,
                              double coverage_radius_km) {
   sat_ecef_.assign(sat_ecef.begin(), sat_ecef.end());
-  RebuildCells(coverage_radius_km);
-}
-
-void SatelliteIndex::Rebuild(const geo::Soa3& sat_soa,
-                             double coverage_radius_km) {
-  geo::PackInto(sat_soa, &sat_ecef_);
-  RebuildCells(coverage_radius_km);
-}
-
-void SatelliteIndex::RebuildCells(double coverage_radius_km) {
   radius_deg_ = geo::RadToDeg(coverage_radius_km / geo::kEarthRadiusKm);
   sin_radius_ = std::sin(geo::DegToRad(radius_deg_));
   // Half-radius cells: the scanned cell block is the coverage cap's
@@ -174,15 +166,12 @@ std::vector<int> SatelliteIndex::Visible(const geo::Vec3& ground_ecef,
   return visible;
 }
 
-void SatelliteIndex::VisibleInto(const geo::Vec3& ground_ecef,
-                                 double min_elevation_deg,
-                                 std::vector<int>* out) const {
-  out->clear();
+void SatelliteIndex::GatherCandidates(const geo::Vec3& ground_ecef,
+                                      std::vector<int>* out) const {
   if (sat_ecef_.empty()) {
     return;
   }
   const LatLonDeg g = SphericalLatLonDeg(ground_ecef);
-  const double threshold = SinThreshold(ground_ecef, min_elevation_deg);
   const int centre_li =
       std::clamp(static_cast<int>((g.lat + 90.0) / cell_deg_), 0, lat_cells_ - 1);
   // Longitude half-width of the coverage cap's bounding box: a spherical
@@ -199,37 +188,34 @@ void SatelliteIndex::VisibleInto(const geo::Vec3& ground_ecef,
     lon_span = static_cast<int>(std::ceil(lon_radius_deg / cell_deg_));
   }
   const int centre_wi = static_cast<int>((g.lon + 180.0) / cell_deg_);
-  const int lo = centre_wi - lon_span;
-  const int hi = centre_wi + lon_span;
-  for (int dli = -lat_span_; dli <= lat_span_; ++dli) {
-    const int li = centre_li + dli;
-    if (li < 0 || li >= lat_cells_) {
-      continue;
-    }
+  int lo = centre_wi - lon_span;
+  int hi = centre_wi + lon_span;
+  if (hi - lo + 1 >= lon_cells_) {
+    // The box covers the whole ring: scan each cell once, from 0.
+    lo = 0;
+    hi = lon_cells_ - 1;
+  }
+  for (int li = std::max(centre_li - lat_span_, 0);
+       li <= std::min(centre_li + lat_span_, lat_cells_ - 1); ++li) {
     const int row_base = li * lon_cells_;
-    const auto scan_cell = [&](int cell) {
-      const size_t begin = static_cast<size_t>(cell_offsets_[static_cast<size_t>(cell)]);
-      const size_t end =
-          static_cast<size_t>(cell_offsets_[static_cast<size_t>(cell) + 1]);
-      for (size_t k = begin; k < end; ++k) {
-        const int sat = cell_sats_[k];
-        if (AboveSinThreshold(ground_ecef, sat_ecef_[static_cast<size_t>(sat)],
-                              threshold)) {
-          out->push_back(sat);
-        }
-      }
-    };
-    if (hi - lo + 1 >= lon_cells_) {
-      for (int wi = 0; wi < lon_cells_; ++wi) {
-        scan_cell(row_base + wi);
-      }
-    } else {
-      for (int raw = lo; raw <= hi; ++raw) {
-        const int wi = ((raw % lon_cells_) + lon_cells_) % lon_cells_;
-        scan_cell(row_base + wi);
-      }
+    for (int raw = lo; raw <= hi; ++raw) {
+      const size_t cell =
+          static_cast<size_t>(row_base + ((raw % lon_cells_) + lon_cells_) % lon_cells_);
+      out->insert(out->end(), cell_sats_.begin() + cell_offsets_[cell],
+                  cell_sats_.begin() + cell_offsets_[cell + 1]);
     }
   }
+}
+
+void SatelliteIndex::VisibleInto(const geo::Vec3& ground_ecef,
+                                 double min_elevation_deg,
+                                 std::vector<int>* out) const {
+  out->clear();
+  GatherCandidates(ground_ecef, out);
+  const size_t visible = ElevationTestBatch(
+      ground_ecef, SinThreshold(ground_ecef, min_elevation_deg), sat_ecef_.data(),
+      out->data(), out->size(), out->data(), nullptr);
+  out->resize(visible);
   std::sort(out->begin(), out->end());
 }
 
@@ -238,59 +224,11 @@ void SatelliteIndex::VisibleWithRangeInto(const geo::Vec3& ground_ecef,
                                           std::vector<int>* out,
                                           std::vector<double>* ranges) const {
   out->clear();
-  ranges->clear();
-  if (sat_ecef_.empty()) {
-    return;
-  }
-  const LatLonDeg g = SphericalLatLonDeg(ground_ecef);
-  const double threshold = SinThreshold(ground_ecef, min_elevation_deg);
-  const int centre_li =
-      std::clamp(static_cast<int>((g.lat + 90.0) / cell_deg_), 0, lat_cells_ - 1);
-  // Same cap bounding box as VisibleInto (see the comment there).
-  const double cos_lat = std::cos(geo::DegToRad(g.lat));
-  int lon_span;
-  if (sin_radius_ >= cos_lat) {
-    lon_span = lon_cells_;
-  } else {
-    const double lon_radius_deg = geo::RadToDeg(std::asin(sin_radius_ / cos_lat));
-    lon_span = static_cast<int>(std::ceil(lon_radius_deg / cell_deg_));
-  }
-  const int centre_wi = static_cast<int>((g.lon + 180.0) / cell_deg_);
-  const int lo = centre_wi - lon_span;
-  const int hi = centre_wi + lon_span;
-  // Pass 1: gather candidate ids from the cap's cell block, untested
-  // (each satellite lives in exactly one cell, so no duplicates).
-  for (int dli = -lat_span_; dli <= lat_span_; ++dli) {
-    const int li = centre_li + dli;
-    if (li < 0 || li >= lat_cells_) {
-      continue;
-    }
-    const int row_base = li * lon_cells_;
-    const auto gather_cell = [&](int cell) {
-      const size_t begin = static_cast<size_t>(cell_offsets_[static_cast<size_t>(cell)]);
-      const size_t end =
-          static_cast<size_t>(cell_offsets_[static_cast<size_t>(cell) + 1]);
-      for (size_t k = begin; k < end; ++k) {
-        out->push_back(cell_sats_[k]);
-      }
-    };
-    if (hi - lo + 1 >= lon_cells_) {
-      for (int wi = 0; wi < lon_cells_; ++wi) {
-        gather_cell(row_base + wi);
-      }
-    } else {
-      for (int raw = lo; raw <= hi; ++raw) {
-        const int wi = ((raw % lon_cells_) + lon_cells_) % lon_cells_;
-        gather_cell(row_base + wi);
-      }
-    }
-  }
-  // Pass 2: one contiguous batch test over the candidates, compacting the
-  // id list in place and emitting each survivor's slant range.
+  GatherCandidates(ground_ecef, out);
   ranges->resize(out->size());
-  const size_t visible =
-      ElevationTestBatch(ground_ecef, threshold, sat_ecef_.data(), out->data(),
-                         out->size(), out->data(), ranges->data());
+  const size_t visible = ElevationTestBatch(
+      ground_ecef, SinThreshold(ground_ecef, min_elevation_deg), sat_ecef_.data(),
+      out->data(), out->size(), out->data(), ranges->data());
   out->resize(visible);
   ranges->resize(visible);
 }

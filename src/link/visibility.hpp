@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "geo/coordinates.hpp"
-#include "geo/soa.hpp"
 #include "geo/vec3.hpp"
 
 namespace leosim::link {
@@ -26,25 +25,6 @@ namespace leosim::link {
 // `min_elevation_deg`.
 bool IsVisible(const geo::Vec3& ground_ecef, const geo::Vec3& sat_ecef,
                double min_elevation_deg);
-
-// The hoisted per-query constant of the sine-form elevation test:
-// sin(min_el) * |ground|. Identical to the value every scalar visibility
-// check computes internally; exposed for the batch kernel below.
-double ElevationSinThreshold(const geo::Vec3& ground_ecef,
-                             double min_elevation_deg);
-
-// Batch sine-form elevation test over a candidate list: applies exactly
-// the scalar test's arithmetic chain to each candidate id in order,
-// compacting passing ids into `out_sats` and each passing candidate's
-// slant range |sat - ground| (km) into `out_ranges`. Both output arrays
-// need capacity for `num_candidates` entries; `out_sats` may alias
-// `candidates` (in-place compaction). Returns the passing count. The
-// range output is bit-identical to ground.DistanceTo(sat), so callers
-// derive link latency without recomputing the norm.
-size_t ElevationTestBatch(const geo::Vec3& ground_ecef, double threshold,
-                          const geo::Vec3* sat_ecef, const int* candidates,
-                          size_t num_candidates, int* out_sats,
-                          double* out_ranges);
 
 // Brute-force visible set; mostly for tests and small inputs.
 std::vector<int> VisibleSatellitesBruteForce(const geo::Vec3& ground_ecef,
@@ -65,11 +45,6 @@ class SatelliteIndex {
   // (no allocation once capacities have warmed up).
   void Rebuild(const std::vector<geo::Vec3>& sat_ecef, double coverage_radius_km);
 
-  // As Rebuild, reading positions straight from the propagation SoA block
-  // (same binning chain in the same satellite order, so the resulting
-  // index is identical to packing first and calling the Vec3 overload).
-  void Rebuild(const geo::Soa3& sat_soa, double coverage_radius_km);
-
   // Satellites visible from the terminal at `ground_ecef` at or above
   // `min_elevation_deg`, ascending by satellite id. Exact (the cell scan
   // over-approximates, then each candidate is elevation-checked).
@@ -80,23 +55,21 @@ class SatelliteIndex {
   void VisibleInto(const geo::Vec3& ground_ecef, double min_elevation_deg,
                    std::vector<int>* out) const;
 
-  // Visibility fused with slant-range output for the snapshot builder:
-  // gathers the cap's cell-scan candidates, then runs ElevationTestBatch
-  // over them, leaving passing satellites in `*out` and their ranges
-  // |sat - ground| (km) in `*ranges` (parallel arrays). The visible SET
-  // matches VisibleInto exactly, but in deterministic cell-scan order
-  // rather than ascending by id — the builder's satellite-major counting
-  // sort is insensitive to per-terminal candidate order (stability keys
-  // on the caller's terminal loop), and skipping the per-query sort keeps
-  // the query linear in the candidate count.
+  // As VisibleInto, also writing each visible satellite's slant range
+  // |sat - ground| (km) into `*ranges` (parallel to `*out`). The visible
+  // SET matches VisibleInto exactly, but in deterministic cell-scan order
+  // rather than ascending by id — the snapshot builder's satellite-major
+  // counting sort is insensitive to per-terminal candidate order
+  // (stability keys on the caller's terminal loop), so it skips the sort.
   void VisibleWithRangeInto(const geo::Vec3& ground_ecef,
                             double min_elevation_deg, std::vector<int>* out,
                             std::vector<double>* ranges) const;
 
  private:
-  // Shared tail of both Rebuild overloads: bins the already-copied
-  // sat_ecef_ snapshot into the CSR cell buckets.
-  void RebuildCells(double coverage_radius_km);
+  // Appends to `*out` every satellite binned in the cells of the coverage
+  // cap's bounding box around the terminal (a superset of the visible
+  // set; each satellite lives in exactly one cell, so no duplicates).
+  void GatherCandidates(const geo::Vec3& ground_ecef, std::vector<int>* out) const;
 
   std::vector<geo::Vec3> sat_ecef_;  // copied; the index owns its snapshot
   double cell_deg_{1.0};

@@ -52,10 +52,6 @@ int64_t ProgressIntervalNs() {
 
 }  // namespace
 
-double ProgressIntervalSeconds() {
-  return static_cast<double>(ProgressIntervalNs()) * 1e-9;
-}
-
 bool ProgressEnabled() { return ProgressIntervalNs() > 0; }
 
 void SetProgressInterval(double seconds) {

@@ -31,8 +31,7 @@ namespace leosim::obs {
 
 inline constexpr double kDefaultProgressIntervalSec = 2.0;
 
-// Heartbeat period in seconds; <= 0 means progress reporting is off.
-double ProgressIntervalSeconds();
+// True when the heartbeat period is > 0 (progress reporting is on).
 bool ProgressEnabled();
 // Overrides the interval (and wins over LEOSIM_PROGRESS); pass <= 0 to
 // switch progress off.

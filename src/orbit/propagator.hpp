@@ -34,19 +34,6 @@ class CircularOrbit {
   // Position in the rotating Earth-fixed frame, km.
   geo::Vec3 PositionEcef(double seconds_since_epoch) const;
 
-  // Constant orbit basis, exposed so Constellation::PropagateBatch can
-  // hoist the per-shell values out of its satellite loop while reusing
-  // exactly the trig computed at construction (bit-identity requires the
-  // batch path to read these, not recompute them).
-  double radius_km() const { return radius_km_; }
-  double mean_motion_rad_s() const { return mean_motion_rad_s_; }
-  double raan_drift_rad_s() const { return raan_drift_rad_s_; }
-  double u0_rad() const { return u0_rad_; }
-  double cos_raan0() const { return cos_raan0_; }
-  double sin_raan0() const { return sin_raan0_; }
-  double cos_inc() const { return cos_inc_; }
-  double sin_inc() const { return sin_inc_; }
-
  private:
   CircularOrbitElements elements_;
   double radius_km_;

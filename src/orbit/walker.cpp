@@ -28,7 +28,6 @@ Constellation Constellation::FromElements(
   for (const CircularOrbitElements& e : elements) {
     c.orbits_.emplace_back(e);
   }
-  c.AppendShellBasis(0);
   return c;
 }
 
@@ -55,43 +54,7 @@ int Constellation::AddShell(const OrbitalShell& shell) {
       orbits_.emplace_back(elements);
     }
   }
-  AppendShellBasis(start);
   return start;
-}
-
-void Constellation::AppendShellBasis(int begin) {
-  const int end = NumSatellites();
-  ShellBasis basis;
-  basis.begin = begin;
-  basis.end = end;
-  sat_u0_rad_.reserve(end);
-  sat_cos_raan0_.reserve(end);
-  sat_sin_raan0_.reserve(end);
-  for (int i = begin; i < end; ++i) {
-    const CircularOrbit& o = orbits_[i];
-    sat_u0_rad_.push_back(o.u0_rad());
-    sat_cos_raan0_.push_back(o.cos_raan0());
-    sat_sin_raan0_.push_back(o.sin_raan0());
-  }
-  if (begin < end) {
-    const CircularOrbit& first = orbits_[begin];
-    basis.radius_km = first.radius_km();
-    basis.mean_motion_rad_s = first.mean_motion_rad_s();
-    basis.cos_inc = first.cos_inc();
-    basis.sin_inc = first.sin_inc();
-    basis.uniform = true;
-    for (int i = begin; i < end; ++i) {
-      const CircularOrbit& o = orbits_[i];
-      if (o.radius_km() != basis.radius_km ||
-          o.mean_motion_rad_s() != basis.mean_motion_rad_s ||
-          o.cos_inc() != basis.cos_inc || o.sin_inc() != basis.sin_inc ||
-          o.raan_drift_rad_s() != 0.0) {
-        basis.uniform = false;
-        break;
-      }
-    }
-  }
-  shell_basis_.push_back(basis);
 }
 
 SatelliteId Constellation::IdOf(int sat_index) const {
@@ -134,41 +97,6 @@ void Constellation::PositionsEcefInto(double seconds_since_epoch,
   for (const CircularOrbit& orbit : orbits_) {
     const geo::Vec3 eci = orbit.PositionEci(seconds_since_epoch);
     out->push_back({c * eci.x + s * eci.y, -s * eci.x + c * eci.y, eci.z});
-  }
-}
-
-void Constellation::PropagateBatch(double seconds_since_epoch,
-                                   geo::Soa3* eci) const {
-  eci->Resize(orbits_.size());
-  double* px = eci->x.data();
-  double* py = eci->y.data();
-  double* pz = eci->z.data();
-  const double* u0 = sat_u0_rad_.data();
-  const double* cr = sat_cos_raan0_.data();
-  const double* sr = sat_sin_raan0_.data();
-  for (const ShellBasis& b : shell_basis_) {
-    if (b.uniform) {
-      const double r = b.radius_km;
-      const double rate = b.mean_motion_rad_s;
-      const double ci = b.cos_inc;
-      const double si = b.sin_inc;
-      for (int i = b.begin; i < b.end; ++i) {
-        // Verbatim CircularOrbit::PositionEci chain (no drift in a
-        // uniform shell): only the storage is SoA — the per-satellite
-        // operation order and expression shapes are unchanged, so every
-        // coordinate matches the scalar path bit-for-bit.
-        const double u = u0[i] + rate * seconds_since_epoch;
-        const double cu = std::cos(u);
-        const double su = std::sin(u);
-        px[i] = r * (cr[i] * cu - sr[i] * su * ci);
-        py[i] = r * (sr[i] * cu + cr[i] * su * ci);
-        pz[i] = r * su * si;
-      }
-    } else {
-      for (int i = b.begin; i < b.end; ++i) {
-        eci->Set(i, orbits_[i].PositionEci(seconds_since_epoch));
-      }
-    }
   }
 }
 

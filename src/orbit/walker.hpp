@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "geo/soa.hpp"
 #include "geo/vec3.hpp"
 #include "orbit/propagator.hpp"
 
@@ -86,47 +85,10 @@ class Constellation {
   void PositionsEcefInto(double seconds_since_epoch,
                          std::vector<geo::Vec3>* out) const;
 
-  // --- SoA batch propagation (see geo/soa.hpp and DESIGN.md §7) ---
-  //
-  // Writes every satellite's inertial position into the SoA block. The
-  // per-shell basis (radius, mean motion, inclination trig) is hoisted
-  // out of the satellite loop, which runs over contiguous per-satellite
-  // u0/RAAN arrays in index order. Each satellite's arithmetic chain is
-  // verbatim from CircularOrbit::PositionEci, so results are
-  // bit-identical to it; a shell whose orbits are heterogeneous
-  // (FromElements) or carry RAAN drift falls back to the scalar
-  // propagator satellite-by-satellite.
-  void PropagateBatch(double seconds_since_epoch, geo::Soa3* eci) const;
-
  private:
-  // Hoisted per-shell constants for the batch kernels. `uniform` is true
-  // when every orbit in [begin, end) shares the shell's radius, mean
-  // motion, and inclination trig and has no RAAN drift — always the case
-  // for AddShell-built shells, checked per element for FromElements.
-  struct ShellBasis {
-    int begin{0};
-    int end{0};
-    bool uniform{false};
-    double radius_km{0.0};
-    double mean_motion_rad_s{0.0};
-    double cos_inc{0.0};
-    double sin_inc{0.0};
-  };
-
-  // Records the basis of the shell whose orbits start at `begin` (called
-  // once per AddShell/FromElements, after its orbits are in orbits_).
-  void AppendShellBasis(int begin);
-
   std::vector<OrbitalShell> shells_;
   std::vector<int> shell_start_index_;
   std::vector<CircularOrbit> orbits_;
-  std::vector<ShellBasis> shell_basis_;
-  // Per-satellite epoch basis, parallel to orbits_: argument of latitude
-  // at epoch and RAAN trig, copied verbatim from each CircularOrbit so
-  // the batch kernels read the exact construction-time values.
-  std::vector<double> sat_u0_rad_;
-  std::vector<double> sat_cos_raan0_;
-  std::vector<double> sat_sin_raan0_;
 };
 
 // The paper's two evaluation constellations (first-phase shells, FCC

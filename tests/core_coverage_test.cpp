@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+
 #include "geo/coordinates.hpp"
 #include "orbit/walker.hpp"
 
@@ -48,6 +51,44 @@ TEST(CoverageStudyTest, MinSatellitesThresholdLowersAvailability) {
   const auto avail_one = RunCoverageStudy(Scenario::Starlink(), one)[0].availability;
   const auto avail_many = RunCoverageStudy(Scenario::Starlink(), many)[0].availability;
   EXPECT_LE(avail_many, avail_one);
+}
+
+TEST(CoverageStudyTest, RejectsBadCoordinatesAndThreshold) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  // A bad latitude reaches the index's cell lookup as an int cast, so it
+  // must be rejected before the study samples anything.
+  for (const double lat : {nan, inf, -inf, 90.5, -90.5, 1e9}) {
+    CoverageStudyOptions options = FastOptions();
+    options.latitudes_deg = {10.0, lat};
+    EXPECT_THROW(options.Validate(), std::invalid_argument) << "lat " << lat;
+    EXPECT_THROW(RunCoverageStudy(Scenario::Starlink(), options),
+                 std::invalid_argument)
+        << "lat " << lat;
+  }
+  for (const double lon : {nan, inf, -inf}) {
+    CoverageStudyOptions options = FastOptions();
+    options.longitude_deg = lon;
+    EXPECT_THROW(options.Validate(), std::invalid_argument) << "lon " << lon;
+    EXPECT_THROW(RunCoverageStudy(Scenario::Starlink(), options),
+                 std::invalid_argument)
+        << "lon " << lon;
+  }
+  CoverageStudyOptions negative = FastOptions();
+  negative.min_satellites = -1;
+  EXPECT_THROW(negative.Validate(), std::invalid_argument);
+  EXPECT_THROW(RunCoverageStudy(Scenario::Starlink(), negative),
+               std::invalid_argument);
+
+  // The edges pass: the poles, any finite longitude, a zero threshold.
+  CoverageStudyOptions edges = FastOptions();
+  edges.latitudes_deg = {-90.0, 90.0};
+  edges.longitude_deg = 540.0;
+  edges.min_satellites = 0;
+  EXPECT_NO_THROW(edges.Validate());
+  const auto rows = RunCoverageStudy(Scenario::Starlink(), edges);
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_DOUBLE_EQ(rows[0].availability, 1.0);  // >= 0 satellites always
 }
 
 TEST(StarlinkGen1Test, ShellRosterMatchesFilings) {

@@ -2,6 +2,9 @@
 // and the network-level GSO exclusion study.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+
 #include "core/gso_network_study.hpp"
 #include "core/handover_study.hpp"
 #include "core/routing.hpp"
@@ -118,6 +121,29 @@ TEST(HandoverStudyTest, PolarTerminalSeesNothing) {
   EXPECT_DOUBLE_EQ(stats.mean_visible_sats, 0.0);
   EXPECT_DOUBLE_EQ(stats.outage_fraction, 1.0);
   EXPECT_EQ(stats.completed_passes, 0);
+}
+
+TEST(HandoverStudyTest, RejectsBadTerminal) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  HandoverStudyOptions options;
+  options.duration_sec = 60.0;
+  options.step_sec = 30.0;
+  const geo::GeodeticCoord bad[] = {
+      {nan, 0.0, 0.0},  {inf, 0.0, 0.0},   {-inf, 0.0, 0.0}, {90.5, 0.0, 0.0},
+      {-91.0, 0.0, 0.0}, {45.0, nan, 0.0}, {45.0, inf, 0.0}, {45.0, 0.0, nan},
+      {45.0, 0.0, inf},
+  };
+  for (const geo::GeodeticCoord& terminal : bad) {
+    EXPECT_THROW(RunHandoverStudy(Scenario::Starlink(), terminal, options),
+                 std::invalid_argument)
+        << terminal.latitude_deg << ", " << terminal.longitude_deg << ", "
+        << terminal.altitude_km;
+  }
+  // The poles and a longitude past 180 stay valid.
+  EXPECT_NO_THROW(RunHandoverStudy(Scenario::Starlink(), {90.0, 0.0, 0.0}, options));
+  EXPECT_NO_THROW(RunHandoverStudy(Scenario::Starlink(), {-90.0, 0.0, 0.0}, options));
+  EXPECT_NO_THROW(RunHandoverStudy(Scenario::Starlink(), {10.0, 270.0, 0.0}, options));
 }
 
 TEST(HandoverStudyTest, KuiperPassesLongerThanStarlink) {

@@ -73,8 +73,8 @@ Rules (each maps to a repo invariant documented in DESIGN.md):
                    (obs_report.py, trace_check.py) has a single place
                    to stay in sync with.
   hot-alloc       Functions taking a *Workspace parameter and every
-                   *Batch kernel entry point (PropagateBatch and
-                   friends are the innermost per-snapshot loops) are
+                   *Batch kernel entry point (ElevationTestBatch is
+                   the index's innermost per-query loop) are
                    the zero-steady-state-alloc paths; inside them `new`
                    expressions are forbidden and push_back/emplace_back
                    on a container requires a reserve/resize/clear of
@@ -597,7 +597,7 @@ PUSH_BACK_RE = re.compile(
 def _function_bodies(code: str):
     """Yields (name, params, body_start_index, body_text) for every
     function definition found by brace/paren matching over stripped
-    text. `name` keeps its qualifiers (`Constellation::PropagateBatch`);
+    text. `name` keeps its qualifiers (`SatelliteIndex::VisibleInto`);
     `params` is the raw parameter-list text."""
     pos = 0
     while True:
@@ -643,8 +643,9 @@ def _function_bodies(code: str):
 
 
 def _is_batch_entry_point(name: str) -> bool:
-    # PropagateBatch, EciToEcefBatch and ElevationTestBatch are batch
-    # kernels, and so is any *BatchInto spelling of one.
+    # ElevationTestBatch (the index's candidate test in
+    # src/link/visibility.cpp) is the batch kernel in src/ today; any
+    # other *Batch or *BatchInto name is held to the same rules.
     return "Batch" in name.split("::")[-1]
 
 

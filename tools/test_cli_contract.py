@@ -73,6 +73,24 @@ def json_file(path: Path) -> Callable[[str], Optional[str]]:
     return check
 
 
+def manifest_builds(path: Path, want: int) -> Callable[[str], Optional[str]]:
+    """The run manifest's study summary and its snapshot.builds counter
+    both report the `want` snapshots the study built."""
+    def check(out: str) -> Optional[str]:
+        try:
+            manifest = json.loads(path.read_text())
+            built = manifest["studies"][0]["snapshots_built"]
+            counted = manifest["metrics"]["counters"]["snapshot.builds"]
+        except (OSError, ValueError, KeyError, IndexError) as err:
+            return f"{path}: {err!r}"
+        if built != want or counted != want:
+            return (f"snapshots_built {built}, snapshot.builds {counted}; "
+                    f"want {want}")
+        return None
+
+    return check
+
+
 def full_device_rows() -> list[Row]:
     """A device that accepts the buffered bytes and fails the flush: each
     output must report the error that fclose returns, not only fopen's
@@ -97,6 +115,7 @@ def rows(tmp: Path) -> list[Row]:
     short_tle = tmp / "short.tle"
     short_tle.write_text("SAT\n1 25544U\n2 25544\n")
     metrics = tmp / "metrics.json"
+    manifest = tmp / "manifest.json"
     return [
         # Malformed and out-of-range numbers.
         Row("fig5_isl_capacity", ["--spacing=abc"], 2, "--spacing: expected a number"),
@@ -149,6 +168,9 @@ def rows(tmp: Path) -> list[Row]:
         # Good input: the numbers asked for come out.
         Row("leosim_cli", ["study", "latency", "--pairs=3", "--snapshots=2"], 0,
             stdout=contains("latency study: 3 pairs x 2 snapshots")),
+        Row("leosim_cli", ["study", "latency", "--pairs=3", "--snapshots=2",
+                           f"--manifest-out={manifest}"], 0,
+            stdout=manifest_builds(manifest, 2)),
         Row("leosim_cli", ["pairs", "5"], 0,
             stdout=line_count(r"\S.* +\d+ km", 5)),
         Row("leosim_cli", ["route", "Paris", "London", "--bp"], 0,
