@@ -207,8 +207,17 @@ class BenchSuite {
   // as it goes so the binary is useful interactively too.
   template <typename Fn>
   void Run(const std::string& bench_name, int reps, int64_t iters_per_rep, Fn&& fn) {
+    Run(bench_name, reps, iters_per_rep, [] {}, fn);
+  }
+
+  // As above, with `setup` run untimed before each rep: for an operation
+  // that consumes its input.
+  template <typename Setup, typename Fn>
+  void Run(const std::string& bench_name, int reps, int64_t iters_per_rep,
+           Setup&& setup, Fn&& fn) {
     std::vector<double> ns_per_op(static_cast<size_t>(reps));
     for (int r = 0; r < reps; ++r) {
+      setup();
       const auto start = std::chrono::steady_clock::now();
       fn();
       const auto stop = std::chrono::steady_clock::now();

@@ -5,9 +5,9 @@
 // shortest paths — plus the end-to-end latency study (the paper's Fig. 2
 // inner loop) whose wall-clock is the repo's headline perf number, once
 // at the flags' scale and once (relay_grid_build, fig2_full_slot,
-// relay_contract) at the paper's, and one Fig. 4 throughput slot
-// (throughput_slot) at a fixed scale. Run with fixed flags so successive
-// JSON records are comparable:
+// relay_contract, relay_contract_masked) at the paper's, and one Fig. 4
+// throughput slot (throughput_slot) at a fixed scale. Run with fixed
+// flags so successive JSON records are comparable:
 //
 //   bench_pipeline --pairs=100 --snapshots=4 --spacing=3
 //
@@ -316,7 +316,8 @@ int Run(int argc, char** argv) {
   //     relay contraction, tier choice and searches at the size the
   //     paper's --full run routes 96 times. Then (relay_contract) the
   //     contraction build alone, on that slot's hybrid snapshot: what
-  //     every routed slot and mode pays before its first search.
+  //     every routed slot pays before its first search, and the
+  //     bent-pipe contraction the latency study derives from it.
   {
     bench::BenchConfig full = config;
     full.num_cities = 1000;
@@ -346,14 +347,48 @@ int Run(int argc, char** argv) {
       (void)result;
     });
 
-    const core::NetworkModel::Snapshot snap = full_hybrid.BuildSnapshot(0.0);
+    core::NetworkModel::Snapshot snap = full_hybrid.BuildSnapshot(0.0);
+    const int kept = snap.num_sats + snap.num_cities;
     graph::RelayContraction contraction;
-    suite.Run("relay_contract", 5, 1, [&] {
-      contraction.Build(snap.graph, snap.num_sats + snap.num_cities);
-    });
+    suite.Run("relay_contract", 5, 1, [&] { contraction.Build(snap.graph, kept); });
     std::printf("# relay_contract: %d nodes, %d arcs from %d nodes\n",
                 contraction.NumNodes(), contraction.NumArcs(),
                 snap.graph.NumNodes());
+
+    // The same slot's ISL-masked bent-pipe contraction, as the latency
+    // study gets it (relay_contract_masked: derived from the hybrid one,
+    // which each rep rebuilds untimed) and as a full Build on the masked
+    // graph would (relay_contract_masked_build). Both must hold the same
+    // arcs and records.
+    const auto set_isls = [&snap](bool enabled) {
+      for (const graph::EdgeId e : snap.isl_edges) {
+        snap.graph.SetEnabled(e, enabled);
+      }
+    };
+    suite.Run(
+        "relay_contract_masked", 5, 1,
+        [&] {
+          set_isls(true);
+          contraction.Build(snap.graph, kept);
+          set_isls(false);
+        },
+        [&] { contraction.DropDisabledDirectArcs(); });
+    graph::RelayContraction masked_build;
+    suite.Run("relay_contract_masked_build", 5, 1,
+              [&] { masked_build.Build(snap.graph, kept); });
+    set_isls(true);
+    bool same = contraction.NumArcs() == masked_build.NumArcs();
+    for (graph::EdgeId arc = 0; same && arc < masked_build.NumArcs(); ++arc) {
+      const graph::ContractedArcRecord& a = contraction.Record(arc);
+      const graph::ContractedArcRecord& b = masked_build.Record(arc);
+      same = a.tail == b.tail && a.relay == b.relay && a.up == b.up && a.down == b.down;
+    }
+    std::printf("# relay_contract_masked: %d arcs\n", masked_build.NumArcs());
+    if (!same) {
+      std::fprintf(stderr,
+                   "bench_pipeline: relay_contract_masked differs from a masked Build\n");
+      return 1;
+    }
   }
 
   // 4c. One Fig. 4 throughput slot at a fixed scale whatever the flags:

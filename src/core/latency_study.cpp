@@ -223,19 +223,8 @@ LatencyStudyResult RunLatencyStudy(const NetworkModel& bp_model,
     if (net_trace.Enabled()) {
       net_trace.CaptureSlot(item.slot, item.time_sec, snap);
     }
-    RouteSlotPairs(snap, pairs, groups, /*want_paths=*/false, &ws,
-                   &hybrid_slots[slot]);
-    // The router builds any landmark table on the graph it is handed,
-    // so the masked bent-pipe graph gets its own: the hybrid table's
-    // bounds stay admissible there but are far looser.
-    for (const graph::EdgeId e : snap.isl_edges) {
-      snap.graph.SetEnabled(e, false);
-    }
-    RouteSlotPairs(snap, pairs, groups, /*want_paths=*/false, &ws,
-                   &bp_slots[slot]);
-    for (const graph::EdgeId e : snap.isl_edges) {
-      snap.graph.SetEnabled(e, true);
-    }
+    RouteSlotPairsHybridAndBentPipe(snap, pairs, groups, &ws,
+                                    &hybrid_slots[slot], &bp_slots[slot]);
   });
   FillSeries(bp_slots, &result.bp);
   FillSeries(hybrid_slots, &result.hybrid);

@@ -45,6 +45,15 @@ struct SnapshotMetrics {
   }
 };
 
+// Graph::ReserveEdges for a snapshot's edge-id lists: room for `n` ids,
+// growing at least geometrically so slot-to-slot creep does not
+// reallocate at every build.
+void ReserveGeometric(std::vector<graph::EdgeId>* ids, size_t n) {
+  if (ids->capacity() < n) {
+    ids->reserve(std::max(n, 2 * ids->capacity()));
+  }
+}
+
 }  // namespace
 
 std::string_view ToString(ConnectivityMode mode) {
@@ -249,6 +258,12 @@ NetworkModel::Snapshot& NetworkModel::BuildSnapshot(
     }
     offsets[0] = 0;
 
+    // Every candidate and ISL at most becomes one edge: size the edge
+    // arrays once instead of growing them by doubling on a first build.
+    // isl_pairs_ is empty under bent-pipe.
+    snap.graph.ReserveEdges(candidates.size() + isl_pairs_.size());
+    ReserveGeometric(&snap.radio_edges, candidates.size());
+    ReserveGeometric(&snap.isl_edges, isl_pairs_.size());
     for (int sat = 0; sat < snap.num_sats; ++sat) {
       const auto begin =
           by_satellite.begin() + offsets[static_cast<size_t>(sat)];

@@ -14,7 +14,7 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-// Arcs of every relay contraction the router builds.
+// Arcs of every relay contraction the router routes on.
 obs::Counter& ContractArcsCounter() {
   static obs::Counter& counter =
       obs::MetricsRegistry::Global().GetCounter("route.contract.arcs");
@@ -89,17 +89,20 @@ graph::NodeId SlotPlan::CollectTargets(const SourceGroup& group,
   return src;
 }
 
-void RouteSlotPairs(const NetworkModel::Snapshot& snap,
-                    const std::vector<CityPair>& pairs,
-                    const std::vector<SourceGroup>& groups, bool want_paths,
-                    SweepWorkspace* ws, SlotRoutes* out) {
+namespace {
+
+// RouteSlotPairs on `contraction`, a relay contraction of snap's graph
+// as it stands.
+void RouteOnContraction(const graph::RelayContraction& contraction,
+                        const NetworkModel::Snapshot& snap,
+                        const std::vector<CityPair>& pairs,
+                        const std::vector<SourceGroup>& groups, bool want_paths,
+                        SweepWorkspace* ws, SlotRoutes* out) {
   const size_t n = pairs.size();
   out->rtt.assign(n, kInf);
   out->begin.assign(want_paths ? n : 0, 0);
   out->end.assign(want_paths ? n : 0, 0);
   out->nodes.clear();
-
-  const graph::RelayContraction& contraction = BuildContraction(snap, ws);
 
   // Records one routed pair's answer from the search that just settled
   // dst in ws->dijkstra: round-trip time (out and back over the same
@@ -150,6 +153,43 @@ void RouteSlotPairs(const NetworkModel::Snapshot& snap,
     }
   }
   ContractTieFallbacksCounter().Add(tie_fallbacks);
+}
+
+}  // namespace
+
+void RouteSlotPairs(const NetworkModel::Snapshot& snap,
+                    const std::vector<CityPair>& pairs,
+                    const std::vector<SourceGroup>& groups, bool want_paths,
+                    SweepWorkspace* ws, SlotRoutes* out) {
+  RouteOnContraction(BuildContraction(snap, ws), snap, pairs, groups,
+                     want_paths, ws, out);
+}
+
+void RouteSlotPairsHybridAndBentPipe(NetworkModel::Snapshot& snap,
+                                     const std::vector<CityPair>& pairs,
+                                     const std::vector<SourceGroup>& groups,
+                                     SweepWorkspace* ws, SlotRoutes* hybrid_out,
+                                     SlotRoutes* bp_out) {
+  RouteOnContraction(BuildContraction(snap, ws), snap, pairs, groups,
+                     /*want_paths=*/false, ws, hybrid_out);
+  // ISLs join satellites, so masking them leaves every detour arc as it
+  // is and the hybrid contraction only loses their direct arcs. The
+  // SlotPlan builds any landmark table on the masked contraction: the
+  // hybrid table's bounds stay admissible there but are far looser.
+  for (const graph::EdgeId e : snap.isl_edges) {
+    snap.graph.SetEnabled(e, false);
+  }
+  graph::RelayContraction& contraction = ws->contraction;  // the hybrid one
+  {
+    const obs::Span span("route.contract_masked");
+    contraction.DropDisabledDirectArcs();
+  }
+  ContractArcsCounter().Add(static_cast<uint64_t>(contraction.NumArcs()));
+  RouteOnContraction(contraction, snap, pairs, groups, /*want_paths=*/false, ws,
+                     bp_out);
+  for (const graph::EdgeId e : snap.isl_edges) {
+    snap.graph.SetEnabled(e, true);
+  }
 }
 
 void RouteSlotDisjointPaths(NetworkModel::Snapshot& snap,

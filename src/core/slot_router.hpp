@@ -1,18 +1,23 @@
-// The per-slot router, the one way a study routes city pairs: latency,
-// churn, path trace, attenuation, GSO network, failure, outage and
-// multishell through RouteSlotPairs, throughput through
-// RouteSlotDisjointPaths. They route the same shape of workload — city
-// pairs grouped by source against one snapshot, masked or not — and
-// answer it the same way (SlotPlan below):
+// The per-slot router, the one way a study routes city pairs: churn,
+// path trace, attenuation, GSO network, failure, outage and multishell
+// through RouteSlotPairs, latency through
+// RouteSlotPairsHybridAndBentPipe (RouteSlotPairs on one slot's hybrid
+// and ISL-masked views), throughput through RouteSlotDisjointPaths.
+// They route the same shape of workload — city pairs grouped by source
+// against one snapshot, masked or not — and answer it the same way
+// (SlotPlan below):
 //
 //   0. the graph: the router routes on a relay contraction of the
 //      snapshot graph (graph/relay_contraction.hpp): relays and aircraft,
 //      96% of a paper-scale graph's nodes, become two-hop arcs between
 //      satellites, and the 61.5k-node graph shrinks to its 2.6k
 //      satellites and cities. RouteSlotPairs searches it as built;
-//      RouteSlotDisjointPaths (throughput) searches a
-//      residual view of it between a pair's k searches, which repairs
-//      only the detours each taken path bans;
+//      RouteSlotPairsHybridAndBentPipe (latency) builds it once for
+//      the hybrid graph and derives the ISL-masked bent-pipe one by
+//      dropping the ISLs' direct arcs (an ISL joins two kept nodes, so
+//      no detour arc changes); RouteSlotDisjointPaths (throughput)
+//      searches a residual view of it between a pair's k searches,
+//      which repairs only the detours each taken path bans;
 //   1. component precheck: cross-component pairs stay unrouted without
 //      any search (a failed search would otherwise settle the whole
 //      component);
@@ -188,6 +193,20 @@ void RouteSlotPairs(const NetworkModel::Snapshot& snap,
                     const std::vector<CityPair>& pairs,
                     const std::vector<SourceGroup>& groups, bool want_paths,
                     SweepWorkspace* ws, SlotRoutes* out);
+
+// RouteSlotPairs (without paths) twice on one slot: on `snap`'s graph
+// as it stands into `hybrid_out`, then with exactly snap.isl_edges
+// disabled (the bent-pipe view) into `bp_out`, and re-enables them. The
+// bent-pipe contraction is derived from the hybrid one by
+// RelayContraction::DropDisabledDirectArcs, which equals a fresh Build
+// because an ISL joins two kept satellites; the answers equal two
+// RouteSlotPairs calls bit for bit. Uses `ws` and `snap` like
+// RouteSlotPairs.
+void RouteSlotPairsHybridAndBentPipe(NetworkModel::Snapshot& snap,
+                                     const std::vector<CityPair>& pairs,
+                                     const std::vector<SourceGroup>& groups,
+                                     SweepWorkspace* ws, SlotRoutes* hybrid_out,
+                                     SlotRoutes* bp_out);
 
 // Routes every pair of `pairs` over `snap`'s graph as it stands into
 // (*paths)[pair]: its up to k edge-disjoint shortest paths, equal edge

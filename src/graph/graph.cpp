@@ -1,5 +1,6 @@
 #include "graph/graph.hpp"
 
+#include <algorithm>
 #include <limits>
 #include <stdexcept>
 
@@ -43,6 +44,14 @@ void Graph::Reset(int num_nodes) {
   num_nodes_ = num_nodes;
   edges_.clear();
   adjacency_current_ = false;
+}
+
+void Graph::ReserveEdges(size_t num_edges) {
+  // An exact reserve would reallocate at every rebuild whose edge count
+  // creeps above the last one's, as a workspace's slot after slot does.
+  if (edges_.capacity() < num_edges) {
+    edges_.reserve(std::max(num_edges, 2 * edges_.capacity()));
+  }
 }
 
 EdgeId Graph::AddEdge(NodeId a, NodeId b, double weight, double capacity) {

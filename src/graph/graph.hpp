@@ -23,6 +23,7 @@
 // first Neighbours() call mutates internal caches.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -64,6 +65,11 @@ class Graph {
   // Drops every edge and resizes to `num_nodes`, keeping allocated
   // capacity so a workspace can recycle one Graph across snapshots.
   void Reset(int num_nodes);
+
+  // Makes room for `num_edges` edges in all, so that many AddEdge calls
+  // never reallocate the edge list. Grows the capacity at least
+  // geometrically, as AddEdge would.
+  void ReserveEdges(size_t num_edges);
 
   // Adds an undirected edge; returns its EdgeId. Self-loops are rejected.
   // O(1) amortised (adjacency is rebuilt lazily).

@@ -76,6 +76,30 @@ void RelayContraction::Build(const Graph& g, int num_kept) {
   offsets_[kept] = static_cast<int32_t>(arcs_.size());
 }
 
+void RelayContraction::DropDisabledDirectArcs() {
+  // Compacts arcs_ and records_ in place; row n's new begin is written
+  // over offsets_[n] only after that row has been read.
+  size_t kept_arcs = 0;
+  for (size_t n = 0; n < static_cast<size_t>(num_kept_); ++n) {
+    const size_t begin = static_cast<size_t>(offsets_[n]);
+    const size_t end = static_cast<size_t>(offsets_[n + 1]);
+    offsets_[n] = static_cast<int32_t>(kept_arcs);
+    for (size_t i = begin; i < end; ++i) {
+      const ContractedArcRecord& rec = records_[i];
+      if (rec.relay < 0 && !source_->IsEnabled(rec.up)) {
+        continue;
+      }
+      arcs_[kept_arcs] = arcs_[i];
+      arcs_[kept_arcs].edge = static_cast<EdgeId>(kept_arcs);
+      records_[kept_arcs] = rec;
+      ++kept_arcs;
+    }
+  }
+  offsets_[static_cast<size_t>(num_kept_)] = static_cast<int32_t>(kept_arcs);
+  arcs_.resize(kept_arcs);
+  records_.resize(kept_arcs);
+}
+
 namespace {
 
 // ExpandPath for a contraction or a residual view of one: `c` maps arcs

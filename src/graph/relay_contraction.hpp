@@ -88,6 +88,22 @@ class RelayContraction {
   // valid until g changes. Reuses its storage across builds.
   void Build(const Graph& g, int num_kept);
 
+  // Turns this contraction into the one Build would give on its source
+  // graph as masked now, in O(arcs) instead of a Build: drops the direct
+  // arcs whose edge is disabled and renumbers the remaining arcs in row
+  // order. Precondition: every edge disabled since Build joins two kept
+  // nodes (the latency study masks only ISLs, which join satellites).
+  //
+  // Why that is a rebuild. Build visits each row's source-graph
+  // neighbours in the same order whatever the mask; a disabled kept-kept
+  // edge only skips its one direct arc there. It is never half of a
+  // detour, since a detour's two edges both touch a contracted node, so
+  // every pair's detour set, minimum and near-tie set are unchanged, and
+  // so is the order the detours are emitted in. Rows keep their order
+  // and their surviving arcs; arc ids, which Build assigns in emission
+  // order, are reassigned in the same order.
+  void DropDisabledDirectArcs();
+
   int NumNodes() const { return num_kept_; }
   int NumArcs() const { return static_cast<int>(arcs_.size()); }
   const Graph& Source() const { return *source_; }

@@ -12,6 +12,11 @@ std::vector<IslEdge> PlusGridIsls(const Constellation& constellation, int shell_
   const int planes = shell.num_planes;
   const int slots = shell.sats_per_plane;
 
+  // The cross-plane ring closes only when the planes span the full 360
+  // deg. Under a narrower (Walker-star) spread the last and first planes
+  // counter-rotate across the seam, so a link there would sweep through
+  // the Earth.
+  const bool closed_ring = shell.raan_spread_deg >= 360.0;
   std::vector<IslEdge> edges;
   edges.reserve(static_cast<size_t>(2 * planes * slots));
   for (int plane = 0; plane < planes; ++plane) {
@@ -22,8 +27,9 @@ std::vector<IslEdge> PlusGridIsls(const Constellation& constellation, int shell_
         const int next_slot = constellation.IndexOf({shell_index, plane, (slot + 1) % slots});
         edges.emplace_back(std::min(self, next_slot), std::max(self, next_slot));
       }
-      // Cross-plane ring: same slot in the next plane (wrapping).
-      if (planes > 1) {
+      // Cross-plane ring: same slot in the next plane (wrapping only on
+      // a closed ring).
+      if (planes > 1 && (closed_ring || plane + 1 < planes)) {
         const int next_plane =
             constellation.IndexOf({shell_index, (plane + 1) % planes, slot});
         edges.emplace_back(std::min(self, next_plane), std::max(self, next_plane));

@@ -15,8 +15,11 @@ namespace leosim::orbit {
 using IslEdge = std::pair<int, int>;
 
 // Builds the +Grid ISL set for one shell of the constellation. Each edge
-// appears once with first < second. For a P x S shell this yields exactly
-// 2 * P * S edges (both rings wrap around).
+// appears once with first < second. For a P x S shell with a 360 deg
+// RAAN spread this yields exactly 2 * P * S edges (both rings wrap
+// around). Under a narrower (Walker-star) spread the cross-plane ring
+// stays open at the seam between the last and first planes, whose
+// satellites counter-rotate: 2 * P * S - S edges.
 std::vector<IslEdge> PlusGridIsls(const Constellation& constellation, int shell_index);
 
 // Builds +Grid ISLs for every shell (no cross-shell links; the paper notes

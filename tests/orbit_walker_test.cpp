@@ -138,6 +138,20 @@ TEST(IslGridTest, IslsStayAboveAtmosphere) {
   EXPECT_NEAR(min_alt, 479.55, 0.01);
 }
 
+TEST(IslGridTest, WalkerStarSeamIslsStayAboveAtmosphere) {
+  // A 180 deg spread puts counter-rotating planes on either side of the
+  // seam; a link across it would cut through the Earth. Sampled every
+  // 5 min over 2 h, more than one 107-min orbit at 1,100 km.
+  const Constellation c = Constellation::WalkerDelta(PolarShell());
+  const std::vector<IslEdge> edges = PlusGridIsls(c, 0);
+  std::vector<double> times;
+  for (double t = 0.0; t <= 7200.0; t += 300.0) {
+    times.push_back(t);
+  }
+  EXPECT_GT(MinIslAltitudeKm(c, edges, times), 80.0);
+  EXPECT_LT(MaxIslLengthKm(c, edges, times), 4900.0);
+}
+
 TEST(IslGridTest, IslLengthsReasonable) {
   const Constellation c = Constellation::WalkerDelta(StarlinkShell1());
   const std::vector<IslEdge> edges = PlusGridIsls(c, 0);
@@ -153,7 +167,9 @@ TEST(IslGridTest, AllShellsCombinesEdges) {
   c.AddShell(StarlinkShell1());
   c.AddShell(PolarShell());
   const std::vector<IslEdge> all = PlusGridIslsAllShells(c);
-  EXPECT_EQ(all.size(), static_cast<size_t>(2 * 72 * 22 + 2 * 24 * 24));
+  // The polar shell is a Walker star (180 deg RAAN spread): its
+  // cross-plane ring stays open at the seam, one link per slot fewer.
+  EXPECT_EQ(all.size(), static_cast<size_t>(2 * 72 * 22 + 2 * 24 * 24 - 24));
   // No edge may cross shells.
   for (const IslEdge& e : all) {
     EXPECT_EQ(c.IdOf(e.first).shell, c.IdOf(e.second).shell);

@@ -7,7 +7,9 @@
 // graph::ShortestPath on the full graph must agree bit for bit on every
 // pair's RTT and node chain in path order, exact ties included (the
 // bench-default configuration's t = 0 bent-pipe view holds one, and a
-// hand-built graph holds both kinds of relay tie). Both
+// hand-built graph holds both kinds of relay tie). The bent-pipe view's
+// contraction, derived from the hybrid one by dropping the ISLs' direct
+// arcs, must equal a fresh build arc for arc. Both
 // sides of kAltMinQueries are reached by routing the same pairs either
 // in one call or in chunks smaller than the break-even.
 #include <gtest/gtest.h>
@@ -428,6 +430,139 @@ TEST(SlotRouter, RelayTiesFallBackToFullGraphDijkstra) {
     EXPECT_EQ(std::vector<graph::NodeId>(run.begin(), run.end()),
               reference.nodes[i])
         << "pair " << i;
+  }
+}
+
+// `derived` and `built` hold the same contraction: the same rows in the
+// same order, every arc's head, id and weight bits, and every record.
+void ExpectSameContraction(const graph::RelayContraction& derived,
+                           const graph::RelayContraction& built,
+                           const std::string& view) {
+  ASSERT_EQ(derived.NumNodes(), built.NumNodes()) << view;
+  ASSERT_EQ(derived.NumArcs(), built.NumArcs()) << view;
+  for (graph::NodeId n = 0; n < built.NumNodes(); ++n) {
+    const auto got = derived.Neighbours(n);
+    const auto want = built.Neighbours(n);
+    ASSERT_EQ(got.data() - derived.Neighbours(0).data(),
+              want.data() - built.Neighbours(0).data())
+        << view << ": row " << n << " offset";
+    ASSERT_EQ(got.size(), want.size()) << view << ": row " << n;
+    for (size_t i = 0; i < want.size(); ++i) {
+      ASSERT_EQ(got[i].to, want[i].to) << view << ": row " << n << " arc " << i;
+      ASSERT_EQ(got[i].edge, want[i].edge) << view << ": row " << n << " arc " << i;
+      ASSERT_TRUE(BitEq(got[i].weight, want[i].weight) &&
+                  BitEq(got[i].weight2, want[i].weight2))
+          << view << ": row " << n << " arc " << i;
+    }
+  }
+  for (graph::EdgeId arc = 0; arc < built.NumArcs(); ++arc) {
+    const graph::ContractedArcRecord& got = derived.Record(arc);
+    const graph::ContractedArcRecord& want = built.Record(arc);
+    ASSERT_TRUE(got.tail == want.tail && got.relay == want.relay &&
+                got.up == want.up && got.down == want.down)
+        << view << ": record " << arc;
+  }
+}
+
+// Builds the contraction of `g` as it stands, disables `masked`, derives
+// the masked contraction and checks it against a fresh Build on the
+// masked graph; re-enables `masked`. Returns the arcs dropped.
+int ExpectDerivedEqualsRebuild(graph::Graph& g, int num_kept,
+                               const std::vector<graph::EdgeId>& masked,
+                               const std::string& view) {
+  graph::RelayContraction derived;
+  derived.Build(g, num_kept);
+  const int unmasked_arcs = derived.NumArcs();
+  for (const graph::EdgeId e : masked) {
+    g.SetEnabled(e, false);
+  }
+  derived.DropDisabledDirectArcs();
+  graph::RelayContraction built;
+  built.Build(g, num_kept);
+  ExpectSameContraction(derived, built, view);
+  for (const graph::EdgeId e : masked) {
+    g.SetEnabled(e, true);
+  }
+  return unmasked_arcs - derived.NumArcs();
+}
+
+// The latency study's bent-pipe contraction is the hybrid one with the
+// ISLs' direct arcs dropped (RelayContraction::DropDisabledDirectArcs):
+// on Starlink hybrid snapshots at 4 and 1 deg it equals a fresh Build on
+// the ISL-masked graph row for row, arc id for arc id.
+TEST(SlotRouter, MaskedContractionDerivesFromHybrid) {
+  for (const double spacing : {4.0, 1.0}) {
+    NetworkOptions options = Options(ConnectivityMode::kHybrid);
+    options.relay_spacing_deg = spacing;
+    const NetworkModel model(Scenario::Starlink(), options, data::AnchorCities());
+    for (const double t : {0.0, 2700.0}) {
+      NetworkModel::Snapshot snap = model.BuildSnapshot(t);
+      const std::string view =
+          "spacing " + std::to_string(spacing) + " t=" + std::to_string(t);
+      ASSERT_FALSE(snap.isl_edges.empty()) << view;
+      const int dropped = ExpectDerivedEqualsRebuild(
+          snap.graph, snap.num_sats + snap.num_cities, snap.isl_edges, view);
+      // Each ISL has one direct arc per direction.
+      EXPECT_EQ(dropped, 2 * static_cast<int>(snap.isl_edges.size())) << view;
+    }
+  }
+}
+
+// A hand-built slot: the ISL S0-S1 sits between S0's direct city arc
+// and its detours through R0, so dropping it shifts the ids of the arcs
+// after it in S0's row and in every later row.
+// Layout [S0 S1 S2 | C0 | R0].
+TEST(SlotRouter, MaskedContractionDerivesOnHandBuiltSlot) {
+  graph::Graph g(5);
+  const auto sat = [](int i) { return i; };
+  const graph::NodeId city = 3;
+  const graph::NodeId relay = 4;
+  g.AddEdge(city, sat(0), 1.0);
+  const graph::EdgeId isl = g.AddEdge(sat(0), sat(1), 3.0);
+  g.AddEdge(sat(0), relay, 2.0);
+  g.AddEdge(relay, sat(1), 2.5);
+  g.AddEdge(relay, sat(2), 2.0);
+  g.AddEdge(sat(1), city, 4.0);
+  const int dropped = ExpectDerivedEqualsRebuild(g, 4, {isl}, "hand-built");
+  EXPECT_EQ(dropped, 2);
+}
+
+// The latency study's one router call equals RouteSlotPairs on the
+// hybrid graph and on the ISL-masked one, leaves every ISL enabled, and
+// counts the arcs of both contractions it routed on.
+TEST(SlotRouter, HybridAndBentPipeEqualsTwoRouterCalls) {
+  const std::vector<CityPair> pairs = Pairs();
+  const std::vector<SourceGroup> groups = GroupPairsBySource(pairs);
+  obs::Counter& arcs = obs::MetricsRegistry::Global().GetCounter("route.contract.arcs");
+  for (const double t : {0.0, 2700.0}) {
+    NetworkModel::Snapshot snap = HybridModel().BuildSnapshot(t);
+    SweepWorkspace ws;
+    SlotRoutes hybrid;
+    SlotRoutes bent_pipe;
+    const uint64_t arcs_before = arcs.Value();
+    RouteSlotPairsHybridAndBentPipe(snap, pairs, groups, &ws, &hybrid, &bent_pipe);
+    const uint64_t shared_arcs = arcs.Value() - arcs_before;
+    for (const graph::EdgeId e : snap.isl_edges) {
+      ASSERT_TRUE(snap.graph.IsEnabled(e)) << "t=" << t << " ISL " << e;
+    }
+
+    SweepWorkspace fresh;
+    SlotRoutes want_hybrid;
+    SlotRoutes want_bent_pipe;
+    const uint64_t fresh_before = arcs.Value();
+    RouteSlotPairs(snap, pairs, groups, /*want_paths=*/false, &fresh, &want_hybrid);
+    for (const graph::EdgeId e : snap.isl_edges) {
+      snap.graph.SetEnabled(e, false);
+    }
+    RouteSlotPairs(snap, pairs, groups, /*want_paths=*/false, &fresh,
+                   &want_bent_pipe);
+    EXPECT_EQ(shared_arcs, arcs.Value() - fresh_before) << "t=" << t;
+    for (size_t i = 0; i < pairs.size(); ++i) {
+      EXPECT_TRUE(BitEq(hybrid.rtt[i], want_hybrid.rtt[i])) << "t=" << t << " pair " << i;
+      EXPECT_TRUE(BitEq(bent_pipe.rtt[i], want_bent_pipe.rtt[i]))
+          << "t=" << t << " pair " << i;
+    }
+    EXPECT_NE(hybrid.rtt, bent_pipe.rtt) << "t=" << t;
   }
 }
 
