@@ -29,9 +29,8 @@ int Run(int argc, char** argv) {
                             bench::MakeOptions(config, ConnectivityMode::kHybrid),
                             cities);
 
-  PrintBanner(std::cout, "throughput / latency / utilisation by routing policy");
-  Table table({"policy", "total (Gbps)", "mean path latency (ms)",
-               "max link util", "subflows"});
+  PrintBanner(std::cout, "throughput / latency / sub-flows by routing policy");
+  Table table({"policy", "total (Gbps)", "mean path latency (ms)", "subflows"});
   for (const RoutingPolicy policy :
        {RoutingPolicy::kDisjointGreedy, RoutingPolicy::kDisjointOptimalPair,
         RoutingPolicy::kMinMaxUtilisation, RoutingPolicy::kCongestionAware}) {
@@ -40,7 +39,6 @@ int Run(int argc, char** argv) {
     table.AddRow({std::string(ToString(policy)),
                   FormatDouble(r.throughput.total_gbps, 1),
                   FormatDouble(r.mean_path_latency_ms, 2),
-                  FormatDouble(r.max_link_utilisation, 2),
                   std::to_string(r.throughput.subflows)});
   }
   table.Print(std::cout);

@@ -305,7 +305,7 @@ class BenchSuite {
       std::fprintf(stderr, "bench: cannot write %s\n", path.c_str());
       return false;
     }
-    std::printf("# wrote %s\n", path.c_str());
+    std::fprintf(stderr, "# wrote %s\n", path.c_str());
     return true;
   }
 

@@ -10,9 +10,8 @@
 //   leosim_cli trace [flags]                       netstate/netevents export
 //
 // Global flags (any command, any position): the shared observability
-// flags of core::ObsFlags plus --trace-net-out=DIR and
-// --flight-recorder[=F]. Bad input exits 2 with one stderr line; a
-// failed output write exits 1.
+// flags of core::ObsFlags plus --trace-net-out=DIR. Bad input exits 2
+// with one stderr line; a failed output write exits 1.
 #include <cstdio>
 #include <stdexcept>
 #include <string>
@@ -32,7 +31,6 @@
 #include "graph/dijkstra.hpp"
 #include "itur/slant_path.hpp"
 #include "link/visibility.hpp"
-#include "obs/flight.hpp"
 #include "obs/json.hpp"
 
 using namespace leosim;
@@ -55,7 +53,6 @@ int Usage() {
       "                                 export + validate a netstate/netevents\n"
       "                                 trace (route-churn sweep)\n"
       "global flags: %s\n"
-      "              --flight-recorder[=F]\n"
       "              --trace-net-out=DIR (netstate/netevents export from any\n"
       "              study command)\n",
       core::ObsFlags::kUsage);
@@ -247,7 +244,7 @@ int CmdStudyLatency(const std::vector<std::string>& args) {
       std::fprintf(stderr, "cannot write %s\n", manifest_out.c_str());
       return 1;
     }
-    std::printf("wrote %s\n", manifest_out.c_str());
+    std::fprintf(stderr, "wrote %s\n", manifest_out.c_str());
   }
   return 0;
 }
@@ -352,6 +349,9 @@ int Dispatch(const std::vector<std::string>& args) {
   if (command == "trace") {
     return CmdTrace({args.begin() + 1, args.end()});
   }
+  if (command.starts_with("--")) {
+    throw std::invalid_argument("unknown flag " + command);
+  }
   return Usage();
 }
 
@@ -369,12 +369,6 @@ int Run(int argc, char** argv) {
     if (const auto v = core::FlagValue(arg, "--trace-net-out")) {
       trace_net_out = *v;
       core::NetTraceRecorder::Global().Enable(true);
-    } else if (const auto v = core::FlagValue(arg, "--flight-recorder")) {
-      obs::FlightRecorderOptions flight;
-      flight.dump_path = *v;
-      obs::EnableFlightRecorder(flight);
-    } else if (arg == "--flight-recorder") {
-      obs::EnableFlightRecorder();
     } else {
       args.emplace_back(arg);
     }

@@ -110,8 +110,8 @@ int ObsFlags::WriteOutputs(std::string_view note_prefix) const {
       return;
     }
     if (obs::WriteFile(path, bytes())) {
-      std::printf("%.*swrote %s\n", static_cast<int>(note_prefix.size()),
-                  note_prefix.data(), path.c_str());
+      std::fprintf(stderr, "%.*swrote %s\n", static_cast<int>(note_prefix.size()),
+                   note_prefix.data(), path.c_str());
     } else {
       std::fprintf(stderr, "cannot write %s\n", path.c_str());
       rc = 1;

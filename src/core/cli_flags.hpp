@@ -43,9 +43,10 @@ class ObsFlags {
   // Arms logging, tracing, timeseries, the profiler and progress as
   // requested. Call once, before the timed work.
   void Apply() const;
-  // Writes every requested file, noting each on stdout as
-  // "<note_prefix>wrote F" and each failure on stderr. Returns 1 if any
-  // write failed, else 0.
+  // Writes every requested file, noting each on stderr as
+  // "<note_prefix>wrote F" (so stdout does not depend on the paths) and
+  // each failure as "cannot write F". Returns 1 if any write failed,
+  // else 0.
   int WriteOutputs(std::string_view note_prefix) const;
 
  private:

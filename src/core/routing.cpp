@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <set>
+#include <stdexcept>
 
-#include "flow/maxmin.hpp"
+#include "core/slot_router.hpp"
 #include "graph/disjoint_paths.hpp"
 #include "graph/suurballe.hpp"
 #include "graph/yen.hpp"
@@ -145,13 +146,9 @@ std::vector<graph::Path> RoutePair(graph::Graph& g, graph::NodeId src,
     state.edge_load.assign(static_cast<size_t>(g.NumEdges()), 0.0);
   }
   switch (policy) {
-    case RoutingPolicy::kDisjointGreedy: {
-      std::vector<graph::Path> paths = graph::KEdgeDisjointShortestPaths(g, src, dst, k);
-      for (const graph::Path& p : paths) {
-        CommitPath(p, state);
-      }
-      return paths;
-    }
+    case RoutingPolicy::kDisjointGreedy:
+      throw std::invalid_argument(
+          "RoutePair: disjoint-greedy routes through RunThroughputWithPolicy");
     case RoutingPolicy::kDisjointOptimalPair: {
       std::vector<graph::Path> paths;
       if (const auto pair = graph::ShortestDisjointPair(g, src, dst)) {
@@ -180,50 +177,33 @@ PolicyThroughputResult RunThroughputWithPolicy(const NetworkModel& model,
                                                int k, double time_sec,
                                                RoutingPolicy policy) {
   CheckPathCount(k);
-  NetworkModel::SnapshotWorkspace snapshot_ws;
-  NetworkModel::Snapshot& snap = model.BuildSnapshot(time_sec, &snapshot_ws);
-
-  flow::FlowNetwork net;
-  for (graph::EdgeId e = 0; e < snap.graph.NumEdges(); ++e) {
-    net.AddLink(snap.graph.Edge(e).capacity);
+  SweepWorkspace ws;
+  NetworkModel::Snapshot& snap = model.BuildSnapshot(time_sec, &ws.snapshot);
+  std::vector<std::vector<graph::Path>> paths_of;
+  if (policy == RoutingPolicy::kDisjointGreedy) {
+    RouteSlotDisjointPaths(snap, pairs, GroupPairsBySource(pairs), k, &ws, &paths_of);
+  } else {
+    const obs::Span span("study.routing_policy");
+    RoutingState state;
+    paths_of.reserve(pairs.size());
+    for (const CityPair& pair : pairs) {
+      paths_of.push_back(RoutePair(snap.graph, snap.CityNode(pair.a),
+                                   snap.CityNode(pair.b), k, policy, state));
+    }
   }
 
   PolicyThroughputResult result;
   result.policy = policy;
-  RoutingState state;
+  result.throughput = ThroughputOf(
+      FlowsFromPaths(snap.graph, paths_of, CapacityModel::kSharedPerLink));
   double latency_sum = 0.0;
-  int latency_count = 0;
-  for (const CityPair& pair : pairs) {
-    const std::vector<graph::Path> paths = RoutePair(
-        snap.graph, snap.CityNode(pair.a), snap.CityNode(pair.b), k, policy, state);
-    if (!paths.empty()) {
-      ++result.throughput.pairs_routed;
-    }
+  for (const std::vector<graph::Path>& paths : paths_of) {
     for (const graph::Path& path : paths) {
-      std::vector<flow::LinkId> links(path.edges.begin(), path.edges.end());
-      net.AddFlow(std::move(links));
-      ++result.throughput.subflows;
       latency_sum += path.distance;
-      ++latency_count;
     }
   }
-  if (result.throughput.pairs_routed > 0) {
-    result.throughput.mean_paths_per_pair =
-        static_cast<double>(result.throughput.subflows) /
-        result.throughput.pairs_routed;
-  }
-  if (latency_count > 0) {
-    result.mean_path_latency_ms = latency_sum / latency_count;
-  }
-
-  flow::Allocation alloc;
-  {
-    const obs::Span span("flow.maxmin");
-    alloc = flow::MaxMinFairAllocate(net);
-  }
-  result.throughput.total_gbps = alloc.total_gbps;
-  for (const double u : flow::LinkUtilisation(net, alloc)) {
-    result.max_link_utilisation = std::max(result.max_link_utilisation, u);
+  if (result.throughput.subflows > 0) {
+    result.mean_path_latency_ms = latency_sum / result.throughput.subflows;
   }
   return result;
 }

@@ -4,7 +4,8 @@
 // example, can offer higher throughput, albeit at the cost of increased
 // latency" — left to future work there, implemented here:
 //
-//   kDisjointGreedy     — the paper's scheme (disjoint_paths.hpp).
+//   kDisjointGreedy     — the paper's scheme (disjoint_paths.hpp), routed
+//                         on the per-slot router (core/slot_router.hpp).
 //   kDisjointOptimalPair— Suurballe/Bhandari min-total-cost pair (k<=2).
 //   kMinMaxUtilisation  — picks k edge-disjoint paths from a Yen candidate
 //                         set, greedily minimising the worst link
@@ -39,9 +40,12 @@ struct RoutingState {
   std::vector<double> edge_load;
 };
 
-// Routes one pair under the policy; returns up to k paths (the optimal-
-// pair policy returns at most 2). `state` carries load across pairs for
-// the load-aware policies and is updated with the chosen paths.
+// Routes one pair under one of the three full-graph policies; returns up
+// to k paths (the optimal-pair policy returns at most 2). `state`
+// carries load across pairs for the load-aware policies and is updated
+// with the chosen paths. Throws std::invalid_argument for
+// kDisjointGreedy, which RunThroughputWithPolicy routes on the per-slot
+// router.
 std::vector<graph::Path> RoutePair(graph::Graph& g, graph::NodeId src,
                                    graph::NodeId dst, int k, RoutingPolicy policy,
                                    RoutingState& state);
@@ -50,12 +54,16 @@ struct PolicyThroughputResult {
   RoutingPolicy policy{RoutingPolicy::kDisjointGreedy};
   ThroughputResult throughput;
   double mean_path_latency_ms{0.0};  // mean one-way latency of chosen paths
-  double max_link_utilisation{0.0};  // under the final max-min allocation
 };
 
-// Full throughput experiment under a policy: route all pairs in sequence,
-// then max-min-fair allocate, exactly as RunThroughputStudy does for the
-// paper's default policy. Throws std::invalid_argument when k < 1.
+// Full throughput experiment under a policy: route all pairs, then
+// max-min-fair allocate (ThroughputOf), like RunThroughputStudy.
+// kDisjointGreedy takes each pair's paths from RouteSlotDisjointPaths,
+// so it equals RunThroughputStudy bit for bit; the other policies route
+// the pairs in sequence on the full snapshot graph with RoutePair, since
+// their k-shortest, optimal-pair and penalised searches have no exact
+// form on the relay contraction (DESIGN.md §7). Throws
+// std::invalid_argument when k < 1.
 PolicyThroughputResult RunThroughputWithPolicy(const NetworkModel& model,
                                                const std::vector<CityPair>& pairs,
                                                int k, double time_sec,

@@ -17,31 +17,6 @@ namespace leosim::core {
 
 namespace {
 
-// Aggregate max-min-fair throughput over one built snapshot's routed
-// flows (RouteFlows), where one pair's flows are consecutive.
-ThroughputResult ThroughputAtSnapshot(NetworkModel::Snapshot& snap,
-                                      const std::vector<CityPair>& pairs,
-                                      const std::vector<SourceGroup>& groups,
-                                      int k, CapacityModel capacity_model,
-                                      SweepWorkspace* ws) {
-  const RoutedFlows routed = RouteFlows(snap, pairs, groups, k, capacity_model, ws);
-  const std::vector<int>& pair_of = routed.pair_of_flow;
-  ThroughputResult result;
-  result.subflows = routed.net.NumFlows();
-  for (size_t f = 0; f < pair_of.size(); ++f) {
-    result.pairs_routed += f == 0 || pair_of[f] != pair_of[f - 1] ? 1 : 0;
-  }
-  if (result.pairs_routed > 0) {
-    result.mean_paths_per_pair =
-        static_cast<double>(result.subflows) / result.pairs_routed;
-  }
-
-  const obs::Span span("flow.maxmin");
-  const flow::Allocation alloc = flow::MaxMinFairAllocate(routed.net);
-  result.total_gbps = alloc.total_gbps;
-  return result;
-}
-
 // Both entry points' recording pass: per-slot timeseries samples in slot
 // order, then the study summary.
 void RecordThroughput(const char* study, const std::vector<double>& times,
@@ -67,26 +42,21 @@ void RecordThroughput(const char* study, const std::vector<double>& times,
 
 }  // namespace
 
-RoutedFlows RouteFlows(NetworkModel::Snapshot& snap,
-                       const std::vector<CityPair>& pairs,
-                       const std::vector<SourceGroup>& groups, int k,
-                       CapacityModel capacity_model, SweepWorkspace* ws) {
-  CheckPathCount(k);
-  std::vector<std::vector<graph::Path>> paths_of;
-  RouteSlotDisjointPaths(snap, pairs, groups, k, ws, &paths_of);
-
+RoutedFlows FlowsFromPaths(const graph::Graph& g,
+                           const std::vector<std::vector<graph::Path>>& paths_of,
+                           CapacityModel capacity_model) {
   // A hop's link in a network with a link per edge and direction: e
   // under the shared model; 2e (a->b) or 2e+1 (b->a) under up/down.
   const int per_edge = capacity_model == CapacityModel::kSeparateUpDown ? 2 : 1;
   const auto full_link = [&](const graph::Path& path, size_t h) {
     const graph::EdgeId e = path.edges[h];
-    const bool reverse = per_edge == 2 && snap.graph.Edge(e).a != path.nodes[h];
+    const bool reverse = per_edge == 2 && g.Edge(e).a != path.nodes[h];
     return static_cast<size_t>(per_edge * e + (reverse ? 1 : 0));
   };
 
   // Mark the crossed links with 0, then number them in id order.
-  std::vector<flow::LinkId> link_of(
-      static_cast<size_t>(snap.graph.NumEdges() * per_edge), -1);
+  std::vector<flow::LinkId> link_of(static_cast<size_t>(g.NumEdges() * per_edge),
+                                    -1);
   size_t num_flows = 0;
   for (const std::vector<graph::Path>& paths : paths_of) {
     num_flows += paths.size();
@@ -100,7 +70,7 @@ RoutedFlows RouteFlows(NetworkModel::Snapshot& snap,
   for (size_t l = 0; l < link_of.size(); ++l) {
     if (link_of[l] == 0) {
       const graph::EdgeId e = static_cast<graph::EdgeId>(l) / per_edge;
-      link_of[l] = routed.net.AddLink(snap.graph.Edge(e).capacity);
+      link_of[l] = routed.net.AddLink(g.Edge(e).capacity);
     }
   }
   routed.pair_of_flow.reserve(num_flows);
@@ -115,6 +85,33 @@ RoutedFlows RouteFlows(NetworkModel::Snapshot& snap,
     }
   }
   return routed;
+}
+
+RoutedFlows RouteFlows(NetworkModel::Snapshot& snap,
+                       const std::vector<CityPair>& pairs,
+                       const std::vector<SourceGroup>& groups, int k,
+                       CapacityModel capacity_model, SweepWorkspace* ws) {
+  CheckPathCount(k);
+  std::vector<std::vector<graph::Path>> paths_of;
+  RouteSlotDisjointPaths(snap, pairs, groups, k, ws, &paths_of);
+  return FlowsFromPaths(snap.graph, paths_of, capacity_model);
+}
+
+ThroughputResult ThroughputOf(const RoutedFlows& routed) {
+  const std::vector<int>& pair_of = routed.pair_of_flow;
+  ThroughputResult result;
+  result.subflows = routed.net.NumFlows();
+  for (size_t f = 0; f < pair_of.size(); ++f) {
+    result.pairs_routed += f == 0 || pair_of[f] != pair_of[f - 1] ? 1 : 0;
+  }
+  if (result.pairs_routed > 0) {
+    result.mean_paths_per_pair =
+        static_cast<double>(result.subflows) / result.pairs_routed;
+  }
+
+  const obs::Span span("flow.maxmin");
+  result.total_gbps = flow::MaxMinFairAllocate(routed.net).total_gbps;
+  return result;
 }
 
 void CheckPathCount(int k) {
@@ -133,7 +130,7 @@ ThroughputResult RunThroughputStudy(const NetworkModel& model,
   NetworkModel::Snapshot& snap = model.BuildSnapshot(time_sec, &ws.snapshot);
   const std::vector<SourceGroup> groups = GroupPairsBySource(pairs);
   const ThroughputResult result =
-      ThroughputAtSnapshot(snap, pairs, groups, k, capacity_model, &ws);
+      ThroughputOf(RouteFlows(snap, pairs, groups, k, capacity_model, &ws));
   RecordThroughput("throughput", {time_sec}, {result}, pairs.size(), timer);
   return result;
 }
@@ -151,7 +148,7 @@ std::vector<ThroughputResult> RunThroughputSweep(
     NetworkModel::Snapshot& snap =
         model.BuildSnapshot(item.time_sec, &ws.snapshot);
     results[static_cast<size_t>(item.slot)] =
-        ThroughputAtSnapshot(snap, pairs, groups, k, capacity_model, &ws);
+        ThroughputOf(RouteFlows(snap, pairs, groups, k, capacity_model, &ws));
   });
 
   // Serial, so the samples do not depend on worker scheduling.

@@ -14,6 +14,8 @@
 #include "core/temporal_sweep.hpp"
 #include "core/traffic_matrix.hpp"
 #include "flow/flow_network.hpp"
+#include "graph/dijkstra.hpp"
+#include "graph/graph.hpp"
 
 namespace leosim::core {
 
@@ -41,19 +43,29 @@ struct RoutedFlows {
   std::vector<int> pair_of_flow;  // index into the routed pairs
 };
 
+// The flows of `paths_of` (pair i's paths in paths_of[i]) over `g`, in
+// pair order, then path order. The network holds only the links some
+// path crosses, each with its edge's capacity: one per edge, or one per
+// direction under kSeparateUpDown, numbered in increasing (edge,
+// direction) order as a link-per-edge network would number them.
+// Allocations and temporal outcomes therefore equal that network's bit
+// for bit (DESIGN.md §3).
+RoutedFlows FlowsFromPaths(const graph::Graph& g,
+                           const std::vector<std::vector<graph::Path>>& paths_of,
+                           CapacityModel capacity_model);
+
 // Routes `pairs` (grouped by `groups`) to their up to k edge-disjoint
-// paths with RouteSlotDisjointPaths, which uses `snap` and `ws`; flows
-// follow pair order, unreachable pairs get none. The network holds only
-// the links some path crosses, each with its edge's capacity: one per
-// edge, or one per direction under kSeparateUpDown, numbered in
-// increasing (edge, direction) order as a link-per-edge network would
-// number them. Allocations and temporal outcomes therefore equal that
-// network's bit for bit (DESIGN.md §3). Throws std::invalid_argument
-// when k < 1.
+// paths with RouteSlotDisjointPaths, which uses `snap` and `ws`, and
+// builds their flows with FlowsFromPaths; unreachable pairs get none.
+// Throws std::invalid_argument when k < 1.
 RoutedFlows RouteFlows(NetworkModel::Snapshot& snap,
                        const std::vector<CityPair>& pairs,
                        const std::vector<SourceGroup>& groups, int k,
                        CapacityModel capacity_model, SweepWorkspace* ws);
+
+// Pairs routed, sub-flows and the max-min-fair total (span flow.maxmin)
+// of routed flows in which one pair's flows are consecutive.
+ThroughputResult ThroughputOf(const RoutedFlows& routed);
 
 // Throws std::invalid_argument unless k >= 1. Every throughput entry
 // point checks its disjoint-path count with it: k = 0 would report each

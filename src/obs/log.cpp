@@ -7,7 +7,6 @@
 
 #include "core/mutex.hpp"
 #include "core/thread_annotations.hpp"
-#include "obs/flight.hpp"
 
 namespace leosim::obs {
 
@@ -43,19 +42,12 @@ int InitLogLevelFromEnv() {
 }
 
 void EmitLogLine(const std::string& line) {
-  {
-    SinkState& state = Sink();
-    const MutexLock lock(state.mutex);
-    if (state.sink) {
-      state.sink(line);
-    } else {
-      std::fwrite(line.data(), 1, line.size(), stderr);
-    }
-  }
-  // Outside the sink lock: the flight ring has its own, and a custom
-  // sink that logs (or crashes) must not deadlock the recorder.
-  if (FlightRecorderEnabled()) {
-    FlightRecordLine(line);
+  SinkState& state = Sink();
+  const MutexLock lock(state.mutex);
+  if (state.sink) {
+    state.sink(line);
+  } else {
+    std::fwrite(line.data(), 1, line.size(), stderr);
   }
 }
 

@@ -1,7 +1,5 @@
 #include "obs/metrics.hpp"
 
-#include <unistd.h>  // write(): DumpForCrash runs in a signal handler
-
 #include <algorithm>
 
 #include "obs/json.hpp"
@@ -9,30 +7,6 @@
 namespace leosim::obs {
 
 namespace {
-
-// Async-signal-safe output for DumpForCrash: raw write(2) plus manual
-// integer formatting — snprintf and the string builders above are off
-// limits in a signal handler.
-void CrashWrite(int fd, const char* data, size_t len) {
-  while (len > 0) {
-    const ssize_t n = ::write(fd, data, len);
-    if (n <= 0) {
-      return;
-    }
-    data += n;
-    len -= static_cast<size_t>(n);
-  }
-}
-
-void CrashWriteUint(int fd, uint64_t value) {
-  char buf[24];
-  size_t i = sizeof(buf);
-  do {
-    buf[--i] = static_cast<char>('0' + value % 10);
-    value /= 10;
-  } while (value != 0);
-  CrashWrite(fd, buf + i, sizeof(buf) - i);
-}
 
 std::atomic<int> g_next_shard{0};
 
@@ -233,38 +207,6 @@ std::string MetricsRegistry::ToJson() const {
   }
   out.append("\n  }\n}\n");
   return out;
-}
-
-void MetricsRegistry::DumpForCrash(int fd) const {
-  if (!mutex_.TryLock()) {
-    CrashWrite(fd, "metrics unavailable (registry lock held)\n", 41);
-    return;
-  }
-  for (const auto& c : counters_) {
-    CrashWrite(fd, "counter ", 8);
-    CrashWrite(fd, c->name_.data(), c->name_.size());
-    CrashWrite(fd, " ", 1);
-    CrashWriteUint(fd, c->Value());
-    CrashWrite(fd, "\n", 1);
-  }
-  for (const auto& g : gauges_) {
-    CrashWrite(fd, "gauge ", 6);
-    CrashWrite(fd, g->name_.data(), g->name_.size());
-    CrashWrite(fd, " ", 1);
-    double value = g->Value();
-    // NaN or out-of-range casts are UB; a crash dump prints "?" instead.
-    if (value != value || value >= 1.8e19 || value <= -1.8e19) {
-      CrashWrite(fd, "?", 1);
-    } else {
-      if (value < 0) {
-        CrashWrite(fd, "-", 1);
-        value = -value;
-      }
-      CrashWriteUint(fd, static_cast<uint64_t>(value));
-    }
-    CrashWrite(fd, "\n", 1);
-  }
-  mutex_.Unlock();
 }
 
 void MetricsRegistry::Reset() {

@@ -156,14 +156,6 @@ class MetricsRegistry {
   // delimiting phases in long-running tools.
   void Reset();
 
-  // Best-effort crash-path snapshot: writes "counter NAME VALUE" /
-  // "gauge NAME VALUE" lines straight to `fd` with write(2) — no
-  // allocation, no stdio, and only a TryLock (a crash while the registry
-  // lock is held writes an "unavailable" marker instead of deadlocking).
-  // Histograms are omitted; gauges print truncated toward zero. Called
-  // from the flight recorder's signal handler.
-  void DumpForCrash(int fd) const;
-
   // Resets the registry on entry and again on exit, so a test observes
   // only its own increments and leaves nothing behind for the next one.
   class ScopedReset {

@@ -1,7 +1,5 @@
 #include "obs/profile.hpp"
 
-#include <unistd.h>  // write(): the async-signal-safe crash-dump path
-
 #include <algorithm>
 #include <array>
 #include <chrono>
@@ -19,7 +17,7 @@ namespace leosim::obs {
 
 namespace detail {
 
-std::atomic<int> g_span_hooks{0};
+std::atomic<bool> g_span_hook{false};
 
 namespace {
 
@@ -27,8 +25,8 @@ namespace {
 //
 // Each thread owns one ProfileStack published in the fixed g_slots table.
 // Writers (the owning thread) store frame pointers relaxed then publish
-// with a release store of depth; readers (sampler, crash handler)
-// acquire depth and read at most that many frames. Frame pointers are
+// with a release store of depth; the sampler acquires depth and reads
+// at most that many frames. Frame pointers are
 // interned, never-freed strings, so a stale read is always a valid
 // pointer — never a use-after-free.
 
@@ -108,7 +106,7 @@ thread_local int32_t t_depth = 0;
 // --- Frame-name interning ----------------------------------------------
 //
 // Span names are string_views that may die with their owner; the
-// sampler and the crash handler need pointers that never dangle. Each
+// sampler needs pointers that never dangle. Each
 // distinct name is copied once into a leaked std::string, sanitized so
 // it can never corrupt collapsed-stack output (';' joins frames, ' '
 // separates stack from count, control/non-ASCII bytes would break
@@ -248,29 +246,6 @@ SamplerControl& Control() {
   return *control;
 }
 
-// Async-signal-safe write helpers for the crash-dump path: no locks, no
-// allocation, no stdio.
-void WriteRaw(int fd, const char* data, size_t len) {
-  while (len > 0) {
-    const ssize_t n = ::write(fd, data, len);
-    if (n <= 0) {
-      return;
-    }
-    data += n;
-    len -= static_cast<size_t>(n);
-  }
-}
-
-void WriteDec(int fd, uint64_t value) {
-  char buf[24];
-  size_t i = sizeof(buf);
-  do {
-    buf[--i] = static_cast<char>('0' + value % 10);
-    value /= 10;
-  } while (value != 0);
-  WriteRaw(fd, buf + i, sizeof(buf) - i);
-}
-
 }  // namespace
 
 void PushSpanFrame(std::string_view name) {
@@ -292,48 +267,6 @@ void PopSpanFrame() {
   }
 }
 
-void EnableSpanHook(int bit, bool enabled) {
-  if (enabled) {
-    g_span_hooks.fetch_or(bit, std::memory_order_relaxed);
-  } else {
-    g_span_hooks.fetch_and(~bit, std::memory_order_relaxed);
-  }
-}
-
-void DumpSpanStacksToFd(int fd) {
-  const int slot_count = std::min(
-      g_slot_count.load(std::memory_order_acquire), kMaxProfileThreads);
-  for (int i = 0; i < slot_count; ++i) {
-    const ProfileStack* stack = g_slots[i].load(std::memory_order_acquire);
-    if (stack == nullptr) {
-      continue;
-    }
-    int32_t depth = stack->depth.load(std::memory_order_acquire);
-    if (depth <= 0) {
-      continue;
-    }
-    depth = std::min(depth, kMaxProfileDepth);
-    WriteRaw(fd, "tid=", 4);
-    WriteDec(fd, static_cast<uint64_t>(stack->tid));
-    WriteRaw(fd, " depth=", 7);
-    WriteDec(fd, static_cast<uint64_t>(depth));
-    WriteRaw(fd, " ", 1);
-    for (int32_t f = 0; f < depth; ++f) {
-      const std::string* frame =
-          stack->frames[f].load(std::memory_order_relaxed);
-      if (f > 0) {
-        WriteRaw(fd, ";", 1);
-      }
-      if (frame != nullptr) {
-        WriteRaw(fd, frame->data(), frame->size());
-      } else {
-        WriteRaw(fd, "?", 1);
-      }
-    }
-    WriteRaw(fd, "\n", 1);
-  }
-}
-
 }  // namespace detail
 
 void StartProfiling(int64_t interval_us) {
@@ -352,7 +285,7 @@ void StartProfiling(int64_t interval_us) {
     return;
   }
   detail::TheSampler().stop.store(false, std::memory_order_release);
-  detail::EnableSpanHook(detail::kSampleHook, true);
+  detail::g_span_hook.store(true, std::memory_order_relaxed);
   control.thread = std::thread(detail::SamplerLoop, interval_us);
   control.running = true;
 }
@@ -363,7 +296,7 @@ void StopProfiling() {
   if (!control.running) {
     return;
   }
-  detail::EnableSpanHook(detail::kSampleHook, false);
+  detail::g_span_hook.store(false, std::memory_order_relaxed);
   detail::TheSampler().stop.store(true, std::memory_order_release);
   control.thread.join();
   control.running = false;
@@ -465,37 +398,6 @@ bool ValidateCollapsedStacks(std::string_view text, std::string* why) {
     prev_stack = stack;
   }
   return true;
-}
-
-void AppendLiveSpanStacks(std::string* out) {
-  const int slot_count =
-      std::min(detail::g_slot_count.load(std::memory_order_acquire),
-               kMaxProfileThreads);
-  for (int i = 0; i < slot_count; ++i) {
-    const detail::ProfileStack* stack =
-        detail::g_slots[i].load(std::memory_order_acquire);
-    if (stack == nullptr) {
-      continue;
-    }
-    int32_t depth = stack->depth.load(std::memory_order_acquire);
-    if (depth <= 0) {
-      continue;
-    }
-    depth = std::min(depth, kMaxProfileDepth);
-    char tmp[48];
-    std::snprintf(tmp, sizeof(tmp), "tid=%d depth=%d ", stack->tid,
-                  static_cast<int>(depth));
-    out->append(tmp);
-    for (int32_t f = 0; f < depth; ++f) {
-      const std::string* frame =
-          stack->frames[f].load(std::memory_order_relaxed);
-      if (f > 0) {
-        out->push_back(';');
-      }
-      out->append(frame != nullptr ? frame->c_str() : "?");
-    }
-    out->push_back('\n');
-  }
 }
 
 }  // namespace leosim::obs

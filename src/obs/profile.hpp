@@ -2,7 +2,7 @@
 // profiler over the live Span stacks.
 //
 // Span-stack sampling
-//   Every armed hook makes Span construction push its name onto a
+//   While the sampler runs, Span construction pushes its name onto a
 //   per-thread lock-free stack (fixed depth, atomic slots) and pop it on
 //   destruction. A background sampler thread started by StartProfiling
 //   wakes at a configurable interval, walks every registered thread's
@@ -12,9 +12,9 @@
 //   line per distinct stack — which flamegraph.pl and speedscope ingest
 //   directly.
 //
-// Cost model: with every hook off (the default), the Span-side check is
+// Cost model: with the sampler off (the default), the Span-side check is
 // one relaxed atomic load and a branch — no push, no interning, no
-// clock. With a hook armed, a push is an intern-cache probe plus two
+// clock. With it on, a push is an intern-cache probe plus two
 // relaxed stores and one release store; the sampler's walk costs the
 // workers nothing (it reads their stacks through atomics).
 //
@@ -27,8 +27,7 @@
 // free pool at thread exit and is handed to the next new thread, so
 // studies that spawn ParallelFor workers per run do not grow the
 // registry without bound (the sampler's registry walk stays O(live
-// threads), and the crash flight recorder can walk the same fixed slot
-// table lock-free from a signal handler).
+// threads)).
 #pragma once
 
 #include <atomic>
@@ -48,25 +47,17 @@ inline constexpr int kMaxProfileThreads = 256;
 inline constexpr int64_t kDefaultProfileIntervalUs = 1000;  // 1 kHz
 
 namespace detail {
-// Bitmask of consumers that need Span push/pop notifications: the
-// sampler and the flight recorder's live-stack capture. Span reads this
-// once (relaxed) per construction.
-inline constexpr int kSampleHook = 1;
-inline constexpr int kFlightHook = 2;
-extern std::atomic<int> g_span_hooks;
+// Set while the sampler runs: Span then pushes and pops its frame. Span
+// reads this once (relaxed) per construction.
+extern std::atomic<bool> g_span_hook;
 
 void PushSpanFrame(std::string_view name);
 void PopSpanFrame();
-void EnableSpanHook(int bit, bool enabled);
-
-// Async-signal-safe: writes every live span stack to `fd` using only
-// write(2) and the lock-free slot table. Used by the crash handler.
-void DumpSpanStacksToFd(int fd);
 }  // namespace detail
 
-// The single relaxed load that gates the Span-side hooks.
-inline bool SpanHooksEnabled() {
-  return detail::g_span_hooks.load(std::memory_order_relaxed) != 0;
+// The single relaxed load that gates the Span-side hook.
+inline bool SpanHookEnabled() {
+  return detail::g_span_hook.load(std::memory_order_relaxed);
 }
 
 // --- Sampling profiler -------------------------------------------------
@@ -99,12 +90,5 @@ void ResetProfile();
 // returns false and, when `why` is non-null, describes the first
 // offence.
 bool ValidateCollapsedStacks(std::string_view text, std::string* why);
-
-// --- Live stack snapshot ------------------------------------------------
-
-// Appends one "tid=N depth=D frame;frame;...\n" line per thread whose
-// span stack is non-empty right now. Best-effort (stacks move while
-// being read); used by the flight recorder's dump and by tests.
-void AppendLiveSpanStacks(std::string* out);
 
 }  // namespace leosim::obs

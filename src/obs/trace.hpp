@@ -2,7 +2,7 @@
 // JSON (loadable in chrome://tracing and Perfetto).
 //
 // A Span is an RAII scoped timer. Cost model: when tracing and the
-// profiling hooks (obs/profile.hpp) are disabled and no histogram is
+// profiling hook (obs/profile.hpp) are disabled and no histogram is
 // attached, constructing a Span is two relaxed atomic loads and two
 // branches — no clock read. When armed, the span reads
 // the steady clock twice and, on destruction, records a completed
@@ -72,7 +72,7 @@ class Span {
       : name_(name), histogram_(histogram), elapsed_us_out_(elapsed_us_out) {
     // The profiler hook runs before the clock read so sampled stacks
     // cover the whole timed region.
-    hooked_ = SpanHooksEnabled();
+    hooked_ = SpanHookEnabled();
     if (hooked_) {
       detail::PushSpanFrame(name);
     }
@@ -87,7 +87,7 @@ class Span {
       Finish();
     }
     // Popped after Finish so the frame is live for the span's full
-    // duration; hooked_ (not the current hook mask) keeps push/pop
+    // duration; hooked_ (not the current hook flag) keeps push/pop
     // balanced when profiling starts or stops mid-span.
     if (hooked_) {
       detail::PopSpanFrame();

@@ -9,6 +9,7 @@
 #include "core/handover_study.hpp"
 #include "core/routing.hpp"
 #include "data/cities.hpp"
+#include "plain_flows_oracle.hpp"
 
 namespace leosim::core {
 namespace {
@@ -41,13 +42,30 @@ TEST(RoutingPolicyTest, Names) {
   EXPECT_EQ(ToString(RoutingPolicy::kCongestionAware), "congestion-aware");
 }
 
+// The greedy row runs on the per-slot router; it must equal the base
+// study and the plain full-graph oracle bit for bit.
 TEST(RoutingPolicyTest, GreedyPolicyMatchesBaseStudy) {
   const auto pairs = TestPairs(25);
   const auto base = RunThroughputStudy(HybridModel(), pairs, 2, 0.0);
   const auto policy = RunThroughputWithPolicy(HybridModel(), pairs, 2, 0.0,
                                               RoutingPolicy::kDisjointGreedy);
-  EXPECT_NEAR(policy.throughput.total_gbps, base.total_gbps, 1e-6);
-  EXPECT_EQ(policy.throughput.subflows, base.subflows);
+  auto snap = HybridModel().BuildSnapshot(0.0);
+  const PolicyThroughputResult plain = oracle::PlainGreedyThroughput(snap, pairs, 2);
+  ASSERT_GT(plain.throughput.subflows, 0);
+  EXPECT_EQ(policy.throughput.total_gbps, plain.throughput.total_gbps);
+  EXPECT_EQ(policy.throughput.subflows, plain.throughput.subflows);
+  EXPECT_EQ(policy.throughput.pairs_routed, plain.throughput.pairs_routed);
+  EXPECT_EQ(policy.mean_path_latency_ms, plain.mean_path_latency_ms);
+  EXPECT_EQ(base.total_gbps, plain.throughput.total_gbps);
+  EXPECT_EQ(base.subflows, plain.throughput.subflows);
+}
+
+TEST(RoutingPolicyTest, RoutePairRejectsGreedy) {
+  auto snap = HybridModel().BuildSnapshot(0.0);
+  RoutingState state;
+  EXPECT_THROW((void)RoutePair(snap.graph, snap.CityNode(0), snap.CityNode(40), 1,
+                               RoutingPolicy::kDisjointGreedy, state),
+               std::invalid_argument);
 }
 
 TEST(RoutingPolicyTest, OptimalPairCapsAtTwoPaths) {
@@ -88,7 +106,7 @@ TEST(RoutingPolicyTest, StateAccumulatesLoad) {
   auto snap = HybridModel().BuildSnapshot(0.0);
   RoutingState state;
   (void)RoutePair(snap.graph, snap.CityNode(0), snap.CityNode(40), 1,
-                  RoutingPolicy::kDisjointGreedy, state);
+                  RoutingPolicy::kCongestionAware, state);
   double total = 0.0;
   for (const double l : state.edge_load) {
     total += l;

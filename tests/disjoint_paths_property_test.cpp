@@ -5,10 +5,10 @@
 // both A* potentials the router uses (landmark table, Euclidean latency
 // bound), every pair's paths must equal the plain overload's edge for
 // edge and leave every edge's enabled flag and half-edge weights as they
-// were; the study's totals and sub-flow counts must equal the per-pair
-// plain-Dijkstra oracle RunThroughputWithPolicy(kDisjointGreedy) bit for
-// bit. The t = 0 snapshots hold exact ties, so the A* tie guard must
-// fire along the way.
+// were; the study's totals and sub-flow counts, and the greedy
+// routing-policy row's mean path latency too, must equal a per-pair
+// plain-Dijkstra oracle (plain_flows_oracle.hpp) bit for bit. The t = 0
+// snapshots hold exact ties, so the A* tie guard must fire along the way.
 //
 // The router searches a residual view of the slot's relay contraction
 // (graph::ResidualContraction). After every ban the view must equal a
@@ -38,6 +38,7 @@
 #include "graph/landmarks.hpp"
 #include "graph/relay_contraction.hpp"
 #include "obs/metrics.hpp"
+#include "plain_flows_oracle.hpp"
 
 namespace leosim::core {
 namespace {
@@ -152,6 +153,10 @@ TEST(GoalDirectedDisjointPaths, EqualPlainOverloadAndRestoreTheGraph) {
       << "no exact tie reached the A* tie guard";
 }
 
+// The sweep and the greedy routing-policy row, both on the router,
+// against the plain oracle (plain_flows_oracle.hpp): per-pair plain
+// Dijkstra disjoint paths on the slot's full graph, a link per edge and
+// MaxMinFairAllocate.
 TEST(GoalDirectedDisjointPaths, ThroughputSweepBitEqualToPerPairOracle) {
   const std::vector<CityPair> pairs = Pairs();
   SnapshotSchedule schedule;
@@ -165,14 +170,26 @@ TEST(GoalDirectedDisjointPaths, ThroughputSweepBitEqualToPerPairOracle) {
           RunThroughputSweep(Model(mode), pairs, k, schedule);
       ASSERT_EQ(sweep.size(), std::size(kTimes));
       for (size_t s = 0; s < sweep.size(); ++s) {
-        const PolicyThroughputResult oracle = RunThroughputWithPolicy(
+        const std::string what = std::string(ToString(mode)) + " k=" +
+                                 std::to_string(k) + " t=" + std::to_string(kTimes[s]);
+        NetworkModel::Snapshot snap = Model(mode).BuildSnapshot(kTimes[s]);
+        const PolicyThroughputResult plain =
+            oracle::PlainGreedyThroughput(snap, pairs, k);
+        const ThroughputResult& expected = plain.throughput;
+        EXPECT_TRUE(BitEq(sweep[s].total_gbps, expected.total_gbps))
+            << what << ": " << sweep[s].total_gbps << " vs " << expected.total_gbps;
+        EXPECT_EQ(sweep[s].subflows, expected.subflows) << what;
+        EXPECT_EQ(sweep[s].pairs_routed, expected.pairs_routed) << what;
+        EXPECT_GT(sweep[s].subflows, 0) << what;
+
+        const PolicyThroughputResult greedy = RunThroughputWithPolicy(
             Model(mode), pairs, k, kTimes[s], RoutingPolicy::kDisjointGreedy);
-        EXPECT_TRUE(BitEq(sweep[s].total_gbps, oracle.throughput.total_gbps))
-            << ToString(mode) << " k=" << k << " t=" << kTimes[s] << ": "
-            << sweep[s].total_gbps << " vs " << oracle.throughput.total_gbps;
-        EXPECT_EQ(sweep[s].subflows, oracle.throughput.subflows);
-        EXPECT_EQ(sweep[s].pairs_routed, oracle.throughput.pairs_routed);
-        EXPECT_GT(sweep[s].subflows, 0);
+        EXPECT_TRUE(BitEq(greedy.throughput.total_gbps, expected.total_gbps)) << what;
+        EXPECT_EQ(greedy.throughput.subflows, expected.subflows) << what;
+        EXPECT_EQ(greedy.throughput.pairs_routed, expected.pairs_routed) << what;
+        EXPECT_TRUE(BitEq(greedy.mean_path_latency_ms, plain.mean_path_latency_ms))
+            << what << ": " << greedy.mean_path_latency_ms << " vs "
+            << plain.mean_path_latency_ms;
       }
     }
   }

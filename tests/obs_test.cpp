@@ -21,7 +21,6 @@
 
 #include "core/parallel.hpp"
 #include "core/report.hpp"
-#include "obs/flight.hpp"
 #include "obs/json.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
@@ -718,9 +717,9 @@ TEST(ObsProgressTest, StepsFromManyThreadsSumExactly) {
 TEST(ObsProfileTest, DisabledProfilerRecordsNothing) {
   ResetProfile();
   ASSERT_FALSE(ProfilingActive());
-  // With no hook armed, Span construction must not touch the profiler:
-  // the gate is the single relaxed load in SpanHooksEnabled().
-  EXPECT_FALSE(SpanHooksEnabled());
+  // With the sampler off, Span construction must not touch the profiler:
+  // the gate is the single relaxed load in SpanHookEnabled().
+  EXPECT_FALSE(SpanHookEnabled());
   {
     const Span outer("profile.unsampled");
     const Span inner("profile.unsampled_inner");
@@ -790,76 +789,6 @@ TEST(ObsProfileTest, CollapsedValidatorAcceptsAndRejects) {
   EXPECT_FALSE(ValidateCollapsedStacks("a 1\nb 0\n", &why));
   EXPECT_NE(why.find("line 2"), std::string::npos) << why;
 }
-
-TEST(ObsFlightTest, RingOverflowKeepsMostRecentLines) {
-  FlightRecorderOptions options;
-  options.ring_lines = 4;
-  options.install_signal_handlers = false;
-  EnableFlightRecorder(options);
-  EXPECT_TRUE(FlightRecorderEnabled());
-  {
-    LogCapture capture(LogLevel::kInfo);
-    for (int i = 0; i < 10; ++i) {
-      LogInfo("flight.test").Field("seq", i);
-    }
-  }
-  EXPECT_EQ(FlightRecorderLinesDropped(), 6u);
-  const std::string dump = FlightRecorderDump();
-  // FIFO eviction: the last four lines survive, everything older is gone.
-  EXPECT_NE(dump.find("seq=9"), std::string::npos) << dump;
-  EXPECT_NE(dump.find("seq=6"), std::string::npos) << dump;
-  EXPECT_EQ(dump.find("seq=5"), std::string::npos) << dump;
-  // All four dump sections present, in order.
-  const size_t header = dump.find("=== leosim flight recorder dump");
-  const size_t lines = dump.find("-- recent log lines --");
-  const size_t stacks = dump.find("-- live span stacks --");
-  const size_t metrics = dump.find("-- metrics --");
-  const size_t footer = dump.find("=== end flight recorder dump ===");
-  ASSERT_NE(header, std::string::npos) << dump;
-  ASSERT_NE(footer, std::string::npos) << dump;
-  EXPECT_LT(header, lines);
-  EXPECT_LT(lines, stacks);
-  EXPECT_LT(stacks, metrics);
-  EXPECT_LT(metrics, footer);
-  DisableFlightRecorder();
-  EXPECT_FALSE(FlightRecorderEnabled());
-}
-
-TEST(ObsFlightTest, CrashDumpWritesSectionsToFd) {
-  FlightRecorderOptions options;
-  options.ring_lines = 8;
-  options.install_signal_handlers = false;
-  EnableFlightRecorder(options);
-  {
-    LogCapture capture(LogLevel::kInfo);
-    LogInfo("flight.crash_test").Field("marker", "present");
-    // A live span so the stack section has something to show; the flight
-    // hook is armed, so this thread's stack is registered.
-    const Span span("flight.active_span");
-    std::FILE* file = std::tmpfile();
-    ASSERT_NE(file, nullptr);
-    detail::FlightCrashDump(fileno(file), "test");
-    std::fflush(file);
-    std::rewind(file);
-    std::string dump;
-    char buf[4096];
-    size_t n = 0;
-    while ((n = std::fread(buf, 1, sizeof(buf), file)) > 0) {
-      dump.append(buf, n);
-    }
-    std::fclose(file);
-    EXPECT_NE(dump.find("flight recorder dump (test)"), std::string::npos)
-        << dump;
-    EXPECT_NE(dump.find("marker=present"), std::string::npos) << dump;
-    EXPECT_NE(dump.find("flight.active_span"), std::string::npos) << dump;
-    EXPECT_NE(dump.find("-- metrics --"), std::string::npos) << dump;
-    EXPECT_NE(dump.find("=== end flight recorder dump ===\n"),
-              std::string::npos)
-        << dump;
-  }
-  DisableFlightRecorder();
-}
-
 
 // --- Shared JSON encoder and file writer --------------------------------
 

@@ -1,6 +1,6 @@
 // The routed-flow builder (core::RouteFlows) against the network every
-// flow workload used to build: one flow link per graph edge (two under
-// separate up/down capacities: 2e for a->b, 2e+1 for b->a) and one flow
+// flow workload used to build (plain_flows_oracle.hpp): one flow link
+// per graph edge (two under separate up/down capacities) and one flow
 // per plain KEdgeDisjointShortestPaths path, in pair order. On bent-pipe
 // and hybrid snapshots at two times, for k = 1 and 4 and both capacity
 // models, the builder's network must be that network restricted to the
@@ -21,43 +21,10 @@
 #include "data/rng.hpp"
 #include "flow/maxmin.hpp"
 #include "flow/temporal.hpp"
-#include "graph/disjoint_paths.hpp"
+#include "plain_flows_oracle.hpp"
 
 namespace leosim::core {
 namespace {
-
-// The all-edges network and the pair each of its flows routes.
-struct AllEdges {
-  flow::FlowNetwork net;
-  std::vector<int> pair_of_flow;
-};
-
-AllEdges BuildAllEdges(NetworkModel::Snapshot& snap,
-                       const std::vector<CityPair>& pairs, int k,
-                       bool directional) {
-  AllEdges out;
-  for (graph::EdgeId e = 0; e < snap.graph.NumEdges(); ++e) {
-    out.net.AddLink(snap.graph.Edge(e).capacity);
-    if (directional) {
-      out.net.AddLink(snap.graph.Edge(e).capacity);
-    }
-  }
-  for (size_t i = 0; i < pairs.size(); ++i) {
-    const std::vector<graph::Path> paths = graph::KEdgeDisjointShortestPaths(
-        snap.graph, snap.CityNode(pairs[i].a), snap.CityNode(pairs[i].b), k);
-    for (const graph::Path& path : paths) {
-      std::vector<flow::LinkId> links;
-      for (size_t h = 0; h < path.edges.size(); ++h) {
-        const graph::EdgeId e = path.edges[h];
-        const bool forward = snap.graph.Edge(e).a == path.nodes[h];
-        links.push_back(directional ? 2 * e + (forward ? 0 : 1) : e);
-      }
-      out.net.AddFlow(std::move(links));
-      out.pair_of_flow.push_back(static_cast<int>(i));
-    }
-  }
-  return out;
-}
 
 void ExpectSameOutcomes(const flow::TemporalResult& expected,
                         const flow::TemporalResult& actual, const std::string& what) {
@@ -95,7 +62,8 @@ TEST(RouteFlowsTest, CompactedNetworkAllocatesLikeTheAllEdgesOne) {
           const std::string what = std::string(ToString(mode)) + " t=" +
                                    std::to_string(t) + " k=" + std::to_string(k) +
                                    (directional ? " up/down" : " shared");
-          const AllEdges full = BuildAllEdges(snap, pairs, k, directional);
+          const oracle::AllEdges full =
+              oracle::BuildAllEdges(snap, pairs, k, directional);
           const RoutedFlows routed = RouteFlows(snap, pairs, groups, k, capacity, &ws);
           ASSERT_GT(full.net.NumFlows(), 0) << what;
           ASSERT_EQ(routed.pair_of_flow, full.pair_of_flow) << what;

@@ -814,9 +814,11 @@ def _check_self_contained_one(ctx: LintContext, rel: str,
         include_name = rel[len("src/"):]
     else:
         include_name = Path(rel).name
+    # Outside src/, a header is included by name from its own directory
+    # (bench/ and tests/ code does so).
     proc = subprocess.run(
         [compiler, "-std=c++20", "-fsyntax-only",
-         "-I", str(ctx.root / "src"), "-I", str(ctx.root / "bench"),
+         "-I", str(ctx.root / "src"), "-I", str((ctx.root / rel).parent),
          "-x", "c++", "-"],
         input=f'#include "{include_name}"\n',
         capture_output=True, text=True, cwd=ctx.root,
