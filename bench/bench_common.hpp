@@ -158,11 +158,10 @@ inline std::vector<core::CityPair> MakePairs(const BenchConfig& config,
 
 // --- Timed micro/pipeline benchmarks with a machine-readable record ----
 //
-// BenchSuite is the shared harness behind bench_pipeline and micro_core:
-// each benchmark runs `reps` repetitions of a timed block (each block
+// BenchSuite is the harness behind bench_pipeline: each benchmark runs `reps` repetitions of a timed block (each block
 // performing `iters_per_rep` operations) and records the MEDIAN ns/op, so
 // one-off scheduler hiccups do not skew the perf trajectory tracked in
-// git. The emitted JSON schema (BENCH_pipeline.json, BENCH_micro.json):
+// git. The emitted JSON schema (BENCH_pipeline.json):
 //
 //   {
 //     "suite": "<name>",

@@ -1,12 +1,13 @@
 // Snapshot-pipeline performance benchmark (tracked in BENCH_pipeline.json).
 //
 // Times the three layers that dominate every figure reproduction —
-// snapshot construction, satellite-visibility queries, and single-pair
-// shortest paths — plus the end-to-end latency study (the paper's Fig. 2
+// snapshot construction, satellite-visibility queries (against the
+// brute-force fallback too), and single-pair shortest paths — plus the end-to-end latency study (the paper's Fig. 2
 // inner loop) whose wall-clock is the repo's headline perf number, once
 // at the flags' scale and once (relay_grid_build, fig2_full_slot,
 // relay_contract, relay_contract_masked) at the paper's, and one Fig. 4
-// throughput slot (throughput_slot) at a fixed scale. Run with fixed
+// throughput slot (throughput_slot) at a fixed scale, and the ITU-R
+// slant-path attenuation of one link. Run with fixed
 // flags so successive JSON records are comparable:
 //
 //   bench_pipeline --pairs=100 --snapshots=4 --spacing=3
@@ -36,6 +37,7 @@
 #include "graph/relay_contraction.hpp"
 #include "graph/sssp_tree.hpp"
 #include "ground/relay_grid.hpp"
+#include "itur/slant_path.hpp"
 #include "link/visibility.hpp"
 
 namespace {
@@ -177,6 +179,32 @@ int Run(int argc, char** argv) {
       }
     });
     std::printf("# visibility checksum: %zu sat-links\n", total_visible);
+
+    // 2a. The same queries through the brute-force fallback, which
+    //     elevation-tests every satellite: the index's speedup is this
+    //     entry over index_query. Both must find the same links.
+    size_t brute_visible = 0;
+    suite.Run("index_query_brute", 7, static_cast<int64_t>(terminals.size()),
+              [&] {
+                brute_visible = 0;
+                for (const geo::Vec3& gt : terminals) {
+                  brute_visible += link::VisibleSatellitesBruteForce(
+                                       gt, sats, scenario.radio.min_elevation_deg)
+                                       .size();
+                }
+              });
+    size_t index_visible = 0;
+    for (const geo::Vec3& gt : terminals) {
+      index_visible += index.Visible(gt, scenario.radio.min_elevation_deg).size();
+    }
+    std::printf("# index_query_brute checksum: %zu sat-links\n", brute_visible);
+    if (brute_visible != index_visible) {
+      std::fprintf(stderr,
+                   "bench_pipeline: index_query_brute found %zu links, "
+                   "index_query %zu\n",
+                   brute_visible, index_visible);
+      return 1;
+    }
 
     // 2b. The fused query the snapshot builder actually runs: candidate
     //     gather + batch sine-form elevation test + slant ranges, into
@@ -505,6 +533,24 @@ int Run(int argc, char** argv) {
       fill_checksum = flow::MaxMinFairAllocate(fill_net).total_gbps;
     });
     std::printf("# maxmin checksum: %.3f Gbps total\n", fill_checksum);
+  }
+
+  // 7. ITU-R slant-path attenuation (gas, cloud, rain, scintillation) of
+  //    one Ku-band link: the per-link cost of the attenuation and outage
+  //    studies.
+  {
+    const itur::SlantPathConfig link_config{14.25, 0.7, 0.5};
+    const geo::GeodeticCoord gt{5.0, 110.0, 0.0};
+    const int iters = 10000;
+    double attenuation_db = 0.0;
+    suite.Run("slant_path_attenuation", 5, iters, [&] {
+      attenuation_db = 0.0;
+      for (int i = 0; i < iters; ++i) {
+        attenuation_db += itur::SlantPathAttenuationDb(gt, 35.0, link_config, 0.5);
+      }
+    });
+    std::printf("# slant_path_attenuation: %.6f dB per link\n",
+                attenuation_db / iters);
   }
 
   const bool wrote = suite.WriteJson("BENCH_pipeline.json");

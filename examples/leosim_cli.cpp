@@ -317,6 +317,17 @@ int CmdCities(const std::string& filter) {
 int Dispatch(const std::vector<std::string>& args) {
   const std::string command = args.empty() ? "" : args[0];
   const size_t n = args.size();
+  // study and trace parse their own flags. Every other command takes
+  // positional arguments only (route's trailing --bp aside), so a "--"
+  // argument is a mistyped flag, not a city name or a filter.
+  if (command != "study" && command != "trace") {
+    for (size_t i = 1; i < n; ++i) {
+      const bool route_bp = command == "route" && i == 3 && args[i] == "--bp";
+      if (args[i].starts_with("--") && !route_bp) {
+        throw std::invalid_argument(command + ": unknown flag " + args[i]);
+      }
+    }
+  }
   const auto arity = [&](size_t lo, size_t hi) {
     if (n > hi) {
       throw std::invalid_argument(command + ": unexpected argument " + args[hi]);

@@ -66,11 +66,8 @@ int EnvThreadOverride() {
   return static_cast<int>(std::min<long>(value, 1024));
 }
 
-int ResolveWorkers(int count, int num_threads) {
-  int workers = num_threads;
-  if (workers <= 0) {
-    workers = EnvThreadOverride();
-  }
+int ResolveWorkers(int count) {
+  int workers = EnvThreadOverride();
   if (workers <= 0) {
     workers = HardwareWorkers();
   }
@@ -80,12 +77,11 @@ int ResolveWorkers(int count, int num_threads) {
 }  // namespace
 
 void ParallelForWorkers(int count,
-                        const std::function<void(int worker, int index)>& body,
-                        int num_threads) {
+                        const std::function<void(int worker, int index)>& body) {
   if (count <= 0) {
     return;
   }
-  const int workers = ResolveWorkers(count, num_threads);
+  const int workers = ResolveWorkers(count);
   RunsCounter().Increment();
   ItemsCounter().Add(static_cast<uint64_t>(count));
 
@@ -167,13 +163,10 @@ void ParallelForWorkers(int count,
   }
 }
 
-void ParallelFor(int count, const std::function<void(int)>& body, int num_threads) {
-  ParallelForWorkers(
-      count, [&body](int /*worker*/, int index) { body(index); }, num_threads);
+void ParallelFor(int count, const std::function<void(int)>& body) {
+  ParallelForWorkers(count, [&body](int /*worker*/, int index) { body(index); });
 }
 
-int DefaultWorkerCount() {
-  return ResolveWorkers(std::numeric_limits<int>::max(), 0);
-}
+int DefaultWorkerCount() { return ResolveWorkers(std::numeric_limits<int>::max()); }
 
 }  // namespace leosim::core

@@ -7,15 +7,13 @@
 
 namespace leosim::core {
 
-// Worker-count resolution, shared by both entry points below:
-//   num_threads > 0  — exactly that many workers (clamped to `count`).
-//   num_threads == 0 — the LEOSIM_THREADS environment variable when set
-//                      (clamped to [1, 1024]; "0" or garbage falls back to
-//                      hardware concurrency), else hardware concurrency.
-// LEOSIM_THREADS lets CI/sanitizer jobs pin thread counts without
-// touching call sites; it is re-read at the start of every run (from
+// Worker-count resolution, shared by both entry points below: the
+// LEOSIM_THREADS environment variable when set (clamped to [1, 1024];
+// "0" or garbage falls back to hardware concurrency), else hardware
+// concurrency, and never more workers than `count`. LEOSIM_THREADS is
+// the only thread setting; it is re-read at the start of every run (from
 // the launching thread, before workers spawn), so a process can vary it
-// between runs — the sweep determinism tests rely on this.
+// between runs — the determinism tests rely on this.
 //
 // Exception semantics: the first exception captured from any worker is
 // rethrown to the caller after all workers have joined. Capturing an
@@ -29,11 +27,10 @@ namespace leosim::core {
 // Invokes body(0..count-1) across the resolved number of worker threads.
 // The body must be thread-safe for distinct indices. `count <= 0` is a
 // no-op.
-void ParallelFor(int count, const std::function<void(int)>& body,
-                 int num_threads = 0);
+void ParallelFor(int count, const std::function<void(int)>& body);
 
-// The worker count ParallelFor would resolve for unbounded work with
-// num_threads == 0 (i.e. LEOSIM_THREADS or hardware concurrency).
+// The worker count ParallelFor would resolve for unbounded work (i.e.
+// LEOSIM_THREADS or hardware concurrency).
 // Exposed so run manifests can record the effective parallelism.
 int DefaultWorkerCount();
 
@@ -42,7 +39,6 @@ int DefaultWorkerCount();
 // workspaces) alive across the iterations that worker claims. Worker
 // indices are dense; the worker count is capped at `count`.
 void ParallelForWorkers(int count,
-                        const std::function<void(int worker, int index)>& body,
-                        int num_threads = 0);
+                        const std::function<void(int worker, int index)>& body);
 
 }  // namespace leosim::core

@@ -193,7 +193,6 @@ PolicyThroughputResult RunThroughputWithPolicy(const NetworkModel& model,
   }
 
   PolicyThroughputResult result;
-  result.policy = policy;
   result.throughput = ThroughputOf(
       FlowsFromPaths(snap.graph, paths_of, CapacityModel::kSharedPerLink));
   double latency_sum = 0.0;

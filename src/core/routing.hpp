@@ -51,7 +51,6 @@ std::vector<graph::Path> RoutePair(graph::Graph& g, graph::NodeId src,
                                    RoutingState& state);
 
 struct PolicyThroughputResult {
-  RoutingPolicy policy{RoutingPolicy::kDisjointGreedy};
   ThroughputResult throughput;
   double mean_path_latency_ms{0.0};  // mean one-way latency of chosen paths
 };

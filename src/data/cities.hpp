@@ -33,7 +33,4 @@ const std::vector<City>& AnchorCities();
 // Finds an anchor city by exact name; throws std::out_of_range if absent.
 const City& FindCity(const std::string& name);
 
-// True if an anchor city with this name exists.
-bool HasCity(const std::string& name);
-
 }  // namespace leosim::data

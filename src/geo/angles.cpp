@@ -12,17 +12,4 @@ double WrapLongitudeDeg(double lon_deg) {
   return wrapped - 180.0;
 }
 
-double WrapTwoPi(double rad) {
-  double wrapped = std::fmod(rad, 2.0 * kPi);
-  if (wrapped < 0.0) {
-    wrapped += 2.0 * kPi;
-  }
-  return wrapped;
-}
-
-double LongitudeDifferenceDeg(double lon_a_deg, double lon_b_deg) {
-  const double diff = std::fabs(WrapLongitudeDeg(lon_a_deg - lon_b_deg));
-  return diff > 180.0 ? 360.0 - diff : diff;
-}
-
 }  // namespace leosim::geo

@@ -13,10 +13,4 @@ constexpr double RadToDeg(double rad) { return rad * 180.0 / kPi; }
 // Normalizes an angle in degrees to [-180, 180).
 double WrapLongitudeDeg(double lon_deg);
 
-// Normalizes an angle in radians to [0, 2*pi).
-double WrapTwoPi(double rad);
-
-// Absolute difference between two longitudes, in degrees, in [0, 180].
-double LongitudeDifferenceDeg(double lon_a_deg, double lon_b_deg);
-
 }  // namespace leosim::geo

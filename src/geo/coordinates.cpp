@@ -27,38 +27,6 @@ GeodeticCoord EcefToGeodetic(const Vec3& ecef) {
   return g;
 }
 
-Vec3 GeodeticToEcefWgs84(const GeodeticCoord& g) {
-  const double lat = DegToRad(g.latitude_deg);
-  const double lon = DegToRad(g.longitude_deg);
-  const double e2 = kWgs84Flattening * (2.0 - kWgs84Flattening);
-  const double sin_lat = std::sin(lat);
-  const double n = kWgs84SemiMajorKm / std::sqrt(1.0 - e2 * sin_lat * sin_lat);
-  return {(n + g.altitude_km) * std::cos(lat) * std::cos(lon),
-          (n + g.altitude_km) * std::cos(lat) * std::sin(lon),
-          (n * (1.0 - e2) + g.altitude_km) * sin_lat};
-}
-
-GeodeticCoord EcefToGeodeticWgs84(const Vec3& ecef) {
-  const double e2 = kWgs84Flattening * (2.0 - kWgs84Flattening);
-  const double p = std::hypot(ecef.x, ecef.y);
-  GeodeticCoord g;
-  g.longitude_deg = WrapLongitudeDeg(RadToDeg(std::atan2(ecef.y, ecef.x)));
-
-  // Iterate latitude; starts from the spherical estimate.
-  double lat = std::atan2(ecef.z, p * (1.0 - e2));
-  double n = kWgs84SemiMajorKm;
-  double alt = 0.0;
-  for (int i = 0; i < 8; ++i) {
-    const double sin_lat = std::sin(lat);
-    n = kWgs84SemiMajorKm / std::sqrt(1.0 - e2 * sin_lat * sin_lat);
-    alt = (p > 1e-9) ? p / std::cos(lat) - n : std::fabs(ecef.z) - kWgs84SemiMinorKm;
-    lat = std::atan2(ecef.z, p * (1.0 - e2 * n / (n + alt)));
-  }
-  g.latitude_deg = RadToDeg(lat);
-  g.altitude_km = alt;
-  return g;
-}
-
 Vec3 EciToEcef(const Vec3& eci, double seconds_since_epoch) {
   const double theta = kEarthRotationRadPerSec * seconds_since_epoch;
   const double c = std::cos(theta);
@@ -66,13 +34,6 @@ Vec3 EciToEcef(const Vec3& eci, double seconds_since_epoch) {
   // ECEF frame rotates by +theta relative to ECI, so positions rotate by
   // -theta when expressed in ECEF.
   return {c * eci.x + s * eci.y, -s * eci.x + c * eci.y, eci.z};
-}
-
-Vec3 EcefToEci(const Vec3& ecef, double seconds_since_epoch) {
-  const double theta = kEarthRotationRadPerSec * seconds_since_epoch;
-  const double c = std::cos(theta);
-  const double s = std::sin(theta);
-  return {c * ecef.x - s * ecef.y, s * ecef.x + c * ecef.y, ecef.z};
 }
 
 }  // namespace leosim::geo

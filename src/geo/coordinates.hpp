@@ -1,26 +1,19 @@
 // Geodetic / Earth-centred coordinate systems and conversions.
 //
-// The experiments in this library use a spherical Earth of mean radius
-// kEarthRadiusKm, matching the fidelity of the paper (and of LEO simulators
-// such as Hypatia). WGS84 ellipsoidal conversions are also provided for
-// users who need geodetic-grade positions.
+// The library uses a spherical Earth of mean radius kEarthRadiusKm,
+// matching the fidelity of the paper (and of LEO simulators such as
+// Hypatia).
 #pragma once
 
 #include "geo/vec3.hpp"
 
 namespace leosim::geo {
 
-// Mean Earth radius (IUGG), km. Used by the spherical model everywhere in
-// the experiment pipeline.
+// Mean Earth radius (IUGG), km.
 inline constexpr double kEarthRadiusKm = 6371.0;
 
 // Speed of light in vacuum, km/s. Radio and laser links both propagate at c.
 inline constexpr double kSpeedOfLightKmPerSec = 299792.458;
-
-// WGS84 ellipsoid parameters, km.
-inline constexpr double kWgs84SemiMajorKm = 6378.137;
-inline constexpr double kWgs84Flattening = 1.0 / 298.257223563;
-inline constexpr double kWgs84SemiMinorKm = kWgs84SemiMajorKm * (1.0 - kWgs84Flattening);
 
 // A position given as geodetic latitude/longitude (degrees) and altitude
 // above the surface (km). Latitude in [-90, 90], longitude in [-180, 180).
@@ -32,29 +25,18 @@ struct GeodeticCoord {
   constexpr bool operator==(const GeodeticCoord&) const = default;
 };
 
-// --- Spherical-Earth conversions (used by the simulation) ---
-
 // Geodetic -> Earth-centred Earth-fixed, spherical Earth. Units: km.
 Vec3 GeodeticToEcef(const GeodeticCoord& g);
 
 // ECEF -> geodetic, spherical Earth. Units: km.
 GeodeticCoord EcefToGeodetic(const Vec3& ecef);
 
-// --- WGS84 ellipsoidal conversions ---
-
-Vec3 GeodeticToEcefWgs84(const GeodeticCoord& g);
-
-// Iterative (Bowring-style) inverse; converges to sub-metre in a few steps.
-GeodeticCoord EcefToGeodeticWgs84(const Vec3& ecef);
-
-// --- ECI <-> ECEF ---
-//
 // The simulation epoch defines ECI == ECEF at t = 0; the Earth then rotates
 // at kEarthRotationRadPerSec about +z. This is all the experiments need
 // (absolute sidereal time is irrelevant to constellation geometry).
 inline constexpr double kEarthRotationRadPerSec = 7.2921159e-5;
 
+// ECI -> ECEF at `seconds_since_epoch`; a negative time rotates back.
 Vec3 EciToEcef(const Vec3& eci, double seconds_since_epoch);
-Vec3 EcefToEci(const Vec3& ecef, double seconds_since_epoch);
 
 }  // namespace leosim::geo

@@ -19,17 +19,6 @@ double GreatCircleDistanceKm(const GeodeticCoord& a, const GeodeticCoord& b) {
   return 2.0 * kEarthRadiusKm * std::asin(std::min(1.0, std::sqrt(h)));
 }
 
-double InitialBearingDeg(const GeodeticCoord& a, const GeodeticCoord& b) {
-  const double lat_a = DegToRad(a.latitude_deg);
-  const double lat_b = DegToRad(b.latitude_deg);
-  const double dlon = DegToRad(b.longitude_deg - a.longitude_deg);
-  const double y = std::sin(dlon) * std::cos(lat_b);
-  const double x = std::cos(lat_a) * std::sin(lat_b) -
-                   std::sin(lat_a) * std::cos(lat_b) * std::cos(dlon);
-  const double bearing = RadToDeg(std::atan2(y, x));
-  return bearing < 0.0 ? bearing + 360.0 : bearing;
-}
-
 GeodeticCoord IntermediatePoint(const GeodeticCoord& a, const GeodeticCoord& b,
                                 double fraction) {
   fraction = std::clamp(fraction, 0.0, 1.0);

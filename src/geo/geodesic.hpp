@@ -12,9 +12,6 @@ namespace leosim::geo {
 // stability at small separations.
 double GreatCircleDistanceKm(const GeodeticCoord& a, const GeodeticCoord& b);
 
-// Initial bearing from a to b, degrees clockwise from north, in [0, 360).
-double InitialBearingDeg(const GeodeticCoord& a, const GeodeticCoord& b);
-
 // Point reached after travelling `fraction` (in [0,1]) of the great circle
 // from a to b. Altitude is linearly interpolated.
 GeodeticCoord IntermediatePoint(const GeodeticCoord& a, const GeodeticCoord& b,

@@ -80,11 +80,4 @@ std::optional<Path> ShortestPath(const Graph& g, NodeId src, NodeId dst) {
   return ShortestPath(g, src, dst, workspace);
 }
 
-std::vector<double> ShortestDistances(const Graph& g, NodeId src) {
-  DijkstraWorkspace workspace;
-  std::vector<double> dist;
-  ShortestDistancesInto(g, src, workspace, &dist);
-  return dist;
-}
-
 }  // namespace leosim::graph

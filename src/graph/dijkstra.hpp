@@ -342,11 +342,9 @@ std::optional<Path> ShortestPathAStar(const Adjacency& g, NodeId src, NodeId dst
   return WalkBack(g, workspace, src, dst);
 }
 
-// Single-source distances to every node (kInfDistance if unreachable).
-std::vector<double> ShortestDistances(const Graph& g, NodeId src);
-
-// As above into a caller-owned vector (resized to NumNodes()), reusing
-// `workspace` scratch across queries.
+// Single-source distances to every node (kInfDistance if unreachable)
+// into a caller-owned vector (resized to NumNodes()), reusing `workspace`
+// scratch across queries.
 template <typename Adjacency>
 void ShortestDistancesInto(const Adjacency& g, NodeId src,
                            DijkstraWorkspace& workspace, std::vector<double>* out) {

@@ -34,7 +34,7 @@ LatLonDeg SphericalLatLonDeg(const geo::Vec3& ecef) {
 // sin(el) >= sin(min_el), and sin(el) = dot(ground, sat - ground) /
 // (|ground| |sat - ground|), so the comparison needs one sqrt and no
 // inverse trig per candidate. `threshold` is sin(min_el) * |ground|,
-// hoisted per query — every caller (IsVisible, brute force, the index)
+// hoisted per query — every caller (brute force and the index)
 // evaluates the identical expression so their visible sets agree exactly.
 double SinThreshold(const geo::Vec3& ground_ecef, double min_elevation_deg) {
   return std::sin(geo::DegToRad(min_elevation_deg)) * ground_ecef.Norm();
@@ -86,12 +86,6 @@ size_t ElevationTestBatch(const geo::Vec3& ground_ecef, double threshold,
 }
 
 }  // namespace
-
-bool IsVisible(const geo::Vec3& ground_ecef, const geo::Vec3& sat_ecef,
-               double min_elevation_deg) {
-  return AboveSinThreshold(ground_ecef, sat_ecef,
-                           SinThreshold(ground_ecef, min_elevation_deg));
-}
 
 std::vector<int> VisibleSatellitesBruteForce(const geo::Vec3& ground_ecef,
                                              const std::vector<geo::Vec3>& sat_ecef,

@@ -21,11 +21,6 @@
 
 namespace leosim::link {
 
-// True when `sat_ecef` is visible from `ground_ecef` at or above
-// `min_elevation_deg`.
-bool IsVisible(const geo::Vec3& ground_ecef, const geo::Vec3& sat_ecef,
-               double min_elevation_deg);
-
 // Brute-force visible set; mostly for tests and small inputs.
 std::vector<int> VisibleSatellitesBruteForce(const geo::Vec3& ground_ecef,
                                              const std::vector<geo::Vec3>& sat_ecef,

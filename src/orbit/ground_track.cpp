@@ -33,18 +33,6 @@ double BisectBoundary(const CircularOrbit& orbit, const geo::Vec3& gt,
 
 }  // namespace
 
-std::vector<geo::GeodeticCoord> GroundTrack(const CircularOrbit& orbit,
-                                            double t0_sec, double t1_sec,
-                                            double step_sec) {
-  std::vector<geo::GeodeticCoord> track;
-  for (double t = t0_sec; t <= t1_sec; t += step_sec) {
-    geo::GeodeticCoord g = geo::EcefToGeodetic(orbit.PositionEcef(t));
-    g.altitude_km = 0.0;  // track is the surface projection
-    track.push_back(g);
-  }
-  return track;
-}
-
 std::optional<Pass> FindNextPass(const CircularOrbit& orbit,
                                  const geo::GeodeticCoord& terminal,
                                  double min_elevation_deg, double t0_sec,

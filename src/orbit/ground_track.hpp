@@ -1,20 +1,13 @@
-// Ground tracks and pass prediction for a single orbit — the classic
-// "when does the next satellite rise over my site" utilities that any
-// constellation toolkit ships.
+// Pass prediction for a single orbit: when does the next satellite rise
+// over a site.
 #pragma once
 
 #include <optional>
-#include <vector>
 
 #include "geo/coordinates.hpp"
 #include "orbit/propagator.hpp"
 
 namespace leosim::orbit {
-
-// Sub-satellite points sampled over [t0, t1] every `step_sec`.
-std::vector<geo::GeodeticCoord> GroundTrack(const CircularOrbit& orbit,
-                                            double t0_sec, double t1_sec,
-                                            double step_sec);
 
 struct Pass {
   double rise_time_sec{0.0};

@@ -49,26 +49,6 @@ geo::Vec3 CircularOrbit::PositionEci(double seconds_since_epoch) const {
           radius_km_ * sin_u * sin_inc_};
 }
 
-geo::Vec3 CircularOrbit::VelocityEci(double seconds_since_epoch) const {
-  const double u = u0_rad_ + mean_motion_rad_s_ * seconds_since_epoch +
-                   geo::kPi / 2.0;
-  double cos_raan = cos_raan0_;
-  double sin_raan = sin_raan0_;
-  if (raan_drift_rad_s_ != 0.0) {
-    const double raan = raan0_rad_ + raan_drift_rad_s_ * seconds_since_epoch;
-    cos_raan = std::cos(raan);
-    sin_raan = std::sin(raan);
-  }
-  // d/dt of the perifocal position: u advances at the mean motion, so the
-  // velocity is the in-plane tangent scaled by v = n * r.
-  const double v = mean_motion_rad_s_ * radius_km_;
-  const double cos_u = std::cos(u);
-  const double sin_u = std::sin(u);
-  return {v * (cos_raan * cos_u - sin_raan * sin_u * cos_inc_),
-          v * (sin_raan * cos_u + cos_raan * sin_u * cos_inc_),
-          v * sin_u * sin_inc_};
-}
-
 geo::Vec3 CircularOrbit::PositionEcef(double seconds_since_epoch) const {
   return geo::EciToEcef(PositionEci(seconds_since_epoch), seconds_since_epoch);
 }

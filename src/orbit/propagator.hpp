@@ -28,9 +28,6 @@ class CircularOrbit {
   // Position in the inertial frame at `seconds_since_epoch`, km.
   geo::Vec3 PositionEci(double seconds_since_epoch) const;
 
-  // Velocity in the inertial frame, km/s.
-  geo::Vec3 VelocityEci(double seconds_since_epoch) const;
-
   // Position in the rotating Earth-fixed frame, km.
   geo::Vec3 PositionEcef(double seconds_since_epoch) const;
 

@@ -26,6 +26,7 @@
 #include "data/cities.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "scoped_threads.hpp"
 
 namespace leosim::core {
 namespace {
@@ -33,6 +34,7 @@ namespace {
 TEST(ParallelStressTest, ContendedAtomicAccumulators) {
   // Every iteration updates every accumulator, so all workers hammer the
   // same cache lines for the whole run.
+  const ScopedThreads scope(8);
   const int n = 200'000;
   std::atomic<std::int64_t> sum{0};
   std::atomic<std::int64_t> max_seen{-1};
@@ -47,14 +49,14 @@ TEST(ParallelStressTest, ContendedAtomicAccumulators) {
                !max_seen.compare_exchange_weak(prev, i,
                                                std::memory_order_relaxed)) {
         }
-      },
-      8);
+      });
   EXPECT_EQ(sum.load(), static_cast<std::int64_t>(n) * (n - 1) / 2);
   EXPECT_EQ(calls.load(), n);
   EXPECT_EQ(max_seen.load(), n - 1);
 }
 
 TEST(ParallelStressTest, MutexProtectedSharedVector) {
+  const ScopedThreads scope(8);
   const int n = 20'000;
   std::mutex mutex;
   std::vector<int> collected;
@@ -64,8 +66,7 @@ TEST(ParallelStressTest, MutexProtectedSharedVector) {
       [&](int i) {
         const std::lock_guard<std::mutex> lock(mutex);
         collected.push_back(i);
-      },
-      8);
+      });
   EXPECT_EQ(collected.size(), static_cast<size_t>(n));
   std::int64_t sum = 0;
   for (const int v : collected) {
@@ -81,6 +82,7 @@ TEST(ParallelStressTest, AnnotatedMutexGuardedCounterFromAllWorkers) {
   // the per-worker shard pinning is active too. Proves the annotations
   // (compile-time discipline) and the runtime behaviour agree — TSan
   // must stay as quiet about MutexLock as it was about lock_guard.
+  const ScopedThreads scope(8);
   struct Guarded {
     leosim::Mutex mutex;
     std::int64_t counter LEOSIM_GUARDED_BY(mutex) = 0;
@@ -98,8 +100,7 @@ TEST(ParallelStressTest, AnnotatedMutexGuardedCounterFromAllWorkers) {
         const leosim::MutexLock lock(state.mutex);
         state.counter += i;
         state.per_worker_hits[static_cast<size_t>(worker)] += 1;
-      },
-      8);
+      });
 
   const leosim::MutexLock lock(state.mutex);
   EXPECT_EQ(state.counter, static_cast<std::int64_t>(n) * (n - 1) / 2);
@@ -114,6 +115,7 @@ TEST(ParallelStressTest, AnnotatedMutexTryLockContention) {
   // TryLock under contention: winners mutate guarded state, losers fall
   // back to an atomic tally. Exercises the LEOSIM_TRY_ACQUIRE path of
   // the wrapper, which the studies do not use yet.
+  const ScopedThreads scope(8);
   struct Guarded {
     leosim::Mutex mutex;
     std::int64_t acquired LEOSIM_GUARDED_BY(mutex) = 0;
@@ -130,8 +132,7 @@ TEST(ParallelStressTest, AnnotatedMutexTryLockContention) {
         } else {
           contended.fetch_add(1, std::memory_order_relaxed);
         }
-      },
-      8);
+      });
 
   const leosim::MutexLock lock(state.mutex);
   EXPECT_EQ(state.acquired + contended.load(), static_cast<std::int64_t>(n));
@@ -142,10 +143,11 @@ TEST(ParallelStressTest, DisjointSlotWritesWithoutSynchronisation) {
   // The pattern the studies rely on: each iteration owns slot i and
   // writes it without locks. Correct by construction — and the exact
   // pattern TSan must stay quiet about.
+  const ScopedThreads scope(8);
   const int n = 100'000;
   std::vector<double> slots(static_cast<size_t>(n), 0.0);
   ParallelFor(
-      n, [&](int i) { slots[static_cast<size_t>(i)] = 2.0 * i; }, 8);
+      n, [&](int i) { slots[static_cast<size_t>(i)] = 2.0 * i; });
   for (int i = 0; i < n; i += 9973) {
     EXPECT_DOUBLE_EQ(slots[static_cast<size_t>(i)], 2.0 * i);
   }
@@ -154,10 +156,11 @@ TEST(ParallelStressTest, DisjointSlotWritesWithoutSynchronisation) {
 TEST(ParallelStressTest, RepeatedForkJoinCycles) {
   // Many short ParallelFor calls back to back stress thread create/join
   // and the handoff of captured state between rounds.
+  const ScopedThreads scope(4);
   std::atomic<std::int64_t> total{0};
   for (int round = 0; round < 200; ++round) {
     ParallelFor(
-        64, [&](int i) { total.fetch_add(i, std::memory_order_relaxed); }, 4);
+        64, [&](int i) { total.fetch_add(i, std::memory_order_relaxed); });
   }
   EXPECT_EQ(total.load(), 200LL * (64LL * 63LL / 2LL));
 }
@@ -166,6 +169,7 @@ TEST(ParallelStressTest, ExceptionStopUnderContention) {
   // Exercise the stop-flag path while every worker is mid-flight; the
   // error machinery (mutex + exception_ptr + stop flag) must be race
   // free against concurrent captures from all workers.
+  const ScopedThreads scope(8);
   for (int round = 0; round < 50; ++round) {
     std::atomic<int> executed{0};
     EXPECT_THROW(ParallelFor(
@@ -175,8 +179,7 @@ TEST(ParallelStressTest, ExceptionStopUnderContention) {
                        if (i % 97 == 3) {
                          throw std::runtime_error("stress boom");
                        }
-                     },
-                     8),
+                     }),
                  std::runtime_error);
     EXPECT_GE(executed.load(), 1);
   }
@@ -186,6 +189,7 @@ TEST(ParallelStressTest, ObsCounterAndSpanFromAllWorkers) {
   // Every worker hammers the same counter and the same span histogram
   // (and, with tracing on, its own trace buffer) for the whole run —
   // the exact write pattern the sharded metrics claim is race free.
+  const ScopedThreads scope(8);
   obs::EnableTracing(true);
   obs::ResetTrace();
   obs::Counter& counter =
@@ -201,8 +205,7 @@ TEST(ParallelStressTest, ObsCounterAndSpanFromAllWorkers) {
       [&](int i) {
         const obs::Span span("stress.span", &span_us);
         counter.Add(static_cast<std::uint64_t>(i % 3 + 1));
-      },
-      8);
+      });
   obs::EnableTracing(false);
 
   // i%3+1 over n iterations: n/3 of each of 1,2,3 when 3 divides n.

@@ -11,6 +11,8 @@
 #include <thread>
 #include <vector>
 
+#include "scoped_threads.hpp"
+
 namespace leosim::core {
 namespace {
 
@@ -31,30 +33,31 @@ TEST(ParallelForTest, HandlesZeroAndNegativeCounts) {
 }
 
 TEST(ParallelForTest, SingleThreadIsSequential) {
+  const ScopedThreads scope(1);
   std::vector<int> order;
-  ParallelFor(10, [&](int i) { order.push_back(i); }, 1);
+  ParallelFor(10, [&](int i) { order.push_back(i); });
   std::vector<int> expected(10);
   std::iota(expected.begin(), expected.end(), 0);
   EXPECT_EQ(order, expected);
 }
 
 TEST(ParallelForTest, PropagatesExceptions) {
-  EXPECT_THROW(
-      ParallelFor(
-          16, [](int i) {
-            if (i == 7) {
-              throw std::runtime_error("boom");
-            }
-          },
-          4),
-      std::runtime_error);
+  const ScopedThreads scope(4);
+  EXPECT_THROW(ParallelFor(16,
+                           [](int i) {
+                             if (i == 7) {
+                               throw std::runtime_error("boom");
+                             }
+                           }),
+               std::runtime_error);
 }
 
 TEST(ParallelForTest, SumMatchesAcrossThreadCounts) {
   const int n = 500;
   for (const int threads : {1, 2, 4, 8}) {
+    const ScopedThreads scope(threads);
     std::atomic<long> sum{0};
-    ParallelFor(n, [&](int i) { sum.fetch_add(i); }, threads);
+    ParallelFor(n, [&](int i) { sum.fetch_add(i); });
     EXPECT_EQ(sum.load(), static_cast<long>(n) * (n - 1) / 2) << threads;
   }
 }
@@ -62,19 +65,17 @@ TEST(ParallelForTest, SumMatchesAcrossThreadCounts) {
 TEST(ParallelForTest, RethrowsTheFirstCapturedError) {
   // Index 0 throws immediately; index 15 throws only after a generous
   // delay, so the error captured first is deterministic in practice.
+  const ScopedThreads scope(2);
   try {
-    ParallelFor(
-        16,
-        [](int i) {
-          if (i == 0) {
-            throw std::runtime_error("first");
-          }
-          if (i == 15) {
-            std::this_thread::sleep_for(std::chrono::milliseconds(200));
-            throw std::runtime_error("late");
-          }
-        },
-        2);
+    ParallelFor(16, [](int i) {
+      if (i == 0) {
+        throw std::runtime_error("first");
+      }
+      if (i == 15) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(200));
+        throw std::runtime_error("late");
+      }
+    });
     FAIL() << "expected ParallelFor to throw";
   } catch (const std::runtime_error& e) {
     EXPECT_STREQ(e.what(), "first");
@@ -87,16 +88,15 @@ TEST(ParallelForTest, ExceptionSkipsUnclaimedIterations) {
   // bodies run. (Timing-dependent in the exact number, but the gap is
   // enormous: a handful versus fifty million.)
   const int count = 50'000'000;
+  const ScopedThreads scope(4);
   std::atomic<long> executed{0};
-  EXPECT_THROW(ParallelFor(
-                   count,
-                   [&](int i) {
-                     executed.fetch_add(1);
-                     if (i == 0) {
-                       throw std::runtime_error("boom");
-                     }
-                   },
-                   4),
+  EXPECT_THROW(ParallelFor(count,
+                           [&](int i) {
+                             executed.fetch_add(1);
+                             if (i == 0) {
+                               throw std::runtime_error("boom");
+                             }
+                           }),
                std::runtime_error);
   EXPECT_LT(executed.load(), static_cast<long>(count));
 }
@@ -105,24 +105,23 @@ TEST(ParallelForTest, ClampsThreadCountToWorkItemCount) {
   // Requesting far more threads than work items must not spawn idle
   // workers: at most `count` distinct threads may execute bodies.
   const int count = 4;
+  const ScopedThreads scope(64);
   std::mutex mutex;
   std::set<std::thread::id> thread_ids;
-  ParallelFor(
-      count,
-      [&](int) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(10));
-        const std::lock_guard<std::mutex> lock(mutex);
-        thread_ids.insert(std::this_thread::get_id());
-      },
-      64);
+  ParallelFor(count, [&](int) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    const std::lock_guard<std::mutex> lock(mutex);
+    thread_ids.insert(std::this_thread::get_id());
+  });
   EXPECT_LE(thread_ids.size(), static_cast<size_t>(count));
   EXPECT_GE(thread_ids.size(), 1u);
 }
 
 TEST(ParallelForTest, ZeroCountIsNoOpForAnyThreadCount) {
   for (const int threads : {0, 1, 8, 64}) {
+    const ScopedThreads scope(threads);
     std::atomic<int> calls{0};
-    ParallelFor(0, [&](int) { calls.fetch_add(1); }, threads);
+    ParallelFor(0, [&](int) { calls.fetch_add(1); });
     EXPECT_EQ(calls.load(), 0) << threads;
   }
 }
@@ -130,17 +129,15 @@ TEST(ParallelForTest, ZeroCountIsNoOpForAnyThreadCount) {
 TEST(ParallelForWorkersTest, VisitsEveryIndexWithDenseWorkerIds) {
   const int n = 200;
   const int threads = 4;
+  const ScopedThreads scope(threads);
   std::vector<std::atomic<int>> visits(n);
   std::mutex mutex;
   std::set<int> workers_seen;
-  ParallelForWorkers(
-      n,
-      [&](int worker, int i) {
-        visits[static_cast<size_t>(i)].fetch_add(1);
-        const std::lock_guard<std::mutex> lock(mutex);
-        workers_seen.insert(worker);
-      },
-      threads);
+  ParallelForWorkers(n, [&](int worker, int i) {
+    visits[static_cast<size_t>(i)].fetch_add(1);
+    const std::lock_guard<std::mutex> lock(mutex);
+    workers_seen.insert(worker);
+  });
   for (int i = 0; i < n; ++i) {
     EXPECT_EQ(visits[static_cast<size_t>(i)].load(), 1) << i;
   }
@@ -156,9 +153,10 @@ TEST(ParallelForWorkersTest, VisitsEveryIndexWithDenseWorkerIds) {
 TEST(ParallelForWorkersTest, SingleWorkerScratchIsSafe) {
   // With one thread the same worker id serves every index, so non-atomic
   // per-worker state is safe — the pattern the studies use.
+  const ScopedThreads scope(1);
   std::vector<int> scratch(1, 0);
-  ParallelForWorkers(
-      100, [&](int worker, int) { ++scratch[static_cast<size_t>(worker)]; }, 1);
+  ParallelForWorkers(100,
+                     [&](int worker, int) { ++scratch[static_cast<size_t>(worker)]; });
   EXPECT_EQ(scratch[0], 100);
 }
 

@@ -99,7 +99,7 @@ TEST(CitiesTest, PaperCitiesPresent) {
   for (const char* name :
        {"Maceio", "Durban", "Delhi", "Sydney", "Brisbane", "Tokyo", "Paris",
         "London", "New York"}) {
-    EXPECT_TRUE(HasCity(name)) << name;
+    EXPECT_NO_THROW(FindCity(name)) << name;
   }
 }
 
@@ -120,13 +120,12 @@ TEST(CitiesTest, DelhiSydneyDistanceSane) {
 
 TEST(CitiesTest, FindUnknownCityThrows) {
   EXPECT_THROW(FindCity("Atlantis"), std::out_of_range);
-  EXPECT_FALSE(HasCity("Atlantis"));
 }
 
 TEST(CitiesTest, ParisFiberNeighboursPresent) {
   // Fig. 11 uses Paris plus nearby smaller cities.
   for (const char* name : {"Rouen", "Orleans", "Reims", "Amiens", "Tours"}) {
-    ASSERT_TRUE(HasCity(name)) << name;
+    ASSERT_NO_THROW(FindCity(name)) << name;
     EXPECT_LT(geo::GreatCircleDistanceKm(FindCity("Paris").Coord(),
                                          FindCity(name).Coord()),
               250.0)

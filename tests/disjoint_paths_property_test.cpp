@@ -23,7 +23,6 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <cstdlib>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -39,6 +38,7 @@
 #include "graph/relay_contraction.hpp"
 #include "obs/metrics.hpp"
 #include "plain_flows_oracle.hpp"
+#include "scoped_threads.hpp"
 
 namespace leosim::core {
 namespace {
@@ -471,15 +471,6 @@ TEST(ContractedDisjointPaths, ConsecutivePairsSharingASatelliteStartClean) {
     ExpectSamePaths(alone_first[0], both[first_is_0 ? 0 : 1], "C0 -> C1");
     ExpectSamePaths(alone_second[0], both[first_is_0 ? 1 : 0], "C2 -> C1");
   }
-}
-
-// Runs `fn` with LEOSIM_THREADS set to `threads`.
-template <typename Fn>
-auto WithThreads(const char* threads, const Fn& fn) {
-  setenv("LEOSIM_THREADS", threads, 1);
-  auto result = fn();
-  unsetenv("LEOSIM_THREADS");
-  return result;
 }
 
 // Sixteen slots, so that 13 workers all take some.

@@ -33,7 +33,7 @@ TEST(EdgeCaseTest, DestinationPointOverThePole) {
   const geo::GeodeticCoord start{80.0, 30.0, 0.0};
   const geo::GeodeticCoord dest = geo::DestinationPoint(start, 0.0, 2500.0);
   EXPECT_GT(dest.latitude_deg, 75.0);
-  EXPECT_NEAR(geo::LongitudeDifferenceDeg(dest.longitude_deg, -150.0), 0.0, 1.0);
+  EXPECT_NEAR(geo::WrapLongitudeDeg(dest.longitude_deg + 150.0), 0.0, 1.0);
 }
 
 TEST(EdgeCaseTest, GreatCircleAcrossAntimeridian) {

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 #include "geo/angles.hpp"
 
 namespace leosim::geo {
@@ -20,17 +18,6 @@ TEST(AnglesTest, WrapLongitude) {
   EXPECT_DOUBLE_EQ(WrapLongitudeDeg(-190.0), 170.0);
   EXPECT_DOUBLE_EQ(WrapLongitudeDeg(360.0), 0.0);
   EXPECT_DOUBLE_EQ(WrapLongitudeDeg(540.0), -180.0);
-}
-
-TEST(AnglesTest, WrapTwoPi) {
-  EXPECT_NEAR(WrapTwoPi(2.0 * kPi + 0.5), 0.5, 1e-12);
-  EXPECT_NEAR(WrapTwoPi(-0.5), 2.0 * kPi - 0.5, 1e-12);
-}
-
-TEST(AnglesTest, LongitudeDifference) {
-  EXPECT_DOUBLE_EQ(LongitudeDifferenceDeg(170.0, -170.0), 20.0);
-  EXPECT_DOUBLE_EQ(LongitudeDifferenceDeg(10.0, 30.0), 20.0);
-  EXPECT_DOUBLE_EQ(LongitudeDifferenceDeg(-90.0, 90.0), 180.0);
 }
 
 TEST(CoordinatesTest, EquatorPrimeMeridian) {
@@ -64,26 +51,16 @@ TEST(CoordinatesTest, EcefToGeodeticAtOrigin) {
   EXPECT_DOUBLE_EQ(g.altitude_km, -kEarthRadiusKm);
 }
 
-TEST(CoordinatesTest, Wgs84EquatorMatchesSemiMajor) {
-  const Vec3 ecef = GeodeticToEcefWgs84({0.0, 0.0, 0.0});
-  EXPECT_NEAR(ecef.Norm(), kWgs84SemiMajorKm, 1e-9);
-}
-
-TEST(CoordinatesTest, Wgs84PoleMatchesSemiMinor) {
-  const Vec3 ecef = GeodeticToEcefWgs84({90.0, 0.0, 0.0});
-  EXPECT_NEAR(std::fabs(ecef.z), kWgs84SemiMinorKm, 1e-6);
-}
-
 TEST(CoordinatesTest, EciEcefIdentityAtEpoch) {
   const Vec3 p{1000.0, 2000.0, 3000.0};
   EXPECT_EQ(EciToEcef(p, 0.0), p);
-  EXPECT_EQ(EcefToEci(p, 0.0), p);
 }
 
 TEST(CoordinatesTest, EciEcefRoundTrip) {
+  // Rotating by -t undoes the rotation by t.
   const Vec3 p{7000.0, -1234.0, 2500.0};
   const double t = 4321.0;
-  const Vec3 back = EcefToEci(EciToEcef(p, t), t);
+  const Vec3 back = EciToEcef(EciToEcef(p, t), -t);
   EXPECT_NEAR(back.x, p.x, 1e-9);
   EXPECT_NEAR(back.y, p.y, 1e-9);
   EXPECT_NEAR(back.z, p.z, 1e-9);
@@ -106,24 +83,6 @@ TEST(CoordinatesTest, FullSiderealDayReturnsHome) {
   EXPECT_NEAR(rotated.x, p.x, 1e-6);
   EXPECT_NEAR(rotated.y, p.y, 1e-6);
 }
-
-// WGS84 round-trip property over a latitude/longitude sweep.
-class Wgs84RoundTripTest
-    : public ::testing::TestWithParam<std::tuple<double, double>> {};
-
-TEST_P(Wgs84RoundTripTest, RoundTrip) {
-  const auto [lat, lon] = GetParam();
-  const GeodeticCoord g{lat, lon, 123.456};
-  const GeodeticCoord back = EcefToGeodeticWgs84(GeodeticToEcefWgs84(g));
-  EXPECT_NEAR(back.latitude_deg, g.latitude_deg, 1e-6);
-  EXPECT_NEAR(back.longitude_deg, g.longitude_deg, 1e-6);
-  EXPECT_NEAR(back.altitude_km, g.altitude_km, 1e-5);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    LatLonSweep, Wgs84RoundTripTest,
-    ::testing::Combine(::testing::Values(-80.0, -45.0, -10.0, 0.0, 10.0, 45.0, 80.0),
-                       ::testing::Values(-170.0, -90.0, 0.0, 90.0, 179.0)));
 
 }  // namespace
 }  // namespace leosim::geo

@@ -39,14 +39,6 @@ TEST(GeodesicTest, OneDegreeAlongEquator) {
   EXPECT_NEAR(GreatCircleDistanceKm(a, b), kEarthRadiusKm * DegToRad(1.0), 1e-9);
 }
 
-TEST(GeodesicTest, BearingDueNorthAndEast) {
-  const GeodeticCoord origin{0.0, 0.0, 0.0};
-  EXPECT_NEAR(InitialBearingDeg(origin, {10.0, 0.0, 0.0}), 0.0, 1e-9);
-  EXPECT_NEAR(InitialBearingDeg(origin, {0.0, 10.0, 0.0}), 90.0, 1e-9);
-  EXPECT_NEAR(InitialBearingDeg(origin, {-10.0, 0.0, 0.0}), 180.0, 1e-9);
-  EXPECT_NEAR(InitialBearingDeg(origin, {0.0, -10.0, 0.0}), 270.0, 1e-9);
-}
-
 TEST(GeodesicTest, IntermediatePointEndpoints) {
   const GeodeticCoord start = IntermediatePoint(kLondon, kNewYork, 0.0);
   const GeodeticCoord end = IntermediatePoint(kLondon, kNewYork, 1.0);
@@ -68,12 +60,16 @@ TEST(GeodesicTest, IntermediatePointInterpolatesAltitude) {
   EXPECT_NEAR(IntermediatePoint(a, b, 0.25).altitude_km, 2.5, 1e-12);
 }
 
-TEST(GeodesicTest, DestinationPointRoundTrip) {
-  const double bearing = InitialBearingDeg(kLondon, kNewYork);
-  const double distance = GreatCircleDistanceKm(kLondon, kNewYork);
-  const GeodeticCoord dest = DestinationPoint(kLondon, bearing, distance);
-  EXPECT_NEAR(dest.latitude_deg, kNewYork.latitude_deg, 1e-6);
-  EXPECT_NEAR(dest.longitude_deg, kNewYork.longitude_deg, 1e-6);
+TEST(GeodesicTest, DestinationPointTravelsTheGivenDistance) {
+  for (const double bearing : {0.0, 45.0, 90.0, 200.0, 300.0}) {
+    const GeodeticCoord dest = DestinationPoint(kLondon, bearing, 5000.0);
+    EXPECT_NEAR(GreatCircleDistanceKm(kLondon, dest), 5000.0, 1e-6) << bearing;
+  }
+  // Due east along the equator keeps latitude and adds longitude.
+  const GeodeticCoord east =
+      DestinationPoint({0.0, 0.0, 0.0}, 90.0, kEarthRadiusKm * DegToRad(30.0));
+  EXPECT_NEAR(east.latitude_deg, 0.0, 1e-9);
+  EXPECT_NEAR(east.longitude_deg, 30.0, 1e-9);
 }
 
 TEST(GeodesicTest, ElevationStraightUpIs90) {

@@ -103,7 +103,9 @@ TEST(DijkstraTest, RespectsDisabledEdges) {
 
 TEST(DijkstraTest, ShortestDistancesMatchesSinglePair) {
   const Graph g = Diamond();
-  const std::vector<double> dist = ShortestDistances(g, 0);
+  DijkstraWorkspace workspace;
+  std::vector<double> dist;
+  ShortestDistancesInto(g, 0, workspace, &dist);
   EXPECT_DOUBLE_EQ(dist[0], 0.0);
   EXPECT_DOUBLE_EQ(dist[1], 1.0);
   EXPECT_DOUBLE_EQ(dist[2], 1.5);
@@ -113,7 +115,9 @@ TEST(DijkstraTest, ShortestDistancesMatchesSinglePair) {
 TEST(DijkstraTest, UnreachableDistanceIsInfinite) {
   Graph g(3);
   g.AddEdge(0, 1, 5.0);
-  const std::vector<double> dist = ShortestDistances(g, 0);
+  DijkstraWorkspace workspace;
+  std::vector<double> dist;
+  ShortestDistancesInto(g, 0, workspace, &dist);
   EXPECT_EQ(dist[2], kInfDistance);
 }
 

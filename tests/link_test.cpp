@@ -16,13 +16,13 @@ namespace {
 TEST(VisibilityTest, OverheadSatelliteVisible) {
   const geo::Vec3 gt = geo::GeodeticToEcef({10.0, 20.0, 0.0});
   const geo::Vec3 sat = geo::GeodeticToEcef({10.0, 20.0, 550.0});
-  EXPECT_TRUE(IsVisible(gt, sat, 25.0));
+  EXPECT_EQ(VisibleSatellitesBruteForce(gt, {sat}, 25.0), std::vector<int>{0});
 }
 
 TEST(VisibilityTest, FarSatelliteNotVisible) {
   const geo::Vec3 gt = geo::GeodeticToEcef({10.0, 20.0, 0.0});
   const geo::Vec3 sat = geo::GeodeticToEcef({10.0, 60.0, 550.0});
-  EXPECT_FALSE(IsVisible(gt, sat, 25.0));
+  EXPECT_TRUE(VisibleSatellitesBruteForce(gt, {sat}, 25.0).empty());
 }
 
 TEST(VisibilityTest, IndexMatchesBruteForceForStarlink) {

@@ -28,6 +28,7 @@
 #include "obs/progress.hpp"
 #include "obs/timeseries.hpp"
 #include "obs/trace.hpp"
+#include "scoped_threads.hpp"
 
 namespace leosim::obs {
 namespace {
@@ -743,17 +744,17 @@ TEST(ObsProfileTest, CollapsedStacksUnderParallelForWorkers) {
   // during the spin walks every registered stack, so it must have seen
   // this one. The deadline turns a wedged sampler into an assertion
   // failure instead of a hung CI job.
-  core::ParallelForWorkers(
-      8,
-      [&deadline](int /*worker*/, int /*index*/) {
-        const Span body("profile.test_body");
-        const uint64_t before = ProfileSamplesTaken();
-        while (ProfileSamplesTaken() < before + 3 &&
-               std::chrono::steady_clock::now() < deadline) {
-          std::this_thread::yield();
-        }
-      },
-      /*num_threads=*/4);
+  {
+    const core::ScopedThreads scope(4);
+    core::ParallelForWorkers(8, [&deadline](int /*worker*/, int /*index*/) {
+      const Span body("profile.test_body");
+      const uint64_t before = ProfileSamplesTaken();
+      while (ProfileSamplesTaken() < before + 3 &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::yield();
+      }
+    });
+  }
   StopProfiling();
   EXPECT_FALSE(ProfilingActive());
   EXPECT_GE(ProfileSamplesTaken(), 5u);

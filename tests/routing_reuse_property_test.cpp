@@ -6,7 +6,6 @@
 
 #include <bit>
 #include <cstdint>
-#include <cstdlib>
 #include <random>
 #include <vector>
 
@@ -16,6 +15,7 @@
 #include "data/cities.hpp"
 #include "graph/dijkstra.hpp"
 #include "graph/landmarks.hpp"
+#include "scoped_threads.hpp"
 
 namespace leosim {
 namespace {
@@ -99,11 +99,8 @@ TEST(RoutingReuseProperty, ChurnAggregateThreadInvariant) {
   schedule.step_sec = 60.0;
 
   const auto run = [&](const char* threads) {
-    setenv("LEOSIM_THREADS", threads, 1);
-    const core::AggregateChurn churn =
-        core::RunAggregateChurnStudy(model, pairs, schedule);
-    unsetenv("LEOSIM_THREADS");
-    return churn;
+    const core::ScopedThreads scope(threads);
+    return core::RunAggregateChurnStudy(model, pairs, schedule);
   };
   const core::AggregateChurn a = run("1");
   const core::AggregateChurn b = run("4");

@@ -17,7 +17,6 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <cstdlib>
 #include <limits>
 #include <string>
 #include <vector>
@@ -37,6 +36,7 @@
 #include "itur/slant_path.hpp"
 #include "obs/metrics.hpp"
 #include "orbit/walker.hpp"
+#include "scoped_threads.hpp"
 
 namespace leosim::core {
 namespace {
@@ -564,15 +564,6 @@ TEST(SlotRouter, HybridAndBentPipeEqualsTwoRouterCalls) {
     }
     EXPECT_NE(hybrid.rtt, bent_pipe.rtt) << "t=" << t;
   }
-}
-
-// Runs `fn` with LEOSIM_THREADS set to `threads`.
-template <typename Fn>
-auto WithThreads(const char* threads, const Fn& fn) {
-  setenv("LEOSIM_THREADS", threads, 1);
-  auto result = fn();
-  unsetenv("LEOSIM_THREADS");
-  return result;
 }
 
 TEST(SlotRouter, LatencyAndChurnThreadInvariant) {

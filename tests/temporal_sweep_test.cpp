@@ -10,7 +10,6 @@
 #include <bit>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -24,6 +23,7 @@
 #include "data/cities.hpp"
 #include "obs/timeseries.hpp"
 #include "orbit/walker.hpp"
+#include "scoped_threads.hpp"
 
 namespace leosim::core {
 namespace {
@@ -215,7 +215,7 @@ std::string StripProfilingSeries(std::string json) {
 // with full double precision, so "byte-identical at any thread count"
 // is one string comparison.
 std::string RunSweepStudies(const char* threads) {
-  setenv("LEOSIM_THREADS", threads, 1);
+  const ScopedThreads scope(threads);
   obs::TimeseriesRecorder& recorder = obs::TimeseriesRecorder::Global();
   recorder.Enable(true);
   recorder.Reset();
@@ -241,7 +241,6 @@ std::string RunSweepStudies(const char* threads) {
   std::string out = StripProfilingSeries(recorder.ToJson());
   recorder.Enable(false);
   recorder.Reset();
-  unsetenv("LEOSIM_THREADS");
 
   char tmp[64];
   const auto append = [&out, &tmp](double v) {

@@ -20,7 +20,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <optional>
 #include <string>
 #include <utility>
@@ -32,6 +31,7 @@
 #include "core/traffic_matrix.hpp"
 #include "data/cities.hpp"
 #include "graph/dijkstra.hpp"
+#include "scoped_threads.hpp"
 
 namespace leosim::core {
 namespace {
@@ -150,7 +150,7 @@ std::vector<std::optional<std::vector<int32_t>>> IndependentPathSets(
 }
 
 void CheckRouteChangeEventsAtThreads(const char* threads) {
-  setenv("LEOSIM_THREADS", threads, 1);
+  const ScopedThreads scope(threads);
   NetTraceRecorder& net_trace = NetTraceRecorder::Global();
   net_trace.Reset();
   net_trace.Enable(true);
@@ -201,7 +201,6 @@ void CheckRouteChangeEventsAtThreads(const char* threads) {
 
   net_trace.Enable(false);
   net_trace.Reset();
-  unsetenv("LEOSIM_THREADS");
 }
 
 TEST(TraceBehaviorTest, RouteChangeEventsMatchIndependentPathsAt1Thread) {

@@ -20,7 +20,6 @@
 
 #include <unistd.h>
 
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -35,6 +34,7 @@
 #include "core/traffic_matrix.hpp"
 #include "data/cities.hpp"
 #include "obs/metrics.hpp"
+#include "scoped_threads.hpp"
 
 namespace leosim::core {
 namespace {
@@ -57,7 +57,7 @@ std::vector<CityPair> SamplePairs(int num_pairs) {
 // serialized streams. LEOSIM_THREADS is set for the duration of the run.
 std::pair<std::string, std::string> TraceChurnRun(const char* threads,
                                                   bool use_aircraft) {
-  setenv("LEOSIM_THREADS", threads, 1);
+  const ScopedThreads scope(threads);
   NetTraceRecorder& net_trace = NetTraceRecorder::Global();
   net_trace.Reset();
   net_trace.Enable(true);
@@ -75,7 +75,6 @@ std::pair<std::string, std::string> TraceChurnRun(const char* threads,
                                           net_trace.NetEventsJsonl()};
   net_trace.Enable(false);
   net_trace.Reset();
-  unsetenv("LEOSIM_THREADS");
   return out;
 }
 
@@ -173,7 +172,7 @@ void ExpectReplayFailure(
   std::vector<NetworkModel::Snapshot> snaps = FourSnapshots();
   tamper(&snaps);
   for (const char* threads : {"1", "4"}) {
-    setenv("LEOSIM_THREADS", threads, 1);
+    const ScopedThreads scope(threads);
     NetTraceRecorder& net_trace = NetTraceRecorder::Global();
     net_trace.Reset();
     net_trace.Enable(true);
@@ -188,7 +187,6 @@ void ExpectReplayFailure(
     net_trace.Enable(false);
     net_trace.Reset();
   }
-  unsetenv("LEOSIM_THREADS");
 }
 
 TEST(TraceReplayNegativeTest, UntamperedSnapshotsReplay) {
@@ -281,7 +279,7 @@ std::string ReadFile(const std::filesystem::path& path) {
 TEST(TraceWriteTest, FilesMatchSerializersAtAnyThreadCount) {
   const auto [netstate, netevents] = TraceChurnRun("1", "0");
   for (const char* threads : {"1", "3"}) {
-    setenv("LEOSIM_THREADS", threads, 1);
+    const ScopedThreads scope(threads);
     NetTraceRecorder& net_trace = NetTraceRecorder::Global();
     net_trace.Reset();
     net_trace.Enable(true);
@@ -304,7 +302,6 @@ TEST(TraceWriteTest, FilesMatchSerializersAtAnyThreadCount) {
     net_trace.Enable(false);
     net_trace.Reset();
   }
-  unsetenv("LEOSIM_THREADS");
 }
 
 TEST(TraceWriteTest, UnwritablePathsFail) {

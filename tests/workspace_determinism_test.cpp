@@ -120,7 +120,7 @@ TEST(WorkspaceDeterminismTest, AStarMatchesDijkstraDistance) {
   }
 }
 
-TEST(WorkspaceDeterminismTest, ShortestDistancesIntoMatchesValueOverload) {
+TEST(WorkspaceDeterminismTest, ShortestDistancesIntoReusedMatchesFresh) {
   const NetworkModel model(Scenario::Starlink(),
                            FastOptions(ConnectivityMode::kBentPipe),
                            data::AnchorCities());
@@ -130,7 +130,9 @@ TEST(WorkspaceDeterminismTest, ShortestDistancesIntoMatchesValueOverload) {
   std::vector<double> reused;
   for (int i = 0; i < 3; ++i) {
     const graph::NodeId src = snap.CityNode(i * 2);
-    const std::vector<double> fresh = graph::ShortestDistances(snap.graph, src);
+    graph::DijkstraWorkspace fresh_workspace;
+    std::vector<double> fresh;
+    graph::ShortestDistancesInto(snap.graph, src, fresh_workspace, &fresh);
     graph::ShortestDistancesInto(snap.graph, src, workspace, &reused);
     EXPECT_EQ(fresh, reused);
   }

@@ -42,9 +42,8 @@ Rules (each maps to a repo invariant documented in DESIGN.md):
                    RouteSlotDisjointPaths, or core::RouteFlows on top of
                    it), the one routing policy every study shares.
                    routing.cpp's order-dependent EXT-RT policies are not
-                   a study file, and bench_pipeline.cpp and
-                   micro_core.cpp bench the plain searches the router
-                   falls back to on purpose.
+                   a study file, and bench_pipeline.cpp benches the
+                   plain searches the router falls back to on purpose.
   snapshot-workspace
                    No allocating BuildSnapshot(t) in study drivers
                    (src/core/*_study.cpp, routing.cpp). Inner loops must
@@ -361,8 +360,8 @@ def check_study_summary(ctx: LintContext) -> list[Finding]:
 
 STUDY_ROUTER_RE = re.compile(
     r"\b(ShortestPath|ShortestPathAStar|KEdgeDisjointShortestPaths)\s*\(")
-# Bench binaries that time the plain searches against the router.
-STUDY_ROUTER_BENCH_EXEMPT = {"bench/bench_pipeline.cpp", "bench/micro_core.cpp"}
+# The bench binary that times the plain searches against the router.
+STUDY_ROUTER_BENCH_EXEMPT = {"bench/bench_pipeline.cpp"}
 
 
 def check_study_router(ctx: LintContext) -> list[Finding]:

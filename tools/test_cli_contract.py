@@ -14,8 +14,7 @@ Each row below is argv -> expected rc plus a stderr substring; rows that
 succeed also check the numbers they print, not only the exit code.
 
 Usage: test_cli_contract.py BINARY...   (leosim_cli, fig5_isl_capacity,
-       micro_core, tle_ingest, weather_planner and fig2_latency, matched
-       by file name)
+       tle_ingest, weather_planner and fig2_latency, matched by file name)
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
 
-REQUIRED = ("leosim_cli", "fig5_isl_capacity", "micro_core", "tle_ingest",
+REQUIRED = ("leosim_cli", "fig5_isl_capacity", "tle_ingest",
             "weather_planner", "fig2_latency")
 
 # A tiny workload so the rows that run end to end stay fast.
@@ -131,12 +130,14 @@ def rows(tmp: Path) -> list[Row]:
         Row("fig5_isl_capacity", ["--progress=soon"], 2, "--progress"),
         # --csv= belongs to fig2_latency only.
         Row("fig5_isl_capacity", ["--csv=out"], 2, "unknown flag --csv=out"),
-        Row("micro_core", ["--reps=abc"], 2, "--reps: expected an integer"),
-        Row("micro_core", ["--reps=0"], 2, "got '0'"),
         Row("weather_planner", ["Singapore", "abc"], 2, "freq_ghz"),
         Row("weather_planner", ["Singapore", "500"], 2, "freq_ghz"),
         Row("tle_ingest", [str(short_tle)], 2, "TLE line shorter than 69"),
         Row("leosim_cli", ["--log-level=bogus", "cities"], 2, "--log-level"),
+        # A command's "--" argument is a flag it does not take, not a
+        # name filter or a city.
+        Row("leosim_cli", ["cities", "--bogus"], 2, "cities: unknown flag --bogus"),
+        Row("leosim_cli", ["visible", "--bp"], 2, "visible: unknown flag --bp"),
         Row("leosim_cli", ["pairs", "5x"], 2, "count: expected an integer"),
         Row("leosim_cli", ["pairs", "-1"], 2, "count: expected an integer"),
         Row("leosim_cli", ["attenuation", "Paris", "abc"], 2, "freq_ghz"),
