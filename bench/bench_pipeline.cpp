@@ -27,6 +27,7 @@
 #include "core/net_trace.hpp"
 #include "core/parallel.hpp"
 #include "core/scenario.hpp"
+#include "core/slot_router.hpp"
 #include "core/throughput_study.hpp"
 #include "flow/flow_network.hpp"
 #include "flow/maxmin.hpp"
@@ -35,7 +36,6 @@
 #include "graph/disjoint_paths.hpp"
 #include "graph/landmarks.hpp"
 #include "graph/relay_contraction.hpp"
-#include "graph/sssp_tree.hpp"
 #include "ground/relay_grid.hpp"
 #include "itur/slant_path.hpp"
 #include "link/visibility.hpp"
@@ -241,17 +241,20 @@ int Run(int argc, char** argv) {
     });
     std::printf("# dijkstra checksum: %.3f ms summed\n", checksum);
 
-    // 3b. The same pair queries through ALT: goal-directed A* with
-    //     landmark potentials (graph/landmarks.hpp). Table construction
-    //     (16 full Dijkstras, amortised across a snapshot's queries)
-    //     stays outside the timed region; the entry measures the
-    //     settled-corridor win per query. Distances are bit-identical
-    //     to dijkstra_pair's — same checksum.
+    // 3b. The same pair queries as the router's ALT tier answers them
+    //     (core/slot_router.hpp): graph::RunAStar with landmark
+    //     potentials on the snapshot's relay contraction, labels only.
+    //     The contraction and the table (16 full Dijkstras, amortised
+    //     across a slot's queries) are built outside the timed region.
+    //     Contracted distances are the full graph's bit for bit, so the
+    //     checksum must equal dijkstra_pair's.
+    graph::RelayContraction contraction;
+    contraction.Build(snap.graph, snap.num_sats + snap.num_cities);
     graph::DijkstraWorkspace alt_ws;
     graph::LandmarkTable table;
-    table.Rebuild(snap.graph, alt_ws);
+    table.Rebuild(contraction, alt_ws);
     double alt_checksum = 0.0;
-    suite.Run("dijkstra_alt_pair", 5, queries, [&] {
+    suite.Run("contracted_alt_pair", 5, queries, [&] {
       for (int i = 0; i < queries; ++i) {
         const int a = i % snap.num_cities;
         const int b = (i * 7 + 41) % snap.num_cities;
@@ -260,68 +263,76 @@ int Run(int argc, char** argv) {
         const auto potential = [&table](graph::NodeId n) {
           return table.Potential(n);
         };
-        const auto path = graph::ShortestPathAStar(
-            snap.graph, snap.CityNode(a), dst, alt_ws, potential);
-        if (path.has_value()) {
-          alt_checksum += path->distance;
+        if (graph::RunAStar(contraction, snap.CityNode(a), dst, alt_ws, potential)) {
+          alt_checksum += alt_ws.DistanceOf(dst);
         }
       }
     });
-    std::printf("# dijkstra_alt checksum: %.3f ms summed\n", alt_checksum);
+    std::printf("# contracted_alt checksum: %.3f ms summed\n", alt_checksum);
+    if (alt_checksum != checksum) {
+      std::fprintf(stderr, "bench_pipeline: contracted_alt_pair checksum %.17g != "
+                           "dijkstra_pair %.17g\n", alt_checksum, checksum);
+      return 1;
+    }
 
     // 3c. What a slot pays before its first ALT query: the compact
     //     landmark-table rebuild (component seeding, 16 landmark
-    //     Dijkstras, float32 fill) that the per-slot router
-    //     (core/slot_router.hpp) runs once per slot and mode when the
-    //     slot routes at least kAltMinQueries reachable pairs.
+    //     Dijkstras, float32 fill) on the relay contraction, which the
+    //     per-slot router runs once per slot and mode when the slot
+    //     routes at least kAltMinQueries reachable searches.
     graph::DijkstraWorkspace table_ws;
     graph::LandmarkTable rebuilt;
-    suite.Run("alt_table_build", 5, 1,
-              [&] { rebuilt.Rebuild(snap.graph, table_ws); });
-    std::printf("# alt_table_build: %zu landmarks on %d nodes\n",
-                rebuilt.landmarks().size(), snap.graph.NumNodes());
+    suite.Run("contracted_alt_table_build", 5, 1,
+              [&] { rebuilt.Rebuild(contraction, table_ws); });
+    std::printf("# contracted_alt_table_build: %zu landmarks on %d nodes\n",
+                rebuilt.landmarks().size(), contraction.NumNodes());
 
     // 3d. Paper §5's k = 4 greedy edge-disjoint paths for the same 64
     //     pairs: plain Dijkstra for every search (disjoint_pair), then
-    //     every search goal-directed by the landmark table of 3b
-    //     (disjoint_alt_pair), as the throughput study runs them. The
-    //     goal-directed overload returns the plain one's paths edge for
-    //     edge, so both checksums (summed path latencies) must match.
+    //     as the throughput study runs them (router_disjoint_pair):
+    //     RouteSlotDisjointPaths, whose contraction, tier choice and
+    //     landmark table are timed with its searches. The router returns
+    //     the plain overload's paths edge for edge, so both checksums
+    //     (summed path latencies, in pair order) must match.
     constexpr int kDisjointPaths = 4;
-    const auto disjoint_checksum = [&](const auto& route) {
+    std::vector<core::CityPair> disjoint_pairs;
+    for (int i = 0; i < queries; ++i) {
+      disjoint_pairs.push_back({i % snap.num_cities, (i * 7 + 41) % snap.num_cities});
+    }
+    const auto path_sum = [](const std::vector<graph::Path>& paths) {
       double sum = 0.0;
-      for (int i = 0; i < queries; ++i) {
-        const int a = i % snap.num_cities;
-        const int b = (i * 7 + 41) % snap.num_cities;
-        for (const graph::Path& path : route(snap.CityNode(a), snap.CityNode(b))) {
-          sum += path.distance;
-        }
+      for (const graph::Path& path : paths) {
+        sum += path.distance;
       }
       return sum;
     };
     graph::DijkstraWorkspace disjoint_ws;
     double plain_sum = 0.0;
     suite.Run("disjoint_pair", 5, queries, [&] {
-      plain_sum = disjoint_checksum([&](graph::NodeId src, graph::NodeId dst) {
-        return graph::KEdgeDisjointShortestPaths(snap.graph, src, dst,
-                                                 kDisjointPaths, disjoint_ws);
-      });
+      plain_sum = 0.0;
+      for (const core::CityPair& p : disjoint_pairs) {
+        plain_sum += path_sum(graph::KEdgeDisjointShortestPaths(
+            snap.graph, snap.CityNode(p.a), snap.CityNode(p.b), kDisjointPaths,
+            disjoint_ws));
+      }
     });
-    double alt_sum = 0.0;
-    suite.Run("disjoint_alt_pair", 5, queries, [&] {
-      alt_sum = disjoint_checksum([&](graph::NodeId src, graph::NodeId dst) {
-        table.SetDestination(dst);
-        const auto potential = [&table](graph::NodeId n) {
-          return table.Potential(n);
-        };
-        return graph::KEdgeDisjointShortestPaths(snap.graph, src, dst,
-                                                 kDisjointPaths, alt_ws, potential);
-      });
+    const std::vector<core::SourceGroup> groups =
+        core::GroupPairsBySource(disjoint_pairs);
+    core::SweepWorkspace router_ws;
+    std::vector<std::vector<graph::Path>> routed;
+    double router_sum = 0.0;
+    suite.Run("router_disjoint_pair", 5, queries, [&] {
+      core::RouteSlotDisjointPaths(snap, disjoint_pairs, groups, kDisjointPaths,
+                                   &router_ws, &routed);
+      router_sum = 0.0;
+      for (const std::vector<graph::Path>& paths : routed) {
+        router_sum += path_sum(paths);
+      }
     });
     std::printf("# disjoint checksum: %.3f ms summed\n", plain_sum);
-    if (alt_sum != plain_sum) {
-      std::fprintf(stderr, "bench_pipeline: disjoint_alt_pair checksum %.17g != "
-                           "disjoint_pair %.17g\n", alt_sum, plain_sum);
+    if (router_sum != plain_sum) {
+      std::fprintf(stderr, "bench_pipeline: router_disjoint_pair checksum %.17g != "
+                           "disjoint_pair %.17g\n", router_sum, plain_sum);
       return 1;
     }
   }

@@ -15,35 +15,15 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-GsoModeImpact CompareMode(const Scenario& scenario,
-                          const std::vector<data::City>& cities,
-                          const std::vector<CityPair>& pairs,
-                          NetworkOptions options, const GsoNetworkOptions& gso,
-                          StudySummary* summary) {
-  options.apply_gso_exclusion = false;
-  const NetworkModel plain(scenario, options, cities);
-  options.apply_gso_exclusion = true;
-  options.gso_separation_deg = gso.separation_deg;
-  const NetworkModel excluded(scenario, options, cities);
-
-  // One workspace: the plain snapshot is routed before the excluded one
-  // is built over it.
-  SweepWorkspace ws;
-  const std::vector<SourceGroup> groups = GroupPairsBySource(pairs);
-  SlotRoutes without;
-  SlotRoutes with;
-  RouteSlotPairs(plain.BuildSnapshot(gso.time_sec, &ws.snapshot), pairs, groups,
-                 /*want_paths=*/false, &ws, &without);
-  RouteSlotPairs(excluded.BuildSnapshot(gso.time_sec, &ws.snapshot), pairs,
-                 groups, /*want_paths=*/false, &ws, &with);
-  summary->snapshots_built += 2;
-
+// One mode's impact from its routes without and with the exclusion.
+GsoModeImpact CompareRoutes(const SlotRoutes& without, const SlotRoutes& with,
+                            StudySummary* summary) {
   GsoModeImpact impact;
-  impact.pairs = static_cast<int>(pairs.size());
+  impact.pairs = static_cast<int>(without.rtt.size());
   double rtt_without_sum = 0.0;
   double rtt_with_sum = 0.0;
   int both = 0;
-  for (size_t i = 0; i < pairs.size(); ++i) {
+  for (size_t i = 0; i < without.rtt.size(); ++i) {
     const bool reached_without = without.rtt[i] != kInf;
     const bool reached_with = with.rtt[i] != kInf;
     if (reached_without) {
@@ -107,13 +87,32 @@ GsoNetworkResult RunGsoNetworkStudy(const Scenario& scenario,
   const StudyTimer timer;
   StudySummary summary;
   summary.study = "gso_network";
+  // One hybrid snapshot per exclusion setting, routed as built and with
+  // its ISLs masked (the bent-pipe view, as in the latency study): a
+  // bent-pipe model differs from its hybrid twin only in the mode, so
+  // masking gives its answers bit for bit (CanDeriveBentPipeByMasking).
+  // One workspace: the plain snapshot is routed before the excluded one
+  // is built over it.
+  NetworkOptions plain = base_options;
+  plain.mode = ConnectivityMode::kHybrid;
+  plain.apply_gso_exclusion = false;
+  NetworkOptions excluded = plain;
+  excluded.apply_gso_exclusion = true;
+  excluded.gso_separation_deg = gso.separation_deg;
+  const std::vector<SourceGroup> groups = GroupPairsBySource(pairs);
+  SweepWorkspace ws;
+  SlotRoutes hybrid[2];
+  SlotRoutes bent_pipe[2];
+  const NetworkOptions* variants[2] = {&plain, &excluded};
+  for (size_t v = 0; v < 2; ++v) {
+    const NetworkModel model(scenario, *variants[v], cities);
+    RouteSlotPairsHybridAndBentPipe(model.BuildSnapshot(gso.time_sec, &ws.snapshot),
+                                    pairs, groups, &ws, &hybrid[v], &bent_pipe[v]);
+  }
+  summary.snapshots_built = 2;
   GsoNetworkResult result;
-  NetworkOptions bp = base_options;
-  bp.mode = ConnectivityMode::kBentPipe;
-  result.bent_pipe = CompareMode(scenario, cities, pairs, bp, gso, &summary);
-  NetworkOptions hybrid = base_options;
-  hybrid.mode = ConnectivityMode::kHybrid;
-  result.hybrid = CompareMode(scenario, cities, pairs, hybrid, gso, &summary);
+  result.bent_pipe = CompareRoutes(bent_pipe[0], bent_pipe[1], &summary);
+  result.hybrid = CompareRoutes(hybrid[0], hybrid[1], &summary);
   summary.wall_seconds = timer.Seconds();
   EmitStudySummary(summary);
   return result;

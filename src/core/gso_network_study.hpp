@@ -47,7 +47,9 @@ std::vector<CityPair> CrossHemispherePairs(const std::vector<data::City>& cities
                                            const std::vector<CityPair>& pairs);
 
 // `base_options` configures the shared ground segment (relay spacing,
-// aircraft); the study derives the four mode/exclusion variants from it.
+// aircraft); the study derives a hybrid model without and one with the
+// exclusion from it, and routes each one's snapshot as built and with its
+// ISLs masked (the bent-pipe view).
 // Throws std::invalid_argument for bad options.
 GsoNetworkResult RunGsoNetworkStudy(const Scenario& scenario,
                                     const std::vector<data::City>& cities,

@@ -2,10 +2,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <cstdlib>
 #include <exception>
 #include <limits>
+#include <stdexcept>
+#include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -46,24 +50,30 @@ int HardwareWorkers() {
   return hw > 0 ? hw : 1;
 }
 
-// LEOSIM_THREADS, re-read on every run (a getenv + strtol is noise next
-// to spawning even one thread, and re-reading lets tests and embedding
-// processes vary the worker count between runs — the sweep determinism
-// test sweeps 1/4/13 workers inside one process). Returns 0 when
-// unset/invalid ("use hardware concurrency"), else a value clamped to
-// [1, 1024]. Only ever called from the thread that launches the run,
-// before workers spawn, so it never races a setenv between runs.
+// LEOSIM_THREADS, re-read on every run (a getenv and a parse are noise
+// next to spawning even one thread, and re-reading lets tests and
+// embedding processes vary the worker count between runs — the sweep
+// determinism test sweeps 1/4/13 workers inside one process). Returns 0
+// when unset, empty or "0" ("use hardware concurrency"), else the value.
+// Throws std::invalid_argument for anything but a decimal integer in
+// [0, kMaxThreads]. Only ever called from the thread that launches the
+// run, before workers spawn, so it never races a setenv between runs.
 int EnvThreadOverride() {
+  constexpr int kMaxThreads = 1024;
   const char* raw = std::getenv("LEOSIM_THREADS");
   if (raw == nullptr || *raw == '\0') {
     return 0;
   }
-  char* end = nullptr;
-  const long value = std::strtol(raw, &end, 10);
-  if (end == raw || *end != '\0' || value <= 0) {
-    return 0;  // "0", negatives, and garbage all mean "auto"
+  const std::string_view text(raw);
+  int value = -1;
+  const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
+  if (ec != std::errc() || end != text.data() + text.size() || value < 0 ||
+      value > kMaxThreads) {
+    throw std::invalid_argument("LEOSIM_THREADS must be an integer in [0, " +
+                                std::to_string(kMaxThreads) + "], got '" +
+                                std::string(text) + "'");
   }
-  return static_cast<int>(std::min<long>(value, 1024));
+  return value;
 }
 
 int ResolveWorkers(int count) {

@@ -8,12 +8,14 @@
 namespace leosim::core {
 
 // Worker-count resolution, shared by both entry points below: the
-// LEOSIM_THREADS environment variable when set (clamped to [1, 1024];
-// "0" or garbage falls back to hardware concurrency), else hardware
-// concurrency, and never more workers than `count`. LEOSIM_THREADS is
-// the only thread setting; it is re-read at the start of every run (from
-// the launching thread, before workers spawn), so a process can vary it
-// between runs — the determinism tests rely on this.
+// LEOSIM_THREADS environment variable when set to an integer in
+// [1, 1024], else (unset, empty or "0") hardware concurrency, and never
+// more workers than `count`. Any other value throws
+// std::invalid_argument naming it, before any worker starts. It is the
+// only environment setting leosim reads and the only thread setting; it
+// is re-read at the start of every run (from the launching thread,
+// before workers spawn), so a process can vary it between runs — the
+// determinism tests rely on this.
 //
 // Exception semantics: the first exception captured from any worker is
 // rethrown to the caller after all workers have joined. Capturing an
@@ -30,7 +32,8 @@ namespace leosim::core {
 void ParallelFor(int count, const std::function<void(int)>& body);
 
 // The worker count ParallelFor would resolve for unbounded work (i.e.
-// LEOSIM_THREADS or hardware concurrency).
+// LEOSIM_THREADS or hardware concurrency); throws like ParallelFor on a
+// bad LEOSIM_THREADS.
 // Exposed so run manifests can record the effective parallelism.
 int DefaultWorkerCount();
 

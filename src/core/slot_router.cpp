@@ -21,13 +21,6 @@ obs::Counter& ContractArcsCounter() {
   return counter;
 }
 
-// Paths the contraction's tie guard handed to a full-graph Dijkstra.
-obs::Counter& ContractTieFallbacksCounter() {
-  static obs::Counter& counter =
-      obs::MetricsRegistry::Global().GetCounter("route.contract.tie_fallbacks");
-  return counter;
-}
-
 // Satellite pairs whose detours the residual view recomputed after a ban.
 obs::Counter& ContractRepairsCounter() {
   static obs::Counter& counter =
@@ -108,18 +101,13 @@ void RouteOnContraction(const graph::RelayContraction& contraction,
   // dst in ws->dijkstra: round-trip time (out and back over the same
   // path) and, when wanted, the full-graph path's node chain.
   graph::Path path;
-  uint64_t tie_fallbacks = 0;
   const auto emit = [&](int pair, graph::NodeId src, graph::NodeId dst) {
     const size_t i = static_cast<size_t>(pair);
     out->rtt[i] = 2.0 * ws->dijkstra.DistanceOf(dst);
     if (!want_paths) {
       return;
     }
-    if (!contraction.ExpandPath(src, dst, ws->dijkstra, &path)) {
-      // Own workspace: a tree's labels must survive for its other targets.
-      ++tie_fallbacks;
-      path = *graph::ShortestPath(snap.graph, src, dst);
-    }
+    contraction.ExpandPath(src, dst, ws->dijkstra, &path);
     out->begin[i] = static_cast<uint32_t>(out->nodes.size());
     out->nodes.insert(out->nodes.end(), path.nodes.begin(), path.nodes.end());
     out->end[i] = static_cast<uint32_t>(out->nodes.size());
@@ -143,16 +131,13 @@ void RouteOnContraction(const graph::RelayContraction& contraction,
     for (size_t j = 0; j < ws->targets.size(); ++j) {
       const graph::NodeId dst = ws->targets[j];
       const bool reached = plan.WithPotential(dst, [&](const auto& potential) {
-        return graph::ShortestPathAStar(contraction, src, dst, ws->dijkstra,
-                                        potential)
-            .has_value();
+        return graph::RunAStar(contraction, src, dst, ws->dijkstra, potential);
       });
       if (reached) {
         emit(ws->target_pairs[j], src, dst);
       }
     }
   }
-  ContractTieFallbacksCounter().Add(tie_fallbacks);
 }
 
 }  // namespace
@@ -201,7 +186,6 @@ void RouteSlotDisjointPaths(NetworkModel::Snapshot& snap,
   const graph::RelayContraction& contraction = BuildContraction(snap, ws);
   SlotPlan plan(contraction, snap, pairs, static_cast<size_t>(k), ws);
   ws->residual.Reset(contraction);
-  uint64_t tie_reruns = 0;
   {
     const obs::Span span("route.disjoint");
     for (const SourceGroup& group : groups) {
@@ -212,12 +196,11 @@ void RouteSlotDisjointPaths(NetworkModel::Snapshot& snap,
             plan.WithPotential(dst, [&](const auto& potential) {
               return graph::KEdgeDisjointShortestPaths(snap.graph, ws->residual,
                                                        src, dst, k, ws->dijkstra,
-                                                       potential, &tie_reruns);
+                                                       potential);
             });
       }
     }
   }
-  ContractTieFallbacksCounter().Add(tie_reruns);
   ContractRepairsCounter().Add(ws->residual.repairs());
 }
 

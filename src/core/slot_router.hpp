@@ -34,13 +34,16 @@
 //      pair's k searches runs on a different residual graph, so every
 //      one of them is A*.
 //
-// Every tier returns exactly plain Dijkstra's answer on the full graph:
-// contracted distances are the full graph's bit for bit, trees are
-// Dijkstra, both A* potentials are admissible, ShortestPathAStar's tie
-// guard falls back to graph::ShortestPath whenever an exact tie on the
-// path could make its node chain differ, and the contraction's path
-// expansion runs the same guard on the full graph. So RTTs, node chains
-// and disjoint-path edge lists equal graph::ShortestPath's and the plain
+// Every tier returns exactly plain Dijkstra's answer on the full graph,
+// with one exactness step per path. Every search on the contraction is
+// label-only (a tree, or graph::RunAStar), and contracted labels are
+// the full graph's bit for bit. A tree's labels are Dijkstra's; A*'s
+// RTT is dst's label when dst pops, final because both potentials are
+// strictly admissible. A node chain or a disjoint path comes from the
+// contraction's ExpandPath alone: it runs the A* tie guard on the full
+// graph and reruns graph::ShortestPath there when an exact tie could
+// make the chain differ. So RTTs, node chains and disjoint-path edge
+// lists equal graph::ShortestPath's and the plain
 // KEdgeDisjointShortestPaths' bit for bit.
 #pragma once
 
@@ -105,7 +108,7 @@ inline constexpr size_t kAltTreeThreshold = 6;
 // The Euclidean A* potential: straight-line propagation latency from
 // node n to the destination position, slacked for admissibility under
 // rounding. Called through a capturing lambda so it inlines into the
-// ShortestPathAStar relax loop.
+// A* relax loop.
 inline double EuclideanLatencyPotential(const std::vector<geo::Vec3>& node_ecef,
                                         graph::NodeId n,
                                         const geo::Vec3& dst_pos) {
@@ -213,8 +216,8 @@ void RouteSlotPairsHybridAndBentPipe(NetworkModel::Snapshot& snap,
 // for edge to graph::KEdgeDisjointShortestPaths(snap.graph, src, dst, k),
 // empty when the pair is unreachable. One SlotPlan on the relay
 // contraction, counting k searches per pair; every search, first and
-// residual, is A* on ws->residual (see the contracted
-// KEdgeDisjointShortestPaths in graph/disjoint_paths.hpp). Edges are
+// residual, is A* on ws->residual, expanded by its ExpandPath (see the
+// contracted KEdgeDisjointShortestPaths in graph/disjoint_paths.hpp). Edges are
 // disabled on snap.graph while a pair is routed and restored after it.
 // Uses only `ws` and `snap`, like RouteSlotPairs.
 void RouteSlotDisjointPaths(NetworkModel::Snapshot& snap,

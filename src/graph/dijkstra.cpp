@@ -80,4 +80,13 @@ std::optional<Path> ShortestPath(const Graph& g, NodeId src, NodeId dst) {
   return ShortestPath(g, src, dst, workspace);
 }
 
+std::optional<Path> ShortestPath(const Graph& g, NodeId src, NodeId dst,
+                                 DijkstraWorkspace& workspace) {
+  RunDijkstra(g, src, workspace, [dst](NodeId u) { return u == dst; });
+  if (workspace.DistanceOf(dst) == kInfDistance) {
+    return std::nullopt;
+  }
+  return WalkBack(g, workspace, src, dst);
+}
+
 }  // namespace leosim::graph

@@ -23,38 +23,31 @@ struct Path {
   int HopCount() const { return static_cast<int>(edges.size()); }
 };
 
-// ShortestPathAStar's potential is a callable double(NodeId): a lower
-// bound on the remaining cost from a node to the (implicit) query
-// destination. It must be admissible (never exceed the true remaining
-// cost over enabled edges) and consistent
-// (|potential(u) - potential(v)| <= weight(u, v) for every edge); the
-// straight-line propagation latency to the destination satisfies both
-// for latency-weighted snapshot graphs. For ShortestPathAStar to return
-// exactly ShortestPath's path, not only its distance, the bound must
-// also be strict wherever the remaining cost is positive (see there).
-// ShortestPathAStar is templated on the callable so a plain lambda
-// inlines into the relax loop.
+// An A* potential is a callable double(NodeId): a lower bound on the
+// remaining cost from a node to the (implicit) query destination. It
+// must be admissible (never exceed the true remaining cost over enabled
+// edges) and consistent (|potential(u) - potential(v)| <= weight(u, v)
+// for every edge); the straight-line propagation latency to the
+// destination satisfies both for latency-weighted snapshot graphs. For
+// ShortestPathAStar to return exactly ShortestPath's path, not only its
+// distance, the bound must also be strict wherever the remaining cost is
+// positive (see there). The A* entry points are templated on the
+// callable so a plain lambda inlines into the relax loop.
 
 class DijkstraWorkspace;
 
-// The search kernels below run over any adjacency type that offers
-// NumNodes(), FinalizeAdjacency(), Neighbours(n) (a span of arcs with
-// `to` and `edge` members), OtherEnd(edge, head) and the two relax
-// overloads RelaxedDistance / ReverseRelaxedDistance for its arc type:
-// Graph here, RelayContraction (graph/relay_contraction.hpp) there.
-// Each arc type defines its own addition order, so one relax loop
-// serves both without a copy.
+// The label-only kernels (RunDijkstra, RunAStar) run over any adjacency
+// type that offers NumNodes(), FinalizeAdjacency(), Neighbours(n) (a
+// span of arcs with `to` and `edge` members) and a RelaxedDistance
+// overload for its arc type: Graph here, the relay contractions of
+// graph/relay_contraction.hpp there. Each arc type defines its own
+// addition order, so one relax loop serves both without a copy. Only a
+// Graph's searches become paths here (WalkBack); a contraction's become
+// full-graph paths through its ExpandPath.
 
 // Distance reached by relaxing `half` from a node at distance d.
 inline double RelaxedDistance(double d, const HalfEdge& half) {
   return d + half.weight;
-}
-
-// Distance reached at the node owning `half` from its far end at
-// distance d_far — the relax of the reverse arc. Edges are undirected,
-// so it is the same sum.
-inline double ReverseRelaxedDistance(double d_far, const HalfEdge& half) {
-  return d_far + half.weight;
 }
 
 template <typename Adjacency, typename Stop>
@@ -62,7 +55,11 @@ void RunDijkstra(const Adjacency& g, NodeId src, DijkstraWorkspace& workspace,
                  const Stop& stop);
 
 template <typename Adjacency, typename Potential>
-std::optional<Path> ShortestPathAStar(const Adjacency& g, NodeId src, NodeId dst,
+bool RunAStar(const Adjacency& g, NodeId src, NodeId dst,
+              DijkstraWorkspace& workspace, const Potential& potential);
+
+template <typename Potential>
+std::optional<Path> ShortestPathAStar(const Graph& g, NodeId src, NodeId dst,
                                       DijkstraWorkspace& workspace,
                                       const Potential& potential);
 
@@ -109,7 +106,10 @@ class DijkstraWorkspace {
   friend void RunDijkstra(const Adjacency& g, NodeId src,
                           DijkstraWorkspace& workspace, const Stop& stop);
   template <typename Adjacency, typename Potential>
-  friend std::optional<Path> ShortestPathAStar(const Adjacency& g, NodeId src,
+  friend bool RunAStar(const Adjacency& g, NodeId src, NodeId dst,
+                       DijkstraWorkspace& workspace, const Potential& potential);
+  template <typename Potential>
+  friend std::optional<Path> ShortestPathAStar(const Graph& g, NodeId src,
                                                NodeId dst,
                                                DijkstraWorkspace& workspace,
                                                const Potential& potential);
@@ -202,11 +202,10 @@ void RunDijkstra(const Adjacency& g, NodeId src, DijkstraWorkspace& workspace,
   workspace.pending_pushes_ += pushes;
 }
 
-// Walks dst's predecessor arcs in `workspace` back to src into a Path
-// over g's arc ids. dst must have a finite label.
-template <typename Adjacency>
-Path WalkBack(const Adjacency& g, const DijkstraWorkspace& workspace, NodeId src,
-              NodeId dst) {
+// Walks dst's predecessor edges in `workspace` back to src into a Path.
+// dst must have a finite label from a search on g.
+inline Path WalkBack(const Graph& g, const DijkstraWorkspace& workspace,
+                     NodeId src, NodeId dst) {
   Path path;
   path.distance = workspace.DistanceOf(dst);
   for (NodeId cur = dst; cur != src;) {
@@ -225,60 +224,26 @@ Path WalkBack(const Adjacency& g, const DijkstraWorkspace& workspace, NodeId src
 // edges. Early-exits once dst is settled.
 std::optional<Path> ShortestPath(const Graph& g, NodeId src, NodeId dst);
 
-// As above on any adjacency, reusing `workspace` scratch across queries.
-// On a Graph the results are identical to the workspace-free overload.
-template <typename Adjacency>
-std::optional<Path> ShortestPath(const Adjacency& g, NodeId src, NodeId dst,
-                                 DijkstraWorkspace& workspace) {
-  RunDijkstra(g, src, workspace, [dst](NodeId u) { return u == dst; });
-  if (workspace.DistanceOf(dst) == kInfDistance) {
-    return std::nullopt;
-  }
-  return WalkBack(g, workspace, src, dst);
-}
+// As above, reusing `workspace` scratch across queries. The results are
+// identical to the workspace-free overload.
+std::optional<Path> ShortestPath(const Graph& g, NodeId src, NodeId dst,
+                                 DijkstraWorkspace& workspace);
 
-// Goal-directed single-pair shortest path: Dijkstra ordered by
-// distance + potential(node). Precondition for an exact answer: edge
-// weights are positive and the potential is strictly admissible, i.e.
-// strictly below the true remaining distance to dst wherever that
-// distance is positive (the slacked landmark and Euclidean bounds are;
-// see kPotentialSlack in graph/landmarks.hpp). Under it the result is
-// exactly ShortestPath's — the same distance and the same edges, exact
-// ties included — while A* settles only the corridor around the path
-// instead of a full distance ball: the big win for repeated
-// point-to-point queries on snapshot graphs, where the straight-line
-// propagation latency to dst is a tight lower bound. A potential that
-// is merely admissible (equal to the remaining distance somewhere, an
-// exact potential for example) still gives a shortest distance, but on
-// an exact tie it may give another branch than ShortestPath's.
-//
-// Why the tie guard makes the path exact: plain Dijkstra gives each
-// node the predecessor edge that first reached its final distance, and
-// A* expands nodes in another order, so on a tie the two can pick
-// different branches. Call an edge (u, x) tight when d(u) + w(u, x) ==
-// d(x) in floating point. Under the precondition every tight
-// predecessor u of a path node x lies on a shortest path to dst, has
-// d(u) + potential(u) < d(dst), and so is expanded at its final
-// distance before dst pops; a non-tight neighbour's label plus the
-// weight can only exceed d(x). So once dst pops, counting the incident
-// edges of x whose far end's label plus the weight equals x's label
-// counts exactly x's tight predecessor edges. If every path node but
-// src has exactly one, that edge is the only way to reach d(x) — in A*
-// and in Dijkstra alike — and both searches walk back the same edges.
-// Otherwise the query is answered by plain ShortestPath and counted in
-// `dijkstra.astar_tie_fallbacks`. The check runs after the search, over
-// the path nodes' adjacency only, so the relax loop pays nothing for
-// it.
-//
+// Goal-directed search from src toward dst: Dijkstra ordered by
+// distance + potential(node), settling until dst pops or the heap
+// drains. Leaves labels and predecessor arcs in `workspace` and returns
+// whether dst was reached. Under an admissible potential (see above)
+// dst's label is final when it pops, so it is ShortestPath's distance
+// bit for bit; under a strictly admissible one every node on a shortest
+// path to dst is settled too, at its final label, before dst pops. Runs
+// over any adjacency and builds no path: ShortestPathAStar adds the tie
+// guard and the path on a Graph, ExpandPath on a relay contraction.
 // Defined inline so `potential` (typically a capturing lambda) inlines
 // into the relax loop; the arithmetic is identical for every callable
 // type, so the result does not depend on how the potential is passed.
-// Like ShortestPath it runs over any adjacency type; the answer is then
-// ShortestPath's on that adjacency.
 template <typename Adjacency, typename Potential>
-std::optional<Path> ShortestPathAStar(const Adjacency& g, NodeId src, NodeId dst,
-                                      DijkstraWorkspace& workspace,
-                                      const Potential& potential) {
+bool RunAStar(const Adjacency& g, NodeId src, NodeId dst,
+              DijkstraWorkspace& workspace, const Potential& potential) {
   const auto greater = [](const DijkstraWorkspace::AStarEntry& a,
                           const DijkstraWorkspace::AStarEntry& b) {
     return a.fscore > b.fscore;
@@ -319,19 +284,55 @@ std::optional<Path> ShortestPathAStar(const Adjacency& g, NodeId src, NodeId dst
   workspace.pending_pops_ += pops;
   workspace.pending_edges_ += edges;
   workspace.pending_pushes_ += pushes;
+  return workspace.DistanceOf(dst) != kInfDistance;
+}
 
-  if (workspace.DistanceOf(dst) == kInfDistance) {
+// Goal-directed single-pair shortest path: RunAStar, then a tie guard,
+// then the path. Precondition for an exact answer: edge weights are
+// positive and the potential is strictly admissible, i.e. strictly
+// below the true remaining distance to dst wherever that distance is
+// positive (the slacked landmark and Euclidean bounds are; see
+// kPotentialSlack in graph/landmarks.hpp). Under it the result is
+// exactly ShortestPath's — the same distance and the same edges, exact
+// ties included — while A* settles only the corridor around the path
+// instead of a full distance ball: the big win for repeated
+// point-to-point queries on snapshot graphs, where the straight-line
+// propagation latency to dst is a tight lower bound. A potential that
+// is merely admissible (equal to the remaining distance somewhere, an
+// exact potential for example) still gives a shortest distance, but on
+// an exact tie it may give another branch than ShortestPath's.
+//
+// Why the tie guard makes the path exact: plain Dijkstra gives each
+// node the predecessor edge that first reached its final distance, and
+// A* expands nodes in another order, so on a tie the two can pick
+// different branches. Call an edge (u, x) tight when d(u) + w(u, x) ==
+// d(x) in floating point. Under the precondition every tight
+// predecessor u of a path node x lies on a shortest path to dst, has
+// d(u) + potential(u) < d(dst), and so is expanded at its final
+// distance before dst pops; a non-tight neighbour's label plus the
+// weight can only exceed d(x). So once dst pops, counting the incident
+// edges of x whose far end's label plus the weight equals x's label
+// counts exactly x's tight predecessor edges. If every path node but
+// src has exactly one, that edge is the only way to reach d(x) — in A*
+// and in Dijkstra alike — and both searches walk back the same edges.
+// Otherwise the query is answered by plain ShortestPath and counted in
+// `dijkstra.astar_tie_fallbacks`. The check runs after the search, over
+// the path nodes' adjacency only, so the relax loop pays nothing for
+// it.
+template <typename Potential>
+std::optional<Path> ShortestPathAStar(const Graph& g, NodeId src, NodeId dst,
+                                      DijkstraWorkspace& workspace,
+                                      const Potential& potential) {
+  if (!RunAStar(g, src, dst, workspace, potential)) {
     return std::nullopt;
   }
-  // Tie guard: a second tight arc into a path node (src aside) means
+  // Tie guard: a second tight edge into a path node (src aside) means
   // Dijkstra may take the other one.
   for (NodeId cur = dst; cur != src;) {
     const double dx = workspace.DistanceOf(cur);
     int tight = 0;
-    for (const auto& half : g.Neighbours(cur)) {
-      tight += ReverseRelaxedDistance(workspace.DistanceOf(half.to), half) == dx
-                   ? 1
-                   : 0;
+    for (const HalfEdge& half : g.Neighbours(cur)) {
+      tight += workspace.DistanceOf(half.to) + half.weight == dx ? 1 : 0;
     }
     if (tight > 1) {
       ++workspace.pending_tie_fallbacks_;

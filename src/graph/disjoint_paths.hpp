@@ -4,7 +4,6 @@
 // the paper routes each sub-flow on the shortest path remaining.)
 #pragma once
 
-#include <cstdint>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -70,59 +69,34 @@ std::vector<Path> GreedyDisjointPaths(Graph& g, Path* first, int k,
 
 }  // namespace detail
 
-// Goal-directed overload: every search is ShortestPathAStar with
-// `potential`, which must be strictly admissible on the graph as the
-// caller passed it — strictly below the true distance to dst wherever
-// that distance is positive, ShortestPathAStar's precondition for
-// returning exactly ShortestPath's path. Under it the output equals
-// the plain overload's edge for edge. One potential serves all k
-// searches: disabling edges (half-edge weight +inf) only lengthens
-// distances, so a bound that is strictly admissible on the full graph
-// stays so on every residual graph — true of the slot's slacked
-// landmark table and of the slacked Euclidean latency bound alike.
-template <typename Potential>
-std::vector<Path> KEdgeDisjointShortestPaths(Graph& g, NodeId src, NodeId dst, int k,
-                                             DijkstraWorkspace& workspace,
-                                             const Potential& potential) {
-  return detail::GreedyDisjointPaths(g, nullptr, k, [&](const std::vector<Path>&) {
-    return ShortestPathAStar(g, src, dst, workspace, potential);
-  });
-}
-
-// Contracted overload: every search is ShortestPathAStar with
-// `potential` on `residual`, a residual view of a RelayContraction built
-// on g as the caller passed it (ResidualContraction::Reset), whose two
-// end nodes are kept nodes. The view's bans are cleared first; after
-// each taken path it bans that path's edges, which the loop has just
-// disabled on g. Each found path is expanded to g and checked by
-// RelayContraction::ExpandPath's tie guard against g as masked then;
-// when the guard fails the search reruns as graph::ShortestPath on g,
-// counted in *tie_reruns. The potential must be strictly admissible on
-// the contraction (the slot's landmark table on it, or the Euclidean
-// bound); bans keep it so, as for the overload above. Under these
-// preconditions the output equals the plain overload's edge for edge:
-// the view's distances are the masked g's, and a path that passes the
-// guard is Dijkstra's on g.
+// Contracted overload: every search is RunAStar with `potential` on
+// `residual`, a residual view of a RelayContraction built on g as the
+// caller passed it (ResidualContraction::Reset), whose two end nodes are
+// kept nodes. The view's bans are cleared first; after each taken path
+// it bans that path's edges, which the loop has just disabled on g. Each
+// search's path comes from ResidualContraction::ExpandPath, which gives
+// graph::ShortestPath's path on g as masked then. The potential must be
+// strictly admissible on the contraction (the slot's landmark table on
+// it, or the Euclidean bound); one potential serves all k searches,
+// since disabling edges only lengthens distances and so keeps it
+// strictly admissible on every residual graph. Under these
+// preconditions the output equals the plain overload's edge for edge.
 template <typename Potential>
 std::vector<Path> KEdgeDisjointShortestPaths(Graph& g, ResidualContraction& residual,
                                              NodeId src, NodeId dst, int k,
                                              DijkstraWorkspace& workspace,
-                                             const Potential& potential,
-                                             uint64_t* tie_reruns) {
+                                             const Potential& potential) {
   residual.ClearBans();
   return detail::GreedyDisjointPaths(
       g, nullptr, k, [&](const std::vector<Path>& taken) -> std::optional<Path> {
         if (!taken.empty()) {
           residual.Ban(taken.back().edges);
         }
-        if (!ShortestPathAStar(residual, src, dst, workspace, potential)) {
+        if (!RunAStar(residual, src, dst, workspace, potential)) {
           return std::nullopt;
         }
         Path path;
-        if (!residual.ExpandPath(src, dst, workspace, &path)) {
-          ++*tie_reruns;
-          return ShortestPath(g, src, dst, workspace);
-        }
+        residual.ExpandPath(src, dst, workspace, &path);
         return path;
       });
 }

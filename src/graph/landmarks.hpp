@@ -61,11 +61,11 @@ class LandmarkTable {
   // less than the float spacing at the largest finite entry; subtracting
   // that spacing (shave_) restores the bound, and kPotentialSlack covers
   // the double-precision rounding as for the Euclidean bound. The
-  // rounding can cost exact consistency, never admissibility:
-  // ShortestPathAStar keeps no closed set and re-relaxes any node that
-  // improves, so it stays exact. A NaN contribution (both entries +inf: n and dst lie outside
-  // the largest component) is skipped; a one-sided +inf means n cannot
-  // reach dst at all, and +inf is then the exact distance.
+  // rounding can cost exact consistency, never admissibility: RunAStar
+  // keeps no closed set and re-relaxes any node that improves, so it
+  // stays exact. A NaN contribution (both entries +inf: n and dst lie
+  // outside the largest component) is skipped; a one-sided +inf means n
+  // cannot reach dst at all, and +inf is then the exact distance.
   double Potential(NodeId n) const {
     const float* row =
         table_.data() + static_cast<size_t>(n) * static_cast<size_t>(stride_);

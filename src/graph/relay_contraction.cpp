@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "obs/metrics.hpp"
+
 namespace leosim::graph {
 
 namespace {
@@ -11,6 +13,14 @@ namespace {
 // lies within kNearTieRelative of its pair's minimum `best`.
 bool NearTie(double sum, double best) {
   return sum <= best * (1.0 + kNearTieRelative);
+}
+
+// Paths whose expanded chain failed ExpandPath's check and came from a
+// Dijkstra on the source graph instead.
+obs::Counter& TieFallbacksCounter() {
+  static obs::Counter& counter =
+      obs::MetricsRegistry::Global().GetCounter("route.contract.tie_fallbacks");
+  return counter;
 }
 
 }  // namespace
@@ -27,6 +37,9 @@ void RelayContraction::Build(const Graph& g, int num_kept) {
     throw std::invalid_argument("contraction must keep between 0 and all nodes");
   }
   g.FinalizeAdjacency();
+  // Registered with the first build, so that a run which routes but
+  // expands no path reads 0 rather than no counter.
+  TieFallbacksCounter();
   source_ = &g;
   num_kept_ = num_kept;
   const size_t kept = static_cast<size_t>(num_kept);
@@ -102,11 +115,13 @@ void RelayContraction::DropDisabledDirectArcs() {
 
 namespace {
 
-// ExpandPath for a contraction or a residual view of one: `c` maps arcs
-// to records, `g` is the source graph as masked now.
+// Maps the chain the search left in `workspace` to g and checks it (see
+// RelayContraction::ExpandPath): `c` maps arcs to records, `g` is the
+// source graph as masked now. Returns false, `out` unspecified, when the
+// check fails.
 template <typename Contracted>
-bool ExpandOnSource(const Contracted& c, const Graph& g, NodeId src, NodeId dst,
-                    const DijkstraWorkspace& workspace, Path* out) {
+bool ExpandChain(const Contracted& c, const Graph& g, NodeId src, NodeId dst,
+                 const DijkstraWorkspace& workspace, Path* out) {
   const NodeId num_kept = c.NumNodes();
   const auto label = [&](NodeId v) {
     if (v < num_kept) {
@@ -160,12 +175,22 @@ bool ExpandOnSource(const Contracted& c, const Graph& g, NodeId src, NodeId dst,
   return true;
 }
 
+// ExpandPath for a contraction or a residual view of one.
+template <typename Contracted>
+void ExpandOnSource(const Contracted& c, const Graph& g, NodeId src, NodeId dst,
+                    const DijkstraWorkspace& workspace, Path* out) {
+  if (!ExpandChain(c, g, src, dst, workspace, out)) {
+    TieFallbacksCounter().Increment();
+    *out = *ShortestPath(g, src, dst);
+  }
+}
+
 }  // namespace
 
-bool RelayContraction::ExpandPath(NodeId src, NodeId dst,
+void RelayContraction::ExpandPath(NodeId src, NodeId dst,
                                   const DijkstraWorkspace& workspace,
                                   Path* out) const {
-  return ExpandOnSource(*this, *source_, src, dst, workspace, out);
+  ExpandOnSource(*this, *source_, src, dst, workspace, out);
 }
 
 void ResidualContraction::Reset(const RelayContraction& base) {
@@ -299,10 +324,10 @@ void ResidualContraction::Ban(std::span<const EdgeId> edges) {
   }
 }
 
-bool ResidualContraction::ExpandPath(NodeId src, NodeId dst,
+void ResidualContraction::ExpandPath(NodeId src, NodeId dst,
                                      const DijkstraWorkspace& workspace,
                                      Path* out) const {
-  return ExpandOnSource(*this, base_->Source(), src, dst, workspace, out);
+  ExpandOnSource(*this, base_->Source(), src, dst, workspace, out);
 }
 
 }  // namespace leosim::graph

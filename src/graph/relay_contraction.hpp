@@ -22,10 +22,13 @@
 // milliseconds of one relay hop) a dropped relay cannot round to the
 // minimum, and the kept set gives the same distances.
 //
-// Paths. A search on the contraction finds a shortest path, but on an
-// exact tie it can take another branch than Dijkstra on the source
-// graph would. ExpandPath maps the path back to source-graph nodes and
-// edges and checks it: see there.
+// Paths. Searches on a contraction are label-only (RunDijkstra, a tree,
+// RunAStar). The labels are the source graph's, but on an exact tie the
+// predecessor arcs can form another chain than Dijkstra on the source
+// graph would take. ExpandPath is the one place a contracted search
+// becomes a path: it maps the chain back to source-graph nodes and
+// edges, checks it, and reruns Dijkstra on the source graph when the
+// check fails; see there.
 #pragma once
 
 #include <cstdint>
@@ -56,13 +59,6 @@ struct ContractedArc {
 // The arc's relax, in the addition order of the source graph.
 inline double RelaxedDistance(double d, const ContractedArc& arc) {
   return (d + arc.weight) + arc.weight2;
-}
-
-// The relax of the reverse arc, from the far end at distance d_far: its
-// halves in the other order (the contraction is symmetric because the
-// source graph is undirected).
-inline double ReverseRelaxedDistance(double d_far, const ContractedArc& arc) {
-  return (d_far + arc.weight2) + arc.weight;
 }
 
 // How an arc of a RelayContraction maps back to its source graph: a
@@ -120,16 +116,16 @@ class RelayContraction {
     return records_[static_cast<size_t>(arc)];
   }
 
-  // Tail of arc `arc` (whose head is `head`), for walking a search's
-  // predecessor arcs back.
-  NodeId OtherEnd(EdgeId arc, NodeId /*head*/) const { return Record(arc).tail; }
-
-  // Maps the path to dst that the last search with `workspace` on this
-  // contraction left behind (dst settled) to the source graph: relay
-  // nodes and source-graph edge ids filled back in. Returns false, and
-  // leaves `out` unspecified, when Dijkstra on the source graph may walk
-  // back another chain; the caller then reruns graph::ShortestPath on
-  // the source graph.
+  // Writes to `out` graph::ShortestPath's path from src to dst on the
+  // source graph as masked now, given the last search with `workspace`
+  // on this contraction, which settled dst: RunDijkstra, a tree, or
+  // RunAStar under a strictly admissible potential. The predecessor
+  // chain is mapped back to the source graph, relay nodes and
+  // source-graph edge ids filled back in, and checked; when the check
+  // fails, the path comes from graph::ShortestPath on the source graph
+  // in a workspace of its own (`workspace`'s labels survive, so a tree's
+  // other targets can still be expanded), counted in
+  // `route.contract.tie_fallbacks`.
   //
   // The check is ShortestPathAStar's tie guard on the source graph.
   // Every node x of the expanded chain but src must have exactly one
@@ -141,8 +137,11 @@ class RelayContraction {
   // it (and, for a relay, the neighbour it is reached from) at its final
   // distance; labels the search did not finalise only overestimate and
   // so never fake a tight edge. A node with one tight edge gets it in
-  // Dijkstra, so the chain is Dijkstra's.
-  bool ExpandPath(NodeId src, NodeId dst, const DijkstraWorkspace& workspace,
+  // Dijkstra, so a chain that passes is Dijkstra's. A search on the
+  // contraction needs no guard of its own: two tight contracted arcs
+  // into a chain node are two tight source-graph edges, at that node or
+  // at a relay they share, which this check finds on either chain.
+  void ExpandPath(NodeId src, NodeId dst, const DijkstraWorkspace& workspace,
                   Path* out) const;
 
  private:
@@ -187,7 +186,7 @@ class RelayContraction {
 // masked graph pair for pair and the exactness argument above carries
 // over unchanged. Patched rows live in the view as per-node overrides;
 // repaired arcs get ids from NumArcs() of the base on, with records of
-// their own, so OtherEnd and ExpandPath map them back.
+// their own, so ExpandPath maps them back.
 //
 // Reset and ClearBans open a new epoch, so dropping every override costs
 // O(1). One view serves one thread.
@@ -228,11 +227,10 @@ class ResidualContraction {
     const size_t id = static_cast<size_t>(arc);
     return id < base_arcs ? base_->Record(arc) : records_[id - base_arcs];
   }
-  NodeId OtherEnd(EdgeId arc, NodeId /*head*/) const { return Record(arc).tail; }
 
-  // RelayContraction::ExpandPath on the view, checked against the source
-  // graph as masked now.
-  bool ExpandPath(NodeId src, NodeId dst, const DijkstraWorkspace& workspace,
+  // RelayContraction::ExpandPath on the view, checked against (and on
+  // failure rerun on) the source graph as masked now.
+  void ExpandPath(NodeId src, NodeId dst, const DijkstraWorkspace& workspace,
                   Path* out) const;
 
  private:

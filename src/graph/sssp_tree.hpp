@@ -52,8 +52,8 @@ class ShortestPathTree {
   double DistanceTo(NodeId n) const;
 
   // Full path to a target of the last Build; nullopt when unreachable.
-  // Only for trees built on a Graph; on another adjacency, walk the
-  // workspace's predecessor arcs with that adjacency (WalkBack).
+  // Only for trees built on a Graph; a tree on a relay contraction
+  // becomes paths through the contraction's ExpandPath.
   std::optional<Path> PathTo(NodeId n) const;
 
  private:

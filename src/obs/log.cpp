@@ -2,7 +2,6 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <utility>
 
 #include "core/mutex.hpp"
@@ -12,7 +11,7 @@ namespace leosim::obs {
 
 namespace detail {
 
-std::atomic<int> g_log_level{-1};
+std::atomic<int> g_log_level{static_cast<int>(LogLevel::kOff)};
 
 namespace {
 
@@ -28,18 +27,6 @@ SinkState& Sink() {
 }
 
 }  // namespace
-
-int InitLogLevelFromEnv() {
-  const char* raw = std::getenv("LEOSIM_LOG");
-  const int resolved = static_cast<int>(
-      raw == nullptr ? LogLevel::kOff : ParseLogLevel(raw));
-  // First initialiser wins; a concurrent SetLogLevel would have replaced
-  // the -1 sentinel already and must not be overwritten.
-  int expected = -1;
-  g_log_level.compare_exchange_strong(expected, resolved,
-                                      std::memory_order_relaxed);
-  return g_log_level.load(std::memory_order_relaxed);
-}
 
 void EmitLogLine(const std::string& line) {
   SinkState& state = Sink();
@@ -78,11 +65,7 @@ std::string_view ToString(LogLevel level) {
 }
 
 LogLevel GetLogLevel() {
-  int current = detail::g_log_level.load(std::memory_order_relaxed);
-  if (current < 0) {
-    current = detail::InitLogLevelFromEnv();
-  }
-  return static_cast<LogLevel>(current);
+  return static_cast<LogLevel>(detail::g_log_level.load(std::memory_order_relaxed));
 }
 
 void SetLogLevel(LogLevel level) {

@@ -5,9 +5,8 @@
 // relaxed atomic load and a branch — no formatting, no allocation, no
 // lock — so the snapshot pipeline can carry log statements without perf
 // tax. Formatting and the sink mutex are paid only by enabled events.
-// The initial level comes from the LEOSIM_LOG environment variable
-// (off|error|warn|info|debug; read once at first use) and can be
-// overridden at runtime with SetLogLevel (e.g. from a --log-level flag).
+// The level starts off and is set with SetLogLevel (the --log-level
+// flag of every binary, core::ObsFlags).
 //
 // Usage:
 //   obs::LogInfo("study.summary").Field("study", "latency")
@@ -30,25 +29,20 @@ enum class LogLevel : int {
   kDebug = 4,
 };
 
-// "off|error|warn|info|debug"; anything unrecognised maps to kOff so a
-// typo in LEOSIM_LOG fails quiet rather than noisy.
+// "off|error|warn|info|debug"; anything unrecognised maps to kOff, so a
+// caller rejects bad input by checking that ToString round-trips it.
 LogLevel ParseLogLevel(std::string_view text);
 std::string_view ToString(LogLevel level);
 
 namespace detail {
-// -1 = uninitialised; resolved from LEOSIM_LOG on the first check.
 extern std::atomic<int> g_log_level;
-int InitLogLevelFromEnv();
 void EmitLogLine(const std::string& line);
 }  // namespace detail
 
 // The single relaxed load that gates every log statement.
 inline bool LogEnabled(LogLevel level) {
-  int current = detail::g_log_level.load(std::memory_order_relaxed);
-  if (current < 0) {
-    current = detail::InitLogLevelFromEnv();
-  }
-  return current >= static_cast<int>(level);
+  return detail::g_log_level.load(std::memory_order_relaxed) >=
+         static_cast<int>(level);
 }
 
 LogLevel GetLogLevel();

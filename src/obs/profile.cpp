@@ -4,7 +4,6 @@
 #include <array>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <thread>
@@ -272,12 +271,6 @@ void PopSpanFrame() {
 void StartProfiling(int64_t interval_us) {
   if (interval_us <= 0) {
     interval_us = kDefaultProfileIntervalUs;
-    if (const char* env = std::getenv("LEOSIM_PROFILE_INTERVAL_US")) {
-      const long long parsed = std::atoll(env);
-      if (parsed > 0) {
-        interval_us = parsed;
-      }
-    }
   }
   detail::SamplerControl& control = detail::Control();
   const MutexLock lock(control.mutex);

@@ -63,8 +63,8 @@ inline bool SpanHookEnabled() {
 // --- Sampling profiler -------------------------------------------------
 
 // Starts the background sampler at `interval_us` microseconds between
-// samples; interval_us <= 0 means LEOSIM_PROFILE_INTERVAL_US when set,
-// else kDefaultProfileIntervalUs. No-op if already running.
+// samples; interval_us <= 0 means kDefaultProfileIntervalUs. No-op if
+// already running.
 void StartProfiling(int64_t interval_us = 0);
 // Stops and joins the sampler (counts are kept until ResetProfile).
 // No-op if not running.

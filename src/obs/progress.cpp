@@ -2,7 +2,6 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 
 #include "obs/log.hpp"
 #include "obs/trace.hpp"
@@ -11,9 +10,8 @@ namespace leosim::obs {
 
 namespace {
 
-// Interval in nanoseconds: -1 = uninitialised (resolve from
-// LEOSIM_PROGRESS on first check), 0 = off.
-std::atomic<int64_t> g_progress_interval_ns{-1};
+// Interval in nanoseconds, 0 = off.
+std::atomic<int64_t> g_progress_interval_ns{0};
 
 int64_t ToIntervalNs(double seconds) {
   if (!(seconds > 0.0)) {
@@ -22,32 +20,8 @@ int64_t ToIntervalNs(double seconds) {
   return static_cast<int64_t>(seconds * 1e9);
 }
 
-int64_t InitProgressFromEnv() {
-  const char* raw = std::getenv("LEOSIM_PROGRESS");
-  int64_t resolved = 0;
-  if (raw != nullptr) {
-    char* end = nullptr;
-    const double seconds = std::strtod(raw, &end);
-    if (end != raw) {
-      resolved = ToIntervalNs(seconds);
-    } else if (std::string_view(raw) == "on") {
-      resolved = ToIntervalNs(kDefaultProgressIntervalSec);
-    }
-  }
-  // First initialiser wins; a concurrent SetProgressInterval has already
-  // replaced the -1 sentinel and must not be overwritten.
-  int64_t expected = -1;
-  g_progress_interval_ns.compare_exchange_strong(expected, resolved,
-                                                 std::memory_order_relaxed);
-  return g_progress_interval_ns.load(std::memory_order_relaxed);
-}
-
 int64_t ProgressIntervalNs() {
-  int64_t current = g_progress_interval_ns.load(std::memory_order_relaxed);
-  if (current < 0) {
-    current = InitProgressFromEnv();
-  }
-  return current;
+  return g_progress_interval_ns.load(std::memory_order_relaxed);
 }
 
 }  // namespace

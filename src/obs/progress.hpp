@@ -2,10 +2,9 @@
 // rate and ETA, emitted as structured log lines at a configurable
 // interval.
 //
-// Off by default. The interval comes from the LEOSIM_PROGRESS
-// environment variable (heartbeat period in seconds, e.g. "2" or "0.5";
-// "on" means the default period; read once at first use) or from
-// SetProgressInterval (e.g. a --progress flag). Heartbeats bypass the
+// Off by default. The interval (heartbeat period in seconds) is set with
+// SetProgressInterval (the --progress[=SEC] flag of every binary,
+// core::ObsFlags). Heartbeats bypass the
 // log-level gate — asking for progress is the gate — but go through the
 // normal log sink, so SetLogSink redirection and the sink mutex apply.
 //
@@ -33,8 +32,7 @@ inline constexpr double kDefaultProgressIntervalSec = 2.0;
 
 // True when the heartbeat period is > 0 (progress reporting is on).
 bool ProgressEnabled();
-// Overrides the interval (and wins over LEOSIM_PROGRESS); pass <= 0 to
-// switch progress off.
+// Sets the interval; pass <= 0 to switch progress off.
 void SetProgressInterval(double seconds);
 
 // Tracks completed steps of one run phase. Enablement is latched at

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <mutex>
@@ -115,6 +116,26 @@ TEST(ParallelForTest, ClampsThreadCountToWorkItemCount) {
   });
   EXPECT_LE(thread_ids.size(), static_cast<size_t>(count));
   EXPECT_GE(thread_ids.size(), 1u);
+}
+
+// LEOSIM_THREADS takes a decimal integer in [0, 1024]; anything else is
+// rejected before a body runs, not read as "all cores". Unset, empty and
+// "0" mean hardware concurrency.
+TEST(ParallelForTest, RejectsABadThreadSetting) {
+  for (const char* bad : {"abc", "-1", "1025", "4x", " 4", "+4", "2.5", "99999999999"}) {
+    const ScopedThreads scope(bad);
+    int calls = 0;
+    EXPECT_THROW(ParallelFor(1, [&](int) { ++calls; }), std::invalid_argument) << bad;
+    EXPECT_EQ(calls, 0) << bad;
+    EXPECT_THROW(DefaultWorkerCount(), std::invalid_argument) << bad;
+  }
+  const int hardware = std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+  for (const char* automatic : {"", "0"}) {
+    const ScopedThreads scope(automatic);
+    EXPECT_EQ(DefaultWorkerCount(), hardware) << '"' << automatic << '"';
+  }
+  const ScopedThreads scope("1024");
+  EXPECT_EQ(DefaultWorkerCount(), 1024);
 }
 
 TEST(ParallelForTest, ZeroCountIsNoOpForAnyThreadCount) {

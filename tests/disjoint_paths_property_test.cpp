@@ -1,23 +1,24 @@
-// Property tests for the goal-directed k edge-disjoint shortest paths
-// (graph/disjoint_paths.hpp) and the throughput study that runs them
-// through the per-slot router (core/slot_router.hpp). On bent-pipe and
-// hybrid snapshots at t = 0 and t = 2700 s, for k = 1 and 4 and with
-// both A* potentials the router uses (landmark table, Euclidean latency
-// bound), every pair's paths must equal the plain overload's edge for
-// edge and leave every edge's enabled flag and half-edge weights as they
-// were; the study's totals and sub-flow counts, and the greedy
+// Property tests for the throughput study's k edge-disjoint shortest
+// paths (graph/disjoint_paths.hpp), which it runs through the per-slot
+// router (core/slot_router.hpp). On bent-pipe and hybrid snapshots at
+// t = 0 and t = 2700 s, for k = 1 and 4 and with both A* potentials the
+// router uses (landmark table at k = 4, Euclidean latency bound at
+// k = 1), the study's totals and sub-flow counts, and the greedy
 // routing-policy row's mean path latency too, must equal a per-pair
 // plain-Dijkstra oracle (plain_flows_oracle.hpp) bit for bit. The t = 0
-// snapshots hold exact ties, so the A* tie guard must fire along the way.
+// snapshots hold exact ties, so the path expansion's tie guard must
+// fire along the way.
 //
 // The router searches a residual view of the slot's relay contraction
 // (graph::ResidualContraction). After every ban the view must equal a
 // contraction rebuilt on the masked graph, row for row; the router's
 // paths must equal the plain overload's for k = 1..4 on 4 and 1 deg
 // grids under hybrid, bent-pipe, GSO-excluded and beam-budgeted
-// connectivity; hand-built graphs cover a banned relay with a near-tied
-// twin, a broken pair with no relay left, and consecutive pairs that
-// share a satellite; and the sweep must not depend on the thread count.
+// connectivity, and leave every edge's enabled flag and half-edge
+// weights as they were; hand-built graphs cover an exact relay tie on
+// the first path, a banned relay with a near-tied twin, a broken pair
+// with no relay left, and consecutive pairs that share a satellite; and
+// the sweep must not depend on the thread count.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -34,7 +35,6 @@
 #include "core/traffic_matrix.hpp"
 #include "data/cities.hpp"
 #include "graph/disjoint_paths.hpp"
-#include "graph/landmarks.hpp"
 #include "graph/relay_contraction.hpp"
 #include "obs/metrics.hpp"
 #include "plain_flows_oracle.hpp"
@@ -56,7 +56,7 @@ uint64_t Counter(const char* name) {
   return obs::MetricsRegistry::Global().GetCounter(name).Value();
 }
 
-uint64_t TieFallbacks() { return Counter("dijkstra.astar_tie_fallbacks"); }
+uint64_t ContractTieFallbacks() { return Counter("route.contract.tie_fallbacks"); }
 
 const NetworkModel& Model(ConnectivityMode mode) {
   const auto make = [](ConnectivityMode m) {
@@ -109,50 +109,6 @@ void ExpectSamePaths(const std::vector<graph::Path>& expected,
   }
 }
 
-TEST(GoalDirectedDisjointPaths, EqualPlainOverloadAndRestoreTheGraph) {
-  const std::vector<CityPair> pairs = Pairs();
-  const uint64_t fallbacks_before = TieFallbacks();
-  for (const ConnectivityMode mode : kModes) {
-    for (const double t : kTimes) {
-      NetworkModel::Snapshot snap = Model(mode).BuildSnapshot(t);
-      graph::Graph& g = snap.graph;
-      graph::DijkstraWorkspace ws;
-      graph::LandmarkTable table;
-      table.Rebuild(g, ws);
-      const EdgeState initial = Capture(g);
-      for (const int k : kPathCounts) {
-        for (size_t i = 0; i < pairs.size(); ++i) {
-          const graph::NodeId src = snap.CityNode(pairs[i].a);
-          const graph::NodeId dst = snap.CityNode(pairs[i].b);
-          const std::string what = std::string(ToString(mode)) + " t=" +
-                                   std::to_string(t) + " k=" + std::to_string(k) +
-                                   " pair " + std::to_string(i);
-          const std::vector<graph::Path> plain =
-              graph::KEdgeDisjointShortestPaths(g, src, dst, k, ws);
-
-          table.SetDestination(dst);
-          const auto alt = [&table](graph::NodeId n) { return table.Potential(n); };
-          const geo::Vec3 dst_pos = snap.node_ecef[static_cast<size_t>(dst)];
-          const auto euclidean = [&snap, &dst_pos](graph::NodeId n) {
-            return EuclideanLatencyPotential(snap.node_ecef, n, dst_pos);
-          };
-          ExpectSamePaths(plain,
-                          graph::KEdgeDisjointShortestPaths(g, src, dst, k, ws, alt),
-                          what + " ALT");
-          ExpectSamePaths(
-              plain, graph::KEdgeDisjointShortestPaths(g, src, dst, k, ws, euclidean),
-              what + " Euclidean");
-        }
-        EXPECT_TRUE(Capture(g) == initial)
-            << ToString(mode) << " t=" << t << " k=" << k
-            << ": an edge's enabled flag or half-edge weight was not restored";
-      }
-    }
-  }
-  EXPECT_GT(TieFallbacks(), fallbacks_before)
-      << "no exact tie reached the A* tie guard";
-}
-
 // The sweep and the greedy routing-policy row, both on the router,
 // against the plain oracle (plain_flows_oracle.hpp): per-pair plain
 // Dijkstra disjoint paths on the slot's full graph, a link per edge and
@@ -163,7 +119,7 @@ TEST(GoalDirectedDisjointPaths, ThroughputSweepBitEqualToPerPairOracle) {
   schedule.step_sec = kTimes[1];
   schedule.duration_sec = 2.0 * kTimes[1];
   ASSERT_EQ(schedule.Times(), std::vector<double>(std::begin(kTimes), std::end(kTimes)));
-  const uint64_t fallbacks_before = TieFallbacks();
+  const uint64_t fallbacks_before = ContractTieFallbacks();
   for (const ConnectivityMode mode : kModes) {
     for (const int k : kPathCounts) {
       const std::vector<ThroughputResult> sweep =
@@ -193,8 +149,8 @@ TEST(GoalDirectedDisjointPaths, ThroughputSweepBitEqualToPerPairOracle) {
       }
     }
   }
-  EXPECT_GT(TieFallbacks(), fallbacks_before)
-      << "no exact tie reached the A* tie guard";
+  EXPECT_GT(ContractTieFallbacks(), fallbacks_before)
+      << "no exact tie reached the path expansion's tie guard";
 }
 
 // The four connectivity variants the router must serve.
@@ -364,6 +320,37 @@ bool UsesNode(const graph::Path& path, graph::NodeId n) {
   return std::find(path.nodes.begin(), path.nodes.end(), n) != path.nodes.end();
 }
 
+// S0 -> S1 runs through R0 (3 + 1) and R1 (1 + 3): an exact tie. The
+// contraction's search takes S0's first detour arc, R0's, while
+// Dijkstra on the full graph settles R1 first and reaches S1 through
+// it, so only the path expansion's tie guard (and its full-graph rerun)
+// gives the first path the plain overload's edges. The second path
+// leaves C0 through S2 and reaches C1 through S3 over R0, which the ban
+// of R1's edges repairs the pair to.
+TEST(ContractedDisjointPaths, ExactRelayTieOnTheFirstPath) {
+  HandBuilt h(4, 2, 2);
+  graph::Graph& g = h.snap.graph;
+  g.AddEdge(h.City(0), h.Sat(0), 1.0);
+  g.AddEdge(h.City(0), h.Sat(2), 1.0);
+  g.AddEdge(h.Sat(2), h.Sat(0), 1.0);
+  g.AddEdge(h.Sat(0), h.Relay(0), 3.0);
+  g.AddEdge(h.Relay(0), h.Sat(1), 1.0);
+  g.AddEdge(h.Sat(0), h.Relay(1), 1.0);
+  g.AddEdge(h.Relay(1), h.Sat(1), 3.0);
+  g.AddEdge(h.City(1), h.Sat(1), 1.0);
+  g.AddEdge(h.City(1), h.Sat(3), 1.0);
+  g.AddEdge(h.Sat(3), h.Sat(1), 1.0);
+
+  const uint64_t reruns_before = ContractTieFallbacks();
+  const auto routed = h.Route({{0, 1}}, 2);
+  ASSERT_EQ(routed[0].size(), 2u);
+  EXPECT_TRUE(UsesNode(routed[0][0], h.Relay(1)));
+  EXPECT_EQ(routed[0][0].distance, 6.0);
+  EXPECT_TRUE(UsesNode(routed[0][1], h.Relay(0)));
+  EXPECT_EQ(routed[0][1].distance, 8.0);
+  EXPECT_EQ(ContractTieFallbacks() - reruns_before, 1u);
+}
+
 // S0 -> S1 runs through R0 (sum 4), its near-tied twin R1 (4 + 1e-12,
 // inside the band) and R2 (5, outside it: no base arc). C0 reaches S0
 // over three disjoint routes and C1 leaves S1 over three, so the paths
@@ -401,14 +388,14 @@ TEST(ContractedDisjointPaths, BannedRelayLeavesNearTiedTwin) {
   EXPECT_EQ(relays, (std::vector<graph::NodeId>{h.Relay(0), h.Relay(1)}))
       << "the twin is kept and R2 is not";
 
-  const uint64_t reruns_before = Counter("route.contract.tie_fallbacks");
+  const uint64_t reruns_before = ContractTieFallbacks();
   const uint64_t repairs_before = Counter("route.contract.repairs");
   const auto routed = h.Route({{0, 1}}, 4);
   ASSERT_EQ(routed[0].size(), 3u);
   for (int i = 0; i < 3; ++i) {
     EXPECT_TRUE(UsesNode(routed[0][static_cast<size_t>(i)], h.Relay(i))) << i;
   }
-  EXPECT_EQ(Counter("route.contract.tie_fallbacks"), reruns_before);
+  EXPECT_EQ(ContractTieFallbacks(), reruns_before);
   EXPECT_GT(Counter("route.contract.repairs"), repairs_before);
 }
 
@@ -428,7 +415,7 @@ TEST(ContractedDisjointPaths, BrokenPairWithNoRelayLeft) {
   g.AddEdge(h.Relay(0), h.Sat(1), 2.0);
   const graph::EdgeId isl = g.AddEdge(h.Sat(0), h.Sat(1), 10.0);
 
-  const uint64_t reruns_before = Counter("route.contract.tie_fallbacks");
+  const uint64_t reruns_before = ContractTieFallbacks();
   const auto routed = h.Route({{0, 1}}, 3);
   ASSERT_EQ(routed[0].size(), 2u);
   EXPECT_TRUE(UsesNode(routed[0][0], h.Relay(0)));
@@ -436,7 +423,7 @@ TEST(ContractedDisjointPaths, BrokenPairWithNoRelayLeft) {
   EXPECT_NE(std::find(routed[0][1].edges.begin(), routed[0][1].edges.end(), isl),
             routed[0][1].edges.end());
   EXPECT_EQ(routed[0][1].distance, 14.0);
-  EXPECT_EQ(Counter("route.contract.tie_fallbacks"), reruns_before);
+  EXPECT_EQ(ContractTieFallbacks(), reruns_before);
 }
 
 // C0 and C2 both reach C1 through S0 -> R0 -> S1. C0's two paths ban

@@ -223,29 +223,6 @@ TEST(AStarTieGuardTest, UniqueShortestPathNeedsNoFallback) {
   EXPECT_EQ(TieFallbacks(), before);
 }
 
-TEST(DisjointPathsTest, GoalDirectedOverloadEqualsPlainThroughTies) {
-  Graph g = TieFan(3);
-  DijkstraWorkspace ws;
-  const std::vector<Path> plain = KEdgeDisjointShortestPaths(g, 0, 4, 3, ws);
-  ASSERT_EQ(plain.size(), 3u);
-  for (const NodeId late : {1, 2, 3}) {
-    const std::vector<Path> goal =
-        KEdgeDisjointShortestPaths(g, 0, 4, 3, ws, SteerAwayFrom(late));
-    ASSERT_EQ(goal.size(), plain.size());
-    for (size_t i = 0; i < plain.size(); ++i) {
-      EXPECT_EQ(goal[i].edges, plain[i].edges) << "late " << late << " path " << i;
-    }
-    for (EdgeId e = 0; e < g.NumEdges(); ++e) {
-      EXPECT_TRUE(g.IsEnabled(e));
-    }
-    for (NodeId n = 0; n < g.NumNodes(); ++n) {
-      for (const HalfEdge& half : g.Neighbours(n)) {
-        EXPECT_EQ(half.weight, 1.0);
-      }
-    }
-  }
-}
-
 TEST(ComponentsTest, SingleComponent) {
   const Graph g = Diamond();
   const Components c = ConnectedComponents(g);

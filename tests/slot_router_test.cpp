@@ -220,9 +220,9 @@ TEST(SlotRouter, TiersAgreeOnHybridAndMaskedBentPipe) {
 // The bench-default configuration (332 generated cities, 2.5 deg relay
 // grid, 500 pairs) holds an exact tie on one ISL-masked bent-pipe path
 // at t = 0: two equal-length branches that A* and Dijkstra used to
-// settle in different orders. Both tie guards — the contracted A*'s and
-// the path expansion's on the full graph — must catch it, and the router
-// must report Dijkstra's node chain.
+// settle in different orders. The path expansion's tie guard on the
+// full graph must catch it, and the router must report Dijkstra's node
+// chain.
 TEST(SlotRouter, NodeChainsMatchDijkstraThroughExactTies) {
   const std::vector<data::City> cities = data::GenerateWorldCities(332, 42);
   NetworkOptions options = Options(ConnectivityMode::kHybrid);
@@ -236,11 +236,8 @@ TEST(SlotRouter, NodeChainsMatchDijkstraThroughExactTies) {
   for (const graph::EdgeId e : snap.isl_edges) {
     snap.graph.SetEnabled(e, false);
   }
-  const uint64_t fallbacks_before = TieFallbacks();
   const uint64_t contract_before = ContractTieFallbacks();
   ExpectTiersAgree(snap, pairs, "bent-pipe t=0");
-  EXPECT_GT(TieFallbacks(), fallbacks_before)
-      << "no exact tie reached the A* tie guard";
   EXPECT_GT(ContractTieFallbacks(), contract_before)
       << "no exact tie reached the contraction's tie guard";
 }
@@ -431,6 +428,56 @@ TEST(SlotRouter, RelayTiesFallBackToFullGraphDijkstra) {
               reference.nodes[i])
         << "pair " << i;
   }
+}
+
+// A hand-built snapshot with an exact tie on the A* chain: C0 -> C1
+// through S0 -> {R0 (3 + 1) | R1 (1 + 3)} -> S1. The contraction's
+// search takes S0's first detour arc, R0's; Dijkstra on the full graph
+// settles R1 first and reaches S1 through it. Layout [S0 S1 | C0 C1 |
+// R0 R1], all nodes at one position (Euclidean potential 0), one pair:
+// the A* tier. The RTT is A*'s label, which needs no tie guard; only
+// the node chain does, and ExpandPath's full-graph rerun gives it.
+TEST(SlotRouter, ExactTieOnTheAStarChain) {
+  NetworkModel::Snapshot snap;
+  snap.num_sats = 2;
+  snap.num_cities = 2;
+  snap.num_relays = 2;
+  snap.num_aircraft = 0;
+  snap.node_ecef.assign(6, geo::Vec3{});
+  snap.graph.Reset(6);
+  const auto sat = [](int i) { return i; };
+  const auto city = [](int i) { return 2 + i; };
+  const auto relay = [](int i) { return 4 + i; };
+  snap.graph.AddEdge(city(0), sat(0), 1.0);
+  snap.graph.AddEdge(sat(0), relay(0), 3.0);
+  snap.graph.AddEdge(relay(0), sat(1), 1.0);
+  snap.graph.AddEdge(sat(0), relay(1), 1.0);
+  snap.graph.AddEdge(relay(1), sat(1), 3.0);
+  snap.graph.AddEdge(sat(1), city(1), 1.0);
+  snap.graph.FinalizeAdjacency();
+
+  const std::vector<CityPair> pairs = {{0, 1}};
+  const DijkstraRoutes reference = DijkstraReference(snap, pairs);
+  ASSERT_EQ(reference.nodes[0],
+            (std::vector<graph::NodeId>{city(0), sat(0), relay(1), sat(1), city(1)}));
+  SweepWorkspace ws;
+  SlotRoutes routes;
+
+  const uint64_t astar_before = TieFallbacks();
+  const uint64_t contract_before = ContractTieFallbacks();
+  RouteSlotPairs(snap, pairs, GroupPairsBySource(pairs), /*want_paths=*/false,
+                 &ws, &routes);
+  EXPECT_TRUE(BitEq(routes.rtt[0], reference.rtt[0]));
+  EXPECT_EQ(TieFallbacks(), astar_before) << "an RTT-only query ran a tie guard";
+  EXPECT_EQ(ContractTieFallbacks(), contract_before);
+
+  RouteSlotPairs(snap, pairs, GroupPairsBySource(pairs), /*want_paths=*/true,
+                 &ws, &routes);
+  EXPECT_TRUE(BitEq(routes.rtt[0], reference.rtt[0]));
+  const auto run = routes.PathNodes(0);
+  EXPECT_EQ(std::vector<graph::NodeId>(run.begin(), run.end()), reference.nodes[0]);
+  EXPECT_EQ(ContractTieFallbacks() - contract_before, 1u);
+  EXPECT_EQ(TieFallbacks(), astar_before);
 }
 
 // `derived` and `built` hold the same contraction: the same rows in the

@@ -277,7 +277,7 @@ std::string ReadFile(const std::filesystem::path& path) {
 }
 
 TEST(TraceWriteTest, FilesMatchSerializersAtAnyThreadCount) {
-  const auto [netstate, netevents] = TraceChurnRun("1", "0");
+  const auto [netstate, netevents] = TraceChurnRun("1", /*use_aircraft=*/true);
   for (const char* threads : {"1", "3"}) {
     const ScopedThreads scope(threads);
     NetTraceRecorder& net_trace = NetTraceRecorder::Global();

@@ -35,15 +35,16 @@ Rules (each maps to a repo invariant documented in DESIGN.md):
   study-summary   Every src/core/*_study.cpp calls EmitStudySummary:
                    manifests, tests, and obs_report run comparisons all
                    key on the shared summary line.
-  study-router    No call to graph::ShortestPath, ShortestPathAStar or
-                   KEdgeDisjointShortestPaths in src/core/*_study.cpp
-                   or bench/*.cpp: studies and figure binaries route
-                   city pairs through core/slot_router (RouteSlotPairs,
+  study-router    No call to graph::ShortestPath, ShortestPathAStar,
+                   RunAStar or KEdgeDisjointShortestPaths in
+                   src/core/*_study.cpp or bench/*.cpp: studies and
+                   figure binaries route city pairs through
+                   core/slot_router (RouteSlotPairs,
                    RouteSlotDisjointPaths, or core::RouteFlows on top of
                    it), the one routing policy every study shares.
                    routing.cpp's order-dependent EXT-RT policies are not
                    a study file, and bench_pipeline.cpp benches the
-                   plain searches the router falls back to on purpose.
+                   plain searches next to the router's on purpose.
   snapshot-workspace
                    No allocating BuildSnapshot(t) in study drivers
                    (src/core/*_study.cpp, routing.cpp). Inner loops must
@@ -359,7 +360,7 @@ def check_study_summary(ctx: LintContext) -> list[Finding]:
 
 
 STUDY_ROUTER_RE = re.compile(
-    r"\b(ShortestPath|ShortestPathAStar|KEdgeDisjointShortestPaths)\s*\(")
+    r"\b(ShortestPath|ShortestPathAStar|RunAStar|KEdgeDisjointShortestPaths)\s*\(")
 # The bench binary that times the plain searches against the router.
 STUDY_ROUTER_BENCH_EXEMPT = {"bench/bench_pipeline.cpp"}
 

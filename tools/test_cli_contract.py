@@ -20,6 +20,7 @@ Usage: test_cli_contract.py BINARY...   (leosim_cli, fig5_isl_capacity,
 from __future__ import annotations
 
 import json
+import os
 import re
 import subprocess
 import sys
@@ -43,6 +44,7 @@ class Row:
     stderr: str = ""  # required substring ("" = stderr must be empty)
     # Returns an error message, or None when stdout is as expected.
     stdout: Optional[Callable[[str], Optional[str]]] = None
+    env: Optional[dict[str, str]] = None  # set on top of the inherited one
 
 
 def contains(text: str) -> Callable[[str], Optional[str]]:
@@ -128,6 +130,10 @@ def rows(tmp: Path) -> list[Row]:
         Row("fig5_isl_capacity", ["--pair=5"], 2, "unknown flag --pair=5"),
         Row("fig5_isl_capacity", ["--log-level=bogus"], 2, "--log-level"),
         Row("fig5_isl_capacity", ["--progress=soon"], 2, "--progress"),
+        # LEOSIM_THREADS, the one environment setting, is checked like a flag.
+        Row("fig2_latency", SMALL, 2, "LEOSIM_THREADS", env={"LEOSIM_THREADS": "abc"}),
+        Row("leosim_cli", ["study", "latency", *SMALL], 2, "got '-2'",
+            env={"LEOSIM_THREADS": "-2"}),
         # --csv= belongs to fig2_latency only.
         Row("fig5_isl_capacity", ["--csv=out"], 2, "unknown flag --csv=out"),
         Row("weather_planner", ["Singapore", "abc"], 2, "freq_ghz"),
@@ -189,7 +195,8 @@ def rows(tmp: Path) -> list[Row]:
 
 
 def run_row(row: Row, binaries: dict[str, str], cwd: Path) -> Optional[str]:
-    proc = subprocess.run([binaries[row.binary], *row.argv], cwd=cwd,
+    env = {**os.environ, **row.env} if row.env else None
+    proc = subprocess.run([binaries[row.binary], *row.argv], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=300)
     if proc.returncode != row.rc:
         return f"rc {proc.returncode}, want {row.rc}; stderr: {proc.stderr!r}"

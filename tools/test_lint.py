@@ -96,7 +96,7 @@ def test_layering_acceptance_fixture() -> None:
 
 
 def test_study_router_scope() -> None:
-    # Each of the three search entry points is flagged in a study file and
+    # Each of the four search entry points is flagged in a study file and
     # a search in a bench binary is flagged too; routing.cpp (EXT-RT, not
     # a *_study.cpp) is left alone, and the ok tree shows the two bench
     # files that time the fallbacks are exempt.
@@ -106,10 +106,11 @@ def test_study_router_scope() -> None:
         ("src/core/failure_study.cpp", "ShortestPath"),
         ("src/core/churn_study.cpp", "ShortestPathAStar"),
         ("src/core/throughput_study.cpp", "KEdgeDisjointShortestPaths"),
+        ("src/core/outage_study.cpp", "RunAStar"),
         ("bench/fig7_hops.cpp", "ShortestPath"),
         ("bench/bench_pipeline_extra.cpp", "ShortestPathAStar"),
     }, f"study-router: expected one finding per study and bench file, got {flagged}")
-    print("ok: study-router flags the three searches in studies and benches, "
+    print("ok: study-router flags the four searches in studies and benches, "
           "not routing.cpp")
 
 
