@@ -34,6 +34,22 @@ const NetworkModel::Snapshot& RouteChains(const NetworkModel& model,
 
 }  // namespace
 
+double RadioLinkAttenuationDb(const NetworkModel& model,
+                              const NetworkModel::Snapshot& snap,
+                              graph::NodeId ground, graph::NodeId sat,
+                              double frequency_ghz,
+                              const AttenuationOptions& options) {
+  const double elevation = geo::ElevationAngleDeg(
+      snap.node_ecef[static_cast<size_t>(ground)],
+      snap.node_ecef[static_cast<size_t>(sat)]);
+  itur::SlantPathConfig config;
+  config.frequency_ghz = frequency_ghz;
+  config.antenna_diameter_m = options.antenna_diameter_m;
+  config.antenna_efficiency = options.antenna_efficiency;
+  return itur::SlantPathAttenuationDb(model.GroundNodeCoord(snap, ground),
+                                      elevation, config, options.exceedance_pct);
+}
+
 double WorstLinkAttenuationDb(const NetworkModel& model,
                               const NetworkModel::Snapshot& snap,
                               std::span<const graph::NodeId> path,
@@ -48,18 +64,10 @@ double WorstLinkAttenuationDb(const NetworkModel& model,
     if (!up && !down) {
       continue;  // laser ISL: weather-immune
     }
-    const graph::NodeId ground = up ? u : v;
-    const graph::NodeId sat = up ? v : u;
-    const geo::GeodeticCoord gt = model.GroundNodeCoord(snap, ground);
-    const double elevation = geo::ElevationAngleDeg(
-        snap.node_ecef[static_cast<size_t>(ground)],
-        snap.node_ecef[static_cast<size_t>(sat)]);
-    itur::SlantPathConfig config;
-    config.frequency_ghz = up ? radio.uplink_freq_ghz : radio.downlink_freq_ghz;
-    config.antenna_diameter_m = options.antenna_diameter_m;
-    config.antenna_efficiency = options.antenna_efficiency;
-    worst = std::max(worst, itur::SlantPathAttenuationDb(gt, elevation, config,
-                                                         options.exceedance_pct));
+    worst = std::max(
+        worst, RadioLinkAttenuationDb(
+                   model, snap, up ? u : v, up ? v : u,
+                   up ? radio.uplink_freq_ghz : radio.downlink_freq_ghz, options));
   }
   return worst;
 }

@@ -30,6 +30,15 @@ struct AttenuationOptions {
   void Validate() const;
 };
 
+// Slant-path attenuation (dB) of the radio link between ground node
+// `ground` and satellite `sat` of `snap` at `frequency_ghz`, exceeded
+// options.exceedance_pct % of the time, for the antenna of `options`.
+double RadioLinkAttenuationDb(const NetworkModel& model,
+                              const NetworkModel::Snapshot& snap,
+                              graph::NodeId ground, graph::NodeId sat,
+                              double frequency_ghz,
+                              const AttenuationOptions& options);
+
 // Worst radio-link attenuation (dB) along the node chain `path` (src ...
 // dst) in `snap`, at the given exceedance probability. Returns 0 for a
 // path with no radio links.

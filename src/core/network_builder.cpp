@@ -20,12 +20,6 @@ namespace leosim::core {
 
 namespace {
 
-// Phase timings in microseconds, log-scale 1µs .. ~0.5s.
-obs::Histogram& PhaseHistogram(const char* name) {
-  return obs::MetricsRegistry::Global().GetHistogram(
-      name, obs::Histogram::ExponentialBounds(1.0, 2.0, 20));
-}
-
 struct SnapshotMetrics {
   obs::Counter& builds =
       obs::MetricsRegistry::Global().GetCounter("snapshot.builds");
@@ -33,11 +27,6 @@ struct SnapshotMetrics {
       obs::MetricsRegistry::Global().GetCounter("snapshot.radio_edges");
   obs::Counter& isl_edges =
       obs::MetricsRegistry::Global().GetCounter("snapshot.isl_edges");
-  obs::Histogram& build_us = PhaseHistogram("snapshot.build_us");
-  obs::Histogram& propagate_us = PhaseHistogram("snapshot.propagate_us");
-  obs::Histogram& index_us = PhaseHistogram("snapshot.index_us");
-  obs::Histogram& visibility_us = PhaseHistogram("snapshot.visibility_us");
-  obs::Histogram& graph_us = PhaseHistogram("snapshot.graph_us");
 
   static SnapshotMetrics& Get() {
     static SnapshotMetrics metrics;
@@ -138,15 +127,8 @@ NetworkModel::Snapshot NetworkModel::BuildSnapshot(double time_sec) const {
 NetworkModel::Snapshot& NetworkModel::BuildSnapshot(
     double time_sec, SnapshotWorkspace* workspace) const {
   SnapshotMetrics& metrics = SnapshotMetrics::Get();
-  // Per-phase durations, captured from the spans so the timeseries export
-  // sees the same numbers the histograms do.
-  double propagate_us = 0.0;
-  double index_us = 0.0;
-  double visibility_us = 0.0;
-  double graph_us = 0.0;
   obs::TimeseriesRecorder& timeseries = obs::TimeseriesRecorder::Global();
-  const int64_t build_start_ns = obs::NowNanos();
-  const obs::Span build_span("snapshot.build", &metrics.build_us);
+  const obs::Span build_span("snapshot.build");
   metrics.builds.Increment();
 
   Snapshot& snap = workspace->snapshot;
@@ -160,8 +142,7 @@ NetworkModel::Snapshot& NetworkModel::BuildSnapshot(
   const std::vector<geo::Vec3>& sat_ecef = workspace->sat_ecef;
   int total_nodes = 0;
   {
-    const obs::Span span("snapshot.propagate", &metrics.propagate_us,
-                         &propagate_us);
+    const obs::Span span("snapshot.propagate");
     constellation_.PositionsEcefInto(time_sec, &workspace->sat_ecef);
 
     snap.aircraft_coords.clear();
@@ -187,7 +168,7 @@ NetworkModel::Snapshot& NetworkModel::BuildSnapshot(
   // visible satellite, via the spatial index (rebuilt in place each
   // timestep — satellite positions move, the buckets' storage does not).
   {
-    const obs::Span span("snapshot.index", &metrics.index_us, &index_us);
+    const obs::Span span("snapshot.index");
     double max_altitude = 0.0;
     for (int s = 0; s < constellation_.NumShells(); ++s) {
       max_altitude = std::max(max_altitude, constellation_.shell(s).altitude_km);
@@ -210,8 +191,7 @@ NetworkModel::Snapshot& NetworkModel::BuildSnapshot(
   std::vector<RadioCandidate>& candidates = workspace->candidates;
   candidates.clear();
   {
-    const obs::Span span("snapshot.visibility", &metrics.visibility_us,
-                         &visibility_us);
+    const obs::Span span("snapshot.visibility");
     for (int g = first_ground; g < total_nodes; ++g) {
       const geo::Vec3& ground = snap.node_ecef[static_cast<size_t>(g)];
       // Fused batch query: the elevation test already computes each
@@ -237,7 +217,7 @@ NetworkModel::Snapshot& NetworkModel::BuildSnapshot(
   }
 
   {
-    const obs::Span graph_span("snapshot.graph", &metrics.graph_us, &graph_us);
+    const obs::Span graph_span("snapshot.graph");
     std::vector<int32_t>& offsets = workspace->candidate_offsets;
     offsets.assign(static_cast<size_t>(snap.num_sats) + 1, 0);
     for (const RadioCandidate& c : candidates) {
@@ -312,13 +292,6 @@ NetworkModel::Snapshot& NetworkModel::BuildSnapshot(
                       static_cast<double>(snap.radio_edges.size()));
     timeseries.Record(time_sec, prefix + "isl_edges",
                       static_cast<double>(snap.isl_edges.size()));
-    timeseries.Record(time_sec, prefix + "propagate_us", propagate_us);
-    timeseries.Record(time_sec, prefix + "index_us", index_us);
-    timeseries.Record(time_sec, prefix + "visibility_us", visibility_us);
-    timeseries.Record(time_sec, prefix + "graph_us", graph_us);
-    timeseries.Record(
-        time_sec, prefix + "build_us",
-        static_cast<double>(obs::NowNanos() - build_start_ns) * 1e-3);
   }
   obs::LogDebug("snapshot.build")
       .Field("t_sec", time_sec)

@@ -9,8 +9,6 @@
 #include "core/report.hpp"
 #include "core/slot_router.hpp"
 #include "core/temporal_sweep.hpp"
-#include "geo/geodesic.hpp"
-#include "itur/slant_path.hpp"
 #include "obs/progress.hpp"
 #include "obs/timeseries.hpp"
 #include "obs/trace.hpp"
@@ -49,6 +47,9 @@ std::vector<OutageRow> RunOutageStudy(const NetworkModel& model,
   NetworkModel::Snapshot& snap = model.BuildSnapshot(options.time_sec, &ws.snapshot);
   summary.snapshots_built = 1;
   const link::RadioConfig& radio = model.scenario().radio;
+  // The antenna of options.attenuation at the outage study's percentile.
+  AttenuationOptions attenuation = options.attenuation;
+  attenuation.exceedance_pct = options.exceedance_pct;
 
   // Worst-direction attenuation per radio link (up-link frequency is the
   // higher one and rain attenuation grows with frequency, so it wins; we
@@ -60,20 +61,11 @@ std::vector<OutageRow> RunOutageStudy(const NetworkModel& model,
       const graph::EdgeRecord& rec = snap.graph.Edge(snap.radio_edges[i]);
       const graph::NodeId ground = snap.IsSat(rec.a) ? rec.b : rec.a;
       const graph::NodeId sat = snap.IsSat(rec.a) ? rec.a : rec.b;
-      const geo::GeodeticCoord gt = model.GroundNodeCoord(snap, ground);
-      const double elevation =
-          geo::ElevationAngleDeg(snap.node_ecef[static_cast<size_t>(ground)],
-                                 snap.node_ecef[static_cast<size_t>(sat)]);
-      itur::SlantPathConfig config;
-      config.antenna_diameter_m = options.attenuation.antenna_diameter_m;
-      config.antenna_efficiency = options.attenuation.antenna_efficiency;
-      config.frequency_ghz = radio.uplink_freq_ghz;
-      const double up =
-          itur::SlantPathAttenuationDb(gt, elevation, config, options.exceedance_pct);
-      config.frequency_ghz = radio.downlink_freq_ghz;
-      const double down =
-          itur::SlantPathAttenuationDb(gt, elevation, config, options.exceedance_pct);
-      link_attenuation[i] = std::max(up, down);
+      link_attenuation[i] = std::max(
+          RadioLinkAttenuationDb(model, snap, ground, sat,
+                                 radio.uplink_freq_ghz, attenuation),
+          RadioLinkAttenuationDb(model, snap, ground, sat,
+                                 radio.downlink_freq_ghz, attenuation));
     }
   }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <charconv>
-#include <chrono>
 #include <cstdlib>
 #include <exception>
 #include <limits>
@@ -32,17 +31,6 @@ obs::Counter& ItemsCounter() {
   static obs::Counter& counter =
       obs::MetricsRegistry::Global().GetCounter("parallel.items");
   return counter;
-}
-
-// Fraction of the run's wall time each worker thread was alive (claiming
-// or executing items). A starving worker exits early and shows up as a
-// low-utilization observation.
-obs::Histogram& UtilizationHistogram() {
-  static obs::Histogram& histogram =
-      obs::MetricsRegistry::Global().GetHistogram(
-          "parallel.worker_utilization",
-          {0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0});
-  return histogram;
 }
 
 int HardwareWorkers() {
@@ -104,13 +92,10 @@ void ParallelForWorkers(int count,
     for (int i = 0; i < count; ++i) {
       body(0, i);
     }
-    UtilizationHistogram().Observe(1.0);
     return;
   }
 
   const obs::Span span("parallel.run");
-  const auto run_start = std::chrono::steady_clock::now();
-  std::vector<double> worker_seconds(static_cast<size_t>(workers), 0.0);
   std::atomic<int> next{0};
   std::atomic<bool> stop{false};
   // Wrapped in a struct so the guarded_by relation is expressible: the
@@ -131,7 +116,6 @@ void ParallelForWorkers(int count,
       // nest under it, so worker activity is attributable in collapsed
       // stacks even when the body opens no span of its own.
       const obs::Span worker_span("parallel.worker");
-      const auto worker_start = std::chrono::steady_clock::now();
       while (!stop.load(std::memory_order_relaxed)) {
         const int i = next.fetch_add(1);
         if (i >= count) {
@@ -147,23 +131,10 @@ void ParallelForWorkers(int count,
           stop.store(true, std::memory_order_relaxed);
         }
       }
-      worker_seconds[static_cast<size_t>(w)] =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        worker_start)
-              .count();
     });
   }
   for (std::thread& t : threads) {
     t.join();
-  }
-  const double run_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    run_start)
-          .count();
-  if (run_seconds > 0.0) {
-    for (const double seconds : worker_seconds) {
-      UtilizationHistogram().Observe(std::min(1.0, seconds / run_seconds));
-    }
   }
   // All workers have joined, but the analysis still wants the lock held
   // to read the guarded slot — an uncontended acquire, once per run.

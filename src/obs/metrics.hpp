@@ -1,7 +1,9 @@
-// Process-wide metrics for the snapshot pipeline: counters, gauges, and
-// fixed-bucket histograms, exportable as JSON.
+// Process-wide counters for the snapshot pipeline, exportable as JSON.
+// Counters measure work only; time is measured by obs::Span (trace and
+// profiler), so the export is the same bytes on every run and at every
+// worker count.
 //
-// Hot-loop increments must be contention-free: every metric is sharded
+// Hot-loop increments must be contention-free: every counter is sharded
 // into kMetricShards cache-line-padded slots, and a thread picks its
 // slot via a thread-local shard id (dense when running under
 // ParallelForWorkers, which pins each worker to its worker id via
@@ -10,7 +12,7 @@
 // a merge is associative — any interleaving of writers sums to the same
 // totals.
 //
-// Metric handles returned by MetricsRegistry are stable for the
+// Counter handles returned by MetricsRegistry are stable for the
 // registry's lifetime (registration appends, never moves), so hot paths
 // resolve a metric once and keep the reference.
 #pragma once
@@ -18,7 +20,6 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -71,66 +72,9 @@ class Counter {
   std::array<Slot, kMetricShards> slots_;
 };
 
-// Last-write-wins scalar (e.g. configured thread count, option values).
-class Gauge {
- public:
-  void Set(double value) { value_.store(value, std::memory_order_relaxed); }
-  double Value() const { return value_.load(std::memory_order_relaxed); }
-  const std::string& name() const { return name_; }
-
- private:
-  friend class MetricsRegistry;
-  explicit Gauge(std::string name) : name_(std::move(name)) {}
-  std::string name_;
-  std::atomic<double> value_{0.0};
-};
-
-class Histogram {
- public:
-  // Bucket b counts observations v with v <= upper_bounds[b]; one
-  // implicit overflow bucket catches the rest, so counts has
-  // upper_bounds.size() + 1 entries.
-  void Observe(double value);
-
-  struct Merged {
-    std::vector<double> upper_bounds;
-    std::vector<uint64_t> counts;
-    uint64_t count{0};
-    double sum{0.0};
-    double min{std::numeric_limits<double>::infinity()};
-    double max{-std::numeric_limits<double>::infinity()};
-  };
-  Merged Merge() const;
-
-  // {first, first*factor, ...} with `count` entries — the standard
-  // log-scale bounds for latency-style histograms.
-  static std::vector<double> ExponentialBounds(double first, double factor,
-                                               int count);
-
-  const std::string& name() const { return name_; }
-  const std::vector<double>& upper_bounds() const { return upper_bounds_; }
-
- private:
-  friend class MetricsRegistry;
-  Histogram(std::string name, std::vector<double> upper_bounds);
-
-  struct Shard {
-    explicit Shard(size_t num_buckets) : counts(num_buckets) {}
-    std::vector<std::atomic<uint64_t>> counts;
-    std::atomic<uint64_t> count{0};
-    std::atomic<double> sum{0.0};
-    std::atomic<double> min{std::numeric_limits<double>::infinity()};
-    std::atomic<double> max{-std::numeric_limits<double>::infinity()};
-  };
-
-  std::string name_;
-  std::vector<double> upper_bounds_;
-  std::vector<std::unique_ptr<Shard>> shards_;
-};
-
-// Registry of named metrics. Get* registers on first use (mutex-guarded;
-// hot paths should cache the returned reference) and returns the
-// existing metric on every later call with the same name.
+// Registry of named counters. GetCounter registers on first use
+// (mutex-guarded; hot paths should cache the returned reference) and
+// returns the existing counter on every later call with the same name.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
@@ -141,18 +85,12 @@ class MetricsRegistry {
   static MetricsRegistry& Global();
 
   Counter& GetCounter(std::string_view name);
-  Gauge& GetGauge(std::string_view name);
-  // `upper_bounds` is consulted only when `name` is first registered
-  // (must be sorted ascending); later calls return the existing
-  // histogram regardless of the bounds passed.
-  Histogram& GetHistogram(std::string_view name,
-                          std::vector<double> upper_bounds);
 
-  // JSON object {"counters": {...}, "gauges": {...}, "histograms": {...}},
-  // metrics sorted by name for diff-stable output.
+  // JSON object {"counters": {...}}, counters sorted by name for
+  // diff-stable output.
   std::string ToJson() const;
 
-  // Zeroes every metric (handles stay valid). Intended for tests and for
+  // Zeroes every counter (handles stay valid). Intended for tests and for
   // delimiting phases in long-running tools.
   void Reset();
 
@@ -173,7 +111,7 @@ class MetricsRegistry {
   };
 
  private:
-  // tests/tsa_negative/metrics_guard_probe.cpp reads the guarded vectors
+  // tests/tsa_negative/metrics_guard_probe.cpp reads the guarded vector
   // without the lock and must fail to compile under -Werror=thread-safety;
   // the friend grants it the member access so the probe exercises exactly
   // the GUARDED_BY annotations below.
@@ -181,9 +119,6 @@ class MetricsRegistry {
 
   mutable leosim::Mutex mutex_;
   std::vector<std::unique_ptr<Counter>> counters_ LEOSIM_GUARDED_BY(mutex_);
-  std::vector<std::unique_ptr<Gauge>> gauges_ LEOSIM_GUARDED_BY(mutex_);
-  std::vector<std::unique_ptr<Histogram>> histograms_
-      LEOSIM_GUARDED_BY(mutex_);
 };
 
 }  // namespace leosim::obs

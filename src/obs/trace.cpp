@@ -88,15 +88,10 @@ void EnableTracing(bool enabled) {
 }
 
 void Span::Finish() {
-  const int64_t duration_ns = detail::TraceNowNanos() - start_ns_;
-  if (histogram_ != nullptr) {
-    histogram_->Observe(static_cast<double>(duration_ns) * 1e-3);
-  }
-  if (elapsed_us_out_ != nullptr) {
-    *elapsed_us_out_ = static_cast<double>(duration_ns) * 1e-3;
-  }
+  // A span open while tracing switches off records nothing.
   if (TracingEnabled()) {
-    detail::RecordTraceEvent(name_, start_ns_, duration_ns);
+    detail::RecordTraceEvent(name_, start_ns_,
+                             detail::TraceNowNanos() - start_ns_);
   }
 }
 

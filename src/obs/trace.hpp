@@ -1,14 +1,14 @@
 // Trace spans for the snapshot pipeline, exported as Chrome trace_event
 // JSON (loadable in chrome://tracing and Perfetto).
 //
-// A Span is an RAII scoped timer. Cost model: when tracing and the
-// profiling hook (obs/profile.hpp) are disabled and no histogram is
-// attached, constructing a Span is two relaxed atomic loads and two
-// branches — no clock read. When armed, the span reads
-// the steady clock twice and, on destruction, records a completed
-// ("ph":"X") event into the calling thread's buffer (one uncontended
-// mutex, no allocation once the buffer has grown) and/or observes the
-// duration in microseconds into the attached histogram.
+// A Span is an RAII scoped timer and the only clock in the pipeline:
+// metrics count work, spans measure time. Cost model: when tracing and
+// the profiling hook (obs/profile.hpp) are disabled, constructing a Span
+// is two relaxed atomic loads and two branches — no clock read. When
+// tracing is on, the span reads the steady clock twice and, on
+// destruction, records a completed ("ph":"X") event into the calling
+// thread's buffer (one uncontended mutex, no allocation once the buffer
+// has grown).
 //
 // Per-thread buffers are registered globally and kept alive past thread
 // exit, so events from joined ParallelFor workers survive until export.
@@ -22,7 +22,6 @@
 #include <string>
 #include <string_view>
 
-#include "obs/metrics.hpp"
 #include "obs/profile.hpp"
 
 namespace leosim::obs {
@@ -42,10 +41,6 @@ inline bool TracingEnabled() {
   return detail::g_trace_enabled.load(std::memory_order_relaxed);
 }
 
-// Steady-clock nanoseconds since the process-wide trace epoch. For ad-hoc
-// interval measurement consistent with Span timestamps.
-inline int64_t NowNanos() { return detail::TraceNowNanos(); }
-
 void EnableTracing(bool enabled);
 
 // Chrome trace_event JSON object: {"displayTimeUnit": "ms",
@@ -60,24 +55,17 @@ void ResetTrace();
 uint64_t TraceDroppedEvents();
 
 // RAII scoped timer. `name` must outlive the span (string literals in
-// practice). Optionally observes the duration (in microseconds) into
-// `histogram` even when tracing is off, so phase histograms work without
-// a trace buffer. `elapsed_us_out`, when non-null, also arms the span and
-// receives the duration in microseconds on destruction — how the
-// snapshot builder hands per-phase times to the timeseries recorder.
+// practice).
 class Span {
  public:
-  explicit Span(std::string_view name, Histogram* histogram = nullptr,
-                double* elapsed_us_out = nullptr)
-      : name_(name), histogram_(histogram), elapsed_us_out_(elapsed_us_out) {
+  explicit Span(std::string_view name) : name_(name) {
     // The profiler hook runs before the clock read so sampled stacks
     // cover the whole timed region.
     hooked_ = SpanHookEnabled();
     if (hooked_) {
       detail::PushSpanFrame(name);
     }
-    armed_ = (histogram_ != nullptr) || (elapsed_us_out_ != nullptr) ||
-             TracingEnabled();
+    armed_ = TracingEnabled();
     if (armed_) {
       start_ns_ = detail::TraceNowNanos();
     }
@@ -100,8 +88,6 @@ class Span {
   void Finish();
 
   std::string_view name_;
-  Histogram* histogram_;
-  double* elapsed_us_out_;
   int64_t start_ns_{0};
   bool armed_;
   bool hooked_;

@@ -186,24 +186,21 @@ TEST(ParallelStressTest, ExceptionStopUnderContention) {
 }
 
 TEST(ParallelStressTest, ObsCounterAndSpanFromAllWorkers) {
-  // Every worker hammers the same counter and the same span histogram
-  // (and, with tracing on, its own trace buffer) for the whole run —
-  // the exact write pattern the sharded metrics claim is race free.
+  // Every worker hammers the same counter and, with tracing on, its own
+  // trace buffer for the whole run — the exact write pattern the sharded
+  // counters and per-thread span buffers claim is race free.
   const ScopedThreads scope(8);
   obs::EnableTracing(true);
   obs::ResetTrace();
   obs::Counter& counter =
       obs::MetricsRegistry::Global().GetCounter("stress.obs_counter");
-  obs::Histogram& span_us = obs::MetricsRegistry::Global().GetHistogram(
-      "stress.obs_span_us", obs::Histogram::ExponentialBounds(1.0, 4.0, 8));
   const std::uint64_t counter_before = counter.Value();
-  const std::uint64_t spans_before = span_us.Merge().count;
 
   const int n = 48'000;
   ParallelFor(
       n,
       [&](int i) {
-        const obs::Span span("stress.span", &span_us);
+        const obs::Span span("stress.span");
         counter.Add(static_cast<std::uint64_t>(i % 3 + 1));
       });
   obs::EnableTracing(false);
@@ -212,12 +209,17 @@ TEST(ParallelStressTest, ObsCounterAndSpanFromAllWorkers) {
   static_assert(48'000 % 3 == 0);
   EXPECT_EQ(counter.Value() - counter_before,
             static_cast<std::uint64_t>(n) / 3 * 6);
-  EXPECT_EQ(span_us.Merge().count - spans_before, static_cast<std::uint64_t>(n));
   // 48k spans over 8 workers stays under the per-thread buffer cap, and
-  // the export machinery must tolerate joined-thread buffers.
+  // the export machinery must tolerate joined-thread buffers: every span
+  // is in the trace exactly once.
   EXPECT_EQ(obs::TraceDroppedEvents(), 0u);
   const std::string trace = obs::TraceToJson();
-  EXPECT_NE(trace.find("stress.span"), std::string::npos);
+  int spans = 0;
+  for (size_t at = trace.find("\"stress.span\""); at != std::string::npos;
+       at = trace.find("\"stress.span\"", at + 1)) {
+    ++spans;
+  }
+  EXPECT_EQ(spans, n);
   obs::ResetTrace();
 }
 

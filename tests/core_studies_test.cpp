@@ -3,6 +3,8 @@
 
 #include <limits>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "core/attenuation_study.hpp"
 #include "core/fiber_study.hpp"
@@ -14,6 +16,9 @@
 #include "core/throughput_study.hpp"
 #include "geo/geodesic.hpp"
 #include "graph/dijkstra.hpp"
+#include "obs/metrics.hpp"
+#include "obs/timeseries.hpp"
+#include "scoped_threads.hpp"
 
 namespace leosim::core {
 namespace {
@@ -126,6 +131,37 @@ TEST(LatencyStudyTest, RttsAreSpeedOfLightPlausible) {
       EXPECT_LT(hybrid_min, lower_bound_ms * 3.0 + 30.0);
     }
   }
+}
+
+TEST(LatencyStudyTest, MetricsAndTimeseriesExportsRepeatByteForByte) {
+  // A real study's exports, not synthetic samples: counters count work
+  // and the per-slot series carry results, so neither may depend on the
+  // run or the worker count.
+  const auto pairs = TestPairs(12);
+  BpModel();
+  HybridModel();
+  obs::TimeseriesRecorder& timeseries = obs::TimeseriesRecorder::Global();
+  const auto run = [&] {
+    const obs::MetricsRegistry::ScopedReset reset;
+    timeseries.Reset();
+    timeseries.Enable(true);
+    RunLatencyStudy(BpModel(), HybridModel(), pairs, ShortSchedule());
+    timeseries.Enable(false);
+    std::pair<std::string, std::string> exports{
+        obs::MetricsRegistry::Global().ToJson(), timeseries.ToJson()};
+    timeseries.Reset();
+    return exports;
+  };
+  const auto one = WithThreads("1", run);
+  const auto four = WithThreads("4", run);
+  const auto four_again = WithThreads("4", run);
+  EXPECT_NE(one.first.find("\"snapshot.builds\""), std::string::npos);
+  EXPECT_NE(one.second.find("\"latency.hybrid."), std::string::npos);
+  EXPECT_NE(one.second.find("\"snapshot.hybrid.nodes\""), std::string::npos);
+  EXPECT_EQ(one.first, four.first);
+  EXPECT_EQ(one.second, four.second);
+  EXPECT_EQ(four.first, four_again.first);
+  EXPECT_EQ(four.second, four_again.second);
 }
 
 TEST(LatencyStudyTest, TracePairPathObservesHops) {

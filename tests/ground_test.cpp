@@ -16,7 +16,6 @@
 #include "geo/angles.hpp"
 #include "geo/geodesic.hpp"
 #include "ground/fiber.hpp"
-#include "ground/station.hpp"
 
 namespace leosim::ground {
 namespace {
@@ -90,12 +89,6 @@ data::City MakeCity(const char* name, double lat, double lon) {
   city.latitude_deg = lat;
   city.longitude_deg = lon;
   return city;
-}
-
-TEST(StationTest, KindNames) {
-  EXPECT_EQ(ToString(StationKind::kCity), "city");
-  EXPECT_EQ(ToString(StationKind::kRelay), "relay");
-  EXPECT_EQ(ToString(StationKind::kAircraft), "aircraft");
 }
 
 TEST(RelayGridTest, AllPointsOnLand) {

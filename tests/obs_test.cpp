@@ -327,71 +327,16 @@ TEST(ObsMetricsTest, ScopedResetIsolatesAndCleansUp) {
   EXPECT_EQ(counter.Value(), 0u);
 }
 
-TEST(ObsMetricsTest, HistogramMergeIsShardOrderIndependent) {
-  // The same observations distributed across different shards must merge
-  // to identical totals: merge is a sum over shards, so any assignment
-  // of writers to shards is equivalent.
-  Histogram& sequential = MetricsRegistry::Global().GetHistogram(
-      "test.hist_sequential", {1.0, 10.0, 100.0});
-  Histogram& sharded = MetricsRegistry::Global().GetHistogram(
-      "test.hist_sharded", {1.0, 10.0, 100.0});
-
-  const std::vector<double> values = {0.5, 0.5, 5.0, 5.0, 50.0, 500.0, 5000.0};
-  for (const double v : values) {
-    sequential.Observe(v);
-  }
-  std::vector<std::thread> threads;
-  for (size_t i = 0; i < values.size(); ++i) {
-    threads.emplace_back([&sharded, &values, i] {
-      const ScopedShard pin(static_cast<int>(i));
-      sharded.Observe(values[i]);
-    });
-  }
-  for (std::thread& t : threads) {
-    t.join();
-  }
-
-  const Histogram::Merged a = sequential.Merge();
-  const Histogram::Merged b = sharded.Merge();
-  EXPECT_EQ(a.counts, b.counts);
-  EXPECT_EQ(a.count, b.count);
-  EXPECT_DOUBLE_EQ(a.sum, b.sum);
-  EXPECT_DOUBLE_EQ(a.min, b.min);
-  EXPECT_DOUBLE_EQ(a.max, b.max);
-  // Spot-check the bucketing itself: v <= bound goes in bucket, else
-  // overflow. counts = {2 (<=1), 2 (<=10), 1 (<=100), 2 (overflow)}.
-  ASSERT_EQ(a.counts.size(), 4u);
-  EXPECT_EQ(a.counts[0], 2u);
-  EXPECT_EQ(a.counts[1], 2u);
-  EXPECT_EQ(a.counts[2], 1u);
-  EXPECT_EQ(a.counts[3], 2u);
-  EXPECT_EQ(a.count, values.size());
-  EXPECT_DOUBLE_EQ(a.min, 0.5);
-  EXPECT_DOUBLE_EQ(a.max, 5000.0);
-}
-
-TEST(ObsMetricsTest, ExponentialBoundsShape) {
-  const std::vector<double> bounds = Histogram::ExponentialBounds(1.0, 2.0, 4);
-  ASSERT_EQ(bounds.size(), 4u);
-  EXPECT_DOUBLE_EQ(bounds[0], 1.0);
-  EXPECT_DOUBLE_EQ(bounds[1], 2.0);
-  EXPECT_DOUBLE_EQ(bounds[2], 4.0);
-  EXPECT_DOUBLE_EQ(bounds[3], 8.0);
-}
-
 TEST(ObsMetricsTest, RegistryJsonIsValidAndContainsMetrics) {
+  const MetricsRegistry::ScopedReset reset;
   MetricsRegistry& registry = MetricsRegistry::Global();
   registry.GetCounter("test.json_counter").Add(7);
-  registry.GetGauge("test.json_gauge").Set(2.5);
-  registry.GetHistogram("test.json_hist", {1.0, 2.0}).Observe(1.5);
   const std::string json = registry.ToJson();
   EXPECT_TRUE(JsonScanner(json).Valid()) << json;
-  EXPECT_NE(json.find("\"test.json_counter\""), std::string::npos);
-  EXPECT_NE(json.find("\"test.json_gauge\""), std::string::npos);
-  EXPECT_NE(json.find("\"test.json_hist\""), std::string::npos);
-  EXPECT_NE(json.find("\"counters\""), std::string::npos);
-  EXPECT_NE(json.find("\"gauges\""), std::string::npos);
-  EXPECT_NE(json.find("\"histograms\""), std::string::npos);
+  EXPECT_NE(json.find("\"test.json_counter\": 7"), std::string::npos);
+  // Counters are the whole export: no timing, so no run-to-run noise.
+  EXPECT_EQ(json.rfind("{\n  \"counters\": {", 0), 0u) << json;
+  EXPECT_EQ(json.find("\n  \"", 2), std::string::npos) << json;
 }
 
 TEST(ObsTraceTest, DisabledSpansRecordNothing) {
@@ -432,31 +377,6 @@ TEST(ObsTraceTest, NestedSpansExportParentFirst) {
   EXPECT_NE(json.find("\"ph\": \"X\""), std::string::npos);
   EXPECT_NE(json.find("\"displayTimeUnit\": \"ms\""), std::string::npos);
   ResetTrace();
-}
-
-TEST(ObsTraceTest, SpanObservesHistogramWithoutTracing) {
-  const MetricsRegistry::ScopedReset reset;
-  EnableTracing(false);
-  Histogram& hist = MetricsRegistry::Global().GetHistogram(
-      "test.span_hist_us", Histogram::ExponentialBounds(1.0, 4.0, 8));
-  {
-    const Span span("trace.hist_only", &hist);
-  }
-  EXPECT_EQ(hist.Merge().count, 1u);
-}
-
-TEST(ObsTraceTest, SpanWritesElapsedOut) {
-  EnableTracing(false);
-  double elapsed_us = -1.0;
-  {
-    const Span span("trace.elapsed_out", nullptr, &elapsed_us);
-    volatile double sink = 0.0;
-    for (int i = 0; i < 1000; ++i) {
-      sink = sink + i;
-    }
-  }
-  // The span armed on the out-param alone (no histogram, no tracing).
-  EXPECT_GE(elapsed_us, 0.0);
 }
 
 TEST(ObsTraceTest, ManyThreadsProduceValidTrace) {
@@ -847,17 +767,6 @@ TEST(ObsJsonTest, StringWithControlCharactersStaysValid) {
 TEST(ObsJsonTest, ExportsWithNonFiniteValuesScanValid) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
-  {
-    const MetricsRegistry::ScopedReset reset;
-    MetricsRegistry& registry = MetricsRegistry::Global();
-    registry.GetGauge("test.json_nan_gauge").Set(nan);
-    registry.GetGauge("test.json_inf_gauge").Set(-inf);
-    registry.GetHistogram("test.json_inf_hist", {1.0, 2.0}).Observe(inf);
-    const std::string json = registry.ToJson();
-    EXPECT_TRUE(JsonScanner(json).Valid()) << json;
-    EXPECT_NE(json.find("\"test.json_nan_gauge\": null"), std::string::npos);
-    EXPECT_NE(json.find("\"test.json_inf_gauge\": null"), std::string::npos);
-  }
   {
     const ScopedTimeseries scoped;
     TimeseriesRecorder& recorder = TimeseriesRecorder::Global();

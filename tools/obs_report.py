@@ -15,10 +15,9 @@ shape:
               median-only gate. Cross-machine comparisons (differing
               host_cores/threads in the config) annotate every row and
               never gate.
-  metrics     MetricsRegistry exports: counter/gauge deltas plus
-              histogram shifts (count, mean, bucket total-variation
-              distance). Informational — counts depend on workload
-              size, so they never gate.
+  metrics     MetricsRegistry exports ({"counters": {...}}): counter
+              deltas. Informational — counts depend on workload size,
+              so they never gate.
   timeseries  TimeseriesRecorder exports (leosim.timeseries/1): per-key
               overlay stats over time-matched samples (mean/max
               deviation), gated by --threshold on relative drift.
@@ -163,7 +162,7 @@ def detect_kind(doc: dict) -> str:
         return "bench"
     if "run" in doc and "metrics" in doc:
         return "manifest"
-    if "counters" in doc and "histograms" in doc:
+    if "counters" in doc:
         return "metrics"
     raise ValueError("unrecognised artifact shape (not bench/metrics/timeseries/manifest)")
 
@@ -318,20 +317,6 @@ def diff_bench(
     report.table(["benchmark", "base ns/op", "now ns/op", "delta", "p", ""], rows)
 
 
-def hist_mean(h: dict) -> float:
-    count = h.get("count", 0)
-    return h.get("sum", 0.0) / count if count else 0.0
-
-
-def total_variation(base: dict, cur: dict) -> float:
-    """Half the L1 distance between the normalised bucket distributions."""
-    bc, cc = base.get("counts", []), cur.get("counts", [])
-    if len(bc) != len(cc) or not sum(bc) or not sum(cc):
-        return 0.0
-    bn, cn = sum(bc), sum(cc)
-    return 0.5 * sum(abs(b / bn - c / cn) for b, c in zip(bc, cc))
-
-
 def diff_metrics(base: dict, cur: dict, report: Report) -> None:
     counters_b, counters_c = base.get("counters", {}), cur.get("counters", {})
     report.section("counters")
@@ -345,45 +330,6 @@ def diff_metrics(base: dict, cur: dict, report: Report) -> None:
         report.table(["counter", "base", "now", "delta"], rows)
     else:
         report.note("(all counters identical)")
-
-    gauges_b, gauges_c = base.get("gauges", {}), cur.get("gauges", {})
-    changed = sorted(
-        name
-        for name in set(gauges_b) | set(gauges_c)
-        if gauges_b.get(name) != gauges_c.get(name)
-    )
-    if changed:
-        report.section("gauges")
-        report.table(
-            ["gauge", "base", "now"],
-            [
-                [n, fmt(gauges_b.get(n, 0.0) or 0.0), fmt(gauges_c.get(n, 0.0) or 0.0)]
-                for n in changed
-            ],
-        )
-
-    hists_b, hists_c = base.get("histograms", {}), cur.get("histograms", {})
-    report.section("histogram shifts")
-    rows = []
-    for name in sorted(set(hists_b) & set(hists_c)):
-        hb, hc = hists_b[name], hists_c[name]
-        tv = total_variation(hb, hc)
-        mean_shift = pct_change(hist_mean(hb), hist_mean(hc))
-        if hb.get("count") == hc.get("count") and tv == 0.0 and mean_shift == 0.0:
-            continue
-        rows.append(
-            [
-                name,
-                fmt(hb.get("count", 0)),
-                fmt(hc.get("count", 0)),
-                fmt_pct(mean_shift),
-                f"{tv:.3f}",
-            ]
-        )
-    if rows:
-        report.table(["histogram", "base n", "now n", "mean delta", "bucket TV"], rows)
-    else:
-        report.note("(all histograms identical)")
 
 
 def series_points(doc: dict) -> dict[str, list[list[float]]]:

@@ -405,5 +405,36 @@ class TraceKindTest(unittest.TestCase):
         self.assertNotIn("Traceback", proc.stderr)
 
 
+
+class MetricsKindTest(unittest.TestCase):
+    """A MetricsRegistry export is {"counters": {...}} and nothing else."""
+
+    def setUp(self) -> None:
+        self.tmp = tempfile.TemporaryDirectory()
+        self.addCleanup(self.tmp.cleanup)
+        self.dir = Path(self.tmp.name)
+
+    def write(self, name: str, counters: dict[str, int]) -> Path:
+        path = self.dir / name
+        path.write_text(json.dumps({"counters": counters}))
+        return path
+
+    def test_counters_alone_are_a_metrics_artifact(self) -> None:
+        self.assertEqual(obs_report.detect_kind({"counters": {}}), "metrics")
+
+    def test_self_diff_reports_identical_counters(self) -> None:
+        path = self.write("m.json", {"snapshot.builds": 4})
+        proc = run_report([str(path), str(path)])
+        self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
+        self.assertIn("(all counters identical)", proc.stdout)
+
+    def test_counter_delta_is_informational(self) -> None:
+        base = self.write("base.json", {"snapshot.builds": 4})
+        cur = self.write("cur.json", {"snapshot.builds": 8})
+        proc = run_report([str(base), str(cur)])
+        self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
+        self.assertIn("snapshot.builds", proc.stdout)
+        self.assertIn("+100", proc.stdout)
+
 if __name__ == "__main__":
     unittest.main()

@@ -10,7 +10,11 @@ asserts the replayer's full exit-code contract:
   * garbled input (broken JSON, wrong schema, duplicate slots) is a
     format error → exit 2, with the filename in the message;
   * an empty netstate (event-only trace, e.g. the handover study) is
-    vacuously consistent → exit 0.
+    vacuously consistent → exit 0;
+  * a field of the wrong type or range (a string endpoint, a 1e999
+    coordinate) is a format error → exit 2, and a seeded mutation fuzz
+    over every field of a small trace always exits 1 or 2 with one
+    output line, never a traceback.
 
 Run directly (python3 tools/test_trace_check.py) or via ctest. Uses
 only the standard library.
@@ -18,7 +22,10 @@ only the standard library.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import random
 import sys
 import tempfile
 import unittest
@@ -182,6 +189,109 @@ class TraceCheckTest(unittest.TestCase):
             self.assertIn("netstate.jsonl", str(ctx.exception))
             self.assertIn("{broken", str(ctx.exception))
 
+
+
+def fuzz_base():
+    """valid_trace() with one event of every study kind in slot 0, so the
+    fuzz reaches each event shape's fields."""
+    netstate, netevents = valid_trace()
+    lines = netevents.strip().split("\n")
+    lines[0] = netevents_line(0, 0.0, [
+        ["reachable", 0, 5.0],
+        ["unreachable", 1],
+        ["handover", [0], [1]],
+        ["route_change", 0, 5.0, [2, 0, 1]],
+    ])
+    return netstate, "\n".join(lines) + "\n"
+
+
+# Stands for a 1e999 literal, which json.dumps cannot write.
+HUGE = "__1e999__"
+
+
+def leaf_paths(value, prefix=()):
+    """Every (path, value) in a parsed line, containers included."""
+    yield prefix, value
+    children = (value.items() if isinstance(value, dict)
+                else enumerate(value) if isinstance(value, list) else ())
+    for key, child in children:
+        yield from leaf_paths(child, prefix + (key,))
+
+
+def mutate_line(line, rng):
+    """One mutation of a trace line that no valid trace contains: a
+    truncated line, a dropped key, a field of the wrong type, a
+    non-finite or negative number, an unknown string or an extra array
+    entry. Finite numbers are never swapped for other finite numbers,
+    which the replay could not always tell apart."""
+    if rng.random() < 0.1:
+        return line[:rng.randrange(1, len(line))]
+    doc = json.loads(line)
+    path, value = rng.choice(list(leaf_paths(doc)))
+    if not path:
+        del doc[rng.choice(sorted(doc))]
+        return json.dumps(doc)
+    if isinstance(value, bool) or value is None:
+        choices = ["x"]
+    elif isinstance(value, int):
+        choices = ["x", None, True, HUGE, -1, 1.5]
+    elif isinstance(value, float):
+        choices = ["x", None, True, HUGE, float("nan")]
+    elif isinstance(value, str):
+        choices = [7, None, "bogus", []]
+    else:
+        choices = ["x", None, {}, value + ["x"]]
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = rng.choice(choices)
+    return json.dumps(doc).replace(f'"{HUGE}"', "1e999")
+
+
+class TraceCheckFuzzTest(unittest.TestCase):
+    def run_captured(self, netstate, netevents):
+        out = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            d = Path(tmp)
+            (d / "netstate.jsonl").write_text(netstate)
+            (d / "netevents.jsonl").write_text(netevents)
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(out):
+                code = trace_check.main(["trace_check.py", str(d)])
+        return code, out.getvalue()
+
+    def test_string_endpoint_is_format_error(self):
+        netstate, netevents = valid_trace()
+        netevents = netevents.replace('["link_up", 1,', '["link_up", "x",')
+        code, out = self.run_captured(netstate, netevents)
+        self.assertEqual(code, 2, out)
+        self.assertIn("FORMAT ERROR", out)
+
+    def test_infinite_coordinate_is_format_error(self):
+        netstate, netevents = valid_trace()
+        netevents = netevents.replace("6999.0, 100.0", "1e999, 100.0")
+        code, out = self.run_captured(netstate, netevents)
+        self.assertEqual(code, 2, out)
+        self.assertIn("finite", out)
+
+    def test_seeded_mutations_exit_one_or_two_with_one_line(self):
+        base = fuzz_base()
+        self.assertEqual(self.run_captured(*base)[0], 0)
+        rng = random.Random(20201104)
+        for trial in range(400):
+            files = [f.strip().split("\n") for f in base]
+            lines = rng.choice(files)
+            i = rng.randrange(len(lines))
+            lines[i] = mutate_line(lines[i], rng)
+            netstate, netevents = ("\n".join(f) + "\n" for f in files)
+            with self.subTest(trial=trial, line=lines[i]):
+                try:
+                    code, out = self.run_captured(netstate, netevents)
+                except Exception as e:  # a traceback from the CLI
+                    self.fail(f"raised {type(e).__name__}: {e}")
+                self.assertIn(code, (1, 2), out)
+                self.assertEqual(out.count("\n"), 1, out)
+                self.assertNotIn("Traceback", out)
 
 if __name__ == "__main__":
     unittest.main(verbosity=2)

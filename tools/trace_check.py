@@ -22,18 +22,28 @@ Exit codes:
   0  replay reproduces every full-state slot (or the trace is empty /
      has a single keyframe — vacuously consistent, noted on stdout)
   1  replay diverges from a stored slot, or the event stream has a gap
-  2  a file is missing, unparseable, or carries the wrong schema
+  2  a file is missing, unparseable, or carries the wrong schema, or a
+     field has the wrong type or range: slots and node ids are integers
+     (ids inside the slot's node range), coordinates, times, delays,
+     capacities and RTTs are finite numbers, kinds and link types are
+     known strings, and every array has its fixed arity
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import sys
 
 NETSTATE_SCHEMA = "leosim.netstate/1"
 NETEVENTS_SCHEMA = "leosim.netevents/1"
+NODE_KINDS = ("sat", "city", "relay", "air")
+LINK_TYPES = ("radio", "isl")
+# Event kind -> arity (kind included).
+EVENT_ARITY = {"link_down": 3, "link_up": 6, "weight": 4, "route_change": 4,
+               "reachable": 3, "unreachable": 2, "handover": 3}
 
 
 class TraceFormatError(Exception):
@@ -67,7 +77,7 @@ def load_jsonl(path, schema):
         snippet = line[:80].decode("utf-8", "replace")
         try:
             doc = json.loads(line)
-        except json.JSONDecodeError as e:
+        except ValueError as e:  # JSONDecodeError and bad UTF-8 alike
             raise TraceFormatError(
                 f"{path}:{lineno}: not JSON ({e}): {snippet!r}") from e
         if not isinstance(doc, dict) or doc.get("schema") != schema:
@@ -78,11 +88,149 @@ def load_jsonl(path, schema):
             raise TraceFormatError(
                 f"{path}:{lineno}: missing 'slot': {snippet!r}")
         slot = doc["slot"]
+        if not is_int(slot) or slot < 0:
+            raise TraceFormatError(
+                f"{path}:{lineno}: slot must be an integer >= 0: {snippet!r}")
         if slot in lines:
             raise TraceFormatError(
                 f"{path}:{lineno}: duplicate slot {slot}: {snippet!r}")
         lines[slot] = doc
     return lines
+
+
+def is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_finite(value):
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+class Fields:
+    """Type and range checks on one trace line's fields.
+
+    Every failure is a TraceFormatError naming the file, the slot and
+    the field, so the replay below only ever sees well-typed input.
+    """
+
+    def __init__(self, path, slot):
+        self.path = path
+        self.slot = slot
+
+    def fail(self, what, value):
+        shown = repr(value)
+        if len(shown) > 40:
+            shown = shown[:37] + "..."
+        raise TraceFormatError(f"{self.path}: slot {self.slot}: {what}, "
+                               f"got {shown}")
+
+    def array(self, value, what, arity=None):
+        if not isinstance(value, list):
+            self.fail(f"{what} must be an array", value)
+        if arity is not None and len(value) != arity:
+            self.fail(f"{what} must have {arity} entries", value)
+        return value
+
+    def index(self, value, what, limit=None):
+        """An integer >= 0, and below `limit` when one is given."""
+        if not is_int(value) or value < 0 or (limit is not None
+                                              and value >= limit):
+            bound = "" if limit is None else f" below {limit}"
+            self.fail(f"{what} must be an integer >= 0{bound}", value)
+        return value
+
+    def finite(self, value, what):
+        if not is_finite(value):
+            self.fail(f"{what} must be a finite number", value)
+        return value
+
+    def xyz(self, value, what):
+        for x in self.array(value, what, 3):
+            self.finite(x, what)
+
+    def link(self, a, b, what, limit, num_sats, link_type=None):
+        """Endpoints a < b in the node range; a known link type whose
+        endpoint classes match (ISL: two satellites; radio: a satellite
+        and a ground node, satellites numbered first)."""
+        self.index(a, f"{what} endpoint", limit)
+        self.index(b, f"{what} endpoint", limit)
+        if a >= b:
+            self.fail(f"{what} endpoints must be ordered a < b", [a, b])
+        if link_type is None:
+            return
+        if link_type not in LINK_TYPES:
+            self.fail(f"{what} type must be one of {LINK_TYPES}", link_type)
+        if num_sats is not None and (a >= num_sats or (b < num_sats) !=
+                                     (link_type == "isl")):
+            self.fail(f"{what} endpoints do not fit a {link_type} link",
+                      [a, b])
+
+
+def check_state_fields(path, slot, doc):
+    """Types and ranges of a netstate line: counts, nodes, links."""
+    f = Fields(path, slot)
+    f.finite(doc["t"], "t")
+    counts = f.array(doc["counts"], "counts", 4)
+    for c in counts:
+        f.index(c, "counts entry")
+    num_sats = counts[0]
+    bounds = [sum(counts[:k + 1]) for k in range(4)]
+    nodes = f.array(doc["nodes"], "nodes", bounds[-1])
+    for i, node in enumerate(nodes):
+        f.array(node, f"node {i}", 4)
+        kind = NODE_KINDS[next(k for k in range(4) if i < bounds[k])]
+        if node[0] != kind:
+            f.fail(f"node {i} must be a {kind!r} node", node[0])
+        f.xyz(node[1:], f"node {i} position")
+    for link in f.array(doc["links"], "links"):
+        a, b, delay, cap, link_type = f.array(link, "link", 5)
+        f.link(a, b, "link", bounds[-1], num_sats, link_type)
+        f.finite(delay, "link delay")
+        f.finite(cap, "link capacity")
+
+
+def check_event_fields(path, slot, doc, static, states):
+    """Types and ranges of a netevents line. `static` is (num_sats,
+    satellites + cities + relays) from the first keyframe, or None for
+    an event-only trace. Node ids are positional within a slot (the
+    aircraft come and go), so a link_down names the previous slot's
+    nodes and every other event the current slot's; a slot without a
+    known node count leaves its range open."""
+    f = Fields(path, slot)
+    f.finite(doc.get("t"), "t")
+    num_sats = None if static is None else static[0]
+    limit, prev_limit = (len(states[s]["nodes"]) if s in states else None
+                         for s in (slot, slot - 1))
+    if "sat_ecef" in doc or "air_ecef" in doc:
+        for key in ("sat_ecef", "air_ecef"):
+            for pos in f.array(doc.get(key), key):
+                f.xyz(pos, f"{key} entry")
+        if static is not None:
+            limit = static[1] + len(doc["air_ecef"])
+    for event in f.array(doc.get("events"), "events"):
+        f.array(event, "event")
+        kind = event[0] if event else None
+        if not isinstance(kind, str) or kind not in EVENT_ARITY:
+            f.fail(f"event kind must be one of {tuple(EVENT_ARITY)}", kind)
+        f.array(event, f"{kind} event", EVENT_ARITY[kind])
+        if kind in ("link_down", "link_up", "weight"):
+            f.link(event[1], event[2], kind,
+                   prev_limit if kind == "link_down" else limit,
+                   num_sats, event[5] if kind == "link_up" else None)
+            for x in event[3:5]:
+                f.finite(x, f"{kind} delay/capacity")
+        elif kind == "handover":
+            for ids in event[1:]:
+                for sat in f.array(ids, "handover satellites"):
+                    f.index(sat, "handover satellite", limit)
+        else:
+            f.index(event[1], f"{kind} pair index")
+            if kind != "unreachable":
+                f.finite(event[2], f"{kind} rtt")
+            if kind == "route_change":
+                for n in f.array(event[3], "route_change path"):
+                    f.index(n, "route_change path node", limit)
 
 
 class NetState:
@@ -198,6 +346,13 @@ def check_trace(netstate_path, netevents_path):
             if key not in doc:
                 raise TraceFormatError(
                     f"{netstate_path}: slot {slot} missing {key!r}")
+        check_state_fields(netstate_path, slot, doc)
+    static = None
+    if states:
+        counts = states[min(states)]["counts"]
+        static = (counts[0], sum(counts[:3]))
+    for slot, doc in events.items():
+        check_event_fields(netevents_path, slot, doc, static, states)
     if not states:
         return 0, "netstate is empty (event-only trace): vacuously consistent"
     first = min(states)
