@@ -28,9 +28,7 @@ void OutageStudyOptions::Validate() const {
                                   std::to_string(margin));
     }
   }
-  if (std::isnan(exceedance_pct)) {
-    throw std::invalid_argument("outage exceedance_pct must not be NaN");
-  }
+  attenuation.Validate();
 }
 
 std::vector<OutageRow> RunOutageStudy(const NetworkModel& model,
@@ -47,9 +45,6 @@ std::vector<OutageRow> RunOutageStudy(const NetworkModel& model,
   NetworkModel::Snapshot& snap = model.BuildSnapshot(options.time_sec, &ws.snapshot);
   summary.snapshots_built = 1;
   const link::RadioConfig& radio = model.scenario().radio;
-  // The antenna of options.attenuation at the outage study's percentile.
-  AttenuationOptions attenuation = options.attenuation;
-  attenuation.exceedance_pct = options.exceedance_pct;
 
   // Worst-direction attenuation per radio link (up-link frequency is the
   // higher one and rain attenuation grows with frequency, so it wins; we
@@ -63,9 +58,9 @@ std::vector<OutageRow> RunOutageStudy(const NetworkModel& model,
       const graph::NodeId sat = snap.IsSat(rec.a) ? rec.a : rec.b;
       link_attenuation[i] = std::max(
           RadioLinkAttenuationDb(model, snap, ground, sat,
-                                 radio.uplink_freq_ghz, attenuation),
+                                 radio.uplink_freq_ghz, options.attenuation),
           RadioLinkAttenuationDb(model, snap, ground, sat,
-                                 radio.downlink_freq_ghz, attenuation));
+                                 radio.downlink_freq_ghz, options.attenuation));
     }
   }
 

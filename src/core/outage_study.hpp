@@ -16,12 +16,13 @@ namespace leosim::core {
 
 struct OutageStudyOptions {
   std::vector<double> margins_db{10.0, 6.0, 4.0, 3.0, 2.0};
-  double exceedance_pct{0.1};  // weather percentile the margin must survive
   double time_sec{0.0};
-  AttenuationOptions attenuation;
+  // The antenna, and the weather percentile the margin must survive.
+  AttenuationOptions attenuation{.exceedance_pct = 0.1};
 
   // Throws std::invalid_argument naming the first bad field: a margin
-  // that is not finite or a NaN exceedance. RunOutageStudy calls it.
+  // that is not finite, or a bad field of `attenuation`
+  // (AttenuationOptions::Validate). RunOutageStudy calls it.
   void Validate() const;
 };
 

@@ -112,9 +112,9 @@ void ParallelForWorkers(int count,
       // hot-loop counter increments from distinct workers never share a
       // cache line.
       const obs::ScopedShard pin(w);
-      // Root frame for the sampling profiler: spans opened by `body`
-      // nest under it, so worker activity is attributable in collapsed
-      // stacks even when the body opens no span of its own.
+      // The worker's root span: spans opened by `body` nest under it, so
+      // worker time is attributable in the collapsed-stack profile even
+      // when the body opens no span of its own.
       const obs::Span worker_span("parallel.worker");
       while (!stop.load(std::memory_order_relaxed)) {
         const int i = next.fetch_add(1);

@@ -1,329 +1,112 @@
 #include "obs/profile.hpp"
 
 #include <algorithm>
-#include <array>
-#include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <map>
-#include <thread>
 #include <vector>
 
 #include "core/mutex.hpp"
 #include "core/thread_annotations.hpp"
+#include "obs/trace.hpp"
 
 namespace leosim::obs {
 
-namespace detail {
-
-std::atomic<bool> g_span_hook{false};
-
 namespace {
 
-// --- Per-thread span stacks --------------------------------------------
-//
-// Each thread owns one ProfileStack published in the fixed g_slots table.
-// Writers (the owning thread) store frame pointers relaxed then publish
-// with a release store of depth; the sampler acquires depth and reads
-// at most that many frames. Frame pointers are
-// interned, never-freed strings, so a stale read is always a valid
-// pointer — never a use-after-free.
-
-struct ProfileStack {
-  std::array<std::atomic<const std::string*>, kMaxProfileDepth> frames{};
-  std::atomic<int32_t> depth{0};
-  // Written once before the stack is published, stable across pooled
-  // reuse (the slot index doubles as the tid).
-  int tid = 0;
+struct Frame {
+  size_t parent_path_size;  // the path's length before this frame's name
+  int64_t child_ns;         // summed durations of the spans it enclosed
 };
 
-std::atomic<ProfileStack*> g_slots[kMaxProfileThreads]{};
-std::atomic<int> g_slot_count{0};
+struct ThreadProfile {
+  std::string path;  // the open frames' names, joined by ';'
+  std::vector<Frame> frames;
+  std::map<std::string, int64_t> self_ns;  // by path; merged at depth 0
+};
 
-struct StackPool {
+thread_local ThreadProfile t_profile;
+
+struct GlobalProfile {
   Mutex mutex;
-  std::vector<ProfileStack*> free_list LEOSIM_GUARDED_BY(mutex);
+  std::map<std::string, int64_t> self_ns LEOSIM_GUARDED_BY(mutex);
 };
 
-StackPool& Pool() {
-  static StackPool* pool = new StackPool();  // never destroyed: thread
-  // exits may return stacks past static destruction order.
-  return *pool;
-}
-
-ProfileStack* AcquireStack() {
-  {
-    StackPool& pool = Pool();
-    const MutexLock lock(pool.mutex);
-    if (!pool.free_list.empty()) {
-      ProfileStack* stack = pool.free_list.back();
-      pool.free_list.pop_back();
-      return stack;
-    }
-  }
-  const int slot = g_slot_count.fetch_add(1, std::memory_order_acq_rel);
-  if (slot >= kMaxProfileThreads) {
-    return nullptr;  // over the table: this thread just isn't sampled
-  }
-  ProfileStack* stack = new ProfileStack();  // owned by the slot table
-  stack->tid = slot;
-  g_slots[slot].store(stack, std::memory_order_release);
-  return stack;
-}
-
-// Returns the stack to the pool at thread exit so the next spawned
-// worker reuses it — ParallelFor creates fresh threads per run, and
-// without pooling every run would burn slots until the table filled.
-struct StackHolder {
-  ProfileStack* stack = nullptr;
-  bool tried = false;
-  ~StackHolder() {
-    if (stack == nullptr) {
-      return;
-    }
-    stack->depth.store(0, std::memory_order_release);
-    StackPool& pool = Pool();
-    const MutexLock lock(pool.mutex);
-    pool.free_list.push_back(stack);
-  }
-};
-
-ProfileStack* ThreadStack() {
-  thread_local StackHolder holder;
-  if (!holder.tried) {
-    holder.tried = true;
-    holder.stack = AcquireStack();
-  }
-  return holder.stack;
-}
-
-// Nesting depth of hooked spans on this thread. Plain (non-atomic):
-// only the owning thread touches it; the shared mirror is
-// ProfileStack::depth.
-thread_local int32_t t_depth = 0;
-
-// --- Frame-name interning ----------------------------------------------
-//
-// Span names are string_views that may die with their owner; the
-// sampler needs pointers that never dangle. Each
-// distinct name is copied once into a leaked std::string, sanitized so
-// it can never corrupt collapsed-stack output (';' joins frames, ' '
-// separates stack from count, control/non-ASCII bytes would break
-// downstream tools).
-
-struct InternTable {
-  Mutex mutex;
-  std::map<std::string, const std::string*, std::less<>> names
-      LEOSIM_GUARDED_BY(mutex);
-};
-
-InternTable& Interns() {
-  static InternTable* table = new InternTable();  // never destroyed
-  return *table;
-}
-
-const std::string* InternSlow(std::string_view name) {
-  InternTable& table = Interns();
-  const MutexLock lock(table.mutex);
-  const auto it = table.names.find(name);
-  if (it != table.names.end()) {
-    return it->second;
-  }
-  std::string sanitized(name);
-  for (char& c : sanitized) {
-    const unsigned char u = static_cast<unsigned char>(c);
-    if (c == ';' || u <= 0x20 || u > 0x7e) {
-      c = '_';
-    }
-  }
-  if (sanitized.empty()) {
-    sanitized = "_";
-  }
-  const std::string* interned = new std::string(std::move(sanitized));
-  table.names.emplace(std::string(name), interned);
-  return interned;
-}
-
-// Span names are string literals in practice, so a tiny cache keyed by
-// the view's (data, size) identity skips the table lock on the hot path.
-const std::string* InternName(std::string_view name) {
-  struct CacheEntry {
-    const char* data = nullptr;
-    size_t size = 0;
-    const std::string* interned = nullptr;
-  };
-  thread_local std::array<CacheEntry, 4> cache{};
-  thread_local size_t next = 0;
-  for (const CacheEntry& entry : cache) {
-    if (entry.data == name.data() && entry.size == name.size()) {
-      return entry.interned;
-    }
-  }
-  const std::string* interned = InternSlow(name);
-  cache[next] = CacheEntry{name.data(), name.size(), interned};
-  next = (next + 1) % cache.size();
-  return interned;
-}
-
-// --- The sampler --------------------------------------------------------
-
-struct Sampler {
-  Mutex mutex;
-  std::map<std::string, uint64_t> counts LEOSIM_GUARDED_BY(mutex);
-  std::atomic<uint64_t> samples{0};
-  std::atomic<bool> stop{false};
-};
-
-Sampler& TheSampler() {
-  static Sampler* sampler = new Sampler();  // never destroyed
-  return *sampler;
-}
-
-// One walk over the slot table. `key` is caller-owned scratch so the
-// steady-state loop does not allocate once stacks have been seen.
-void SampleOnce(std::string* key) {
-  const int slot_count = std::min(
-      g_slot_count.load(std::memory_order_acquire), kMaxProfileThreads);
-  bool saw_stack = false;
-  for (int i = 0; i < slot_count; ++i) {
-    const ProfileStack* stack = g_slots[i].load(std::memory_order_acquire);
-    if (stack == nullptr) {
-      continue;
-    }
-    int32_t depth = stack->depth.load(std::memory_order_acquire);
-    if (depth <= 0) {
-      continue;
-    }
-    depth = std::min(depth, kMaxProfileDepth);
-    key->clear();
-    bool torn = false;
-    for (int32_t f = 0; f < depth; ++f) {
-      const std::string* frame =
-          stack->frames[f].load(std::memory_order_relaxed);
-      if (frame == nullptr) {
-        torn = true;  // raced a concurrent pop/push; drop this stack
-        break;
-      }
-      if (f > 0) {
-        key->push_back(';');
-      }
-      key->append(*frame);
-    }
-    if (torn || key->empty()) {
-      continue;
-    }
-    saw_stack = true;
-    Sampler& sampler = TheSampler();
-    const MutexLock lock(sampler.mutex);
-    ++sampler.counts[*key];
-  }
-  if (saw_stack) {
-    TheSampler().samples.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
-void SamplerLoop(int64_t interval_us) {
-  Sampler& sampler = TheSampler();
-  std::string key;
-  key.reserve(256);
-  while (!sampler.stop.load(std::memory_order_acquire)) {
-    std::this_thread::sleep_for(std::chrono::microseconds(interval_us));
-    SampleOnce(&key);
-  }
-}
-
-// Start/stop serialization. The std::thread handle lives here, not in
-// Sampler, so the sampler loop itself never touches the control lock.
-struct SamplerControl {
-  Mutex mutex;
-  bool running LEOSIM_GUARDED_BY(mutex) = false;
-  std::thread thread LEOSIM_GUARDED_BY(mutex);
-};
-
-SamplerControl& Control() {
-  static SamplerControl* control = new SamplerControl();  // never destroyed
-  return *control;
+GlobalProfile& Global() {
+  static GlobalProfile* profile = new GlobalProfile();  // never destroyed:
+  // worker threads may close root spans past static destruction order.
+  return *profile;
 }
 
 }  // namespace
 
-void PushSpanFrame(std::string_view name) {
-  const int32_t depth = t_depth++;
-  ProfileStack* stack = ThreadStack();
-  if (stack != nullptr) {
-    if (depth < kMaxProfileDepth) {
-      stack->frames[depth].store(InternName(name), std::memory_order_relaxed);
-    }
-    stack->depth.store(depth + 1, std::memory_order_release);
+namespace detail {
+
+void PushProfileFrame(std::string_view name) {
+  ThreadProfile& t = t_profile;
+  t.frames.push_back(Frame{t.path.size(), 0});
+  if (!t.path.empty()) {
+    t.path.push_back(';');
+  }
+  if (name.empty()) {
+    t.path.push_back('_');
+  }
+  // ';' joins frames, ' ' separates stack from count, and control or
+  // non-ASCII bytes would break downstream tools.
+  for (const char c : name) {
+    const unsigned char u = static_cast<unsigned char>(c);
+    t.path.push_back(c == ';' || u <= 0x20 || u > 0x7e ? '_' : c);
   }
 }
 
-void PopSpanFrame() {
-  const int32_t depth = t_depth > 0 ? --t_depth : 0;
-  ProfileStack* stack = ThreadStack();
-  if (stack != nullptr) {
-    stack->depth.store(depth, std::memory_order_release);
+void PopProfileFrame(int64_t duration_ns) {
+  ThreadProfile& t = t_profile;
+  const Frame frame = t.frames.back();
+  t.frames.pop_back();
+  t.self_ns[t.path] += duration_ns - frame.child_ns;
+  t.path.resize(frame.parent_path_size);
+  if (!t.frames.empty()) {
+    t.frames.back().child_ns += duration_ns;
+    return;
   }
+  GlobalProfile& global = Global();
+  const MutexLock lock(global.mutex);
+  for (const auto& [stack, ns] : t.self_ns) {
+    global.self_ns[stack] += ns;
+  }
+  t.self_ns.clear();
 }
 
 }  // namespace detail
 
-void StartProfiling(int64_t interval_us) {
-  if (interval_us <= 0) {
-    interval_us = kDefaultProfileIntervalUs;
-  }
-  detail::SamplerControl& control = detail::Control();
-  const MutexLock lock(control.mutex);
-  if (control.running) {
-    return;
-  }
-  detail::TheSampler().stop.store(false, std::memory_order_release);
-  detail::g_span_hook.store(true, std::memory_order_relaxed);
-  control.thread = std::thread(detail::SamplerLoop, interval_us);
-  control.running = true;
+void StartProfiling() {
+  detail::g_span_mode.fetch_or(detail::kProfileBit, std::memory_order_relaxed);
 }
 
 void StopProfiling() {
-  detail::SamplerControl& control = detail::Control();
-  const MutexLock lock(control.mutex);
-  if (!control.running) {
-    return;
-  }
-  detail::g_span_hook.store(false, std::memory_order_relaxed);
-  detail::TheSampler().stop.store(true, std::memory_order_release);
-  control.thread.join();
-  control.running = false;
-}
-
-bool ProfilingActive() {
-  detail::SamplerControl& control = detail::Control();
-  const MutexLock lock(control.mutex);
-  return control.running;
-}
-
-uint64_t ProfileSamplesTaken() {
-  return detail::TheSampler().samples.load(std::memory_order_relaxed);
+  detail::g_span_mode.fetch_and(static_cast<uint8_t>(~detail::kProfileBit),
+                                std::memory_order_relaxed);
 }
 
 std::string CollapsedStacks() {
   std::string out;
-  detail::Sampler& sampler = detail::TheSampler();
-  const MutexLock lock(sampler.mutex);
-  for (const auto& [stack, count] : sampler.counts) {
+  GlobalProfile& global = Global();
+  const MutexLock lock(global.mutex);
+  for (const auto& [stack, ns] : global.self_ns) {
+    if (ns <= 0) {
+      continue;  // the grammar's counts are positive
+    }
     out.append(stack);
     char tmp[32];
-    std::snprintf(tmp, sizeof(tmp), " %llu\n",
-                  static_cast<unsigned long long>(count));
+    std::snprintf(tmp, sizeof(tmp), " %lld\n", static_cast<long long>(ns));
     out.append(tmp);
   }
   return out;
 }
 
 void ResetProfile() {
-  detail::Sampler& sampler = detail::TheSampler();
-  const MutexLock lock(sampler.mutex);
-  sampler.counts.clear();
-  sampler.samples.store(0, std::memory_order_relaxed);
+  GlobalProfile& global = Global();
+  const MutexLock lock(global.mutex);
+  global.self_ns.clear();
 }
 
 bool ValidateCollapsedStacks(std::string_view text, std::string* why) {
@@ -336,7 +119,7 @@ bool ValidateCollapsedStacks(std::string_view text, std::string* why) {
     return false;
   };
   if (text.empty()) {
-    return true;  // zero samples is a valid profile
+    return true;  // an empty profile
   }
   if (text.back() != '\n') {
     return fail(1 + std::count(text.begin(), text.end(), '\n'),

@@ -1,92 +1,68 @@
-// In-process profiling for the span pipeline: a background sampling
-// profiler over the live Span stacks.
+// The span profile: --profile-out's export of the Span clock
+// (obs/trace.hpp), as exact self time per span stack.
 //
-// Span-stack sampling
-//   While the sampler runs, Span construction pushes its name onto a
-//   per-thread lock-free stack (fixed depth, atomic slots) and pop it on
-//   destruction. A background sampler thread started by StartProfiling
-//   wakes at a configurable interval, walks every registered thread's
-//   live stack, and increments a count for the collapsed stack it saw
-//   ("parallel.worker;snapshot.build"). CollapsedStacks() exports the
-//   counts as standard collapsed-stack text — one "frame;frame;... N"
-//   line per distinct stack — which flamegraph.pl and speedscope ingest
-//   directly.
+// While profiling is on (StartProfiling .. StopProfiling), each Span also
+// pushes its name onto a plain thread_local frame stack. When it closes,
+// its self time — its duration less the durations of the spans it
+// directly enclosed — is added to its stack, the joined frame path
+// ("parallel.worker;snapshot.build"). The duration is the Span's own, so
+// with tracing also on a span's self time comes from the same two clock
+// reads as its trace event, and the stacks under a root span sum to that
+// root's duration, in integer nanoseconds.
 //
-// Cost model: with the sampler off (the default), the Span-side check is
-// one relaxed atomic load and a branch — no push, no interning, no
-// clock. With it on, a push is an intern-cache probe plus two
-// relaxed stores and one release store; the sampler's walk costs the
-// workers nothing (it reads their stacks through atomics).
+// Each thread sums into a map of its own and merges it into one global
+// map under a mutex when its depth returns to 0. A stack therefore shows
+// in CollapsedStacks() once its root span has closed, and no per-thread
+// state outlives a joined ParallelFor worker.
 //
-// Sampling is statistical by construction: counts depend on scheduling
-// and are NOT deterministic across runs. The export is still stable for
-// a given set of counts (sorted by stack), and ValidateCollapsedStacks
-// is the strict in-tree format checker used by tests and CI.
+// A Span latches the profile bit when it opens. One opened before
+// StartProfiling is not a frame (the spans it opens while profiling are
+// roots); one open at StopProfiling is popped, and counted, when it
+// closes. Stacks stay balanced across any start or stop.
 //
-// Thread lifecycle: stacks are pooled. A thread's stack returns to a
-// free pool at thread exit and is handed to the next new thread, so
-// studies that spawn ParallelFor workers per run do not grow the
-// registry without bound (the sampler's registry walk stays O(live
-// threads)).
+// Cost model: with profiling off, nothing beyond Span's one relaxed
+// load. With it on, a push appends the sanitised name to the thread's
+// path and a pop does one map update; a root's close also takes the
+// global mutex once.
+//
+// CollapsedStacks() exports standard collapsed-stack text, one
+// "frame;frame;... NANOSECONDS" line per stack, which flamegraph.pl and
+// speedscope ingest directly. The nanoseconds vary from run to run; the
+// set of stacks does not, for work that opens the same spans.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <string_view>
 
 namespace leosim::obs {
 
-// Frames beyond this depth are counted but not recorded (the stack
-// stays balanced; the sampler sees a truncated stack).
-inline constexpr int kMaxProfileDepth = 64;
-// Concurrent threads beyond this many are not sampled. Pooling keeps
-// the slot count at the peak concurrent thread count, not the
-// historical total.
-inline constexpr int kMaxProfileThreads = 256;
-inline constexpr int64_t kDefaultProfileIntervalUs = 1000;  // 1 kHz
-
 namespace detail {
-// Set while the sampler runs: Span then pushes and pops its frame. Span
-// reads this once (relaxed) per construction.
-extern std::atomic<bool> g_span_hook;
-
-void PushSpanFrame(std::string_view name);
-void PopSpanFrame();
+// Called by Span on the calling thread while its latched mode has the
+// profile bit.
+void PushProfileFrame(std::string_view name);
+void PopProfileFrame(int64_t duration_ns);
 }  // namespace detail
 
-// The single relaxed load that gates the Span-side hook.
-inline bool SpanHookEnabled() {
-  return detail::g_span_hook.load(std::memory_order_relaxed);
-}
-
-// --- Sampling profiler -------------------------------------------------
-
-// Starts the background sampler at `interval_us` microseconds between
-// samples; interval_us <= 0 means kDefaultProfileIntervalUs. No-op if
-// already running.
-void StartProfiling(int64_t interval_us = 0);
-// Stops and joins the sampler (counts are kept until ResetProfile).
-// No-op if not running.
+// Turns the profile bit of the span mode on or off. Both are idempotent;
+// the summed self times are kept until ResetProfile.
+void StartProfiling();
 void StopProfiling();
-bool ProfilingActive();
 
-// Samples taken that observed at least one non-empty stack.
-uint64_t ProfileSamplesTaken();
-
-// Collapsed-stack text: one "frame;frame;... COUNT\n" line per distinct
-// sampled stack, sorted by stack so output is diff-stable. Empty string
-// when nothing was sampled.
+// Collapsed-stack text: one "frame;frame;... NANOSECONDS\n" line per
+// stack with positive self time, sorted by stack so output is
+// diff-stable. Frame names have ';', spaces, control and non-ASCII
+// bytes replaced by '_'. Empty string when nothing was recorded.
 std::string CollapsedStacks();
 
-// Discards sampled counts and the samples-taken total.
+// Discards the merged self times.
 void ResetProfile();
 
 // Strict format check for collapsed-stack text: every line is
 // `stack SPACE count` where stack is one or more ';'-separated frames of
 // printable non-space non-semicolon characters and count is a positive
 // decimal integer; lines are strictly ascending by stack (sorted, no
-// duplicates). The empty string is valid (zero samples). On failure
+// duplicates). The empty string is valid (an empty profile). On failure
 // returns false and, when `why` is non-null, describes the first
 // offence.
 bool ValidateCollapsedStacks(std::string_view text, std::string* why);

@@ -9,12 +9,13 @@
 #include "core/mutex.hpp"
 #include "core/thread_annotations.hpp"
 #include "obs/json.hpp"
+#include "obs/profile.hpp"
 
 namespace leosim::obs {
 
 namespace detail {
 
-std::atomic<bool> g_trace_enabled{false};
+std::atomic<uint8_t> g_span_mode{0};
 
 namespace {
 
@@ -60,16 +61,7 @@ TraceBuffer& ThreadBuffer() {
   return *buffer;
 }
 
-}  // namespace
-
-int64_t TraceNowNanos() {
-  static const std::chrono::steady_clock::time_point epoch =
-      std::chrono::steady_clock::now();
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now() - epoch)
-      .count();
-}
-
+// Records one completed span on the calling thread's buffer.
 void RecordTraceEvent(std::string_view name, int64_t start_ns,
                       int64_t duration_ns) {
   TraceBuffer& buffer = ThreadBuffer();
@@ -81,17 +73,46 @@ void RecordTraceEvent(std::string_view name, int64_t start_ns,
   buffer.events.push_back(TraceEvent{std::string(name), start_ns, duration_ns});
 }
 
+}  // namespace
+
+int64_t TraceNowNanos() {
+  static const std::chrono::steady_clock::time_point epoch =
+      std::chrono::steady_clock::now();
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now() - epoch)
+      .count();
+}
+
 }  // namespace detail
 
 void EnableTracing(bool enabled) {
-  detail::g_trace_enabled.store(enabled, std::memory_order_relaxed);
+  if (enabled) {
+    detail::g_span_mode.fetch_or(detail::kTraceBit, std::memory_order_relaxed);
+  } else {
+    detail::g_span_mode.fetch_and(static_cast<uint8_t>(~detail::kTraceBit),
+                                  std::memory_order_relaxed);
+  }
 }
 
-void Span::Finish() {
+void Span::Begin() {
+  // The frame is pushed before the first clock read and popped after
+  // the second, so their cost lands in the parent's self time.
+  if ((mode_ & detail::kProfileBit) != 0) {
+    detail::PushProfileFrame(name_);
+  }
+  start_ns_ = detail::TraceNowNanos();
+}
+
+void Span::End() {
+  // One duration feeds both exports.
+  const int64_t duration_ns = detail::TraceNowNanos() - start_ns_;
   // A span open while tracing switches off records nothing.
-  if (TracingEnabled()) {
-    detail::RecordTraceEvent(name_, start_ns_,
-                             detail::TraceNowNanos() - start_ns_);
+  if ((mode_ & detail::g_span_mode.load(std::memory_order_relaxed) &
+       detail::kTraceBit) != 0) {
+    detail::RecordTraceEvent(name_, start_ns_, duration_ns);
+  }
+  if ((mode_ & detail::kProfileBit) != 0) {
+    detail::PopProfileFrame(duration_ns);
   }
 }
 

@@ -2,13 +2,15 @@
 // JSON (loadable in chrome://tracing and Perfetto).
 //
 // A Span is an RAII scoped timer and the only clock in the pipeline:
-// metrics count work, spans measure time. Cost model: when tracing and
-// the profiling hook (obs/profile.hpp) are disabled, constructing a Span
-// is two relaxed atomic loads and two branches — no clock read. When
-// tracing is on, the span reads the steady clock twice and, on
-// destruction, records a completed ("ph":"X") event into the calling
-// thread's buffer (one uncontended mutex, no allocation once the buffer
-// has grown).
+// metrics count work, spans measure time. Its one measurement feeds two
+// exports: the trace here (EnableTracing) and the self-time profile of
+// obs/profile.hpp (StartProfiling). Cost model: a Span's constructor
+// reads one relaxed atomic mode word and branches. With both exports off
+// that is all — no clock read. With either on, the span reads the steady
+// clock once at each end; tracing then records a completed ("ph":"X")
+// event into the calling thread's buffer (one uncontended mutex, no
+// allocation once the buffer has grown), and profiling pushes and pops a
+// thread-local frame.
 //
 // Per-thread buffers are registered globally and kept alive past thread
 // exit, so events from joined ParallelFor workers survive until export.
@@ -22,24 +24,19 @@
 #include <string>
 #include <string_view>
 
-#include "obs/profile.hpp"
-
 namespace leosim::obs {
 
 inline constexpr std::size_t kMaxTraceEventsPerThread = std::size_t{1} << 16;
 
 namespace detail {
-extern std::atomic<bool> g_trace_enabled;
-// Records one completed span on the calling thread's buffer.
-void RecordTraceEvent(std::string_view name, int64_t start_ns,
-                      int64_t duration_ns);
+// The span exports that are on: kTraceBit (EnableTracing) and
+// kProfileBit (StartProfiling/StopProfiling).
+inline constexpr uint8_t kTraceBit = 1;
+inline constexpr uint8_t kProfileBit = 2;
+extern std::atomic<uint8_t> g_span_mode;
 // Nanoseconds since the process-wide trace epoch (first use).
 int64_t TraceNowNanos();
 }  // namespace detail
-
-inline bool TracingEnabled() {
-  return detail::g_trace_enabled.load(std::memory_order_relaxed);
-}
 
 void EnableTracing(bool enabled);
 
@@ -58,39 +55,31 @@ uint64_t TraceDroppedEvents();
 // practice).
 class Span {
  public:
-  explicit Span(std::string_view name) : name_(name) {
-    // The profiler hook runs before the clock read so sampled stacks
-    // cover the whole timed region.
-    hooked_ = SpanHookEnabled();
-    if (hooked_) {
-      detail::PushSpanFrame(name);
-    }
-    armed_ = TracingEnabled();
-    if (armed_) {
-      start_ns_ = detail::TraceNowNanos();
+  // The mode is latched here, so a span records into the exports that
+  // were on when it opened, and a profile frame pushed here is popped
+  // in the destructor even if profiling stops meanwhile.
+  explicit Span(std::string_view name)
+      : name_(name),
+        mode_(detail::g_span_mode.load(std::memory_order_relaxed)) {
+    if (mode_ != 0) {
+      Begin();
     }
   }
   ~Span() {
-    if (armed_) {
-      Finish();
-    }
-    // Popped after Finish so the frame is live for the span's full
-    // duration; hooked_ (not the current hook flag) keeps push/pop
-    // balanced when profiling starts or stops mid-span.
-    if (hooked_) {
-      detail::PopSpanFrame();
+    if (mode_ != 0) {
+      End();
     }
   }
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
 
  private:
-  void Finish();
+  void Begin();
+  void End();
 
   std::string_view name_;
   int64_t start_ns_{0};
-  bool armed_;
-  bool hooked_;
+  uint8_t mode_;
 };
 
 }  // namespace leosim::obs

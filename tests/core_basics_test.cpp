@@ -431,8 +431,9 @@ TEST(ScenarioTest, ValidateRejectsBadFields) {
 // FailureStudyOptions::Validate and OutageStudyOptions::Validate reject
 // each bad field, and both studies call them at entry: a failure
 // fraction above 1 would divide by zero in the random draw, a NaN or
-// negative fraction, a NaN margin or a NaN exceedance would fail
-// nothing, and an empty pair list would give a NaN reachable fraction.
+// negative fraction or a NaN margin would fail nothing, an exceedance
+// outside (0, 100) would be clamped silently by the ITU-R model, and an
+// empty pair list would give a NaN reachable fraction.
 TEST(StudyOptionsTest, FailureAndOutageRejectBadFields) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
@@ -471,11 +472,15 @@ TEST(StudyOptionsTest, FailureAndOutageRejectBadFields) {
       {"margin_db", inf, 0.1},
       {"margin_db", -inf, 0.1},
       {"exceedance_pct", 6.0, nan},
+      {"exceedance_pct", 6.0, 0.0},
+      {"exceedance_pct", 6.0, -0.5},
+      {"exceedance_pct", 6.0, 100.0},
+      {"exceedance_pct", 6.0, inf},
   };
   for (const OutageCase& row : outage_cases) {
     OutageStudyOptions options;
     options.margins_db = {10.0, row.margin_db};
-    options.exceedance_pct = row.exceedance_pct;
+    options.attenuation.exceedance_pct = row.exceedance_pct;
     EXPECT_THROW(options.Validate(), std::invalid_argument)
         << row.name << ": margin " << row.margin_db << " exceedance "
         << row.exceedance_pct;

@@ -7,13 +7,16 @@
 
 #include <atomic>
 #include <cctype>
-#include <chrono>
+#include <cmath>
 #include <cstddef>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <limits>
+#include <map>
+#include <set>
+#include <sstream>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -635,17 +638,58 @@ TEST(ObsProgressTest, StepsFromManyThreadsSumExactly) {
   SetProgressInterval(0.0);
 }
 
+// Collapsed-stack text as a stack -> nanoseconds map, after checking
+// its grammar.
+std::map<std::string, int64_t> ProfileStacks() {
+  const std::string text = CollapsedStacks();
+  std::string why;
+  EXPECT_TRUE(ValidateCollapsedStacks(text, &why)) << why << "\n" << text;
+  std::map<std::string, int64_t> stacks;
+  std::istringstream in(text);
+  std::string line;
+  while (std::getline(in, line)) {
+    const size_t space = line.rfind(' ');
+    stacks[line.substr(0, space)] = std::stoll(line.substr(space + 1));
+  }
+  return stacks;
+}
+
+std::set<std::string> Keys(const std::map<std::string, int64_t>& stacks) {
+  std::set<std::string> keys;
+  for (const auto& [stack, ns] : stacks) {
+    keys.insert(stack);
+  }
+  return keys;
+}
+
+// Duration in nanoseconds of the one trace event named `name` (the
+// export prints microseconds to three decimals, i.e. exact nanoseconds).
+int64_t TracedNanos(const std::string& json, const std::string& name) {
+  const std::string key = "{\"name\": \"" + name + "\"";
+  const size_t at = json.find(key);
+  EXPECT_NE(at, std::string::npos) << name;
+  EXPECT_EQ(json.find(key, at + 1), std::string::npos) << name;
+  const size_t dur = json.find("\"dur\": ", at);
+  return std::llround(std::stod(json.substr(dur + 7)) * 1e3);
+}
+
+// A little work, so that a span lasts a measurable time.
+void Spin() {
+  volatile double sink = 0.0;
+  for (int i = 0; i < 1000; ++i) {
+    sink = sink + i;
+  }
+}
+
 TEST(ObsProfileTest, DisabledProfilerRecordsNothing) {
   ResetProfile();
-  ASSERT_FALSE(ProfilingActive());
-  // With the sampler off, Span construction must not touch the profiler:
-  // the gate is the single relaxed load in SpanHookEnabled().
-  EXPECT_FALSE(SpanHookEnabled());
+  // With tracing and profiling off, the mode word a Span loads is 0 and
+  // its constructor does nothing more.
+  ASSERT_EQ(detail::g_span_mode.load(), 0);
   {
     const Span outer("profile.unsampled");
     const Span inner("profile.unsampled_inner");
   }
-  EXPECT_EQ(ProfileSamplesTaken(), 0u);
   const std::string collapsed = CollapsedStacks();
   EXPECT_TRUE(collapsed.empty()) << collapsed;
   // The empty export is itself a valid collapsed-stack document.
@@ -653,43 +697,124 @@ TEST(ObsProfileTest, DisabledProfilerRecordsNothing) {
   EXPECT_TRUE(ValidateCollapsedStacks(collapsed, &why)) << why;
 }
 
-TEST(ObsProfileTest, CollapsedStacksUnderParallelForWorkers) {
+// Each worker's spans nest under its parallel.worker root; at one
+// worker that root runs inline under parallel.run on the caller.
+TEST(ObsProfileTest, WorkerStacksAreExactAtOneAndFourThreads) {
+  const auto run = [](int threads) {
+    ResetProfile();
+    StartProfiling();
+    {
+      const core::ScopedThreads scope(threads);
+      core::ParallelForWorkers(8, [](int /*worker*/, int /*index*/) {
+        const Span body("profile.test_body");
+        const Span leaf("profile.test_leaf");
+        Spin();
+      });
+    }
+    StopProfiling();
+    return Keys(ProfileStacks());
+  };
+  EXPECT_EQ(run(1), (std::set<std::string>{
+                        "parallel.run",
+                        "parallel.run;parallel.worker",
+                        "parallel.run;parallel.worker;profile.test_body",
+                        "parallel.run;parallel.worker;profile.test_body;"
+                        "profile.test_leaf",
+                    }));
+  EXPECT_EQ(run(4), (std::set<std::string>{
+                        "parallel.run",
+                        "parallel.worker",
+                        "parallel.worker;profile.test_body",
+                        "parallel.worker;profile.test_body;profile.test_leaf",
+                    }));
   ResetProfile();
-  StartProfiling(100);  // 100us: fast enough to catch short-lived workers
-  ASSERT_TRUE(ProfilingActive());
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  // Workers hold a nested span and spin until the sampler has provably
-  // walked stacks WHILE this worker's span was live — a sample taken
-  // during the spin walks every registered stack, so it must have seen
-  // this one. The deadline turns a wedged sampler into an assertion
-  // failure instead of a hung CI job.
+  EXPECT_TRUE(CollapsedStacks().empty());
+}
+
+// Self times come from the spans' own clock reads: with tracing on too,
+// a leaf's self time is its traced duration, an inner frame's is its
+// duration less its children's, and a root's stacks sum to the root's
+// duration, all to the nanosecond.
+TEST(ObsProfileTest, SelfTimesMatchTheTraceExactly) {
+  ResetProfile();
+  ResetTrace();
+  EnableTracing(true);
+  StartProfiling();
   {
-    const core::ScopedThreads scope(4);
-    core::ParallelForWorkers(8, [&deadline](int /*worker*/, int /*index*/) {
-      const Span body("profile.test_body");
-      const uint64_t before = ProfileSamplesTaken();
-      while (ProfileSamplesTaken() < before + 3 &&
-             std::chrono::steady_clock::now() < deadline) {
-        std::this_thread::yield();
+    const Span root("profile.root");
+    {
+      const Span mid("profile.mid");
+      {
+        const Span leaf("profile.leaf");
+        Spin();
       }
-    });
+      Spin();
+    }
+    {
+      const Span other("profile.other");
+      Spin();
+    }
   }
   StopProfiling();
-  EXPECT_FALSE(ProfilingActive());
-  EXPECT_GE(ProfileSamplesTaken(), 5u);
-  const std::string collapsed = CollapsedStacks();
-  std::string why;
-  ASSERT_TRUE(ValidateCollapsedStacks(collapsed, &why)) << why << "\n"
-                                                        << collapsed;
-  // Worker activity must be attributable: the worker root frame and the
-  // body's span both appear in some sampled stack.
-  EXPECT_NE(collapsed.find("parallel.worker"), std::string::npos) << collapsed;
-  EXPECT_NE(collapsed.find("profile.test_body"), std::string::npos)
-      << collapsed;
+  EnableTracing(false);
+  const std::string json = TraceToJson();
+  const std::map<std::string, int64_t> stacks = ProfileStacks();
+  ASSERT_EQ(Keys(stacks), (std::set<std::string>{
+                              "profile.root",
+                              "profile.root;profile.mid",
+                              "profile.root;profile.mid;profile.leaf",
+                              "profile.root;profile.other",
+                          }));
+  EXPECT_EQ(stacks.at("profile.root;profile.mid;profile.leaf"),
+            TracedNanos(json, "profile.leaf"));
+  EXPECT_EQ(stacks.at("profile.root;profile.other"),
+            TracedNanos(json, "profile.other"));
+  EXPECT_EQ(stacks.at("profile.root;profile.mid"),
+            TracedNanos(json, "profile.mid") - TracedNanos(json, "profile.leaf"));
+  int64_t total = 0;
+  for (const auto& [stack, ns] : stacks) {
+    total += ns;
+  }
+  EXPECT_EQ(total, TracedNanos(json, "profile.root"));
+  ResetTrace();
   ResetProfile();
-  EXPECT_EQ(ProfileSamplesTaken(), 0u);
-  EXPECT_TRUE(CollapsedStacks().empty());
+}
+
+// A span latches the profile bit when it opens: one opened before
+// StartProfiling is no frame, and one open at StopProfiling is popped
+// (and counted) when it closes, so later stacks start from an empty
+// stack either way. Frame names are sanitised for the grammar.
+TEST(ObsProfileTest, SpansAcrossStartAndStopLeaveStacksBalanced) {
+  ResetProfile();
+  {
+    const Span before("profile.before");
+    StartProfiling();
+    {
+      const Span b("profile.b");
+      const Span c("profile.c d;e");
+      Spin();
+    }
+    {
+      const Span open_at_stop("profile.open_at_stop");
+      Spin();
+      StopProfiling();
+    }
+    StartProfiling();
+  }
+  {
+    const Span after("profile.after");
+    const Span leaf("profile.leaf");
+    Spin();
+  }
+  StopProfiling();
+  EXPECT_EQ(Keys(ProfileStacks()), (std::set<std::string>{
+                                       "profile.after",
+                                       "profile.after;profile.leaf",
+                                       "profile.b",
+                                       "profile.b;profile.c_d_e",
+                                       "profile.open_at_stop",
+                                   }));
+  ResetProfile();
 }
 
 TEST(ObsProfileTest, CollapsedValidatorAcceptsAndRejects) {

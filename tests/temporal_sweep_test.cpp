@@ -190,27 +190,6 @@ TEST(LatencyStudyMaskingTest, ThrowsWhenBentPipeIsNotMaskedHybrid) {
   }
 }
 
-// Removes the snapshot-build profiling series (snapshot.<model>.*) from
-// a timeseries export: they sample wall-clock build durations, which no
-// amount of scheduling discipline can make reproducible. Every study
-// output series stays. Keys are sorted in the export and "churn..." <
-// "snapshot...", so a profiling series is never first and each block
-// runs from its leading comma to the next ']' at series indent.
-std::string StripProfilingSeries(std::string json) {
-  while (true) {
-    const size_t start = json.find(",\n    \"snapshot.");
-    if (start == std::string::npos) {
-      break;
-    }
-    const size_t close = json.find("\n    ]", start);
-    if (close == std::string::npos) {
-      break;
-    }
-    json.erase(start, close + 6 - start);
-  }
-  return json;
-}
-
 // Everything a sweep-driven study run produced, flattened to one string
 // with full double precision, so "byte-identical at any thread count"
 // is one string comparison.
@@ -238,7 +217,7 @@ std::string RunSweepStudies(const char* threads) {
       RunMultishellStudy(Scenario::Starlink(), orbit::PolarShell(),
                          data::AnchorCities(), "Brisbane", "Tokyo", schedule);
 
-  std::string out = StripProfilingSeries(recorder.ToJson());
+  std::string out = recorder.ToJson();
   recorder.Enable(false);
   recorder.Reset();
 

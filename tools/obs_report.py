@@ -124,7 +124,7 @@ def mann_whitney_p(base: list[float], cur: list[float]) -> float | None:
 def validate_collapsed_text(text: str) -> tuple[bool, str]:
     """Strict collapsed-stack grammar check; returns (ok, why)."""
     if text == "":
-        return True, "empty profile (zero samples) is valid"
+        return True, "empty profile is valid"
     if not text.endswith("\n"):
         return False, "missing trailing newline"
     prev_stack = None
