@@ -10,9 +10,9 @@
 //   --full            paper-scale run: 1000 cities, 5000 pairs, 0.5-deg
 //                     grid, 96 snapshots (hours of compute)
 //
-// plus the shared observability flags of core::ObsFlags (--log-level,
-// --metrics-out, --trace-out, --timeseries-out, --profile-out,
-// --progress[=SEC]) and any extras the binary itself declares.
+// plus the shared observability flags of core::ObsFlags (--metrics-out,
+// --trace-out, --timeseries-out, --profile-out, --progress[=SEC]) and
+// any extras the binary itself declares.
 // Parsing is strict (core/cli_flags.hpp): an unknown flag or a malformed
 // or out-of-range value throws, and main's core::RunMain turns that
 // into one stderr line and exit 2; a failed output write exits 1.

@@ -24,14 +24,12 @@
 #include "core/latency_study.hpp"
 #include "core/net_trace.hpp"
 #include "core/network_builder.hpp"
-#include "core/report.hpp"
 #include "core/traffic_matrix.hpp"
 #include "data/cities.hpp"
 #include "geo/geodesic.hpp"
 #include "graph/dijkstra.hpp"
 #include "itur/slant_path.hpp"
 #include "link/visibility.hpp"
-#include "obs/json.hpp"
 
 using namespace leosim;
 
@@ -46,7 +44,7 @@ int Usage() {
       "  pairs <count>                  sample a >2000 km traffic matrix\n"
       "  cities [substring]             list known cities\n"
       "  study latency [--pairs=N] [--snapshots=N] [--step=SEC]\n"
-      "                [--spacing=DEG] [--manifest-out=F]\n"
+      "                [--spacing=DEG]\n"
       "                                 run a small BP-vs-hybrid latency study\n"
       "  trace [--bp] [--pairs=N] [--snapshots=N] [--step=SEC]\n"
       "        [--spacing=DEG] [--out=DIR]\n"
@@ -186,25 +184,12 @@ int CmdPairs(int count) {
 // with --metrics-out/--trace-out it doubles as the observability demo.
 int CmdStudyLatency(const std::vector<std::string>& args) {
   SweepFlags sweep{10, 2, 60.0};
-  std::string manifest_out;
   for (const std::string& arg : args) {
-    if (sweep.Take(arg)) {
-      continue;
-    }
-    if (const auto v = core::FlagValue(arg, "--manifest-out")) {
-      manifest_out = *v;
-    } else {
+    if (!sweep.Take(arg)) {
       throw std::invalid_argument("study latency: unknown flag " + arg);
     }
   }
 
-  core::RunReport report("latency_study");
-  report.AddParam("pairs", sweep.num_pairs);
-  report.AddParam("snapshots", sweep.num_snapshots);
-  report.AddParam("step_sec", sweep.step_sec);
-  report.AddParam("relay_spacing_deg", sweep.spacing_deg);
-
-  const core::StudyTimer timer;
   const core::Scenario scenario = core::Scenario::Starlink();
   const std::vector<data::City>& cities = data::AnchorCities();
   core::NetworkOptions options;
@@ -218,11 +203,6 @@ int CmdStudyLatency(const std::vector<std::string>& args) {
   const core::LatencyStudyResult result =
       core::RunLatencyStudy(bent_pipe, hybrid, pairs, sweep.Schedule());
 
-  // The study's own counts; the wall time also covers the model builds.
-  core::StudySummary summary = result.summary;
-  summary.wall_seconds = timer.Seconds();
-  report.AddSummary(summary);
-
   const auto mean_min_rtt = [&result](const std::vector<core::PairRttSeries>& s) {
     const std::vector<double> values = result.MinRtts(s);
     double sum = 0.0;
@@ -235,17 +215,16 @@ int CmdStudyLatency(const std::vector<std::string>& args) {
               result.snapshot_times.size());
   std::printf("  bent-pipe mean min-RTT: %7.1f ms\n", mean_min_rtt(result.bp));
   std::printf("  hybrid    mean min-RTT: %7.1f ms\n", mean_min_rtt(result.hybrid));
-  std::printf("  routed %llu pair-snapshots, %llu unreachable, %.2f s\n",
-              static_cast<unsigned long long>(summary.pairs_routed),
-              static_cast<unsigned long long>(summary.pairs_unreachable),
-              summary.wall_seconds);
-  if (!manifest_out.empty()) {
-    if (!obs::WriteFile(manifest_out, report.ToJson())) {
-      std::fprintf(stderr, "cannot write %s\n", manifest_out.c_str());
-      return 1;
+  int queries = 0;
+  int unreachable = 0;
+  for (const std::vector<core::PairRttSeries>* series : {&result.bp, &result.hybrid}) {
+    for (const core::PairRttSeries& s : *series) {
+      queries += static_cast<int>(s.rtt_ms.size());
+      unreachable += s.UnreachableCount();
     }
-    std::fprintf(stderr, "wrote %s\n", manifest_out.c_str());
   }
+  std::printf("  routed %d pair-snapshots, %d unreachable\n",
+              queries - unreachable, unreachable);
   return 0;
 }
 

@@ -92,8 +92,8 @@ AttenuationDistributions RunAttenuationStudy(const NetworkModel& bp_model,
                                              const std::vector<CityPair>& pairs,
                                              double time_sec,
                                              const AttenuationOptions& options) {
+  const obs::Span span("study.attenuation");
   options.Validate();
-  const StudyTimer timer;
   AttenuationDistributions result;
   // One mode at a time on one workspace: route every pair, then score
   // each reachable pair's chain in pair order.
@@ -116,14 +116,9 @@ AttenuationDistributions RunAttenuationStudy(const NetworkModel& bp_model,
   score_mode(bp_model, &result.bp_db, &result.bp_unreachable);
   score_mode(isl_model, &result.isl_db, &result.isl_unreachable);
 
-  StudySummary summary;
-  summary.study = "attenuation";
-  summary.snapshots_built = 2;
-  summary.pairs_routed = result.bp_db.size() + result.isl_db.size();
-  summary.pairs_unreachable = static_cast<uint64_t>(result.bp_unreachable) +
-                              static_cast<uint64_t>(result.isl_unreachable);
-  summary.wall_seconds = timer.Seconds();
-  EmitStudySummary(summary);
+  CountStudyPairs(result.bp_db.size() + result.isl_db.size(),
+                  static_cast<uint64_t>(result.bp_unreachable) +
+                      static_cast<uint64_t>(result.isl_unreachable));
   return result;
 }
 
@@ -133,6 +128,7 @@ PathAttenuationCcdf TracePairAttenuation(const NetworkModel& bp_model,
                                          const std::string& city_b, double time_sec,
                                          const std::vector<double>& exceedances,
                                          const AttenuationOptions& options) {
+  const obs::Span span("study.attenuation_trace");
   options.Validate();
   for (const double p : exceedances) {
     AttenuationOptions at_p = options;

@@ -11,6 +11,7 @@
 #include "core/slot_router.hpp"
 #include "core/temporal_sweep.hpp"
 #include "obs/timeseries.hpp"
+#include "obs/trace.hpp"
 
 namespace leosim::core {
 
@@ -82,14 +83,11 @@ std::vector<SlotRoutes> SweepRoutes(const NetworkModel& model,
 ChurnStats RunChurnStudy(const NetworkModel& model, const std::string& city_a,
                          const std::string& city_b,
                          const SnapshotSchedule& schedule) {
-  const StudyTimer timer;
-  StudySummary summary;
-  summary.study = "churn";
+  const obs::Span span("study.churn");
   const std::vector<double> times = schedule.Times();
   const std::vector<CityPair> pairs = {
       {model.CityIndex(city_a), model.CityIndex(city_b)}};
   const std::vector<SlotRoutes> slots = SweepRoutes(model, pairs, times, "churn");
-  summary.snapshots_built = static_cast<uint64_t>(times.size());
 
   // Serial diff pass in slot order: identical recorder emissions and
   // float accumulation order to the historical one-snapshot-at-a-time
@@ -103,13 +101,13 @@ ChurnStats RunChurnStudy(const NetworkModel& model, const std::string& city_a,
   double jitter_sum = 0.0;
   obs::TimeseriesRecorder& recorder = obs::TimeseriesRecorder::Global();
   NetTraceRecorder& net_trace = NetTraceRecorder::Global();
+  uint64_t unreachable = 0;
   for (size_t s = 0; s < slots.size(); ++s) {
     const double rtt = slots[s].rtt[0];
     if (rtt == kInf) {
-      ++summary.pairs_unreachable;
+      ++unreachable;
       continue;
     }
-    ++summary.pairs_routed;
     recorder.Record(times[s], "churn.pair.rtt_ms", rtt);
     if (s > 0 && slots[s - 1].rtt[0] != kInf) {
       const std::span<const graph::NodeId> cur = slots[s].PathNodes(0);
@@ -132,14 +130,14 @@ ChurnStats RunChurnStudy(const NetworkModel& model, const std::string& city_a,
   }
   stats.mean_jaccard = jaccard_steps > 0 ? jaccard_sum / jaccard_steps : 1.0;
   stats.rtt_jitter_ms = jitter_steps > 0 ? jitter_sum / jitter_steps : 0.0;
-  summary.wall_seconds = timer.Seconds();
-  EmitStudySummary(summary);
+  CountStudyPairs(slots.size() - unreachable, unreachable);
   return stats;
 }
 
 AggregateChurn RunAggregateChurnStudy(const NetworkModel& model,
                                       const std::vector<CityPair>& pairs,
                                       const SnapshotSchedule& schedule) {
+  const obs::Span span("study.churn_aggregate");
   struct PairTotals {
     int changes{0};
     int steps{0};
@@ -148,18 +146,16 @@ AggregateChurn RunAggregateChurnStudy(const NetworkModel& model,
   };
   std::vector<PairTotals> totals(pairs.size());
 
-  const StudyTimer timer;
-  StudySummary summary;
-  summary.study = "churn_aggregate";
   const std::vector<double> times = schedule.Times();
   const std::vector<SlotRoutes> slots =
       SweepRoutes(model, pairs, times, "churn_aggregate");
-  summary.snapshots_built = static_cast<uint64_t>(times.size());
 
   // Serial diff pass, slot-major with pairs inner — the historical
   // accumulation order, so per-pair float sums are bit-identical.
   obs::TimeseriesRecorder& recorder = obs::TimeseriesRecorder::Global();
   NetTraceRecorder& net_trace = NetTraceRecorder::Global();
+  uint64_t routed = 0;
+  uint64_t unreachable = 0;
   for (size_t s = 0; s < slots.size(); ++s) {
     int step_changes = 0;
     int step_routed = 0;
@@ -167,11 +163,9 @@ AggregateChurn RunAggregateChurnStudy(const NetworkModel& model,
     for (size_t i = 0; i < pairs.size(); ++i) {
       const double rtt = slots[s].rtt[i];
       if (rtt == kInf) {
-        ++summary.pairs_unreachable;
         ++step_unreachable;
         continue;
       }
-      ++summary.pairs_routed;
       ++step_routed;
       if (s > 0 && slots[s - 1].rtt[i] != kInf) {
         PairTotals& pt = totals[i];
@@ -195,6 +189,8 @@ AggregateChurn RunAggregateChurnStudy(const NetworkModel& model,
     recorder.Record(times[s], "churn.routed", static_cast<double>(step_routed));
     recorder.Record(times[s], "churn.unreachable",
                     static_cast<double>(step_unreachable));
+    routed += static_cast<uint64_t>(step_routed);
+    unreachable += static_cast<uint64_t>(step_unreachable);
   }
 
   AggregateChurn agg;
@@ -212,8 +208,7 @@ AggregateChurn RunAggregateChurnStudy(const NetworkModel& model,
     agg.mean_jaccard /= agg.pairs_evaluated;
     agg.mean_rtt_jitter_ms /= agg.pairs_evaluated;
   }
-  summary.wall_seconds = timer.Seconds();
-  EmitStudySummary(summary);
+  CountStudyPairs(routed, unreachable);
   return agg;
 }
 

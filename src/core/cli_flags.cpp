@@ -8,7 +8,6 @@
 #include <system_error>
 
 #include "obs/json.hpp"
-#include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
 #include "obs/progress.hpp"
@@ -62,12 +61,7 @@ std::optional<std::string_view> FlagValue(std::string_view arg,
 }
 
 bool ObsFlags::Take(std::string_view arg) {
-  if (const auto v = FlagValue(arg, "--log-level")) {
-    if (obs::ToString(obs::ParseLogLevel(*v)) != *v) {
-      Reject("--log-level", *v, "off|error|warn|info|debug");
-    }
-    log_level_ = *v;
-  } else if (const auto v = FlagValue(arg, "--metrics-out")) {
+  if (const auto v = FlagValue(arg, "--metrics-out")) {
     metrics_out_ = *v;
   } else if (const auto v = FlagValue(arg, "--trace-out")) {
     trace_out_ = *v;
@@ -86,9 +80,6 @@ bool ObsFlags::Take(std::string_view arg) {
 }
 
 void ObsFlags::Apply() const {
-  if (!log_level_.empty()) {
-    obs::SetLogLevel(obs::ParseLogLevel(log_level_));
-  }
   if (!trace_out_.empty()) {
     obs::EnableTracing(true);
   }

@@ -4,7 +4,7 @@
 //                           "nan", "inf" and out-of-range values throw
 //                           std::invalid_argument naming the flag and
 //                           the token.
-//   ObsFlags                the six shared observability flags (see
+//   ObsFlags                the five shared observability flags (see
 //                           ObsFlags::kUsage), their activation, and the
 //                           file writes on exit.
 //   RunMain                 the one place a binary's exceptions end up:
@@ -34,14 +34,14 @@ std::optional<std::string_view> FlagValue(std::string_view arg,
 class ObsFlags {
  public:
   static constexpr const char* kUsage =
-      "--log-level=off|error|warn|info|debug --metrics-out=F --trace-out=F "
-      "--timeseries-out=F --profile-out=F --progress[=SEC]";
+      "--metrics-out=F --trace-out=F --timeseries-out=F --profile-out=F "
+      "--progress[=SEC]";
 
-  // Consumes `arg` when it is one of the six flags (throws on a bad
+  // Consumes `arg` when it is one of the five flags (throws on a bad
   // value); returns false for anything else.
   bool Take(std::string_view arg);
-  // Arms logging, tracing, timeseries, the profiler and progress as
-  // requested. Call once, before the timed work.
+  // Arms tracing, timeseries, the profiler and progress as requested.
+  // Call once, before the timed work.
   void Apply() const;
   // Writes every requested file, noting each on stderr as
   // "<note_prefix>wrote F" (so stdout does not depend on the paths) and
@@ -50,7 +50,6 @@ class ObsFlags {
   int WriteOutputs(std::string_view note_prefix) const;
 
  private:
-  std::string log_level_;
   std::string metrics_out_;
   std::string trace_out_;
   std::string timeseries_out_;

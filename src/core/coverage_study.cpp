@@ -3,9 +3,9 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "core/report.hpp"
 #include "geo/geodesic.hpp"
 #include "link/visibility.hpp"
+#include "obs/trace.hpp"
 #include "orbit/walker.hpp"
 
 namespace leosim::core {
@@ -34,8 +34,8 @@ void CoverageStudyOptions::Validate() const {
 
 std::vector<CoverageRow> RunCoverageStudy(const Scenario& scenario,
                                           const CoverageStudyOptions& options) {
+  const obs::Span span("study.coverage");
   options.Validate();
-  const StudyTimer timer;
   orbit::Constellation constellation;
   constellation.AddShell(scenario.shell);
   const double coverage = geo::CoverageRadiusKm(scenario.shell.altitude_km,
@@ -75,11 +75,6 @@ std::vector<CoverageRow> RunCoverageStudy(const Scenario& scenario,
     row.mean_visible /= samples;
     row.availability /= samples;
   }
-  StudySummary summary;
-  summary.study = "coverage";
-  summary.snapshots_built = static_cast<uint64_t>(samples);
-  summary.wall_seconds = timer.Seconds();
-  EmitStudySummary(summary);
   return rows;
 }
 

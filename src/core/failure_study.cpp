@@ -10,6 +10,7 @@
 #include "core/slot_router.hpp"
 #include "core/temporal_sweep.hpp"
 #include "data/rng.hpp"
+#include "obs/trace.hpp"
 
 namespace leosim::core {
 
@@ -35,21 +36,20 @@ void FailureStudyOptions::Validate() const {
 std::vector<FailureRow> RunFailureStudy(const NetworkModel& model,
                                         const std::vector<CityPair>& pairs,
                                         const FailureStudyOptions& options) {
+  const obs::Span span("study.failure");
   options.Validate();
   if (pairs.empty()) {
     throw std::invalid_argument("failure study needs at least one city pair");
   }
-  const StudyTimer timer;
-  StudySummary summary;
-  summary.study = "failure";
   SweepWorkspace ws;
   NetworkModel::Snapshot& snap = model.BuildSnapshot(options.time_sec, &ws.snapshot);
-  summary.snapshots_built = 1;
   data::SplitMix64 rng(options.seed);
   const std::vector<SourceGroup> groups = GroupPairsBySource(pairs);
   SlotRoutes routes;
 
   std::vector<FailureRow> rows;
+  uint64_t routed = 0;
+  uint64_t unreachable = 0;
   for (const double fraction : options.failure_fractions) {
     const int failures =
         static_cast<int>(fraction * static_cast<double>(snap.num_sats));
@@ -81,13 +81,12 @@ std::vector<FailureRow> RunFailureStudy(const NetworkModel& model,
       for (const double rtt : routes.rtt) {
         if (rtt != kInf) {
           ++reachable;
-          ++summary.pairs_routed;
           rtt_sum += rtt;
           ++rtt_count;
-        } else {
-          ++summary.pairs_unreachable;
         }
       }
+      routed += static_cast<uint64_t>(reachable);
+      unreachable += pairs.size() - static_cast<uint64_t>(reachable);
       reachable_sum += static_cast<double>(reachable) / pairs.size();
 
       for (const graph::EdgeId e : disabled) {
@@ -100,8 +99,7 @@ std::vector<FailureRow> RunFailureStudy(const NetworkModel& model,
     row.mean_rtt_ms = rtt_count > 0 ? rtt_sum / rtt_count : 0.0;
     rows.push_back(row);
   }
-  summary.wall_seconds = timer.Seconds();
-  EmitStudySummary(summary);
+  CountStudyPairs(routed, unreachable);
   return rows;
 }
 

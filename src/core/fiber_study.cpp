@@ -4,9 +4,9 @@
 #include <set>
 #include <stdexcept>
 
-#include "core/report.hpp"
 #include "geo/geodesic.hpp"
 #include "link/visibility.hpp"
+#include "obs/trace.hpp"
 
 namespace leosim::core {
 
@@ -22,8 +22,8 @@ FiberStudyResult RunFiberStudy(const Scenario& scenario,
                                const std::vector<data::City>& cities,
                                const FiberStudyOptions& options,
                                const SnapshotSchedule& schedule) {
+  const obs::Span span("study.fiber");
   options.Validate();
-  const StudyTimer timer;
   const ground::FiberGroup group = ground::BuildFiberGroup(
       cities, options.metro, options.fiber_radius_km, options.max_members);
 
@@ -91,11 +91,6 @@ FiberStudyResult RunFiberStudy(const Scenario& scenario,
   result.link_gain = result.metro_mean_links > 0.0
                          ? result.group_mean_links / result.metro_mean_links
                          : 0.0;
-  StudySummary summary;
-  summary.study = "fiber";
-  summary.snapshots_built = times.size();
-  summary.wall_seconds = timer.Seconds();
-  EmitStudySummary(summary);
   return result;
 }
 

@@ -8,6 +8,7 @@
 #include "core/report.hpp"
 #include "core/slot_router.hpp"
 #include "core/temporal_sweep.hpp"
+#include "obs/trace.hpp"
 
 namespace leosim::core {
 
@@ -16,8 +17,7 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 // One mode's impact from its routes without and with the exclusion.
-GsoModeImpact CompareRoutes(const SlotRoutes& without, const SlotRoutes& with,
-                            StudySummary* summary) {
+GsoModeImpact CompareRoutes(const SlotRoutes& without, const SlotRoutes& with) {
   GsoModeImpact impact;
   impact.pairs = static_cast<int>(without.rtt.size());
   double rtt_without_sum = 0.0;
@@ -28,15 +28,9 @@ GsoModeImpact CompareRoutes(const SlotRoutes& without, const SlotRoutes& with,
     const bool reached_with = with.rtt[i] != kInf;
     if (reached_without) {
       ++impact.reachable_without_exclusion;
-      ++summary->pairs_routed;
-    } else {
-      ++summary->pairs_unreachable;
     }
     if (reached_with) {
       ++impact.reachable_with_exclusion;
-      ++summary->pairs_routed;
-    } else {
-      ++summary->pairs_unreachable;
     }
     if (reached_without && reached_with) {
       rtt_without_sum += without.rtt[i];
@@ -83,10 +77,8 @@ GsoNetworkResult RunGsoNetworkStudy(const Scenario& scenario,
                                     const std::vector<CityPair>& pairs,
                                     const NetworkOptions& base_options,
                                     const GsoNetworkOptions& gso) {
+  const obs::Span span("study.gso_network");
   gso.Validate();
-  const StudyTimer timer;
-  StudySummary summary;
-  summary.study = "gso_network";
   // One hybrid snapshot per exclusion setting, routed as built and with
   // its ISLs masked (the bent-pipe view, as in the latency study): a
   // bent-pipe model differs from its hybrid twin only in the mode, so
@@ -109,12 +101,16 @@ GsoNetworkResult RunGsoNetworkStudy(const Scenario& scenario,
     RouteSlotPairsHybridAndBentPipe(model.BuildSnapshot(gso.time_sec, &ws.snapshot),
                                     pairs, groups, &ws, &hybrid[v], &bent_pipe[v]);
   }
-  summary.snapshots_built = 2;
   GsoNetworkResult result;
-  result.bent_pipe = CompareRoutes(bent_pipe[0], bent_pipe[1], &summary);
-  result.hybrid = CompareRoutes(hybrid[0], hybrid[1], &summary);
-  summary.wall_seconds = timer.Seconds();
-  EmitStudySummary(summary);
+  result.bent_pipe = CompareRoutes(bent_pipe[0], bent_pipe[1]);
+  result.hybrid = CompareRoutes(hybrid[0], hybrid[1]);
+  // Each mode routed every pair twice, without and with the exclusion.
+  uint64_t routed = 0;
+  for (const GsoModeImpact& impact : {result.bent_pipe, result.hybrid}) {
+    routed += static_cast<uint64_t>(impact.reachable_without_exclusion +
+                                    impact.reachable_with_exclusion);
+  }
+  CountStudyPairs(routed, 4 * pairs.size() - routed);
   return result;
 }
 

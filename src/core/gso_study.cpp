@@ -3,10 +3,10 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "core/report.hpp"
 #include "geo/angles.hpp"
 #include "geo/coordinates.hpp"
 #include "link/gso.hpp"
+#include "obs/trace.hpp"
 
 namespace leosim::core {
 
@@ -46,8 +46,8 @@ void GsoStudyOptions::Validate() const {
 
 std::vector<GsoStudyRow> RunGsoArcStudy(const std::vector<double>& latitudes_deg,
                                         const GsoStudyOptions& options) {
+  const obs::Span span("study.gso_arc");
   options.Validate();
-  const StudyTimer timer;
   std::vector<GsoStudyRow> rows;
   rows.reserve(latitudes_deg.size());
   for (const double lat : latitudes_deg) {
@@ -72,10 +72,6 @@ std::vector<GsoStudyRow> RunGsoArcStudy(const std::vector<double>& latitudes_deg
         usable_weight > 0.0 ? excluded_weight / usable_weight : 0.0;
     rows.push_back(row);
   }
-  StudySummary summary;
-  summary.study = "gso_arc";
-  summary.wall_seconds = timer.Seconds();
-  EmitStudySummary(summary);
   return rows;
 }
 

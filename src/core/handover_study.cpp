@@ -8,9 +8,9 @@
 #include <vector>
 
 #include "core/net_trace.hpp"
-#include "core/report.hpp"
 #include "geo/geodesic.hpp"
 #include "link/visibility.hpp"
+#include "obs/trace.hpp"
 #include "orbit/walker.hpp"
 
 namespace leosim::core {
@@ -28,6 +28,7 @@ void HandoverStudyOptions::Validate() const {
 HandoverStats RunHandoverStudy(const Scenario& scenario,
                                const geo::GeodeticCoord& terminal,
                                const HandoverStudyOptions& options) {
+  const obs::Span span("study.handover");
   options.Validate();
   if (!(terminal.latitude_deg >= -90.0 && terminal.latitude_deg <= 90.0 &&
         std::isfinite(terminal.longitude_deg) &&
@@ -36,7 +37,6 @@ HandoverStats RunHandoverStudy(const Scenario& scenario,
         "handover study: the terminal needs a latitude in [-90, 90] and a "
         "finite longitude and altitude");
   }
-  const StudyTimer timer;
   const orbit::Constellation constellation =
       orbit::Constellation::WalkerDelta(scenario.shell);
   const geo::Vec3 gt = geo::GeodeticToEcef(terminal);
@@ -127,11 +127,6 @@ HandoverStats RunHandoverStudy(const Scenario& scenario,
   stats.mean_visible_sats = static_cast<double>(visible_sum) / samples;
   stats.pass_endings_per_hour = endings / (options.duration_sec / 3600.0);
   stats.outage_fraction = static_cast<double>(outage_samples) / samples;
-  StudySummary summary;
-  summary.study = "handover";
-  summary.snapshots_built = static_cast<uint64_t>(samples);
-  summary.wall_seconds = timer.Seconds();
-  EmitStudySummary(summary);
   return stats;
 }
 

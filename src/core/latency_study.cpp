@@ -14,6 +14,7 @@
 #include "core/temporal_sweep.hpp"
 #include "geo/coordinates.hpp"
 #include "obs/timeseries.hpp"
+#include "obs/trace.hpp"
 
 namespace leosim::core {
 
@@ -190,13 +191,13 @@ LatencyStudyResult RunLatencyStudy(const NetworkModel& bp_model,
                                    const NetworkModel& hybrid_model,
                                    const std::vector<CityPair>& pairs,
                                    const SnapshotSchedule& schedule) {
+  const obs::Span span("study.latency");
   std::string mismatch;
   if (!CanDeriveBentPipeByMasking(bp_model, hybrid_model, &mismatch)) {
     throw std::invalid_argument(
         "latency study needs a bent-pipe model that is the hybrid model "
         "without ISLs: " + mismatch);
   }
-  const StudyTimer timer;
   LatencyStudyResult result;
   result.snapshot_times = schedule.Times();
   result.bp = InitSeries(pairs, result.snapshot_times.size());
@@ -233,18 +234,15 @@ LatencyStudyResult RunLatencyStudy(const NetworkModel& bp_model,
   RecordLatencyTimeseries("latency.hybrid", result.snapshot_times,
                           result.hybrid);
   RecordReachabilityTransitions(result.hybrid);
-  StudySummary& summary = result.summary;
-  summary.study = "latency";
-  summary.snapshots_built = result.snapshot_times.size();
+  uint64_t queries = 0;
+  uint64_t unreachable = 0;
   for (const std::vector<PairRttSeries>* series : {&result.bp, &result.hybrid}) {
     for (const PairRttSeries& s : *series) {
-      const uint64_t unreachable = static_cast<uint64_t>(s.UnreachableCount());
-      summary.pairs_unreachable += unreachable;
-      summary.pairs_routed += s.rtt_ms.size() - unreachable;
+      queries += s.rtt_ms.size();
+      unreachable += static_cast<uint64_t>(s.UnreachableCount());
     }
   }
-  summary.wall_seconds = timer.Seconds();
-  EmitStudySummary(summary);
+  CountStudyPairs(queries - unreachable, unreachable);
   return result;
 }
 
@@ -252,15 +250,15 @@ std::vector<PathObservation> TracePairPath(const NetworkModel& model,
                                            const std::string& city_a,
                                            const std::string& city_b,
                                            const SnapshotSchedule& schedule) {
+  const obs::Span span("study.latency_trace");
   const std::vector<CityPair> pair = {
       {model.CityIndex(city_a), model.CityIndex(city_b)}};
   const std::vector<SourceGroup> groups = GroupPairsBySource(pair);
 
-  const StudyTimer timer;
   const std::vector<double> times = schedule.Times();
   std::vector<PathObservation> trace(times.size());
   // One slot per sweep item, each observation written to its own slot;
-  // the summary counters are summed serially afterwards.
+  // the reachability counts are summed serially afterwards.
   const TemporalSweep sweep(times);
   sweep.Run("latency_trace", [&](const SweepItem& item, SweepWorkspace& ws) {
     const NetworkModel::Snapshot& snap =
@@ -294,15 +292,11 @@ std::vector<PathObservation> TracePairPath(const NetworkModel& model,
     }
   });
 
-  StudySummary summary;
-  summary.study = "latency_trace";
-  summary.snapshots_built = static_cast<uint64_t>(times.size());
+  uint64_t routed = 0;
   for (const PathObservation& obs : trace) {
-    summary.pairs_routed += obs.reachable ? 1 : 0;
-    summary.pairs_unreachable += obs.reachable ? 0 : 1;
+    routed += obs.reachable ? 1 : 0;
   }
-  summary.wall_seconds = timer.Seconds();
-  EmitStudySummary(summary);
+  CountStudyPairs(routed, trace.size() - routed);
   return trace;
 }
 

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "core/network_builder.hpp"
-#include "core/report.hpp"
 #include "core/traffic_matrix.hpp"
 
 namespace leosim::core {
@@ -39,7 +38,6 @@ struct LatencyStudyResult {
   std::vector<double> snapshot_times;
   std::vector<PairRttSeries> bp;
   std::vector<PairRttSeries> hybrid;
-  StudySummary summary;  // as logged by EmitStudySummary
 
   // Distributions across pairs (pairs that were ever reachable).
   std::vector<double> MinRtts(const std::vector<PairRttSeries>& series) const;

@@ -5,6 +5,7 @@
 #include "core/report.hpp"
 #include "core/slot_router.hpp"
 #include "core/temporal_sweep.hpp"
+#include "obs/trace.hpp"
 
 namespace leosim::core {
 
@@ -20,6 +21,7 @@ MultishellResult RunMultishellStudy(const Scenario& scenario,
                                     const std::string& city_a,
                                     const std::string& city_b,
                                     const SnapshotSchedule& schedule) {
+  const obs::Span span("study.multishell");
   NetworkOptions options;
   options.mode = ConnectivityMode::kIslOnly;  // city GTs + ISLs
 
@@ -30,9 +32,6 @@ MultishellResult RunMultishellStudy(const Scenario& scenario,
       {single.CityIndex(city_a), single.CityIndex(city_b)}};
   const std::vector<SourceGroup> groups = GroupPairsBySource(pair);
 
-  const StudyTimer timer;
-  StudySummary summary;
-  summary.study = "multishell";
   MultishellResult result;
   result.times_sec = schedule.Times();
   const size_t slots = result.times_sec.size();
@@ -53,17 +52,14 @@ MultishellResult RunMultishellStudy(const Scenario& scenario,
                    groups, /*want_paths=*/false, &ws, &routes);
     result.dual_shell_rtt_ms[slot] = routes.rtt[0];
   });
-  summary.snapshots_built = 2 * static_cast<uint64_t>(slots);
 
   double improvement_sum = 0.0;
   int improvement_count = 0;
+  uint64_t routed = 0;
   for (size_t s = 0; s < slots; ++s) {
     const double single_rtt = result.single_shell_rtt_ms[s];
     const double dual_rtt = result.dual_shell_rtt_ms[s];
-    summary.pairs_routed +=
-        (single_rtt != kInf ? 1 : 0) + (dual_rtt != kInf ? 1 : 0);
-    summary.pairs_unreachable +=
-        (single_rtt != kInf ? 0 : 1) + (dual_rtt != kInf ? 0 : 1);
+    routed += (single_rtt != kInf ? 1 : 0) + (dual_rtt != kInf ? 1 : 0);
     if (dual_rtt < single_rtt - 1e-9) {
       ++result.improved_snapshots;
     }
@@ -75,8 +71,7 @@ MultishellResult RunMultishellStudy(const Scenario& scenario,
   if (improvement_count > 0) {
     result.mean_improvement_ms = improvement_sum / improvement_count;
   }
-  summary.wall_seconds = timer.Seconds();
-  EmitStudySummary(summary);
+  CountStudyPairs(routed, 2 * slots - routed);
   return result;
 }
 

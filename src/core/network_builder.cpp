@@ -11,7 +11,6 @@
 #include "link/gso.hpp"
 #include "link/radio.hpp"
 #include "link/visibility.hpp"
-#include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/timeseries.hpp"
 #include "obs/trace.hpp"
@@ -293,11 +292,6 @@ NetworkModel::Snapshot& NetworkModel::BuildSnapshot(
     timeseries.Record(time_sec, prefix + "isl_edges",
                       static_cast<double>(snap.isl_edges.size()));
   }
-  obs::LogDebug("snapshot.build")
-      .Field("t_sec", time_sec)
-      .Field("nodes", total_nodes)
-      .Field("radio_edges", static_cast<uint64_t>(snap.radio_edges.size()))
-      .Field("isl_edges", static_cast<uint64_t>(snap.isl_edges.size()));
   return snap;
 }
 

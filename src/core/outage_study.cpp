@@ -34,16 +34,13 @@ void OutageStudyOptions::Validate() const {
 std::vector<OutageRow> RunOutageStudy(const NetworkModel& model,
                                       const std::vector<CityPair>& pairs,
                                       const OutageStudyOptions& options) {
+  const obs::Span span("study.outage");
   options.Validate();
   if (pairs.empty()) {
     throw std::invalid_argument("outage study needs at least one city pair");
   }
-  const StudyTimer timer;
-  StudySummary summary;
-  summary.study = "outage";
   SweepWorkspace ws;
   NetworkModel::Snapshot& snap = model.BuildSnapshot(options.time_sec, &ws.snapshot);
-  summary.snapshots_built = 1;
   const link::RadioConfig& radio = model.scenario().radio;
 
   // Worst-direction attenuation per radio link (up-link frequency is the
@@ -70,6 +67,8 @@ std::vector<OutageRow> RunOutageStudy(const NetworkModel& model,
   obs::TimeseriesRecorder& recorder = obs::TimeseriesRecorder::Global();
   obs::ProgressReporter progress(
       "outage", static_cast<uint64_t>(options.margins_db.size()));
+  uint64_t routed = 0;
+  uint64_t unreachable = 0;
   for (const double margin : options.margins_db) {
     // Disable links that would be in outage at this margin.
     int disabled = 0;
@@ -91,12 +90,11 @@ std::vector<OutageRow> RunOutageStudy(const NetworkModel& model,
     for (const double rtt : routes.rtt) {
       if (rtt != kInf) {
         ++reachable;
-        ++summary.pairs_routed;
         rtt_sum += rtt;
-      } else {
-        ++summary.pairs_unreachable;
       }
     }
+    routed += static_cast<uint64_t>(reachable);
+    unreachable += pairs.size() - static_cast<uint64_t>(reachable);
     row.reachable_fraction = static_cast<double>(reachable) / pairs.size();
     row.mean_rtt_ms = reachable > 0 ? rtt_sum / reachable : 0.0;
     // The study sweeps margin, not time: samples use margin_db as the x
@@ -110,8 +108,7 @@ std::vector<OutageRow> RunOutageStudy(const NetworkModel& model,
   }
   // Restore the snapshot for good hygiene (it is ours, but cheap).
   snap.graph.EnableAllEdges();
-  summary.wall_seconds = timer.Seconds();
-  EmitStudySummary(summary);
+  CountStudyPairs(routed, unreachable);
   return rows;
 }
 

@@ -34,7 +34,7 @@ void ParallelFor(int count, const std::function<void(int)>& body);
 // The worker count ParallelFor would resolve for unbounded work (i.e.
 // LEOSIM_THREADS or hardware concurrency); throws like ParallelFor on a
 // bad LEOSIM_THREADS.
-// Exposed so run manifests can record the effective parallelism.
+// Exposed so bench records can note the effective parallelism.
 int DefaultWorkerCount();
 
 // As ParallelFor, additionally passing the worker's index (0..workers-1)

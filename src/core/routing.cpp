@@ -123,6 +123,22 @@ std::vector<graph::Path> RouteCongestionAware(graph::Graph& g, graph::NodeId src
   return paths;
 }
 
+// The root span of one RunThroughputWithPolicy call, named per policy so
+// a profile splits the ablation's time by policy.
+const char* PolicySpanName(RoutingPolicy policy) {
+  switch (policy) {
+    case RoutingPolicy::kDisjointGreedy:
+      return "study.policy.disjoint-greedy";
+    case RoutingPolicy::kDisjointOptimalPair:
+      return "study.policy.optimal-pair";
+    case RoutingPolicy::kMinMaxUtilisation:
+      return "study.policy.min-max-utilisation";
+    case RoutingPolicy::kCongestionAware:
+      return "study.policy.congestion-aware";
+  }
+  return "study.policy.unknown";
+}
+
 }  // namespace
 
 std::string_view ToString(RoutingPolicy policy) {
@@ -176,6 +192,7 @@ PolicyThroughputResult RunThroughputWithPolicy(const NetworkModel& model,
                                                const std::vector<CityPair>& pairs,
                                                int k, double time_sec,
                                                RoutingPolicy policy) {
+  const obs::Span span(PolicySpanName(policy));
   CheckPathCount(k);
   SweepWorkspace ws;
   NetworkModel::Snapshot& snap = model.BuildSnapshot(time_sec, &ws.snapshot);
@@ -183,7 +200,6 @@ PolicyThroughputResult RunThroughputWithPolicy(const NetworkModel& model,
   if (policy == RoutingPolicy::kDisjointGreedy) {
     RouteSlotDisjointPaths(snap, pairs, GroupPairsBySource(pairs), k, &ws, &paths_of);
   } else {
-    const obs::Span span("study.routing_policy");
     RoutingState state;
     paths_of.reserve(pairs.size());
     for (const CityPair& pair : pairs) {

@@ -8,8 +8,8 @@
 // count. The driver's side of the bargain is per-worker workspaces and
 // one item per slot; the study's side is writing
 // only to preallocated slot-indexed arrays from the body and doing every
-// order-sensitive reduction — timeseries emission, StudySummary
-// counters, churn's consecutive-slot diffs — in a serial pass over
+// order-sensitive reduction — timeseries emission, pair-reachability
+// counts, churn's consecutive-slot diffs — in a serial pass over
 // those arrays afterwards. Churn diffs in particular stay serial by
 // design: they chain slot i to slot i-1, and replaying them over the
 // per-slot route tables costs microseconds while keeping the float

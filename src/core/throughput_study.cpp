@@ -18,13 +18,11 @@ namespace leosim::core {
 namespace {
 
 // Both entry points' recording pass: per-slot timeseries samples in slot
-// order, then the study summary.
-void RecordThroughput(const char* study, const std::vector<double>& times,
+// order, then the pair reachability counts.
+void RecordThroughput(const std::vector<double>& times,
                       const std::vector<ThroughputResult>& results,
-                      size_t num_pairs, const StudyTimer& timer) {
-  StudySummary summary;
-  summary.study = study;
-  summary.snapshots_built = static_cast<uint64_t>(times.size());
+                      size_t num_pairs) {
+  uint64_t routed = 0;
   obs::TimeseriesRecorder& recorder = obs::TimeseriesRecorder::Global();
   for (size_t s = 0; s < times.size(); ++s) {
     const ThroughputResult& r = results[s];
@@ -33,11 +31,9 @@ void RecordThroughput(const char* study, const std::vector<double>& times,
                     static_cast<double>(r.pairs_routed));
     recorder.Record(times[s], "throughput.subflows",
                     static_cast<double>(r.subflows));
-    summary.pairs_routed += static_cast<uint64_t>(r.pairs_routed);
-    summary.pairs_unreachable += num_pairs - static_cast<uint64_t>(r.pairs_routed);
+    routed += static_cast<uint64_t>(r.pairs_routed);
   }
-  summary.wall_seconds = timer.Seconds();
-  EmitStudySummary(summary);
+  CountStudyPairs(routed, times.size() * num_pairs - routed);
 }
 
 }  // namespace
@@ -124,22 +120,22 @@ void CheckPathCount(int k) {
 ThroughputResult RunThroughputStudy(const NetworkModel& model,
                                     const std::vector<CityPair>& pairs, int k,
                                     double time_sec, CapacityModel capacity_model) {
+  const obs::Span span("study.throughput");
   CheckPathCount(k);
-  const StudyTimer timer;
   SweepWorkspace ws;
   NetworkModel::Snapshot& snap = model.BuildSnapshot(time_sec, &ws.snapshot);
   const std::vector<SourceGroup> groups = GroupPairsBySource(pairs);
   const ThroughputResult result =
       ThroughputOf(RouteFlows(snap, pairs, groups, k, capacity_model, &ws));
-  RecordThroughput("throughput", {time_sec}, {result}, pairs.size(), timer);
+  RecordThroughput({time_sec}, {result}, pairs.size());
   return result;
 }
 
 std::vector<ThroughputResult> RunThroughputSweep(
     const NetworkModel& model, const std::vector<CityPair>& pairs, int k,
     const SnapshotSchedule& schedule, CapacityModel capacity_model) {
+  const obs::Span span("study.throughput_sweep");
   CheckPathCount(k);
-  const StudyTimer timer;
   const std::vector<double> times = schedule.Times();
   const std::vector<SourceGroup> groups = GroupPairsBySource(pairs);
   std::vector<ThroughputResult> results(times.size());
@@ -152,15 +148,13 @@ std::vector<ThroughputResult> RunThroughputSweep(
   });
 
   // Serial, so the samples do not depend on worker scheduling.
-  RecordThroughput("throughput_sweep", times, results, pairs.size(), timer);
+  RecordThroughput(times, results, pairs.size());
   return results;
 }
 
 DisconnectionStats RunDisconnectionStudy(const NetworkModel& model,
                                          const SnapshotSchedule& schedule) {
-  const StudyTimer timer;
-  StudySummary summary;
-  summary.study = "disconnection";
+  const obs::Span span("study.disconnection");
   const std::vector<double> times = schedule.Times();
   std::vector<double> fractions(times.size(), 0.0);
   const TemporalSweep sweep(times);
@@ -180,7 +174,6 @@ DisconnectionStats RunDisconnectionStudy(const NetworkModel& model,
     fractions[static_cast<size_t>(item.slot)] =
         static_cast<double>(disconnected) / snap.num_sats;
   });
-  summary.snapshots_built = static_cast<uint64_t>(times.size());
 
   DisconnectionStats stats;
   stats.min_fraction = 1.0;
@@ -192,8 +185,6 @@ DisconnectionStats RunDisconnectionStudy(const NetworkModel& model,
     stats.max_fraction = std::max(stats.max_fraction, fractions[s]);
     recorder.Record(times[s], "disconnection.fraction", fractions[s]);
   }
-  summary.wall_seconds = timer.Seconds();
-  EmitStudySummary(summary);
   return stats;
 }
 

@@ -1,6 +1,6 @@
 // The one JSON encoder and file writer behind every exported artifact
-// (metrics, timeseries, Chrome trace, collapsed profile, run manifests,
-// network-state traces, bench records).
+// (metrics, timeseries, Chrome trace, collapsed profile, network-state
+// traces, bench records).
 //
 // AppendG17 writes exactly the bytes `printf("%.17g")` writes (17
 // significant digits round-trip every double) through std::to_chars,

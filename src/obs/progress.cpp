@@ -2,8 +2,10 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <utility>
 
-#include "obs/log.hpp"
+#include "core/mutex.hpp"
+#include "core/thread_annotations.hpp"
 #include "obs/trace.hpp"
 
 namespace leosim::obs {
@@ -24,6 +26,27 @@ int64_t ProgressIntervalNs() {
   return g_progress_interval_ns.load(std::memory_order_relaxed);
 }
 
+struct SinkState {
+  Mutex mutex;
+  ProgressSink sink LEOSIM_GUARDED_BY(mutex);  // empty = default stderr sink
+};
+
+SinkState& Sink() {
+  static SinkState* state = new SinkState();  // never destroyed: worker
+  // threads may report past static destruction order.
+  return *state;
+}
+
+void EmitLine(std::string_view line) {
+  SinkState& state = Sink();
+  const MutexLock lock(state.mutex);
+  if (state.sink) {
+    state.sink(line);
+  } else {
+    std::fwrite(line.data(), 1, line.size(), stderr);
+  }
+}
+
 }  // namespace
 
 bool ProgressEnabled() { return ProgressIntervalNs() > 0; }
@@ -31,6 +54,12 @@ bool ProgressEnabled() { return ProgressIntervalNs() > 0; }
 void SetProgressInterval(double seconds) {
   g_progress_interval_ns.store(ToIntervalNs(seconds),
                                std::memory_order_relaxed);
+}
+
+void SetProgressSink(ProgressSink sink) {
+  SinkState& state = Sink();
+  const MutexLock lock(state.mutex);
+  state.sink = std::move(sink);
 }
 
 ProgressReporter::ProgressReporter(std::string_view label, uint64_t total_steps)
@@ -93,11 +122,10 @@ void ProgressReporter::Emit(uint64_t done, bool final_line) const {
                         label_.c_str(), done, rate);
   }
   if (len > 0) {
-    detail::EmitLogLine(
-        std::string(buf, static_cast<size_t>(
-                             len < static_cast<int>(sizeof(buf))
-                                 ? len
-                                 : static_cast<int>(sizeof(buf)) - 1)));
+    EmitLine(std::string_view(
+        buf, static_cast<size_t>(len < static_cast<int>(sizeof(buf))
+                                     ? len
+                                     : static_cast<int>(sizeof(buf)) - 1)));
   }
 }
 

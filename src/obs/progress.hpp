@@ -1,12 +1,11 @@
 // Progress heartbeats for long study runs: completed-step counts with
-// rate and ETA, emitted as structured log lines at a configurable
+// rate and ETA, emitted as "[progress] ..." lines at a configurable
 // interval.
 //
 // Off by default. The interval (heartbeat period in seconds) is set with
 // SetProgressInterval (the --progress[=SEC] flag of every binary,
-// core::ObsFlags). Heartbeats bypass the
-// log-level gate — asking for progress is the gate — but go through the
-// normal log sink, so SetLogSink redirection and the sink mutex apply.
+// core::ObsFlags). Lines go to the progress sink (default: stderr),
+// which SetProgressSink swaps, one line at a time under the sink mutex.
 //
 // Cost model: Step() on a disabled reporter is one relaxed fetch_add.
 // Enabled, it adds a steady-clock read and a relaxed deadline check;
@@ -23,6 +22,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 
@@ -34,6 +34,13 @@ inline constexpr double kDefaultProgressIntervalSec = 2.0;
 bool ProgressEnabled();
 // Sets the interval; pass <= 0 to switch progress off.
 void SetProgressInterval(double seconds);
+
+// Replaces the line sink (default: one fwrite to stderr per line). The
+// sink is called with a whole line, newline included, under the sink
+// mutex — from any thread, but never concurrently. Passing nullptr
+// restores the default sink.
+using ProgressSink = std::function<void(std::string_view)>;
+void SetProgressSink(ProgressSink sink);
 
 // Tracks completed steps of one run phase. Enablement is latched at
 // construction, so a reporter is either fully on or costs one relaxed

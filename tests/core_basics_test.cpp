@@ -279,15 +279,14 @@ TEST(CliFlagsTest, FlagValueMatchesWholeName) {
 
 TEST(CliFlagsTest, ObsFlagsTakesOnlyItsOwnFlags) {
   ObsFlags flags;
-  EXPECT_TRUE(flags.Take("--log-level=debug"));
-  EXPECT_TRUE(flags.Take("--log-level=off"));
   EXPECT_TRUE(flags.Take("--progress"));
   EXPECT_TRUE(flags.Take("--progress=0.5"));
   EXPECT_TRUE(flags.Take("--metrics-out=m.json"));
+  EXPECT_TRUE(flags.Take("--trace-out=t.json"));
+  EXPECT_TRUE(flags.Take("--timeseries-out=ts.json"));
+  EXPECT_TRUE(flags.Take("--profile-out=p.collapsed"));
   EXPECT_FALSE(flags.Take("--pairs=5"));
-  EXPECT_FALSE(flags.Take("--log-level"));
-  EXPECT_THROW(flags.Take("--log-level=bogus"), std::invalid_argument);
-  EXPECT_THROW(flags.Take("--log-level="), std::invalid_argument);
+  EXPECT_FALSE(flags.Take("--trace-out"));
   EXPECT_THROW(flags.Take("--progress=abc"), std::invalid_argument);
   EXPECT_THROW(flags.Take("--progress=-1"), std::invalid_argument);
 }

@@ -1,10 +1,16 @@
 // Integration tests over the experiment drivers, at reduced scale.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <cstdlib>
+#include <functional>
 #include <limits>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "core/attenuation_study.hpp"
 #include "core/fiber_study.hpp"
@@ -18,6 +24,7 @@
 #include "graph/dijkstra.hpp"
 #include "obs/metrics.hpp"
 #include "obs/timeseries.hpp"
+#include "obs/trace.hpp"
 #include "scoped_threads.hpp"
 
 namespace leosim::core {
@@ -162,6 +169,132 @@ TEST(LatencyStudyTest, MetricsAndTimeseriesExportsRepeatByteForByte) {
   EXPECT_EQ(one.second, four.second);
   EXPECT_EQ(four.first, four_again.first);
   EXPECT_EQ(four.second, four_again.second);
+}
+
+// One event of the Chrome trace export, times in nanoseconds.
+struct TracedSpan {
+  std::string name;
+  int tid{0};
+  int64_t begin_ns{0};
+  int64_t end_ns{0};
+};
+
+// Parses obs::TraceToJson's one-object-per-event lines.
+std::vector<TracedSpan> ParseTrace(const std::string& json) {
+  const auto number_after = [&json](const std::string& key, size_t from) {
+    const size_t at = json.find(key, from);
+    return std::strtod(json.c_str() + at + key.size(), nullptr);
+  };
+  std::vector<TracedSpan> spans;
+  const std::string name_key = "{\"name\": \"";
+  for (size_t at = json.find(name_key); at != std::string::npos;
+       at = json.find(name_key, at + 1)) {
+    TracedSpan span;
+    const size_t name_begin = at + name_key.size();
+    span.name = json.substr(name_begin, json.find('"', name_begin) - name_begin);
+    span.tid = static_cast<int>(number_after("\"tid\": ", at));
+    // ts and dur are microseconds with three decimals: whole nanoseconds.
+    span.begin_ns = std::llround(number_after("\"ts\": ", at) * 1e3);
+    span.end_ns = span.begin_ns + std::llround(number_after("\"dur\": ", at) * 1e3);
+    spans.push_back(span);
+  }
+  return spans;
+}
+
+// Runs `study` traced on four workers and checks that it records exactly
+// one `root` event, on the calling thread, whose [ts, ts + dur] contains
+// every other event of the call on every thread.
+void ExpectOneRootSpan(const std::string& root, const std::function<void()>& study) {
+  const ScopedThreads threads(4);
+  obs::ResetTrace();
+  obs::EnableTracing(true);
+  {
+    const obs::Span caller("test.caller");  // marks the calling thread
+  }
+  study();
+  obs::EnableTracing(false);
+  const std::vector<TracedSpan> spans = ParseTrace(obs::TraceToJson());
+  obs::ResetTrace();
+
+  int caller_tid = -1;
+  const TracedSpan* root_span = nullptr;
+  int roots = 0;
+  for (const TracedSpan& span : spans) {
+    if (span.name == "test.caller") {
+      caller_tid = span.tid;
+    } else if (span.name == root) {
+      root_span = &span;
+      ++roots;
+    }
+  }
+  ASSERT_EQ(roots, 1) << root;
+  EXPECT_EQ(root_span->tid, caller_tid) << root;
+  std::set<int> tids;
+  for (const TracedSpan& span : spans) {
+    if (&span == root_span || span.name == "test.caller") {
+      continue;
+    }
+    tids.insert(span.tid);
+    EXPECT_GE(span.begin_ns, root_span->begin_ns) << span.name;
+    EXPECT_LE(span.end_ns, root_span->end_ns) << span.name;
+  }
+  // Not vacuous: the call traced inner spans, and on worker threads.
+  EXPECT_GT(spans.size(), 10u) << root;
+  EXPECT_GT(tids.size(), 1u) << root;
+}
+
+TEST(StudyRootSpanTest, LatencyStudyRecordsOneRootSpan) {
+  const auto pairs = TestPairs(12);
+  BpModel();
+  HybridModel();
+  ExpectOneRootSpan("study.latency", [&] {
+    RunLatencyStudy(BpModel(), HybridModel(), pairs, ShortSchedule());
+  });
+}
+
+TEST(StudyRootSpanTest, ThroughputSweepRecordsOneRootSpan) {
+  const auto pairs = TestPairs(12);
+  HybridModel();
+  ExpectOneRootSpan("study.throughput_sweep", [&] {
+    RunThroughputSweep(HybridModel(), pairs, 2, ShortSchedule());
+  });
+}
+
+uint64_t CounterValue(const char* name) {
+  return obs::MetricsRegistry::Global().GetCounter(name).Value();
+}
+
+TEST(StudyCountersTest, PairCountsMatchTheLatencyResult) {
+  const obs::MetricsRegistry::ScopedReset reset;
+  const auto pairs = TestPairs(12);
+  const LatencyStudyResult result =
+      RunLatencyStudy(BpModel(), HybridModel(), pairs, ShortSchedule());
+  uint64_t queries = 0;
+  uint64_t unreachable = 0;
+  for (const std::vector<PairRttSeries>* series : {&result.bp, &result.hybrid}) {
+    for (const PairRttSeries& s : *series) {
+      queries += s.rtt_ms.size();
+      unreachable += static_cast<uint64_t>(s.UnreachableCount());
+    }
+  }
+  EXPECT_EQ(queries, 2 * pairs.size() * result.snapshot_times.size());
+  EXPECT_EQ(CounterValue("study.pairs_routed"), queries - unreachable);
+  EXPECT_EQ(CounterValue("study.pairs_unreachable"), unreachable);
+}
+
+TEST(StudyCountersTest, PairCountsMatchTheThroughputResult) {
+  const obs::MetricsRegistry::ScopedReset reset;
+  const auto pairs = TestPairs(12);
+  const std::vector<ThroughputResult> results =
+      RunThroughputSweep(BpModel(), pairs, 2, ShortSchedule());
+  uint64_t routed = 0;
+  for (const ThroughputResult& r : results) {
+    routed += static_cast<uint64_t>(r.pairs_routed);
+  }
+  EXPECT_GT(routed, 0u);
+  EXPECT_EQ(CounterValue("study.pairs_routed"), routed);
+  EXPECT_EQ(CounterValue("study.pairs_unreachable"),
+            results.size() * pairs.size() - routed);
 }
 
 TEST(LatencyStudyTest, TracePairPathObservesHops) {

@@ -1,1 +1,1 @@
-void Report();  // diagnostics go through obs::Log
+void Report();  // reports through obs metrics and spans

@@ -1,5 +1,5 @@
-// Unit tests for the obs subsystem: log level gating, sharded metric
-// merges, span nesting, timeseries recording, progress heartbeats, and
+// Unit tests for the obs subsystem: sharded metric merges, span
+// nesting, timeseries recording, progress heartbeats, and
 // the JSON exports (validated with a strict little scanner so a stray
 // comma or unescaped quote fails here rather than in chrome://tracing).
 #include <gtest/gtest.h>
@@ -23,9 +23,7 @@
 #include <vector>
 
 #include "core/parallel.hpp"
-#include "core/report.hpp"
 #include "obs/json.hpp"
-#include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
 #include "obs/progress.hpp"
@@ -223,77 +221,22 @@ class JsonScanner {
   size_t pos_{0};
 };
 
-// Captures log lines through a scoped sink/level override and restores
-// the previous configuration on destruction, so tests do not leak
-// logging state into each other.
-class LogCapture {
+// Captures progress lines through a scoped sink override and restores
+// the default sink on destruction, so tests do not leak sink state into
+// each other.
+class ProgressCapture {
  public:
-  explicit LogCapture(LogLevel level) : previous_level_(GetLogLevel()) {
-    SetLogLevel(level);
-    SetLogSink([this](std::string_view line) {
+  ProgressCapture() {
+    SetProgressSink([this](std::string_view line) {
       lines_.emplace_back(line);
     });
   }
-  ~LogCapture() {
-    SetLogSink(nullptr);
-    SetLogLevel(previous_level_);
-  }
+  ~ProgressCapture() { SetProgressSink(nullptr); }
   const std::vector<std::string>& lines() const { return lines_; }
 
  private:
-  LogLevel previous_level_;
   std::vector<std::string> lines_;
 };
-
-TEST(ObsLogTest, ParseLogLevelRoundTrip) {
-  EXPECT_EQ(ParseLogLevel("off"), LogLevel::kOff);
-  EXPECT_EQ(ParseLogLevel("error"), LogLevel::kError);
-  EXPECT_EQ(ParseLogLevel("warn"), LogLevel::kWarn);
-  EXPECT_EQ(ParseLogLevel("info"), LogLevel::kInfo);
-  EXPECT_EQ(ParseLogLevel("debug"), LogLevel::kDebug);
-  EXPECT_EQ(ParseLogLevel("bogus"), LogLevel::kOff);
-  for (const LogLevel level : {LogLevel::kOff, LogLevel::kError, LogLevel::kWarn,
-                               LogLevel::kInfo, LogLevel::kDebug}) {
-    EXPECT_EQ(ParseLogLevel(ToString(level)), level);
-  }
-}
-
-TEST(ObsLogTest, LevelGateSuppressesBelowThreshold) {
-  LogCapture capture(LogLevel::kWarn);
-  LogDebug("gate.debug").Field("k", 1);
-  LogInfo("gate.info").Field("k", 2);
-  ASSERT_TRUE(capture.lines().empty());
-  LogWarn("gate.warn").Field("k", 3);
-  LogError("gate.error").Field("k", 4);
-  ASSERT_EQ(capture.lines().size(), 2u);
-  EXPECT_NE(capture.lines()[0].find("gate.warn"), std::string::npos);
-  EXPECT_NE(capture.lines()[0].find("k=3"), std::string::npos);
-  EXPECT_NE(capture.lines()[1].find("gate.error"), std::string::npos);
-}
-
-TEST(ObsLogTest, OffDisablesEverything) {
-  LogCapture capture(LogLevel::kOff);
-  LogError("gate.none").Field("k", 1);
-  EXPECT_TRUE(capture.lines().empty());
-}
-
-TEST(ObsLogTest, FieldsQuoteAwkwardValues) {
-  LogCapture capture(LogLevel::kInfo);
-  LogInfo("quoting")
-      .Field("plain", "simple")
-      .Field("spaced", "two words")
-      .Field("empty", "")
-      .Field("flag", true)
-      .Field("ratio", 0.5);
-  ASSERT_EQ(capture.lines().size(), 1u);
-  const std::string& line = capture.lines()[0];
-  EXPECT_NE(line.find("plain=simple"), std::string::npos);
-  EXPECT_NE(line.find("spaced=\"two words\""), std::string::npos);
-  EXPECT_NE(line.find("empty=\"\""), std::string::npos);
-  EXPECT_NE(line.find("flag=true"), std::string::npos);
-  EXPECT_NE(line.find("ratio=0.5"), std::string::npos);
-  EXPECT_EQ(line.back(), '\n');
-}
 
 TEST(ObsMetricsTest, CounterMergesAcrossThreads) {
   const MetricsRegistry::ScopedReset reset;
@@ -565,7 +508,7 @@ TEST(ObsTimeseriesTest, OverflowCountsDroppedSamples) {
 
 TEST(ObsProgressTest, OffMeansNoLines) {
   SetProgressInterval(0.0);
-  LogCapture capture(LogLevel::kOff);
+  ProgressCapture capture;
   {
     ProgressReporter progress("test_off", 4);
     progress.Step(4);
@@ -576,12 +519,10 @@ TEST(ObsProgressTest, OffMeansNoLines) {
 }
 
 TEST(ObsProgressTest, HeartbeatAndFinalLineWhenEnabled) {
-  // A vanishing interval makes every Step eligible to emit; the level is
-  // kOff to prove heartbeats bypass the log-level gate (asking for
-  // progress is the gate).
+  // A vanishing interval makes every Step eligible to emit.
   SetProgressInterval(1e-9);
   {
-    LogCapture capture(LogLevel::kOff);
+    ProgressCapture capture;
     {
       ProgressReporter progress("test_beat", 3);
       for (int i = 0; i < 3; ++i) {
@@ -610,7 +551,7 @@ TEST(ObsProgressTest, HeartbeatAndFinalLineWhenEnabled) {
 TEST(ObsProgressTest, StepsFromManyThreadsSumExactly) {
   SetProgressInterval(1e-9);
   {
-    LogCapture capture(LogLevel::kOff);
+    ProgressCapture capture;
     constexpr int kThreads = 8;
     constexpr int kSteps = 1000;
     {
@@ -892,31 +833,14 @@ TEST(ObsJsonTest, StringWithControlCharactersStaysValid) {
 TEST(ObsJsonTest, ExportsWithNonFiniteValuesScanValid) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
-  {
-    const ScopedTimeseries scoped;
-    TimeseriesRecorder& recorder = TimeseriesRecorder::Global();
-    recorder.Record(nan, "ts.json_nan", nan);
-    recorder.Record(1.0, "ts.json_inf", -inf);
-    const std::string json = recorder.ToJson();
-    EXPECT_TRUE(JsonScanner(json).Valid()) << json;
-    EXPECT_NE(json.find("[null, null]"), std::string::npos) << json;
-    EXPECT_NE(json.find("[1, null]"), std::string::npos) << json;
-  }
-  {
-    core::RunReport report("json\tnon-finite");
-    report.AddParam("nan", nan);
-    report.AddParam("inf", inf);
-    report.AddParam("count", 3);
-    core::StudySummary summary;
-    summary.study = "non-finite";
-    summary.wall_seconds = -inf;
-    report.AddSummary(summary);
-    const std::string json = report.ToJson();
-    EXPECT_TRUE(JsonScanner(json).Valid()) << json;
-    EXPECT_NE(json.find("\"nan\": null"), std::string::npos) << json;
-    EXPECT_NE(json.find("\"inf\": null"), std::string::npos) << json;
-    EXPECT_NE(json.find("\"count\": 3\n"), std::string::npos) << json;
-  }
+  const ScopedTimeseries scoped;
+  TimeseriesRecorder& recorder = TimeseriesRecorder::Global();
+  recorder.Record(nan, "ts.json_nan", nan);
+  recorder.Record(1.0, "ts.json_inf", -inf);
+  const std::string json = recorder.ToJson();
+  EXPECT_TRUE(JsonScanner(json).Valid()) << json;
+  EXPECT_NE(json.find("[null, null]"), std::string::npos) << json;
+  EXPECT_NE(json.find("[1, null]"), std::string::npos) << json;
 }
 
 TEST(ObsJsonTest, WriteFileWritesExactBytes) {

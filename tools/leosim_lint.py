@@ -27,14 +27,15 @@ Rules (each maps to a repo invariant documented in DESIGN.md):
   self-contained  Every header compiles standalone (g++ -fsyntax-only),
                    i.e. includes everything it uses.
   iostream-in-library
-                   No <iostream>/std::cout/std::cerr in src/. Library
-                   diagnostics go through obs::Log (gated, structured,
-                   redirectable); the one allowed writer is the default
-                   sink in src/obs/log.cpp. bench/ and examples/ print
-                   tables by design and are exempt.
-  study-summary   Every src/core/*_study.cpp calls EmitStudySummary:
-                   manifests, tests, and obs_report run comparisons all
-                   key on the shared summary line.
+                   No <iostream>/std::cout/std::cerr in src/. The library
+                   reports through obs exports (metrics, spans,
+                   timeseries) and progress lines through the
+                   redirectable obs::SetProgressSink, never a process-wide
+                   stream. bench/ and examples/ print tables by design
+                   and are exempt.
+  study-span      Every src/core/*_study.cpp opens an obs::Span named
+                   "study.<name>": each study run has a root span, so
+                   the trace and the profile attribute its wall time.
   study-router    No call to graph::ShortestPath, ShortestPathAStar,
                    RunAStar or KEdgeDisjointShortestPaths in
                    src/core/*_study.cpp or bench/*.cpp: studies and
@@ -274,9 +275,6 @@ PRAGMA_ONCE_RE = re.compile(r"^\s*#\s*pragma\s+once\s*$")
 IOSTREAM_RE = re.compile(
     r"#\s*include\s*<iostream>|\bstd::(?:cout|cerr|clog)\b"
 )
-# The default log sink writes to stderr via cstdio and is the one place
-# allowed to own a process-wide output stream.
-IOSTREAM_ALLOWLIST = {"src/obs/log.cpp"}
 
 
 def check_nondeterminism(ctx: LintContext) -> list[Finding]:
@@ -305,14 +303,12 @@ def check_geo_float(ctx: LintContext) -> list[Finding]:
 def check_iostream(ctx: LintContext) -> list[Finding]:
     findings = []
     for rel in ctx.files("src/"):
-        if rel in IOSTREAM_ALLOWLIST:
-            continue
         for lineno, line in enumerate(ctx.stripped(rel).splitlines(), start=1):
             if IOSTREAM_RE.search(line):
                 findings.append(Finding(
                     rel, lineno, "iostream-in-library",
-                    "use obs::Log (or a custom obs::SetLogSink) instead of "
-                    "iostream in src/"))
+                    "report through obs metrics, spans or the progress "
+                    "sink instead of iostream in src/"))
     return findings
 
 
@@ -345,17 +341,21 @@ def check_using_namespace(ctx: LintContext) -> list[Finding]:
     return findings
 
 
-def check_study_summary(ctx: LintContext) -> list[Finding]:
-    # Every study driver must report its run through the shared summary
-    # path: EmitStudySummary is what the manifests, tests, and obs_report
-    # comparisons key on, so a silent study is a lint error.
+STUDY_SPAN_RE = re.compile(r'\bobs::Span\s+\w+\s*[({]\s*"study\.')
+
+
+def check_study_span(ctx: LintContext) -> list[Finding]:
+    # Every study driver opens a "study.<name>" root span, so a run's
+    # wall time is attributed in the trace and the profile. The span
+    # name is a string literal, so this reads the uncommented view.
     findings = []
     for rel in ctx.files("src/core/", pattern=r"src/core/\w+_study\.cpp"):
-        if not re.search(r"\bEmitStudySummary\s*\(", ctx.stripped(rel)):
+        if not STUDY_SPAN_RE.search(ctx.uncommented(rel)):
             findings.append(Finding(
-                rel, 1, "study-summary",
-                "study driver never calls EmitStudySummary; every "
-                "src/core/*_study.cpp must report a StudySummary"))
+                rel, 1, "study-span",
+                "study driver opens no obs::Span named \"study.<name>\"; "
+                "every src/core/*_study.cpp must time its runs under a "
+                "study root span"))
     return findings
 
 
@@ -865,10 +865,11 @@ RULES: list[Rule] = [
          "no `using namespace` at namespace scope in headers",
          check_using_namespace),
     Rule("iostream-in-library",
-         "library diagnostics go through obs::Log, not iostream",
+         "no iostream in src/: the library reports through obs",
          check_iostream),
-    Rule("study-summary",
-         "every study driver calls EmitStudySummary", check_study_summary),
+    Rule("study-span",
+         "every study driver opens a study.<name> root span",
+         check_study_span),
     Rule("study-router",
          "study drivers route through core/slot_router", check_study_router),
     Rule("snapshot-workspace",

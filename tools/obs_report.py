@@ -21,8 +21,6 @@ shape:
   timeseries  TimeseriesRecorder exports (leosim.timeseries/1): per-key
               overlay stats over time-matched samples (mean/max
               deviation), gated by --threshold on relative drift.
-  manifest    RunReport manifests: params, per-study summaries, and a
-              recursive diff of the embedded metrics object.
   netstate    Network-state traces (leosim.netstate/1 JSONL): per-slot
               node/link counts and the first slot where the two runs'
               full states diverge. Informational.
@@ -160,11 +158,9 @@ def detect_kind(doc: dict) -> str:
         return "timeseries"
     if "suite" in doc and "results" in doc:
         return "bench"
-    if "run" in doc and "metrics" in doc:
-        return "manifest"
     if "counters" in doc:
         return "metrics"
-    raise ValueError("unrecognised artifact shape (not bench/metrics/timeseries/manifest)")
+    raise ValueError("unrecognised artifact shape (not bench/metrics/timeseries)")
 
 
 class Report:
@@ -381,48 +377,6 @@ def diff_timeseries(base: dict, cur: dict, report: Report, threshold: float) -> 
     db, dc = base.get("dropped_samples", 0), cur.get("dropped_samples", 0)
     if db or dc:
         report.note(f"dropped samples: baseline {db}, current {dc}")
-
-
-def diff_manifest(base: dict, cur: dict, report: Report) -> None:
-    report.section("run manifest")
-    rows = [["run", str(base.get("run")), str(cur.get("run"))],
-            ["threads", fmt(base.get("threads", 0)), fmt(cur.get("threads", 0))],
-            ["wall_seconds", f"{base.get('wall_seconds', 0.0):.3f}",
-             f"{cur.get('wall_seconds', 0.0):.3f}"]]
-    report.table(["field", "base", "now"], rows)
-
-    params_b, params_c = base.get("params", {}), cur.get("params", {})
-    changed = sorted(
-        k for k in set(params_b) | set(params_c) if params_b.get(k) != params_c.get(k)
-    )
-    if changed:
-        report.section("param differences")
-        report.table(
-            ["param", "base", "now"],
-            [[k, str(params_b.get(k, "-")), str(params_c.get(k, "-"))] for k in changed],
-        )
-
-    studies_b = {s.get("study", f"#{i}"): s for i, s in enumerate(base.get("studies", []))}
-    studies_c = {s.get("study", f"#{i}"): s for i, s in enumerate(cur.get("studies", []))}
-    report.section("study summaries")
-    rows = []
-    for name in sorted(set(studies_b) | set(studies_c)):
-        b, c = studies_b.get(name, {}), studies_c.get(name, {})
-        rows.append(
-            [
-                name,
-                f"{fmt(b.get('snapshots_built', 0))}/{fmt(c.get('snapshots_built', 0))}",
-                f"{fmt(b.get('pairs_routed', 0))}/{fmt(c.get('pairs_routed', 0))}",
-                f"{fmt(b.get('pairs_unreachable', 0))}/{fmt(c.get('pairs_unreachable', 0))}",
-                f"{b.get('wall_seconds', 0.0):.3f}/{c.get('wall_seconds', 0.0):.3f}",
-            ]
-        )
-    report.table(
-        ["study", "snapshots b/n", "routed b/n", "unreachable b/n", "wall_s b/n"], rows
-    )
-
-    if isinstance(base.get("metrics"), dict) and isinstance(cur.get("metrics"), dict):
-        diff_metrics(base["metrics"], cur["metrics"], report)
 
 
 def diff_netstate(base: dict, cur: dict, report: Report) -> None:
@@ -674,10 +628,8 @@ def main() -> int:
                 diff_timeseries(base, cur, report, args.threshold)
             elif base_kind == "netstate":
                 diff_netstate(base, cur, report)
-            elif base_kind == "netevents":
-                diff_netevents(base, cur, report)
             else:
-                diff_manifest(base, cur, report)
+                diff_netevents(base, cur, report)
         except (KeyError, TypeError) as err:
             # A well-shaped root with malformed entries (detect_kind
             # only sniffs top-level keys): attribute it to the file

@@ -381,6 +381,16 @@ class TraceKindTest(unittest.TestCase):
         self.assertIn("odd.json", proc.stderr)
         self.assertIn("foo", proc.stderr)
 
+    def test_former_run_manifest_is_an_unknown_shape(self) -> None:
+        # A run-manifest shape (a "run" beside a nested "metrics"
+        # object) is no artifact kind, and not a metrics export.
+        path = self.write("manifest.json", json.dumps(
+            {"run": "latency_study", "metrics": {"counters": {}}}))
+        proc = run_report([str(path), str(path)])
+        self.assertEqual(proc.returncode, 2, proc.stdout + proc.stderr)
+        self.assertIn("manifest.json", proc.stderr)
+        self.assertIn("unrecognised artifact shape", proc.stderr)
+
     def test_trace_line_without_slot_is_an_input_error(self) -> None:
         path = self.write(
             "netstate.jsonl",
