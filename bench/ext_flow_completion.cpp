@@ -25,9 +25,11 @@ std::vector<double> RunWorkload(const NetworkModel& model,
                                 const std::vector<CityPair>& pairs,
                                 int* starved_out) {
   SweepWorkspace ws;
-  NetworkModel::Snapshot& snap = model.BuildSnapshot(0.0, &ws.snapshot);
-  const RoutedFlows routed = RouteFlows(snap, pairs, GroupPairsBySource(pairs), 1,
-                                        CapacityModel::kSharedPerLink, &ws);
+  std::vector<std::vector<graph::Path>> paths;
+  const NetworkModel::Snapshot& snap =
+      RouteThroughputPaths(model, pairs, 1, 0.0, &ws, &paths);
+  const RoutedFlows routed =
+      FlowsFromPaths(snap.graph, paths, CapacityModel::kSharedPerLink);
   data::SplitMix64 rng(99);
   std::vector<flow::TemporalFlow> flows(static_cast<size_t>(routed.net.NumFlows()));
   for (flow::TemporalFlow& f : flows) {

@@ -39,7 +39,7 @@ int Run(int argc, char** argv) {
   PrintBanner(std::cout, "aggregate throughput per snapshot (Gbps)");
   Table table({"t (min)", "BP", "hybrid", "hybrid/BP"});
   // One parallel temporal sweep per model; each slot's result is
-  // identical to the per-snapshot RunThroughputStudy it replaces.
+  // identical to RunThroughputStudy at that slot's time.
   const std::vector<ThroughputResult> bp_sweep =
       RunThroughputSweep(bp, pairs, 4, schedule);
   const std::vector<ThroughputResult> hy_sweep =

@@ -31,9 +31,11 @@ int Run(int argc, char** argv) {
                             bench::MakeOptions(config, ConnectivityMode::kHybrid),
                             cities);
   SweepWorkspace ws;
-  NetworkModel::Snapshot& snap = hybrid.BuildSnapshot(0.0, &ws.snapshot);
-  const RoutedFlows routed = RouteFlows(snap, pairs, GroupPairsBySource(pairs), 1,
-                                        CapacityModel::kSharedPerLink, &ws);
+  std::vector<std::vector<graph::Path>> paths;
+  const NetworkModel::Snapshot& snap =
+      RouteThroughputPaths(hybrid, pairs, 1, 0.0, &ws, &paths);
+  const RoutedFlows routed =
+      FlowsFromPaths(snap.graph, paths, CapacityModel::kSharedPerLink);
 
   std::vector<double> weights;
   double weight_sum = 0.0;

@@ -370,8 +370,8 @@ int Run(int argc, char** argv) {
   rc = rc == 0 ? write_rc : rc;
   if (!trace_net_out.empty()) {
     if (core::NetTraceRecorder::Global().WriteTo(trace_net_out)) {
-      std::printf("wrote %s/netstate.jsonl and %s/netevents.jsonl\n",
-                  trace_net_out.c_str(), trace_net_out.c_str());
+      std::fprintf(stderr, "wrote %s/netstate.jsonl and %s/netevents.jsonl\n",
+                   trace_net_out.c_str(), trace_net_out.c_str());
     } else {
       std::fprintf(stderr, "cannot write trace files under %s\n",
                    trace_net_out.c_str());

@@ -7,7 +7,6 @@
 
 #include "core/report.hpp"
 #include "core/slot_router.hpp"
-#include "core/temporal_sweep.hpp"
 #include "flow/maxmin.hpp"
 #include "graph/components.hpp"
 #include "obs/timeseries.hpp"
@@ -83,14 +82,15 @@ RoutedFlows FlowsFromPaths(const graph::Graph& g,
   return routed;
 }
 
-RoutedFlows RouteFlows(NetworkModel::Snapshot& snap,
-                       const std::vector<CityPair>& pairs,
-                       const std::vector<SourceGroup>& groups, int k,
-                       CapacityModel capacity_model, SweepWorkspace* ws) {
+const NetworkModel::Snapshot& RouteThroughputPaths(
+    const NetworkModel& model, const std::vector<CityPair>& pairs, int k,
+    double time_sec, SweepWorkspace* ws,
+    std::vector<std::vector<graph::Path>>* paths) {
+  const obs::Span span("study.throughput");
   CheckPathCount(k);
-  std::vector<std::vector<graph::Path>> paths_of;
-  RouteSlotDisjointPaths(snap, pairs, groups, k, ws, &paths_of);
-  return FlowsFromPaths(snap.graph, paths_of, capacity_model);
+  NetworkModel::Snapshot& snap = model.BuildSnapshot(time_sec, &ws->snapshot);
+  RouteSlotDisjointPaths(snap, pairs, GroupPairsBySource(pairs), k, ws, paths);
+  return snap;
 }
 
 ThroughputResult ThroughputOf(const RoutedFlows& routed) {
@@ -119,21 +119,20 @@ void CheckPathCount(int k) {
 
 ThroughputResult RunThroughputStudy(const NetworkModel& model,
                                     const std::vector<CityPair>& pairs, int k,
-                                    double time_sec, CapacityModel capacity_model) {
-  const obs::Span span("study.throughput");
-  CheckPathCount(k);
+                                    double time_sec) {
   SweepWorkspace ws;
-  NetworkModel::Snapshot& snap = model.BuildSnapshot(time_sec, &ws.snapshot);
-  const std::vector<SourceGroup> groups = GroupPairsBySource(pairs);
-  const ThroughputResult result =
-      ThroughputOf(RouteFlows(snap, pairs, groups, k, capacity_model, &ws));
+  std::vector<std::vector<graph::Path>> paths_of;
+  const NetworkModel::Snapshot& snap =
+      RouteThroughputPaths(model, pairs, k, time_sec, &ws, &paths_of);
+  const ThroughputResult result = ThroughputOf(
+      FlowsFromPaths(snap.graph, paths_of, CapacityModel::kSharedPerLink));
   RecordThroughput({time_sec}, {result}, pairs.size());
   return result;
 }
 
 std::vector<ThroughputResult> RunThroughputSweep(
     const NetworkModel& model, const std::vector<CityPair>& pairs, int k,
-    const SnapshotSchedule& schedule, CapacityModel capacity_model) {
+    const SnapshotSchedule& schedule) {
   const obs::Span span("study.throughput_sweep");
   CheckPathCount(k);
   const std::vector<double> times = schedule.Times();
@@ -143,8 +142,10 @@ std::vector<ThroughputResult> RunThroughputSweep(
   sweep.Run("throughput_sweep", [&](const SweepItem& item, SweepWorkspace& ws) {
     NetworkModel::Snapshot& snap =
         model.BuildSnapshot(item.time_sec, &ws.snapshot);
-    results[static_cast<size_t>(item.slot)] =
-        ThroughputOf(RouteFlows(snap, pairs, groups, k, capacity_model, &ws));
+    std::vector<std::vector<graph::Path>> paths_of;
+    RouteSlotDisjointPaths(snap, pairs, groups, k, &ws, &paths_of);
+    results[static_cast<size_t>(item.slot)] = ThroughputOf(
+        FlowsFromPaths(snap.graph, paths_of, CapacityModel::kSharedPerLink));
   });
 
   // Serial, so the samples do not depend on worker scheduling.

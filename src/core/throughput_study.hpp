@@ -54,14 +54,16 @@ RoutedFlows FlowsFromPaths(const graph::Graph& g,
                            const std::vector<std::vector<graph::Path>>& paths_of,
                            CapacityModel capacity_model);
 
-// Routes `pairs` (grouped by `groups`) to their up to k edge-disjoint
-// paths with RouteSlotDisjointPaths, which uses `snap` and `ws`, and
-// builds their flows with FlowsFromPaths; unreachable pairs get none.
-// Throws std::invalid_argument when k < 1.
-RoutedFlows RouteFlows(NetworkModel::Snapshot& snap,
-                       const std::vector<CityPair>& pairs,
-                       const std::vector<SourceGroup>& groups, int k,
-                       CapacityModel capacity_model, SweepWorkspace* ws);
+// Builds the slot at `time_sec` into ws->snapshot and routes each pair to
+// its up to k edge-disjoint shortest paths, (*paths)[pair], empty when
+// unreachable (RouteSlotDisjointPaths, span study.throughput). Returns the
+// snapshot, whose edge ids the paths index, as do those of models that
+// differ only in link capacities; a pair's first j paths are its k = j
+// paths. Throws std::invalid_argument when k < 1.
+const NetworkModel::Snapshot& RouteThroughputPaths(
+    const NetworkModel& model, const std::vector<CityPair>& pairs, int k,
+    double time_sec, SweepWorkspace* ws,
+    std::vector<std::vector<graph::Path>>* paths);
 
 // Pairs routed, sub-flows and the max-min-fair total (span flow.maxmin)
 // of routed flows in which one pair's flows are consecutive.
@@ -72,23 +74,20 @@ ThroughputResult ThroughputOf(const RoutedFlows& routed);
 // reachable pair as routed with no sub-flows and 0 Gbps.
 void CheckPathCount(int k);
 
-// Aggregate max-min-fair throughput at one snapshot, every pair split
-// over up to k edge-disjoint shortest paths. Throws std::invalid_argument
-// when k < 1.
-ThroughputResult RunThroughputStudy(
-    const NetworkModel& model, const std::vector<CityPair>& pairs, int k,
-    double time_sec, CapacityModel capacity_model = CapacityModel::kSharedPerLink);
+// Aggregate max-min-fair throughput at one snapshot: RouteThroughputPaths,
+// then one kSharedPerLink allocation. Throws std::invalid_argument when k < 1.
+ThroughputResult RunThroughputStudy(const NetworkModel& model,
+                                    const std::vector<CityPair>& pairs, int k,
+                                    double time_sec);
 
 // Aggregate throughput at every snapshot of the schedule, one result per
-// slot. Slots run as a parallel temporal sweep (see core/temporal_sweep.hpp);
-// each slot's result is identical to RunThroughputStudy at that time, and
-// the timeseries samples/summary are emitted in a serial pass so outputs
-// do not depend on the thread count. Throws std::invalid_argument when
-// k < 1.
+// slot, each identical to RunThroughputStudy at that time. Slots run as a
+// parallel temporal sweep (core/temporal_sweep.hpp); the samples and pair
+// counts are recorded in a serial pass, independent of the thread count.
+// Throws std::invalid_argument when k < 1.
 std::vector<ThroughputResult> RunThroughputSweep(
     const NetworkModel& model, const std::vector<CityPair>& pairs, int k,
-    const SnapshotSchedule& schedule,
-    CapacityModel capacity_model = CapacityModel::kSharedPerLink);
+    const SnapshotSchedule& schedule);
 
 struct DisconnectionStats {
   double min_fraction{0.0};   // across snapshots

@@ -203,8 +203,10 @@ std::vector<TracedSpan> ParseTrace(const std::string& json) {
 
 // Runs `study` traced on four workers and checks that it records exactly
 // one `root` event, on the calling thread, whose [ts, ts + dur] contains
-// every other event of the call on every thread.
-void ExpectOneRootSpan(const std::string& root, const std::function<void()>& study) {
+// every other event of the call on every thread, and that those events
+// came from at least `min_threads` threads.
+void ExpectOneRootSpan(const std::string& root, const std::function<void()>& study,
+                       size_t min_threads) {
   const ScopedThreads threads(4);
   obs::ResetTrace();
   obs::EnableTracing(true);
@@ -238,9 +240,9 @@ void ExpectOneRootSpan(const std::string& root, const std::function<void()>& stu
     EXPECT_GE(span.begin_ns, root_span->begin_ns) << span.name;
     EXPECT_LE(span.end_ns, root_span->end_ns) << span.name;
   }
-  // Not vacuous: the call traced inner spans, and on worker threads.
+  // Not vacuous: the call traced inner spans, on as many threads as asked.
   EXPECT_GT(spans.size(), 10u) << root;
-  EXPECT_GT(tids.size(), 1u) << root;
+  EXPECT_GE(tids.size(), min_threads) << root;
 }
 
 TEST(StudyRootSpanTest, LatencyStudyRecordsOneRootSpan) {
@@ -249,7 +251,7 @@ TEST(StudyRootSpanTest, LatencyStudyRecordsOneRootSpan) {
   HybridModel();
   ExpectOneRootSpan("study.latency", [&] {
     RunLatencyStudy(BpModel(), HybridModel(), pairs, ShortSchedule());
-  });
+  }, 2);
 }
 
 TEST(StudyRootSpanTest, ThroughputSweepRecordsOneRootSpan) {
@@ -257,7 +259,19 @@ TEST(StudyRootSpanTest, ThroughputSweepRecordsOneRootSpan) {
   HybridModel();
   ExpectOneRootSpan("study.throughput_sweep", [&] {
     RunThroughputSweep(HybridModel(), pairs, 2, ShortSchedule());
-  });
+  }, 2);
+}
+
+// One slot routes on the calling thread: the root holds the snapshot
+// build and the disjoint-path routing, at k = 4 on the ALT tier.
+TEST(StudyRootSpanTest, ThroughputRoutingRecordsOneRootSpan) {
+  const auto pairs = TestPairs(60);
+  HybridModel();
+  ExpectOneRootSpan("study.throughput", [&] {
+    SweepWorkspace ws;
+    std::vector<std::vector<graph::Path>> paths;
+    RouteThroughputPaths(HybridModel(), pairs, 4, 0.0, &ws, &paths);
+  }, 1);
 }
 
 uint64_t CounterValue(const char* name) {
@@ -340,12 +354,17 @@ TEST(ThroughputStudyTest, MorePathsMoreThroughput) {
 
 TEST(ThroughputStudyTest, SeparateUpDownNeverLowersThroughput) {
   const auto pairs = TestPairs(40);
+  SweepWorkspace ws;
+  std::vector<std::vector<graph::Path>> paths;
+  const NetworkModel::Snapshot& snap =
+      RouteThroughputPaths(HybridModel(), pairs, 2, 0.0, &ws, &paths);
   const auto shared =
-      RunThroughputStudy(HybridModel(), pairs, 2, 0.0, CapacityModel::kSharedPerLink);
-  const auto directional = RunThroughputStudy(HybridModel(), pairs, 2, 0.0,
-                                              CapacityModel::kSeparateUpDown);
+      ThroughputOf(FlowsFromPaths(snap.graph, paths, CapacityModel::kSharedPerLink));
+  const auto directional =
+      ThroughputOf(FlowsFromPaths(snap.graph, paths, CapacityModel::kSeparateUpDown));
   EXPECT_GE(directional.total_gbps, shared.total_gbps - 1e-6);
   EXPECT_EQ(directional.subflows, shared.subflows);
+  EXPECT_EQ(shared.total_gbps, RunThroughputStudy(HybridModel(), pairs, 2, 0.0).total_gbps);
 }
 
 TEST(ThroughputStudyTest, CountsRoutedPairs) {

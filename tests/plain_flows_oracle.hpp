@@ -1,10 +1,11 @@
 // The plain oracle of the flow workloads, shared by the tests that hold
-// core::RouteFlows, the throughput studies and the greedy routing-policy
-// row to it: per pair, graph::KEdgeDisjointShortestPaths on the slot's
-// full graph (plain Dijkstra, no contraction, no potential), and a flow
-// network with one link per graph edge (two under separate up/down
-// capacities: 2e for a->b, 2e+1 for b->a) and one flow per path, in pair
-// order, then path order.
+// core::RouteThroughputPaths with core::FlowsFromPaths, the throughput
+// studies and the greedy routing-policy row to it: per pair,
+// graph::KEdgeDisjointShortestPaths on the slot's full graph (plain
+// Dijkstra, no contraction, no potential), and a flow network with one
+// link per graph edge (two under separate up/down capacities: 2e for
+// a->b, 2e+1 for b->a) and one flow per path, in pair order, then path
+// order.
 #pragma once
 
 #include <vector>

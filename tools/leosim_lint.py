@@ -41,8 +41,9 @@ Rules (each maps to a repo invariant documented in DESIGN.md):
                    src/core/*_study.cpp or bench/*.cpp: studies and
                    figure binaries route city pairs through
                    core/slot_router (RouteSlotPairs,
-                   RouteSlotDisjointPaths, or core::RouteFlows on top of
-                   it), the one routing policy every study shares.
+                   RouteSlotDisjointPaths, or core::RouteThroughputPaths
+                   on top of it), the one routing policy every study
+                   shares.
                    routing.cpp's order-dependent EXT-RT policies are not
                    a study file, and bench_pipeline.cpp benches the
                    plain searches next to the router's on purpose.

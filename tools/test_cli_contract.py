@@ -51,6 +51,10 @@ def contains(text: str) -> Callable[[str], Optional[str]]:
     return lambda out: None if text in out else f"missing {text!r}"
 
 
+def lacks(text: str) -> Callable[[str], Optional[str]]:
+    return lambda out: None if text not in out else f"unexpected {text!r}"
+
+
 def line_count(pattern: str, want: int) -> Callable[[str], Optional[str]]:
     regex = re.compile(pattern)
 
@@ -97,6 +101,7 @@ def rows(tmp: Path) -> list[Row]:
     short_tle = tmp / "short.tle"
     short_tle.write_text("SAT\n1 25544U\n2 25544\n")
     metrics = tmp / "metrics.json"
+    nettrace = tmp / "nettrace"
     return [
         # Malformed and out-of-range numbers.
         Row("fig5_isl_capacity", ["--spacing=abc"], 2, "--spacing: expected a number"),
@@ -173,6 +178,10 @@ def rows(tmp: Path) -> list[Row]:
             stdout=contains("Paris -> London (bent-pipe): RTT")),
         Row("fig5_isl_capacity", [*SMALL, f"--metrics-out={metrics}"], 0,
             f"# wrote {metrics}", stdout=json_file(metrics)),
+        # The note naming the trace directory goes to stderr too, so
+        # stdout does not depend on the output path.
+        Row("leosim_cli", ["cities", "Paris", f"--trace-net-out={nettrace}"], 0,
+            "wrote", stdout=lacks(str(nettrace))),
         Row("weather_planner", ["Singapore", "20"], 0,
             stdout=contains("20.00 GHz")),
         Row("tle_ingest", [], 0, stdout=contains("parsed 12 element sets")),
