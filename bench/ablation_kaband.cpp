@@ -43,9 +43,8 @@ int Run(int argc, char** argv) {
     const NetworkModel isl(scenario,
                            bench::MakeOptions(config, ConnectivityMode::kIslOnly),
                            cities);
-    AttenuationOptions options;
     const AttenuationDistributions result =
-        RunAttenuationStudy(bp, isl, pairs, 0.0, options);
+        RunAttenuationStudy(bp, isl, pairs, 0.0, 0.5);
     const double bp_median = Median(result.bp_db);
     const double isl_median = Median(result.isl_db);
     const double gap = bp_median - isl_median;

@@ -175,12 +175,10 @@ inline std::vector<core::CityPair> MakePairs(const BenchConfig& config,
 //     ]
 //   }
 //
-// max_ns_per_op, mad_ns_per_op, and samples_ns are schema-additive:
-// older records without them stay valid, and tooling keyed on
-// median/min keeps working unchanged. samples_ns holds every rep's
-// ns/op in run order — the raw distribution obs_report.py feeds its
-// Mann-Whitney significance test; mad_ns_per_op is the median absolute
-// deviation, the matching robust spread estimate.
+// samples_ns holds every rep's ns/op in run order — the raw
+// distribution obs_report.py feeds its Mann-Whitney significance test
+// (it rejects a record without it); mad_ns_per_op is the median
+// absolute deviation, the matching robust spread estimate.
 struct BenchResult {
   std::string name;
   int reps{0};

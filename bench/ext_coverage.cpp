@@ -58,8 +58,8 @@ int Run(int argc, char** argv) {
   PrintBanner(std::cout, "paper shells: mean visible satellites / availability");
   Table table({"constellation", "latitude", "mean visible", "availability"});
   for (const Scenario& scenario : {Scenario::Starlink(), Scenario::Kuiper()}) {
-    CoverageStudyOptions options;
-    for (const CoverageRow& row : RunCoverageStudy(scenario, options)) {
+    for (const CoverageRow& row :
+         RunCoverageStudy(scenario, {0, 10, 20, 30, 40, 45, 50, 53, 56, 60})) {
       table.AddRow({scenario.name, FormatDouble(row.latitude_deg, 0),
                     FormatDouble(row.mean_visible, 1),
                     FormatDouble(row.availability * 100.0, 1) + "%"});
@@ -73,9 +73,7 @@ int Run(int argc, char** argv) {
   for (const double e : {25.0, 30.0, 35.0, 40.0}) {
     Scenario scenario = Scenario::Starlink();
     scenario.radio.min_elevation_deg = e;
-    CoverageStudyOptions options;
-    options.latitudes_deg = {45.0};
-    const auto rows = RunCoverageStudy(scenario, options);
+    const auto rows = RunCoverageStudy(scenario, {45.0});
     mask.AddRow({FormatDouble(e, 0),
                  FormatDouble(geo::CoverageRadiusKm(550.0, e), 0),
                  FormatDouble(rows[0].mean_visible, 1),

@@ -29,9 +29,8 @@ int Run(int argc, char** argv) {
                             bench::MakeOptions(config, ConnectivityMode::kHybrid),
                             cities);
 
-  FailureStudyOptions options;
-  const auto bp_rows = RunFailureStudy(bp, pairs, options);
-  const auto hy_rows = RunFailureStudy(hybrid, pairs, options);
+  const auto bp_rows = RunFailureStudy(bp, pairs);
+  const auto hy_rows = RunFailureStudy(hybrid, pairs);
 
   PrintBanner(std::cout, "pair reachability and mean RTT vs failed satellites");
   Table table({"failed sats", "BP reachable", "BP mean RTT (ms)",

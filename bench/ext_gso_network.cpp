@@ -31,9 +31,8 @@ int Run(int argc, char** argv) {
   NetworkOptions base;
   base.relay_spacing_deg = config.relay_spacing_deg;
   base.aircraft_scale = config.aircraft_scale;
-  GsoNetworkOptions gso;  // Starlink's 22-deg separation
   const GsoNetworkResult result =
-      RunGsoNetworkStudy(Scenario::Starlink(), cities, pairs, base, gso);
+      RunGsoNetworkStudy(Scenario::Starlink(), cities, pairs, base);
 
   PrintBanner(std::cout, "effect of applying the 22-deg GSO exclusion to radio links");
   Table table({"mode", "reachable (no excl)", "reachable (excl)",

@@ -17,10 +17,6 @@ int Run(int argc, char** argv) {
   bench::ApplyObsConfig(config);
   std::printf("# Extension: GT-satellite pass durations and handover rates\n");
 
-  HandoverStudyOptions options;
-  options.duration_sec = 7200.0;
-  options.step_sec = 10.0;
-
   for (const Scenario& scenario : {Scenario::Starlink(), Scenario::Kuiper()}) {
     PrintBanner(std::cout, scenario.name + ": passes over 2 h, 10 s sampling");
     Table table({"terminal", "lat", "mean pass (min)", "max pass (min)",
@@ -28,7 +24,7 @@ int Run(int argc, char** argv) {
     for (const char* name :
          {"Singapore", "Delhi", "Paris", "London", "Anchorage"}) {
       const data::City& city = data::FindCity(name);
-      const HandoverStats stats = RunHandoverStudy(scenario, city.Coord(), options);
+      const HandoverStats stats = RunHandoverStudy(scenario, city.Coord());
       table.AddRow({name, FormatDouble(city.latitude_deg, 1),
                     FormatDouble(stats.mean_pass_duration_sec / 60.0, 1),
                     FormatDouble(stats.max_pass_duration_sec / 60.0, 1),

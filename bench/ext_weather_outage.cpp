@@ -31,9 +31,8 @@ int Run(int argc, char** argv) {
                             bench::MakeOptions(config, ConnectivityMode::kHybrid),
                             cities);
 
-  OutageStudyOptions options;  // 0.1% exceedance: heavy-rain conditions
-  const auto bp_rows = RunOutageStudy(bp, pairs, options);
-  const auto hy_rows = RunOutageStudy(hybrid, pairs, options);
+  const auto bp_rows = RunOutageStudy(bp, pairs);
+  const auto hy_rows = RunOutageStudy(hybrid, pairs);
 
   PrintBanner(std::cout,
               "pair reachability when links above the fade margin drop (0.1% weather)");

@@ -18,9 +18,8 @@ int Run(int argc, char** argv) {
 
   const std::vector<data::City> cities = bench::MakeCities(config);
   const SnapshotSchedule schedule = bench::MakeSchedule(config);
-  FiberStudyOptions options;  // Paris + 5 nearby cities within 250 km
-  const FiberStudyResult result =
-      RunFiberStudy(Scenario::Starlink(), cities, options, schedule);
+  // Paris + 5 nearby cities within 250 km.
+  const FiberStudyResult result = RunFiberStudy(Scenario::Starlink(), cities, schedule);
 
   PrintBanner(std::cout, "per-city mean visible Starlink satellites");
   Table table({"city", "mean visible sats", "fiber latency to metro (ms)"});

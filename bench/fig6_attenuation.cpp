@@ -30,10 +30,8 @@ int Run(int argc, char** argv) {
                          bench::MakeOptions(config, ConnectivityMode::kIslOnly),
                          cities);
 
-  AttenuationOptions options;
-  options.exceedance_pct = 0.5;  // 99.5th percentile
   const AttenuationDistributions result =
-      RunAttenuationStudy(bp, isl, pairs, 0.0, options);
+      RunAttenuationStudy(bp, isl, pairs, 0.0, 0.5);  // 99.5th percentile
 
   PrintBanner(std::cout, "Fig. 6: CDF of worst-link attenuation (dB), 0.5% exceedance");
   Table table({"percentile", "BP (dB)", "ISL (dB)"});

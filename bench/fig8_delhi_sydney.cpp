@@ -71,10 +71,9 @@ int Run(int argc, char** argv) {
   }
 
   // Fig. 8: attenuation vs exceedance probability.
-  AttenuationOptions options;
   const std::vector<double> exceedances = {0.1, 0.2, 0.5, 1.0, 2.0, 3.0, 5.0};
   const PathAttenuationCcdf ccdf =
-      TracePairAttenuation(bp, isl, "Delhi", "Sydney", 0.0, exceedances, options);
+      TracePairAttenuation(bp, isl, "Delhi", "Sydney", 0.0, exceedances);
 
   PrintBanner(std::cout, "Fig. 8: worst-link attenuation vs exceedance probability");
   Table table({"exceedance (%)", "BP (dB)", "ISL (dB)", "BP rx power", "ISL rx power"});

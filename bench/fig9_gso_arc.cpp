@@ -16,12 +16,11 @@ int Run(int argc, char** argv) {
   bench::ApplyObsConfig(config);
   std::printf("# Fig. 9: GSO arc-avoidance field-of-view reduction\n");
 
-  GsoStudyOptions options;  // e = 40 deg, separation = 22 deg
   std::vector<double> latitudes;
   for (double lat = 0.0; lat <= 70.0; lat += 5.0) {
     latitudes.push_back(lat);
   }
-  const auto rows = RunGsoArcStudy(latitudes, options);
+  const auto rows = RunGsoArcStudy(latitudes, 22.0);  // e = 40 deg, 22 deg sep
 
   PrintBanner(std::cout,
               "usable-sky fraction excluded by the GSO belt (e=40 deg, 22 deg sep)");
@@ -39,9 +38,7 @@ int Run(int argc, char** argv) {
   PrintBanner(std::cout, "sensitivity: exclusion angle sweep at the Equator");
   Table sweep({"separation (deg)", "excluded sky fraction"});
   for (const double sep : {12.0, 18.0, 22.0}) {
-    GsoStudyOptions o = options;
-    o.separation_deg = sep;
-    const auto r = RunGsoArcStudy({0.0}, o);
+    const auto r = RunGsoArcStudy({0.0}, sep);
     sweep.AddRow({FormatDouble(sep, 0), FormatDouble(r[0].excluded_sky_fraction, 3)});
   }
   sweep.Print(std::cout);

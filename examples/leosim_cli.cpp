@@ -270,10 +270,10 @@ int CmdTrace(const std::vector<std::string>& args) {
     std::fprintf(stderr, "cannot write trace files under %s\n", out_dir.c_str());
     return 1;
   }
-  std::printf("trace: %d slots (%s), replay validated, wrote %s/netstate.jsonl"
-              " and %s/netevents.jsonl\n",
-              recorder.NumSlots(), bent_pipe ? "bent-pipe" : "hybrid",
-              out_dir.c_str(), out_dir.c_str());
+  std::printf("trace: %d slots (%s), replay validated\n", recorder.NumSlots(),
+              bent_pipe ? "bent-pipe" : "hybrid");
+  std::fprintf(stderr, "wrote %s/netstate.jsonl and %s/netevents.jsonl\n",
+               out_dir.c_str(), out_dir.c_str());
   return 0;
 }
 

@@ -1,7 +1,6 @@
 #include "core/attenuation_study.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -32,28 +31,34 @@ const NetworkModel::Snapshot& RouteChains(const NetworkModel& model,
   return snap;
 }
 
+// The ITU-R model clamps an exceedance outside (0, 100) silently, and a
+// NaN reaches it as a NaN attenuation.
+void CheckExceedance(double exceedance_pct) {
+  if (!(exceedance_pct > 0.0 && exceedance_pct < 100.0)) {
+    throw std::invalid_argument("attenuation: exceedance_pct must be in (0, 100), got " +
+                                std::to_string(exceedance_pct));
+  }
+}
+
 }  // namespace
 
 double RadioLinkAttenuationDb(const NetworkModel& model,
                               const NetworkModel::Snapshot& snap,
                               graph::NodeId ground, graph::NodeId sat,
-                              double frequency_ghz,
-                              const AttenuationOptions& options) {
+                              double frequency_ghz, double exceedance_pct) {
   const double elevation = geo::ElevationAngleDeg(
       snap.node_ecef[static_cast<size_t>(ground)],
       snap.node_ecef[static_cast<size_t>(sat)]);
   itur::SlantPathConfig config;
   config.frequency_ghz = frequency_ghz;
-  config.antenna_diameter_m = options.antenna_diameter_m;
-  config.antenna_efficiency = options.antenna_efficiency;
   return itur::SlantPathAttenuationDb(model.GroundNodeCoord(snap, ground),
-                                      elevation, config, options.exceedance_pct);
+                                      elevation, config, exceedance_pct);
 }
 
 double WorstLinkAttenuationDb(const NetworkModel& model,
                               const NetworkModel::Snapshot& snap,
                               std::span<const graph::NodeId> path,
-                              const AttenuationOptions& options) {
+                              double exceedance_pct) {
   const link::RadioConfig& radio = model.scenario().radio;
   double worst = 0.0;
   for (size_t i = 0; i + 1 < path.size(); ++i) {
@@ -67,33 +72,19 @@ double WorstLinkAttenuationDb(const NetworkModel& model,
     worst = std::max(
         worst, RadioLinkAttenuationDb(
                    model, snap, up ? u : v, up ? v : u,
-                   up ? radio.uplink_freq_ghz : radio.downlink_freq_ghz, options));
+                   up ? radio.uplink_freq_ghz : radio.downlink_freq_ghz,
+                   exceedance_pct));
   }
   return worst;
-}
-
-void AttenuationOptions::Validate() const {
-  const auto require = [](bool ok, const char* what) {
-    if (!ok) {
-      throw std::invalid_argument(std::string("attenuation options: ") + what);
-    }
-  };
-  // Written so that NaN fails every check.
-  require(exceedance_pct > 0.0 && exceedance_pct < 100.0,
-          "exceedance_pct must be in (0, 100)");
-  require(std::isfinite(antenna_diameter_m) && antenna_diameter_m > 0.0,
-          "antenna_diameter_m must be finite and > 0");
-  require(antenna_efficiency > 0.0 && antenna_efficiency <= 1.0,
-          "antenna_efficiency must be in (0, 1]");
 }
 
 AttenuationDistributions RunAttenuationStudy(const NetworkModel& bp_model,
                                              const NetworkModel& isl_model,
                                              const std::vector<CityPair>& pairs,
                                              double time_sec,
-                                             const AttenuationOptions& options) {
+                                             double exceedance_pct) {
   const obs::Span span("study.attenuation");
-  options.Validate();
+  CheckExceedance(exceedance_pct);
   AttenuationDistributions result;
   // One mode at a time on one workspace: route every pair, then score
   // each reachable pair's chain in pair order.
@@ -109,7 +100,7 @@ AttenuationDistributions RunAttenuationStudy(const NetworkModel& bp_model,
         ++*unreachable;
       } else {
         db->push_back(
-            WorstLinkAttenuationDb(model, snap, routes.PathNodes(i), options));
+            WorstLinkAttenuationDb(model, snap, routes.PathNodes(i), exceedance_pct));
       }
     }
   };
@@ -126,14 +117,10 @@ PathAttenuationCcdf TracePairAttenuation(const NetworkModel& bp_model,
                                          const NetworkModel& isl_model,
                                          const std::string& city_a,
                                          const std::string& city_b, double time_sec,
-                                         const std::vector<double>& exceedances,
-                                         const AttenuationOptions& options) {
+                                         const std::vector<double>& exceedances) {
   const obs::Span span("study.attenuation_trace");
-  options.Validate();
   for (const double p : exceedances) {
-    AttenuationOptions at_p = options;
-    at_p.exceedance_pct = p;
-    at_p.Validate();
+    CheckExceedance(p);
   }
   const std::vector<CityPair> bp_pair = {
       {bp_model.CityIndex(city_a), bp_model.CityIndex(city_b)}};
@@ -153,11 +140,8 @@ PathAttenuationCcdf TracePairAttenuation(const NetworkModel& bp_model,
     const bool reachable = routes.rtt[0] != kInf;
     const obs::Span span("itur.attenuation");
     for (const double p : exceedances) {
-      AttenuationOptions at_p = options;
-      at_p.exceedance_pct = p;
-      db->push_back(reachable ? WorstLinkAttenuationDb(model, snap,
-                                                       routes.PathNodes(0), at_p)
-                              : 0.0);
+      db->push_back(
+          reachable ? WorstLinkAttenuationDb(model, snap, routes.PathNodes(0), p) : 0.0);
     }
     return reachable;
   };

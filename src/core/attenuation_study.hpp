@@ -18,26 +18,14 @@
 
 namespace leosim::core {
 
-struct AttenuationOptions {
-  double exceedance_pct{0.5};  // "99.5th percentile" headline statistic
-  double antenna_diameter_m{0.7};
-  double antenna_efficiency{0.5};
-
-  // Throws std::invalid_argument naming the first bad field: an
-  // exceedance outside (0, 100), a diameter that is not finite and > 0,
-  // or an efficiency outside (0, 1]. RunAttenuationStudy and
-  // TracePairAttenuation (once per exceedance) call it.
-  void Validate() const;
-};
-
 // Slant-path attenuation (dB) of the radio link between ground node
 // `ground` and satellite `sat` of `snap` at `frequency_ghz`, exceeded
-// options.exceedance_pct % of the time, for the antenna of `options`.
+// `exceedance_pct` % of the time, for itur::SlantPathConfig's antenna (a
+// 0.7 m dish at 50% efficiency, a Starlink user terminal).
 double RadioLinkAttenuationDb(const NetworkModel& model,
                               const NetworkModel::Snapshot& snap,
                               graph::NodeId ground, graph::NodeId sat,
-                              double frequency_ghz,
-                              const AttenuationOptions& options);
+                              double frequency_ghz, double exceedance_pct);
 
 // Worst radio-link attenuation (dB) along the node chain `path` (src ...
 // dst) in `snap`, at the given exceedance probability. Returns 0 for a
@@ -45,7 +33,7 @@ double RadioLinkAttenuationDb(const NetworkModel& model,
 double WorstLinkAttenuationDb(const NetworkModel& model,
                               const NetworkModel::Snapshot& snap,
                               std::span<const graph::NodeId> path,
-                              const AttenuationOptions& options);
+                              double exceedance_pct);
 
 struct AttenuationDistributions {
   std::vector<double> bp_db;   // per reachable pair
@@ -55,17 +43,19 @@ struct AttenuationDistributions {
 };
 
 // Fig. 6: distribution across city pairs of worst-link attenuation for the
-// BP network vs the ISL-only network at one snapshot. Throws
-// std::invalid_argument for bad options.
+// BP network vs the ISL-only network at one snapshot, exceeded
+// `exceedance_pct` % of the time (0.5 for the paper's "99.5th
+// percentile"). Throws std::invalid_argument for an exceedance outside
+// (0, 100).
 AttenuationDistributions RunAttenuationStudy(const NetworkModel& bp_model,
                                              const NetworkModel& isl_model,
                                              const std::vector<CityPair>& pairs,
                                              double time_sec,
-                                             const AttenuationOptions& options);
+                                             double exceedance_pct);
 
 // Fig. 8: worst-link attenuation of one pair's paths as a function of the
 // exceedance probability (a CCDF in disguise). Throws
-// std::invalid_argument for bad options or an exceedance outside (0, 100).
+// std::invalid_argument for an exceedance outside (0, 100).
 struct PathAttenuationCcdf {
   std::vector<double> exceedance_pct;
   std::vector<double> bp_db;
@@ -78,7 +68,6 @@ PathAttenuationCcdf TracePairAttenuation(const NetworkModel& bp_model,
                                          const NetworkModel& isl_model,
                                          const std::string& city_a,
                                          const std::string& city_b, double time_sec,
-                                         const std::vector<double>& exceedances,
-                                         const AttenuationOptions& options);
+                                         const std::vector<double>& exceedances);
 
 }  // namespace leosim::core

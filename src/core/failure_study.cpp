@@ -3,7 +3,6 @@
 #include <limits>
 #include <numeric>
 #include <stdexcept>
-#include <string>
 #include <utility>
 
 #include "core/report.hpp"
@@ -20,43 +19,28 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 
 }  // namespace
 
-void FailureStudyOptions::Validate() const {
-  for (const double fraction : failure_fractions) {
-    if (!(fraction >= 0.0 && fraction <= 1.0)) {
-      throw std::invalid_argument("failure fraction must be in [0, 1], got " +
-                                  std::to_string(fraction));
-    }
-  }
-  if (trials < 1) {
-    throw std::invalid_argument("failure trials must be >= 1, got " +
-                                std::to_string(trials));
-  }
-}
-
 std::vector<FailureRow> RunFailureStudy(const NetworkModel& model,
-                                        const std::vector<CityPair>& pairs,
-                                        const FailureStudyOptions& options) {
+                                        const std::vector<CityPair>& pairs) {
   const obs::Span span("study.failure");
-  options.Validate();
   if (pairs.empty()) {
     throw std::invalid_argument("failure study needs at least one city pair");
   }
   SweepWorkspace ws;
-  NetworkModel::Snapshot& snap = model.BuildSnapshot(options.time_sec, &ws.snapshot);
-  data::SplitMix64 rng(options.seed);
+  NetworkModel::Snapshot& snap = model.BuildSnapshot(0.0, &ws.snapshot);
+  data::SplitMix64 rng(kFailureSeed);
   const std::vector<SourceGroup> groups = GroupPairsBySource(pairs);
   SlotRoutes routes;
 
   std::vector<FailureRow> rows;
   uint64_t routed = 0;
   uint64_t unreachable = 0;
-  for (const double fraction : options.failure_fractions) {
+  for (const double fraction : kFailureFractions) {
     const int failures =
         static_cast<int>(fraction * static_cast<double>(snap.num_sats));
     double reachable_sum = 0.0;
     double rtt_sum = 0.0;
     int rtt_count = 0;
-    const int trials = failures == 0 ? 1 : options.trials;
+    const int trials = failures == 0 ? 1 : kFailureTrials;
     for (int trial = 0; trial < trials; ++trial) {
       // Kill a random satellite subset: disable all their incident edges.
       std::vector<int> order(static_cast<size_t>(snap.num_sats));

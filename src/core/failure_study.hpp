@@ -8,6 +8,7 @@
 // diversity that also absorbs hardware failures.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -16,17 +17,13 @@
 
 namespace leosim::core {
 
-struct FailureStudyOptions {
-  std::vector<double> failure_fractions{0.0, 0.05, 0.1, 0.2, 0.3};
-  double time_sec{0.0};
-  uint64_t seed{7};
-  int trials{3};  // random failure sets averaged per fraction
-
-  // Throws std::invalid_argument naming the first bad field: a failure
-  // fraction that is NaN or outside [0, 1], or trials below 1.
-  // RunFailureStudy calls it.
-  void Validate() const;
-};
+// The sweep ext_failures tabulates: the failed share of satellites per
+// row, the random failure sets averaged per nonzero fraction, and the
+// SplitMix64 seed they are drawn from (one stream across all rows). The
+// study routes its one snapshot at t = 0.
+inline constexpr std::array<double, 5> kFailureFractions{0.0, 0.05, 0.1, 0.2, 0.3};
+inline constexpr int kFailureTrials = 3;
+inline constexpr uint64_t kFailureSeed = 7;
 
 struct FailureRow {
   double failure_fraction{0.0};
@@ -35,10 +32,9 @@ struct FailureRow {
 };
 
 // Disables floor(fraction * num_sats) uniformly-random satellites (their
-// edges) and routes every pair. One row per requested fraction. Throws
-// std::invalid_argument for bad options or an empty pair list.
+// edges) and routes every pair. One row per kFailureFractions entry.
+// Throws std::invalid_argument for an empty pair list.
 std::vector<FailureRow> RunFailureStudy(const NetworkModel& model,
-                                        const std::vector<CityPair>& pairs,
-                                        const FailureStudyOptions& options);
+                                        const std::vector<CityPair>& pairs);
 
 }  // namespace leosim::core

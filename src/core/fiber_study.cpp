@@ -1,8 +1,6 @@
 #include "core/fiber_study.hpp"
 
-#include <cmath>
 #include <set>
-#include <stdexcept>
 
 #include "geo/geodesic.hpp"
 #include "link/visibility.hpp"
@@ -10,22 +8,11 @@
 
 namespace leosim::core {
 
-void FiberStudyOptions::Validate() const {
-  if (!(fiber_radius_km >= 0.0 && std::isfinite(fiber_radius_km)) ||
-      max_members < 0) {
-    throw std::invalid_argument(
-        "fiber options: need a finite fiber_radius_km >= 0 and max_members >= 0");
-  }
-}
-
 FiberStudyResult RunFiberStudy(const Scenario& scenario,
                                const std::vector<data::City>& cities,
-                               const FiberStudyOptions& options,
                                const SnapshotSchedule& schedule) {
   const obs::Span span("study.fiber");
-  options.Validate();
-  const ground::FiberGroup group = ground::BuildFiberGroup(
-      cities, options.metro, options.fiber_radius_km, options.max_members);
+  const ground::FiberGroup group = ground::BuildFiberGroup(cities);
 
   orbit::Constellation constellation;
   constellation.AddShell(scenario.shell);

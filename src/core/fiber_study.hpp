@@ -12,16 +12,6 @@
 
 namespace leosim::core {
 
-struct FiberStudyOptions {
-  std::string metro{"Paris"};
-  double fiber_radius_km{250.0};
-  int max_members{5};
-
-  // Throws std::invalid_argument unless fiber_radius_km is finite and
-  // >= 0 and max_members >= 0. RunFiberStudy calls it.
-  void Validate() const;
-};
-
 struct FiberMemberStats {
   std::string city;
   double mean_visible_sats{0.0};
@@ -47,9 +37,11 @@ struct FiberStudyResult {
   double link_gain{0.0};  // group / metro
 };
 
+// Compares ground::BuildFiberGroup's group (Paris and five nearby cities)
+// with the metro alone at each time of `schedule`. Throws
+// std::invalid_argument for a bad schedule (SnapshotSchedule::Validate).
 FiberStudyResult RunFiberStudy(const Scenario& scenario,
                                const std::vector<data::City>& cities,
-                               const FiberStudyOptions& options,
                                const SnapshotSchedule& schedule);
 
 }  // namespace leosim::core

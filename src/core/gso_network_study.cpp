@@ -1,9 +1,6 @@
 #include "core/gso_network_study.hpp"
 
-#include <cmath>
 #include <limits>
-#include <stdexcept>
-#include <string>
 
 #include "core/report.hpp"
 #include "core/slot_router.hpp"
@@ -60,25 +57,11 @@ std::vector<CityPair> CrossHemispherePairs(const std::vector<data::City>& cities
   return crossing;
 }
 
-void GsoNetworkOptions::Validate() const {
-  const auto require = [](bool ok, const char* what) {
-    if (!ok) {
-      throw std::invalid_argument(std::string("gso network options: ") + what);
-    }
-  };
-  // Written so that NaN fails every check.
-  require(separation_deg >= 0.0 && separation_deg <= 180.0,
-          "separation_deg must be in [0, 180]");
-  require(std::isfinite(time_sec), "time_sec must be finite");
-}
-
 GsoNetworkResult RunGsoNetworkStudy(const Scenario& scenario,
                                     const std::vector<data::City>& cities,
                                     const std::vector<CityPair>& pairs,
-                                    const NetworkOptions& base_options,
-                                    const GsoNetworkOptions& gso) {
+                                    const NetworkOptions& base_options) {
   const obs::Span span("study.gso_network");
-  gso.Validate();
   // One hybrid snapshot per exclusion setting, routed as built and with
   // its ISLs masked (the bent-pipe view, as in the latency study): a
   // bent-pipe model differs from its hybrid twin only in the mode, so
@@ -90,7 +73,6 @@ GsoNetworkResult RunGsoNetworkStudy(const Scenario& scenario,
   plain.apply_gso_exclusion = false;
   NetworkOptions excluded = plain;
   excluded.apply_gso_exclusion = true;
-  excluded.gso_separation_deg = gso.separation_deg;
   const std::vector<SourceGroup> groups = GroupPairsBySource(pairs);
   SweepWorkspace ws;
   SlotRoutes hybrid[2];
@@ -98,7 +80,7 @@ GsoNetworkResult RunGsoNetworkStudy(const Scenario& scenario,
   const NetworkOptions* variants[2] = {&plain, &excluded};
   for (size_t v = 0; v < 2; ++v) {
     const NetworkModel model(scenario, *variants[v], cities);
-    RouteSlotPairsHybridAndBentPipe(model.BuildSnapshot(gso.time_sec, &ws.snapshot),
+    RouteSlotPairsHybridAndBentPipe(model.BuildSnapshot(0.0, &ws.snapshot),
                                     pairs, groups, &ws, &hybrid[v], &bent_pipe[v]);
   }
   GsoNetworkResult result;

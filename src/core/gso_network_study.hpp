@@ -15,16 +15,6 @@
 
 namespace leosim::core {
 
-struct GsoNetworkOptions {
-  double separation_deg{22.0};
-  double time_sec{0.0};
-
-  // Throws std::invalid_argument naming the first bad field: a separation
-  // that is not finite or outside [0, 180], or a time that is not finite.
-  // RunGsoNetworkStudy calls it.
-  void Validate() const;
-};
-
 struct GsoModeImpact {
   int pairs{0};
   int reachable_without_exclusion{0};
@@ -48,13 +38,12 @@ std::vector<CityPair> CrossHemispherePairs(const std::vector<data::City>& cities
 
 // `base_options` configures the shared ground segment (relay spacing,
 // aircraft); the study derives a hybrid model without and one with the
-// exclusion from it, and routes each one's snapshot as built and with its
-// ISLs masked (the bent-pipe view).
-// Throws std::invalid_argument for bad options.
+// exclusion (Starlink's 22-degree separation, NetworkOptions::
+// apply_gso_exclusion) from it, and routes each one's snapshot at t = 0 as
+// built and with its ISLs masked (the bent-pipe view).
 GsoNetworkResult RunGsoNetworkStudy(const Scenario& scenario,
                                     const std::vector<data::City>& cities,
                                     const std::vector<CityPair>& pairs,
-                                    const NetworkOptions& base_options,
-                                    const GsoNetworkOptions& gso);
+                                    const NetworkOptions& base_options);
 
 }  // namespace leosim::core

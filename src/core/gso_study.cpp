@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "geo/angles.hpp"
 #include "geo/coordinates.hpp"
@@ -11,6 +12,12 @@
 namespace leosim::core {
 
 namespace {
+
+// Fig. 9's terminal: Starlink's full-deployment minimum elevation, and the
+// sky dome sampled every 3 degrees of azimuth and 1.5 degrees of elevation.
+constexpr double kMinElevationDeg = 40.0;
+constexpr double kAzimuthStepDeg = 3.0;
+constexpr double kElevationStepDeg = 1.5;
 
 // ECEF point 1000 km out from `gt` along the direction given by azimuth
 // (clockwise from north) and elevation in the local horizon frame.
@@ -32,36 +39,34 @@ geo::Vec3 DirectionTarget(const geo::Vec3& gt, double gt_lat_deg, double gt_lon_
 
 }  // namespace
 
-void GsoStudyOptions::Validate() const {
-  // NaN fails too; the samplers add each step until the elevation passes
-  // 90 degrees or the azimuth 360.
-  for (const double step : {azimuth_step_deg, elevation_step_deg}) {
-    if (!(std::isfinite(step) && step > 0.0 && 360.0 + step > 360.0)) {
-      throw std::invalid_argument(
-          "gso options: sampling steps must be finite, > 0 and advance past "
-          "360 degrees");
+std::vector<GsoStudyRow> RunGsoArcStudy(const std::vector<double>& latitudes_deg,
+                                        double separation_deg) {
+  const obs::Span span("study.gso_arc");
+  // Written so that NaN fails: a NaN separation would exclude nothing and
+  // a NaN latitude would print a nan row.
+  if (!(separation_deg >= 0.0 && separation_deg <= 180.0)) {
+    throw std::invalid_argument("gso arc study: separation_deg must be in [0, 180], got " +
+                                std::to_string(separation_deg));
+  }
+  for (const double lat : latitudes_deg) {
+    if (!(lat >= -90.0 && lat <= 90.0)) {
+      throw std::invalid_argument("gso arc study: latitude must be in [-90, 90], got " +
+                                  std::to_string(lat));
     }
   }
-}
-
-std::vector<GsoStudyRow> RunGsoArcStudy(const std::vector<double>& latitudes_deg,
-                                        const GsoStudyOptions& options) {
-  const obs::Span span("study.gso_arc");
-  options.Validate();
   std::vector<GsoStudyRow> rows;
   rows.reserve(latitudes_deg.size());
   for (const double lat : latitudes_deg) {
     const geo::Vec3 gt = geo::GeodeticToEcef({lat, 0.0, 0.0});
     double usable_weight = 0.0;
     double excluded_weight = 0.0;
-    for (double el = options.min_elevation_deg; el < 90.0;
-         el += options.elevation_step_deg) {
+    for (double el = kMinElevationDeg; el < 90.0; el += kElevationStepDeg) {
       // Solid-angle weight of this elevation band.
       const double weight = std::cos(geo::DegToRad(el));
-      for (double az = 0.0; az < 360.0; az += options.azimuth_step_deg) {
+      for (double az = 0.0; az < 360.0; az += kAzimuthStepDeg) {
         const geo::Vec3 target = DirectionTarget(gt, lat, 0.0, az, el);
         usable_weight += weight;
-        if (link::MinGsoArcSeparationDeg(gt, target, 360) < options.separation_deg) {
+        if (link::MinGsoArcSeparationDeg(gt, target, 360) < separation_deg) {
           excluded_weight += weight;
         }
       }

@@ -9,18 +9,6 @@
 
 namespace leosim::core {
 
-struct GsoStudyOptions {
-  double min_elevation_deg{40.0};  // Starlink full-deployment value (Fig. 9)
-  double separation_deg{22.0};     // Starlink filing value
-  // Sky-dome sampling resolution.
-  double azimuth_step_deg{3.0};
-  double elevation_step_deg{1.5};
-
-  // Throws std::invalid_argument unless both steps are finite, > 0 and
-  // advance an angle of 360 degrees. RunGsoArcStudy calls it.
-  void Validate() const;
-};
-
 struct GsoStudyRow {
   double latitude_deg{0.0};
   // Fraction of the usable sky dome (elevation >= min) lost to the
@@ -28,7 +16,13 @@ struct GsoStudyRow {
   double excluded_sky_fraction{0.0};
 };
 
+// One row per latitude, for a terminal that must keep `separation_deg`
+// from the GSO arc (Starlink files 22 degrees) above Starlink's
+// full-deployment 40-degree minimum elevation. Throws
+// std::invalid_argument, before sampling anything, for a separation that
+// is not in [0, 180] or a latitude that is not in [-90, 90] (NaN fails
+// both).
 std::vector<GsoStudyRow> RunGsoArcStudy(const std::vector<double>& latitudes_deg,
-                                        const GsoStudyOptions& options);
+                                        double separation_deg);
 
 }  // namespace leosim::core

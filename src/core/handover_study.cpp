@@ -15,21 +15,17 @@
 
 namespace leosim::core {
 
-void HandoverStudyOptions::Validate() const {
-  // NaN fails too; the sampler adds step_sec until t passes duration_sec.
-  if (!(duration_sec > 0.0 && std::isfinite(step_sec) && step_sec > 0.0 &&
-        duration_sec + step_sec > duration_sec)) {
-    throw std::invalid_argument(
-        "handover options: need a finite duration_sec > 0 and a finite "
-        "step_sec > 0 that advances past it");
-  }
-}
+namespace {
+
+// The observation window ext_handover tabulates: 2 h, sampled every 10 s.
+constexpr double kDurationSec = 7200.0;
+constexpr double kStepSec = 10.0;
+
+}  // namespace
 
 HandoverStats RunHandoverStudy(const Scenario& scenario,
-                               const geo::GeodeticCoord& terminal,
-                               const HandoverStudyOptions& options) {
+                               const geo::GeodeticCoord& terminal) {
   const obs::Span span("study.handover");
-  options.Validate();
   if (!(terminal.latitude_deg >= -90.0 && terminal.latitude_deg <= 90.0 &&
         std::isfinite(terminal.longitude_deg) &&
         std::isfinite(terminal.altitude_km))) {
@@ -55,7 +51,7 @@ HandoverStats RunHandoverStudy(const Scenario& scenario,
   // it leaves is event-only: handover events per slot, no netstate
   // keyframes, on the sampling loop's timeline.
   std::vector<double> times;
-  for (double t = 0.0; t <= options.duration_sec; t += options.step_sec) {
+  for (double t = 0.0; t <= kDurationSec; t += kStepSec) {
     times.push_back(t);
   }
   NetTraceRecorder& net_trace = NetTraceRecorder::Global();
@@ -125,7 +121,7 @@ HandoverStats RunHandoverStudy(const Scenario& scenario,
     stats.min_pass_duration_sec = min;
   }
   stats.mean_visible_sats = static_cast<double>(visible_sum) / samples;
-  stats.pass_endings_per_hour = endings / (options.duration_sec / 3600.0);
+  stats.pass_endings_per_hour = endings / (kDurationSec / 3600.0);
   stats.outage_fraction = static_cast<double>(outage_samples) / samples;
   return stats;
 }

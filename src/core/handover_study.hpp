@@ -11,16 +11,6 @@
 
 namespace leosim::core {
 
-struct HandoverStudyOptions {
-  double duration_sec{7200.0};
-  double step_sec{10.0};
-
-  // Throws std::invalid_argument unless duration_sec is finite and > 0
-  // (the rates divide by it) and step_sec is finite, > 0 and advances t
-  // at duration_sec. RunHandoverStudy calls it.
-  void Validate() const;
-};
-
 struct HandoverStats {
   // Passes that both start and end inside the observation window.
   int completed_passes{0};
@@ -36,11 +26,11 @@ struct HandoverStats {
   double outage_fraction{0.0};
 };
 
-// Throws std::invalid_argument when `options` fails Validate or the
+// Samples the terminal's sky every 10 s over a 2 h window from t = 0 (the
+// window ext_handover tabulates). Throws std::invalid_argument when the
 // terminal's latitude is outside [-90, 90] or any of its fields is not
 // finite.
 HandoverStats RunHandoverStudy(const Scenario& scenario,
-                               const geo::GeodeticCoord& terminal,
-                               const HandoverStudyOptions& options);
+                               const geo::GeodeticCoord& terminal);
 
 }  // namespace leosim::core

@@ -19,6 +19,12 @@ namespace leosim::core {
 
 namespace {
 
+// apply_gso_exclusion drops a radio link that points within Starlink's
+// filed 22-degree separation of the GSO arc (paper §7), the arc sampled
+// every 2 degrees of longitude.
+constexpr double kGsoSeparationDeg = 22.0;
+constexpr int kGsoArcSamples = 180;
+
 struct SnapshotMetrics {
   obs::Counter& builds =
       obs::MetricsRegistry::Global().GetCounter("snapshot.builds");
@@ -67,8 +73,6 @@ void NetworkOptions::Validate() const {
           "relay_spacing_deg must be finite and > 0");
   require(std::isfinite(aircraft_scale) && aircraft_scale >= 0.0,
           "aircraft_scale must be finite and >= 0");
-  require(gso_separation_deg >= 0.0 && gso_separation_deg <= 180.0,
-          "gso_separation_deg must be in [0, 180]");
   require(max_gt_links_per_satellite >= 0,
           "max_gt_links_per_satellite must be >= 0");
 }
@@ -178,7 +182,6 @@ NetworkModel::Snapshot& NetworkModel::BuildSnapshot(
   }
 
   const double gt_capacity = scenario_.radio.capacity_gbps;
-  const link::GsoConfig gso_config{options_.gso_separation_deg, 180};
   const int first_ground = snap.num_sats;
 
   // Stage candidate radio links terminal-major, then counting-sort them
@@ -204,8 +207,8 @@ NetworkModel::Snapshot& NetworkModel::BuildSnapshot(
       for (size_t k = 0; k < workspace->visible.size(); ++k) {
         const int sat = workspace->visible[k];
         if (options_.apply_gso_exclusion &&
-            link::ViolatesGsoExclusion(ground, sat_ecef[static_cast<size_t>(sat)],
-                                       gso_config)) {
+            link::MinGsoArcSeparationDeg(ground, sat_ecef[static_cast<size_t>(sat)],
+                                         kGsoArcSamples) < kGsoSeparationDeg) {
           continue;
         }
         const double latency_ms =

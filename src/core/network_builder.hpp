@@ -41,9 +41,9 @@ struct NetworkOptions {
   // Aircraft relays (ignored in kIslOnly mode).
   bool use_aircraft{true};
   double aircraft_scale{1.0};
-  // Optional GSO-arc exclusion applied to every radio link (paper §7).
+  // Optional GSO-arc exclusion applied to every radio link, at Starlink's
+  // 22-degree separation (paper §7).
   bool apply_gso_exclusion{false};
-  double gso_separation_deg{22.0};
   // Per-satellite beam budget: at most this many simultaneous GT links per
   // satellite, closest terminals first (paper §2 notes satellites serve
   // multiple GTs on different frequency bands — a finite resource).
@@ -52,9 +52,8 @@ struct NetworkOptions {
   uint64_t seed{4242};
 
   // Throws std::invalid_argument naming the first bad field: a relay
-  // spacing that is not finite and > 0, an aircraft scale or beam budget
-  // below 0 (or NaN), or a GSO separation outside [0, 180] degrees.
-  // NetworkModel's constructors call it.
+  // spacing that is not finite and > 0, or an aircraft scale or beam
+  // budget below 0 (or NaN). NetworkModel's constructors call it.
   void Validate() const;
   bool operator==(const NetworkOptions&) const = default;
 };

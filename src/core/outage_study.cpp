@@ -1,11 +1,10 @@
 #include "core/outage_study.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <stdexcept>
-#include <string>
 
+#include "core/attenuation_study.hpp"
 #include "core/report.hpp"
 #include "core/slot_router.hpp"
 #include "core/temporal_sweep.hpp"
@@ -21,26 +20,14 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 
 }  // namespace
 
-void OutageStudyOptions::Validate() const {
-  for (const double margin : margins_db) {
-    if (!std::isfinite(margin)) {
-      throw std::invalid_argument("outage margin must be finite, got " +
-                                  std::to_string(margin));
-    }
-  }
-  attenuation.Validate();
-}
-
 std::vector<OutageRow> RunOutageStudy(const NetworkModel& model,
-                                      const std::vector<CityPair>& pairs,
-                                      const OutageStudyOptions& options) {
+                                      const std::vector<CityPair>& pairs) {
   const obs::Span span("study.outage");
-  options.Validate();
   if (pairs.empty()) {
     throw std::invalid_argument("outage study needs at least one city pair");
   }
   SweepWorkspace ws;
-  NetworkModel::Snapshot& snap = model.BuildSnapshot(options.time_sec, &ws.snapshot);
+  NetworkModel::Snapshot& snap = model.BuildSnapshot(0.0, &ws.snapshot);
   const link::RadioConfig& radio = model.scenario().radio;
 
   // Worst-direction attenuation per radio link (up-link frequency is the
@@ -55,9 +42,9 @@ std::vector<OutageRow> RunOutageStudy(const NetworkModel& model,
       const graph::NodeId sat = snap.IsSat(rec.a) ? rec.a : rec.b;
       link_attenuation[i] = std::max(
           RadioLinkAttenuationDb(model, snap, ground, sat,
-                                 radio.uplink_freq_ghz, options.attenuation),
+                                 radio.uplink_freq_ghz, kOutageExceedancePct),
           RadioLinkAttenuationDb(model, snap, ground, sat,
-                                 radio.downlink_freq_ghz, options.attenuation));
+                                 radio.downlink_freq_ghz, kOutageExceedancePct));
     }
   }
 
@@ -66,10 +53,10 @@ std::vector<OutageRow> RunOutageStudy(const NetworkModel& model,
   SlotRoutes routes;
   obs::TimeseriesRecorder& recorder = obs::TimeseriesRecorder::Global();
   obs::ProgressReporter progress(
-      "outage", static_cast<uint64_t>(options.margins_db.size()));
+      "outage", static_cast<uint64_t>(kOutageMarginsDb.size()));
   uint64_t routed = 0;
   uint64_t unreachable = 0;
-  for (const double margin : options.margins_db) {
+  for (const double margin : kOutageMarginsDb) {
     // Disable links that would be in outage at this margin.
     int disabled = 0;
     for (size_t i = 0; i < snap.radio_edges.size(); ++i) {
@@ -106,8 +93,6 @@ std::vector<OutageRow> RunOutageStudy(const NetworkModel& model,
     rows.push_back(row);
     progress.Step();
   }
-  // Restore the snapshot for good hygiene (it is ours, but cheap).
-  snap.graph.EnableAllEdges();
   CountStudyPairs(routed, unreachable);
   return rows;
 }

@@ -6,25 +6,19 @@
 // bounces through wet regions, shatter before hybrid paths do.
 #pragma once
 
+#include <array>
 #include <vector>
 
-#include "core/attenuation_study.hpp"
 #include "core/network_builder.hpp"
 #include "core/traffic_matrix.hpp"
 
 namespace leosim::core {
 
-struct OutageStudyOptions {
-  std::vector<double> margins_db{10.0, 6.0, 4.0, 3.0, 2.0};
-  double time_sec{0.0};
-  // The antenna, and the weather percentile the margin must survive.
-  AttenuationOptions attenuation{.exceedance_pct = 0.1};
-
-  // Throws std::invalid_argument naming the first bad field: a margin
-  // that is not finite, or a bad field of `attenuation`
-  // (AttenuationOptions::Validate). RunOutageStudy calls it.
-  void Validate() const;
-};
+// The fade margins ext_weather_outage sweeps, one row each, and the
+// weather percentile a margin must survive: 0.1% exceedance, heavy-rain
+// conditions. The study scores its one snapshot at t = 0.
+inline constexpr std::array<double, 5> kOutageMarginsDb{10.0, 6.0, 4.0, 3.0, 2.0};
+inline constexpr double kOutageExceedancePct = 0.1;
 
 struct OutageRow {
   double margin_db{0.0};
@@ -33,10 +27,9 @@ struct OutageRow {
   double mean_rtt_ms{0.0};         // over reachable pairs
 };
 
-// One row per margin. Throws std::invalid_argument for bad options or an
+// One row per kOutageMarginsDb entry. Throws std::invalid_argument for an
 // empty pair list.
 std::vector<OutageRow> RunOutageStudy(const NetworkModel& model,
-                                      const std::vector<CityPair>& pairs,
-                                      const OutageStudyOptions& options);
+                                      const std::vector<CityPair>& pairs);
 
 }  // namespace leosim::core

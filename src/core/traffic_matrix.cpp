@@ -1,7 +1,6 @@
 #include "core/traffic_matrix.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <set>
 #include <stdexcept>
@@ -12,9 +11,8 @@
 namespace leosim::core {
 
 void TrafficMatrixOptions::Validate() const {
-  if (num_pairs < 0 || !(min_distance_km >= 0.0 && std::isfinite(min_distance_km))) {
-    throw std::invalid_argument(
-        "traffic matrix: need num_pairs >= 0 and a finite min_distance_km >= 0");
+  if (num_pairs < 0) {
+    throw std::invalid_argument("traffic matrix: need num_pairs >= 0");
   }
 }
 
@@ -63,7 +61,7 @@ std::vector<CityPair> SamplePairs(const std::vector<data::City>& cities,
     }
     if (geo::GreatCircleDistanceKm(cities[static_cast<size_t>(a)].Coord(),
                                    cities[static_cast<size_t>(b)].Coord()) <=
-        options.min_distance_km) {
+        kMinPairDistanceKm) {
       continue;
     }
     seen.insert({a, b});

@@ -9,6 +9,9 @@
 
 namespace leosim::core {
 
+// Both samplers keep only pairs more than this far apart (paper §3).
+inline constexpr double kMinPairDistanceKm = 2000.0;
+
 struct CityPair {
   int a{0};  // indices into the city vector the pair was sampled from
   int b{0};
@@ -18,11 +21,10 @@ struct CityPair {
 
 struct TrafficMatrixOptions {
   int num_pairs{5000};
-  double min_distance_km{2000.0};
   uint64_t seed{20201104};  // HotNets'20 presentation date
 
-  // Throws std::invalid_argument for a negative num_pairs or a
-  // min_distance_km that is not finite and >= 0. Both samplers call it.
+  // Throws std::invalid_argument for a negative num_pairs. Both samplers
+  // call it.
   void Validate() const;
 };
 

@@ -72,17 +72,6 @@ void Graph::SetEnabled(EdgeId e, bool enabled) {
   }
 }
 
-void Graph::EnableAllEdges() {
-  for (size_t i = 0; i < edges_.size(); ++i) {
-    EdgeRecord& rec = edges_[i];
-    rec.enabled = true;
-    if (adjacency_current_) {
-      half_edges_[static_cast<size_t>(half_pos_a_[i])].weight = rec.weight;
-      half_edges_[static_cast<size_t>(half_pos_b_[i])].weight = rec.weight;
-    }
-  }
-}
-
 void Graph::EnsureAdjacency() const {
   if (adjacency_current_) {
     return;

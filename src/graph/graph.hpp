@@ -87,9 +87,6 @@ class Graph {
   bool IsEnabled(EdgeId e) const { return edges_[static_cast<size_t>(e)].enabled; }
   void SetEnabled(EdgeId e, bool enabled);
 
-  // Re-enables every edge.
-  void EnableAllEdges();
-
   // Builds the CSR adjacency now (idempotent). Required before sharing a
   // const Graph across threads; see the thread-safety note above.
   void FinalizeAdjacency() const { EnsureAdjacency(); }

@@ -14,26 +14,24 @@ double FiberLatencyMs(double geodesic_km) {
   return path_km * kRefractiveIndex / geo::kSpeedOfLightKmPerSec * 1000.0;
 }
 
-FiberGroup BuildFiberGroup(const std::vector<data::City>& cities,
-                           const std::string& metro_name, double radius_km,
-                           int max_members) {
+FiberGroup BuildFiberGroup(const std::vector<data::City>& cities) {
   FiberGroup group;
-  group.metro = data::FindCity(metro_name);
+  group.metro = data::FindCity(kFiberMetro);
   std::vector<data::City> nearby;
   for (const data::City& c : cities) {
     if (c.name == group.metro.name) {
       continue;
     }
     const double d = geo::GreatCircleDistanceKm(group.metro.Coord(), c.Coord());
-    if (d <= radius_km) {
+    if (d <= kFiberRadiusKm) {
       nearby.push_back(c);
     }
   }
   std::sort(nearby.begin(), nearby.end(), [](const data::City& a, const data::City& b) {
     return a.population_k > b.population_k;
   });
-  if (static_cast<int>(nearby.size()) > max_members) {
-    nearby.resize(max_members);
+  if (static_cast<int>(nearby.size()) > kFiberMaxMembers) {
+    nearby.resize(kFiberMaxMembers);
   }
   group.satellites_cities = std::move(nearby);
   return group;

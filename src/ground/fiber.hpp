@@ -9,6 +9,12 @@
 
 namespace leosim::ground {
 
+// Fig. 11's group (paper §8): Paris lends its load to the five most
+// populous cities within 250 km of it.
+inline constexpr const char* kFiberMetro = "Paris";
+inline constexpr double kFiberRadiusKm = 250.0;
+inline constexpr int kFiberMaxMembers = 5;
+
 struct FiberGroup {
   data::City metro;
   std::vector<data::City> satellites_cities;  // nearby smaller cities
@@ -18,11 +24,9 @@ struct FiberGroup {
 // index ~1.47 and ~20% route stretch over the geodesic.
 double FiberLatencyMs(double geodesic_km);
 
-// Builds a fiber group for `metro_name`: the up-to `max_members` most
-// populous cities within `radius_km` of the metro (excluding the metro),
-// drawn from `cities`.
-FiberGroup BuildFiberGroup(const std::vector<data::City>& cities,
-                           const std::string& metro_name, double radius_km = 250.0,
-                           int max_members = 5);
+// Builds the kFiberMetro group: the up-to kFiberMaxMembers most populous
+// cities within kFiberRadiusKm of the metro (excluding the metro), drawn
+// from `cities`.
+FiberGroup BuildFiberGroup(const std::vector<data::City>& cities);
 
 }  // namespace leosim::ground

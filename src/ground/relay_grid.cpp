@@ -15,7 +15,7 @@ namespace leosim::ground {
 namespace {
 
 // Cell states in the per-row bitmaps.
-constexpr uint8_t kMarked = 1;  // within radius_km of some city
+constexpr uint8_t kMarked = 1;  // within kRelayRadiusKm of some city
 constexpr uint8_t kLand = 2;    // marked and on land
 
 // Packs a (lat index, lon index) grid cell into one key.
@@ -23,16 +23,15 @@ int64_t CellKey(int lat_idx, int lon_idx, int lon_cells) {
   return static_cast<int64_t>(lat_idx) * lon_cells + lon_idx;
 }
 
-// geo::GreatCircleDistanceKm(city, cell) <= radius_km, term for term and
-// in the same order, with the row's terms (sin of half the latitude
+// geo::GreatCircleDistanceKm(city, cell) <= kRelayRadiusKm, term for term
+// and in the same order, with the row's terms (sin of half the latitude
 // difference, product of the two latitude cosines) passed in.
-bool WithinRadius(double sin_dlat, double cos_ab, double city_lon, double lon,
-                  double radius_km) {
+bool WithinRadius(double sin_dlat, double cos_ab, double city_lon, double lon) {
   const double dlon = geo::DegToRad(lon - city_lon);
   const double sin_dlon = std::sin(dlon / 2.0);
   const double h = sin_dlat * sin_dlat + cos_ab * sin_dlon * sin_dlon;
   return 2.0 * geo::kEarthRadiusKm * std::asin(std::min(1.0, std::sqrt(h))) <=
-         radius_km;
+         kRelayRadiusKm;
 }
 
 // Margins of the trig-free shortcut below; each is many orders of
@@ -56,15 +55,13 @@ struct ExactBand {
   double reject_deg{360.0};  // rejects nothing
 };
 
-// theta = radius_km / (2 R); h_in and h_out are sin^2 of theta shrunk and
-// grown by kRelAngleMargin.
-ExactBand BandOf(double sin_dlat, double cos_ab, double theta, double h_in,
-                 double h_out) {
+// h_in and h_out are sin^2 of theta = kRelayRadiusKm / (2 R) shrunk and
+// grown by kRelAngleMargin. A 2,000 km disc stays far from its city's
+// antipode, where asin's slope would outgrow the margins.
+ExactBand BandOf(double sin_dlat, double cos_ab, double h_in, double h_out) {
   ExactBand band;
-  // A disc reaching within 2e-3 rad of the city's antipode puts asin too
-  // close to its infinite slope for the margins, and a zero product would
-  // divide by zero. Either way the whole row is evaluated.
-  if (!(cos_ab > 0.0) || theta > geo::kPi / 2.0 - 1e-3) {
+  // A zero product would divide by zero; the whole row is evaluated.
+  if (!(cos_ab > 0.0)) {
     return band;
   }
   const double c = sin_dlat * sin_dlat;
@@ -91,14 +88,10 @@ std::vector<geo::GeodeticCoord> BuildRelayGrid(const std::vector<data::City>& ci
   if (!(spacing > 0.0) || !std::isfinite(spacing)) {
     throw std::invalid_argument("relay grid spacing_deg must be finite and > 0");
   }
-  // A NaN or larger radius would reach floor() and overflow an int cast.
-  if (!(config.radius_km >= 0.0 && config.radius_km <= kMaxRelayRadiusKm)) {
-    throw std::invalid_argument("relay grid radius_km must be in [0, pi * R_earth]");
-  }
   const int lat_cells = static_cast<int>(std::lround(180.0 / spacing));
   const int lon_cells = static_cast<int>(std::lround(360.0 / spacing));
-  const double radius_deg = geo::RadToDeg(config.radius_km / geo::kEarthRadiusKm);
-  const double theta = config.radius_km / (2.0 * geo::kEarthRadiusKm);
+  const double radius_deg = geo::RadToDeg(kRelayRadiusKm / geo::kEarthRadiusKm);
+  const double theta = kRelayRadiusKm / (2.0 * geo::kEarthRadiusKm);
   const double sin_in = std::sin(theta * (1.0 - kRelAngleMargin));
   const double sin_out = std::sin(theta * (1.0 + kRelAngleMargin));
 
@@ -139,7 +132,7 @@ std::vector<geo::GeodeticCoord> BuildRelayGrid(const std::vector<data::City>& ci
       // other city is tested cell by cell.
       const ExactBand band =
           std::fabs(city.longitude_deg) <= 180.0
-              ? BandOf(sin_dlat, cos_ab, theta, sin_in * sin_in, sin_out * sin_out)
+              ? BandOf(sin_dlat, cos_ab, sin_in * sin_in, sin_out * sin_out)
               : ExactBand{};
       if (band.reject_deg < 0.0) {
         continue;
@@ -164,7 +157,7 @@ std::vector<geo::GeodeticCoord> BuildRelayGrid(const std::vector<data::City>& ci
         }
         if (offset <= band.accept_deg ||
             (offset <= band.reject_deg &&
-             WithinRadius(sin_dlat, cos_ab, city.longitude_deg, lon, config.radius_km))) {
+             WithinRadius(sin_dlat, cos_ab, city.longitude_deg, lon))) {
           cell = kMarked;
           marked.insert(CellKey(li, wrapped, lon_cells));
         }

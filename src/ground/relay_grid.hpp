@@ -1,23 +1,21 @@
 // Relay ground-terminal grid (paper §3): transit-only GTs placed every
 // `spacing_deg` on the latitude-longitude grid, on land, within
-// `radius_km` of at least one city. The paper uses 0.5 degrees and
+// kRelayRadiusKm of at least one city. The paper uses 0.5 degrees and
 // 2,000 km — "the highest density of GTs tested in prior work".
 #pragma once
 
 #include <vector>
 
 #include "data/cities.hpp"
-#include "geo/angles.hpp"
 #include "geo/coordinates.hpp"
 
 namespace leosim::ground {
 
-// Half the Earth's circumference, the distance to the antipode.
-inline constexpr double kMaxRelayRadiusKm = geo::kPi * geo::kEarthRadiusKm;
+// How far from a city a relay may stand (paper §3).
+inline constexpr double kRelayRadiusKm = 2000.0;
 
 struct RelayGridConfig {
   double spacing_deg{0.5};
-  double radius_km{2000.0};
 };
 
 // Returns the relay GT positions. Each city's coverage disc is rasterized
@@ -34,8 +32,7 @@ struct RelayGridConfig {
 // them. Relay ids, and through them Dijkstra tie-breaks and trace bytes,
 // follow this order (DESIGN.md §7 "Relay grid").
 //
-// Throws std::invalid_argument unless spacing_deg is finite and > 0 and
-// radius_km is in [0, kMaxRelayRadiusKm].
+// Throws std::invalid_argument unless spacing_deg is finite and > 0.
 std::vector<geo::GeodeticCoord> BuildRelayGrid(const std::vector<data::City>& cities,
                                                const RelayGridConfig& config = {});
 

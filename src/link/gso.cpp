@@ -29,10 +29,4 @@ double MinGsoArcSeparationDeg(const geo::Vec3& gt_ecef, const geo::Vec3& target_
   return min_sep;
 }
 
-bool ViolatesGsoExclusion(const geo::Vec3& gt_ecef, const geo::Vec3& target_ecef,
-                          const GsoConfig& config) {
-  return MinGsoArcSeparationDeg(gt_ecef, target_ecef, config.arc_samples) <
-         config.separation_deg;
-}
-
 }  // namespace leosim::link

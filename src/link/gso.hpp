@@ -13,23 +13,15 @@ namespace leosim::link {
 // Radius of the geostationary belt from the Earth's centre, km.
 inline constexpr double kGsoRadiusKm = 42164.0;
 
-struct GsoConfig {
-  double separation_deg{22.0};  // Starlink filing value
-  int arc_samples{720};
-};
-
 // Position of the GSO-arc point at the given longitude (ECEF, km).
 geo::Vec3 GsoArcPointEcef(double longitude_deg);
 
 // Minimum angular separation (degrees), as seen from `gt_ecef`, between
 // the direction to `target_ecef` and any point of the GSO arc that is
 // above the terminal's horizon. Returns +180 when no GSO point is visible
-// from the terminal (then no exclusion applies).
+// from the terminal (then no exclusion applies). A link violates the
+// exclusion when this falls below the required separation.
 double MinGsoArcSeparationDeg(const geo::Vec3& gt_ecef, const geo::Vec3& target_ecef,
                               int arc_samples = 720);
-
-// True when a link from the terminal to the target violates the exclusion.
-bool ViolatesGsoExclusion(const geo::Vec3& gt_ecef, const geo::Vec3& target_ecef,
-                          const GsoConfig& config = {});
 
 }  // namespace leosim::link

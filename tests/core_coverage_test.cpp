@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <vector>
 
 #include "geo/coordinates.hpp"
 #include "orbit/walker.hpp"
@@ -11,17 +13,9 @@
 namespace leosim::core {
 namespace {
 
-CoverageStudyOptions FastOptions() {
-  CoverageStudyOptions options;
-  options.duration_sec = 1800.0;
-  options.step_sec = 120.0;
-  return options;
-}
-
 TEST(CoverageStudyTest, MidLatitudesAlwaysCovered) {
-  CoverageStudyOptions options = FastOptions();
-  options.latitudes_deg = {30.0, 45.0, 50.0};
-  const auto rows = RunCoverageStudy(Scenario::Starlink(), options);
+  const auto rows = RunCoverageStudy(Scenario::Starlink(), {30.0, 45.0, 50.0});
+  ASSERT_EQ(rows.size(), 3u);
   for (const CoverageRow& row : rows) {
     EXPECT_DOUBLE_EQ(row.availability, 1.0) << row.latitude_deg;
     EXPECT_GT(row.mean_visible, 2.0) << row.latitude_deg;
@@ -29,66 +23,53 @@ TEST(CoverageStudyTest, MidLatitudesAlwaysCovered) {
 }
 
 TEST(CoverageStudyTest, NoCoverageWellAboveInclination) {
-  CoverageStudyOptions options = FastOptions();
-  options.latitudes_deg = {75.0};
-  const auto rows = RunCoverageStudy(Scenario::Starlink(), options);
+  const auto rows = RunCoverageStudy(Scenario::Starlink(), {75.0});
   EXPECT_DOUBLE_EQ(rows[0].availability, 0.0);
   EXPECT_DOUBLE_EQ(rows[0].mean_visible, 0.0);
 }
 
 TEST(CoverageStudyTest, DensityPeaksNearInclinationLatitude) {
-  CoverageStudyOptions options = FastOptions();
-  options.latitudes_deg = {0.0, 53.0};
-  const auto rows = RunCoverageStudy(Scenario::Starlink(), options);
+  const auto rows = RunCoverageStudy(Scenario::Starlink(), {0.0, 53.0});
   EXPECT_GT(rows[1].mean_visible, 2.0 * rows[0].mean_visible);
 }
 
-TEST(CoverageStudyTest, MinSatellitesThresholdLowersAvailability) {
-  CoverageStudyOptions one = FastOptions();
-  one.latitudes_deg = {10.0};
-  CoverageStudyOptions many = one;
-  many.min_satellites = 8;
-  const auto avail_one = RunCoverageStudy(Scenario::Starlink(), one)[0].availability;
-  const auto avail_many = RunCoverageStudy(Scenario::Starlink(), many)[0].availability;
-  EXPECT_LE(avail_many, avail_one);
+// A steeper elevation mask shrinks every terminal's cone: fewer
+// satellites in view and no more availability. Both averages are over
+// the study's 96 samples (0 to 5,700 s every 60 s).
+TEST(CoverageStudyTest, HigherElevationMaskLowersCoverage) {
+  Scenario steep = Scenario::Starlink();
+  steep.radio.min_elevation_deg = 40.0;
+  const std::vector<double> latitudes = {10.0, 58.0, 60.0};
+  const auto base = RunCoverageStudy(Scenario::Starlink(), latitudes);
+  const auto masked = RunCoverageStudy(steep, latitudes);
+  ASSERT_EQ(masked.size(), base.size());
+  for (size_t i = 0; i < base.size(); ++i) {
+    EXPECT_LT(masked[i].mean_visible, base[i].mean_visible) << latitudes[i];
+    EXPECT_LE(masked[i].availability, base[i].availability) << latitudes[i];
+    for (const CoverageRow* row : {&base[i], &masked[i]}) {
+      const double available_samples = row->availability * 96.0;
+      EXPECT_NEAR(available_samples, std::round(available_samples), 1e-9)
+          << latitudes[i];
+    }
+  }
 }
 
-TEST(CoverageStudyTest, RejectsBadCoordinatesAndThreshold) {
+TEST(CoverageStudyTest, RejectsBadLatitude) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
   // A bad latitude reaches the index's cell lookup as an int cast, so it
   // must be rejected before the study samples anything.
   for (const double lat : {nan, inf, -inf, 90.5, -90.5, 1e9}) {
-    CoverageStudyOptions options = FastOptions();
-    options.latitudes_deg = {10.0, lat};
-    EXPECT_THROW(options.Validate(), std::invalid_argument) << "lat " << lat;
-    EXPECT_THROW(RunCoverageStudy(Scenario::Starlink(), options),
+    EXPECT_THROW(RunCoverageStudy(Scenario::Starlink(), {10.0, lat}),
                  std::invalid_argument)
         << "lat " << lat;
   }
-  for (const double lon : {nan, inf, -inf}) {
-    CoverageStudyOptions options = FastOptions();
-    options.longitude_deg = lon;
-    EXPECT_THROW(options.Validate(), std::invalid_argument) << "lon " << lon;
-    EXPECT_THROW(RunCoverageStudy(Scenario::Starlink(), options),
-                 std::invalid_argument)
-        << "lon " << lon;
-  }
-  CoverageStudyOptions negative = FastOptions();
-  negative.min_satellites = -1;
-  EXPECT_THROW(negative.Validate(), std::invalid_argument);
-  EXPECT_THROW(RunCoverageStudy(Scenario::Starlink(), negative),
-               std::invalid_argument);
 
-  // The edges pass: the poles, any finite longitude, a zero threshold.
-  CoverageStudyOptions edges = FastOptions();
-  edges.latitudes_deg = {-90.0, 90.0};
-  edges.longitude_deg = 540.0;
-  edges.min_satellites = 0;
-  EXPECT_NO_THROW(edges.Validate());
-  const auto rows = RunCoverageStudy(Scenario::Starlink(), edges);
+  // The poles pass, and a 53-degree shell never serves them.
+  const auto rows = RunCoverageStudy(Scenario::Starlink(), {-90.0, 90.0});
   ASSERT_EQ(rows.size(), 2u);
-  EXPECT_DOUBLE_EQ(rows[0].availability, 1.0);  // >= 0 satellites always
+  EXPECT_DOUBLE_EQ(rows[0].availability, 0.0);
+  EXPECT_DOUBLE_EQ(rows[1].availability, 0.0);
 }
 
 TEST(StarlinkGen1Test, ShellRosterMatchesFilings) {

@@ -116,11 +116,8 @@ TEST(RoutingPolicyTest, StateAccumulatesLoad) {
 
 TEST(HandoverStudyTest, PassesLastAFewMinutes) {
   // Paper §2: a satellite is reachable from a GT "for a few minutes".
-  HandoverStudyOptions options;
-  options.duration_sec = 3600.0;
-  options.step_sec = 10.0;
-  const HandoverStats stats = RunHandoverStudy(
-      Scenario::Starlink(), {48.86, 2.35, 0.0}, options);  // Paris
+  const HandoverStats stats =
+      RunHandoverStudy(Scenario::Starlink(), {48.86, 2.35, 0.0});  // Paris
   EXPECT_GT(stats.completed_passes, 10);
   EXPECT_GT(stats.mean_pass_duration_sec, 60.0);     // > 1 minute
   EXPECT_LT(stats.mean_pass_duration_sec, 600.0);    // < 10 minutes
@@ -131,11 +128,7 @@ TEST(HandoverStudyTest, PassesLastAFewMinutes) {
 }
 
 TEST(HandoverStudyTest, PolarTerminalSeesNothing) {
-  HandoverStudyOptions options;
-  options.duration_sec = 600.0;
-  options.step_sec = 30.0;
-  const HandoverStats stats =
-      RunHandoverStudy(Scenario::Starlink(), {89.0, 0.0, 0.0}, options);
+  const HandoverStats stats = RunHandoverStudy(Scenario::Starlink(), {89.0, 0.0, 0.0});
   EXPECT_DOUBLE_EQ(stats.mean_visible_sats, 0.0);
   EXPECT_DOUBLE_EQ(stats.outage_fraction, 1.0);
   EXPECT_EQ(stats.completed_passes, 0);
@@ -144,36 +137,29 @@ TEST(HandoverStudyTest, PolarTerminalSeesNothing) {
 TEST(HandoverStudyTest, RejectsBadTerminal) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
-  HandoverStudyOptions options;
-  options.duration_sec = 60.0;
-  options.step_sec = 30.0;
   const geo::GeodeticCoord bad[] = {
       {nan, 0.0, 0.0},  {inf, 0.0, 0.0},   {-inf, 0.0, 0.0}, {90.5, 0.0, 0.0},
       {-91.0, 0.0, 0.0}, {45.0, nan, 0.0}, {45.0, inf, 0.0}, {45.0, 0.0, nan},
       {45.0, 0.0, inf},
   };
   for (const geo::GeodeticCoord& terminal : bad) {
-    EXPECT_THROW(RunHandoverStudy(Scenario::Starlink(), terminal, options),
+    EXPECT_THROW(RunHandoverStudy(Scenario::Starlink(), terminal),
                  std::invalid_argument)
         << terminal.latitude_deg << ", " << terminal.longitude_deg << ", "
         << terminal.altitude_km;
   }
   // The poles and a longitude past 180 stay valid.
-  EXPECT_NO_THROW(RunHandoverStudy(Scenario::Starlink(), {90.0, 0.0, 0.0}, options));
-  EXPECT_NO_THROW(RunHandoverStudy(Scenario::Starlink(), {-90.0, 0.0, 0.0}, options));
-  EXPECT_NO_THROW(RunHandoverStudy(Scenario::Starlink(), {10.0, 270.0, 0.0}, options));
+  EXPECT_NO_THROW(RunHandoverStudy(Scenario::Starlink(), {90.0, 0.0, 0.0}));
+  EXPECT_NO_THROW(RunHandoverStudy(Scenario::Starlink(), {-90.0, 0.0, 0.0}));
+  EXPECT_NO_THROW(RunHandoverStudy(Scenario::Starlink(), {10.0, 270.0, 0.0}));
 }
 
 TEST(HandoverStudyTest, KuiperPassesLongerThanStarlink) {
   // Higher altitude + similar elevation mask -> larger cones; but Kuiper's
   // 30-deg mask shrinks them. Net effect: both in the minutes range.
-  HandoverStudyOptions options;
-  options.duration_sec = 1800.0;
-  options.step_sec = 10.0;
   const HandoverStats starlink =
-      RunHandoverStudy(Scenario::Starlink(), {40.7, -74.0, 0.0}, options);
-  const HandoverStats kuiper =
-      RunHandoverStudy(Scenario::Kuiper(), {40.7, -74.0, 0.0}, options);
+      RunHandoverStudy(Scenario::Starlink(), {40.7, -74.0, 0.0});
+  const HandoverStats kuiper = RunHandoverStudy(Scenario::Kuiper(), {40.7, -74.0, 0.0});
   EXPECT_GT(starlink.mean_pass_duration_sec, 30.0);
   EXPECT_GT(kuiper.mean_pass_duration_sec, 30.0);
 }
@@ -197,10 +183,8 @@ TEST(GsoNetworkStudyTest, BpSuffersMoreFromExclusion) {
   ASSERT_GE(crossing.size(), 10u);
   const std::vector<CityPair> sample(crossing.begin(),
                                      crossing.begin() + 10);
-  GsoNetworkOptions gso;
-  const GsoNetworkResult result =
-      RunGsoNetworkStudy(Scenario::Starlink(), cities, sample,
-                         FastOptions(ConnectivityMode::kBentPipe), gso);
+  const GsoNetworkResult result = RunGsoNetworkStudy(
+      Scenario::Starlink(), cities, sample, FastOptions(ConnectivityMode::kBentPipe));
   // Exclusion can only remove links: reachability never improves, RTT
   // never decreases.
   EXPECT_LE(result.bent_pipe.reachable_with_exclusion,

@@ -418,9 +418,7 @@ TEST(AttenuationStudyTest, BpWorseThanIsl) {
                                FastOptions(ConnectivityMode::kIslOnly),
                                data::AnchorCities());
   const auto pairs = TestPairs(30);
-  AttenuationOptions options;
-  const auto result =
-      RunAttenuationStudy(BpModel(), isl_model, pairs, 0.0, options);
+  const auto result = RunAttenuationStudy(BpModel(), isl_model, pairs, 0.0, 0.5);
   ASSERT_GT(result.bp_db.size(), 10u);
   ASSERT_GT(result.isl_db.size(), 10u);
   // Fig. 6: the BP distribution sits to the right (median >= 1 dB higher
@@ -440,10 +438,10 @@ TEST(AttenuationStudyTest, MatchesPlainDijkstraReference) {
                                FastOptions(ConnectivityMode::kIslOnly),
                                data::AnchorCities());
   const auto pairs = TestPairs(60);
-  AttenuationOptions options;
   const double time_sec = 900.0;
+  const double exceedance_pct = 0.5;
   const auto result =
-      RunAttenuationStudy(BpModel(), isl_model, pairs, time_sec, options);
+      RunAttenuationStudy(BpModel(), isl_model, pairs, time_sec, exceedance_pct);
 
   const auto reference = [&](const NetworkModel& model, int* unreachable) {
     const NetworkModel::Snapshot snap = model.BuildSnapshot(time_sec);
@@ -452,7 +450,7 @@ TEST(AttenuationStudyTest, MatchesPlainDijkstraReference) {
       const auto path = graph::ShortestPath(snap.graph, snap.CityNode(pair.a),
                                             snap.CityNode(pair.b));
       if (path.has_value()) {
-        db.push_back(WorstLinkAttenuationDb(model, snap, path->nodes, options));
+        db.push_back(WorstLinkAttenuationDb(model, snap, path->nodes, exceedance_pct));
       } else {
         ++*unreachable;
       }
@@ -472,9 +470,8 @@ TEST(AttenuationStudyTest, DelhiSydneyCcdfShape) {
   const NetworkModel isl_model(Scenario::Starlink(),
                                FastOptions(ConnectivityMode::kIslOnly),
                                data::AnchorCities());
-  AttenuationOptions options;
-  const auto ccdf = TracePairAttenuation(BpModel(), isl_model, "Delhi", "Sydney",
-                                         0.0, {0.1, 0.5, 1.0, 3.0}, options);
+  const auto ccdf = TracePairAttenuation(BpModel(), isl_model, "Delhi", "Sydney", 0.0,
+                                         {0.1, 0.5, 1.0, 3.0});
   ASSERT_TRUE(ccdf.bp_reachable);
   ASSERT_TRUE(ccdf.isl_reachable);
   ASSERT_EQ(ccdf.bp_db.size(), 4u);
@@ -488,10 +485,7 @@ TEST(AttenuationStudyTest, DelhiSydneyCcdfShape) {
 }
 
 TEST(GsoStudyTest, ExclusionWorstAtEquator) {
-  GsoStudyOptions options;
-  options.azimuth_step_deg = 6.0;
-  options.elevation_step_deg = 3.0;
-  const auto rows = RunGsoArcStudy({0.0, 20.0, 40.0, 65.0}, options);
+  const auto rows = RunGsoArcStudy({0.0, 20.0, 40.0, 65.0}, 22.0);
   ASSERT_EQ(rows.size(), 4u);
   // Fig. 9: at the Equator most of the high-elevation sky is excluded.
   EXPECT_GT(rows[0].excluded_sky_fraction, 0.3);
@@ -524,9 +518,7 @@ TEST(FiberStudyTest, DistributedGtsAddCapacity) {
   SnapshotSchedule schedule;
   schedule.duration_sec = 3600.0;
   schedule.step_sec = 900.0;
-  FiberStudyOptions options;
-  const auto result =
-      RunFiberStudy(Scenario::Starlink(), data::AnchorCities(), options, schedule);
+  const auto result = RunFiberStudy(Scenario::Starlink(), data::AnchorCities(), schedule);
   EXPECT_EQ(result.metro.city, "Paris");
   EXPECT_EQ(result.members.size(), 5u);
   EXPECT_GT(result.metro_mean_distinct_sats, 0.0);

@@ -53,7 +53,7 @@ TEST(GraphTest, EnableDisable) {
   EXPECT_TRUE(g.IsEnabled(0));
   g.SetEnabled(0, false);
   EXPECT_FALSE(g.IsEnabled(0));
-  g.EnableAllEdges();
+  g.SetEnabled(0, true);
   EXPECT_TRUE(g.IsEnabled(0));
 }
 

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -37,7 +38,7 @@ std::vector<geo::GeodeticCoord> ReferenceBuildRelayGrid(
   const double spacing = config.spacing_deg;
   const int lat_cells = static_cast<int>(std::lround(180.0 / spacing));
   const int lon_cells = static_cast<int>(std::lround(360.0 / spacing));
-  const double radius_deg = geo::RadToDeg(config.radius_km / geo::kEarthRadiusKm);
+  const double radius_deg = geo::RadToDeg(kRelayRadiusKm / geo::kEarthRadiusKm);
 
   // Mark grid cells within the coverage disc of any city.
   std::unordered_set<int64_t> marked;
@@ -60,7 +61,7 @@ std::vector<geo::GeodeticCoord> ReferenceBuildRelayGrid(
         const int wrapped = ((raw % lon_cells) + lon_cells) % lon_cells;
         const double lon = -180.0 + wrapped * spacing;
         if (geo::GreatCircleDistanceKm(city.Coord(), {lat, lon, 0.0}) <=
-            config.radius_km) {
+            kRelayRadiusKm) {
           marked.insert(ReferenceCellKey(li, wrapped, lon_cells));
         }
       }
@@ -91,6 +92,44 @@ data::City MakeCity(const char* name, double lat, double lon) {
   return city;
 }
 
+// A city about kRelayRadiusKm from `cell` at `bearing_deg`, moved by up to
+// 32 ulps of latitude and of longitude to the haversine distance from the
+// cell closest to kRelayRadiusKm on its inside (at most it, `inside`) or
+// its outside. Either way the cell sits on the disc's edge, where one ulp
+// of the haversine decides. The bearing must be within 30
+// degrees of north or south, so that the cell stays inside the builders'
+// longitude window, which is narrower than the disc far from the city's
+// meridian.
+std::optional<data::City> CityOnEdgeOf(const geo::GeodeticCoord& cell, double bearing_deg,
+                                       bool inside) {
+  const geo::GeodeticCoord start = geo::DestinationPoint(cell, bearing_deg, kRelayRadiusKm);
+  constexpr int kSteps = 32;
+  const auto nudge = [](double x, int ulps) {
+    for (; ulps > 0; --ulps) {
+      x = std::nextafter(x, 1e9);
+    }
+    for (; ulps < 0; ++ulps) {
+      x = std::nextafter(x, -1e9);
+    }
+    return x;
+  };
+  std::optional<data::City> best;
+  double best_gap = std::numeric_limits<double>::infinity();
+  for (int i = -kSteps; i <= kSteps; ++i) {
+    const double lat = nudge(start.latitude_deg, i);
+    for (int j = -kSteps; j <= kSteps; ++j) {
+      const double lon = nudge(start.longitude_deg, j);
+      const double km = geo::GreatCircleDistanceKm({lat, lon, 0.0}, cell);
+      const double gap = inside ? kRelayRadiusKm - km : km - kRelayRadiusKm;
+      if ((inside ? gap >= 0.0 : gap > 0.0) && gap < best_gap) {
+        best = MakeCity("edge", lat, lon);
+        best_gap = gap;
+      }
+    }
+  }
+  return best;
+}
+
 TEST(RelayGridTest, AllPointsOnLand) {
   RelayGridConfig config;
   config.spacing_deg = 2.0;
@@ -112,7 +151,7 @@ TEST(RelayGridTest, AllPointsWithinRadiusOfSomeCity) {
     for (const data::City& c : cities) {
       best = std::min(best, geo::GreatCircleDistanceKm(c.Coord(), p));
     }
-    EXPECT_LE(best, config.radius_km + 1.0);
+    EXPECT_LE(best, kRelayRadiusKm + 1.0);
   }
 }
 
@@ -179,98 +218,72 @@ TEST(RelayGridTest, RejectsNonPositiveOrNonFiniteSpacing) {
   EXPECT_NO_THROW(BuildRelayGrid(TestCities(), coarse));
 }
 
-TEST(RelayGridTest, RejectsNegativeOrNonFiniteRadius) {
-  for (const double radius :
-       {-1.0, std::numeric_limits<double>::infinity(),
-        std::numeric_limits<double>::quiet_NaN()}) {
-    RelayGridConfig config;
-    config.spacing_deg = 10.0;
-    config.radius_km = radius;
-    EXPECT_THROW(BuildRelayGrid(TestCities(), config), std::invalid_argument)
-        << radius;
-  }
-  RelayGridConfig zero;
-  zero.spacing_deg = 10.0;
-  zero.radius_km = 0.0;
-  EXPECT_NO_THROW(BuildRelayGrid(TestCities(), zero));
-}
-
-// The radius is capped at half the Earth's circumference (~20,015 km):
-// every land cell is within it, and a larger radius would overflow the
-// int window bounds (1e12 km did, silently) or take minutes (1e11 km).
-TEST(RelayGridTest, RejectsRadiusBeyondHalfCircumference) {
-  const std::vector<data::City> paris = {data::FindCity("Paris")};
-  RelayGridConfig config;
-  config.spacing_deg = 10.0;
-  config.radius_km = 20000.0;
-  EXPECT_EQ(BuildRelayGrid(paris, config).size(), 268u);
-  config.radius_km = kMaxRelayRadiusKm;
-  EXPECT_EQ(BuildRelayGrid(paris, config).size(), 268u);
-  for (const double radius : {20100.0, 1e11, 1e12}) {
-    config.radius_km = radius;
-    EXPECT_THROW(BuildRelayGrid(paris, config), std::invalid_argument) << radius;
-  }
-}
-
 TEST(RelayGridTest, MatchesReferenceInOrder) {
   struct Case {
     std::string what;
     std::vector<data::City> cities;
     double spacing_deg;
-    double radius_km;
+    // For an edge case: the cell on the disc's edge, and whether it is in.
+    std::optional<geo::GeodeticCoord> edge_cell{};
+    bool inside{false};
   };
   const std::vector<data::City>& anchors = data::AnchorCities();
   std::vector<Case> cases;
   for (const double spacing : {0.5, 0.7, 1.0, 2.0, 3.0}) {
-    cases.push_back({"anchors", anchors, spacing, 2000.0});
+    cases.push_back({"anchors", anchors, spacing});
   }
   for (const uint64_t seed : {1, 2}) {
     cases.push_back({"generated seed " + std::to_string(seed),
-                     data::GenerateWorldCities(1000, seed), 0.5, 2000.0});
+                     data::GenerateWorldCities(1000, seed), 0.5});
   }
   // Anchorage's disc crosses the antimeridian.
-  cases.push_back({"anchorage", {data::FindCity("Anchorage")}, 2.0, 2000.0});
+  cases.push_back({"anchorage", {data::FindCity("Anchorage")}, 2.0});
   // Near the poles the longitude window is the whole row (and wraps).
   const std::vector<data::City> polar = {
       MakeCity("north", 89.0, 10.0), MakeCity("south", -89.0, -170.0),
       MakeCity("north-edge", 89.0, 179.75), MakeCity("south-grid", -89.0, -180.0)};
-  cases.push_back({"poles", polar, 0.5, 2000.0});
-  cases.push_back({"poles", polar, 1.0, 2000.0});
+  cases.push_back({"poles", polar, 0.5});
+  cases.push_back({"poles", polar, 1.0});
   // Cities on grid points, on the antimeridian and past it.
   const std::vector<data::City> on_grid = {
       MakeCity("grid", -25.0, 135.0), MakeCity("dateline", 65.0, 180.0),
       MakeCity("west", 64.0, -180.0), MakeCity("past", 60.0, 190.0)};
-  cases.push_back({"on grid, radius 0", on_grid, 1.0, 0.0});
-  cases.push_back({"anchors, radius 0", anchors, 0.5, 0.0});
-  cases.push_back({"on grid", on_grid, 1.0, 2000.0});
-  cases.push_back({"on grid, 1 km", on_grid, 0.5, 1.0});
-  cases.push_back({"radius 20000", TestCities(), 3.0, 20000.0});
-  cases.push_back({"radius 20000", on_grid, 2.0, 20000.0});
-  // A radius equal to a land cell's exact distance from the city puts
-  // that cell on the disc's edge, where one ulp of the haversine decides.
-  const data::City paris = data::FindCity("Paris");
+  cases.push_back({"on grid", on_grid, 1.0});
+  // Land cells of Paris's disc, each put on the edge of another city's
+  // disc from a different bearing, just inside and just outside it.
   RelayGridConfig wide;
   wide.spacing_deg = 1.0;
-  const auto disc = ReferenceBuildRelayGrid({paris}, wide);
-  for (size_t i = 0; i < disc.size(); i += disc.size() / 64 + 1) {
-    cases.push_back({"edge cell " + std::to_string(i), {paris}, 1.0,
-                     geo::GreatCircleDistanceKm(paris.Coord(), disc[i])});
+  const auto disc = ReferenceBuildRelayGrid({data::FindCity("Paris")}, wide);
+  for (size_t i = 0, n = 0; i < disc.size(); i += disc.size() / 64 + 1, ++n) {
+    // Within 30 degrees of north for even n, of south for odd n.
+    const double bearing = std::fmod(37.0 * static_cast<double>(n), 60.0) - 30.0 +
+                           (n % 2 == 0 ? 0.0 : 180.0);
+    for (const bool inside : {true, false}) {
+      const std::string what = "edge cell " + std::to_string(i) + (inside ? " in" : " out");
+      const std::optional<data::City> city = CityOnEdgeOf(disc[i], bearing, inside);
+      ASSERT_TRUE(city.has_value()) << what;
+      cases.push_back({what, {*city}, 1.0, disc[i], inside});
+    }
   }
 
   for (const Case& c : cases) {
     RelayGridConfig config;
     config.spacing_deg = c.spacing_deg;
-    config.radius_km = c.radius_km;
     const auto want = ReferenceBuildRelayGrid(c.cities, config);
     const auto got = BuildRelayGrid(c.cities, config);
-    const std::string label =
-        c.what + " @ " + std::to_string(c.spacing_deg) + " deg, " +
-        std::to_string(c.radius_km) + " km";
+    const std::string label = c.what + " @ " + std::to_string(c.spacing_deg) + " deg";
     ASSERT_EQ(got.size(), want.size()) << label;
     for (size_t i = 0; i < want.size(); ++i) {
       ASSERT_EQ(got[i].latitude_deg, want[i].latitude_deg) << label << " at " << i;
       ASSERT_EQ(got[i].longitude_deg, want[i].longitude_deg) << label << " at " << i;
       ASSERT_EQ(got[i].altitude_km, want[i].altitude_km) << label << " at " << i;
+    }
+    if (c.edge_cell.has_value()) {
+      const bool found = std::any_of(got.begin(), got.end(), [&](const auto& p) {
+        return p.latitude_deg == c.edge_cell->latitude_deg &&
+               p.longitude_deg == c.edge_cell->longitude_deg;
+      });
+      EXPECT_EQ(found, c.inside) << label;
     }
   }
 }
@@ -283,7 +296,7 @@ TEST(FiberTest, LatencySlowerThanFreeSpace) {
 }
 
 TEST(FiberTest, ParisGroupContainsNearbyCities) {
-  const FiberGroup group = BuildFiberGroup(data::AnchorCities(), "Paris", 250.0, 5);
+  const FiberGroup group = BuildFiberGroup(data::AnchorCities());
   EXPECT_EQ(group.metro.name, "Paris");
   EXPECT_EQ(group.satellites_cities.size(), 5u);
   for (const data::City& c : group.satellites_cities) {
@@ -293,15 +306,11 @@ TEST(FiberTest, ParisGroupContainsNearbyCities) {
 }
 
 TEST(FiberTest, GroupSortedByPopulation) {
-  const FiberGroup group = BuildFiberGroup(data::AnchorCities(), "Paris", 250.0, 5);
+  const FiberGroup group = BuildFiberGroup(data::AnchorCities());
   for (size_t i = 1; i < group.satellites_cities.size(); ++i) {
     EXPECT_GE(group.satellites_cities[i - 1].population_k,
               group.satellites_cities[i].population_k);
   }
-}
-
-TEST(FiberTest, UnknownMetroThrows) {
-  EXPECT_THROW(BuildFiberGroup(data::AnchorCities(), "Nowhere"), std::out_of_range);
 }
 
 }  // namespace

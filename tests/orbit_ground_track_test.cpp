@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
+#include "core/attenuation_study.hpp"
 #include "core/outage_study.hpp"
 #include "geo/geodesic.hpp"
+#include "graph/dijkstra.hpp"
 #include "orbit/elements.hpp"
 
 namespace leosim::orbit {
@@ -62,7 +65,10 @@ TEST(PassPredictionTest, NoPassForPolarSiteUnderInclinedOrbit) {
   EXPECT_FALSE(FindNextPass(orbit, pole, 25.0, 0.0, 2.0 * 5760.0).has_value());
 }
 
-TEST(OutageStudyTest, MonotoneInMarginAndRestoresGraph) {
+// The study sweeps kOutageMarginsDb on one snapshot, re-deciding every
+// radio link per margin. Each row must equal a freshly built snapshot
+// with the links above that margin disabled, routed with plain Dijkstra.
+TEST(OutageStudyTest, MonotoneInMarginAndMatchesAFreshSnapshot) {
   core::NetworkOptions options;
   options.mode = core::ConnectivityMode::kHybrid;
   options.relay_spacing_deg = 4.0;
@@ -72,17 +78,54 @@ TEST(OutageStudyTest, MonotoneInMarginAndRestoresGraph) {
   matrix.num_pairs = 20;
   const auto pairs = core::SampleCityPairs(data::AnchorCities(), matrix);
 
-  core::OutageStudyOptions outage;
-  outage.margins_db = {20.0, 6.0, 2.0};
-  const auto rows = core::RunOutageStudy(hybrid, pairs, outage);
-  ASSERT_EQ(rows.size(), 3u);
-  // Larger margin -> fewer links lost -> more pairs reachable.
-  EXPECT_LE(rows[0].links_disabled_fraction, rows[1].links_disabled_fraction);
-  EXPECT_LE(rows[1].links_disabled_fraction, rows[2].links_disabled_fraction);
-  EXPECT_GE(rows[0].reachable_fraction, rows[1].reachable_fraction);
-  EXPECT_GE(rows[1].reachable_fraction, rows[2].reachable_fraction);
-  // A 20 dB margin survives essentially all 0.1% weather.
+  const auto rows = core::RunOutageStudy(hybrid, pairs);
+  ASSERT_EQ(rows.size(), core::kOutageMarginsDb.size());
+  // Margins fall row by row: more links lost, fewer pairs reachable.
+  for (size_t i = 1; i < rows.size(); ++i) {
+    EXPECT_LE(rows[i - 1].links_disabled_fraction, rows[i].links_disabled_fraction);
+    EXPECT_GE(rows[i - 1].reachable_fraction, rows[i].reachable_fraction);
+  }
+  // A 10 dB margin survives essentially all 0.1% weather.
   EXPECT_GT(rows[0].reachable_fraction, 0.95);
+
+  const link::RadioConfig& radio = hybrid.scenario().radio;
+  for (size_t m = 0; m < rows.size(); ++m) {
+    const double margin = core::kOutageMarginsDb[m];
+    core::NetworkModel::Snapshot snap = hybrid.BuildSnapshot(0.0);
+    int disabled = 0;
+    for (const graph::EdgeId e : snap.radio_edges) {
+      const graph::EdgeRecord& rec = snap.graph.Edge(e);
+      const graph::NodeId ground = snap.IsSat(rec.a) ? rec.b : rec.a;
+      const graph::NodeId sat = snap.IsSat(rec.a) ? rec.a : rec.b;
+      const double db = std::max(
+          core::RadioLinkAttenuationDb(hybrid, snap, ground, sat, radio.uplink_freq_ghz,
+                                       core::kOutageExceedancePct),
+          core::RadioLinkAttenuationDb(hybrid, snap, ground, sat, radio.downlink_freq_ghz,
+                                       core::kOutageExceedancePct));
+      if (db > margin) {
+        snap.graph.SetEnabled(e, false);
+        ++disabled;
+      }
+    }
+    int reachable = 0;
+    double rtt_sum = 0.0;
+    for (const core::CityPair& pair : pairs) {
+      const auto path =
+          graph::ShortestPath(snap.graph, snap.CityNode(pair.a), snap.CityNode(pair.b));
+      if (path.has_value()) {
+        ++reachable;
+        rtt_sum += 2.0 * path->distance;
+      }
+    }
+    EXPECT_EQ(rows[m].margin_db, margin);
+    EXPECT_EQ(rows[m].links_disabled_fraction,
+              static_cast<double>(disabled) / snap.radio_edges.size())
+        << margin << " dB";
+    EXPECT_EQ(rows[m].reachable_fraction, static_cast<double>(reachable) / pairs.size())
+        << margin << " dB";
+    EXPECT_EQ(rows[m].mean_rtt_ms, reachable > 0 ? rtt_sum / reachable : 0.0)
+        << margin << " dB";
+  }
 }
 
 }  // namespace

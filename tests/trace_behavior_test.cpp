@@ -216,11 +216,7 @@ TEST(TraceBehaviorTest, HandoverStudyEmitsEventOnlyTrace) {
   net_trace.Reset();
   net_trace.Enable(true);
 
-  HandoverStudyOptions options;
-  options.duration_sec = 1800.0;
-  options.step_sec = 10.0;
-  const HandoverStats stats =
-      RunHandoverStudy(Scenario::Starlink(), {40.7, -74.0, 0.0}, options);
+  const HandoverStats stats = RunHandoverStudy(Scenario::Starlink(), {40.7, -74.0, 0.0});
 
   ASSERT_GT(net_trace.NumSlots(), 0);
   // No snapshots are built, so the full-state stream stays empty while

@@ -11,8 +11,8 @@ shape:
               median deltas. A row gates only when the delta exceeds
               --threshold AND a one-sided Mann-Whitney U test on the
               per-rep samples_ns arrays finds the slowdown significant
-              at --alpha; legacy records without samples keep the
-              median-only gate. Cross-machine comparisons (differing
+              at --alpha; a record without samples_ns is an input
+              error. Cross-machine comparisons (differing
               host_cores/threads in the config) annotate every row and
               never gate.
   metrics     MetricsRegistry exports ({"counters": {...}}): counter
@@ -279,21 +279,14 @@ def diff_bench(
         b = base_medians[name]["median_ns_per_op"]
         c = cur_medians[name]["median_ns_per_op"]
         change = pct_change(b, c)
-        base_samples = base_medians[name].get("samples_ns")
-        cur_samples = cur_medians[name].get("samples_ns")
-        p = None
-        if isinstance(base_samples, list) and isinstance(cur_samples, list):
-            p = mann_whitney_p(base_samples, cur_samples)
+        p = mann_whitney_p(
+            base_medians[name]["samples_ns"], cur_medians[name]["samples_ns"]
+        )
         marker = ""
         if cross_machine:
             marker = "cross-machine"
         elif change > threshold:
-            if p is None:
-                # Legacy record without per-rep samples: the median delta
-                # is the only evidence there is, so it gates alone.
-                marker = "REGRESSED"
-                report.regression(f"bench:{name}")
-            elif p < alpha:
+            if p < alpha:
                 marker = "REGRESSED"
                 report.regression(f"bench:{name} (p={p:.3g})")
             else:
@@ -306,7 +299,7 @@ def diff_bench(
                 f"{b:.1f}",
                 f"{c:.1f}",
                 fmt_pct(change),
-                "-" if p is None else f"{p:.3g}",
+                f"{p:.3g}",
                 marker,
             ]
         )
@@ -532,9 +525,17 @@ def load(path: str) -> tuple[dict, str]:
             f"{path}: not valid JSON ({err}): first bytes {snippet!r}"
         ) from err
     try:
-        return doc, detect_kind(doc)
+        kind = detect_kind(doc)
     except ValueError as err:
         raise ValueError(f"{path}: {err}: first bytes {snippet!r}") from err
+    # Every BenchSuite record carries its per-rep samples; the
+    # Mann-Whitney gate has nothing to test without them.
+    if kind == "bench":
+        for record in doc["results"]:
+            if not (isinstance(record, dict) and record.get("samples_ns")):
+                name = record.get("name") if isinstance(record, dict) else None
+                raise ValueError(f"{path}: bench record {name!r} has no samples_ns")
+    return doc, kind
 
 
 def main() -> int:

@@ -102,6 +102,7 @@ def rows(tmp: Path) -> list[Row]:
     short_tle.write_text("SAT\n1 25544U\n2 25544\n")
     metrics = tmp / "metrics.json"
     nettrace = tmp / "nettrace"
+    trace_out = tmp / "trace_out"
     return [
         # Malformed and out-of-range numbers.
         Row("fig5_isl_capacity", ["--spacing=abc"], 2, "--spacing: expected a number"),
@@ -182,6 +183,8 @@ def rows(tmp: Path) -> list[Row]:
         # stdout does not depend on the output path.
         Row("leosim_cli", ["cities", "Paris", f"--trace-net-out={nettrace}"], 0,
             "wrote", stdout=lacks(str(nettrace))),
+        Row("leosim_cli", ["trace", "--pairs=3", "--snapshots=2", f"--out={trace_out}"],
+            0, "wrote", stdout=lacks(str(trace_out))),
         Row("weather_planner", ["Singapore", "20"], 0,
             stdout=contains("20.00 GHz")),
         Row("tle_ingest", [], 0, stdout=contains("parsed 12 element sets")),

@@ -148,17 +148,21 @@ class GatingTest(unittest.TestCase):
         self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
         self.assertIn("noise?", proc.stdout)
 
-    def test_legacy_records_gate_on_median_alone(self) -> None:
-        base_doc = bench_doc({"bench": [100.0] * 5})
-        cur_doc = bench_doc({"bench": [150.0] * 5})
-        for doc in (base_doc, cur_doc):
-            for result in doc["results"]:
-                del result["samples_ns"]
-        base = self.write("base.json", base_doc)
-        cur = self.write("cur.json", cur_doc)
-        proc = run_report([str(base), str(cur)])
-        self.assertEqual(proc.returncode, 1, proc.stdout + proc.stderr)
-        self.assertIn("REGRESSED", proc.stdout)
+    def test_record_without_samples_is_rejected(self) -> None:
+        samples = {"bench": [100.0] * 5}
+        without = bench_doc(samples)
+        del without["results"][0]["samples_ns"]
+        with_samples = self.write("with.json", bench_doc(samples))
+        without_samples = self.write("without.json", without)
+        # Either side: one stderr line naming the file and the record.
+        for args in ([with_samples, without_samples], [without_samples, with_samples]):
+            proc = run_report([str(a) for a in args])
+            self.assertEqual(proc.returncode, 2, proc.stdout + proc.stderr)
+            self.assertEqual(proc.stdout, "")
+            self.assertEqual(
+                proc.stderr,
+                f"obs_report: {without_samples}: bench record 'bench' has no samples_ns\n",
+            )
 
     def test_cross_machine_annotates_and_never_gates(self) -> None:
         base = self.write(
@@ -407,7 +411,7 @@ class TraceKindTest(unittest.TestCase):
         # not a bare traceback.
         base = self.write(
             "base.json",
-            json.dumps({"suite": "s", "results": [{"name": "x"}]}),
+            json.dumps({"suite": "s", "results": [{"name": "x", "samples_ns": [1.0]}]}),
         )
         proc = run_report([str(base), str(base)])
         self.assertEqual(proc.returncode, 2, proc.stdout + proc.stderr)
