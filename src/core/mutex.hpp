@@ -13,10 +13,12 @@
 //   const leosim::MutexLock lock(mutex_);  // scoped, like lock_guard
 //
 // Like thread_annotations.hpp, this header is part of the "base" layer:
-// it includes only <mutex> and the annotations header, and may be
-// included from any module (the std-only obs layer included).
+// it includes only <mutex>, <condition_variable> and the annotations
+// header, and may be included from any module (the std-only obs layer
+// included).
 #pragma once
 
+#include <condition_variable>
 #include <mutex>
 
 #include "core/thread_annotations.hpp"
@@ -41,6 +43,7 @@ class LEOSIM_CAPABILITY("mutex") Mutex {
   const Mutex& operator!() const { return *this; }
 
  private:
+  friend class CondVar;
   std::mutex impl_;
 };
 
@@ -58,6 +61,33 @@ class LEOSIM_SCOPED_CAPABILITY MutexLock {
 
  private:
   Mutex& mu_;
+};
+
+// A condition variable over a leosim::Mutex, the project's
+// std::condition_variable. Wait() requires the mutex held, so the
+// analysis checks the predicate's reads like any other guarded access:
+//
+//   const leosim::MutexLock lock(mutex_);
+//   while (!ready_) {
+//     cv_.Wait(mutex_);
+//   }
+class CondVar {
+ public:
+  CondVar() = default;
+  CondVar(const CondVar&) = delete;
+  CondVar& operator=(const CondVar&) = delete;
+
+  // Releases `mu`, blocks until notified (or woken spuriously: callers
+  // loop on their predicate) and reacquires `mu` before returning.
+  void Wait(Mutex& mu) LEOSIM_REQUIRES(mu) {
+    std::unique_lock<std::mutex> lock(mu.impl_, std::adopt_lock);
+    impl_.wait(lock);
+    lock.release();  // the caller's scope still owns the lock
+  }
+  void NotifyAll() { impl_.notify_all(); }
+
+ private:
+  std::condition_variable impl_;
 };
 
 }  // namespace leosim

@@ -1,6 +1,7 @@
 #include "core/net_trace.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <bit>
 #include <cstdio>
@@ -8,6 +9,7 @@
 #include <functional>
 #include <memory>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
 #include "core/mutex.hpp"
@@ -73,23 +75,6 @@ bool BitsEqual(const geo::Vec3& a, const geo::Vec3& b) {
   return BitsEqual(a.x, b.x) && BitsEqual(a.y, b.y) && BitsEqual(a.z, b.z);
 }
 
-void AppendVec3Array(std::string* out, const geo::Vec3* begin, size_t count) {
-  out->push_back('[');
-  for (size_t i = 0; i < count; ++i) {
-    if (i != 0) {
-      out->push_back(',');
-    }
-    out->push_back('[');
-    AppendJsonNumber(out, begin[i].x);
-    out->push_back(',');
-    AppendJsonNumber(out, begin[i].y);
-    out->push_back(',');
-    AppendJsonNumber(out, begin[i].z);
-    out->push_back(']');
-  }
-  out->push_back(']');
-}
-
 void AppendIntArray(std::string* out, const std::vector<int32_t>& values) {
   out->push_back('[');
   for (size_t i = 0; i < values.size(); ++i) {
@@ -99,20 +84,6 @@ void AppendIntArray(std::string* out, const std::vector<int32_t>& values) {
     AppendInt(out, values[i]);
   }
   out->push_back(']');
-}
-
-void AppendLink(std::string* out, const Link& link, const char* type) {
-  out->push_back('[');
-  AppendInt(out, link.a);
-  out->push_back(',');
-  AppendInt(out, link.b);
-  out->push_back(',');
-  AppendJsonNumber(out, link.delay_ms);
-  out->push_back(',');
-  AppendJsonNumber(out, link.capacity_gbps);
-  out->append(",\"");
-  out->append(type);
-  out->append("\"]");
 }
 
 void AppendStudyEvent(std::string* out, const StudyEvent& event) {
@@ -148,28 +119,33 @@ void AppendStudyEvent(std::string* out, const StudyEvent& event) {
   }
 }
 
-// One link-level delta between two consecutive captured slots, split by
-// type so the replayer can maintain the radio and ISL sections
-// independently.
-struct LinkDiff {
-  std::vector<Link> radio_down;
-  std::vector<Link> radio_up;
-  std::vector<Link> radio_weight;
-  std::vector<Link> isl_down;
-  std::vector<Link> isl_up;
-  std::vector<Link> isl_weight;
+// One link list's delta between two consecutive captured slots, as
+// indices: downs into the previous slot's (a, b)-sorted list, ups and
+// weight changes into the current slot's. An encoder thus finds each
+// event's link, and the text it formatted for it, without a search.
+struct LinkDelta {
+  std::vector<size_t> down;
+  std::vector<size_t> up;
+  std::vector<size_t> weight;
 
-  size_t Total() const {
-    return radio_down.size() + radio_up.size() + radio_weight.size() +
-           isl_down.size() + isl_up.size() + isl_weight.size();
-  }
+  size_t Total() const { return down.size() + up.size() + weight.size(); }
   void Clear() {
-    radio_down.clear();
-    radio_up.clear();
-    radio_weight.clear();
-    isl_down.clear();
-    isl_up.clear();
-    isl_weight.clear();
+    down.clear();
+    up.clear();
+    weight.clear();
+  }
+};
+
+// The delta split by type, so the replayer can maintain the radio and
+// ISL sections independently.
+struct LinkDiff {
+  LinkDelta radio;
+  LinkDelta isl;
+
+  size_t Total() const { return radio.Total() + isl.Total(); }
+  void Clear() {
+    radio.Clear();
+    isl.Clear();
   }
 };
 
@@ -178,8 +154,7 @@ struct LinkDiff {
 // a weight event. Comparisons are bit-exact so the diff stream carries
 // exactly the information the replay invariant needs.
 void DiffLinks(const std::vector<Link>& prev, const std::vector<Link>& cur,
-               std::vector<Link>* down, std::vector<Link>* up,
-               std::vector<Link>* weight) {
+               LinkDelta* delta) {
   size_t i = 0;
   size_t j = 0;
   while (i < prev.size() || j < cur.size()) {
@@ -192,17 +167,17 @@ void DiffLinks(const std::vector<Link>& prev, const std::vector<Link>& cur,
         (j < cur.size() &&
          std::pair(cur[j].a, cur[j].b) < std::pair(prev[i].a, prev[i].b));
     if (take_prev) {
-      down->push_back(prev[i]);
+      delta->down.push_back(i);
       ++i;
     } else if (take_cur) {
-      up->push_back(cur[j]);
+      delta->up.push_back(j);
       ++j;
     } else {
       if (!BitsEqual(prev[i].capacity_gbps, cur[j].capacity_gbps)) {
-        down->push_back(prev[i]);
-        up->push_back(cur[j]);
+        delta->down.push_back(i);
+        delta->up.push_back(j);
       } else if (!BitsEqual(prev[i].delay_ms, cur[j].delay_ms)) {
-        weight->push_back(cur[j]);
+        delta->weight.push_back(j);
       }
       ++i;
       ++j;
@@ -215,10 +190,8 @@ void ComputeDiff(const SlotRecord& prev, const SlotRecord& cur,
                  LinkDiff* diff) {
   const obs::Span span("trace.diff");
   diff->Clear();
-  DiffLinks(prev.radio_links, cur.radio_links, &diff->radio_down,
-            &diff->radio_up, &diff->radio_weight);
-  DiffLinks(prev.isl_links, cur.isl_links, &diff->isl_down, &diff->isl_up,
-            &diff->isl_weight);
+  DiffLinks(prev.radio_links, cur.radio_links, &diff->radio);
+  DiffLinks(prev.isl_links, cur.isl_links, &diff->isl);
 }
 
 // The netevents stream only re-sends satellite and aircraft positions;
@@ -242,52 +215,58 @@ void CheckStaticGroundNodes(const SlotRecord& prev, const SlotRecord& cur) {
   }
 }
 
-// Applies one slot's delta to `links` and writes the result to `out`, in
-// one merge walk over the four (a, b)-sorted lists. The result is in the
-// (a, b) order a fresh capture would produce. A link both downed and
-// upped (a capacity change) is replaced in place; weight events apply to
-// the links the downs and ups leave.
-void ApplyDiff(const std::vector<Link>& links, const std::vector<Link>& down,
-               const std::vector<Link>& up, const std::vector<Link>& weight,
-               std::vector<Link>* out) {
+// Applies one slot's delta to `prev` (the previous slot's links) and
+// writes the result to `out`, in one merge walk over the four
+// (a, b)-sorted lists. Ups and weights take their values from `cur`, as
+// the events carry them. The result is in the (a, b) order a fresh
+// capture would produce. A link both downed and upped (a capacity
+// change) is replaced in place; weight events apply to the links the
+// downs and ups leave.
+void ApplyDiff(const std::vector<Link>& prev, const std::vector<Link>& cur,
+               const LinkDelta& delta, std::vector<Link>* out) {
   const auto key = [](const Link& x) { return std::pair(x.a, x.b); };
+  const auto down = [&](size_t d) -> const Link& { return prev[delta.down[d]]; };
+  const auto up = [&](size_t u) -> const Link& { return cur[delta.up[u]]; };
+  const auto weight = [&](size_t w) -> const Link& {
+    return cur[delta.weight[w]];
+  };
   out->clear();
   size_t d = 0;
   size_t u = 0;
   size_t w = 0;
   const auto emit = [&](Link link) {
-    if (w < weight.size() && key(weight[w]) < key(link)) {
+    if (w < delta.weight.size() && key(weight(w)) < key(link)) {
       throw std::logic_error("replay: weight event for a link that is not up");
     }
-    if (w < weight.size() && key(weight[w]) == key(link)) {
-      link.delay_ms = weight[w].delay_ms;
+    if (w < delta.weight.size() && key(weight(w)) == key(link)) {
+      link.delay_ms = weight(w).delay_ms;
       ++w;
     }
     out->push_back(link);
   };
-  for (const Link& link : links) {
-    while (u < up.size() && key(up[u]) < key(link)) {
-      emit(up[u++]);
+  for (const Link& link : prev) {
+    while (u < delta.up.size() && key(up(u)) < key(link)) {
+      emit(up(u++));
     }
-    if (d < down.size() && key(down[d]) < key(link)) {
+    if (d < delta.down.size() && key(down(d)) < key(link)) {
       throw std::logic_error("replay: link_down for a link that is not up");
     }
-    if (d < down.size() && key(down[d]) == key(link)) {
+    if (d < delta.down.size() && key(down(d)) == key(link)) {
       ++d;
       continue;  // an up with the same key, if any, is emitted next
     }
-    if (u < up.size() && key(up[u]) == key(link)) {
+    if (u < delta.up.size() && key(up(u)) == key(link)) {
       throw std::logic_error("replay: link_up for a link that is already up");
     }
     emit(link);
   }
-  if (d < down.size()) {
+  if (d < delta.down.size()) {
     throw std::logic_error("replay: link_down for a link that is not up");
   }
-  while (u < up.size()) {
-    emit(up[u++]);
+  while (u < delta.up.size()) {
+    emit(up(u++));
   }
-  if (w < weight.size()) {
+  if (w < delta.weight.size()) {
     throw std::logic_error("replay: weight event for a link that is not up");
   }
 }
@@ -301,198 +280,437 @@ std::string DescribeMismatch(int slot, const char* what) {
   return out;
 }
 
-// Appends slot `slot`'s netstate line: every node and every enabled link
-// of the captured state.
-void EncodeNetState(const SlotRecord& record, int slot, std::string* out) {
-  out->append("{\"schema\":\"");
-  out->append(obs::kNetStateSchema);
-  out->append("\",\"slot\":");
-  AppendInt(out, slot);
-  out->append(",\"t\":");
-  AppendJsonNumber(out, record.time_sec);
-  out->append(",\"counts\":[");
-  AppendInt(out, record.num_sats);
-  out->push_back(',');
-  AppendInt(out, record.num_cities);
-  out->push_back(',');
-  AppendInt(out, record.num_relays);
-  out->push_back(',');
-  AppendInt(out, record.num_aircraft);
-  out->append("],\"nodes\":[");
-  for (size_t n = 0; n < record.node_ecef.size(); ++n) {
-    if (n != 0) {
-      out->push_back(',');
+// The text of the few capacity values a trace repeats (every study
+// uses two: the radio and the ISL capacity), formatted once per encoder
+// and export. Values past the first kSize distinct ones are formatted at
+// each use.
+class CapacityMemo {
+ public:
+  void Append(std::string* out, double value) {
+    const uint64_t bits = std::bit_cast<uint64_t>(value);
+    for (size_t i = 0; i < size_; ++i) {
+      if (bits_[i] == bits) {
+        out->append(text_[i]);
+        return;
+      }
     }
-    const int i = static_cast<int>(n);
-    const char* kind = i < record.num_sats ? "sat"
-                       : i < record.num_sats + record.num_cities
-                           ? "city"
-                       : i < record.num_sats + record.num_cities +
-                                 record.num_relays
-                           ? "relay"
-                           : "air";
-    out->append("[\"");
-    out->append(kind);
-    out->append("\",");
-    AppendJsonNumber(out, record.node_ecef[n].x);
-    out->push_back(',');
-    AppendJsonNumber(out, record.node_ecef[n].y);
-    out->push_back(',');
-    AppendJsonNumber(out, record.node_ecef[n].z);
-    out->push_back(']');
-  }
-  out->append("],\"links\":[");
-  bool first = true;
-  for (const Link& link : record.radio_links) {
-    if (!first) {
-      out->push_back(',');
+    if (size_ == kSize) {
+      AppendJsonNumber(out, value);
+      return;
     }
-    first = false;
-    AppendLink(out, link, "radio");
+    bits_[size_] = bits;
+    AppendJsonNumber(&text_[size_], value);
+    out->append(text_[size_]);
+    ++size_;
   }
-  for (const Link& link : record.isl_links) {
-    if (!first) {
-      out->push_back(',');
-    }
-    first = false;
-    AppendLink(out, link, "isl");
-  }
-  out->append("]}\n");
-}
 
-// Appends slot `slot`'s netevents line: the delta against the previous
-// captured slot plus the slot's study events. Returns the number of
-// events written. `diff` is caller scratch.
-uint64_t EncodeNetEvents(const std::vector<SlotRecord>& slots, int slot,
-                         LinkDiff* diff, std::string* out) {
-  const SlotRecord& record = slots[static_cast<size_t>(slot)];
-  out->append("{\"schema\":\"");
-  out->append(obs::kNetEventsSchema);
-  out->append("\",\"slot\":");
-  AppendInt(out, slot);
-  out->append(",\"t\":");
-  AppendJsonNumber(out, record.time_sec);
-  const bool has_delta = slot > 0 && record.captured &&
-                         slots[static_cast<size_t>(slot - 1)].captured;
-  diff->Clear();
-  if (has_delta) {
-    const SlotRecord& prev = slots[static_cast<size_t>(slot - 1)];
-    CheckStaticGroundNodes(prev, record);
-    ComputeDiff(prev, record, diff);
-    out->append(",\"sat_ecef\":");
-    AppendVec3Array(out, record.node_ecef.data(),
-                    static_cast<size_t>(record.num_sats));
-    out->append(",\"air_ecef\":");
-    AppendVec3Array(out,
-                    record.node_ecef.data() + record.num_sats +
-                        record.num_cities + record.num_relays,
-                    static_cast<size_t>(record.num_aircraft));
-  }
-  out->append(",\"events\":[");
-  bool first = true;
-  const auto emit_links = [&](const std::vector<Link>& links, const char* name,
-                              const char* type, bool with_attrs) {
-    for (const Link& link : links) {
-      if (!first) {
-        out->push_back(',');
-      }
-      first = false;
-      out->append("[\"");
-      out->append(name);
-      out->append("\",");
-      AppendInt(out, link.a);
-      out->push_back(',');
-      AppendInt(out, link.b);
-      if (with_attrs) {
-        out->push_back(',');
-        AppendJsonNumber(out, link.delay_ms);
-        out->push_back(',');
-        AppendJsonNumber(out, link.capacity_gbps);
-        out->append(",\"");
-        out->append(type);
-        out->push_back('"');
-      }
-      out->push_back(']');
-    }
-  };
-  // Deterministic order: downs, then ups, then weight changes — radio
-  // before ISL within each class, each list (a, b)-sorted. Study
-  // events follow in the order the serial study passes added them.
-  emit_links(diff->radio_down, "link_down", "radio", false);
-  emit_links(diff->isl_down, "link_down", "isl", false);
-  emit_links(diff->radio_up, "link_up", "radio", true);
-  emit_links(diff->isl_up, "link_up", "isl", true);
-  const auto emit_weights = [&](const std::vector<Link>& links) {
-    for (const Link& link : links) {
-      if (!first) {
-        out->push_back(',');
-      }
-      first = false;
-      out->append("[\"weight\",");
-      AppendInt(out, link.a);
-      out->push_back(',');
-      AppendInt(out, link.b);
-      out->push_back(',');
-      AppendJsonNumber(out, link.delay_ms);
-      out->push_back(']');
-    }
-  };
-  emit_weights(diff->radio_weight);
-  emit_weights(diff->isl_weight);
-  for (const StudyEvent& event : record.events) {
-    if (!first) {
-      out->push_back(',');
-    }
-    first = false;
-    AppendStudyEvent(out, event);
-  }
-  out->append("]}\n");
-  return diff->Total() + record.events.size();
-}
-
-// One slot's encoded lines. Reused from window to window, so the
-// buffers keep their capacity.
-struct EncodedSlot {
-  std::string netstate;
-  std::string netevents;
-  uint64_t events{0};
-  LinkDiff diff;  // scratch
+ private:
+  static constexpr size_t kSize = 4;
+  size_t size_{0};
+  std::array<uint64_t, kSize> bits_{};
+  std::array<std::string, kSize> text_;
 };
 
-// Encodes every slot's lines on ParallelFor workers, one window of
-// worker-count slots at a time, and hands them to `sink` serially in
-// slot order. Only one window of lines is alive at once, so a sink that
-// streams them out never holds a whole trace.
+// A slot's ground nodes (cities, then relays) in node_ecef.
+size_t GroundBegin(const SlotRecord& record) {
+  return std::min(static_cast<size_t>(record.num_sats),
+                  record.node_ecef.size());
+}
+size_t GroundEnd(const SlotRecord& record) {
+  return std::min(static_cast<size_t>(record.num_sats + record.num_cities +
+                                      record.num_relays),
+                  record.node_ecef.size());
+}
+
+void AppendXyz(std::string* out, const geo::Vec3& p) {
+  AppendJsonNumber(out, p.x);
+  out->push_back(',');
+  AppendJsonNumber(out, p.y);
+  out->push_back(',');
+  AppendJsonNumber(out, p.z);
+}
+
+// The netstate text of a slot's city and relay nodes. The studies keep
+// them static, so the text is formatted once per encoder and export and
+// reused while the positions, and the city/relay split, stay bit-equal
+// to those it was formatted from.
+class GroundText {
+ public:
+  const std::string& For(const SlotRecord& record) {
+    const geo::Vec3* begin = record.node_ecef.data() + GroundBegin(record);
+    const size_t count = GroundEnd(record) - GroundBegin(record);
+    if (num_cities_ == record.num_cities && ecef_.size() == count &&
+        std::equal(ecef_.begin(), ecef_.end(), begin,
+                   [](const geo::Vec3& a, const geo::Vec3& b) {
+                     return BitsEqual(a, b);
+                   })) {
+      return text_;
+    }
+    num_cities_ = record.num_cities;
+    ecef_.assign(begin, begin + count);
+    text_.clear();
+    for (size_t i = 0; i < count; ++i) {
+      if (i != 0) {
+        text_.push_back(',');
+      }
+      text_.append(static_cast<int>(i) < record.num_cities ? "[\"city\","
+                                                           : "[\"relay\",");
+      AppendXyz(&text_, ecef_[i]);
+      text_.push_back(']');
+    }
+    return text_;
+  }
+
+ private:
+  int num_cities_{-1};
+  std::vector<geo::Vec3> ecef_;
+  std::string text_;
+};
+
+// Where a link's formatted fields sit in SlotEncoder's link text:
+// `a,b,delay` is [begin, delay_end), `a,b,delay,capacity` [begin, end).
+struct LinkSpan {
+  size_t begin{0};
+  size_t delay_end{0};
+  size_t end{0};
+};
+
+// One worker's encoder. For each slot it formats every number the two
+// streams share once — a moving node's x,y,z, a link's delay and
+// capacity — and both lines copy that text. Holds one slot's lines at a
+// time; the capacity memo and the ground text live for the export.
+class SlotEncoder {
+ public:
+  // Encodes slot `slot`'s lines of the streams asked for, replacing the
+  // previous slot's. Throws std::logic_error when netevents/1 cannot
+  // describe the slot (see CheckStaticGroundNodes).
+  void Encode(const std::vector<SlotRecord>& slots, int slot, bool netstate,
+              bool netevents) {
+    const SlotRecord& record = slots[static_cast<size_t>(slot)];
+    netstate_.clear();
+    netevents_.clear();
+    events_ = 0;
+    link_text_.clear();
+    link_spans_.resize(record.radio_links.size() + record.isl_links.size());
+    const bool state_line = netstate && record.captured;
+    if (state_line) {
+      FormatMovingNodes(record);
+      for (size_t i = 0; i < link_spans_.size(); ++i) {
+        FormatLink(record, i);
+      }
+      EncodeNetState(record, slot);
+    }
+    if (!netevents) {
+      return;
+    }
+    diff_.Clear();
+    const bool has_delta = slot > 0 && record.captured &&
+                           slots[static_cast<size_t>(slot - 1)].captured;
+    if (has_delta) {
+      const SlotRecord& prev = slots[static_cast<size_t>(slot - 1)];
+      CheckStaticGroundNodes(prev, record);
+      ComputeDiff(prev, record, &diff_);
+      if (!state_line) {  // alone, netevents formats only what it writes
+        FormatMovingNodes(record);
+        const size_t num_radio = record.radio_links.size();
+        for (const size_t i : diff_.radio.up) {
+          FormatLink(record, i);
+        }
+        for (const size_t i : diff_.radio.weight) {
+          FormatLink(record, i);
+        }
+        for (const size_t i : diff_.isl.up) {
+          FormatLink(record, num_radio + i);
+        }
+        for (const size_t i : diff_.isl.weight) {
+          FormatLink(record, num_radio + i);
+        }
+      }
+    }
+    EncodeNetEvents(slots, slot, has_delta);
+  }
+
+  const std::string& netstate() const { return netstate_; }
+  const std::string& netevents() const { return netevents_; }
+  uint64_t events() const { return events_; }
+
+ private:
+  // The `x,y,z` of moving node m: satellites first, then the nodes past
+  // the ground block (the aircraft).
+  std::string_view Xyz(size_t m) const {
+    const size_t begin = m == 0 ? 0 : node_end_[m - 1];
+    return std::string_view(node_text_).substr(begin, node_end_[m] - begin);
+  }
+
+  std::string_view LinkFields(size_t index, bool with_capacity) const {
+    const LinkSpan& span = link_spans_[index];
+    return std::string_view(link_text_)
+        .substr(span.begin,
+                (with_capacity ? span.end : span.delay_end) - span.begin);
+  }
+
+  void FormatMovingNodes(const SlotRecord& record) {
+    node_text_.clear();
+    node_end_.clear();
+    const auto format = [&](size_t begin, size_t end) {
+      for (size_t n = begin; n < end; ++n) {
+        AppendXyz(&node_text_, record.node_ecef[n]);
+        node_end_.push_back(node_text_.size());
+      }
+    };
+    format(0, GroundBegin(record));
+    format(GroundEnd(record), record.node_ecef.size());
+  }
+
+  // Formats link `index` of the slot's radio links followed by its ISLs.
+  void FormatLink(const SlotRecord& record, size_t index) {
+    const size_t num_radio = record.radio_links.size();
+    const Link& link = index < num_radio
+                           ? record.radio_links[index]
+                           : record.isl_links[index - num_radio];
+    LinkSpan& span = link_spans_[index];
+    span.begin = link_text_.size();
+    AppendInt(&link_text_, link.a);
+    link_text_.push_back(',');
+    AppendInt(&link_text_, link.b);
+    link_text_.push_back(',');
+    AppendJsonNumber(&link_text_, link.delay_ms);
+    span.delay_end = link_text_.size();
+    link_text_.push_back(',');
+    capacities_.Append(&link_text_, link.capacity_gbps);
+    span.end = link_text_.size();
+  }
+
+  // Slot `slot`'s netstate line: every node and every enabled link of the
+  // captured state.
+  void EncodeNetState(const SlotRecord& record, int slot) {
+    std::string* out = &netstate_;
+    out->append("{\"schema\":\"");
+    out->append(obs::kNetStateSchema);
+    out->append("\",\"slot\":");
+    AppendInt(out, slot);
+    out->append(",\"t\":");
+    AppendJsonNumber(out, record.time_sec);
+    out->append(",\"counts\":[");
+    AppendInt(out, record.num_sats);
+    out->push_back(',');
+    AppendInt(out, record.num_cities);
+    out->push_back(',');
+    AppendInt(out, record.num_relays);
+    out->push_back(',');
+    AppendInt(out, record.num_aircraft);
+    out->append("],\"nodes\":[");
+    bool first = true;
+    const auto separate = [&] {
+      if (!first) {
+        out->push_back(',');
+      }
+      first = false;
+    };
+    const size_t num_sats = GroundBegin(record);
+    for (size_t m = 0; m < num_sats; ++m) {
+      separate();
+      out->append("[\"sat\",");
+      out->append(Xyz(m));
+      out->push_back(']');
+    }
+    if (GroundEnd(record) > num_sats) {
+      separate();
+      out->append(ground_.For(record));
+    }
+    for (size_t m = num_sats; m < node_end_.size(); ++m) {
+      separate();
+      out->append("[\"air\",");
+      out->append(Xyz(m));
+      out->push_back(']');
+    }
+    out->append("],\"links\":[");
+    first = true;
+    const size_t num_radio = record.radio_links.size();
+    for (size_t i = 0; i < link_spans_.size(); ++i) {
+      separate();
+      out->push_back('[');
+      out->append(LinkFields(i, true));
+      out->append(i < num_radio ? ",\"radio\"]" : ",\"isl\"]");
+    }
+    out->append("]}\n");
+  }
+
+  // Slot `slot`'s netevents line: the delta against the previous
+  // captured slot plus the slot's study events.
+  void EncodeNetEvents(const std::vector<SlotRecord>& slots, int slot,
+                       bool has_delta) {
+    const SlotRecord& record = slots[static_cast<size_t>(slot)];
+    std::string* out = &netevents_;
+    out->append("{\"schema\":\"");
+    out->append(obs::kNetEventsSchema);
+    out->append("\",\"slot\":");
+    AppendInt(out, slot);
+    out->append(",\"t\":");
+    AppendJsonNumber(out, record.time_sec);
+    if (has_delta) {
+      const auto append_nodes = [&](size_t begin, size_t count) {
+        out->push_back('[');
+        for (size_t m = begin; m < begin + count; ++m) {
+          if (m != begin) {
+            out->push_back(',');
+          }
+          out->push_back('[');
+          out->append(Xyz(m));
+          out->push_back(']');
+        }
+        out->push_back(']');
+      };
+      const size_t num_sats = GroundBegin(record);
+      out->append(",\"sat_ecef\":");
+      append_nodes(0, num_sats);
+      out->append(",\"air_ecef\":");
+      append_nodes(num_sats,
+                   std::min(static_cast<size_t>(record.num_aircraft),
+                            node_end_.size() - num_sats));
+    }
+    out->append(",\"events\":[");
+    bool first = true;
+    const auto separate = [&] {
+      if (!first) {
+        out->push_back(',');
+      }
+      first = false;
+    };
+    const auto emit_downs = [&](const std::vector<Link>& prev,
+                                const std::vector<size_t>& indices) {
+      for (const size_t i : indices) {
+        separate();
+        out->append("[\"link_down\",");
+        AppendInt(out, prev[i].a);
+        out->push_back(',');
+        AppendInt(out, prev[i].b);
+        out->push_back(']');
+      }
+    };
+    const size_t num_radio = record.radio_links.size();
+    // `base` turns an index into the slot's list into one into the link
+    // text, which holds the radio links first.
+    const auto emit_ups = [&](const std::vector<size_t>& indices, size_t base,
+                              const char* tail) {
+      for (const size_t i : indices) {
+        separate();
+        out->append("[\"link_up\",");
+        out->append(LinkFields(base + i, true));
+        out->append(tail);
+      }
+    };
+    const auto emit_weights = [&](const std::vector<size_t>& indices,
+                                  size_t base) {
+      for (const size_t i : indices) {
+        separate();
+        out->append("[\"weight\",");
+        out->append(LinkFields(base + i, false));
+        out->push_back(']');
+      }
+    };
+    // Deterministic order: downs, then ups, then weight changes — radio
+    // before ISL within each class, each list (a, b)-sorted. Study
+    // events follow in the order the serial study passes added them.
+    if (has_delta) {
+      const SlotRecord& prev = slots[static_cast<size_t>(slot - 1)];
+      emit_downs(prev.radio_links, diff_.radio.down);
+      emit_downs(prev.isl_links, diff_.isl.down);
+    }
+    emit_ups(diff_.radio.up, 0, ",\"radio\"]");
+    emit_ups(diff_.isl.up, num_radio, ",\"isl\"]");
+    emit_weights(diff_.radio.weight, 0);
+    emit_weights(diff_.isl.weight, num_radio);
+    for (const StudyEvent& event : record.events) {
+      separate();
+      AppendStudyEvent(out, event);
+    }
+    out->append("]}\n");
+    events_ = diff_.Total() + record.events.size();
+  }
+
+  std::string netstate_;
+  std::string netevents_;
+  uint64_t events_{0};
+  LinkDiff diff_;
+  std::string node_text_;          // moving nodes' `x,y,z`, back to back
+  std::vector<size_t> node_end_;   // end of moving node m's text
+  std::string link_text_;
+  std::vector<LinkSpan> link_spans_;  // radio links, then ISLs
+  CapacityMemo capacities_;
+  GroundText ground_;
+};
+
+// Hands slots to a sink in slot order from the workers that encoded
+// them: a worker that has encoded slot s waits until slot s - 1 is
+// handed over, hands over its own and moves on, while the other workers
+// keep encoding. A failing worker abandons the turnstile and wakes every
+// waiter, or the slot after it would wait for a turn that never comes.
+class Turnstile {
+ public:
+  // Runs `commit` once every slot before `slot` has run its own. Returns
+  // without running it when the turnstile was abandoned.
+  void InTurn(int slot, const std::function<void()>& commit) {
+    {
+      const MutexLock lock(mutex_);
+      while (turn_ != slot && !abandoned_) {
+        turn_changed_.Wait(mutex_);
+      }
+      if (abandoned_) {
+        return;
+      }
+    }
+    commit();
+    {
+      const MutexLock lock(mutex_);
+      ++turn_;
+    }
+    turn_changed_.NotifyAll();
+  }
+
+  void Abandon() {
+    {
+      const MutexLock lock(mutex_);
+      abandoned_ = true;
+    }
+    turn_changed_.NotifyAll();
+  }
+
+ private:
+  Mutex mutex_;
+  CondVar turn_changed_;
+  int turn_ LEOSIM_GUARDED_BY(mutex_) = 0;
+  bool abandoned_ LEOSIM_GUARDED_BY(mutex_) = false;
+};
+
+// Encodes every slot's lines on ParallelForWorkers workers, each slot
+// into its worker's encoder, and hands them to `sink` in slot order,
+// from whichever worker holds the slot. At most one slot per worker is
+// alive at once, so a sink that streams the lines out never holds a
+// whole trace.
 void EncodeSlots(bool netstate, bool netevents,
-                 const std::function<void(const EncodedSlot&)>& sink) {
+                 const std::function<void(const SlotEncoder&)>& sink) {
   const RecorderState& state = State();
   const int num_slots = state.num_slots.load(std::memory_order_acquire);
   if (num_slots == 0) {
     return;
   }
-  const int window = std::min(DefaultWorkerCount(), num_slots);
-  std::vector<EncodedSlot> lines(static_cast<size_t>(window));
-  for (int begin = 0; begin < num_slots; begin += window) {
-    const int count = std::min(window, num_slots - begin);
-    ParallelFor(count, [&](int k) {
-      const obs::Span span("trace.encode");
-      const int slot = begin + k;
-      const SlotRecord& record = state.slots[static_cast<size_t>(slot)];
-      EncodedSlot& out = lines[static_cast<size_t>(k)];
-      out.netstate.clear();
-      out.netevents.clear();
-      if (netstate && record.captured) {
-        EncodeNetState(record, slot, &out.netstate);
+  std::vector<SlotEncoder> encoders(
+      static_cast<size_t>(std::min(DefaultWorkerCount(), num_slots)));
+  Turnstile turnstile;
+  ParallelForWorkers(num_slots, [&](int worker, int slot) {
+    SlotEncoder& encoder = encoders[static_cast<size_t>(worker)];
+    try {
+      {
+        const obs::Span span("trace.encode");
+        encoder.Encode(state.slots, slot, netstate, netevents);
       }
-      if (netevents) {
-        out.events =
-            EncodeNetEvents(state.slots, slot, &out.diff, &out.netevents);
-      }
-    });
-    for (int k = 0; k < count; ++k) {
-      sink(lines[static_cast<size_t>(k)]);
+      turnstile.InTurn(slot, [&] { sink(encoder); });
+    } catch (...) {
+      turnstile.Abandon();
+      throw;
     }
-  }
+  });
 }
 
 // Per-worker scratch of ValidateReplay.
@@ -538,9 +756,9 @@ std::string ReplaySlot(const std::vector<SlotRecord>& slots, int slot,
                 record.num_aircraft,
                 replayed.node_ecef.begin() + record.num_sats +
                     record.num_cities + record.num_relays);
-    ApplyDiff(prev.radio_links, diff.radio_down, diff.radio_up,
-              diff.radio_weight, &replayed.radio_links);
-    ApplyDiff(prev.isl_links, diff.isl_down, diff.isl_up, diff.isl_weight,
+    ApplyDiff(prev.radio_links, record.radio_links, diff.radio,
+              &replayed.radio_links);
+    ApplyDiff(prev.isl_links, record.isl_links, diff.isl,
               &replayed.isl_links);
   } catch (const std::logic_error& error) {
     return DescribeMismatch(slot, error.what());
@@ -718,16 +936,16 @@ void NetTraceRecorder::AddHandover(int slot, std::vector<int32_t> lost,
 
 std::string NetTraceRecorder::NetStateJsonl() const {
   std::string out;
-  EncodeSlots(true, false, [&out](const EncodedSlot& lines) {
-    out.append(lines.netstate);
+  EncodeSlots(true, false, [&out](const SlotEncoder& lines) {
+    out.append(lines.netstate());
   });
   return out;
 }
 
 std::string NetTraceRecorder::NetEventsJsonl() const {
   std::string out;
-  EncodeSlots(false, true, [&out](const EncodedSlot& lines) {
-    out.append(lines.netevents);
+  EncodeSlots(false, true, [&out](const SlotEncoder& lines) {
+    out.append(lines.netevents());
   });
   return out;
 }
@@ -752,11 +970,11 @@ bool NetTraceRecorder::WriteTo(const std::string& dir) const {
   };
   uint64_t events = 0;
   bool written = true;
-  EncodeSlots(true, true, [&](const EncodedSlot& lines) {
+  EncodeSlots(true, true, [&](const SlotEncoder& lines) {
     const obs::Span span("trace.write");
-    events += lines.events;
-    written = written && write(netstate.get(), lines.netstate) &&
-              write(netevents.get(), lines.netevents);
+    events += lines.events();
+    written = written && write(netstate.get(), lines.netstate()) &&
+              write(netevents.get(), lines.netevents());
   });
   EventsEmittedCounter().Add(events);
   // A write error can first surface when fclose flushes the buffer.

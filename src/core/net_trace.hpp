@@ -33,9 +33,12 @@
 // ValidateReplay() are serial-only — studies emit events from their
 // order-sensitive serial diff passes, which is also what makes the
 // event order deterministic. The serializers, WriteTo() and
-// ValidateReplay() encode and check slots on core::ParallelFor workers
-// internally (LEOSIM_THREADS sets how many); their output does not
-// depend on the worker count.
+// ValidateReplay() encode and check slots on core::ParallelForWorkers
+// workers internally (LEOSIM_THREADS sets how many); their output does
+// not depend on the worker count. Each worker encodes the slots it
+// claims into its own buffer and hands them to the output in slot
+// order, so the output's writes run on the workers, one slot at a time
+// and in slot order, while the other workers keep encoding.
 #pragma once
 
 #include <cstdint>
@@ -117,10 +120,13 @@ class NetTraceRecorder {
   std::string NetEventsJsonl() const;
 
   // Writes netstate.jsonl and netevents.jsonl into `dir` (created if
-  // missing), streaming a few slots at a time, so neither stream is ever
-  // held whole. Adds the events written to `nettrace.events_emitted`.
-  // Returns false on I/O failure, including one that surfaces only when
-  // a file is closed.
+  // missing). The workers that encode the slots write them, in slot
+  // order, and at most one slot per worker is held at once, so neither
+  // stream is ever held whole. Adds the events written to
+  // `nettrace.events_emitted`. Returns false on I/O failure, including
+  // one that surfaces only when a file is closed. Throws what encoding
+  // throws (a std::logic_error when netevents/1 cannot describe a slot)
+  // once every worker has stopped.
   bool WriteTo(const std::string& dir) const;
 
   // Replays the event stream over the first captured slot's state and

@@ -5,7 +5,9 @@ Runs `leosim_cli trace` for a >= 60-slot, 10-second-spacing sweep in
 both connectivity modes (bent-pipe and +Grid hybrid), then proves the
 replay invariant *from the files alone* with tools/trace_check.py:
 applying each slot's event batch over the slot-0 keyframe must
-reproduce every subsequent full-state slot bit-identically.
+reproduce every subsequent full-state slot bit-identically. Each
+mode's two files must also keep their recorded md5s: the trace bytes
+are a stable artifact, and an encoder change must not move them.
 
 Usage: test_trace_replay.py /path/to/leosim_cli
 
@@ -15,6 +17,7 @@ invariant under test is spacing-independent.
 
 from __future__ import annotations
 
+import hashlib
 import subprocess
 import sys
 import tempfile
@@ -27,6 +30,14 @@ import trace_check  # noqa: E402
 
 SNAPSHOTS = 60  # schedule endpoint is exclusive: slots 0..59
 STEP_SEC = 10
+
+# md5 of each file at this script's arguments, per mode.
+RECORDED_MD5 = {
+    "bent-pipe": {"netstate.jsonl": "4ddf2bad8c33f5fd3b1cc45e0da23f74",
+                  "netevents.jsonl": "716ac6b8e351a967e35710eb162a1570"},
+    "hybrid": {"netstate.jsonl": "6bb36940ad4638151cc672dc0e7dec5d",
+               "netevents.jsonl": "c62de6b436f14ecedabdddb060813646"},
+}
 
 
 def run_mode(cli: str, out_dir: Path, mode_flag: list[str], label: str) -> int:
@@ -46,6 +57,12 @@ def run_mode(cli: str, out_dir: Path, mode_flag: list[str], label: str) -> int:
 
     netstate = out_dir / "netstate.jsonl"
     netevents = out_dir / "netevents.jsonl"
+    for path in (netstate, netevents):
+        digest = hashlib.md5(path.read_bytes()).hexdigest()
+        if digest != RECORDED_MD5[label][path.name]:
+            print(f"FAIL: {label}: {path.name} md5 {digest}, recorded "
+                  f"{RECORDED_MD5[label][path.name]}")
+            return 1
     state_lines = sum(1 for l in netstate.read_text().splitlines() if l.strip())
     if state_lines < SNAPSHOTS:
         print(f"FAIL: {label}: only {state_lines} netstate slots "
