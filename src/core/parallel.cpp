@@ -133,8 +133,13 @@ void ParallelForWorkers(int count,
       }
     });
   }
-  for (std::thread& t : threads) {
-    t.join();
+  {
+    // The calling thread only waits from here on: a span of its own, so
+    // that the wait does not read as parallel.run's work.
+    const obs::Span wait_span("parallel.wait");
+    for (std::thread& t : threads) {
+      t.join();
+    }
   }
   // All workers have joined, but the analysis still wants the lock held
   // to read the guarded slot — an uncontended acquire, once per run.

@@ -40,11 +40,12 @@
 // the full graph's bit for bit. A tree's labels are Dijkstra's; A*'s
 // RTT is dst's label when dst pops, final because both potentials are
 // strictly admissible. A node chain or a disjoint path comes from the
-// contraction's ExpandPath alone: it runs the A* tie guard on the full
-// graph and reruns graph::ShortestPath there when an exact tie could
-// make the chain differ. So RTTs, node chains and disjoint-path edge
-// lists equal graph::ShortestPath's and the plain
-// KEdgeDisjointShortestPaths' bit for bit.
+// contraction's ExpandPath alone: it runs the A* tie guard on the
+// contracted rows of the chain's nodes and reruns graph::ShortestPath on
+// the full graph when an exact tie could make the chain differ. So
+// RTTs, node chains and disjoint-path edge lists equal
+// graph::ShortestPath's and the plain KEdgeDisjointShortestPaths' bit
+// for bit.
 #pragma once
 
 #include <cstddef>

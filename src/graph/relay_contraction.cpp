@@ -115,54 +115,67 @@ void RelayContraction::DropDisabledDirectArcs() {
 
 namespace {
 
-// Maps the chain the search left in `workspace` to g and checks it (see
-// RelayContraction::ExpandPath): `c` maps arcs to records, `g` is the
-// source graph as masked now. Returns false, `out` unspecified, when the
-// check fails.
+// True when the chain's hop `hop` into kept node x is Dijkstra's (see
+// RelayContraction::ExpandPath), read from x's row alone. Each arc
+// x -> a is relaxed in reverse, (d(a) + weight2) + weight, the source
+// graph's two additions through its relay; its source edge is
+// Record(arc).up.
 template <typename Contracted>
-bool ExpandChain(const Contracted& c, const Graph& g, NodeId src, NodeId dst,
-                 const DijkstraWorkspace& workspace, Path* out) {
-  const NodeId num_kept = c.NumNodes();
-  const auto label = [&](NodeId v) {
-    if (v < num_kept) {
-      return workspace.DistanceOf(v);
+bool HopIsTheOnlyTight(const Contracted& c, const DijkstraWorkspace& workspace,
+                       NodeId x, const ContractedArcRecord& hop) {
+  const double dx = workspace.DistanceOf(x);
+  const bool detour = hop.relay >= 0;
+  const EdgeId edge = detour ? hop.down : hop.up;  // the chain's edge into x
+  bool edge_tight = false;
+  double relay_label = kInfDistance;  // min over the arcs via `edge`
+  int at_label = 0;
+  bool tail_at_label = false;
+  for (const ContractedArc& arc : c.Neighbours(x)) {
+    const double via = workspace.DistanceOf(arc.to) + arc.weight2;
+    const bool tight = via + arc.weight == dx;
+    if (!tight && !detour) {
+      continue;
     }
-    double best = kInfDistance;
-    for (const HalfEdge& half : g.Neighbours(v)) {
-      best = std::min(best, workspace.DistanceOf(half.to) + half.weight);
+    const ContractedArcRecord& rec = c.Record(arc.edge);
+    if (tight) {
+      if (rec.up != edge) {
+        return false;  // a second tight edge into x
+      }
+      edge_tight = true;
     }
-    return best;
-  };
-  // True when `chain_edge` is x's one tight edge in the source graph.
-  const auto only_tight = [&](NodeId x, EdgeId chain_edge) {
-    const double dx = label(x);
-    int tight = 0;
-    bool chain_tight = false;
-    for (const HalfEdge& half : g.Neighbours(x)) {
-      if (label(half.to) + half.weight == dx) {
-        ++tight;
-        chain_tight = chain_tight || half.edge == chain_edge;
+    if (detour && rec.up == edge) {
+      if (via < relay_label) {
+        relay_label = via;
+        at_label = 0;
+        tail_at_label = false;
+      }
+      if (via == relay_label) {
+        ++at_label;
+        tail_at_label = tail_at_label || rec.down == hop.up;
       }
     }
-    return tight == 1 && chain_tight;
-  };
+  }
+  return edge_tight && (!detour || (at_label == 1 && tail_at_label));
+}
 
+// Maps the chain the search left in `workspace` to the source graph and
+// checks each hop (HopIsTheOnlyTight). Returns false, `out` unspecified,
+// when a check fails.
+template <typename Contracted>
+bool ExpandChain(const Contracted& c, NodeId src, NodeId dst,
+                 const DijkstraWorkspace& workspace, Path* out) {
   out->nodes.clear();
   out->edges.clear();
   out->distance = workspace.DistanceOf(dst);
   for (NodeId cur = dst; cur != src;) {
     const ContractedArcRecord& rec = c.Record(workspace.ViaEdge(cur));
+    if (!HopIsTheOnlyTight(c, workspace, cur, rec)) {
+      return false;
+    }
+    out->nodes.push_back(cur);
     if (rec.relay < 0) {
-      if (!only_tight(cur, rec.up)) {
-        return false;
-      }
-      out->nodes.push_back(cur);
       out->edges.push_back(rec.up);
     } else {
-      if (!only_tight(cur, rec.down) || !only_tight(rec.relay, rec.up)) {
-        return false;
-      }
-      out->nodes.push_back(cur);
       out->edges.push_back(rec.down);
       out->nodes.push_back(rec.relay);
       out->edges.push_back(rec.up);
@@ -179,7 +192,7 @@ bool ExpandChain(const Contracted& c, const Graph& g, NodeId src, NodeId dst,
 template <typename Contracted>
 void ExpandOnSource(const Contracted& c, const Graph& g, NodeId src, NodeId dst,
                     const DijkstraWorkspace& workspace, Path* out) {
-  if (!ExpandChain(c, g, src, dst, workspace, out)) {
+  if (!ExpandChain(c, src, dst, workspace, out)) {
     TieFallbacksCounter().Increment();
     *out = *ShortestPath(g, src, dst);
   }

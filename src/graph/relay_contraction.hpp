@@ -27,8 +27,8 @@
 // predecessor arcs can form another chain than Dijkstra on the source
 // graph would take. ExpandPath is the one place a contracted search
 // becomes a path: it maps the chain back to source-graph nodes and
-// edges, checks it, and reruns Dijkstra on the source graph when the
-// check fails; see there.
+// edges, checks it on the contracted rows, and reruns Dijkstra on the
+// source graph when the check fails; see there.
 #pragma once
 
 #include <cstdint>
@@ -127,20 +127,46 @@ class RelayContraction {
   // other targets can still be expanded), counted in
   // `route.contract.tie_fallbacks`.
   //
-  // The check is ShortestPathAStar's tie guard on the source graph.
-  // Every node x of the expanded chain but src must have exactly one
-  // tight edge (u, x) — label(u) + w(u, x) == label(x) — and it must be
-  // the chain's. Kept nodes' labels come from the workspace; a contracted
-  // node's label is the minimum of its neighbours' labels plus the edge
-  // weight, the value a source-graph search gives it. Every true tight
-  // predecessor has a smaller distance than dst's, so the search settled
-  // it (and, for a relay, the neighbour it is reached from) at its final
-  // distance; labels the search did not finalise only overestimate and
-  // so never fake a tight edge. A node with one tight edge gets it in
-  // Dijkstra, so a chain that passes is Dijkstra's. A search on the
-  // contraction needs no guard of its own: two tight contracted arcs
-  // into a chain node are two tight source-graph edges, at that node or
-  // at a relay they share, which this check finds on either chain.
+  // The check is ShortestPathAStar's tie guard: every node x of the
+  // expanded chain but src must have exactly one tight source-graph edge
+  // (u, x), label(u) + w(u, x) == label(x), and it must be the chain's;
+  // for a relay, label(u) is the minimum of its neighbours' labels plus
+  // the edge weight, the value a source-graph search gives it. Every true
+  // tight predecessor has a smaller distance than dst's, so the search
+  // settled it (and, for a relay, the neighbour it is reached from) at
+  // its final distance; labels the search did not finalise only
+  // overestimate and so never fake a tight edge. A node with one tight
+  // edge gets it in Dijkstra, so a chain that passes is Dijkstra's. A
+  // search on the contraction needs no guard of its own: two tight
+  // contracted arcs into a chain node are two tight source-graph edges,
+  // at that node or at a relay they share, which this check finds on
+  // either chain.
+  //
+  // The guard reads x's contracted row, not the source graph. Each arc
+  // x -> a (direct, or a detour via relay r) relaxes in reverse as
+  // (d(a) + weight2) + weight: the two additions the source graph makes
+  // through r, in the same order, so a tight arc makes its source edge
+  // Record(arc).up (x's edge to r, or the direct edge) tight. A hop
+  // passes when every tight arc has the chain's edge into x as its
+  // source edge, and that edge is tight; a detour hop via r also needs
+  // the minimum of d(a) + weight2 over x's arcs through that edge to be
+  // reached by one arc only, the chain's tail's. Why these are the
+  // source graph's decisions:
+  //  - Tight relays appear in the row. A tight edge (r, x) has a tight
+  //    predecessor a of r, and r lies in the near-tie set of the pair
+  //    (a, x): otherwise a path a -> r' -> x would beat d(x) by more than
+  //    rounding (the exactness argument above). So x's row holds the arc
+  //    x -> a via r.
+  //  - Counts and labels match. The distinct source edges of x's tight
+  //    arcs are x's tight edges. For a tight r, the row's minimum over
+  //    the arcs via r is r's label, and the arcs at it are exactly r's
+  //    tight edges (x itself is never one: its weights are positive).
+  //  - Residual views keep this: a ResidualContraction repairs broken
+  //    pairs with Build's rule on the masked graph, so all of the above
+  //    holds on every residual graph.
+  // Only the fallback graph::ShortestPath reads the source graph here;
+  // elsewhere at query time ResidualContraction::Ban and its pair
+  // repairs read it, and the disjoint-path loop masks its edges.
   void ExpandPath(NodeId src, NodeId dst, const DijkstraWorkspace& workspace,
                   Path* out) const;
 
@@ -228,8 +254,8 @@ class ResidualContraction {
     return id < base_arcs ? base_->Record(arc) : records_[id - base_arcs];
   }
 
-  // RelayContraction::ExpandPath on the view, checked against (and on
-  // failure rerun on) the source graph as masked now.
+  // RelayContraction::ExpandPath on the view: checked on the view's
+  // rows, and on failure rerun on the source graph as masked now.
   void ExpandPath(NodeId src, NodeId dst, const DijkstraWorkspace& workspace,
                   Path* out) const;
 

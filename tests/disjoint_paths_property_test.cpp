@@ -19,11 +19,19 @@
 // the first path, a banned relay with a near-tied twin, a broken pair
 // with no relay left, and consecutive pairs that share a satellite; and
 // the sweep must not depend on the thread count.
+//
+// ExpandPath checks each chain hop on the contracted row of its node.
+// On seeded random graphs full of exact ties, its accept/reject must be
+// that of the tie guard it replaced, which read the full graph and is
+// kept here as the reference, for every chain a tree, an A* search and
+// a residual view between the bans of a k = 4 run leave.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <optional>
+#include <random>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -36,6 +44,7 @@
 #include "data/cities.hpp"
 #include "graph/disjoint_paths.hpp"
 #include "graph/relay_contraction.hpp"
+#include "graph/sssp_tree.hpp"
 #include "obs/metrics.hpp"
 #include "plain_flows_oracle.hpp"
 #include "scoped_threads.hpp"
@@ -458,6 +467,208 @@ TEST(ContractedDisjointPaths, ConsecutivePairsSharingASatelliteStartClean) {
     ExpectSamePaths(alone_first[0], both[first_is_0 ? 0 : 1], "C0 -> C1");
     ExpectSamePaths(alone_second[0], both[first_is_0 ? 1 : 0], "C2 -> C1");
   }
+}
+
+// The tie guard ExpandPath ran before it read contracted rows, on the
+// source graph `g` as masked now: every node x of the chain but src must
+// have exactly one tight edge (u, x), label(u) + w(u, x) == label(x), and
+// it must be the chain's; a relay's label is the minimum over its
+// neighbours of their label plus the edge weight. Returns whether the
+// chain the search left in `workspace` passes.
+template <typename Contracted>
+bool FullGraphGuardAccepts(const Contracted& c, const graph::Graph& g,
+                           graph::NodeId src, graph::NodeId dst,
+                           const graph::DijkstraWorkspace& workspace) {
+  const graph::NodeId num_kept = c.NumNodes();
+  const auto label = [&](graph::NodeId v) {
+    if (v < num_kept) {
+      return workspace.DistanceOf(v);
+    }
+    double best = graph::kInfDistance;
+    for (const graph::HalfEdge& half : g.Neighbours(v)) {
+      best = std::min(best, workspace.DistanceOf(half.to) + half.weight);
+    }
+    return best;
+  };
+  const auto only_tight = [&](graph::NodeId x, graph::EdgeId chain_edge) {
+    const double dx = label(x);
+    int tight = 0;
+    bool chain_tight = false;
+    for (const graph::HalfEdge& half : g.Neighbours(x)) {
+      if (label(half.to) + half.weight == dx) {
+        ++tight;
+        chain_tight = chain_tight || half.edge == chain_edge;
+      }
+    }
+    return tight == 1 && chain_tight;
+  };
+  for (graph::NodeId cur = dst; cur != src;) {
+    const graph::ContractedArcRecord& rec = c.Record(workspace.ViaEdge(cur));
+    if (rec.relay < 0 ? !only_tight(cur, rec.up)
+                      : !only_tight(cur, rec.down) || !only_tight(rec.relay, rec.up)) {
+      return false;
+    }
+    cur = rec.tail;
+  }
+  return true;
+}
+
+// A seeded random graph, [satellites | cities | relays], with integer
+// weights so that equal sums are exact ties: relays of degree 2-4 and
+// cities of degree 1-3 on distinct satellites, and a few ISLs.
+struct TieGraph {
+  static constexpr int kSats = 10;
+  static constexpr int kCities = 4;
+  static constexpr int kRelays = 24;
+  static constexpr int kKept = kSats + kCities;
+  graph::Graph g;
+
+  explicit TieGraph(uint32_t seed) {
+    std::mt19937 rng(seed);
+    const auto pick = [&rng](int lo, int hi) {
+      return std::uniform_int_distribution<int>(lo, hi)(rng);
+    };
+    // `count` distinct satellites, in random order.
+    const auto sats = [&](int count) {
+      std::vector<graph::NodeId> all(kSats);
+      for (int i = 0; i < kSats; ++i) {
+        all[static_cast<size_t>(i)] = i;
+      }
+      std::shuffle(all.begin(), all.end(), rng);
+      all.resize(static_cast<size_t>(count));
+      return all;
+    };
+    g.Reset(kKept + kRelays);
+    for (int i = 0; i < kSats / 2; ++i) {
+      const std::vector<graph::NodeId> ends = sats(2);
+      bool linked = false;
+      for (const graph::HalfEdge& half : g.Neighbours(ends[0])) {
+        linked = linked || half.to == ends[1];
+      }
+      if (!linked) {
+        g.AddEdge(ends[0], ends[1], pick(2, 5));
+      }
+    }
+    for (int c = 0; c < kCities; ++c) {
+      for (const graph::NodeId sat : sats(pick(1, 3))) {
+        g.AddEdge(kSats + c, sat, pick(1, 2));
+      }
+    }
+    for (int r = 0; r < kRelays; ++r) {
+      for (const graph::NodeId sat : sats(pick(2, 4))) {
+        g.AddEdge(kKept + r, sat, pick(1, 3));
+      }
+    }
+    g.FinalizeAdjacency();
+  }
+};
+
+// Runs ExpandPath on the chain the search left in `workspace` into
+// `path` and holds its decision to the reference guard's: the tie
+// fallbacks it counts (1 on reject) and the path, which is
+// graph::ShortestPath's either way. Returns whether the reference
+// rejected the chain.
+template <typename Contracted>
+bool ExpandMatchesReference(const Contracted& c, const graph::Graph& g,
+                            graph::NodeId src, graph::NodeId dst,
+                            const graph::DijkstraWorkspace& workspace,
+                            const std::string& what, graph::Path* path) {
+  const bool accepts = FullGraphGuardAccepts(c, g, src, dst, workspace);
+  const uint64_t before = ContractTieFallbacks();
+  c.ExpandPath(src, dst, workspace, path);
+  EXPECT_EQ(ContractTieFallbacks() - before, accepts ? 0u : 1u) << what;
+  const std::optional<graph::Path> plain = graph::ShortestPath(g, src, dst);
+  EXPECT_TRUE(plain.has_value()) << what;
+  if (plain.has_value()) {
+    EXPECT_EQ(path->nodes, plain->nodes) << what;
+    EXPECT_EQ(path->edges, plain->edges) << what;
+    EXPECT_TRUE(BitEq(path->distance, plain->distance)) << what;
+  }
+  return !accepts;
+}
+
+TEST(ContractedDisjointPaths, RowTieCheckDecidesAsTheFullGraphGuard) {
+  uint64_t chains = 0;
+  uint64_t tree_rejects = 0;
+  uint64_t astar_rejects = 0;
+  uint64_t residual_rejects = 0;
+  const uint64_t fallbacks_before = ContractTieFallbacks();
+  for (uint32_t seed = 1; seed <= 40; ++seed) {
+    TieGraph t(seed);
+    graph::Graph& g = t.g;
+    graph::RelayContraction base;
+    base.Build(g, TieGraph::kKept);
+    graph::ResidualContraction residual;
+    residual.Reset(base);
+    graph::DijkstraWorkspace ws;
+    graph::DijkstraWorkspace exact;
+    graph::ShortestPathTree tree;
+    graph::Path path;
+    std::vector<graph::NodeId> targets(TieGraph::kKept);
+    for (graph::NodeId n = 0; n < TieGraph::kKept; ++n) {
+      targets[static_cast<size_t>(n)] = n;
+    }
+    for (graph::NodeId src = 0; src < TieGraph::kKept; ++src) {
+      const std::string at = "seed " + std::to_string(seed) + " src " +
+                             std::to_string(src);
+      tree.Build(base, src, targets, ws);
+      for (const graph::NodeId dst : targets) {
+        if (dst != src && tree.DistanceTo(dst) < graph::kInfDistance) {
+          ++chains;
+          tree_rejects += ExpandMatchesReference(
+              base, g, src, dst, ws, at + " tree dst " + std::to_string(dst), &path);
+        }
+      }
+      for (const graph::NodeId dst : targets) {
+        if (dst == src) {
+          continue;
+        }
+        // Half the exact distance to dst (the contraction is symmetric):
+        // strictly admissible, and it settles nodes in another order
+        // than Dijkstra does. Bans only lengthen distances, so it stays
+        // so on every residual graph.
+        graph::RunDijkstra(base, dst, exact, [](graph::NodeId) { return false; });
+        std::vector<double> potential(TieGraph::kKept);
+        for (graph::NodeId n = 0; n < TieGraph::kKept; ++n) {
+          potential[static_cast<size_t>(n)] = 0.5 * exact.DistanceOf(n);
+        }
+        const auto h = [&potential](graph::NodeId n) {
+          return potential[static_cast<size_t>(n)];
+        };
+        const std::string what = at + " dst " + std::to_string(dst);
+        if (graph::RunAStar(base, src, dst, ws, h)) {
+          ++chains;
+          astar_rejects +=
+              ExpandMatchesReference(base, g, src, dst, ws, what + " A*", &path);
+        }
+        // The greedy k = 4 loop of KEdgeDisjointShortestPaths, checked
+        // after each ban.
+        residual.ClearBans();
+        std::vector<graph::EdgeId> disabled;
+        for (int k = 0; k < 4 && graph::RunAStar(residual, src, dst, ws, h); ++k) {
+          ++chains;
+          residual_rejects += ExpandMatchesReference(
+              residual, g, src, dst, ws, what + " path " + std::to_string(k), &path);
+          for (const graph::EdgeId e : path.edges) {
+            g.SetEnabled(e, false);
+            disabled.push_back(e);
+          }
+          residual.Ban(path.edges);
+        }
+        for (const graph::EdgeId e : disabled) {
+          g.SetEnabled(e, true);
+        }
+      }
+    }
+  }
+  // The deltas summed: the row check reran exactly the reference's
+  // rejects, and each way of leaving a chain met ties it rejects.
+  const uint64_t rejects = tree_rejects + astar_rejects + residual_rejects;
+  EXPECT_EQ(ContractTieFallbacks() - fallbacks_before, rejects);
+  EXPECT_GT(tree_rejects, 0u);
+  EXPECT_GT(astar_rejects, 0u);
+  EXPECT_GT(residual_rejects, 0u);
+  EXPECT_LT(rejects, chains);
 }
 
 // Sixteen slots, so that 13 workers all take some.

@@ -639,7 +639,8 @@ TEST(ObsProfileTest, DisabledProfilerRecordsNothing) {
 }
 
 // Each worker's spans nest under its parallel.worker root; at one
-// worker that root runs inline under parallel.run on the caller.
+// worker that root runs inline under parallel.run on the caller, and at
+// more the caller's join is parallel.wait under parallel.run.
 TEST(ObsProfileTest, WorkerStacksAreExactAtOneAndFourThreads) {
   const auto run = [](int threads) {
     ResetProfile();
@@ -664,6 +665,7 @@ TEST(ObsProfileTest, WorkerStacksAreExactAtOneAndFourThreads) {
                     }));
   EXPECT_EQ(run(4), (std::set<std::string>{
                         "parallel.run",
+                        "parallel.run;parallel.wait",
                         "parallel.worker",
                         "parallel.worker;profile.test_body",
                         "parallel.worker;profile.test_body;profile.test_leaf",
